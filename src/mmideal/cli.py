@@ -21,7 +21,7 @@ from .errors import (
     RationalFormatError,
     ValidationError,
 )
-from .evaluate import mmi_divisor
+from .evaluate import evaluate_point, mmi_divisor
 from .fixtures import build_tuple, bundled_names, load_fixture
 from .multiplicity import (
     jump_record,
@@ -35,10 +35,10 @@ from .rays import make_ray, poincare, ray_walk
 from .svg import render_atlas_svg
 from .unloading import colength
 from .walls import (
+    _thresholds,
     bijection_report,
     cell_decomposition,
     lc_region,
-    lct_axis,
     newton_nest,
     require_valid_region,
 )
@@ -127,16 +127,16 @@ def _cmd_closure(args) -> int:
 
 def _cmd_point(args) -> int:
     _, ideals = _load(args)
-    point = parse_point(args.c, ideals.r)
-    record = jump_record(ideals, point)
+    evaluation = evaluate_point(ideals, parse_point(args.c, ideals.r))
+    record = jump_record(ideals, evaluation)
     print(f"c = {format_point(record.point)}")
     print(f"D = {_divisor_text(record.divisor)}")
     print(f"D_left = {_divisor_text(record.divisor_left)}")
     print(f"H = {_labels(ideals, record.maximal)}")
     routes = (
-        multiplicity(ideals, point),
-        multiplicity_fractional(ideals, point),
-        multiplicity_oracle(ideals, point),
+        multiplicity(ideals, evaluation),
+        multiplicity_fractional(ideals, evaluation),
+        multiplicity_oracle(ideals, evaluation),
     )
     print(
         f"m = {routes[0]} (adjunction) = {routes[1]} (fractional) = "
@@ -144,7 +144,7 @@ def _cmd_point(args) -> int:
     )
     if record.mult > 0:
         print(f"G = {_labels(ideals, record.minimal)}")
-        print(f"m via G = {multiplicity_via_G(ideals, point)}")
+        print(f"m via G = {multiplicity_via_G(ideals, evaluation)}")
     else:
         print("not a jumping point")
     walls = ", ".join(
@@ -249,7 +249,7 @@ def _cmd_walls(args) -> int:
                 )
         print(f"csv written to {args.csv}")
     if args.svg:
-        ticks = tuple(lct_axis(ideals, axis) for axis in range(2))
+        ticks = _thresholds(ideals, lc_region(ideals))
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(render_atlas_svg(atlas, ticks))
         print(f"svg written to {args.svg}")
@@ -260,8 +260,7 @@ def _cmd_lct(args) -> int:
     _, ideals = _load(args)
     report = require_valid_region(lc_region(ideals))
     print(f"origin divisor = {_divisor_text(mmi_divisor(ideals, report.center))}")
-    for axis in range(ideals.r):
-        threshold = lct_axis(ideals, axis)
+    for axis, threshold in enumerate(_thresholds(ideals, report)):
         print(f"lct axis {axis + 1} = {format_rational(threshold)}")
     return 0
 
@@ -344,9 +343,7 @@ def _selftest_one(name: str) -> list[str]:
         elif key == "singularity":
             check(key, singularity_class(graph).value)
         elif key == "lct":
-            thresholds = tuple(
-                lct_axis(ideals, axis) for axis in range(ideals.r)
-            )
+            thresholds = _thresholds(ideals, lc_region(ideals))
             check(key, thresholds, format_point(thresholds))
         else:
             if report is None:

@@ -13,7 +13,11 @@ floor(v_j) otherwise.  No numeric epsilon is ever chosen.
 
 The maximal jumping divisor H_c is the reduced divisor supported on
 {j : v_j is a strictly positive integer}; the support equality between H_c
-and the clamped floor-difference is asserted on every call.
+and the clamped floor-difference is asserted whenever H_c is computed.
+
+All of this is computed once per point: :func:`evaluate_point` returns a
+frozen :class:`PointEvaluation`, and every function here and in
+``multiplicity`` that takes a point accepts that evaluation in its place.
 
 The constancy region of c is the set of weights with the same ideal: the
 points z >= 0 with (z.F)_j < k_j + 1 + e_j^c for every j, where e^c = D_c.
@@ -27,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Sequence, Union
 
 from .dualgraph import IdealTuple
 from .errors import InternalConsistencyError, LengthMismatch, ValidationError
@@ -55,69 +60,96 @@ def normalize_point(ideals: IdealTuple, point: Sequence) -> Point:
     return coords
 
 
-def weighted_F(ideals: IdealTuple, point: Sequence) -> tuple[Fraction, ...]:
-    """The rational divisor c_1 F_1 + ... + c_r F_r."""
-    coords = normalize_point(ideals, point)
-    size = ideals.size
-    return tuple(
-        sum(
-            (coords[i] * ideals.ideals[i][j] for i in range(ideals.r)),
-            Fraction(0),
-        )
-        for j in range(size)
-    )
+@dataclass(frozen=True, eq=False)
+class PointEvaluation:
+    """Everything read off one weight point of one ideal tuple.
 
-
-def gap_values(ideals: IdealTuple, point: Sequence) -> tuple[Fraction, ...]:
-    """v_j = (c.F)_j - k_j for every component."""
-    weighted = weighted_F(ideals, point)
-    return tuple(w - k for w, k in zip(weighted, ideals.graph.canonical))
-
-
-def _floor(value: Fraction) -> int:
-    return value.numerator // value.denominator
-
-
-def mmi_divisor(ideals: IdealTuple, point: Sequence) -> tuple[int, ...]:
-    """D_c: the antinef closure of floor(c.F - K)."""
-    raw = [_floor(v) for v in gap_values(ideals, point)]
-    return antinef_closure_checked(ideals.graph.matrix, raw)
-
-
-def _left_floor(ideals: IdealTuple, point: Sequence) -> list[int]:
-    weighted = weighted_F(ideals, point)
-    values = [w - k for w, k in zip(weighted, ideals.graph.canonical)]
-    floors = []
-    for w, v in zip(weighted, values):
-        if v.denominator == 1 and w > 0:
-            floors.append(int(v) - 1)
-        else:
-            floors.append(_floor(v))
-    return floors
-
-
-def mmi_divisor_left(ideals: IdealTuple, point: Sequence) -> tuple[int, ...]:
-    """D_{(1-eps)c} for all sufficiently small eps > 0, symbolically."""
-    return antinef_closure_checked(ideals.graph.matrix, _left_floor(ideals, point))
-
-
-def maximal_jumping_divisor(ideals: IdealTuple, point: Sequence) -> tuple[bool, ...]:
-    """H_c: support = {j : v_j is a strictly positive integer}.
-
-    The equivalent clamped-floor characterization — the support of
-    max(floor(v), 0) - max(left-floor(v), 0) — is asserted to agree exactly.
+    The gap data is computed on construction.  H, D_c and D_left are computed
+    when first read, at most once: callers that need only gap values never
+    unload, and D_c stays defined where the H assertion fails.
     """
-    values = gap_values(ideals, point)
-    support = tuple(v.denominator == 1 and v > 0 for v in values)
-    floors = [max(_floor(v), 0) for v in values]
-    left = [max(f, 0) for f in _left_floor(ideals, point)]
-    differences = tuple(a != b for a, b in zip(floors, left))
-    if differences != support:
-        raise InternalConsistencyError(
-            "clamped floor-difference support disagrees with the integrality scan "
-            f"at {tuple(point)}"
+
+    ideals: IdealTuple
+    point: Point
+    weighted: tuple[Fraction, ...]  # c.F
+    values: tuple[Fraction, ...]  # v = c.F - K
+    floors: tuple[int, ...]
+    left_floors: tuple[int, ...]  # floors of D_{(1-eps)c} before closure
+
+    @cached_property
+    def maximal(self) -> tuple[bool, ...]:
+        """H_c: support = {j : v_j is a strictly positive integer}, asserted
+        equal to the support of max(floor(v), 0) - max(left-floor(v), 0)."""
+        support = tuple(v.denominator == 1 and v > 0 for v in self.values)
+        differences = tuple(
+            max(f, 0) != max(left, 0)
+            for f, left in zip(self.floors, self.left_floors)
         )
-    return support
+        if differences != support:
+            raise InternalConsistencyError(
+                "clamped floor-difference support disagrees with the "
+                f"integrality scan at {self.point}"
+            )
+        return support
+
+    @cached_property
+    def divisor(self) -> tuple[int, ...]:
+        return antinef_closure_checked(self.ideals.graph.matrix, self.floors)
+
+    @cached_property
+    def divisor_left(self) -> tuple[int, ...]:
+        return antinef_closure_checked(self.ideals.graph.matrix, self.left_floors)
+
+
+PointLike = Union[Sequence, PointEvaluation]
+
+
+def evaluate_point(ideals: IdealTuple, point: PointLike) -> PointEvaluation:
+    """The evaluation of a point; an evaluation of this tuple is returned
+    unchanged, one of a different tuple is refused."""
+    if isinstance(point, PointEvaluation):
+        if point.ideals is not ideals and point.ideals != ideals:
+            raise ValidationError(
+                "the point evaluation belongs to a different ideal tuple"
+            )
+        return point
+    coords = normalize_point(ideals, point)
+    weighted = tuple(
+        sum((c * vector[j] for c, vector in zip(coords, ideals.ideals)), Fraction(0))
+        for j in range(ideals.size)
+    )
+    values = tuple(w - k for w, k in zip(weighted, ideals.graph.canonical))
+    floors = tuple(v.numerator // v.denominator for v in values)
+    left_floors = tuple(
+        f - 1 if v.denominator == 1 and w > 0 else f
+        for w, v, f in zip(weighted, values, floors)
+    )
+    return PointEvaluation(ideals, coords, weighted, values, floors, left_floors)
+
+
+def weighted_F(ideals: IdealTuple, point: PointLike) -> tuple[Fraction, ...]:
+    """The rational divisor c_1 F_1 + ... + c_r F_r."""
+    return evaluate_point(ideals, point).weighted
+
+
+def gap_values(ideals: IdealTuple, point: PointLike) -> tuple[Fraction, ...]:
+    """v_j = (c.F)_j - k_j for every component."""
+    return evaluate_point(ideals, point).values
+
+
+def mmi_divisor(ideals: IdealTuple, point: PointLike) -> tuple[int, ...]:
+    """D_c: the antinef closure of floor(c.F - K)."""
+    return evaluate_point(ideals, point).divisor
+
+
+def mmi_divisor_left(ideals: IdealTuple, point: PointLike) -> tuple[int, ...]:
+    """D_{(1-eps)c} for all sufficiently small eps > 0, symbolically."""
+    return evaluate_point(ideals, point).divisor_left
+
+
+def maximal_jumping_divisor(ideals: IdealTuple, point: PointLike) -> tuple[bool, ...]:
+    """H_c: support = {j : v_j is a strictly positive integer}."""
+    return evaluate_point(ideals, point).maximal
 
 
 def support_components(ideals: IdealTuple, support: Sequence[bool]) -> list[list[int]]:
@@ -166,12 +198,11 @@ class RegionReport:
         return not self.binding_non_rupture
 
 
-def region(ideals: IdealTuple, point: Sequence) -> RegionReport:
+def region(ideals: IdealTuple, point: PointLike) -> RegionReport:
     """Open constancy region {z >= 0 : (z.F)_j < k_j + 1 + e_j^c for all j}."""
-    coords = normalize_point(ideals, point)
-    divisor = mmi_divisor(ideals, coords)
+    evaluation = evaluate_point(ideals, point)
     bounds = tuple(
-        k + 1 + e for k, e in zip(ideals.graph.canonical, divisor)
+        k + 1 + e for k, e in zip(ideals.graph.canonical, evaluation.divisor)
     )
     axis = orthant_halfspaces(ideals.r)
     constraints = [
@@ -195,7 +226,7 @@ def region(ideals: IdealTuple, point: Sequence) -> RegionReport:
             if not keep[j] and not redundant_over(restricted, constraint):
                 binding.append(j)
     return RegionReport(
-        center=coords,
+        center=evaluation.point,
         bounds=bounds,
         polytope=full,
         restricted=restricted,

@@ -37,15 +37,13 @@ from .errors import (
 )
 from .evaluate import (
     Point,
-    gap_values,
-    maximal_jumping_divisor,
-    mmi_divisor,
-    mmi_divisor_left,
-    normalize_point,
+    PointEvaluation,
+    PointLike,
+    evaluate_point,
     support_components,
     weighted_F,
 )
-from .unloading import colength, pairing
+from .unloading import colength, intersection_products
 
 __all__ = [
     "multiplicity",
@@ -67,47 +65,39 @@ __all__ = [
 ]
 
 
-def ceil_K_minus_cF(ideals: IdealTuple, point: Sequence) -> tuple[int, ...]:
-    """ceil(K - c.F) componentwise; equals -floor(v) exactly."""
-    values = gap_values(ideals, point)
-    return tuple(-(v.numerator // v.denominator) for v in values)
+def _adjoint_products(
+    ideals: IdealTuple, evaluation: PointEvaluation, support: Sequence[bool]
+) -> tuple[int, ...]:
+    """(ceil(K - c.F) + S) . E_j for every component, S the reduced divisor
+    on `support`; ceil(K - c.F) = -floor(v) exactly."""
+    shifted = [inside - f for f, inside in zip(evaluation.floors, support)]
+    return intersection_products(ideals.graph.matrix, shifted)
 
 
 def _adjunction_value(
-    ideals: IdealTuple, ceiling: Sequence[int], support: Sequence[bool]
+    ideals: IdealTuple, evaluation: PointEvaluation, support: Sequence[bool]
 ) -> int:
-    indicator = [1 if inside else 0 for inside in support]
-    shifted = [c + h for c, h in zip(ceiling, indicator)]
-    product = pairing(ideals.graph.matrix, shifted, indicator)
-    return product + len(support_components(ideals, support))
+    products = _adjoint_products(ideals, evaluation, support)
+    components = support_components(ideals, support)
+    return sum(products[j] for part in components for j in part) + len(components)
 
 
-def multiplicity(ideals: IdealTuple, point: Sequence) -> int:
+def multiplicity(ideals: IdealTuple, point: PointLike) -> int:
     """Adjunction-form multiplicity (the production route)."""
-    support = maximal_jumping_divisor(ideals, point)
-    if not any(support):
-        return 0
-    ceiling = ceil_K_minus_cF(ideals, point)
-    return _adjunction_value(ideals, ceiling, support)
+    evaluation = evaluate_point(ideals, point)
+    return _adjunction_value(ideals, evaluation, evaluation.maximal)
 
 
-def multiplicity_fractional(ideals: IdealTuple, point: Sequence) -> int:
+def multiplicity_fractional(ideals: IdealTuple, point: PointLike) -> int:
     """Fractional-parts form of the multiplicity; must equal `multiplicity`."""
-    coords = normalize_point(ideals, point)
-    support = maximal_jumping_divisor(ideals, coords)
-    if not any(support):
-        return 0
-    values = gap_values(ideals, coords)
+    evaluation = evaluate_point(ideals, point)
+    coords, values, support = evaluation.point, evaluation.values, evaluation.maximal
     adjacency = ideals.graph.adjacency
     total = Fraction(0)
     for i, inside in enumerate(support):
         if not inside:
             continue
-        fractional = sum(
-            (values[j] - (values[j].numerator // values[j].denominator)
-             for j in adjacency[i]),
-            Fraction(0),
-        )
+        fractional = sum((values[j] % 1 for j in adjacency[i]), Fraction(0))
         excess = sum(
             (coords[k] * ideals.excesses[k][i] for k in range(ideals.r)),
             Fraction(0),
@@ -121,55 +111,56 @@ def multiplicity_fractional(ideals: IdealTuple, point: Sequence) -> int:
     return int(total)
 
 
-def multiplicity_oracle(ideals: IdealTuple, point: Sequence) -> int:
+def multiplicity_oracle(ideals: IdealTuple, point: PointLike) -> int:
     """Independent oracle: colength(D_c) - colength(D_left)."""
-    graph = ideals.graph
-    at = colength(graph.matrix, graph.canonical, mmi_divisor(ideals, point))
-    left = colength(graph.matrix, graph.canonical, mmi_divisor_left(ideals, point))
-    return at - left
+    evaluation = evaluate_point(ideals, point)
+    matrix, canonical = ideals.graph.matrix, ideals.graph.canonical
+    at = colength(matrix, canonical, evaluation.divisor)
+    return at - colength(matrix, canonical, evaluation.divisor_left)
 
 
-def multiplicity_checked(ideals: IdealTuple, point: Sequence) -> int:
+def multiplicity_checked(ideals: IdealTuple, point: PointLike) -> int:
     """All always-defined routes, asserted equal; via-G added at jumping points."""
-    adjunction = multiplicity(ideals, point)
-    fractional = multiplicity_fractional(ideals, point)
-    oracle = multiplicity_oracle(ideals, point)
+    evaluation = evaluate_point(ideals, point)
+    adjunction = multiplicity(ideals, evaluation)
+    fractional = multiplicity_fractional(ideals, evaluation)
+    oracle = multiplicity_oracle(ideals, evaluation)
     if not (adjunction == fractional == oracle):
         raise InternalConsistencyError(
-            f"multiplicity routes disagree at {tuple(point)}: "
+            f"multiplicity routes disagree at {evaluation.point}: "
             f"adjunction {adjunction}, fractional {fractional}, oracle {oracle}"
         )
     if adjunction > 0:
-        via_G = multiplicity_via_G(ideals, point)
+        via_G = multiplicity_via_G(ideals, evaluation)
         if via_G != adjunction:
             raise InternalConsistencyError(
                 f"minimal-divisor route gives {via_G} != {adjunction} "
-                f"at {tuple(point)}"
+                f"at {evaluation.point}"
             )
     return adjunction
 
 
-def is_jumping(ideals: IdealTuple, point: Sequence) -> tuple[bool, list[int] | None]:
+def is_jumping(ideals: IdealTuple, point: PointLike) -> tuple[bool, list[int] | None]:
     """(jumping?, witness component of H achieving the criterion).
 
     The criterion — some connected component H' of H_c with
     (ceil(K - c.F) + H_c) . H' >= 0 — is asserted to agree with m > 0.
     """
-    support = maximal_jumping_divisor(ideals, point)
-    witness = None
-    if any(support):
-        ceiling = ceil_K_minus_cF(ideals, point)
-        indicator = [1 if inside else 0 for inside in support]
-        shifted = [c + h for c, h in zip(ceiling, indicator)]
-        for component in support_components(ideals, support):
-            part = [1 if j in component else 0 for j in range(ideals.size)]
-            if pairing(ideals.graph.matrix, shifted, part) >= 0:
-                witness = component
-                break
-    jumping = multiplicity(ideals, point) > 0
+    evaluation = evaluate_point(ideals, point)
+    support = evaluation.maximal
+    products = _adjoint_products(ideals, evaluation, support)
+    witness = next(
+        (
+            component
+            for component in support_components(ideals, support)
+            if sum(products[j] for j in component) >= 0
+        ),
+        None,
+    )
+    jumping = multiplicity(ideals, evaluation) > 0
     if jumping != (witness is not None):
         raise InternalConsistencyError(
-            f"jumping criterion and multiplicity disagree at {tuple(point)}"
+            f"jumping criterion and multiplicity disagree at {evaluation.point}"
         )
     return jumping, witness
 
@@ -185,20 +176,15 @@ class HInequalityReport:
     per_connected: tuple[tuple[tuple[int, ...], int], ...]
 
 
-def check_H_inequalities(ideals: IdealTuple, point: Sequence) -> HInequalityReport:
-    coords = normalize_point(ideals, point)
-    support = maximal_jumping_divisor(ideals, coords)
-    if not any(support):
-        return HInequalityReport(coords, support, (), ())
-    ceiling = ceil_K_minus_cF(ideals, coords)
-    indicator = [1 if inside else 0 for inside in support]
-    shifted = [c + h for c, h in zip(ceiling, indicator)]
+def check_H_inequalities(ideals: IdealTuple, point: PointLike) -> HInequalityReport:
+    evaluation = evaluate_point(ideals, point)
+    coords, support = evaluation.point, evaluation.maximal
+    products = _adjoint_products(ideals, evaluation, support)
     singles = []
     for i, inside in enumerate(support):
         if not inside:
             continue
-        single = [1 if j == i else 0 for j in range(ideals.size)]
-        value = pairing(ideals.graph.matrix, shifted, single)
+        value = products[i]
         if value < -1:
             raise InequalityViolated(
                 f"component {ideals.graph.label(i)} gives {value} < -1 at {coords}"
@@ -206,8 +192,7 @@ def check_H_inequalities(ideals: IdealTuple, point: Sequence) -> HInequalityRepo
         singles.append((i, value))
     connected = []
     for component in support_components(ideals, support):
-        part = [1 if j in component else 0 for j in range(ideals.size)]
-        value = pairing(ideals.graph.matrix, shifted, part)
+        value = sum(products[j] for j in component)
         if value < -1:
             raise InequalityViolated(
                 f"H-component {component} gives {value} < -1 at {coords}"
@@ -216,36 +201,33 @@ def check_H_inequalities(ideals: IdealTuple, point: Sequence) -> HInequalityRepo
     return HInequalityReport(coords, support, tuple(singles), tuple(connected))
 
 
-def minimal_jumping_divisor(ideals: IdealTuple, point: Sequence) -> tuple[bool, ...]:
+def minimal_jumping_divisor(ideals: IdealTuple, point: PointLike) -> tuple[bool, ...]:
     """G: support = {j : (c.F)_j = k_j + 1 + e_j^left}; jumping points only."""
-    coords = normalize_point(ideals, point)
-    jumping, _ = is_jumping(ideals, coords)
+    evaluation = evaluate_point(ideals, point)
+    jumping, _ = is_jumping(ideals, evaluation)
     if not jumping:
-        raise NotAJumpingPoint(f"{coords} is not a jumping point")
-    weighted = weighted_F(ideals, coords)
-    left = mmi_divisor_left(ideals, coords)
+        raise NotAJumpingPoint(f"{evaluation.point} is not a jumping point")
     support = tuple(
-        w == k + 1 + e
-        for w, k, e in zip(weighted, ideals.graph.canonical, left)
+        v == 1 + e for v, e in zip(evaluation.values, evaluation.divisor_left)
     )
-    maximal = maximal_jumping_divisor(ideals, coords)
-    if any(g and not h for g, h in zip(support, maximal)):
+    if any(g and not h for g, h in zip(support, evaluation.maximal)):
         raise InternalConsistencyError(
-            f"minimal jumping divisor exceeds the maximal one at {coords}"
+            f"minimal jumping divisor exceeds the maximal one at {evaluation.point}"
         )
     return support
 
 
-def multiplicity_via_G(ideals: IdealTuple, point: Sequence) -> int:
+def multiplicity_via_G(ideals: IdealTuple, point: PointLike) -> int:
     """Adjunction form on the minimal jumping divisor; jumping points only."""
-    support = minimal_jumping_divisor(ideals, point)
-    ceiling = ceil_K_minus_cF(ideals, point)
-    return _adjunction_value(ideals, ceiling, support)
+    evaluation = evaluate_point(ideals, point)
+    return _adjunction_value(
+        ideals, evaluation, minimal_jumping_divisor(ideals, evaluation)
+    )
 
 
-def wall_lines_through(ideals: IdealTuple, point: Sequence) -> list[tuple[int, int]]:
+def wall_lines_through(ideals: IdealTuple, point: PointLike) -> list[tuple[int, int]]:
     """(component j, level l) pairs with (c.F)_j - k_j = l, a positive integer."""
-    values = gap_values(ideals, point)
+    values = evaluate_point(ideals, point).values
     return [
         (j, int(v)) for j, v in enumerate(values) if v.denominator == 1 and v > 0
     ]
@@ -264,24 +246,22 @@ class JumpRecord:
     wall_lines: tuple[tuple[int, int], ...]
 
 
-def jump_record(ideals: IdealTuple, point: Sequence) -> JumpRecord:
-    coords = normalize_point(ideals, point)
-    divisor = mmi_divisor(ideals, coords)
-    left = mmi_divisor_left(ideals, coords)
-    mult = multiplicity_checked(ideals, coords)
-    if (mult > 0) != (divisor != left):
+def jump_record(ideals: IdealTuple, point: PointLike) -> JumpRecord:
+    evaluation = evaluate_point(ideals, point)
+    mult = multiplicity_checked(ideals, evaluation)
+    if (mult > 0) != (evaluation.divisor != evaluation.divisor_left):
         raise InternalConsistencyError(
-            f"multiplicity {mult} inconsistent with divisor jump at {coords}"
+            f"multiplicity {mult} inconsistent with divisor jump at "
+            f"{evaluation.point}"
         )
-    minimal = minimal_jumping_divisor(ideals, coords) if mult > 0 else None
     return JumpRecord(
-        point=coords,
-        divisor=divisor,
-        divisor_left=left,
-        maximal=maximal_jumping_divisor(ideals, coords),
-        minimal=minimal,
+        point=evaluation.point,
+        divisor=evaluation.divisor,
+        divisor_left=evaluation.divisor_left,
+        maximal=evaluation.maximal,
+        minimal=minimal_jumping_divisor(ideals, evaluation) if mult > 0 else None,
         mult=mult,
-        wall_lines=tuple(wall_lines_through(ideals, coords)),
+        wall_lines=tuple(wall_lines_through(ideals, evaluation)),
     )
 
 
@@ -313,7 +293,7 @@ class PerturbationReport:
 
 def perturbation_sum(
     ideals: IdealTuple,
-    point: Sequence,
+    point: PointLike,
     ray_dir: Sequence[int],
     offset: Sequence,
 ) -> PerturbationReport:
@@ -326,7 +306,8 @@ def perturbation_sum(
     parameter interval of the crossings and every crossing stays in the
     nonnegative orthant; otherwise OffsetTooLarge is raised.
     """
-    coords = normalize_point(ideals, point)
+    evaluation = evaluate_point(ideals, point)
+    coords = evaluation.point
     direction = tuple(int(u) for u in ray_dir)
     if len(direction) != ideals.r or any(u < 0 for u in direction) or not any(direction):
         raise ValidationError("ray direction must be nonnegative integers, not all 0")
@@ -341,10 +322,11 @@ def perturbation_sum(
         tuple(ideals.ideals[i][j] for i in range(ideals.r))
         for j in range(ideals.size)
     ]
-    weighted_at = weighted_F(ideals, coords)
+    weighted_at = evaluation.weighted
+    weighted_base = weighted_F(ideals, base)
     # distinct geometric lines through the point carrying some V_{j,l}, l > 0
     groups: dict[tuple[Fraction, ...], list[tuple[int, int]]] = {}
-    for j, level in wall_lines_through(ideals, coords):
+    for j, level in wall_lines_through(ideals, evaluation):
         normal = tuple(Fraction(e) for e in columns[j])
         key = _line_key(normal, weighted_at[j])
         groups.setdefault(key, []).append((j, level))
@@ -360,10 +342,7 @@ def perturbation_sum(
                 f"ray direction {direction} is parallel to the wall line of "
                 f"{ideals.graph.label(j)}"
             )
-        numerator = weighted_at[j] - sum(
-            (Fraction(n) * b for n, b in zip(normal, base)), Fraction(0)
-        )
-        parameter = numerator / slope
+        parameter = (weighted_at[j] - weighted_base[j]) / slope
         crossing = tuple(b + parameter * u for b, u in zip(base, direction))
         if any(x < 0 for x in crossing):
             raise OffsetTooLarge(
@@ -384,15 +363,12 @@ def perturbation_sum(
         for j in range(ideals.size):
             normal = columns[j]
             slope = sum(n * u for n, u in zip(normal, direction))
-            value_base = sum(
-                (Fraction(n) * b for n, b in zip(normal, base)), Fraction(0)
-            )
             k_j = ideals.graph.canonical[j]
             corners = (
                 weighted_at[j] + low * slope,
                 weighted_at[j] + high * slope,
-                value_base + low * slope,
-                value_base + high * slope,
+                weighted_base[j] + low * slope,
+                weighted_base[j] + high * slope,
             )
             level_low = math.ceil(min(corners) - k_j)
             level_high = math.floor(max(corners) - k_j)
@@ -411,7 +387,7 @@ def perturbation_sum(
             for parameter, crossing, _ in sorted(crossings)
         ]
 
-    center_mult = multiplicity_checked(ideals, coords)
+    center_mult = multiplicity_checked(ideals, evaluation)
     total = sum(m for _, _, m in crossings)
     report = PerturbationReport(
         center=coords,
@@ -436,19 +412,19 @@ def default_offset(point: Sequence[Fraction], delta: Fraction) -> tuple[Fraction
 
 def admissible_perturbation(
     ideals: IdealTuple,
-    point: Sequence,
+    point: PointLike,
     ray_dir: Sequence[int],
     initial: Fraction = Fraction(1, 64),
     max_halvings: int = 200,
 ) -> PerturbationReport:
     """Shrink the axis offset by halving until it is exactly admissible."""
-    coords = normalize_point(ideals, point)
+    evaluation = evaluate_point(ideals, point)
     delta = Fraction(initial)
     last_error: OffsetTooLarge | None = None
     for _ in range(max_halvings):
         try:
             return perturbation_sum(
-                ideals, coords, ray_dir, default_offset(coords, delta)
+                ideals, evaluation, ray_dir, default_offset(evaluation.point, delta)
             )
         except OffsetTooLarge as error:
             last_error = error

@@ -108,19 +108,16 @@ def _candidate_parameters(ideals: IdealTuple, ray: Ray, after: Fraction) -> Iter
     """Strictly increasing parameters mu > after where some v_j is a positive
     integer on the ray, each distinct parameter yielded once."""
 
+    values = gap_values(ideals, ray.base)
+
     def stream(j: int) -> Iterator[Fraction]:
-        q = ray.slopes[j]
+        q, v = ray.slopes[j], values[j]
         if q == 0:
             return
-        p = sum(
-            (ray.base[i] * ideals.ideals[i][j] for i in range(ideals.r)),
-            Fraction(0),
-        )
-        k = ideals.graph.canonical[j]
-        # v_j(mu) = p + mu*q - k = n  <=>  mu = (n + k - p) / q
-        first = max(1, math.floor(after * q + p - k) + 1)
+        # v_j(mu) = v + mu*q = n  <=>  mu = (n - v) / q
+        first = max(1, math.floor(after * q + v) + 1)
         for n in itertools.count(first):
-            yield Fraction(n + k - p, q)
+            yield (n - v) / q
 
     merged = heapq.merge(*(stream(j) for j in range(ideals.size)))
     previous = None
@@ -173,7 +170,10 @@ def ray_walk(ideals: IdealTuple, ray: Ray, until: Fraction) -> list[RayJump]:
 
 def rho(ideals: IdealTuple, point: Sequence, direction: Sequence[int]) -> int:
     """Direction-weighted excess over the support H at the point."""
-    support = maximal_jumping_divisor(ideals, point)
+    return _rho(ideals, maximal_jumping_divisor(ideals, point), direction)
+
+
+def _rho(ideals: IdealTuple, support: Sequence[bool], direction: Sequence[int]) -> int:
     return sum(
         int(direction[i]) * ideals.excesses[i][j]
         for j, inside in enumerate(support)
@@ -194,16 +194,8 @@ def is_degenerate(ideals: IdealTuple, point: Sequence) -> bool:
 def stability_bound(ideals: IdealTuple, ray: Ray) -> Fraction:
     """Smallest T >= 0 such that every point of the ray past T is
     non-degenerate: beyond T every integral gap value is positive."""
-    bound = Fraction(0)
-    for j in range(ideals.size):
-        p = sum(
-            (ray.base[i] * ideals.ideals[i][j] for i in range(ideals.r)),
-            Fraction(0),
-        )
-        k = ideals.graph.canonical[j]
-        threshold = Fraction(k - p, ray.slopes[j])
-        bound = max(bound, threshold)
-    return bound
+    values = gap_values(ideals, ray.base)
+    return max(Fraction(0), *(-v / q for v, q in zip(values, ray.slopes)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +323,7 @@ def poincare(
                 parameter=jump.parameter,
                 point=jump.point,
                 initial=jump.mult,
-                step=rho(ideals, jump.point, ray.direction),
+                step=_rho(ideals, jump.record.maximal, ray.direction),
             )
             supports[residue] = jump.record.maximal
             continue

@@ -32,8 +32,9 @@ from .errors import (
     ValidationError,
 )
 from .evaluate import (
+    PointEvaluation,
     RegionReport,
-    gap_values,
+    evaluate_point,
     mmi_divisor,
     region,
 )
@@ -282,26 +283,37 @@ def require_valid_region(report: RegionReport) -> RegionReport:
     return report
 
 
+def _thresholds(ideals: IdealTuple, report: RegionReport) -> tuple[Fraction, ...]:
+    """Jumping threshold of each single ideal, read off the lc region."""
+    return tuple(
+        min(bound / vector[j] for j, bound in enumerate(report.bounds))
+        for vector in ideals.ideals
+    )
+
+
+def _axis_supports(
+    ideals: IdealTuple, report: RegionReport
+) -> tuple[tuple[int, ...], ...]:
+    keep = ideals.rupture_or_dicritical
+    return tuple(
+        tuple(
+            j
+            for j, bound in enumerate(report.bounds)
+            if keep[j] and threshold * vector[j] == bound
+        )
+        for vector, threshold in zip(ideals.ideals, _thresholds(ideals, report))
+    )
+
+
 def lct_axis(ideals: IdealTuple, axis: int) -> Fraction:
     """Jumping threshold of the single ideal F_axis (0-based axis)."""
-    report = lc_region(ideals)
-    return min(
-        bound / ideals.ideals[axis][j]
-        for j, bound in enumerate(report.bounds)
-    )
+    return _thresholds(ideals, lc_region(ideals))[axis]
 
 
 def axis_Gprime(ideals: IdealTuple, axis: int) -> tuple[int, ...]:
     """Rupture-or-dicritical components whose wall passes through the axis
     threshold point of the given ideal."""
-    report = lc_region(ideals)
-    threshold = lct_axis(ideals, axis)
-    keep = ideals.rupture_or_dicritical
-    return tuple(
-        j
-        for j, bound in enumerate(report.bounds)
-        if keep[j] and threshold * ideals.ideals[axis][j] == bound
-    )
+    return _axis_supports(ideals, lc_region(ideals))[axis]
 
 
 def _tree_path(adjacency: Sequence[Sequence[int]], start: int, goal: int) -> list[int]:
@@ -324,9 +336,11 @@ def _tree_path(adjacency: Sequence[Sequence[int]], start: int, goal: int) -> lis
 def newton_nest(ideals: IdealTuple) -> tuple[int, ...]:
     """Rupture-or-dicritical members of the smallest subtree spanning every
     axis contact locus."""
-    members: set[int] = set()
-    for axis in range(ideals.r):
-        members.update(axis_Gprime(ideals, axis))
+    return _nest(ideals, _axis_supports(ideals, lc_region(ideals)))
+
+
+def _nest(ideals: IdealTuple, supports: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    members = set().union(*supports)
     if not members:
         return ()
     adjacency = ideals.graph.adjacency
@@ -368,9 +382,9 @@ class BijectionReport:
 
 def _interior_sample(
     ideals: IdealTuple, carriers: Sequence[int], vertices: Sequence[Vector]
-) -> Vector:
-    """Relative-interior point of the facet at which no foreign gap value is
-    an integer, so the sampled multiplicity belongs to this facet alone."""
+) -> PointEvaluation:
+    """Evaluated relative-interior point of the facet where no foreign gap
+    value is an integer, so the sampled multiplicity belongs to this facet."""
     count = len(vertices)
     carrier_set = set(carriers)
     for attempt in range(50):
@@ -382,14 +396,14 @@ def _interior_sample(
             / total
             for i in range(ideals.r)
         )
-        values = gap_values(ideals, sample)
+        evaluation = evaluate_point(ideals, sample)
         clean = all(
             j in carrier_set
-            for j, v in enumerate(values)
+            for j, v in enumerate(evaluation.values)
             if v.denominator == 1 and v > 0
         )
         if clean:
-            return sample
+            return evaluation
     raise InternalConsistencyError(
         "no clean relative-interior sample found on a wall facet"
     )
@@ -399,9 +413,9 @@ def bijection_report(ideals: IdealTuple) -> BijectionReport:
     report = lc_region(ideals)
     polytope = report.polytope
     axes = ideals.r
-    thresholds = tuple(lct_axis(ideals, axis) for axis in range(axes))
-    supports = tuple(axis_Gprime(ideals, axis) for axis in range(axes))
-    nest = newton_nest(ideals)
+    thresholds = _thresholds(ideals, report)
+    supports = _axis_supports(ideals, report)
+    nest = _nest(ideals, supports)
 
     facets: list[LCFacet] = []
     for key, indices in sorted(polytope.facet_keys().items()):
@@ -415,7 +429,7 @@ def bijection_report(ideals: IdealTuple) -> BijectionReport:
                 key=key,
                 carriers=carriers,
                 vertices=vertices,
-                sample=sample,
+                sample=sample.point,
                 sample_mult=multiplicity_checked(ideals, sample),
             )
         )

@@ -1,14 +1,20 @@
 """Weighted divisors, one-sided limits, constancy regions."""
 
+import importlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import frozen
 from mmideal import (
+    PointEvaluation,
+    bijection_report,
     combined_ideal,
+    evaluate_point,
     gap_values,
+    jump_record,
     maximal_jumping_divisor,
     mmi_divisor,
     mmi_divisor_left,
@@ -140,3 +146,45 @@ def test_subtuple_and_combined(nest14):
     assert merged == expected
     with pytest.raises(ValidationError):
         combined_ideal(nest14, (0, 0, 0))
+
+
+def _record_calls(monkeypatch, module_name, function_name):
+    """Wrap a library function at every mmideal module attribute bound to it,
+    so calls are seen whichever module makes them; return the argument list
+    of each call."""
+    original = getattr(importlib.import_module(f"mmideal.{module_name}"), function_name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mmideal" or name.startswith("mmideal."):
+            for attribute, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attribute, wrapper)
+    return calls
+
+
+def test_bijection_report_builds_one_lc_region(monkeypatch, nest14):
+    calls = _record_calls(monkeypatch, "walls", "lc_region")
+    bijection_report(nest14)
+    assert len(calls) == 1
+
+
+def test_jump_record_evaluates_the_point_once(monkeypatch, rat6):
+    weighted = _record_calls(monkeypatch, "evaluate", "weighted_F")
+    evaluations = _record_calls(monkeypatch, "evaluate", "evaluate_point")
+    jump_record(rat6, frozen.RAT6_CORNER)
+    assert len(weighted) <= 1
+    built = [args for args in evaluations if not isinstance(args[1], PointEvaluation)]
+    assert len(built) == 1
+
+
+def test_evaluation_stands_in_for_its_point(rat6, chain10):
+    corner = evaluate_point(rat6, frozen.RAT6_CORNER)
+    assert mmi_divisor(rat6, corner) == mmi_divisor(rat6, frozen.RAT6_CORNER)
+    assert gap_values(rat6, corner) == gap_values(rat6, frozen.RAT6_CORNER)
+    with pytest.raises(ValidationError):
+        mmi_divisor(chain10, corner)

@@ -1,5 +1,6 @@
 """Multiplicities by several routes, jumping criterion, perturbation sums."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -21,7 +22,11 @@ from mmideal import (
     perturbation_sum,
     wall_lines_through,
 )
-from mmideal.errors import NotAJumpingPoint, OffsetTooLarge
+from mmideal.errors import (
+    InternalConsistencyError,
+    NotAJumpingPoint,
+    OffsetTooLarge,
+)
 
 
 def test_corner_multiplicity_all_routes(rat6):
@@ -158,3 +163,24 @@ def test_multiplicity_zero_off_walls(tuples):
             if wall_lines_through(ideals, point):
                 continue
             assert multiplicity_checked(ideals, point) == 0
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        "multiplicity",
+        "multiplicity_fractional",
+        "multiplicity_oracle",
+        "multiplicity_via_G",
+    ],
+)
+def test_each_route_is_compared(monkeypatch, rat6, route):
+    # the package re-exports the function `multiplicity`, which shadows the
+    # submodule attribute, so the module is fetched by its full name
+    module = importlib.import_module("mmideal.multiplicity")
+    original = getattr(module, route)
+    monkeypatch.setattr(
+        module, route, lambda ideals, point: original(ideals, point) + 1
+    )
+    with pytest.raises(InternalConsistencyError):
+        jump_record(rat6, frozen.RAT6_CORNER)
