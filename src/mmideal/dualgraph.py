@@ -8,8 +8,10 @@ smooth rational curves), diagonal entries are integers <= -1.
 From M alone the module computes, eagerly at build time:
 
 * the relative canonical divisor K: the unique rational vector with
-  (K + E_j).E_j = -2 for every j, i.e. M K = b with b_j = -2 - M[j][j];
-* the fundamental cycle Z: the smallest nonzero antinef divisor.
+  (K + E_j).E_j = -2 for every j, i.e. M K = b with b_j = -2 - M[j][j],
+  by one leaf-first elimination over the tree that also checks definiteness;
+* the fundamental cycle Z: the smallest nonzero antinef divisor, which must
+  have arithmetic genus p_a(Z) = 0 (Artin's criterion for rationality).
 
 A tuple of ideals is attached as a tuple of antinef vectors F_i (the
 vanishing orders of the i-th ideal along each component).  Excesses
@@ -35,6 +37,7 @@ from .errors import (
     NonIntegralSelfIntersection,
     NotAntinef,
     NotNegativeDefinite,
+    NotRational,
     NotSymmetric,
     NotTree,
     ValidationError,
@@ -115,64 +118,6 @@ class IdealTuple:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra helpers (integer Bareiss determinant, Fraction solve).
-# ---------------------------------------------------------------------------
-
-
-def _determinant_int(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    size = len(rows)
-    if size == 0:
-        return 1
-    work = [row[:] for row in rows]
-    sign = 1
-    previous_pivot = 1
-    for k in range(size - 1):
-        if work[k][k] == 0:
-            for swap in range(k + 1, size):
-                if work[swap][k] != 0:
-                    work[k], work[swap] = work[swap], work[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                numerator = work[i][j] * work[k][k] - work[i][k] * work[k][j]
-                quotient, remainder = divmod(numerator, previous_pivot)
-                if remainder:
-                    raise InternalConsistencyError("Bareiss division not exact")
-                work[i][j] = quotient
-            work[i][k] = 0
-        previous_pivot = work[k][k]
-    return sign * work[size - 1][size - 1]
-
-
-def _solve_exact(matrix: Matrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Solve M x = rhs exactly by fraction Gaussian elimination."""
-    size = len(matrix)
-    work = [[Fraction(matrix[i][j]) for j in range(size)] + [Fraction(rhs[i])]
-            for i in range(size)]
-    for col in range(size):
-        pivot_row = next(
-            (row for row in range(col, size) if work[row][col] != 0), None
-        )
-        if pivot_row is None:
-            raise DivisionByZero("intersection matrix is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [entry / pivot for entry in work[col]]
-        for row in range(size):
-            if row != col and work[row][col] != 0:
-                factor = work[row][col]
-                work[row] = [
-                    entry - factor * lead
-                    for entry, lead in zip(work[row], work[col])
-                ]
-    return tuple(work[row][size] for row in range(size))
-
-
-# ---------------------------------------------------------------------------
 # Graph construction and validation.
 # ---------------------------------------------------------------------------
 
@@ -191,8 +136,14 @@ def _normalized_matrix(matrix_like) -> Matrix:
     return tuple(tuple(int(entry) for entry in row) for row in rows)
 
 
-def _validate_matrix(matrix: Matrix) -> tuple[tuple[int, ...], ...]:
-    """Full admissibility check; returns the adjacency lists."""
+def _validate_matrix(
+    matrix: Matrix,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
+    """Full admissibility check; returns the adjacency lists and K.
+
+    Checks run in a fixed order: symmetry, off-diagonal entries, diagonal
+    entries, connectivity, tree shape, then negative definiteness.
+    """
     size = len(matrix)
     if size == 0:
         raise LengthMismatch("intersection matrix is empty")
@@ -213,33 +164,47 @@ def _validate_matrix(matrix: Matrix) -> tuple[tuple[int, ...], ...]:
         for i in range(size)
     )
     edge_count = sum(len(neighbors) for neighbors in adjacency) // 2
-    # connectivity by depth-first search
-    seen = {0}
-    stack = [0]
-    while stack:
-        current = stack.pop()
+    # breadth-first from E1: every vertex is listed after its parent
+    parent = {0: 0}
+    order = [0]
+    for current in order:
         for neighbor in adjacency[current]:
-            if neighbor not in seen:
-                seen.add(neighbor)
-                stack.append(neighbor)
-    if len(seen) != size:
-        raise Disconnected(f"dual graph has {size - len(seen)} unreachable components")
+            if neighbor not in parent:
+                parent[neighbor] = current
+                order.append(neighbor)
+    if len(order) != size:
+        raise Disconnected(f"dual graph has {size - len(order)} unreachable components")
     if edge_count != size - 1:
         raise NotTree(f"connected graph with {edge_count} edges on {size} vertices")
-    # negative definiteness: leading principal minors alternate in sign
-    for k in range(1, size + 1):
-        minor = _determinant_int([list(row[:k]) for row in matrix[:k]])
-        if minor * (-1) ** k <= 0:
+    # Solve M K = b, b_j = -2 - E_j^2, leaf first: folding each child c into
+    # its parent p (pivot_p -= 1/pivot_c, rhs_p -= rhs_c/pivot_c) is Gaussian
+    # elimination in reversed order, whose pivots are ratios of consecutive
+    # leading principal minors.  By Sylvester's criterion M is negative
+    # definite exactly when every pivot is negative.
+    pivot = [Fraction(matrix[j][j]) for j in range(size)]
+    rhs = [Fraction(-2 - matrix[j][j]) for j in range(size)]
+    for vertex in reversed(order):
+        if pivot[vertex] >= 0:
             raise NotNegativeDefinite(
-                f"leading principal minor of order {k} is {minor}"
+                f"elimination pivot of E{vertex + 1} is {pivot[vertex]} (must be < 0)"
             )
-    return adjacency
+        if vertex:
+            pivot[parent[vertex]] -= 1 / pivot[vertex]
+            rhs[parent[vertex]] -= rhs[vertex] / pivot[vertex]
+    canonical = [Fraction(0)] * size
+    for vertex in order:
+        above = canonical[parent[vertex]] if vertex else 0
+        canonical[vertex] = (rhs[vertex] - above) / pivot[vertex]
+    return adjacency, tuple(canonical)
 
 
 def build_graph(matrix_like, labels: Sequence[str] | None = None) -> DualGraph:
-    """Validate an intersection matrix and build the graph with K and Z."""
+    """Validate an intersection matrix and build the graph with K and Z.
+
+    Raises NotRational unless p_a(Z) = 0 (Artin's rationality criterion).
+    """
     matrix = _normalized_matrix(matrix_like)
-    adjacency = _validate_matrix(matrix)
+    adjacency, canonical = _validate_matrix(matrix)
     size = len(matrix)
     if labels is None:
         labels = tuple(f"E{j + 1}" for j in range(size))
@@ -247,11 +212,20 @@ def build_graph(matrix_like, labels: Sequence[str] | None = None) -> DualGraph:
         labels = tuple(str(label) for label in labels)
         if len(labels) != size:
             raise LengthMismatch("label count does not match matrix size")
-    rhs = [Fraction(-2 - matrix[j][j]) for j in range(size)]
-    canonical = _solve_exact(matrix, rhs)
+    for j, row in enumerate(matrix):
+        # (K + E_j).E_j, read off the sparse row of the tree
+        if row[j] * (canonical[j] + 1) + sum(canonical[l] for l in adjacency[j]) != -2:
+            raise InternalConsistencyError(f"K fails adjunction at {labels[j]}")
     fundamental = fundamental_cycle(matrix)
     if any(coefficient < 1 for coefficient in fundamental):
         raise InternalConsistencyError("fundamental cycle is not strictly positive")
+    # p_a(Z) = 1 + (Z.Z + Z.K)/2 in integers: K.E_j = -2 - E_j^2 since M K = b
+    products = intersection_products(matrix, fundamental)
+    genus = 1 + sum(
+        z * (products[j] - 2 - matrix[j][j]) for j, z in enumerate(fundamental)
+    ) // 2
+    if genus != 0:
+        raise NotRational(f"p_a(Z) = {genus}, so the singularity is not rational")
     return DualGraph(
         matrix=matrix,
         canonical=canonical,

@@ -54,8 +54,14 @@ class NotTree(ValidationError):
     """The dual graph contains a cycle."""
 
 
+class NotRational(ValidationError):
+    """The dual graph is not that of a rational singularity: Artin's
+    arithmetic genus p_a(Z) of the fundamental cycle is not 0."""
+
+
 class DivisionByZero(ValidationError):
-    """A denominator vanished while solving for the relative canonical divisor."""
+    """A self-intersection cannot be derived from the canonical divisor
+    because some k_j = -1 (see ``derive_diagonal``)."""
 
 
 class NotAntinef(ValidationError):

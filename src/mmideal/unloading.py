@@ -12,7 +12,8 @@ Two implementations of unloading are provided on purpose:
 * :func:`antinef_closure` — the production version, which unloads with the
   ceiling step n_j = ceil((D.E_j) / (-E_j^2));
 * :func:`antinef_closure_unit` — an independent oracle that adds one copy of
-  E_j at a time.
+  E_j at a time, taking violated components from a last-in-first-out
+  worklist instead of rescanning in index order.
 
 Both must return the same divisor on every input; the test-suite and the
 ``closure`` CLI subcommand verify that exactly.
@@ -80,14 +81,13 @@ def is_antinef(matrix_like, divisor: Sequence[int]) -> bool:
     return all(product <= 0 for product in intersection_products(matrix, divisor))
 
 
-def _unload(matrix: Matrix, start: list[int], unit_steps: bool) -> tuple[int, ...]:
-    """Shared unloading loop.
+def _unload(matrix: Matrix, start: list[int]) -> tuple[int, ...]:
+    """Ceiling-step unloading loop.
 
     Scans components lowest-index-first; at the first violated component j
-    (D.E_j > 0) it adds n_j copies of E_j, where n_j is the ceiling step for
-    the production version and 1 for the oracle, then rescans from the start.
-    Terminates because the closure exists and every intermediate divisor
-    stays <= it.
+    (D.E_j > 0) it adds n_j = ceil((D.E_j) / (-E_j^2)) copies of E_j, then
+    rescans from the start.  Terminates because the closure exists and every
+    intermediate divisor stays <= it.
     """
     size = len(matrix)
     divisor = start
@@ -95,11 +95,8 @@ def _unload(matrix: Matrix, start: list[int], unit_steps: bool) -> tuple[int, ..
     while True:
         for j in range(size):
             if products[j] > 0:
-                if unit_steps:
-                    step = 1
-                else:
-                    # ceil(products[j] / -matrix[j][j]) with positive operands
-                    step = -(-products[j] // -matrix[j][j])
+                # ceil(products[j] / -matrix[j][j]) with positive operands
+                step = -(-products[j] // -matrix[j][j])
                 divisor[j] += step
                 row = matrix[j]
                 for i in range(size):
@@ -119,7 +116,7 @@ def antinef_closure(matrix_like, divisor: Sequence[int]) -> tuple[int, ...]:
     matrix = _rows(matrix_like)
     _check_length(matrix, divisor)
     clamped = [max(int(coefficient), 0) for coefficient in divisor]
-    result = _unload(matrix, list(clamped), unit_steps=False)
+    result = _unload(matrix, list(clamped))
     if not is_antinef(matrix, result):
         raise InternalConsistencyError("unloading returned a non-antinef divisor")
     if any(r < c for r, c in zip(result, clamped)):
@@ -128,11 +125,29 @@ def antinef_closure(matrix_like, divisor: Sequence[int]) -> tuple[int, ...]:
 
 
 def antinef_closure_unit(matrix_like, divisor: Sequence[int]) -> tuple[int, ...]:
-    """Independent unloading oracle that adds one component at a time."""
+    """Independent unloading oracle that adds one component at a time.
+
+    Violated components wait on a last-in-first-out worklist.  Adding E_j
+    changes only the products at j and its neighbours, so those are the only
+    ones pushed again; a popped component that is no longer violated is
+    skipped.
+    """
     matrix = _rows(matrix_like)
     _check_length(matrix, divisor)
-    clamped = [max(int(coefficient), 0) for coefficient in divisor]
-    result = _unload(matrix, list(clamped), unit_steps=True)
+    result = [max(int(coefficient), 0) for coefficient in divisor]
+    products = list(intersection_products(matrix, result))
+    pending = [j for j, product in enumerate(products) if product > 0]
+    while pending:
+        j = pending.pop()
+        if products[j] <= 0:
+            continue
+        result[j] += 1
+        for i, entry in enumerate(matrix[j]):
+            if entry:
+                products[i] += entry
+                if products[i] > 0:
+                    pending.append(i)
+    result = tuple(result)
     if not is_antinef(matrix, result):
         raise InternalConsistencyError("unit unloading returned a non-antinef divisor")
     return result

@@ -1,5 +1,7 @@
 """Graph validation, canonical divisor, diagonal reconstruction."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from mmideal import (
     graph_from_adjacency,
     singularity_class,
 )
+from mmideal.cli import main
 from mmideal.errors import (
     BadOffDiagonal,
     Disconnected,
@@ -21,9 +24,11 @@ from mmideal.errors import (
     NonIntegralSelfIntersection,
     NotAntinef,
     NotNegativeDefinite,
+    NotRational,
     NotSymmetric,
     NotTree,
 )
+from trees import random_tree_matrix
 
 
 def test_rat6_canonical_and_fundamental(rat6):
@@ -126,16 +131,79 @@ def test_singularity_classes(tuples):
     assert singularity_class(tuples["RAT6"].graph) is SingularityClass.LOG_CANONICAL_ONLY
     assert singularity_class(tuples["CHAIN10"].graph) is SingularityClass.LOG_TERMINAL
     assert singularity_class(tuples["SMOOTH1"].graph) is SingularityClass.LOG_TERMINAL
-    # star with a (-2) center and four (-3) arms has a center coefficient -2
-    size = 5
-    rows = [[0] * size for _ in range(size)]
-    rows[0][0] = -2
-    for arm in range(1, size):
-        rows[arm][arm] = -3
-        rows[0][arm] = rows[arm][0] = 1
-    graph = build_graph(rows)
-    assert graph.canonical[0] == Fraction(-2)
+    # star with a (-2) center and four (-3) arms: p_a(Z) = 1, not rational
+    with pytest.raises(NotRational):
+        build_graph(_tree_rows((-2, -3, -3, -3, -3), ((1, 2), (1, 3), (1, 4), (1, 5))))
+    # a rational tree with k_2 < -1
+    graph = build_graph(
+        _tree_rows((-5, -2, -4, -1, -4, -3), ((1, 2), (2, 3), (2, 5), (3, 4), (5, 6)))
+    )
+    assert graph.canonical[1] == Fraction(-259, 197)
+    assert graph.fundamental == (1, 2, 1, 1, 1, 1)
     assert singularity_class(graph) is SingularityClass.NEITHER
+
+
+def _tree_rows(diagonal, edges):
+    """Intersection matrix from a diagonal and 1-based edge pairs."""
+    rows = [[0] * len(diagonal) for _ in diagonal]
+    for j, entry in enumerate(diagonal):
+        rows[j][j] = entry
+    for a, b in edges:
+        rows[a - 1][b - 1] = rows[b - 1][a - 1] = 1
+    return rows
+
+
+def test_minimally_elliptic_star_is_refused(tmp_path, capsys):
+    # center -1 with arms -2, -3, -7: negative definite, but p_a(Z) = 1
+    rows = _tree_rows((-1, -2, -3, -7), ((1, 2), (1, 3), (1, 4)))
+    with pytest.raises(NotRational):
+        build_graph(rows)
+    path = tmp_path / "elliptic.json"
+    path.write_text(json.dumps({"name": "ELLIPTIC", "matrix": rows, "ideals": [[6, 3, 2, 1]]}))
+    assert main(["validate", str(path)]) == 2
+    assert "p_a(Z) = 1" in capsys.readouterr().err
+
+
+def _negative_definite_by_minors(rows):
+    """Sylvester's criterion on the leading minors, by Laplace expansion."""
+
+    def determinant(square):
+        if not square:
+            return 1
+        return sum(
+            (-1) ** j * entry * determinant([row[:j] + row[j + 1:] for row in square[1:]])
+            for j, entry in enumerate(square[0])
+            if entry
+        )
+
+    return all(
+        determinant([row[:k] for row in rows[:k]]) * (-1) ** k > 0
+        for k in range(1, len(rows) + 1)
+    )
+
+
+def test_elimination_matches_leading_minors():
+    rng = random.Random(202)
+    solved = 0
+    for _ in range(400):
+        rows = random_tree_matrix(rng, max_size=7)
+        for j, row in enumerate(rows):
+            valence = sum(row) - row[j]
+            row[j] = -rng.randint(1, valence + 2)
+        if not _negative_definite_by_minors(rows):
+            with pytest.raises(NotNegativeDefinite):
+                build_graph(rows)
+            continue
+        try:
+            graph = build_graph(rows)
+        except NotRational:
+            continue
+        solved += 1
+        k = graph.canonical
+        for j, row in enumerate(rows):
+            # (K + E_j).E_j = -2 exactly
+            assert sum(entry * (k[l] + (l == j)) for l, entry in enumerate(row)) == -2
+    assert solved >= 100
 
 
 def test_labels(rat6):

@@ -18,7 +18,8 @@ from mmideal import (
     fundamental_cycle,
     is_antinef,
 )
-from mmideal.errors import NotAntinef
+from mmideal import unloading
+from mmideal.errors import InternalConsistencyError, NotAntinef
 from trees import random_divisor, random_tree_matrix
 
 
@@ -86,6 +87,22 @@ def test_two_routes_agree_property(seed):
     rows = random_tree_matrix(rng, max_size=6)
     divisor = random_divisor(rng, len(rows))
     assert antinef_closure(rows, divisor) == antinef_closure_unit(rows, divisor)
+
+
+def test_oracle_does_not_share_the_ceiling_loop(rat6, monkeypatch):
+    # a ceiling loop that overshoots by Z must be caught by the oracle
+    fundamental = rat6.graph.fundamental
+    ceiling = unloading._unload
+    monkeypatch.setattr(
+        unloading,
+        "_unload",
+        lambda matrix, start: tuple(
+            a + z for a, z in zip(ceiling(matrix, start), fundamental)
+        ),
+    )
+    monkeypatch.setattr(unloading, "_closure_cache", {})
+    with pytest.raises(InternalConsistencyError):
+        antinef_closure_checked(rat6.graph.matrix, (4, 0, 1, 0, 0, 2))
 
 
 def test_closure_is_minimal_on_small_cases():
