@@ -109,7 +109,7 @@ def _cmd_fcycle(args) -> int:
     graph = ideals.graph
     cycle = graph.fundamental
     print(f"Z = {_divisor_text(cycle)}")
-    print(f"colength = {colength(graph.matrix, graph.canonical, cycle)}")
+    print(f"colength = {colength(graph, cycle)}")
     return 0
 
 
@@ -119,9 +119,9 @@ def _cmd_closure(args) -> int:
     _, ideals = _load(args)
     graph = ideals.graph
     divisor = _int_vector(args.divisor, graph.size)
-    closed = antinef_closure_checked(graph.matrix, divisor)
+    closed = antinef_closure_checked(graph, divisor)
     print(f"closure = {_divisor_text(closed)}")
-    print(f"colength = {colength(graph.matrix, graph.canonical, closed)}")
+    print(f"colength = {colength(graph, closed)}")
     return 0
 
 

@@ -11,7 +11,8 @@ From M alone the module computes, eagerly at build time:
   (K + E_j).E_j = -2 for every j, i.e. M K = b with b_j = -2 - M[j][j],
   by one leaf-first elimination over the tree that also checks definiteness;
 * the fundamental cycle Z: the smallest nonzero antinef divisor, which must
-  have arithmetic genus p_a(Z) = 0 (Artin's criterion for rationality).
+  have arithmetic genus p_a(Z) = 0 (Artin's criterion for rationality).  It
+  is found by unloading on the built graph and cached on it.
 
 A tuple of ideals is attached as a tuple of antinef vectors F_i (the
 vanishing orders of the i-th ideal along each component).  Excesses
@@ -24,8 +25,9 @@ Indices are 0-based internally; user-facing labels are "E1".."Es".
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import (
@@ -57,17 +59,29 @@ class SingularityClass(enum.Enum):
 
 @dataclass(frozen=True)
 class DualGraph:
-    """Immutable dual graph with its eagerly computed canonical data."""
+    """Immutable dual graph with its canonical data.
+
+    `closure_cache` maps a divisor to its checked antinef closure (see
+    ``unloading.antinef_closure_checked``); it is neither compared nor shown,
+    so two graphs built from one matrix are equal but share no closures.
+    """
 
     matrix: Matrix
     canonical: tuple[Fraction, ...]
-    fundamental: tuple[int, ...]
     adjacency: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
+    closure_cache: dict[tuple[int, ...], tuple[int, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def size(self) -> int:
         return len(self.matrix)
+
+    @cached_property
+    def fundamental(self) -> tuple[int, ...]:
+        """Z: the smallest nonzero antinef divisor."""
+        return fundamental_cycle(self)
 
     def valence(self, j: int) -> int:
         return len(self.adjacency[j])
@@ -122,8 +136,8 @@ class IdealTuple:
 # ---------------------------------------------------------------------------
 
 
-def _normalized_matrix(matrix_like) -> Matrix:
-    rows = [list(row) for row in matrix_like]
+def _normalized_matrix(rows) -> Matrix:
+    rows = [list(row) for row in rows]
     size = len(rows)
     for row in rows:
         if len(row) != size:
@@ -198,12 +212,12 @@ def _validate_matrix(
     return adjacency, tuple(canonical)
 
 
-def build_graph(matrix_like, labels: Sequence[str] | None = None) -> DualGraph:
+def build_graph(rows, labels: Sequence[str] | None = None) -> DualGraph:
     """Validate an intersection matrix and build the graph with K and Z.
 
     Raises NotRational unless p_a(Z) = 0 (Artin's rationality criterion).
     """
-    matrix = _normalized_matrix(matrix_like)
+    matrix = _normalized_matrix(rows)
     adjacency, canonical = _validate_matrix(matrix)
     size = len(matrix)
     if labels is None:
@@ -216,23 +230,20 @@ def build_graph(matrix_like, labels: Sequence[str] | None = None) -> DualGraph:
         # (K + E_j).E_j, read off the sparse row of the tree
         if row[j] * (canonical[j] + 1) + sum(canonical[l] for l in adjacency[j]) != -2:
             raise InternalConsistencyError(f"K fails adjunction at {labels[j]}")
-    fundamental = fundamental_cycle(matrix)
+    graph = DualGraph(
+        matrix=matrix, canonical=canonical, adjacency=adjacency, labels=labels
+    )
+    fundamental = graph.fundamental
     if any(coefficient < 1 for coefficient in fundamental):
         raise InternalConsistencyError("fundamental cycle is not strictly positive")
     # p_a(Z) = 1 + (Z.Z + Z.K)/2 in integers: K.E_j = -2 - E_j^2 since M K = b
-    products = intersection_products(matrix, fundamental)
+    products = intersection_products(graph, fundamental)
     genus = 1 + sum(
         z * (products[j] - 2 - matrix[j][j]) for j, z in enumerate(fundamental)
     ) // 2
     if genus != 0:
         raise NotRational(f"p_a(Z) = {genus}, so the singularity is not rational")
-    return DualGraph(
-        matrix=matrix,
-        canonical=canonical,
-        fundamental=fundamental,
-        adjacency=adjacency,
-        labels=labels,
-    )
+    return graph
 
 
 def derive_diagonal(
@@ -324,8 +335,8 @@ def attach_ideals(graph: DualGraph, ideals: Sequence[Sequence[int]]) -> IdealTup
             raise NotAntinef(f"ideal {index + 1} has non-integer coefficients")
         if all(entry == 0 for entry in entries):
             raise NotAntinef(f"ideal {index + 1} is the zero divisor")
-        if not is_antinef(graph.matrix, entries):
-            products = intersection_products(graph.matrix, entries)
+        if not is_antinef(graph, entries):
+            products = intersection_products(graph, entries)
             bad = [
                 graph.label(j)
                 for j, product in enumerate(products)
@@ -339,7 +350,7 @@ def attach_ideals(graph: DualGraph, ideals: Sequence[Sequence[int]]) -> IdealTup
             raise NotAntinef(f"ideal {index + 1} lacks full support")
         normalized.append(entries)
     excesses = tuple(
-        tuple(-product for product in intersection_products(graph.matrix, vector))
+        tuple(-product for product in intersection_products(graph, vector))
         for vector in normalized
     )
     return IdealTuple(graph=graph, ideals=tuple(normalized), excesses=excesses)

@@ -100,6 +100,11 @@ class OffsetTooLarge(ValidationError):
     and last relevant crossing."""
 
 
+class NoCleanSample(ValidationError):
+    """No weighting of a facet's vertices tried gave a relative-interior
+    sample off every foreign wall: a failed search, not a disagreement."""
+
+
 class HorizonTooSmall(ValidationError):
     """New residue classes of jumping points are still appearing at the walk
     horizon, so the closed-form series cannot be anchored yet."""

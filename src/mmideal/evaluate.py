@@ -64,9 +64,9 @@ def normalize_point(ideals: IdealTuple, point: Sequence) -> Point:
 class PointEvaluation:
     """Everything read off one weight point of one ideal tuple.
 
-    The gap data is computed on construction.  H, D_c and D_left are computed
-    when first read, at most once: callers that need only gap values never
-    unload, and D_c stays defined where the H assertion fails.
+    The gap data is computed on construction.  H, D_c, D_left and G are
+    computed when first read, at most once: callers that need only gap values
+    never unload, and D_c stays defined where the H assertion fails.
     """
 
     ideals: IdealTuple
@@ -94,11 +94,22 @@ class PointEvaluation:
 
     @cached_property
     def divisor(self) -> tuple[int, ...]:
-        return antinef_closure_checked(self.ideals.graph.matrix, self.floors)
+        return antinef_closure_checked(self.ideals.graph, self.floors)
 
     @cached_property
     def divisor_left(self) -> tuple[int, ...]:
-        return antinef_closure_checked(self.ideals.graph.matrix, self.left_floors)
+        return antinef_closure_checked(self.ideals.graph, self.left_floors)
+
+    @cached_property
+    def minimal(self) -> tuple[bool, ...]:
+        """G: support = {j : v_j = 1 + e_j^left}, asserted inside H.  It is
+        the minimal jumping divisor only at jumping points."""
+        support = tuple(v == 1 + e for v, e in zip(self.values, self.divisor_left))
+        if any(g and not h for g, h in zip(support, self.maximal)):
+            raise InternalConsistencyError(
+                f"minimal jumping divisor exceeds the maximal one at {self.point}"
+            )
+        return support
 
 
 PointLike = Union[Sequence, PointEvaluation]

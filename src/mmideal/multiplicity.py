@@ -71,7 +71,7 @@ def _adjoint_products(
     """(ceil(K - c.F) + S) . E_j for every component, S the reduced divisor
     on `support`; ceil(K - c.F) = -floor(v) exactly."""
     shifted = [inside - f for f, inside in zip(evaluation.floors, support)]
-    return intersection_products(ideals.graph.matrix, shifted)
+    return intersection_products(ideals.graph, shifted)
 
 
 def _adjunction_value(
@@ -114,9 +114,8 @@ def multiplicity_fractional(ideals: IdealTuple, point: PointLike) -> int:
 def multiplicity_oracle(ideals: IdealTuple, point: PointLike) -> int:
     """Independent oracle: colength(D_c) - colength(D_left)."""
     evaluation = evaluate_point(ideals, point)
-    matrix, canonical = ideals.graph.matrix, ideals.graph.canonical
-    at = colength(matrix, canonical, evaluation.divisor)
-    return at - colength(matrix, canonical, evaluation.divisor_left)
+    at = colength(ideals.graph, evaluation.divisor)
+    return at - colength(ideals.graph, evaluation.divisor_left)
 
 
 def multiplicity_checked(ideals: IdealTuple, point: PointLike) -> int:
@@ -207,14 +206,7 @@ def minimal_jumping_divisor(ideals: IdealTuple, point: PointLike) -> tuple[bool,
     jumping, _ = is_jumping(ideals, evaluation)
     if not jumping:
         raise NotAJumpingPoint(f"{evaluation.point} is not a jumping point")
-    support = tuple(
-        v == 1 + e for v, e in zip(evaluation.values, evaluation.divisor_left)
-    )
-    if any(g and not h for g, h in zip(support, evaluation.maximal)):
-        raise InternalConsistencyError(
-            f"minimal jumping divisor exceeds the maximal one at {evaluation.point}"
-        )
-    return support
+    return evaluation.minimal
 
 
 def multiplicity_via_G(ideals: IdealTuple, point: PointLike) -> int:
@@ -259,7 +251,7 @@ def jump_record(ideals: IdealTuple, point: PointLike) -> JumpRecord:
         divisor=evaluation.divisor,
         divisor_left=evaluation.divisor_left,
         maximal=evaluation.maximal,
-        minimal=minimal_jumping_divisor(ideals, evaluation) if mult > 0 else None,
+        minimal=evaluation.minimal if mult > 0 else None,
         mult=mult,
         wall_lines=tuple(wall_lines_through(ideals, evaluation)),
     )

@@ -1,11 +1,12 @@
-"""Antinef closures and colengths on a fixed intersection lattice.
+"""Antinef closures and colengths on the intersection lattice of a dual graph.
 
-A divisor here is a vector of coefficients over the exceptional components,
-paired against a symmetric negative-definite intersection matrix M.  A
-divisor D is *antinef* when it is effective and every product D.E_j =
-(M D)_j is <= 0.  The closure operator sends any integer divisor to the
-smallest antinef divisor bounding it from above; it is computed by the
-classical unloading loop.
+A divisor here is a vector of coefficients over the exceptional components
+of a :class:`~mmideal.dualgraph.DualGraph`.  The graph is a tree, so each
+product D.E_j = E_j^2 d_j + (sum of d_l over the neighbours l of j) is read
+off its sparse row in O(valence); no dense matrix is formed.  A divisor D is
+*antinef* when it is effective and every product D.E_j is <= 0.  The closure
+operator sends any integer divisor to the smallest antinef divisor bounding
+it from above; it is computed by the classical unloading loop.
 
 Two implementations of unloading are provided on purpose:
 
@@ -16,15 +17,17 @@ Two implementations of unloading are provided on purpose:
   worklist instead of rescanning in index order.
 
 Both must return the same divisor on every input; the test-suite and the
-``closure`` CLI subcommand verify that exactly.
+``closure`` CLI subcommand verify that exactly.  Checked closures are
+memoized per graph, keyed by the divisor alone, in the graph's own
+``closure_cache``; the cache dies with its graph.
 
-All arithmetic is exact (Python integers / fractions).
+All arithmetic is in Python integers: the colength uses D.K = sum of
+d_j (-2 - E_j^2), which holds because M K = b, so K itself is never read.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     InternalConsistencyError,
@@ -33,55 +36,38 @@ from .errors import (
     NotAntinef,
 )
 
-Matrix = tuple[tuple[int, ...], ...]
+if TYPE_CHECKING:
+    from .dualgraph import DualGraph
 
 
-def _rows(matrix_like) -> Matrix:
-    """Accept either a raw matrix (sequence of rows) or a graph carrying one."""
-    matrix = getattr(matrix_like, "matrix", matrix_like)
-    return tuple(tuple(row) for row in matrix)
-
-
-def _check_length(matrix: Matrix, divisor: Sequence) -> None:
-    if len(divisor) != len(matrix):
+def _check_length(graph: DualGraph, divisor: Sequence) -> None:
+    if len(divisor) != graph.size:
         raise LengthMismatch(
-            f"divisor has {len(divisor)} coefficients, matrix has {len(matrix)} rows"
+            f"divisor has {len(divisor)} coefficients, graph has {graph.size} components"
         )
 
 
-def intersection_products(matrix_like, divisor: Sequence[int]) -> tuple[int, ...]:
-    """Return (D.E_1, ..., D.E_s), i.e. the matrix-vector product M D."""
-    matrix = _rows(matrix_like)
-    _check_length(matrix, divisor)
+def intersection_products(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]:
+    """Return (D.E_1, ..., D.E_s), read off the sparse rows of the tree."""
+    _check_length(graph, divisor)
+    matrix, adjacency = graph.matrix, graph.adjacency
     return tuple(
-        sum(entry * coefficient for entry, coefficient in zip(row, divisor))
-        for row in matrix
+        matrix[j][j] * coefficient + sum(divisor[l] for l in adjacency[j])
+        for j, coefficient in enumerate(divisor)
     )
 
 
-def pairing(matrix_like, left: Sequence, right: Sequence):
-    """Exact intersection pairing left . right = left^T M right."""
-    matrix = _rows(matrix_like)
-    _check_length(matrix, left)
-    _check_length(matrix, right)
-    return sum(
-        left[i] * sum(matrix[i][j] * right[j] for j in range(len(matrix)))
-        for i in range(len(matrix))
-    )
-
-
-def is_antinef(matrix_like, divisor: Sequence[int]) -> bool:
+def is_antinef(graph: DualGraph, divisor: Sequence[int]) -> bool:
     """True iff *divisor* is effective, integral, and all products are <= 0."""
-    matrix = _rows(matrix_like)
-    _check_length(matrix, divisor)
+    _check_length(graph, divisor)
     if any(coefficient != int(coefficient) for coefficient in divisor):
         return False
     if any(coefficient < 0 for coefficient in divisor):
         return False
-    return all(product <= 0 for product in intersection_products(matrix, divisor))
+    return all(product <= 0 for product in intersection_products(graph, divisor))
 
 
-def _unload(matrix: Matrix, start: list[int]) -> tuple[int, ...]:
+def _unload(graph: DualGraph, start: list[int]) -> tuple[int, ...]:
     """Ceiling-step unloading loop.
 
     Scans components lowest-index-first; at the first violated component j
@@ -89,138 +75,126 @@ def _unload(matrix: Matrix, start: list[int]) -> tuple[int, ...]:
     rescans from the start.  Terminates because the closure exists and every
     intermediate divisor stays <= it.
     """
-    size = len(matrix)
+    matrix, adjacency = graph.matrix, graph.adjacency
     divisor = start
-    products = list(intersection_products(matrix, divisor))
+    products = list(intersection_products(graph, divisor))
     while True:
-        for j in range(size):
-            if products[j] > 0:
-                # ceil(products[j] / -matrix[j][j]) with positive operands
-                step = -(-products[j] // -matrix[j][j])
+        for j, product in enumerate(products):
+            if product > 0:
+                # ceil(product / -E_j^2) with positive operands
+                step = -(-product // -matrix[j][j])
                 divisor[j] += step
-                row = matrix[j]
-                for i in range(size):
-                    if row[i]:
-                        products[i] += step * row[i]
+                products[j] += step * matrix[j][j]
+                for l in adjacency[j]:
+                    products[l] += step
                 break
         else:
             return tuple(divisor)
 
 
-def antinef_closure(matrix_like, divisor: Sequence[int]) -> tuple[int, ...]:
+def antinef_closure(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]:
     """Smallest antinef divisor >= divisor (negative coefficients clamp to 0).
 
     Uses ceiling-step unloading.  The result is asserted antinef and above
     the clamped input.
     """
-    matrix = _rows(matrix_like)
-    _check_length(matrix, divisor)
     clamped = [max(int(coefficient), 0) for coefficient in divisor]
-    result = _unload(matrix, list(clamped))
-    if not is_antinef(matrix, result):
+    result = _unload(graph, list(clamped))
+    if not is_antinef(graph, result):
         raise InternalConsistencyError("unloading returned a non-antinef divisor")
     if any(r < c for r, c in zip(result, clamped)):
         raise InternalConsistencyError("unloading decreased a coefficient")
     return result
 
 
-def antinef_closure_unit(matrix_like, divisor: Sequence[int]) -> tuple[int, ...]:
+def antinef_closure_unit(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]:
     """Independent unloading oracle that adds one component at a time.
 
     Violated components wait on a last-in-first-out worklist.  Adding E_j
     changes only the products at j and its neighbours, so those are the only
-    ones pushed again; a popped component that is no longer violated is
-    skipped.
+    ones pushed again (j itself included: one copy of E_j may not be enough);
+    a popped component that is no longer violated is skipped.
     """
-    matrix = _rows(matrix_like)
-    _check_length(matrix, divisor)
+    matrix, adjacency = graph.matrix, graph.adjacency
     result = [max(int(coefficient), 0) for coefficient in divisor]
-    products = list(intersection_products(matrix, result))
+    products = list(intersection_products(graph, result))
     pending = [j for j, product in enumerate(products) if product > 0]
     while pending:
         j = pending.pop()
         if products[j] <= 0:
             continue
         result[j] += 1
-        for i, entry in enumerate(matrix[j]):
-            if entry:
-                products[i] += entry
-                if products[i] > 0:
-                    pending.append(i)
+        products[j] += matrix[j][j]
+        if products[j] > 0:
+            pending.append(j)
+        for l in adjacency[j]:
+            products[l] += 1
+            if products[l] > 0:
+                pending.append(l)
     result = tuple(result)
-    if not is_antinef(matrix, result):
+    if not is_antinef(graph, result):
         raise InternalConsistencyError("unit unloading returned a non-antinef divisor")
     return result
 
 
-_closure_cache: dict[tuple[Matrix, tuple[int, ...]], tuple[int, ...]] = {}
-
-
-def antinef_closure_checked(matrix_like, divisor: Sequence[int]) -> tuple[int, ...]:
+def antinef_closure_checked(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]:
     """Closure computed by both unloading variants, which must agree exactly.
 
-    Memoized per (matrix, divisor): atlases and perturbation sums evaluate
-    heavily overlapping floor vectors, and the closure is deterministic.
+    Memoized in the graph's ``closure_cache``, keyed by the divisor: atlases
+    and perturbation sums evaluate heavily overlapping floor vectors, and the
+    closure is deterministic.
     """
-    matrix = _rows(matrix_like)
-    key = (matrix, tuple(int(c) for c in divisor))
-    cached = _closure_cache.get(key)
+    key = tuple(int(c) for c in divisor)
+    cached = graph.closure_cache.get(key)
     if cached is not None:
         return cached
-    fast = antinef_closure(matrix, key[1])
-    slow = antinef_closure_unit(matrix, key[1])
+    fast = antinef_closure(graph, key)
+    slow = antinef_closure_unit(graph, key)
     if fast != slow:
         raise InternalConsistencyError(
             f"unloading variants disagree: {fast} vs {slow}"
         )
-    _closure_cache[key] = fast
+    graph.closure_cache[key] = fast
     return fast
 
 
-def fundamental_cycle(matrix_like) -> tuple[int, ...]:
+def fundamental_cycle(graph: DualGraph) -> tuple[int, ...]:
     """Smallest nonzero antinef divisor (all coefficients >= 1).
 
     Computed as the closure of a single unit coefficient; every nonzero
     antinef divisor dominates every unit divisor, so the starting component
     does not matter (the test-suite checks all of them).
     """
-    matrix = _rows(matrix_like)
-    seed = [0] * len(matrix)
+    seed = [0] * graph.size
     seed[0] = 1
-    return antinef_closure(matrix, seed)
+    return antinef_closure(graph, seed)
 
 
-_colength_cache: dict[tuple, int] = {}
-
-
-def colength(matrix_like, canonical: Sequence[Fraction], divisor: Sequence[int]) -> int:
+def colength(graph: DualGraph, divisor: Sequence[int]) -> int:
     """Codimension of the complete ideal attached to an antinef divisor.
 
-    colength(D) = -D.(D + K) / 2.  Defined for antinef divisors only.  The
-    result must be a nonnegative integer, zero exactly for the zero divisor;
-    anything else raises NonIntegralTotal.  Successful results are memoized.
+    colength(D) = -D.(D + K) / 2 = -(D.D + sum of d_j (-2 - E_j^2)) / 2,
+    in integers.  Defined for antinef divisors only.  The result must be a
+    nonnegative integer, zero exactly for the zero divisor; anything else
+    raises NonIntegralTotal.
     """
-    matrix = _rows(matrix_like)
-    _check_length(matrix, canonical)
-    _check_length(matrix, divisor)
-    key = (matrix, tuple(canonical), tuple(divisor))
-    cached = _colength_cache.get(key)
-    if cached is not None:
-        return cached
-    if not is_antinef(matrix, divisor):
+    if not is_antinef(graph, divisor):
         raise NotAntinef(f"colength is defined for antinef divisors, got {divisor}")
-    shifted = [Fraction(d) + Fraction(k) for d, k in zip(divisor, canonical)]
-    total = -Fraction(pairing(matrix, divisor, shifted), 2)
-    if total.denominator != 1:
-        raise NonIntegralTotal(f"colength came out fractional: {total}")
-    value = int(total)
+    matrix = graph.matrix
+    products = intersection_products(graph, divisor)
+    twice = -sum(
+        d * (product - 2 - matrix[j][j])
+        for j, (d, product) in enumerate(zip(divisor, products))
+    )
+    if twice % 2:
+        raise NonIntegralTotal(f"colength came out fractional: {twice}/2")
+    value = twice // 2
     if value < 0:
         raise NonIntegralTotal(f"colength came out negative: {value}")
     if (value == 0) != all(coefficient == 0 for coefficient in divisor):
         raise NonIntegralTotal(
             "colength must vanish exactly for the zero divisor"
         )
-    _colength_cache[key] = value
     return value
 
 

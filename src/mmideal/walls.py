@@ -29,6 +29,7 @@ from .errors import (
     BindingNonRuptureConstraint,
     BoxTooSmall,
     InternalConsistencyError,
+    NoCleanSample,
     ValidationError,
 )
 from .evaluate import (
@@ -404,8 +405,8 @@ def _interior_sample(
         )
         if clean:
             return evaluation
-    raise InternalConsistencyError(
-        "no clean relative-interior sample found on a wall facet"
+    raise NoCleanSample(
+        "no clean relative-interior sample found on a wall facet in 50 weightings"
     )
 
 

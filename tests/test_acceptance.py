@@ -16,6 +16,7 @@ from mmideal import (
     antinef_closure,
     antinef_closure_unit,
     bijection_report,
+    build_graph,
     build_tuple,
     check_H_inequalities,
     colength,
@@ -64,32 +65,33 @@ def test_01_relative_canonical_exact(rat6, chain10):
 
 
 def test_02_fundamental_cycle(rat6):
-    matrix = rat6.graph.matrix
-    cycle = fundamental_cycle(matrix)
+    graph = rat6.graph
+    cycle = fundamental_cycle(graph)
     assert cycle == (3, 2, 3, 1, 1, 1)
-    floor_of_minus_K = tuple(math.floor(-k) for k in rat6.graph.canonical)
-    assert antinef_closure(matrix, floor_of_minus_K) == cycle
-    assert colength(matrix, rat6.graph.canonical, cycle) == 1
+    floor_of_minus_K = tuple(math.floor(-k) for k in graph.canonical)
+    assert antinef_closure(graph, floor_of_minus_K) == cycle
+    assert colength(graph, cycle) == 1
 
 
 def test_03_unloading_routes_agree(tuples):
     rng = random.Random(310)
     for _ in range(200):
-        matrix = trees.random_tree_matrix(rng)
-        divisor = trees.random_divisor(rng, len(matrix))
-        assert antinef_closure(matrix, divisor) == antinef_closure_unit(
-            matrix, divisor
+        rows = trees.random_tree_matrix(rng)
+        graph = build_graph(rows)
+        divisor = trees.random_divisor(rng, len(rows))
+        assert antinef_closure(graph, divisor) == antinef_closure_unit(
+            graph, divisor
         )
     for ideals in tuples.values():
-        matrix = ideals.graph.matrix
+        graph = ideals.graph
         for _ in range(10):
             point = tuple(
                 Fraction(rng.randint(0, 60), rng.randint(1, 30))
                 for _ in range(ideals.r)
             )
             floors = tuple(math.floor(v) for v in gap_values(ideals, point))
-            assert antinef_closure(matrix, floors) == antinef_closure_unit(
-                matrix, floors
+            assert antinef_closure(graph, floors) == antinef_closure_unit(
+                graph, floors
             )
 
 

@@ -15,9 +15,11 @@ from mmideal import (
     evaluate_point,
     gap_values,
     jump_record,
+    make_ray,
     maximal_jumping_divisor,
     mmi_divisor,
     mmi_divisor_left,
+    ray_walk,
     region,
     subtuple,
     support_components,
@@ -180,6 +182,23 @@ def test_jump_record_evaluates_the_point_once(monkeypatch, rat6):
     assert len(weighted) <= 1
     built = [args for args in evaluations if not isinstance(args[1], PointEvaluation)]
     assert len(built) == 1
+
+
+def test_jump_record_finds_G_once(monkeypatch, rat6):
+    # at a jumping point: the adjunction route runs in multiplicity_checked
+    # and in the single is_jumping check that guards G for the via-G route
+    ray = make_ray(rat6, base=(0, 0), direction=(1, 1))
+    points = [frozen.RAT6_CORNER]
+    points += [jump.point for jump in ray_walk(rat6, ray, until=Fraction(1, 2))]
+    adjunction = _record_calls(monkeypatch, "multiplicity", "multiplicity")
+    criterion = _record_calls(monkeypatch, "multiplicity", "is_jumping")
+    for point in points:
+        adjunction.clear()
+        criterion.clear()
+        record = jump_record(rat6, point)
+        assert record.mult > 0 and record.minimal is not None
+        assert len(adjunction) <= 2
+        assert len(criterion) == 1
 
 
 def test_evaluation_stands_in_for_its_point(rat6, chain10):

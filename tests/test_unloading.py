@@ -19,47 +19,106 @@ from mmideal import (
     is_antinef,
 )
 from mmideal import unloading
-from mmideal.errors import InternalConsistencyError, NotAntinef
-from trees import random_divisor, random_tree_matrix
+from mmideal.errors import InternalConsistencyError, NotAntinef, ValidationError
+from mmideal.unloading import intersection_products
+from trees import random_any_tree_matrix, random_divisor, random_tree_matrix
+
+
+def _reference_graphs(tuples):
+    """Every fixture graph plus the seeded random trees of ``test_dualgraph``
+    that build_graph accepts."""
+    rng = random.Random(202)
+    graphs = [ideals.graph for ideals in tuples.values()]
+    for _ in range(400):
+        try:
+            graphs.append(build_graph(random_any_tree_matrix(rng)))
+        except ValidationError:
+            continue
+    assert len(graphs) >= 100
+    return rng, graphs
+
+
+def test_sparse_products_match_dense_product(tuples):
+    rng, graphs = _reference_graphs(tuples)
+    for graph in graphs:
+        for _ in range(5):
+            divisor = random_divisor(rng, graph.size)
+            dense = tuple(
+                sum(entry * d for entry, d in zip(row, divisor)) for row in graph.matrix
+            )
+            assert intersection_products(graph, divisor) == dense
+
+
+def test_integer_colength_matches_fraction_definition(tuples):
+    rng, graphs = _reference_graphs(tuples)
+    for graph in graphs:
+        for _ in range(5):
+            divisor = antinef_closure(graph, random_divisor(rng, graph.size))
+            shifted = [d + k for d, k in zip(divisor, graph.canonical)]
+            # -D.(D + K)/2 with the dense matrix and the Fraction K
+            pairing = sum(
+                d * entry * s
+                for d, row in zip(divisor, graph.matrix)
+                for entry, s in zip(row, shifted)
+            )
+            assert colength(graph, divisor) == -Fraction(pairing, 2)
+
+
+def test_closure_cache_belongs_to_its_graph(rat6, monkeypatch):
+    first = build_graph(rat6.graph.matrix)
+    second = build_graph(rat6.graph.matrix)
+    assert first == second
+    oracle = unloading.antinef_closure_unit
+    calls = []
+
+    def counted(graph, divisor):
+        calls.append(divisor)
+        return oracle(graph, divisor)
+
+    monkeypatch.setattr(unloading, "antinef_closure_unit", counted)
+    divisor = (4, 0, 1, 0, 0, 2)
+    closure = antinef_closure_checked(first, divisor)
+    assert antinef_closure_checked(first, divisor) == closure
+    assert len(calls) == 1
+    assert first.closure_cache == {divisor: closure}
+    assert second.closure_cache == {}
+    assert antinef_closure_checked(second, divisor) == closure
+    assert len(calls) == 2
 
 
 def test_chain10_worked_example(chain10):
-    matrix = chain10.graph.matrix
-    closure = antinef_closure_checked(matrix, frozen.CHAIN10_UNLOADING_START)
+    closure = antinef_closure_checked(chain10.graph, frozen.CHAIN10_UNLOADING_START)
     assert closure == frozen.CHAIN10_UNLOADING_CLOSURE
 
 
 def test_closure_fixes_antinef_inputs(rat6):
-    matrix = rat6.graph.matrix
+    graph = rat6.graph
     for vector in (frozen.RAT6_F1, frozen.RAT6_F2, (0,) * 6):
-        assert antinef_closure(matrix, vector) == tuple(vector)
-        assert antinef_closure_unit(matrix, vector) == tuple(vector)
+        assert antinef_closure(graph, vector) == tuple(vector)
+        assert antinef_closure_unit(graph, vector) == tuple(vector)
 
 
 def test_closure_clamps_negative_entries(rat6):
-    matrix = rat6.graph.matrix
-    closure = antinef_closure_checked(matrix, (-5, -1, -2, -3, -4, -1))
+    closure = antinef_closure_checked(rat6.graph, (-5, -1, -2, -3, -4, -1))
     assert closure == (0,) * 6
 
 
 def test_fundamental_cycles(tuples):
-    assert fundamental_cycle(tuples["RAT6"].graph.matrix) == frozen.RAT6_FUNDAMENTAL
-    assert fundamental_cycle(tuples["SMOOTH1"].graph.matrix) == (1,)
+    assert fundamental_cycle(tuples["RAT6"].graph) == frozen.RAT6_FUNDAMENTAL
+    assert fundamental_cycle(tuples["SMOOTH1"].graph) == (1,)
 
 
 def test_colength_known_values(tuples):
-    rat6 = tuples["RAT6"]
-    assert colength(rat6.graph.matrix, rat6.graph.canonical, frozen.RAT6_FUNDAMENTAL) == 1
-    smooth = tuples["SMOOTH1"]
-    matrix, canonical = smooth.graph.matrix, smooth.graph.canonical
-    assert colength(matrix, canonical, (0,)) == 0
-    assert colength(matrix, canonical, (1,)) == 1
-    assert colength(matrix, canonical, (2,)) == 3
+    assert colength(tuples["RAT6"].graph, frozen.RAT6_FUNDAMENTAL) == 1
+    smooth = tuples["SMOOTH1"].graph
+    assert colength(smooth, (0,)) == 0
+    assert colength(smooth, (1,)) == 1
+    assert colength(smooth, (2,)) == 3
 
 
 def test_colength_requires_antinef(rat6):
     with pytest.raises(NotAntinef):
-        colength(rat6.graph.matrix, rat6.graph.canonical, (1, 0, 0, 0, 0, 0))
+        colength(rat6.graph, (1, 0, 0, 0, 0, 0))
 
 
 def test_divisor_leq():
@@ -71,11 +130,12 @@ def test_two_routes_agree_on_random_trees():
     rng = random.Random(101)
     for _ in range(120):
         rows = random_tree_matrix(rng)
+        graph = build_graph(rows)
         divisor = random_divisor(rng, len(rows))
-        ceiling = antinef_closure(rows, divisor)
-        unit = antinef_closure_unit(rows, divisor)
+        ceiling = antinef_closure(graph, divisor)
+        unit = antinef_closure_unit(graph, divisor)
         assert ceiling == unit
-        assert is_antinef(rows, ceiling)
+        assert is_antinef(graph, ceiling)
         clamped = [max(c, 0) for c in divisor]
         assert divisor_leq(clamped, ceiling)
 
@@ -85,39 +145,40 @@ def test_two_routes_agree_on_random_trees():
 def test_two_routes_agree_property(seed):
     rng = random.Random(seed)
     rows = random_tree_matrix(rng, max_size=6)
+    graph = build_graph(rows)
     divisor = random_divisor(rng, len(rows))
-    assert antinef_closure(rows, divisor) == antinef_closure_unit(rows, divisor)
+    assert antinef_closure(graph, divisor) == antinef_closure_unit(graph, divisor)
 
 
 def test_oracle_does_not_share_the_ceiling_loop(rat6, monkeypatch):
-    # a ceiling loop that overshoots by Z must be caught by the oracle
-    fundamental = rat6.graph.fundamental
+    # a ceiling loop that overshoots by Z must be caught by the oracle; a
+    # fresh graph has an empty closure cache
+    graph = build_graph(rat6.graph.matrix)
+    fundamental = graph.fundamental
     ceiling = unloading._unload
     monkeypatch.setattr(
         unloading,
         "_unload",
-        lambda matrix, start: tuple(
-            a + z for a, z in zip(ceiling(matrix, start), fundamental)
+        lambda graph, start: tuple(
+            a + z for a, z in zip(ceiling(graph, start), fundamental)
         ),
     )
-    monkeypatch.setattr(unloading, "_closure_cache", {})
     with pytest.raises(InternalConsistencyError):
-        antinef_closure_checked(rat6.graph.matrix, (4, 0, 1, 0, 0, 2))
+        antinef_closure_checked(graph, (4, 0, 1, 0, 0, 2))
 
 
 def test_closure_is_minimal_on_small_cases():
     # on a 2-vertex chain, check minimality against brute force
-    rows = ((-2, 1), (1, -2))
-    build_graph(rows)
+    graph = build_graph(((-2, 1), (1, -2)))
     for a in range(-2, 4):
         for b in range(-2, 4):
-            closure = antinef_closure_checked(rows, (a, b))
+            closure = antinef_closure_checked(graph, (a, b))
             best = None
             for x in range(0, 12):
                 for y in range(0, 12):
                     if x < max(a, 0) or y < max(b, 0):
                         continue
-                    if is_antinef(rows, (x, y)):
+                    if is_antinef(graph, (x, y)):
                         if best is None or (x + y) < sum(best):
                             best = (x, y)
             assert closure == best
@@ -126,7 +187,7 @@ def test_closure_is_minimal_on_small_cases():
 def test_colength_additive_on_smooth_chain():
     # colength of n times the fundamental cycle on the smooth blow-up
     # is the triangular number n(n+1)/2
-    matrix = ((-1,),)
-    canonical = (Fraction(1),)
+    graph = build_graph(((-1,),))
+    assert graph.canonical == (Fraction(1),)
     for n in range(0, 8):
-        assert colength(matrix, canonical, (n,)) == n * (n + 1) // 2
+        assert colength(graph, (n,)) == n * (n + 1) // 2

@@ -26,7 +26,13 @@ from mmideal import (
     subtuple,
     wall_lines,
 )
-from mmideal.errors import BoxTooSmall
+from mmideal import walls
+from mmideal.errors import (
+    BoxTooSmall,
+    InternalConsistencyError,
+    NoCleanSample,
+    ValidationError,
+)
 
 
 def test_wall_lines_have_positive_levels(rat6):
@@ -242,3 +248,14 @@ def test_duple_nests_nest(nest14):
         duple = subtuple(nest14, pair)
         assert newton_nest(duple) == nest
         assert set(nest) <= full
+
+
+def test_sample_search_failure_is_a_validation_error(rat6):
+    # both vertices lie on the wall 6 z1 + 2 z2 = 1 of E2 (v_2 = 2 there),
+    # so every weighting hits a wall that no carrier owns
+    vertices = ((Fraction(1, 6), Fraction(0)), (Fraction(0), Fraction(1, 2)))
+    with pytest.raises(NoCleanSample) as failure:
+        walls._interior_sample(rat6, (), vertices)
+    # a ValidationError, so the CLI exits 2 rather than 3
+    assert isinstance(failure.value, ValidationError)
+    assert not isinstance(failure.value, InternalConsistencyError)
