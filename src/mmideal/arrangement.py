@@ -2,11 +2,21 @@
 
 Everything here is two-dimensional and exact: lines are a*x + b*y = c with
 rational coefficients, vertices are pairwise intersections, faces are the
-open convex cells of the arrangement inside the box.  Faces are recovered
-with the usual half-edge rotation trick: outgoing directions at a vertex are
-sorted by exact angle (quadrant index plus cross-product comparisons — no
-trigonometry), and each face is an orbit of the next-pointer.  The single
-clockwise orbit along the box boundary is the outside and is dropped.
+open convex cells of the arrangement inside the box.  The geometry runs in
+integers: each line is scaled once to an integer form (A, B, C), a positive
+multiple of (a, b, c), pairs are intersected with integer determinants and
+tested against the box by integer comparisons, and only vertices inside the
+box become `Fraction` points.  The pair loop records each vertex on both of
+its lines, so a line's vertices are never searched for.  Vertices are
+numbered in lexicographic order, which runs along +x on a non-vertical line
+and along +y on a vertical one, so each line's edge order is its sorted
+vertex numbers, reversed when its direction (b, -a) points the other way.
+Faces are recovered with the usual half-edge rotation trick: every
+half-edge points along its line's direction or against it, so one exact
+angular sort of those directions (half-plane index plus cross-product
+comparisons -- no trigonometry) ranks the half-edges at every vertex, and
+each face is an orbit of the next-pointer.  The single clockwise orbit
+along the box boundary is the outside and is dropped.
 
 The module knows nothing about ideals; `walls` feeds it wall lines and
 interprets the cells.
@@ -14,6 +24,7 @@ interprets the cells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -82,19 +93,16 @@ def merge_lines(lines: Iterable[Line]) -> list[Line]:
     return [merged[key] for key in sorted(merged)]
 
 
-def _intersect(first: Line, second: Line) -> Point2 | None:
-    det = first.a * second.b - first.b * second.a
-    if det == 0:
-        return None
-    x = (first.c * second.b - first.b * second.c) / det
-    y = (first.a * second.c - first.c * second.a) / det
-    return (x, y)
+def _integer_form(line: Line) -> tuple[int, int, int]:
+    """(A, B, C): a positive integer multiple of the line's (a, b, c)."""
+    scale = math.lcm(line.a.denominator, line.b.denominator, line.c.denominator)
+    return (int(line.a * scale), int(line.b * scale), int(line.c * scale))
 
 
-def _direction_compare(left: Point2, right: Point2) -> int:
+def _direction_compare(left: tuple[int, int], right: tuple[int, int]) -> int:
     """Exact comparison of direction vectors by angle in [0, 2*pi)."""
 
-    def half(d: Point2) -> int:
+    def half(d: tuple[int, int]) -> int:
         if d[1] > 0 or (d[1] == 0 and d[0] > 0):
             return 0
         return 1
@@ -164,81 +172,103 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
             make_line(0, 1, by, is_box=True),
         ]
     )
+    forms = [_integer_form(line) for line in lines]
 
-    def inside(point: Point2) -> bool:
-        return 0 <= point[0] <= bx and 0 <= point[1] <= by
-
-    # vertices: all pairwise intersections within the closed box, with the
-    # full set of incident lines accumulated as pairs are discovered
-    incident: dict[Point2, set[int]] = {}
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            point = _intersect(lines[i], lines[j])
-            if point is not None and inside(point):
-                incident.setdefault(point, set()).update((i, j))
-    if not incident:
+    # vertices: pairwise intersections (X/W, Y/W) with W > 0 and
+    # gcd(X, Y, W) = 1 inside the closed box, each recorded on both lines
+    px, qx = bx.numerator, bx.denominator
+    py, qy = by.numerator, by.denominator
+    found: dict[tuple[int, int, int], int] = {}
+    on_line: list[set[int]] = [set() for _ in lines]
+    for i, (a1, b1, c1) in enumerate(forms):
+        for j in range(i + 1, len(forms)):
+            a2, b2, c2 = forms[j]
+            det = a1 * b2 - b1 * a2
+            if det == 0:
+                continue
+            x = c1 * b2 - b1 * c2
+            y = a1 * c2 - c1 * a2
+            if det < 0:
+                det, x, y = -det, -x, -y
+            if x < 0 or y < 0 or x * qx > px * det or y * qy > py * det:
+                continue
+            g = math.gcd(x, y, det)
+            vertex = found.setdefault((x // g, y // g, det // g), len(found))
+            on_line[i].add(vertex)
+            on_line[j].add(vertex)
+    if not found:
         raise InternalConsistencyError("box corners missing from arrangement")
 
-    vertices = tuple(sorted(incident))
-    vertex_index = {point: n for n, point in enumerate(vertices)}
+    # lexicographic order on integer keys floor(2^s * X / W): with
+    # 2^s >= W * W' for every pair of denominators, distinct coordinates
+    # differ by at least 2^-s, so their keys differ
+    shift = 2 * max(w for _, _, w in found).bit_length()
+    exact = sorted(
+        found, key=lambda p: ((p[0] << shift) // p[2], (p[1] << shift) // p[2])
+    )
+    vertices = tuple((Fraction(x, w), Fraction(y, w)) for x, y, w in exact)
+    number = [0] * len(exact)
+    for position, point in enumerate(exact):
+        number[found[point]] = position
 
-    # edges: consecutive vertices along each line
+    # edges: consecutive vertices along each line, in the direction (b, -a);
+    # vertex numbers increase along +x, or along +y on a vertical line
     edges: list[Edge] = []
     line_edges: list[tuple[int, ...]] = []
-    for li, line in enumerate(lines):
-        direction = (line.b, -line.a)
-        on_line = [
-            vertex_index[point]
-            for point, incidents in incident.items()
-            if li in incidents
-        ]
-        on_line.sort(
-            key=lambda n: vertices[n][0] * direction[0]
-            + vertices[n][1] * direction[1]
+    for li, (a, b, _) in enumerate(forms):
+        along = sorted(number[n] for n in on_line[li])
+        if b < 0 or (b == 0 and a > 0):
+            along.reverse()
+        start = len(edges)
+        edges.extend(
+            Edge(tail=tail, head=head, line_index=li)
+            for tail, head in zip(along, along[1:])
         )
-        indices = []
-        for tail, head in zip(on_line, on_line[1:]):
-            indices.append(len(edges))
-            edges.append(Edge(tail=tail, head=head, line_index=li))
-        line_edges.append(tuple(indices))
+        line_edges.append(tuple(range(start, len(edges))))
 
-    # half-edges: 2*e encodes tail->head of edge e, 2*e+1 the reverse
-    def endpoints(half: int) -> tuple[int, int]:
-        edge = edges[half // 2]
-        return (edge.tail, edge.head) if half % 2 == 0 else (edge.head, edge.tail)
-
-    outgoing: dict[int, list[int]] = {n: [] for n in range(len(vertices))}
-    for e in range(len(edges)):
-        outgoing[edges[e].tail].append(2 * e)
-        outgoing[edges[e].head].append(2 * e + 1)
-
-    def half_direction(half: int) -> Point2:
-        tail, head = endpoints(half)
-        return (
-            vertices[head][0] - vertices[tail][0],
-            vertices[head][1] - vertices[tail][1],
+    # half-edges: 2*e runs tail->head of edge e along its line's direction
+    # (b, -a), 2*e+1 runs back against it; one angular sort of the reduced
+    # directions ranks them all, parallel lines sharing a rank
+    forward = []
+    for a, b, _ in forms:
+        g = math.gcd(a, b)
+        forward.append((b // g, -a // g))
+    backward = [(-u, -v) for u, v in forward]
+    angle = {
+        direction: rank
+        for rank, direction in enumerate(
+            sorted(set(forward + backward), key=cmp_to_key(_direction_compare))
         )
+    }
 
-    order_at: dict[int, dict[int, int]] = {}
-    for vertex, halves in outgoing.items():
-        halves.sort(key=cmp_to_key(
-            lambda g, h: _direction_compare(half_direction(g), half_direction(h))
-        ))
-        order_at[vertex] = {half: pos for pos, half in enumerate(halves)}
+    tail_of: list[int] = []
+    half_angle: list[int] = []
+    outgoing: list[list[int]] = [[] for _ in vertices]
+    for e, edge in enumerate(edges):
+        tail_of += (edge.tail, edge.head)
+        half_angle += (
+            angle[forward[edge.line_index]],
+            angle[backward[edge.line_index]],
+        )
+        outgoing[edge.tail].append(2 * e)
+        outgoing[edge.head].append(2 * e + 1)
+    ring_position = [0] * len(tail_of)
+    for halves in outgoing:
+        halves.sort(key=half_angle.__getitem__)
+        for position, half in enumerate(halves):
+            ring_position[half] = position
 
     def next_half(half: int) -> int:
         # at the head vertex, rotate clockwise one step from the reversal
         twin = half ^ 1
-        vertex = endpoints(twin)[0]
-        ring = outgoing[vertex]
-        position = order_at[vertex][twin]
-        return ring[(position - 1) % len(ring)]
+        ring = outgoing[tail_of[twin]]
+        return ring[(ring_position[twin] - 1) % len(ring)]
 
     # face orbits
-    face_of_half: dict[int, int] = {}
+    face_of_half: list[int | None] = [None] * len(tail_of)
     loops: list[tuple[int, ...]] = []
-    for start in range(2 * len(edges)):
-        if start in face_of_half:
+    for start in range(len(tail_of)):
+        if face_of_half[start] is not None:
             continue
         orbit = []
         half = start
@@ -250,25 +280,36 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
                 break
         loops.append(tuple(orbit))
 
+    # twice the signed area and the vertex sum of each loop, over the
+    # loop's common denominator W; centroids[f] = (sum X, sum Y, W * n)
     faces: list[Face] = []
-    face_renumber: dict[int, int | None] = {}
-    dropped = 0
-    for li, orbit in enumerate(loops):
-        loop = tuple(endpoints(half)[0] for half in orbit)
-        doubled = Fraction(0)
-        for a, b in zip(loop, loop[1:] + loop[:1]):
-            pa, pb = vertices[a], vertices[b]
-            doubled += pa[0] * pb[1] - pb[0] * pa[1]
-        if doubled <= 0:
-            face_renumber[li] = None
-            dropped += 1
-            continue
-        barycenter = (
-            sum((vertices[n][0] for n in loop), Fraction(0)) / len(loop),
-            sum((vertices[n][1] for n in loop), Fraction(0)) / len(loop),
+    centroids: list[tuple[int, int, int]] = []
+    face_renumber: list[int | None] = []
+    for orbit in loops:
+        loop = tuple(tail_of[half] for half in orbit)
+        common = math.lcm(*(exact[n][2] for n in loop))
+        xs = [exact[n][0] * (common // exact[n][2]) for n in loop]
+        ys = [exact[n][1] * (common // exact[n][2]) for n in loop]
+        doubled = sum(
+            xs[k - 1] * ys[k] - xs[k] * ys[k - 1] for k in range(len(loop))
         )
-        face_renumber[li] = len(faces)
-        faces.append(Face(loop=loop, barycenter=barycenter, area=doubled / 2))
+        if doubled <= 0:
+            face_renumber.append(None)
+            continue
+        face_renumber.append(len(faces))
+        centroid = (sum(xs), sum(ys), common * len(loop))
+        centroids.append(centroid)
+        faces.append(
+            Face(
+                loop=loop,
+                barycenter=(
+                    Fraction(centroid[0], centroid[2]),
+                    Fraction(centroid[1], centroid[2]),
+                ),
+                area=Fraction(doubled, 2 * common * common),
+            )
+        )
+    dropped = len(loops) - len(faces)
     if dropped != 1:
         raise InternalConsistencyError(
             f"expected exactly one outer orbit, found {dropped}"
@@ -276,21 +317,23 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
     if len(vertices) - len(edges) + (len(faces) + 1) != 2:
         raise InternalConsistencyError("Euler characteristic violated")
 
+    # sides: the sign of A*X + B*Y - C*W at the face's centroid
     edge_faces: list[tuple[int | None, int | None]] = []
     for e, edge in enumerate(edges):
-        line = lines[edge.line_index]
-        sides: dict[bool, int | None] = {False: None, True: None}
+        a, b, c = forms[edge.line_index]
+        sides: list[int | None] = [None, None]
         for half in (2 * e, 2 * e + 1):
             face_id = face_renumber[face_of_half[half]]
             if face_id is None:
                 continue
-            value = line.value(faces[face_id].barycenter)
-            if value == line.c:
+            x, y, w = centroids[face_id]
+            value = a * x + b * y - c * w
+            if value == 0:
                 raise InternalConsistencyError(
                     "face barycenter lies on an incident carrier line"
                 )
-            sides[value > line.c] = face_id
-        edge_faces.append((sides[False], sides[True]))
+            sides[value > 0] = face_id
+        edge_faces.append((sides[0], sides[1]))
 
     return Arrangement(
         lines=tuple(lines),

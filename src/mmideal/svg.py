@@ -1,7 +1,7 @@
 """SVG rendering of wall atlases.
 
 Coordinates are the single place the library writes decimal approximations;
-they are produced by integer long division to 20 significant digits, never
+they are produced by one integer division to 20 significant digits, never
 by floating point.  Everything semantic in the picture (tick labels, cell
 tooltips) stays in exact "p/q" notation.  Cell colors are assigned by the
 lexicographic rank of the distinct ideal divisors, so the same atlas always
@@ -29,17 +29,20 @@ def decimal_approx(value: Fraction, significant: int = 20) -> str:
     numerator, denominator = abs(value.numerator), value.denominator
     integer_part, remainder = divmod(numerator, denominator)
     digits = str(integer_part)
-    significant_seen = len(digits) if integer_part > 0 else 0
     if remainder == 0:
         return sign + digits
-    fraction_digits = []
-    while remainder and significant_seen < significant:
-        remainder *= 10
-        digit, remainder = divmod(remainder, denominator)
-        fraction_digits.append(str(digit))
-        if significant_seen or digit:
-            significant_seen += 1
-    tail = "".join(fraction_digits).rstrip("0")
+    if integer_part > 0:
+        places = significant - len(digits)
+    else:
+        # leading zeros are not significant: the first nonzero digit is at
+        # the least place t with remainder * 10**t >= denominator
+        t = len(str(denominator)) - len(str(remainder))
+        if remainder * 10**t < denominator:
+            t += 1
+        places = significant + t - 1
+    if places <= 0:
+        return sign + digits
+    tail = str(remainder * 10**places // denominator).zfill(places).rstrip("0")
     return sign + digits + ("." + tail if tail else "")
 
 
@@ -80,16 +83,12 @@ def render_atlas_svg(
     ]
 
     faces = atlas.arrangement.faces
+    pixels = [f"{x_pix(x)},{y_pix(y)}" for x, y in atlas.arrangement.vertices]
     for cell, divisor in zip(atlas.cells, atlas.cell_divisors):
         fill = color_of[divisor]
         label = ",".join(str(c) for c in divisor)
         for face_index in cell:
-            face = faces[face_index]
-            points = " ".join(
-                f"{x_pix(atlas.arrangement.vertices[v][0])},"
-                f"{y_pix(atlas.arrangement.vertices[v][1])}"
-                for v in face.loop
-            )
+            points = " ".join(pixels[v] for v in faces[face_index].loop)
             parts.append(
                 f'<polygon points="{points}" fill="{fill}" stroke="none">'
                 f"<title>D = {label}</title></polygon>"

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import random
 from fractions import Fraction
 from importlib import resources
 
@@ -126,6 +127,34 @@ def test_decimal_approx():
         == "0.0000000000000000000000001"  # leading zeros are not significant
     )
     assert decimal_approx(Fraction(123456, 1000)) == "123.456"
+
+
+def _long_division(value, significant):
+    # one digit at a time, counting significant digits as they appear
+    sign = "-" if value < 0 else ""
+    integer_part, remainder = divmod(abs(value.numerator), value.denominator)
+    digits, seen, tail = str(integer_part), len(str(integer_part)), ""
+    if integer_part == 0:
+        seen = 0
+    while remainder and seen < significant:
+        digit, remainder = divmod(10 * remainder, value.denominator)
+        tail += str(digit)
+        seen += 1 if seen or digit else 0
+    tail = tail.rstrip("0")
+    return sign + digits + ("." + tail if tail else "")
+
+
+def test_decimal_approx_matches_long_division():
+    rng = random.Random(11)
+    for _ in range(3000):
+        value = Fraction(
+            rng.randint(-10 ** rng.randint(1, 30), 10 ** rng.randint(1, 30)),
+            rng.randint(1, 10 ** rng.randint(1, 30)),
+        )
+        for significant in (1, 3, 20):
+            assert decimal_approx(value, significant) == _long_division(
+                value, significant
+            ), value
 
 
 # ---------------------------------------------------------------- CLI

@@ -1,11 +1,13 @@
 """Wall atlases, the log-canonical wall, Newton nests, and the facet pairing."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 import frozen
-from mmideal.arrangement import merge_lines
+from mmideal.arrangement import build_arrangement, merge_lines
+from mmideal.svg import render_atlas_svg
 from mmideal import (
     attach_ideals,
     axis_Gprime,
@@ -65,6 +67,38 @@ def test_chain10_atlas_counts(chain10_atlas):
     assert len(arr.faces) == 2469
     assert len(chain10_atlas.cells) == 134
     assert len(chain10_atlas.facets) == 240
+
+
+def test_rat6_atlas_at_scale(rat6):
+    # the full 4x4 atlas; cell_decomposition runs the outer-orbit, Euler,
+    # barycenter and facet-sample checks on the way
+    atlas = cell_decomposition(rat6, (Fraction(4), Fraction(4)))
+    arr = atlas.arrangement
+    assert len([line for line in arr.lines if not line.is_box]) == 163
+    assert (len(arr.vertices), len(arr.faces)) == (832, 1012)
+    assert len(arr.vertices) - len(arr.edges) + len(arr.faces) == 1
+    assert (len(atlas.cells), len(atlas.facets)) == (447, 760)
+
+
+def test_chain10_arrangement_at_scale(chain10):
+    box = (Fraction(2), Fraction(2))
+    arr = build_arrangement(wall_lines(chain10, box), box)
+    assert len([line for line in arr.lines if not line.is_box]) == 336
+    assert (len(arr.vertices), len(arr.faces)) == (11760, 11934)
+    assert len(arr.vertices) - len(arr.edges) + len(arr.faces) == 1
+
+
+def test_atlas_svg_with_lct_ticks(rat6, rat6_atlas):
+    # the picture `mmideal walls --svg` writes; the digest was computed with
+    # the earlier Fraction arrangement, per-face vertex formatting and
+    # digit-by-digit decimal_approx, so it pins that all three are unchanged
+    ticks = walls._thresholds(rat6, lc_region(rat6))
+    assert ticks == (Fraction(1, 6), Fraction(1))
+    svg = render_atlas_svg(rat6_atlas, ticks)
+    assert svg.count('stroke="crimson"') == 2
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "7fa5540fe851103bf6334558570326fd427a49a422456df889d2c70dff3221a6"
+    )
 
 
 def test_facet_transitions(rat6_atlas, chain10_atlas):
