@@ -76,14 +76,20 @@ def make_line(a, b, c, sources: Iterable[tuple[int, int]] = (), is_box: bool = F
 
 
 def merge_lines(lines: Iterable[Line]) -> list[Line]:
-    """Collapse geometrically coincident lines, concatenating their sources."""
+    """Collapse geometrically coincident lines, concatenating their sources.
+
+    A line and its negation coincide: lines are matched on the key whose
+    first nonzero normal coefficient is positive, and the first line seen
+    keeps its orientation."""
     merged: dict[tuple[Fraction, Fraction, Fraction], Line] = {}
     for line in lines:
-        seen = merged.get(line.key)
+        positive = line.a > 0 or (line.a == 0 and line.b > 0)
+        key = line.key if positive else (-line.a, -line.b, -line.c)
+        seen = merged.get(key)
         if seen is None:
-            merged[line.key] = line
+            merged[key] = line
         else:
-            merged[line.key] = Line(
+            merged[key] = Line(
                 seen.a,
                 seen.b,
                 seen.c,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from typing import Sequence
 
@@ -35,6 +36,7 @@ from .rays import make_ray, poincare, ray_walk
 from .svg import render_atlas_svg
 from .unloading import colength
 from .walls import (
+    _checked_thresholds,
     _thresholds,
     bijection_report,
     cell_decomposition,
@@ -260,7 +262,7 @@ def _cmd_lct(args) -> int:
     _, ideals = _load(args)
     report = require_valid_region(lc_region(ideals))
     print(f"origin divisor = {_divisor_text(mmi_divisor(ideals, report.center))}")
-    for axis, threshold in enumerate(_thresholds(ideals, report)):
+    for axis, threshold in enumerate(_checked_thresholds(ideals, report)):
         print(f"lct axis {axis + 1} = {format_rational(threshold)}")
     return 0
 
@@ -382,7 +384,10 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every call can share it."""
     parser = _Parser(
         prog="mmideal",
         description=(

@@ -24,7 +24,10 @@ points z >= 0 with (z.F)_j < k_j + 1 + e_j^c for every j, where e^c = D_c.
 Constraints are emitted for all components; a validation pass checks that
 dropping every non-rupture, non-dicritical constraint leaves the open region
 unchanged (the binding constraints belong to rupture or dicritical
-components).  Violations are reported in the result, never raised.
+components).  The pass runs together with the polytope build, the first
+time the region's polytope, classification or binding list is read; the
+bounds alone build nothing.  Violations are reported in the result, never
+raised.
 """
 
 from __future__ import annotations
@@ -185,24 +188,71 @@ def support_components(ideals: IdealTuple, support: Sequence[bool]) -> list[list
     return components
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionReport:
     """The constancy-region polytope of a point, with validation results.
 
-    `polytope` uses every component's constraint plus the orthant bounds;
-    `restricted` keeps only rupture/dicritical constraints.  `classification`
-    classifies each component's constraint against the full polytope as
-    'facet', 'touch', or 'slack'.  `binding_non_rupture` lists components
-    whose constraint genuinely cuts the restricted open region — expected to
-    be empty always; surfaced for reporting rather than raised.
+    `center` and `bounds` are computed on construction.  The rest is built
+    together, once, the first time any of it is read, so callers that need
+    only the bounds build no polytope.  `polytope` uses every component's
+    constraint plus the orthant bounds; `restricted` keeps only
+    rupture/dicritical constraints.  `classification` classifies each
+    component's constraint against the full polytope as 'facet', 'touch', or
+    'slack'.  `binding_non_rupture` lists components whose constraint
+    genuinely cuts the restricted open region — expected to be empty always;
+    surfaced for reporting rather than raised.
     """
 
+    ideals: IdealTuple
     center: Point
     bounds: tuple[Fraction, ...]
-    polytope: Polytope
-    restricted: Polytope
-    classification: tuple[str, ...]
-    binding_non_rupture: tuple[int, ...]
+
+    @cached_property
+    def _geometry(
+        self,
+    ) -> tuple[Polytope, Polytope, tuple[str, ...], tuple[int, ...]]:
+        ideals = self.ideals
+        axis = orthant_halfspaces(ideals.r)
+        constraints = [
+            Halfspace(
+                tuple(Fraction(ideals.ideals[i][j]) for i in range(ideals.r)),
+                self.bounds[j],
+            )
+            for j in range(ideals.size)
+        ]
+        full = intersect_halfspaces(axis + constraints)
+        keep = ideals.rupture_or_dicritical
+        restricted = intersect_halfspaces(
+            axis + [c for j, c in enumerate(constraints) if keep[j]]
+        )
+        offset = len(axis)
+        classification = tuple(
+            full.classify(offset + j) for j in range(ideals.size)
+        )
+        binding = ()
+        if not same_region(full, restricted):
+            binding = tuple(
+                j
+                for j, constraint in enumerate(constraints)
+                if not keep[j] and not redundant_over(restricted, constraint)
+            )
+        return full, restricted, classification, binding
+
+    @property
+    def polytope(self) -> Polytope:
+        return self._geometry[0]
+
+    @property
+    def restricted(self) -> Polytope:
+        return self._geometry[1]
+
+    @property
+    def classification(self) -> tuple[str, ...]:
+        return self._geometry[2]
+
+    @property
+    def binding_non_rupture(self) -> tuple[int, ...]:
+        return self._geometry[3]
 
     @property
     def valid(self) -> bool:
@@ -215,35 +265,7 @@ def region(ideals: IdealTuple, point: PointLike) -> RegionReport:
     bounds = tuple(
         k + 1 + e for k, e in zip(ideals.graph.canonical, evaluation.divisor)
     )
-    axis = orthant_halfspaces(ideals.r)
-    constraints = [
-        Halfspace(
-            tuple(Fraction(ideals.ideals[i][j]) for i in range(ideals.r)),
-            bounds[j],
-        )
-        for j in range(ideals.size)
-    ]
-    full = intersect_halfspaces(axis + constraints)
-    keep = ideals.rupture_or_dicritical
-    restricted_spaces = axis + [c for j, c in enumerate(constraints) if keep[j]]
-    restricted = intersect_halfspaces(restricted_spaces)
-    offset = len(axis)
-    classification = tuple(
-        full.classify(offset + j) for j in range(ideals.size)
-    )
-    binding = []
-    if not same_region(full, restricted):
-        for j, constraint in enumerate(constraints):
-            if not keep[j] and not redundant_over(restricted, constraint):
-                binding.append(j)
-    return RegionReport(
-        center=evaluation.point,
-        bounds=bounds,
-        polytope=full,
-        restricted=restricted,
-        classification=classification,
-        binding_non_rupture=tuple(binding),
-    )
+    return RegionReport(ideals, evaluation.point, bounds)
 
 
 def subtuple(ideals: IdealTuple, indices: Sequence[int]) -> IdealTuple:

@@ -1,15 +1,32 @@
-"""Exact halfspace intersection in low dimension by vertex enumeration.
+"""Exact halfspace intersection in low dimension by incremental clipping.
 
 The regions this library works with are intersections of closed halfspaces
-``normal . z <= bound`` over exact rationals, always bounded in practice
-(every wall constraint has a strictly positive normal, and the nonnegative
-orthant constraints are included explicitly).  Vertices are enumerated by
-solving every r-subset of constraint hyperplanes exactly and keeping the
-solutions that satisfy all constraints; this is quadratic-ish in the number
-of constraints but the dimensions here are r = 1, 2, 3 with a handful of
-constraints, so exactness wins over cleverness.
+``normal . z <= bound`` over exact rationals.  Their vertices come from the
+double-description step of Motzkin et al. (1953), as in Fukuda and Prodon,
+"Double description method revisited" (1996):
 
-A constraint is classified against the resulting polytope as
+* Start from a simplex that contains the input.  Each axis i needs a lower
+  bound l_i from a constraint whose normal is a negative multiple of e_i (the
+  orthant constraints give l = 0), and an upper bound u_i from a constraint
+  whose normal is nonnegative with a positive i-th entry.  The simplex is
+  z >= l with the cap sum (z_i - l_i) / w_i <= r + 1, where w_i = u_i - l_i
+  (or 1 if that is not positive), so the cap is strictly slack on the box
+  [l, u].  Input without those bounds is refused with ``ValueError``.
+* Cut by one halfspace at a time.  Vertices on its inner side stay, and
+  one new vertex is formed on each edge from an inner to an outer vertex.
+* Every vertex carries its incidence set: the constraints tight at it.  Two
+  vertices span an edge iff their common incidence set holds at least r - 1
+  constraints and no third vertex's incidence set contains it (the
+  combinatorial adjacency test).  A new vertex's incidence set is that
+  common set plus the cutting constraint.
+* At the end the artificial cap must be slack at every vertex.
+
+Vertices are kept in integer homogeneous coordinates (X, W), W > 0, reduced
+by their gcd, so a cut is integer arithmetic only; they become `Fraction`
+points once, at the end.
+
+A constraint is classified against the resulting polytope, from the
+incidence sets, as
 
 * ``facet`` — its incident vertices affinely span dimension r - 1;
 * ``touch`` — it has incident vertices but they span less;
@@ -18,14 +35,19 @@ A constraint is classified against the resulting polytope as
 Two constraints may be *coincident* (equal halfspaces up to positive
 scaling); both then earn the same classification.  Geometric dedup is by the
 canonical key of the hyperplane.
+
+`solve_square` no longer takes part in the clipping.  It stays because
+``bench/spans.py`` wraps it by name and the tests pin it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
+
+from .errors import InternalConsistencyError
 
 Vector = tuple[Fraction, ...]
 
@@ -39,12 +61,6 @@ class Halfspace:
 
     def value(self, point: Sequence[Fraction]) -> Fraction:
         return sum((n * x for n, x in zip(self.normal, point)), Fraction(0))
-
-    def contains(self, point: Sequence[Fraction]) -> bool:
-        return self.value(point) <= self.bound
-
-    def active_at(self, point: Sequence[Fraction]) -> bool:
-        return self.value(point) == self.bound
 
     def key(self) -> tuple[Fraction, ...]:
         """Canonical form invariant under positive scaling (halfspace identity)."""
@@ -122,10 +138,15 @@ def affine_rank(points: Sequence[Vector]) -> int:
 
 @dataclass(frozen=True)
 class Polytope:
-    """A bounded intersection of closed halfspaces with its vertex set."""
+    """A bounded intersection of closed halfspaces with its vertex set.
+
+    ``incidence[n]`` is the set of indices of the halfspaces tight at
+    ``vertices[n]``.
+    """
 
     halfspaces: tuple[Halfspace, ...]
     vertices: tuple[Vector, ...]
+    incidence: tuple[frozenset[int], ...]
 
     @property
     def dimension(self) -> int:
@@ -135,12 +156,10 @@ class Polytope:
     def is_empty(self) -> bool:
         return not self.vertices
 
-    def contains(self, point: Sequence[Fraction]) -> bool:
-        return all(h.contains(point) for h in self.halfspaces)
-
     def incident_vertices(self, index: int) -> tuple[Vector, ...]:
-        space = self.halfspaces[index]
-        return tuple(v for v in self.vertices if space.active_at(v))
+        return tuple(
+            v for v, tight in zip(self.vertices, self.incidence) if index in tight
+        )
 
     def classify(self, index: int) -> str:
         """'facet', 'touch', or 'slack' for the index-th halfspace."""
@@ -160,27 +179,128 @@ class Polytope:
         return keys
 
 
-def intersect_halfspaces(halfspaces: Sequence[Halfspace]) -> Polytope:
-    """Enumerate the vertices of a *bounded* intersection of halfspaces.
+def _integer_form(space: Halfspace) -> tuple[tuple[int, ...], int]:
+    """(N, B): a positive integer multiple of the halfspace's (normal, bound)."""
+    scale = math.lcm(space.bound.denominator, *(n.denominator for n in space.normal))
+    return (
+        tuple(n.numerator * (scale // n.denominator) for n in space.normal),
+        space.bound.numerator * (scale // space.bound.denominator),
+    )
 
-    Callers guarantee boundedness (wall constraints have strictly positive
-    normals and the orthant constraints are present, or an explicit box is
-    part of the input).
-    """
+
+def _homogeneous(point: Sequence[Fraction]) -> tuple[int, ...]:
+    """(X_1, ..., X_r, W) with W > 0 the lcm of the denominators."""
+    scale = math.lcm(*(x.denominator for x in point))
+    return tuple(x.numerator * (scale // x.denominator) for x in point) + (scale,)
+
+
+def _bounding_simplex(
+    spaces: Sequence[Halfspace], dimension: int
+) -> list[tuple[int, ...]]:
+    """Homogeneous vertices of a simplex that contains the intersection:
+    the corner l, then l + (r + 1) w_i e_i for each axis i."""
+    lower: list[Fraction | None] = [None] * dimension
+    for space in spaces:
+        nonzero = [i for i, n in enumerate(space.normal) if n != 0]
+        if len(nonzero) == 1 and space.normal[nonzero[0]] < 0:
+            i = nonzero[0]
+            floor = space.bound / space.normal[i]
+            if lower[i] is None or floor > lower[i]:
+                lower[i] = floor
+    upper: list[Fraction | None] = [None] * dimension
+    if None not in lower:
+        for space in spaces:
+            if any(n < 0 for n in space.normal):
+                continue
+            slack = space.bound - sum(n * l for n, l in zip(space.normal, lower))
+            for i, n in enumerate(space.normal):
+                if n > 0 and (upper[i] is None or lower[i] + slack / n < upper[i]):
+                    upper[i] = lower[i] + slack / n
+    unbounded = [i + 1 for i in range(dimension) if upper[i] is None]
+    if unbounded:
+        raise ValueError(
+            "cannot bound the intersection along axes "
+            f"{', '.join(map(str, unbounded))}: each axis needs a lower bound "
+            "z_i >= l_i and a constraint with nonnegative normal capping it"
+        )
+    corner = tuple(lower)
+    points = [corner]
+    for i in range(dimension):
+        width = upper[i] - lower[i]
+        far = list(corner)
+        far[i] += (dimension + 1) * (width if width > 0 else 1)
+        points.append(tuple(far))
+    return [_homogeneous(p) for p in points]
+
+
+def intersect_halfspaces(halfspaces: Sequence[Halfspace]) -> Polytope:
+    """Vertices and incidence sets of a bounded intersection of halfspaces,
+    by incremental clipping of a bounding simplex."""
     spaces = tuple(halfspaces)
     if not spaces:
         raise ValueError("no halfspaces given")
     dimension = len(spaces[0].normal)
-    vertices: set[Vector] = set()
-    for subset in combinations(range(len(spaces)), dimension):
-        rows = [spaces[i].normal for i in subset]
-        rhs = [spaces[i].bound for i in subset]
-        solution = solve_square(rows, rhs)
-        if solution is None:
-            continue
-        if all(h.contains(solution) for h in spaces):
-            vertices.add(solution)
-    return Polytope(halfspaces=spaces, vertices=tuple(sorted(vertices)))
+    points = _bounding_simplex(spaces, dimension)
+    # artificial labels: -1 for the cap, -2 - i for the simplex facet z_i >= l_i
+    corner = frozenset(range(-1 - dimension, -1))
+    tight = [corner] + [corner - {-2 - i} | {-1} for i in range(dimension)]
+
+    for index, space in enumerate(spaces):
+        normal, bound = _integer_form(space)
+        values = [
+            sum(n * x for n, x in zip(normal, point)) - bound * point[-1]
+            for point in points
+        ]
+        kept_points, kept_tight = [], []
+        for point, labels, value in zip(points, tight, values):
+            if value <= 0:
+                kept_points.append(point)
+                kept_tight.append(labels | {index} if value == 0 else labels)
+        outside = [n for n, value in enumerate(values) if value > 0]
+        if outside:
+            holders: dict[int, set[int]] = {}
+            for n, labels in enumerate(tight):
+                for label in labels:
+                    holders.setdefault(label, set()).add(n)
+            everyone = set(range(len(points)))
+            for a in (n for n, value in enumerate(values) if value < 0):
+                for b in outside:
+                    common = tight[a] & tight[b]
+                    if len(common) < dimension - 1:
+                        continue
+                    # no third vertex may hold every constraint of the common set
+                    sharing = everyone
+                    for label in common:
+                        sharing = sharing & holders[label]
+                        if len(sharing) == 2:
+                            break
+                    if len(sharing) > 2:
+                        continue
+                    below, above = values[a], values[b]
+                    point = [
+                        above * p - below * q for p, q in zip(points[a], points[b])
+                    ]
+                    divisor = math.gcd(*point)
+                    kept_points.append(tuple(x // divisor for x in point))
+                    kept_tight.append(common | {index})
+        points, tight = kept_points, kept_tight
+
+    if any(-1 in labels for labels in tight):
+        raise InternalConsistencyError(
+            "the bounding simplex's cap is tight at a clipped vertex"
+        )
+    pairs = sorted(
+        (
+            tuple(Fraction(x, point[-1]) for x in point[:-1]),
+            frozenset(label for label in labels if label >= 0),
+        )
+        for point, labels in zip(points, tight)
+    )
+    return Polytope(
+        halfspaces=spaces,
+        vertices=tuple(vertex for vertex, _ in pairs),
+        incidence=tuple(labels for _, labels in pairs),
+    )
 
 
 def same_region(a: Polytope, b: Polytope) -> bool:

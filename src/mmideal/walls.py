@@ -292,6 +292,31 @@ def _thresholds(ideals: IdealTuple, report: RegionReport) -> tuple[Fraction, ...
     )
 
 
+def _checked_thresholds(
+    ideals: IdealTuple, report: RegionReport
+) -> tuple[Fraction, ...]:
+    """The thresholds, each checked against the second route: the extreme
+    vertex of the lc polytope on its axis."""
+    thresholds = _thresholds(ideals, report)
+    for axis, threshold in enumerate(thresholds):
+        extreme = max(
+            (
+                vertex[axis]
+                for vertex in report.polytope.vertices
+                if not any(x for i, x in enumerate(vertex) if i != axis)
+            ),
+            default=None,
+        )
+        if extreme != threshold:
+            shown = "none" if extreme is None else format_rational(extreme)
+            raise InternalConsistencyError(
+                f"lct axis {axis + 1}: min-ratio route gives "
+                f"{format_rational(threshold)}, the lc polytope's axis vertex "
+                f"gives {shown}"
+            )
+    return thresholds
+
+
 def _axis_supports(
     ideals: IdealTuple, report: RegionReport
 ) -> tuple[tuple[int, ...], ...]:
@@ -414,7 +439,7 @@ def bijection_report(ideals: IdealTuple) -> BijectionReport:
     report = lc_region(ideals)
     polytope = report.polytope
     axes = ideals.r
-    thresholds = _thresholds(ideals, report)
+    thresholds = _checked_thresholds(ideals, report)
     supports = _axis_supports(ideals, report)
     nest = _nest(ideals, supports)
 

@@ -31,11 +31,13 @@ def test_merge_lines_concatenates_sources():
             make_line(1, 1, 1, sources=((0, 1),)),
             make_line(2, 2, 2, sources=((1, 3),)),
             make_line(1, 0, 1, sources=((2, 1),)),
+            make_line(-3, -3, -3, sources=((3, 2),)),
         ]
     )
     assert len(merged) == 2
     coincident = next(line for line in merged if line.b != 0)
-    assert coincident.sources == ((0, 1), (1, 3))
+    assert coincident.sources == ((0, 1), (1, 3), (3, 2))
+    assert coincident.key == (1, 1, 1)  # the first line's orientation
 
 
 def test_diagonal_arrangement():
@@ -269,9 +271,10 @@ def _assert_same_arrangement(got, want):
 
 def _random_lines(rng, box):
     """Wall-like lines with every awkward incidence the builder must keep:
-    rational c, both slope signs, axis-parallel lines, three or more lines
-    through one point, lines through box corners (some touching the box
-    only there), lines outside the box, and coincident copies."""
+    rational c, both slope signs, both orientations, axis-parallel lines,
+    three or more lines through one point, lines through box corners (some
+    touching the box only there), lines outside the box, coincident copies
+    and negated copies of lines and box sides."""
     bx, by = box
     corners = [(0, 0), (bx, 0), (0, by), (bx, by)]
     hubs = corners + [
@@ -288,10 +291,6 @@ def _random_lines(rng, box):
             a, b = 0, rng.randint(1, 3)
         elif a == 0 and b == 0:
             a = 1
-        if a < 0 or (a == 0 and b < 0):
-            # make_line keeps the sign of the first nonzero coefficient, so
-            # a negated copy of a line would not be merged with it
-            a, b = -a, -b
         if rng.random() < 0.5:
             x0, y0 = rng.choice(hubs)
             c = a * x0 + b * y0
@@ -303,6 +302,13 @@ def _random_lines(rng, box):
             lines.append(
                 make_line(scale * a, scale * b, scale * c, sources=((len(lines), 2),))
             )
+        if rng.random() < 0.1:
+            # the same line negated, which must merge with it
+            lines.append(make_line(-a, -b, -c, sources=((len(lines), 3),)))
+    if rng.random() < 0.2:
+        # a box side negated, which must merge with the side
+        side = rng.choice([(-1, 0, 0), (-1, 0, bx), (0, -1, 0), (0, -1, by)])
+        lines.append(make_line(*side, sources=((len(lines), 1),)))
     # a line that meets the closed box in the far corner alone
     lines.append(make_line(1, 2, bx + 2 * by, sources=((len(lines), 1),)))
     return lines
@@ -315,15 +321,22 @@ def test_matches_reference_on_random_lines():
         (Fraction(3, 2), Fraction(2, 3)),
         (Fraction(2, 7), Fraction(5, 3)),
     ]
-    merged = 0
+    merged = negated = 0
     for trial in range(150):
         box = boxes[trial % len(boxes)]
         lines = _random_lines(rng, box)
         merged += len(lines) + 4 - len(merge_lines(lines + [make_line(1, 0, 0)]))
-        _assert_same_arrangement(
-            build_arrangement(lines, box), _reference_arrangement(lines, box)
+        arrangement = build_arrangement(lines, box)
+        # negated copies carry level 3; a negated box side is a box line
+        # with sources
+        negated += sum(
+            any(level == 3 for _, level in line.sources)
+            or (line.is_box and bool(line.sources))
+            for line in arrangement.lines
         )
+        _assert_same_arrangement(arrangement, _reference_arrangement(lines, box))
     assert merged > 0  # coincident inputs did reach the merge
+    assert negated > 0  # and so did negated ones
 
 
 @pytest.mark.parametrize(

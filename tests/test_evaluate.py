@@ -10,21 +10,25 @@ import pytest
 import frozen
 from mmideal import (
     PointEvaluation,
+    axis_Gprime,
     bijection_report,
     combined_ideal,
     evaluate_point,
     gap_values,
     jump_record,
+    lct_axis,
     make_ray,
     maximal_jumping_divisor,
     mmi_divisor,
     mmi_divisor_left,
+    newton_nest,
     ray_walk,
     region,
     subtuple,
     support_components,
     weighted_F,
 )
+from mmideal import cli, evaluate, walls
 from mmideal.errors import LengthMismatch, ValidationError
 from mmideal.unloading import divisor_leq
 
@@ -173,6 +177,42 @@ def test_bijection_report_builds_one_lc_region(monkeypatch, nest14):
     calls = _record_calls(monkeypatch, "walls", "lc_region")
     bijection_report(nest14)
     assert len(calls) == 1
+
+
+def test_bound_only_callers_build_no_polytope(monkeypatch, nest14):
+    built = _record_calls(monkeypatch, "evaluate", "intersect_halfspaces")
+    for axis in range(nest14.r):
+        lct_axis(nest14, axis)
+        axis_Gprime(nest14, axis)
+    newton_nest(nest14)
+    assert built == []
+
+
+def test_bijection_report_builds_both_polytopes_once(monkeypatch, nest14):
+    built = _record_calls(monkeypatch, "evaluate", "intersect_halfspaces")
+    compared = _record_calls(monkeypatch, "evaluate", "same_region")
+    reports = []
+
+    def recording_lc_region(ideals):
+        reports.append(walls.region(ideals, (Fraction(0),) * ideals.r))
+        return reports[-1]
+
+    monkeypatch.setattr(walls, "lc_region", recording_lc_region)
+    bijection_report(nest14)
+    assert len(built) == 2  # the full and the restricted polytope
+    assert len(compared) == 1  # the binding test ran in the same build
+    (report,) = reports
+    assert report.binding_non_rupture == ()
+    assert len(built) == 2 and len(compared) == 1
+
+
+def test_cli_lct_still_refuses_a_binding_constraint(monkeypatch, capsys):
+    built = _record_calls(monkeypatch, "evaluate", "intersect_halfspaces")
+    monkeypatch.setattr(evaluate, "same_region", lambda a, b: False)
+    monkeypatch.setattr(evaluate, "redundant_over", lambda polytope, space: False)
+    assert cli.main(["lct", "RAT6"]) == 2
+    assert "bind the region" in capsys.readouterr().err
+    assert len(built) == 2
 
 
 def test_jump_record_evaluates_the_point_once(monkeypatch, rat6):

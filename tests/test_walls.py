@@ -28,7 +28,7 @@ from mmideal import (
     subtuple,
     wall_lines,
 )
-from mmideal import walls
+from mmideal import cli, walls
 from mmideal.errors import (
     BoxTooSmall,
     InternalConsistencyError,
@@ -175,6 +175,23 @@ def test_lc_region_valid(tuples):
         report = require_valid_region(lc_region(ideals))
         assert report.valid
         assert report.binding_non_rupture == ()
+
+
+def test_lct_routes_must_agree(monkeypatch, capsys, nest14):
+    # the min-ratio route drifts on the second axis; the polytope's axis
+    # vertex no longer matches it
+    honest = walls._thresholds
+
+    def drifted(ideals, report):
+        values = list(honest(ideals, report))
+        values[1] += Fraction(1, 7)
+        return tuple(values)
+
+    monkeypatch.setattr(walls, "_thresholds", drifted)
+    with pytest.raises(InternalConsistencyError, match="lct axis 2"):
+        bijection_report(nest14)
+    assert cli.main(["lct", "RAT6"]) == 3
+    assert "lct axis 2: min-ratio route gives" in capsys.readouterr().err
 
 
 def test_bijection_rat6(rat6):
