@@ -36,8 +36,6 @@ from .rays import make_ray, poincare, ray_walk
 from .svg import render_atlas_svg
 from .unloading import colength
 from .walls import (
-    _checked_thresholds,
-    _thresholds,
     bijection_report,
     cell_decomposition,
     lc_region,
@@ -251,7 +249,7 @@ def _cmd_walls(args) -> int:
                 )
         print(f"csv written to {args.csv}")
     if args.svg:
-        ticks = _thresholds(ideals, lc_region(ideals))
+        ticks = lc_region(ideals).thresholds
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(render_atlas_svg(atlas, ticks))
         print(f"svg written to {args.svg}")
@@ -262,7 +260,7 @@ def _cmd_lct(args) -> int:
     _, ideals = _load(args)
     report = require_valid_region(lc_region(ideals))
     print(f"origin divisor = {_divisor_text(mmi_divisor(ideals, report.center))}")
-    for axis, threshold in enumerate(_checked_thresholds(ideals, report)):
+    for axis, threshold in enumerate(report.thresholds):
         print(f"lct axis {axis + 1} = {format_rational(threshold)}")
     return 0
 
@@ -345,7 +343,7 @@ def _selftest_one(name: str) -> list[str]:
         elif key == "singularity":
             check(key, singularity_class(graph).value)
         elif key == "lct":
-            thresholds = _thresholds(ideals, lc_region(ideals))
+            thresholds = lc_region(ideals).thresholds
             check(key, thresholds, format_point(thresholds))
         else:
             if report is None:

@@ -6,8 +6,9 @@ Two broad families:
   (bad matrix, non-antinef ideal divisor, malformed point, ...).  These are
   expected, user-facing failures; the CLI maps them to exit code 2.
 * :class:`InternalConsistencyError` — two independent computation routes that
-  must agree exactly have disagreed.  This is never expected on any input;
-  the CLI maps it to exit code 3.
+  must agree exactly have disagreed, or a value the theory guarantees (an
+  inequality, an integral total) failed.  This is never expected on any
+  input; the CLI maps it to exit code 3.
 
 Parse-level problems with fixture files or CLI arguments raise
 :class:`ParseError` / :class:`SchemaError` / :class:`RationalFormatError`
@@ -72,14 +73,6 @@ class LengthMismatch(ValidationError):
     """A vector's length does not match the number of exceptional components."""
 
 
-class NonIntegralResult(ValidationError):
-    """A quantity that must be an integer came out fractional."""
-
-
-class NonIntegralTotal(NonIntegralResult):
-    """A colength total that must be a nonnegative integer came out wrong."""
-
-
 class NotAJumpingPoint(ValidationError):
     """The operation is only defined at jumping points."""
 
@@ -141,6 +134,12 @@ class InternalConsistencyError(MmidealError):
 
     Raising this indicates a bug in the library, never bad user input.
     """
+
+
+class NonIntegralTotal(InternalConsistencyError):
+    """A total that the theory makes a nonnegative integer came out wrong: a
+    colength that is fractional, negative or zero off the zero divisor, or a
+    fractional-form multiplicity that is not an integer."""
 
 
 class InequalityViolated(InternalConsistencyError):

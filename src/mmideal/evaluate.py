@@ -26,8 +26,8 @@ dropping every non-rupture, non-dicritical constraint leaves the open region
 unchanged (the binding constraints belong to rupture or dicritical
 components).  The pass runs together with the polytope build, the first
 time the region's polytope, classification or binding list is read; the
-bounds alone build nothing.  Violations are reported in the result, never
-raised.
+bounds and the per-axis thresholds alone build nothing.  Violations are
+reported in the result, never raised.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .polytope import (
     redundant_over,
     same_region,
 )
+from .rationals import format_rational
 from .unloading import antinef_closure_checked
 
 Point = tuple[Fraction, ...]
@@ -192,15 +193,21 @@ def support_components(ideals: IdealTuple, support: Sequence[bool]) -> list[list
 class RegionReport:
     """The constancy-region polytope of a point, with validation results.
 
-    `center` and `bounds` are computed on construction.  The rest is built
-    together, once, the first time any of it is read, so callers that need
-    only the bounds build no polytope.  `polytope` uses every component's
-    constraint plus the orthant bounds; `restricted` keeps only
-    rupture/dicritical constraints.  `classification` classifies each
-    component's constraint against the full polytope as 'facet', 'touch', or
-    'slack'.  `binding_non_rupture` lists components whose constraint
-    genuinely cuts the restricted open region — expected to be empty always;
-    surfaced for reporting rather than raised.
+    `center` and `bounds` are computed on construction.  `thresholds` holds,
+    per axis i, the far end min_j bound_j / F_i[j] of the region's segment on
+    that axis (the log-canonical threshold of F_i for the region of the
+    origin); it is read off the bounds and builds no polytope.
+
+    The rest is built together, once, the first time any of it is read, so
+    callers that need only the bounds or thresholds build no polytope.
+    `polytope` uses every component's constraint plus the orthant bounds;
+    `restricted` keeps only rupture/dicritical constraints.  The build checks
+    each axis's extreme vertex of `polytope` against `thresholds` and raises
+    `InternalConsistencyError` on a mismatch.  `classification` classifies
+    each component's constraint against the full polytope as 'facet',
+    'touch', or 'slack'.  `binding_non_rupture` lists components whose
+    constraint genuinely cuts the restricted open region — expected to be
+    empty always; surfaced for reporting rather than raised.
     """
 
     ideals: IdealTuple
@@ -208,9 +215,14 @@ class RegionReport:
     bounds: tuple[Fraction, ...]
 
     @cached_property
-    def _geometry(
-        self,
-    ) -> tuple[Polytope, Polytope, tuple[str, ...], tuple[int, ...]]:
+    def thresholds(self) -> tuple[Fraction, ...]:
+        return tuple(
+            min(bound / vector[j] for j, bound in enumerate(self.bounds))
+            for vector in self.ideals.ideals
+        )
+
+    @cached_property
+    def _geometry(self) -> tuple[Polytope, Polytope, tuple[int, ...]]:
         ideals = self.ideals
         axis = orthant_halfspaces(ideals.r)
         constraints = [
@@ -221,13 +233,19 @@ class RegionReport:
             for j in range(ideals.size)
         ]
         full = intersect_halfspaces(axis + constraints)
+        for i, threshold in enumerate(self.thresholds):
+            on_axis = [v[i] for v in full.vertices if not any(v[:i] + v[i + 1 :])]
+            extreme = max(on_axis, default=None)
+            if extreme != threshold:
+                shown = "none" if extreme is None else format_rational(extreme)
+                raise InternalConsistencyError(
+                    f"axis {i + 1}: min-ratio route gives "
+                    f"{format_rational(threshold)}, the region polytope's "
+                    f"vertex on that axis gives {shown}"
+                )
         keep = ideals.rupture_or_dicritical
         restricted = intersect_halfspaces(
             axis + [c for j, c in enumerate(constraints) if keep[j]]
-        )
-        offset = len(axis)
-        classification = tuple(
-            full.classify(offset + j) for j in range(ideals.size)
         )
         binding = ()
         if not same_region(full, restricted):
@@ -236,7 +254,7 @@ class RegionReport:
                 for j, constraint in enumerate(constraints)
                 if not keep[j] and not redundant_over(restricted, constraint)
             )
-        return full, restricted, classification, binding
+        return full, restricted, binding
 
     @property
     def polytope(self) -> Polytope:
@@ -248,11 +266,11 @@ class RegionReport:
 
     @property
     def classification(self) -> tuple[str, ...]:
-        return self._geometry[2]
+        return self.polytope.classification[self.ideals.r :]
 
     @property
     def binding_non_rupture(self) -> tuple[int, ...]:
-        return self._geometry[3]
+        return self._geometry[2]
 
     @property
     def valid(self) -> bool:

@@ -43,6 +43,7 @@ from .evaluate import (
     support_components,
     weighted_F,
 )
+from .polytope import make_halfspace
 from .unloading import colength, intersection_products
 
 __all__ = [
@@ -262,12 +263,6 @@ def jump_record(ideals: IdealTuple, point: PointLike) -> JumpRecord:
 # ---------------------------------------------------------------------------
 
 
-def _line_key(normal: Sequence[Fraction], bound: Fraction) -> tuple[Fraction, ...]:
-    lead = next(n for n in normal if n != 0)
-    scale = abs(lead)
-    return tuple(n / scale for n in normal) + (bound / scale,)
-
-
 @dataclass(frozen=True)
 class PerturbationReport:
     """m at the center versus the sum of crossing multiplicities."""
@@ -319,8 +314,7 @@ def perturbation_sum(
     # distinct geometric lines through the point carrying some V_{j,l}, l > 0
     groups: dict[tuple[Fraction, ...], list[tuple[int, int]]] = {}
     for j, level in wall_lines_through(ideals, evaluation):
-        normal = tuple(Fraction(e) for e in columns[j])
-        key = _line_key(normal, weighted_at[j])
+        key = make_halfspace(columns[j], weighted_at[j]).key()
         groups.setdefault(key, []).append((j, level))
 
     crossings: list[tuple[Fraction, Point, int]] = []
@@ -368,7 +362,7 @@ def perturbation_sum(
                 bound = k_j + level
                 if bound == weighted_at[j]:
                     continue  # the line passes through the point itself
-                if _line_key(tuple(Fraction(n) for n in normal), bound) in through_keys:
+                if make_halfspace(normal, bound).key() in through_keys:
                     continue
                 raise OffsetTooLarge(
                     f"wall line of {ideals.graph.label(j)} at level {level} "

@@ -5,25 +5,27 @@ The regions this library works with are intersections of closed halfspaces
 double-description step of Motzkin et al. (1953), as in Fukuda and Prodon,
 "Double description method revisited" (1996):
 
-* Start from a simplex that contains the input.  Each axis i needs a lower
-  bound l_i from a constraint whose normal is a negative multiple of e_i (the
-  orthant constraints give l = 0), and an upper bound u_i from a constraint
-  whose normal is nonnegative with a positive i-th entry.  The simplex is
-  z >= l with the cap sum (z_i - l_i) / w_i <= r + 1, where w_i = u_i - l_i
-  (or 1 if that is not positive), so the cap is strictly slack on the box
-  [l, u].  Input without those bounds is refused with ``ValueError``.
-* Cut by one halfspace at a time.  Vertices on its inner side stay, and
-  one new vertex is formed on each edge from an inner to an outer vertex.
-* Every vertex carries its incidence set: the constraints tight at it.  Two
-  vertices span an edge iff their common incidence set holds at least r - 1
-  constraints and no third vertex's incidence set contains it (the
-  combinatorial adjacency test).  A new vertex's incidence set is that
-  common set plus the cutting constraint.
-* At the end the artificial cap must be slack at every vertex.
+* Start from the homogenized orthant: the cone X >= 0, W >= 0 in
+  (X, W)-space, generated by the origin (0, ..., 0, 1) and one axis ray
+  (e_i, 0) per axis.  The input must lie in the orthant, so every axis
+  needs a floor z_i >= l_i with l_i >= 0 (a constraint whose normal is a
+  negative multiple of e_i); input without one is refused with
+  ``ValueError``.
+* Cut by one halfspace N . X <= B W at a time.  Generators on its inner
+  side stay, and one new generator is formed on each edge from an inner to
+  an outer generator.
+* Every generator carries its incidence set: the constraints tight at it,
+  the cone's own facets X_i >= 0 and W >= 0 included.  Two generators span
+  an edge iff their common incidence set holds at least r - 1 constraints
+  and no third generator's incidence set contains it (the combinatorial
+  adjacency test).  A new generator's incidence set is that common set plus
+  the cutting constraint.
+* A generator left with W = 0 at the end is a ray of the intersection, so
+  the input is unbounded and is refused with ``ValueError``.
 
-Vertices are kept in integer homogeneous coordinates (X, W), W > 0, reduced
-by their gcd, so a cut is integer arithmetic only; they become `Fraction`
-points once, at the end.
+Generators are kept in integer homogeneous coordinates (X, W), reduced by
+their gcd, so a cut is integer arithmetic only; they become `Fraction`
+points X / W once, at the end.
 
 A constraint is classified against the resulting polytope, from the
 incidence sets, as
@@ -31,6 +33,9 @@ incidence sets, as
 * ``facet`` — its incident vertices affinely span dimension r - 1;
 * ``touch`` — it has incident vertices but they span less;
 * ``slack`` — no vertex lies on it.
+
+`Polytope.classification` holds that verdict for every constraint, computed
+once; `classify` and `facet_keys` read it.
 
 Two constraints may be *coincident* (equal halfspaces up to positive
 scaling); both then earn the same classification.  Geometric dedup is by the
@@ -45,9 +50,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
-
-from .errors import InternalConsistencyError
 
 Vector = tuple[Fraction, ...]
 
@@ -161,20 +165,32 @@ class Polytope:
             v for v, tight in zip(self.vertices, self.incidence) if index in tight
         )
 
+    @cached_property
+    def classification(self) -> tuple[str, ...]:
+        """'facet', 'touch', or 'slack' for every halfspace, in input order."""
+        incident: list[list[Vector]] = [[] for _ in self.halfspaces]
+        for vertex, tight in zip(self.vertices, self.incidence):
+            for index in tight:
+                incident[index].append(vertex)
+        kinds = []
+        for points in incident:
+            if not points:
+                kinds.append("slack")
+            elif affine_rank(points) == self.dimension - 1:
+                kinds.append("facet")
+            else:
+                kinds.append("touch")
+        return tuple(kinds)
+
     def classify(self, index: int) -> str:
         """'facet', 'touch', or 'slack' for the index-th halfspace."""
-        incident = self.incident_vertices(index)
-        if not incident:
-            return "slack"
-        if affine_rank(incident) == self.dimension - 1:
-            return "facet"
-        return "touch"
+        return self.classification[index]
 
     def facet_keys(self) -> dict[tuple[Fraction, ...], list[int]]:
         """Distinct facet-supporting hyperplanes -> indices of carrying constraints."""
         keys: dict[tuple[Fraction, ...], list[int]] = {}
-        for index in range(len(self.halfspaces)):
-            if self.classify(index) == "facet":
+        for index, kind in enumerate(self.classification):
+            if kind == "facet":
                 keys.setdefault(self.halfspaces[index].key(), []).append(index)
         return keys
 
@@ -188,62 +204,32 @@ def _integer_form(space: Halfspace) -> tuple[tuple[int, ...], int]:
     )
 
 
-def _homogeneous(point: Sequence[Fraction]) -> tuple[int, ...]:
-    """(X_1, ..., X_r, W) with W > 0 the lcm of the denominators."""
-    scale = math.lcm(*(x.denominator for x in point))
-    return tuple(x.numerator * (scale // x.denominator) for x in point) + (scale,)
-
-
-def _bounding_simplex(
-    spaces: Sequence[Halfspace], dimension: int
-) -> list[tuple[int, ...]]:
-    """Homogeneous vertices of a simplex that contains the intersection:
-    the corner l, then l + (r + 1) w_i e_i for each axis i."""
-    lower: list[Fraction | None] = [None] * dimension
-    for space in spaces:
-        nonzero = [i for i, n in enumerate(space.normal) if n != 0]
-        if len(nonzero) == 1 and space.normal[nonzero[0]] < 0:
-            i = nonzero[0]
-            floor = space.bound / space.normal[i]
-            if lower[i] is None or floor > lower[i]:
-                lower[i] = floor
-    upper: list[Fraction | None] = [None] * dimension
-    if None not in lower:
-        for space in spaces:
-            if any(n < 0 for n in space.normal):
-                continue
-            slack = space.bound - sum(n * l for n, l in zip(space.normal, lower))
-            for i, n in enumerate(space.normal):
-                if n > 0 and (upper[i] is None or lower[i] + slack / n < upper[i]):
-                    upper[i] = lower[i] + slack / n
-    unbounded = [i + 1 for i in range(dimension) if upper[i] is None]
-    if unbounded:
-        raise ValueError(
-            "cannot bound the intersection along axes "
-            f"{', '.join(map(str, unbounded))}: each axis needs a lower bound "
-            "z_i >= l_i and a constraint with nonnegative normal capping it"
-        )
-    corner = tuple(lower)
-    points = [corner]
-    for i in range(dimension):
-        width = upper[i] - lower[i]
-        far = list(corner)
-        far[i] += (dimension + 1) * (width if width > 0 else 1)
-        points.append(tuple(far))
-    return [_homogeneous(p) for p in points]
-
-
 def intersect_halfspaces(halfspaces: Sequence[Halfspace]) -> Polytope:
-    """Vertices and incidence sets of a bounded intersection of halfspaces,
-    by incremental clipping of a bounding simplex."""
+    """Vertices and incidence sets of a bounded intersection of halfspaces
+    inside the orthant, by incremental clipping of the homogenized orthant."""
     spaces = tuple(halfspaces)
     if not spaces:
         raise ValueError("no halfspaces given")
     dimension = len(spaces[0].normal)
-    points = _bounding_simplex(spaces, dimension)
-    # artificial labels: -1 for the cap, -2 - i for the simplex facet z_i >= l_i
-    corner = frozenset(range(-1 - dimension, -1))
-    tight = [corner] + [corner - {-2 - i} | {-1} for i in range(dimension)]
+    floored = set()  # axes with a floor z_i >= l_i >= 0: normal -a e_i, bound <= 0
+    for space in spaces:
+        nonzero = [i for i, n in enumerate(space.normal) if n]
+        if len(nonzero) == 1 and space.normal[nonzero[0]] < 0 and space.bound <= 0:
+            floored.add(nonzero[0])
+    floorless = [i + 1 for i in range(dimension) if i not in floored]
+    if floorless:
+        raise ValueError(
+            f"no floor z_i >= l_i with l_i >= 0 on axes "
+            f"{', '.join(map(str, floorless))}: the input must lie in the orthant"
+        )
+    # generators (X, W): the origin, then the axis rays; artificial labels
+    # -1 for W >= 0 and -2 - i for X_i >= 0
+    points = [(0,) * dimension + (1,)] + [
+        tuple(int(i == axis) for i in range(dimension)) + (0,)
+        for axis in range(dimension)
+    ]
+    floors = frozenset(range(-1 - dimension, -1))
+    tight = [floors] + [floors - {-2 - i} | {-1} for i in range(dimension)]
 
     for index, space in enumerate(spaces):
         normal, bound = _integer_form(space)
@@ -268,7 +254,7 @@ def intersect_halfspaces(halfspaces: Sequence[Halfspace]) -> Polytope:
                     common = tight[a] & tight[b]
                     if len(common) < dimension - 1:
                         continue
-                    # no third vertex may hold every constraint of the common set
+                    # no third generator may hold every constraint of the common set
                     sharing = everyone
                     for label in common:
                         sharing = sharing & holders[label]
@@ -285,10 +271,8 @@ def intersect_halfspaces(halfspaces: Sequence[Halfspace]) -> Polytope:
                     kept_tight.append(common | {index})
         points, tight = kept_points, kept_tight
 
-    if any(-1 in labels for labels in tight):
-        raise InternalConsistencyError(
-            "the bounding simplex's cap is tight at a clipped vertex"
-        )
+    if any(point[-1] == 0 for point in points):
+        raise ValueError("the intersection is unbounded")
     pairs = sorted(
         (
             tuple(Fraction(x, point[-1]) for x in point[:-1]),

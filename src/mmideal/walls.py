@@ -19,7 +19,7 @@ a bare count mismatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -284,39 +284,6 @@ def require_valid_region(report: RegionReport) -> RegionReport:
     return report
 
 
-def _thresholds(ideals: IdealTuple, report: RegionReport) -> tuple[Fraction, ...]:
-    """Jumping threshold of each single ideal, read off the lc region."""
-    return tuple(
-        min(bound / vector[j] for j, bound in enumerate(report.bounds))
-        for vector in ideals.ideals
-    )
-
-
-def _checked_thresholds(
-    ideals: IdealTuple, report: RegionReport
-) -> tuple[Fraction, ...]:
-    """The thresholds, each checked against the second route: the extreme
-    vertex of the lc polytope on its axis."""
-    thresholds = _thresholds(ideals, report)
-    for axis, threshold in enumerate(thresholds):
-        extreme = max(
-            (
-                vertex[axis]
-                for vertex in report.polytope.vertices
-                if not any(x for i, x in enumerate(vertex) if i != axis)
-            ),
-            default=None,
-        )
-        if extreme != threshold:
-            shown = "none" if extreme is None else format_rational(extreme)
-            raise InternalConsistencyError(
-                f"lct axis {axis + 1}: min-ratio route gives "
-                f"{format_rational(threshold)}, the lc polytope's axis vertex "
-                f"gives {shown}"
-            )
-    return thresholds
-
-
 def _axis_supports(
     ideals: IdealTuple, report: RegionReport
 ) -> tuple[tuple[int, ...], ...]:
@@ -327,36 +294,19 @@ def _axis_supports(
             for j, bound in enumerate(report.bounds)
             if keep[j] and threshold * vector[j] == bound
         )
-        for vector, threshold in zip(ideals.ideals, _thresholds(ideals, report))
+        for vector, threshold in zip(ideals.ideals, report.thresholds)
     )
 
 
 def lct_axis(ideals: IdealTuple, axis: int) -> Fraction:
     """Jumping threshold of the single ideal F_axis (0-based axis)."""
-    return _thresholds(ideals, lc_region(ideals))[axis]
+    return lc_region(ideals).thresholds[axis]
 
 
 def axis_Gprime(ideals: IdealTuple, axis: int) -> tuple[int, ...]:
     """Rupture-or-dicritical components whose wall passes through the axis
     threshold point of the given ideal."""
     return _axis_supports(ideals, lc_region(ideals))[axis]
-
-
-def _tree_path(adjacency: Sequence[Sequence[int]], start: int, goal: int) -> list[int]:
-    previous: dict[int, int] = {start: start}
-    queue = [start]
-    while queue:
-        current = queue.pop(0)
-        if current == goal:
-            break
-        for neighbor in adjacency[current]:
-            if neighbor not in previous:
-                previous[neighbor] = current
-                queue.append(neighbor)
-    path = [goal]
-    while path[-1] != start:
-        path.append(previous[path[-1]])
-    return path
 
 
 def newton_nest(ideals: IdealTuple) -> tuple[int, ...]:
@@ -366,16 +316,25 @@ def newton_nest(ideals: IdealTuple) -> tuple[int, ...]:
 
 
 def _nest(ideals: IdealTuple, supports: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Rupture-or-dicritical members of the smallest subtree containing every
+    support: prune leaves outside the supports until none is left."""
     members = set().union(*supports)
     if not members:
         return ()
     adjacency = ideals.graph.adjacency
-    anchor = min(members)
-    subtree: set[int] = set()
-    for member in members:
-        subtree.update(_tree_path(adjacency, anchor, member))
+    degree = [len(neighbors) for neighbors in adjacency]
+    pruned = [False] * len(adjacency)
+    leaves = [j for j, d in enumerate(degree) if d <= 1 and j not in members]
+    while leaves:
+        leaf = leaves.pop()
+        pruned[leaf] = True
+        for neighbor in adjacency[leaf]:
+            if not pruned[neighbor]:
+                degree[neighbor] -= 1
+                if degree[neighbor] == 1 and neighbor not in members:
+                    leaves.append(neighbor)
     keep = ideals.rupture_or_dicritical
-    return tuple(sorted(j for j in subtree if keep[j]))
+    return tuple(j for j, gone in enumerate(pruned) if keep[j] and not gone)
 
 
 @dataclass(frozen=True)
@@ -436,11 +395,10 @@ def _interior_sample(
 
 
 def bijection_report(ideals: IdealTuple) -> BijectionReport:
-    report = lc_region(ideals)
-    polytope = report.polytope
+    region_report = lc_region(ideals)
+    polytope = region_report.polytope
     axes = ideals.r
-    thresholds = _checked_thresholds(ideals, report)
-    supports = _axis_supports(ideals, report)
+    supports = _axis_supports(ideals, region_report)
     nest = _nest(ideals, supports)
 
     facets: list[LCFacet] = []
@@ -459,8 +417,16 @@ def bijection_report(ideals: IdealTuple) -> BijectionReport:
                 sample_mult=multiplicity_checked(ideals, sample),
             )
         )
+    report = BijectionReport(
+        nest=nest,
+        facets=tuple(facets),
+        verdict="Mismatch",
+        lct=region_report.thresholds,
+        axis_supports=supports,
+    )
 
     # 1) proportionality inside the nest degenerates the correspondence
+    canon = ideals.graph.canonical
     for position, lower in enumerate(nest):
         for higher in nest[position + 1 :]:
             ratios = {
@@ -470,48 +436,35 @@ def bijection_report(ideals: IdealTuple) -> BijectionReport:
             if len(ratios) != 1:
                 continue
             ratio = ratios.pop()
-            canon = ideals.graph.canonical
             if ratio * (canon[lower] + 1) == canon[higher] + 1:
-                pair = (lower, higher) if ratio < 1 else (higher, lower)
-                return BijectionReport(
-                    nest=nest,
-                    facets=tuple(facets),
+                return replace(
+                    report,
                     verdict="DegenerateProportional",
-                    lct=thresholds,
-                    axis_supports=supports,
-                    degenerate_pair=pair,
+                    degenerate_pair=(lower, higher) if ratio < 1 else (higher, lower),
                     degenerate_ratio=min(ratio, 1 / ratio),
                 )
 
     # 2) the correspondence requires multiplicity one along the whole wall:
     #    check facet interiors and the isolated touch points
-    witness: tuple[Vector, int] | None = None
     for facet in facets:
         if facet.sample_mult != 1:
-            witness = (facet.sample, facet.sample_mult)
-            break
-    if witness is None:
-        for j, kind in enumerate(report.classification):
-            if kind != "touch":
-                continue
-            for vertex in polytope.incident_vertices(axes + j):
-                if all(x == 0 for x in vertex):
-                    continue
+            return replace(
+                report,
+                verdict="MultiplicityHypothesisFails",
+                witness=(facet.sample, facet.sample_mult),
+            )
+    for j, kind in enumerate(region_report.classification):
+        if kind != "touch":
+            continue
+        for vertex in polytope.incident_vertices(axes + j):
+            if any(vertex):
                 mult = multiplicity_checked(ideals, vertex)
                 if mult != 1:
-                    witness = (vertex, mult)
-                    break
-            if witness is not None:
-                break
-    if witness is not None:
-        return BijectionReport(
-            nest=nest,
-            facets=tuple(facets),
-            verdict="MultiplicityHypothesisFails",
-            lct=thresholds,
-            axis_supports=supports,
-            witness=witness,
-        )
+                    return replace(
+                        report,
+                        verdict="MultiplicityHypothesisFails",
+                        witness=(vertex, mult),
+                    )
 
     # 3) counts decide
     if len(facets) == len(nest):
@@ -521,18 +474,5 @@ def bijection_report(ideals: IdealTuple) -> BijectionReport:
             if len(matched) == 1:
                 pairing.append((matched[0], index))
         if len(pairing) == len(nest):
-            return BijectionReport(
-                nest=nest,
-                facets=tuple(facets),
-                verdict="Bijection",
-                lct=thresholds,
-                axis_supports=supports,
-                pairing=tuple(pairing),
-            )
-    return BijectionReport(
-        nest=nest,
-        facets=tuple(facets),
-        verdict="Mismatch",
-        lct=thresholds,
-        axis_supports=supports,
-    )
+            return replace(report, verdict="Bijection", pairing=tuple(pairing))
+    return report

@@ -206,6 +206,22 @@ def test_bijection_report_builds_both_polytopes_once(monkeypatch, nest14):
     assert len(built) == 2 and len(compared) == 1
 
 
+def test_bijection_report_ranks_each_constraint_at_most_once(monkeypatch, nest14):
+    ranked = _record_calls(monkeypatch, "polytope", "affine_rank")
+    reports = []
+
+    def recording_lc_region(ideals):
+        reports.append(walls.region(ideals, (Fraction(0),) * ideals.r))
+        return reports[-1]
+
+    monkeypatch.setattr(walls, "lc_region", recording_lc_region)
+    bijection_report(nest14)
+    (report,) = reports
+    # one rank per constraint with incident vertices, none for the slack ones
+    incident = sum(kind != "slack" for kind in report.polytope.classification)
+    assert len(ranked) == incident <= len(report.polytope.halfspaces)
+
+
 def test_cli_lct_still_refuses_a_binding_constraint(monkeypatch, capsys):
     built = _record_calls(monkeypatch, "evaluate", "intersect_halfspaces")
     monkeypatch.setattr(evaluate, "same_region", lambda a, b: False)

@@ -265,3 +265,54 @@ def test_cli_selftest_single_fixture(capsys):
     assert main(["selftest", "SMOOTH1"]) == 0
     out = capsys.readouterr().out
     assert "SMOOTH1" in out and "CHAIN10" not in out
+
+
+# The lc commands, byte for byte: the RAT6 transcripts are the README's, the
+# NEST14 ones a three-ideal tuple whose verdict is a bijection.
+LC_TRANSCRIPTS = {
+    ("lct", "RAT6"): """\
+origin divisor = 3,2,3,1,1,1
+lct axis 1 = 1/6
+lct axis 2 = 1
+""",
+    ("nest", "RAT6"): """\
+nest = E1, E2, E4
+""",
+    ("bijection", "RAT6"): """\
+verdict = MultiplicityHypothesisFails
+nest = E1, E2, E4 (3)
+facets = 2
+facet 1: carriers E4; sample 1/8,3/8; m = 1
+facet 2: carriers E2; sample 1/24,7/8; m = 2
+axis 1: lct = 1/6; contact = E4
+axis 2: lct = 1; contact = E2
+multiplicity witness: m(1/24,7/8) = 2
+""",
+    ("lct", "NEST14"): """\
+origin divisor = 0,0,0,0,0,0,0,0,0,0,0,0,0,0
+lct axis 1 = 11/24
+lct axis 2 = 3/8
+lct axis 3 = 12/35
+""",
+    ("bijection", "NEST14"): """\
+verdict = Bijection
+nest = E1, E5, E6, E14 (4)
+facets = 4
+facet 1: carriers E5; sample 3/8,1/12,1/15; m = 1
+facet 2: carriers E1; sample 2/9,1/6,2/15; m = 1
+facet 3: carriers E14; sample 1/9,1/12,26/105; m = 1
+facet 4: carriers E6; sample 1/9,7/24,1/15; m = 1
+axis 1: lct = 11/24; contact = E5
+axis 2: lct = 3/8; contact = E6
+axis 3: lct = 12/35; contact = E14
+pairing: E5 -> facet 1; E1 -> facet 2; E14 -> facet 3; E6 -> facet 4
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LC_TRANSCRIPTS))
+def test_cli_lc_transcripts(argv, capsys):
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == LC_TRANSCRIPTS[argv]
+    assert captured.err == ""

@@ -115,6 +115,15 @@ def test_unbounded_input_rejected():
         intersect_halfspaces(orthant_halfspaces(2) + [make_halfspace((1, -1), 1)])
 
 
+def test_input_outside_the_orthant_rejected():
+    # z_1 >= -1 is a floor below 0: the orthant start would cut the region
+    with pytest.raises(ValueError, match="orthant"):
+        intersect_halfspaces(
+            [make_halfspace((-1, 0), 1), make_halfspace((0, -1), 0)]
+            + [make_halfspace((1, 1), 3)]
+        )
+
+
 # ---------------------------------------------------------------------------
 # Reference: the brute-force enumeration the clipping replaced.  It solves
 # every r-subset of constraint hyperplanes and keeps the solutions inside
@@ -208,6 +217,25 @@ def test_clip_matches_reference_on_random_down_closed_polytopes():
     for dimension, trials in ((1, 60), (2, 60), (3, 40)):
         for _ in range(trials):
             _assert_matches_reference(_random_down_closed(rng, dimension))
+
+
+def test_clip_matches_reference_on_positive_floors():
+    # z_i >= l_i > 0 replaces the orthant; some of these polytopes are empty
+    rng = random.Random(29)
+    for dimension, trials in ((1, 30), (2, 30), (3, 20)):
+        for _ in range(trials):
+            spaces = [
+                space
+                for space in _random_down_closed(rng, dimension)
+                if space.bound != 0 or any(n > 0 for n in space.normal)
+            ]
+            for axis in range(dimension):
+                normal = [0] * dimension
+                normal[axis] = -rng.randint(1, 3)
+                floor = Fraction(rng.randint(1, 3), rng.randint(2, 8))
+                spaces.append(make_halfspace(normal, normal[axis] * floor))
+            rng.shuffle(spaces)
+            _assert_matches_reference(spaces)
 
 
 def _with_fundamental_cycle(ideals):

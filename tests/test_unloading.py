@@ -1,6 +1,7 @@
 """Antinef closure (two independent routes), fundamental cycle, colength."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from mmideal import (
     is_antinef,
 )
 from mmideal import unloading
+from mmideal.cli import main
 from mmideal.errors import InternalConsistencyError, NotAntinef, ValidationError
 from mmideal.unloading import intersection_products
 from trees import random_any_tree_matrix, random_divisor, random_tree_matrix
@@ -119,6 +121,26 @@ def test_colength_known_values(tuples):
 def test_colength_requires_antinef(rat6):
     with pytest.raises(NotAntinef):
         colength(rat6.graph, (1, 0, 0, 0, 0, 0))
+
+
+def test_odd_colength_total_is_an_internal_error(monkeypatch, capsys, rat6):
+    # one product made a unit more negative at a component of odd coefficient,
+    # only where colength reads them: the divisor stays antinef and the total
+    # turns odd, which no correct route produces
+    honest = unloading.intersection_products
+
+    def skewed(graph, divisor):
+        products = honest(graph, divisor)
+        if sys._getframe(1).f_code.co_name != "colength":
+            return products
+        j = next(j for j, coefficient in enumerate(divisor) if coefficient % 2)
+        return products[:j] + (products[j] - 1,) + products[j + 1 :]
+
+    monkeypatch.setattr(unloading, "intersection_products", skewed)
+    with pytest.raises(InternalConsistencyError, match="fractional"):
+        colength(rat6.graph, rat6.graph.fundamental)
+    assert main(["fcycle", "RAT6"]) == 3
+    assert "colength came out fractional" in capsys.readouterr().err
 
 
 def test_divisor_leq():

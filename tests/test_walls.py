@@ -1,14 +1,18 @@
 """Wall atlases, the log-canonical wall, Newton nests, and the facet pairing."""
 
 import hashlib
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import frozen
+from trees import random_tree_matrix
 from mmideal.arrangement import build_arrangement, merge_lines
 from mmideal.svg import render_atlas_svg
 from mmideal import (
+    RegionReport,
     attach_ideals,
     axis_Gprime,
     bijection_report,
@@ -24,6 +28,7 @@ from mmideal import (
     mmi_divisor,
     newton_nest,
     ray_walk,
+    region,
     require_valid_region,
     subtuple,
     wall_lines,
@@ -92,7 +97,7 @@ def test_atlas_svg_with_lct_ticks(rat6, rat6_atlas):
     # the picture `mmideal walls --svg` writes; the digest was computed with
     # the earlier Fraction arrangement, per-face vertex formatting and
     # digit-by-digit decimal_approx, so it pins that all three are unchanged
-    ticks = walls._thresholds(rat6, lc_region(rat6))
+    ticks = lc_region(rat6).thresholds
     assert ticks == (Fraction(1, 6), Fraction(1))
     svg = render_atlas_svg(rat6_atlas, ticks)
     assert svg.count('stroke="crimson"') == 2
@@ -177,21 +182,74 @@ def test_lc_region_valid(tuples):
         assert report.binding_non_rupture == ()
 
 
-def test_lct_routes_must_agree(monkeypatch, capsys, nest14):
-    # the min-ratio route drifts on the second axis; the polytope's axis
-    # vertex no longer matches it
-    honest = walls._thresholds
+def test_lct_routes_must_agree(monkeypatch, capsys, nest14, rat6):
+    # the min-ratio route drifts on the second axis; the polytope's vertex on
+    # that axis no longer matches it, in every region build
+    honest = RegionReport.thresholds.func
 
-    def drifted(ideals, report):
-        values = list(honest(ideals, report))
+    def drifted(report):
+        values = list(honest(report))
         values[1] += Fraction(1, 7)
         return tuple(values)
 
-    monkeypatch.setattr(walls, "_thresholds", drifted)
-    with pytest.raises(InternalConsistencyError, match="lct axis 2"):
+    monkeypatch.setattr(RegionReport, "thresholds", property(drifted))
+    with pytest.raises(InternalConsistencyError, match="axis 2: min-ratio route"):
         bijection_report(nest14)
+    with pytest.raises(InternalConsistencyError, match="axis 2: min-ratio route"):
+        region(rat6, (Fraction(1, 3), Fraction(1, 5))).polytope
     assert cli.main(["lct", "RAT6"]) == 3
-    assert "lct axis 2: min-ratio route gives" in capsys.readouterr().err
+    assert "axis 2: min-ratio route gives" in capsys.readouterr().err
+
+
+def _path_union_nest(adjacency, keep, supports):
+    """The nest as the union of tree paths from one member to every other."""
+    members = set().union(*supports)
+    if not members:
+        return ()
+    anchor = min(members)
+    subtree = set()
+    for member in members:
+        previous = {anchor: anchor}
+        queue = [anchor]
+        while queue:
+            current = queue.pop(0)
+            for neighbor in adjacency[current]:
+                if neighbor not in previous:
+                    previous[neighbor] = current
+                    queue.append(neighbor)
+        step = member
+        subtree.add(step)
+        while step != anchor:
+            step = previous[step]
+            subtree.add(step)
+    return tuple(sorted(j for j in subtree if keep[j]))
+
+
+def test_nest_pruning_matches_path_union():
+    rng = random.Random(23)
+    for _ in range(300):
+        rows = random_tree_matrix(rng, max_size=12)
+        size = len(rows)
+        adjacency = tuple(
+            tuple(l for l in range(size) if l != j and rows[j][l]) for j in range(size)
+        )
+        for keep in ((True,) * size, tuple(rng.random() < 0.5 for _ in range(size))):
+            tree = SimpleNamespace(
+                graph=SimpleNamespace(adjacency=adjacency), rupture_or_dicritical=keep
+            )
+            chosen = rng.sample(range(size), rng.randint(1, size))
+            split = rng.randint(0, len(chosen))
+            cases = [
+                [],
+                [()],
+                [(rng.randrange(size),)],
+                [tuple(range(size))],
+                [tuple(chosen[:split]), tuple(chosen[split:])],
+            ]
+            for supports in cases:
+                assert walls._nest(tree, supports) == _path_union_nest(
+                    adjacency, keep, supports
+                )
 
 
 def test_bijection_rat6(rat6):
