@@ -22,15 +22,9 @@ from .errors import (
     RationalFormatError,
     ValidationError,
 )
-from .evaluate import evaluate_point, mmi_divisor
+from .evaluate import mmi_divisor
 from .fixtures import build_tuple, bundled_names, load_fixture
-from .multiplicity import (
-    jump_record,
-    multiplicity,
-    multiplicity_fractional,
-    multiplicity_oracle,
-    multiplicity_via_G,
-)
+from .multiplicity import jump_record
 from .rationals import format_point, format_rational, parse_point, parse_rational
 from .rays import make_ray, poincare, ray_walk
 from .svg import render_atlas_svg
@@ -54,12 +48,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _labels(ideals: IdealTuple, support: Sequence[bool] | Sequence[int]) -> str:
-    if support and isinstance(support[0], bool):
-        chosen = [j for j, inside in enumerate(support) if inside]
-    else:
-        chosen = list(support)
-    return ", ".join(ideals.graph.label(j) for j in chosen) if chosen else "(empty)"
+def _labels(ideals: IdealTuple, indices: Sequence[int]) -> str:
+    return ", ".join(ideals.graph.label(j) for j in indices) or "(empty)"
+
+
+def _support(divisor: Sequence[bool]) -> list[int]:
+    return [j for j, inside in enumerate(divisor) if inside]
 
 
 def _int_vector(text: str, length: int | None = None) -> tuple[int, ...]:
@@ -84,10 +78,8 @@ def _cmd_validate(args) -> int:
     graph = ideals.graph
     print(f"fixture {fixture.name}: {graph.size} components, {ideals.r} ideals")
     print(f"singularity: {singularity_class(graph).value}")
-    rupture = [j for j in range(graph.size) if graph.rupture[j]]
-    dicritical = [j for j in range(graph.size) if ideals.dicritical[j]]
-    print(f"rupture: {_labels(ideals, rupture)}")
-    print(f"dicritical: {_labels(ideals, dicritical)}")
+    print(f"rupture: {_labels(ideals, _support(graph.rupture))}")
+    print(f"dicritical: {_labels(ideals, _support(ideals.dicritical))}")
     for i in range(ideals.r):
         arrows = [
             f"{graph.label(j)}:{ideals.excesses[i][j]}"
@@ -127,24 +119,20 @@ def _cmd_closure(args) -> int:
 
 def _cmd_point(args) -> int:
     _, ideals = _load(args)
-    evaluation = evaluate_point(ideals, parse_point(args.c, ideals.r))
-    record = jump_record(ideals, evaluation)
+    # jump_record has already checked every route against the others
+    record = jump_record(ideals, parse_point(args.c, ideals.r))
+    mult = record.mult
     print(f"c = {format_point(record.point)}")
     print(f"D = {_divisor_text(record.divisor)}")
     print(f"D_left = {_divisor_text(record.divisor_left)}")
-    print(f"H = {_labels(ideals, record.maximal)}")
-    routes = (
-        multiplicity(ideals, evaluation),
-        multiplicity_fractional(ideals, evaluation),
-        multiplicity_oracle(ideals, evaluation),
-    )
+    print(f"H = {_labels(ideals, _support(record.maximal))}")
     print(
-        f"m = {routes[0]} (adjunction) = {routes[1]} (fractional) = "
-        f"{routes[2]} (colength oracle)"
+        f"m = {mult} (adjunction) = {mult} (fractional) = "
+        f"{mult} (colength oracle)"
     )
-    if record.mult > 0:
-        print(f"G = {_labels(ideals, record.minimal)}")
-        print(f"m via G = {multiplicity_via_G(ideals, evaluation)}")
+    if mult > 0:
+        print(f"G = {_labels(ideals, _support(record.minimal))}")
+        print(f"m via G = {mult}")
     else:
         print("not a jumping point")
     walls = ", ".join(
@@ -268,7 +256,7 @@ def _cmd_lct(args) -> int:
 def _cmd_nest(args) -> int:
     _, ideals = _load(args)
     nest = newton_nest(ideals)
-    print(f"nest = {_labels(ideals, list(nest))}")
+    print(f"nest = {_labels(ideals, nest)}")
     return 0
 
 
@@ -276,11 +264,11 @@ def _cmd_bijection(args) -> int:
     _, ideals = _load(args)
     report = bijection_report(ideals)
     print(f"verdict = {report.verdict}")
-    print(f"nest = {_labels(ideals, list(report.nest))} ({len(report.nest)})")
+    print(f"nest = {_labels(ideals, report.nest)} ({len(report.nest)})")
     print(f"facets = {len(report.facets)}")
     for index, facet in enumerate(report.facets):
         print(
-            f"facet {index + 1}: carriers {_labels(ideals, list(facet.carriers))}; "
+            f"facet {index + 1}: carriers {_labels(ideals, facet.carriers)}; "
             f"sample {format_point(facet.sample)}; m = {facet.sample_mult}"
         )
     for axis, (threshold, support) in enumerate(
@@ -288,7 +276,7 @@ def _cmd_bijection(args) -> int:
     ):
         print(
             f"axis {axis + 1}: lct = {format_rational(threshold)}; "
-            f"contact = {_labels(ideals, list(support))}"
+            f"contact = {_labels(ideals, support)}"
         )
     if report.degenerate_pair is not None:
         lower, higher = report.degenerate_pair
@@ -352,7 +340,7 @@ def _selftest_one(name: str) -> list[str]:
                 check(
                     key,
                     tuple(j + 1 for j in report.nest),
-                    _labels(ideals, list(report.nest)),
+                    _labels(ideals, report.nest),
                 )
             elif key == "lc_facets":
                 check(key, len(report.facets))

@@ -212,20 +212,14 @@ def _validate_matrix(
     return adjacency, tuple(canonical)
 
 
-def build_graph(rows, labels: Sequence[str] | None = None) -> DualGraph:
+def build_graph(rows) -> DualGraph:
     """Validate an intersection matrix and build the graph with K and Z.
 
     Raises NotRational unless p_a(Z) = 0 (Artin's rationality criterion).
     """
     matrix = _normalized_matrix(rows)
     adjacency, canonical = _validate_matrix(matrix)
-    size = len(matrix)
-    if labels is None:
-        labels = tuple(f"E{j + 1}" for j in range(size))
-    else:
-        labels = tuple(str(label) for label in labels)
-        if len(labels) != size:
-            raise LengthMismatch("label count does not match matrix size")
+    labels = tuple(f"E{j + 1}" for j in range(len(matrix)))
     for j, row in enumerate(matrix):
         # (K + E_j).E_j, read off the sparse row of the tree
         if row[j] * (canonical[j] + 1) + sum(canonical[l] for l in adjacency[j]) != -2:
@@ -294,7 +288,6 @@ def derive_diagonal(
 def graph_from_adjacency(
     edges: Sequence[tuple[int, int]],
     canonical: Sequence[Fraction],
-    labels: Sequence[str] | None = None,
     *,
     one_based: bool = False,
 ) -> DualGraph:
@@ -311,7 +304,7 @@ def graph_from_adjacency(
     for a, b in edges:
         rows[a - offset][b - offset] = 1
         rows[b - offset][a - offset] = 1
-    graph = build_graph(rows, labels)
+    graph = build_graph(rows)
     if graph.canonical != canonical:
         raise InternalConsistencyError(
             "derived matrix does not reproduce the given canonical divisor"

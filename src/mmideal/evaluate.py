@@ -11,13 +11,17 @@ limit divisor D_{(1-eps)c} for all small eps > 0 is computed symbolically:
 component j gets floor(v_j) - 1 when v_j is an integer and (c.F)_j > 0, and
 floor(v_j) otherwise.  No numeric epsilon is ever chosen.
 
-The maximal jumping divisor H_c is the reduced divisor supported on
-{j : v_j is a strictly positive integer}; the support equality between H_c
-and the clamped floor-difference is asserted whenever H_c is computed.
+The wall lines through c are the pairs (j, l) with v_j = l a strictly
+positive integer.  The maximal jumping divisor H_c is the reduced divisor
+supported on their components; the support equality between H_c and the
+clamped floor-difference is asserted whenever H_c is computed.
 
 All of this is computed once per point: :func:`evaluate_point` returns a
 frozen :class:`PointEvaluation`, and every function here and in
 ``multiplicity`` that takes a point accepts that evaluation in its place.
+The evaluation also owns what the multiplicity routes and the jumping
+criterion read off H_c: its wall lines, its connected components and the
+adjoint products (ceil(K - c.F) + H_c).E_j.
 
 The constancy region of c is the set of weights with the same ideal: the
 points z >= 0 with (z.F)_j < k_j + 1 + e_j^c for every j, where e^c = D_c.
@@ -48,7 +52,7 @@ from .polytope import (
     same_region,
 )
 from .rationals import format_rational
-from .unloading import antinef_closure_checked
+from .unloading import antinef_closure_checked, intersection_products
 
 Point = tuple[Fraction, ...]
 
@@ -64,11 +68,25 @@ def normalize_point(ideals: IdealTuple, point: Sequence) -> Point:
     return coords
 
 
+def _integer_direction(
+    ideals: IdealTuple, entries: Sequence, what: str
+) -> tuple[int, ...]:
+    """One nonnegative integer per ideal, not all zero: a ray direction or a
+    weight vector.  Non-integer entries are refused, never truncated."""
+    exact = tuple(Fraction(u) for u in entries)
+    if len(exact) != ideals.r:
+        raise LengthMismatch(f"{what} has {len(exact)} entries, expected {ideals.r}")
+    if any(u < 0 or u.denominator != 1 for u in exact) or not any(exact):
+        raise ValidationError(f"{what} must be nonnegative integers, not all zero")
+    return tuple(u.numerator for u in exact)
+
+
 @dataclass(frozen=True, eq=False)
 class PointEvaluation:
     """Everything read off one weight point of one ideal tuple.
 
-    The gap data is computed on construction.  H, D_c, D_left and G are
+    The gap data is computed on construction.  The wall lines, H, its
+    connected components, its adjoint products, D_c, D_left and G are
     computed when first read, at most once: callers that need only gap values
     never unload, and D_c stays defined where the H assertion fails.
     """
@@ -81,10 +99,20 @@ class PointEvaluation:
     left_floors: tuple[int, ...]  # floors of D_{(1-eps)c} before closure
 
     @cached_property
+    def wall_lines(self) -> tuple[tuple[int, int], ...]:
+        """(component j, level l) pairs with v_j = l, a positive integer."""
+        return tuple(
+            (j, v.numerator)
+            for j, v in enumerate(self.values)
+            if v.denominator == 1 and v > 0
+        )
+
+    @cached_property
     def maximal(self) -> tuple[bool, ...]:
-        """H_c: support = {j : v_j is a strictly positive integer}, asserted
-        equal to the support of max(floor(v), 0) - max(left-floor(v), 0)."""
-        support = tuple(v.denominator == 1 and v > 0 for v in self.values)
+        """H_c: support = the components of the wall lines, asserted equal to
+        the support of max(floor(v), 0) - max(left-floor(v), 0)."""
+        on_wall = {j for j, _ in self.wall_lines}
+        support = tuple(j in on_wall for j in range(len(self.values)))
         differences = tuple(
             max(f, 0) != max(left, 0)
             for f, left in zip(self.floors, self.left_floors)
@@ -95,6 +123,20 @@ class PointEvaluation:
                 f"integrality scan at {self.point}"
             )
         return support
+
+    @cached_property
+    def maximal_components(self) -> tuple[tuple[int, ...], ...]:
+        """The connected components of H_c."""
+        return tuple(
+            tuple(part) for part in support_components(self.ideals, self.maximal)
+        )
+
+    @cached_property
+    def maximal_products(self) -> tuple[int, ...]:
+        """(ceil(K - c.F) + H_c).E_j for every component; ceil(K - c.F) =
+        -floor(v) exactly."""
+        shifted = [inside - f for f, inside in zip(self.floors, self.maximal)]
+        return intersection_products(self.ideals.graph, shifted)
 
     @cached_property
     def divisor(self) -> tuple[int, ...]:
@@ -300,12 +342,8 @@ def combined_ideal(ideals: IdealTuple, weights: Sequence[int]) -> tuple[int, ...
     Used by the planar-slice reduction: the slice through an axis point and
     an interior point sees the duple (F_a, sum of weighted others).
     """
-    if len(weights) != ideals.r:
-        raise LengthMismatch("one integer weight per ideal required")
-    if any(w < 0 for w in weights) or all(w == 0 for w in weights):
-        raise ValidationError("weights must be nonnegative and not all zero")
-    size = ideals.size
+    weights = _integer_direction(ideals, weights, "weights")
     return tuple(
         sum(weights[i] * ideals.ideals[i][j] for i in range(ideals.r))
-        for j in range(size)
+        for j in range(ideals.size)
     )

@@ -39,6 +39,7 @@ from .evaluate import (
     Point,
     PointEvaluation,
     PointLike,
+    _integer_direction,
     evaluate_point,
     support_components,
     weighted_F,
@@ -66,27 +67,11 @@ __all__ = [
 ]
 
 
-def _adjoint_products(
-    ideals: IdealTuple, evaluation: PointEvaluation, support: Sequence[bool]
-) -> tuple[int, ...]:
-    """(ceil(K - c.F) + S) . E_j for every component, S the reduced divisor
-    on `support`; ceil(K - c.F) = -floor(v) exactly."""
-    shifted = [inside - f for f, inside in zip(evaluation.floors, support)]
-    return intersection_products(ideals.graph, shifted)
-
-
-def _adjunction_value(
-    ideals: IdealTuple, evaluation: PointEvaluation, support: Sequence[bool]
-) -> int:
-    products = _adjoint_products(ideals, evaluation, support)
-    components = support_components(ideals, support)
-    return sum(products[j] for part in components for j in part) + len(components)
-
-
 def multiplicity(ideals: IdealTuple, point: PointLike) -> int:
     """Adjunction-form multiplicity (the production route)."""
     evaluation = evaluate_point(ideals, point)
-    return _adjunction_value(ideals, evaluation, evaluation.maximal)
+    products, components = evaluation.maximal_products, evaluation.maximal_components
+    return sum(products[j] for part in components for j in part) + len(components)
 
 
 def multiplicity_fractional(ideals: IdealTuple, point: PointLike) -> int:
@@ -104,7 +89,7 @@ def multiplicity_fractional(ideals: IdealTuple, point: PointLike) -> int:
             Fraction(0),
         )
         total += fractional + excess
-    total -= len(support_components(ideals, support))
+    total -= len(evaluation.maximal_components)
     if total.denominator != 1:
         raise NonIntegralTotal(
             f"fractional-form multiplicity is {total} at {coords}"
@@ -147,12 +132,11 @@ def is_jumping(ideals: IdealTuple, point: PointLike) -> tuple[bool, list[int] | 
     (ceil(K - c.F) + H_c) . H' >= 0 — is asserted to agree with m > 0.
     """
     evaluation = evaluate_point(ideals, point)
-    support = evaluation.maximal
-    products = _adjoint_products(ideals, evaluation, support)
+    products = evaluation.maximal_products
     witness = next(
         (
-            component
-            for component in support_components(ideals, support)
+            list(component)
+            for component in evaluation.maximal_components
             if sum(products[j] for j in component) >= 0
         ),
         None,
@@ -179,7 +163,7 @@ class HInequalityReport:
 def check_H_inequalities(ideals: IdealTuple, point: PointLike) -> HInequalityReport:
     evaluation = evaluate_point(ideals, point)
     coords, support = evaluation.point, evaluation.maximal
-    products = _adjoint_products(ideals, evaluation, support)
+    products = evaluation.maximal_products
     singles = []
     for i, inside in enumerate(support):
         if not inside:
@@ -191,13 +175,13 @@ def check_H_inequalities(ideals: IdealTuple, point: PointLike) -> HInequalityRep
             )
         singles.append((i, value))
     connected = []
-    for component in support_components(ideals, support):
+    for component in evaluation.maximal_components:
         value = sum(products[j] for j in component)
         if value < -1:
             raise InequalityViolated(
-                f"H-component {component} gives {value} < -1 at {coords}"
+                f"H-component {list(component)} gives {value} < -1 at {coords}"
             )
-        connected.append((tuple(component), value))
+        connected.append((component, value))
     return HInequalityReport(coords, support, tuple(singles), tuple(connected))
 
 
@@ -210,6 +194,17 @@ def minimal_jumping_divisor(ideals: IdealTuple, point: PointLike) -> tuple[bool,
     return evaluation.minimal
 
 
+def _adjunction_value(
+    ideals: IdealTuple, evaluation: PointEvaluation, support: Sequence[bool]
+) -> int:
+    """(ceil(K - c.F) + S).S + #components(S), S the reduced divisor on
+    `support`; ceil(K - c.F) = -floor(v) exactly."""
+    shifted = [inside - f for f, inside in zip(evaluation.floors, support)]
+    products = intersection_products(ideals.graph, shifted)
+    components = support_components(ideals, support)
+    return sum(products[j] for part in components for j in part) + len(components)
+
+
 def multiplicity_via_G(ideals: IdealTuple, point: PointLike) -> int:
     """Adjunction form on the minimal jumping divisor; jumping points only."""
     evaluation = evaluate_point(ideals, point)
@@ -220,10 +215,7 @@ def multiplicity_via_G(ideals: IdealTuple, point: PointLike) -> int:
 
 def wall_lines_through(ideals: IdealTuple, point: PointLike) -> list[tuple[int, int]]:
     """(component j, level l) pairs with (c.F)_j - k_j = l, a positive integer."""
-    values = evaluate_point(ideals, point).values
-    return [
-        (j, int(v)) for j, v in enumerate(values) if v.denominator == 1 and v > 0
-    ]
+    return list(evaluate_point(ideals, point).wall_lines)
 
 
 @dataclass(frozen=True)
@@ -254,7 +246,7 @@ def jump_record(ideals: IdealTuple, point: PointLike) -> JumpRecord:
         maximal=evaluation.maximal,
         minimal=evaluation.minimal if mult > 0 else None,
         mult=mult,
-        wall_lines=tuple(wall_lines_through(ideals, evaluation)),
+        wall_lines=evaluation.wall_lines,
     )
 
 
@@ -295,9 +287,7 @@ def perturbation_sum(
     """
     evaluation = evaluate_point(ideals, point)
     coords = evaluation.point
-    direction = tuple(int(u) for u in ray_dir)
-    if len(direction) != ideals.r or any(u < 0 for u in direction) or not any(direction):
-        raise ValidationError("ray direction must be nonnegative integers, not all 0")
+    direction = _integer_direction(ideals, ray_dir, "ray direction")
     shift = tuple(Fraction(o) for o in offset)
     if len(shift) != ideals.r or all(s == 0 for s in shift):
         raise ValidationError("offset must be a nonzero rational vector")
@@ -313,7 +303,7 @@ def perturbation_sum(
     weighted_base = weighted_F(ideals, base)
     # distinct geometric lines through the point carrying some V_{j,l}, l > 0
     groups: dict[tuple[Fraction, ...], list[tuple[int, int]]] = {}
-    for j, level in wall_lines_through(ideals, evaluation):
+    for j, level in evaluation.wall_lines:
         key = make_halfspace(columns[j], weighted_at[j]).key()
         groups.setdefault(key, []).append((j, level))
 
@@ -396,18 +386,18 @@ def default_offset(point: Sequence[Fraction], delta: Fraction) -> tuple[Fraction
     return tuple(delta if i == axis else Fraction(0) for i in range(len(coords)))
 
 
+_INITIAL_OFFSET = Fraction(1, 64)
+_MAX_HALVINGS = 200
+
+
 def admissible_perturbation(
-    ideals: IdealTuple,
-    point: PointLike,
-    ray_dir: Sequence[int],
-    initial: Fraction = Fraction(1, 64),
-    max_halvings: int = 200,
+    ideals: IdealTuple, point: PointLike, ray_dir: Sequence[int]
 ) -> PerturbationReport:
     """Shrink the axis offset by halving until it is exactly admissible."""
     evaluation = evaluate_point(ideals, point)
-    delta = Fraction(initial)
+    delta = _INITIAL_OFFSET
     last_error: OffsetTooLarge | None = None
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         try:
             return perturbation_sum(
                 ideals, evaluation, ray_dir, default_offset(evaluation.point, delta)
@@ -416,5 +406,5 @@ def admissible_perturbation(
             last_error = error
             delta /= 2
     raise OffsetTooLarge(
-        f"no admissible offset found after {max_halvings} halvings: {last_error}"
+        f"no admissible offset found after {_MAX_HALVINGS} halvings: {last_error}"
     )

@@ -26,16 +26,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dualgraph import IdealTuple
-from .errors import (
-    DirectionOrthogonal,
-    HorizonTooSmall,
-    InternalConsistencyError,
-    ValidationError,
+from .errors import DirectionOrthogonal, HorizonTooSmall, InternalConsistencyError
+from .evaluate import (
+    Point,
+    _integer_direction,
+    gap_values,
+    maximal_jumping_divisor,
+    normalize_point,
 )
-from .evaluate import Point, gap_values, maximal_jumping_divisor, normalize_point
 from .multiplicity import JumpRecord, jump_record
 from .rationals import format_rational
 from .unloading import divisor_leq
@@ -66,15 +67,7 @@ class Ray:
 
 def make_ray(ideals: IdealTuple, base: Sequence, direction: Sequence[int]) -> Ray:
     origin = normalize_point(ideals, base)
-    dir_ = tuple(int(u) for u in direction)
-    if len(dir_) != ideals.r:
-        raise ValidationError(
-            f"direction has {len(dir_)} entries, expected {ideals.r}"
-        )
-    if any(u < 0 for u in dir_) or not any(dir_):
-        raise ValidationError(
-            "ray direction must be nonnegative integers, not all zero"
-        )
+    dir_ = _integer_direction(ideals, direction, "ray direction")
     slopes = tuple(
         sum(dir_[i] * ideals.ideals[i][j] for i in range(ideals.r))
         for j in range(ideals.size)
@@ -130,13 +123,20 @@ def _candidate_parameters(ideals: IdealTuple, ray: Ray, after: Fraction) -> Iter
         yield mu
 
 
-def ray_next(ideals: IdealTuple, ray: Ray, after: Fraction) -> RayJump | None:
-    """First jumping point on the ray with parameter strictly beyond `after`."""
-    for mu in _candidate_parameters(ideals, ray, Fraction(after)):
+def _jumps(
+    ideals: IdealTuple, ray: Ray, candidates: Iterable[Fraction]
+) -> Iterator[RayJump]:
+    """The jumping points among the candidate parameters, in their order."""
+    for mu in candidates:
         record = jump_record(ideals, ray_point(ray, mu))
         if record.mult > 0:
-            return RayJump(parameter=mu, record=record)
-    return None  # pragma: no cover - candidate stream is infinite
+            yield RayJump(parameter=mu, record=record)
+
+
+def ray_next(ideals: IdealTuple, ray: Ray, after: Fraction) -> RayJump | None:
+    """First jumping point on the ray with parameter strictly beyond `after`."""
+    candidates = _candidate_parameters(ideals, ray, Fraction(after))
+    return next(_jumps(ideals, ray, candidates), None)
 
 
 def ray_walk(ideals: IdealTuple, ray: Ray, until: Fraction) -> list[RayJump]:
@@ -147,35 +147,30 @@ def ray_walk(ideals: IdealTuple, ray: Ray, until: Fraction) -> list[RayJump]:
     limit.  Violations are internal errors, never data.
     """
     limit = Fraction(until)
-    jumps: list[RayJump] = []
-    previous: RayJump | None = None
-    for mu in _candidate_parameters(ideals, ray, Fraction(0)):
-        if mu > limit:
-            break
-        record = jump_record(ideals, ray_point(ray, mu))
-        if record.mult == 0:
-            continue
-        jump = RayJump(parameter=mu, record=record)
-        if previous is not None:
-            chained = divisor_leq(previous.record.divisor, record.divisor_left)
-            if not chained or previous.record.divisor == record.divisor:
-                raise InternalConsistencyError(
-                    f"divisor chain broken between parameters "
-                    f"{previous.parameter} and {mu}"
-                )
-        jumps.append(jump)
-        previous = jump
+    candidates = itertools.takewhile(
+        lambda mu: mu <= limit, _candidate_parameters(ideals, ray, Fraction(0))
+    )
+    jumps = list(_jumps(ideals, ray, candidates))
+    for previous, jump in zip(jumps, jumps[1:]):
+        record = jump.record
+        chained = divisor_leq(previous.record.divisor, record.divisor_left)
+        if not chained or previous.record.divisor == record.divisor:
+            raise InternalConsistencyError(
+                f"divisor chain broken between parameters "
+                f"{previous.parameter} and {jump.parameter}"
+            )
     return jumps
 
 
 def rho(ideals: IdealTuple, point: Sequence, direction: Sequence[int]) -> int:
     """Direction-weighted excess over the support H at the point."""
+    direction = _integer_direction(ideals, direction, "ray direction")
     return _rho(ideals, maximal_jumping_divisor(ideals, point), direction)
 
 
 def _rho(ideals: IdealTuple, support: Sequence[bool], direction: Sequence[int]) -> int:
     return sum(
-        int(direction[i]) * ideals.excesses[i][j]
+        direction[i] * ideals.excesses[i][j]
         for j, inside in enumerate(support)
         if inside
         for i in range(ideals.r)

@@ -18,6 +18,7 @@ a bare count mismatch.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -166,17 +167,22 @@ def cell_decomposition(
     cells = tuple(tuple(sorted(members)) for _, members in sorted(groups.items()))
     cell_divisors = tuple(face_divisors[cell[0]] for cell in cells)
 
+    def sides(edge_index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        low, high = arrangement.edge_faces[edge_index]
+        if low is None or high is None:
+            raise InternalConsistencyError("wall edge with a missing incident face")
+        return face_divisors[low], face_divisors[high]
+
     facets: list[CFacet] = []
     for line_index, line in enumerate(arrangement.lines):
         if line.is_box:
             continue
-        run: list[int] = []
-        run_key: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-
-        def close_run() -> None:
-            if not run:
-                return
-            low_divisor, high_divisor = run_key
+        for (low_divisor, high_divisor), group in itertools.groupby(
+            arrangement.line_edges[line_index], key=sides
+        ):
+            if low_divisor == high_divisor:
+                continue
+            run = list(group)
             samples = (
                 _facet_sample(arrangement, run, Fraction(1, 3)),
                 _facet_sample(arrangement, run, Fraction(2, 3)),
@@ -220,24 +226,6 @@ def cell_decomposition(
                     minimal_support=records[0].minimal,
                 )
             )
-            run.clear()
-
-        for edge_index in arrangement.line_edges[line_index]:
-            low, high = arrangement.edge_faces[edge_index]
-            if low is None or high is None:
-                raise InternalConsistencyError(
-                    "wall edge with a missing incident face"
-                )
-            key = (face_divisors[low], face_divisors[high])
-            if key[0] == key[1]:
-                close_run()
-                run_key = None
-                continue
-            if run_key is not None and key != run_key:
-                close_run()
-            run_key = key
-            run.append(edge_index)
-        close_run()
 
     return WallAtlas(
         box=(Fraction(box[0]), Fraction(box[1])),
@@ -382,12 +370,7 @@ def _interior_sample(
             for i in range(ideals.r)
         )
         evaluation = evaluate_point(ideals, sample)
-        clean = all(
-            j in carrier_set
-            for j, v in enumerate(evaluation.values)
-            if v.denominator == 1 and v > 0
-        )
-        if clean:
+        if all(j in carrier_set for j, _ in evaluation.wall_lines):
             return evaluation
     raise NoCleanSample(
         "no clean relative-interior sample found on a wall facet in 50 weightings"

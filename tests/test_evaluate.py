@@ -257,6 +257,35 @@ def test_jump_record_finds_G_once(monkeypatch, rat6):
         assert len(criterion) == 1
 
 
+def test_jump_record_reads_H_once(monkeypatch, rat6):
+    # the evaluation owns H's components and adjoint products: a jumping
+    # record finds components twice (H, then G) and forms H's product vector
+    # (ceil(K - c.F) + H).E_j once
+    components = _record_calls(monkeypatch, "evaluate", "support_components")
+    products = _record_calls(monkeypatch, "unloading", "intersection_products")
+    point = (Fraction(1, 4), Fraction(1, 4))
+    record = jump_record(rat6, point)
+    assert record.mult == 3 and record.minimal != record.maximal
+    assert len(components) <= 2
+    floors = evaluate_point(rat6, point).floors
+    shifted = tuple(inside - f for f, inside in zip(floors, record.maximal))
+    assert sum(tuple(args[1]) == shifted for args in products) == 1
+
+
+def test_cli_point_runs_each_route_once(monkeypatch, capsys):
+    # the command prints the routes jump_record has already compared
+    routes = (
+        "multiplicity_fractional",
+        "multiplicity_oracle",
+        "multiplicity_via_G",
+    )
+    calls = {route: _record_calls(monkeypatch, "multiplicity", route) for route in routes}
+    assert cli.main(["point", "RAT6", "--c", "1/4,1/4"]) == 0
+    assert "m via G = 3" in capsys.readouterr().out
+    counts = {route: len(args) for route, args in calls.items()}
+    assert counts == dict.fromkeys(calls, 1)
+
+
 def test_evaluation_stands_in_for_its_point(rat6, chain10):
     corner = evaluate_point(rat6, frozen.RAT6_CORNER)
     assert mmi_divisor(rat6, corner) == mmi_divisor(rat6, frozen.RAT6_CORNER)

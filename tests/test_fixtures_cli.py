@@ -3,8 +3,10 @@
 import csv
 import json
 import random
+import re
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -267,27 +269,27 @@ def test_cli_selftest_single_fixture(capsys):
     assert "SMOOTH1" in out and "CHAIN10" not in out
 
 
-# The lc commands, byte for byte: the RAT6 transcripts are the README's, the
-# NEST14 ones a three-ideal tuple whose verdict is a bijection.
-LC_TRANSCRIPTS = {
-    ("lct", "RAT6"): """\
-origin divisor = 3,2,3,1,1,1
-lct axis 1 = 1/6
-lct axis 2 = 1
-""",
-    ("nest", "RAT6"): """\
-nest = E1, E2, E4
-""",
-    ("bijection", "RAT6"): """\
-verdict = MultiplicityHypothesisFails
-nest = E1, E2, E4 (3)
-facets = 2
-facet 1: carriers E4; sample 1/8,3/8; m = 1
-facet 2: carriers E2; sample 1/24,7/8; m = 2
-axis 1: lct = 1/6; contact = E4
-axis 2: lct = 1; contact = E2
-multiplicity witness: m(1/24,7/8) = 2
-""",
+def _readme_transcripts() -> dict[tuple[str, ...], str]:
+    """Each `$ mmideal ...` command in the README's console blocks, with the
+    output shown under it.  The selftest block is left out: its output is
+    elided with `...`."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    transcripts = {}
+    for block in re.findall(r"```console\n(.*?)```", text, re.S):
+        if "$ mmideal selftest" in block:
+            continue
+        parts = re.split(r"^\$ (.*)\n", block, flags=re.M)
+        for command, output in zip(parts[1::2], parts[2::2]):
+            if command.startswith("mmideal "):
+                transcripts[tuple(command.split()[1:])] = output
+    return transcripts
+
+
+# The CLI byte for byte: every README command, and two lc commands on NEST14,
+# a three-ideal tuple whose verdict is a bijection.
+TRANSCRIPTS = {
+    **_readme_transcripts(),
     ("lct", "NEST14"): """\
 origin divisor = 0,0,0,0,0,0,0,0,0,0,0,0,0,0
 lct axis 1 = 11/24
@@ -310,9 +312,10 @@ pairing: E5 -> facet 1; E1 -> facet 2; E14 -> facet 3; E6 -> facet 4
 }
 
 
-@pytest.mark.parametrize("argv", sorted(LC_TRANSCRIPTS))
-def test_cli_lc_transcripts(argv, capsys):
+@pytest.mark.parametrize("argv", sorted(TRANSCRIPTS))
+def test_cli_lc_transcripts(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # `walls` writes its CSV and SVG here
     assert main(list(argv)) == 0
     captured = capsys.readouterr()
-    assert captured.out == LC_TRANSCRIPTS[argv]
+    assert captured.out == TRANSCRIPTS[argv]
     assert captured.err == ""

@@ -6,9 +6,11 @@ import pytest
 
 import frozen
 from mmideal import (
+    combined_ideal,
     divisor_leq,
     is_degenerate,
     make_ray,
+    perturbation_sum,
     poincare,
     ray_next,
     ray_point,
@@ -55,6 +57,23 @@ def test_rat6_diagonal_walk_prefix(rat6):
     ]
 
 
+def test_non_integer_directions_are_refused(rat6, nest14):
+    # truncating would walk (3/2, 1) as (1, 1) and (0.9, 1) as (0, 1), and
+    # a weight 1/2 would give a non-integer "ideal" vector
+    for direction in ((Fraction(3, 2), 1), (0.9, 1), (Fraction(1, 2), 0)):
+        with pytest.raises(ValidationError, match="nonnegative integers"):
+            make_ray(rat6, (0, 0), direction)
+        with pytest.raises(ValidationError, match="nonnegative integers"):
+            rho(rat6, frozen.RAT6_CORNER, direction)
+        with pytest.raises(ValidationError, match="nonnegative integers"):
+            perturbation_sum(
+                rat6, frozen.RAT6_CORNER, direction, (Fraction(1, 64), Fraction(0))
+            )
+    with pytest.raises(ValidationError, match="nonnegative integers"):
+        combined_ideal(nest14, (Fraction(1, 2), 1, 0))
+    assert make_ray(rat6, (0, 0), (Fraction(2), 1)).direction == (2, 1)
+
+
 def test_ray_next_matches_walk(rat6):
     ray = make_ray(rat6, (0, 0), (1, 1))
     first = ray_next(rat6, ray, Fraction(0))
@@ -62,6 +81,13 @@ def test_ray_next_matches_walk(rat6):
     assert (first.parameter, first.mult) == (Fraction(3, 20), 1)
     second = ray_next(rat6, ray, first.parameter)
     assert second is not None and second.parameter == Fraction(1, 4)
+    # chained from each jump of the walk, ray_next finds the walk's next one
+    walk = ray_walk(rat6, ray, Fraction(1, 2))
+    after = Fraction(0)
+    for jump in walk:
+        assert ray_next(rat6, ray, after) == jump
+        after = jump.parameter
+    assert ray_next(rat6, ray, after).parameter > Fraction(1, 2)
 
 
 def test_walk_points_lie_on_wall_lines(tuples):
