@@ -158,12 +158,6 @@ class Arrangement:
     # per line, edge indices in order along the line
     line_edges: tuple[tuple[int, ...], ...]
 
-    def vertex_lines(self, vertex: int) -> list[int]:
-        point = self.vertices[vertex]
-        return [
-            i for i, line in enumerate(self.lines) if line.contains(point)
-        ]
-
 
 def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]) -> Arrangement:
     bx, by = Fraction(box[0]), Fraction(box[1])

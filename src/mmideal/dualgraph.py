@@ -44,7 +44,12 @@ from .errors import (
     NotTree,
     ValidationError,
 )
-from .unloading import fundamental_cycle, intersection_products, is_antinef
+from .unloading import (
+    ClosureCache,
+    fundamental_cycle,
+    intersection_products,
+    is_antinef,
+)
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -62,7 +67,8 @@ class DualGraph:
     """Immutable dual graph with its canonical data.
 
     `closure_cache` maps a divisor to its checked antinef closure (see
-    ``unloading.antinef_closure_checked``); it is neither compared nor shown,
+    ``unloading.antinef_closure_checked``), keeping at most
+    ``unloading.CLOSURE_CACHE_BOUND`` entries; it is neither compared nor shown,
     so two graphs built from one matrix are equal but share no closures.
     """
 
@@ -70,8 +76,8 @@ class DualGraph:
     canonical: tuple[Fraction, ...]
     adjacency: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
-    closure_cache: dict[tuple[int, ...], tuple[int, ...]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
+    closure_cache: ClosureCache = field(
+        default_factory=ClosureCache, init=False, compare=False, repr=False
     )
 
     @property

@@ -19,7 +19,9 @@ Two implementations of unloading are provided on purpose:
 Both must return the same divisor on every input; the test-suite and the
 ``closure`` CLI subcommand verify that exactly.  Checked closures are
 memoized per graph, keyed by the divisor alone, in the graph's own
-``closure_cache``; the cache dies with its graph.
+``closure_cache``, a :class:`ClosureCache` of at most
+``CLOSURE_CACHE_BOUND`` entries that counts its hits and misses; the cache
+dies with its graph.
 
 All arithmetic is in Python integers: the colength uses D.K = sum of
 d_j (-2 - E_j^2), which holds because M K = b, so K itself is never read.
@@ -38,6 +40,34 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .dualgraph import DualGraph
+
+# Entries one graph's closure cache keeps; the largest cache a seed-1
+# benchmark pass fills holds a few hundred, a RAT6 4x4 atlas about 1000.
+CLOSURE_CACHE_BOUND = 4096
+
+
+class ClosureCache(dict):
+    """Checked closures keyed by divisor, at most ``CLOSURE_CACHE_BOUND``
+    of them: storing into a full cache evicts the oldest entry first.
+    ``hits`` and ``misses`` count the lookups."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.hits = 0
+        self.misses = 0
+
+    def lookup(self, key: tuple[int, ...]) -> tuple[int, ...] | None:
+        found = self.get(key)
+        if found is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return found
+
+    def store(self, key: tuple[int, ...], closure: tuple[int, ...]) -> None:
+        while len(self) >= CLOSURE_CACHE_BOUND:
+            del self[next(iter(self))]
+        self[key] = closure
 
 
 def _check_length(graph: DualGraph, divisor: Sequence) -> None:
@@ -145,7 +175,7 @@ def antinef_closure_checked(graph: DualGraph, divisor: Sequence[int]) -> tuple[i
     closure is deterministic.
     """
     key = tuple(int(c) for c in divisor)
-    cached = graph.closure_cache.get(key)
+    cached = graph.closure_cache.lookup(key)
     if cached is not None:
         return cached
     fast = antinef_closure(graph, key)
@@ -154,7 +184,7 @@ def antinef_closure_checked(graph: DualGraph, divisor: Sequence[int]) -> tuple[i
         raise InternalConsistencyError(
             f"unloading variants disagree: {fast} vs {slow}"
         )
-    graph.closure_cache[key] = fast
+    graph.closure_cache.store(key, fast)
     return fast
 
 

@@ -8,6 +8,15 @@ actually changes are grouped into C-facets — maximal collinear runs with one
 (lower ideal, upper ideal) pair.  Every facet is sampled at two interior
 points which must agree on multiplicity and minimal jumping divisor.
 
+Face divisors are propagated, not evaluated face by face.  The clamped floor
+vector max(floor(v), 0) changes only across a wall line, and there only in
+the components its sources name, by one.  One face is evaluated; a
+breadth-first walk across the interior edges carries its floor vector to
+every other face, checking the value it leaves at each crossing and the
+vector it brings at each edge that closes a cycle.  Each face's divisor is
+the checked closure of its floors, and the lowest-numbered face of every
+cell is evaluated directly as the independent route.
+
 For any number of ideals the log-canonical wall is the boundary of the
 constancy region of the origin.  Its facet count is compared against the
 Newton nest — the rupture-or-dicritical part of the smallest subtree spanning
@@ -20,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -43,6 +53,7 @@ from .evaluate import (
 from .multiplicity import jump_record, multiplicity_checked
 from .polytope import Vector
 from .rationals import format_point, format_rational
+from .unloading import antinef_closure_checked
 
 __all__ = [
     "wall_lines",
@@ -138,13 +149,68 @@ def _facet_sample(
     return sample
 
 
+def _face_floors(
+    ideals: IdealTuple, arrangement: Arrangement
+) -> list[tuple[int, ...]]:
+    """Clamped floors max(floor(v_j), 0) of every face, by a breadth-first
+    walk across interior edges from face 0, which alone is evaluated.
+
+    The clamped floor of component j changes only where v_j crosses a
+    positive integer l, which is the wall line with source (j, l); its
+    normal (F_1[j], F_2[j]) is nonnegative and merged lines keep the first
+    orientation, so the high side of every edge is where v_j > l.  Crossing
+    low to high takes component j from l - 1 to l.  Each crossing checks
+    the value it leaves, and each edge that reaches a face already assigned
+    checks that it gives the same vector."""
+    faces, edges, lines = arrangement.faces, arrangement.edges, arrangement.lines
+    crossings: list[list[int]] = [[] for _ in faces]
+    for e, (low, high) in enumerate(arrangement.edge_faces):
+        if low is not None and high is not None:
+            crossings[low].append(e)
+            crossings[high].append(e)
+    start = evaluate_point(ideals, faces[0].barycenter)
+    floors: list[tuple[int, ...] | None] = [None] * len(faces)
+    floors[0] = tuple(max(f, 0) for f in start.floors)
+    queue = deque([0])
+    while queue:
+        face = queue.popleft()
+        for e in crossings[face]:
+            low, high = arrangement.edge_faces[e]
+            upward = face == low
+            vector = list(floors[face])
+            for j, level in lines[edges[e].line_index].sources:
+                before, after = (level - 1, level) if upward else (level, level - 1)
+                if vector[j] != before:
+                    raise InternalConsistencyError(
+                        f"crossing edge {e} from face {face}: component "
+                        f"{j + 1} has floor {vector[j]}, expected {before}"
+                    )
+                vector[j] = after
+            vector = tuple(vector)
+            reached = high if upward else low
+            if floors[reached] is None:
+                floors[reached] = vector
+                queue.append(reached)
+            elif floors[reached] != vector:
+                raise InternalConsistencyError(
+                    f"face {reached} reached with floors {floors[reached]} "
+                    f"and {vector}"
+                )
+    if None in floors:
+        raise InternalConsistencyError(
+            f"face {floors.index(None)} is not reached from face 0"
+        )
+    return floors
+
+
 def cell_decomposition(
     ideals: IdealTuple, box: tuple[Fraction, Fraction]
 ) -> WallAtlas:
     lines = wall_lines(ideals, box)
     arrangement = build_arrangement(lines, box)
     face_divisors = tuple(
-        mmi_divisor(ideals, face.barycenter) for face in arrangement.faces
+        antinef_closure_checked(ideals.graph, floors)
+        for floors in _face_floors(ideals, arrangement)
     )
 
     parent = list(range(len(arrangement.faces)))
@@ -166,6 +232,14 @@ def cell_decomposition(
         groups.setdefault(find(face), []).append(face)
     cells = tuple(tuple(sorted(members)) for _, members in sorted(groups.items()))
     cell_divisors = tuple(face_divisors[cell[0]] for cell in cells)
+    # the independent route: one direct evaluation per cell
+    for cell, divisor in zip(cells, cell_divisors):
+        direct = mmi_divisor(ideals, arrangement.faces[cell[0]].barycenter)
+        if direct != divisor:
+            raise InternalConsistencyError(
+                f"face {cell[0]}: propagated divisor {divisor} but the "
+                f"barycenter evaluates to {direct}"
+            )
 
     def sides(edge_index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         low, high = arrangement.edge_faces[edge_index]

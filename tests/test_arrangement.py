@@ -99,8 +99,8 @@ def test_fixture_atlas_geometry(rat6_atlas):
     arr = rat6_atlas.arrangement
     box_area = Fraction(1)
     assert sum(face.area for face in arr.faces) == box_area
-    for vertex in range(len(arr.vertices)):
-        assert len(arr.vertex_lines(vertex)) >= 2
+    for point in arr.vertices:
+        assert len([line for line in arr.lines if line.contains(point)]) >= 2
     for edge_index, edge in enumerate(arr.edges):
         line = arr.lines[edge.line_index]
         assert line.contains(edge.midpoint(arr.vertices))

@@ -14,10 +14,13 @@ from mmideal import (
     antinef_closure_checked,
     antinef_closure_unit,
     build_graph,
+    build_tuple,
+    cell_decomposition,
     colength,
     divisor_leq,
     fundamental_cycle,
     is_antinef,
+    load_fixture,
 )
 from mmideal import unloading
 from mmideal.cli import main
@@ -86,6 +89,31 @@ def test_closure_cache_belongs_to_its_graph(rat6, monkeypatch):
     assert second.closure_cache == {}
     assert antinef_closure_checked(second, divisor) == closure
     assert len(calls) == 2
+
+
+def test_closure_cache_is_bounded_and_counted(rat6, monkeypatch):
+    monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 4)
+    graph = build_graph(rat6.graph.matrix)
+    divisors = [(n, 0, 1, 0, 0, n % 3) for n in range(12)]
+    checked = divisors + divisors[9:] + divisors[:2]
+    for divisor in checked:
+        closure = antinef_closure_checked(graph, divisor)
+        assert closure == antinef_closure(graph, divisor)
+        assert len(graph.closure_cache) <= 4
+    cache = graph.closure_cache
+    assert (cache.hits, cache.misses) == (3, 14)
+    assert cache.hits + cache.misses == len(checked)
+    # the oldest entry goes first; a hit does not renew an entry
+    assert list(cache) == [divisors[10], divisors[11], divisors[0], divisors[1]]
+
+
+def test_atlas_under_a_small_closure_cache(rat6_atlas, monkeypatch):
+    monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 8)
+    ideals = build_tuple(load_fixture("RAT6"))
+    atlas = cell_decomposition(ideals, (Fraction(1), Fraction(1)))
+    assert atlas.face_divisors == rat6_atlas.face_divisors
+    assert atlas.facets == rat6_atlas.facets
+    assert len(ideals.graph.closure_cache) <= 8
 
 
 def test_chain10_worked_example(chain10):

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ import pytest
 import frozen
 from trees import random_tree_matrix
 from mmideal.arrangement import build_arrangement, merge_lines
+from mmideal.rationals import format_point
 from mmideal.svg import render_atlas_svg
 from mmideal import (
     RegionReport,
@@ -20,6 +22,7 @@ from mmideal import (
     build_tuple,
     cell_decomposition,
     divisor_leq,
+    evaluate_point,
     facet_intersection_vertices,
     lc_region,
     lct_axis,
@@ -74,15 +77,117 @@ def test_chain10_atlas_counts(chain10_atlas):
     assert len(chain10_atlas.facets) == 240
 
 
-def test_rat6_atlas_at_scale(rat6):
+def test_rat6_atlas_at_scale(rat6, monkeypatch):
     # the full 4x4 atlas; cell_decomposition runs the outer-orbit, Euler,
-    # barycenter and facet-sample checks on the way
+    # barycenter, propagation and facet-sample checks on the way
+    direct = walls.mmi_divisor
+    calls = []
+
+    def counted(ideals, point):
+        calls.append(point)
+        return direct(ideals, point)
+
+    monkeypatch.setattr(walls, "mmi_divisor", counted)
     atlas = cell_decomposition(rat6, (Fraction(4), Fraction(4)))
     arr = atlas.arrangement
     assert len([line for line in arr.lines if not line.is_box]) == 163
     assert (len(arr.vertices), len(arr.faces)) == (832, 1012)
     assert len(arr.vertices) - len(arr.edges) + len(arr.faces) == 1
     assert (len(atlas.cells), len(atlas.facets)) == (447, 760)
+    # face divisors are propagated; only one face per cell is evaluated
+    assert len(calls) <= len(atlas.cells)
+
+
+# box sides the benchmark's atlas workload draws from
+ATLAS_SIDES = {
+    "RAT6": "1/4 2/7 1/3 3/8 2/5 3/7",
+    "CHAIN10": "1/3 5/14 3/8 2/5",
+    "PROP16": "1/16 2/31 1/15 2/29 1/14 2/27",
+}
+
+
+def _seeded_boxes(seed, per_fixture):
+    rng = random.Random(seed)
+    cases = []
+    for name, text in ATLAS_SIDES.items():
+        sides = [Fraction(side) for side in text.split()]
+        cases += [
+            (name, (rng.choice(sides), rng.choice(sides)))
+            for _ in range(per_fixture)
+        ]
+    return cases
+
+
+PROPAGATION_CASES = [
+    *(("RAT6", (Fraction(n), Fraction(n))) for n in range(1, 5)),
+    ("CHAIN10", (Fraction(1), Fraction(1))),
+    ("PROP16", (Fraction(1, 8), Fraction(1, 8))),
+    ("smooth pair", (Fraction(3), Fraction(3))),
+    ("smooth pair", (Fraction(5, 2), Fraction(7, 2))),
+    *_seeded_boxes(seed=1, per_fixture=2),
+]
+
+
+def _smooth_pair():
+    return attach_ideals(build_graph([[-1]]), [(1,), (1,)])
+
+
+@pytest.mark.parametrize(
+    "name, box",
+    PROPAGATION_CASES,
+    ids=[f"{name} {format_point(box)}" for name, box in PROPAGATION_CASES],
+)
+def test_propagated_faces_match_direct_evaluation(tuples, name, box):
+    ideals = _smooth_pair() if name == "smooth pair" else tuples[name]
+    atlas = cell_decomposition(ideals, box)
+    floors = walls._face_floors(ideals, atlas.arrangement)
+    assert len(floors) == len(atlas.face_divisors) == len(atlas.arrangement.faces)
+    for face, propagated, divisor in zip(
+        atlas.arrangement.faces, floors, atlas.face_divisors
+    ):
+        evaluation = evaluate_point(ideals, face.barycenter)
+        assert propagated == tuple(max(f, 0) for f in evaluation.floors)
+        assert divisor == mmi_divisor(ideals, evaluation)
+
+
+def _swap_sides(arrangement, position):
+    interior = [
+        e
+        for e, (low, high) in enumerate(arrangement.edge_faces)
+        if low is not None and high is not None
+    ]
+    edge_faces = list(arrangement.edge_faces)
+    low, high = edge_faces[interior[position]]
+    edge_faces[interior[position]] = (high, low)
+    return replace(arrangement, edge_faces=tuple(edge_faces))
+
+
+def _drop_source(arrangement):
+    index = next(
+        i for i, line in enumerate(arrangement.lines) if len(line.sources) >= 2
+    )
+    line = arrangement.lines[index]
+    lines = list(arrangement.lines)
+    lines[index] = replace(line, sources=line.sources[1:])
+    return replace(arrangement, lines=tuple(lines))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda arrangement: _swap_sides(arrangement, 0),
+        lambda arrangement: _swap_sides(arrangement, -1),
+        _drop_source,
+    ],
+    ids=["first interior edge swapped", "last interior edge swapped", "source dropped"],
+)
+def test_corrupted_arrangement_is_caught(rat6, monkeypatch, corrupt):
+    build = walls.build_arrangement
+    monkeypatch.setattr(
+        walls, "build_arrangement", lambda lines, box: corrupt(build(lines, box))
+    )
+    with pytest.raises(InternalConsistencyError, match="crossing edge"):
+        cell_decomposition(rat6, (Fraction(1), Fraction(1)))
 
 
 def test_chain10_arrangement_at_scale(chain10):
@@ -307,9 +412,7 @@ def test_bijection_smooth1(smooth1):
 
 
 def test_smooth_pair_atlas_is_diagonal_strips():
-    graph = build_graph([[-1]])
-    pair = attach_ideals(graph, [(1,), (1,)])
-    atlas = cell_decomposition(pair, (Fraction(3), Fraction(3)))
+    atlas = cell_decomposition(_smooth_pair(), (Fraction(3), Fraction(3)))
     walls_only = [l for l in atlas.arrangement.lines if not l.is_box]
     assert len(walls_only) == 4  # z1 + z2 = 2, 3, 4, 5
     assert sorted(atlas.cell_divisors) == [(n,) for n in range(5)]
