@@ -312,9 +312,7 @@ pairing: E5 -> facet 1; E1 -> facet 2; E14 -> facet 3; E6 -> facet 4
 }
 
 
-@pytest.mark.parametrize(
-    "argv", sorted(TRANSCRIPTS), ids=lambda argv: " ".join(("mmideal", *argv))
-)
+@pytest.mark.parametrize("argv", sorted(TRANSCRIPTS))
 def test_cli_lc_transcripts(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # `walls` writes its CSV and SVG here
     assert main(list(argv)) == 0
