@@ -25,6 +25,7 @@ Indices are 0-based internally; user-facing labels are "E1".."Es".
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -88,6 +89,14 @@ class DualGraph:
     def fundamental(self) -> tuple[int, ...]:
         """Z: the smallest nonzero antinef divisor."""
         return fundamental_cycle(self)
+
+    @cached_property
+    def scaled_canonical(self) -> tuple[int, tuple[int, ...]]:
+        """(D, D*K): D the lcm of the denominators of K, D*K in integers."""
+        denominator = math.lcm(*(k.denominator for k in self.canonical))
+        return denominator, tuple(
+            k.numerator * (denominator // k.denominator) for k in self.canonical
+        )
 
     def valence(self, j: int) -> int:
         return len(self.adjacency[j])

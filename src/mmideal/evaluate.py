@@ -11,6 +11,13 @@ limit divisor D_{(1-eps)c} for all small eps > 0 is computed symbolically:
 component j gets floor(v_j) - 1 when v_j is an integer and (c.F)_j > 0, and
 floor(v_j) otherwise.  No numeric epsilon is ever chosen.
 
+The arithmetic is in integers.  N, the lcm of the denominators of K and of
+c, scales the point to the integer vector N*c; then N*(c.F) and N*v are
+integer vectors too, and floor(v_j) = N*v_j // N, v_j is an integer exactly
+when N*v_j % N == 0, and v_j = 1 + e_j exactly when N*v_j = N*(1 + e_j).
+The rational divisor c.F and the gap values v are `Fraction` views of the
+scaled vectors, built only when read.
+
 The wall lines through c are the pairs (j, l) with v_j = l a strictly
 positive integer.  The maximal jumping divisor H_c is the reduced divisor
 supported on their components; the support equality between H_c and the
@@ -36,6 +43,8 @@ reported in the result, never raised.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -85,26 +94,41 @@ def _integer_direction(
 class PointEvaluation:
     """Everything read off one weight point of one ideal tuple.
 
-    The gap data is computed on construction.  The wall lines, H, its
-    connected components, its adjoint products, D_c, D_left and G are
-    computed when first read, at most once: callers that need only gap values
-    never unload, and D_c stays defined where the H assertion fails.
+    The scaled gap data is computed on construction, in integers: `scale` is
+    N, the lcm of the denominators of K and of the point.  `weighted` and
+    `values` are their `Fraction` views.  These views, the wall lines, H,
+    its connected components, its adjoint products, D_c, D_left and G are
+    computed when first read, at most once: callers that need only gap
+    values never unload, and D_c stays defined where the H assertion fails.
     """
 
     ideals: IdealTuple
     point: Point
-    weighted: tuple[Fraction, ...]  # c.F
-    values: tuple[Fraction, ...]  # v = c.F - K
+    scale: int  # N
+    scaled_point: tuple[int, ...]  # N*c
+    scaled_weighted: tuple[int, ...]  # N*(c.F)
+    scaled_values: tuple[int, ...]  # N*v, v = c.F - K
     floors: tuple[int, ...]
     left_floors: tuple[int, ...]  # floors of D_{(1-eps)c} before closure
 
     @cached_property
+    def weighted(self) -> tuple[Fraction, ...]:
+        """c.F"""
+        return tuple(Fraction(w, self.scale) for w in self.scaled_weighted)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """v = c.F - K"""
+        return tuple(Fraction(v, self.scale) for v in self.scaled_values)
+
+    @cached_property
     def wall_lines(self) -> tuple[tuple[int, int], ...]:
         """(component j, level l) pairs with v_j = l, a positive integer."""
+        scale = self.scale
         return tuple(
-            (j, v.numerator)
-            for j, v in enumerate(self.values)
-            if v.denominator == 1 and v > 0
+            (j, v // scale)
+            for j, v in enumerate(self.scaled_values)
+            if v > 0 and v % scale == 0
         )
 
     @cached_property
@@ -112,7 +136,7 @@ class PointEvaluation:
         """H_c: support = the components of the wall lines, asserted equal to
         the support of max(floor(v), 0) - max(left-floor(v), 0)."""
         on_wall = {j for j, _ in self.wall_lines}
-        support = tuple(j in on_wall for j in range(len(self.values)))
+        support = tuple(j in on_wall for j in range(len(self.floors)))
         differences = tuple(
             max(f, 0) != max(left, 0)
             for f, left in zip(self.floors, self.left_floors)
@@ -150,7 +174,11 @@ class PointEvaluation:
     def minimal(self) -> tuple[bool, ...]:
         """G: support = {j : v_j = 1 + e_j^left}, asserted inside H.  It is
         the minimal jumping divisor only at jumping points."""
-        support = tuple(v == 1 + e for v, e in zip(self.values, self.divisor_left))
+        scale = self.scale
+        support = tuple(
+            v == scale * (1 + e)
+            for v, e in zip(self.scaled_values, self.divisor_left)
+        )
         if any(g and not h for g, h in zip(support, self.maximal)):
             raise InternalConsistencyError(
                 f"minimal jumping divisor exceeds the maximal one at {self.point}"
@@ -171,17 +199,32 @@ def evaluate_point(ideals: IdealTuple, point: PointLike) -> PointEvaluation:
             )
         return point
     coords = normalize_point(ideals, point)
-    weighted = tuple(
-        sum((c * vector[j] for c, vector in zip(coords, ideals.ideals)), Fraction(0))
-        for j in range(ideals.size)
+    denominator, scaled_canonical = ideals.graph.scaled_canonical
+    scale = math.lcm(denominator, *(c.denominator for c in coords))
+    factor = scale // denominator
+    scaled_point = tuple(c.numerator * (scale // c.denominator) for c in coords)
+    scaled_weighted = tuple(
+        sum(map(operator.mul, scaled_point, column))
+        for column in zip(*ideals.ideals)
     )
-    values = tuple(w - k for w, k in zip(weighted, ideals.graph.canonical))
-    floors = tuple(v.numerator // v.denominator for v in values)
+    scaled_values = tuple(
+        w - k * factor for w, k in zip(scaled_weighted, scaled_canonical)
+    )
+    floors = tuple(v // scale for v in scaled_values)
     left_floors = tuple(
-        f - 1 if v.denominator == 1 and w > 0 else f
-        for w, v, f in zip(weighted, values, floors)
+        f - 1 if w > 0 and v % scale == 0 else f
+        for w, v, f in zip(scaled_weighted, scaled_values, floors)
     )
-    return PointEvaluation(ideals, coords, weighted, values, floors, left_floors)
+    return PointEvaluation(
+        ideals,
+        coords,
+        scale,
+        scaled_point,
+        scaled_weighted,
+        scaled_values,
+        floors,
+        left_floors,
+    )
 
 
 def weighted_F(ideals: IdealTuple, point: PointLike) -> tuple[Fraction, ...]:

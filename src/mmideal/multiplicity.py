@@ -6,7 +6,8 @@ at c inside its one-sided limit ideal.  Three routes compute it for any c:
 * adjunction form:   m = (ceil(K - c.F) + H_c) . H_c + #components(H_c);
 * fractional form:   sum over components E_i of H_c of
                      (sum of fractional parts of v_j over graph neighbors j
-                      + sum_i c_i rho_{i,.}) minus #components(H_c);
+                      + sum_k c_k rho_{k,i}) minus #components(H_c),
+                     summed in integers scaled by N (see ``evaluate``);
 * colength oracle:   colength(D_c) - colength(D_left).
 
 A fourth route evaluates the adjunction form on the *minimal* jumping
@@ -75,26 +76,27 @@ def multiplicity(ideals: IdealTuple, point: PointLike) -> int:
 
 
 def multiplicity_fractional(ideals: IdealTuple, point: PointLike) -> int:
-    """Fractional-parts form of the multiplicity; must equal `multiplicity`."""
+    """Fractional-parts form of the multiplicity; must equal `multiplicity`.
+
+    Summed in integers scaled by the evaluation's N: N times a fractional
+    part {v_j} is N*v_j mod N, and N*c_k rho_{k,i} is an integer."""
     evaluation = evaluate_point(ideals, point)
-    coords, values, support = evaluation.point, evaluation.values, evaluation.maximal
-    adjacency = ideals.graph.adjacency
-    total = Fraction(0)
-    for i, inside in enumerate(support):
+    scale = evaluation.scale
+    scaled_point, scaled_values = evaluation.scaled_point, evaluation.scaled_values
+    adjacency, excesses = ideals.graph.adjacency, ideals.excesses
+    total = 0
+    for i, inside in enumerate(evaluation.maximal):
         if not inside:
             continue
-        fractional = sum((values[j] % 1 for j in adjacency[i]), Fraction(0))
-        excess = sum(
-            (coords[k] * ideals.excesses[k][i] for k in range(ideals.r)),
-            Fraction(0),
-        )
-        total += fractional + excess
-    total -= len(evaluation.maximal_components)
-    if total.denominator != 1:
+        total += sum(scaled_values[j] % scale for j in adjacency[i])
+        total += sum(c * excesses[k][i] for k, c in enumerate(scaled_point))
+    total -= scale * len(evaluation.maximal_components)
+    if total % scale:
         raise NonIntegralTotal(
-            f"fractional-form multiplicity is {total} at {coords}"
+            f"fractional-form multiplicity is {Fraction(total, scale)} at "
+            f"{evaluation.point}"
         )
-    return int(total)
+    return total // scale
 
 
 def multiplicity_oracle(ideals: IdealTuple, point: PointLike) -> int:

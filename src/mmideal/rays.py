@@ -17,6 +17,15 @@ contributes a rational closed form
 
 anchored at its first non-degenerate jumping point a (u = direction), plus
 one explicit monomial per degenerate jumping point seen before the anchor.
+
+The walk runs on the base's scaled integers (see ``evaluate``): with N the
+lcm of the denominators of K and of the base, v_j(mu) = n exactly when
+mu = (N*n - N*v_j) / (N*q_j).  Every candidate parameter is therefore an
+integer key mu*L over L = lcm_j(N*q_j); the per-component streams of keys
+are merged and deduplicated as integers, and one `Fraction` is built per
+distinct candidate.  Each candidate point is evaluated by the one
+``evaluate_point`` and gets a checked jump record.  The stability bound and
+the degeneracy test read the scaled gap values too.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from .errors import DirectionOrthogonal, HorizonTooSmall, InternalConsistencyErr
 from .evaluate import (
     Point,
     _integer_direction,
-    gap_values,
+    evaluate_point,
     maximal_jumping_divisor,
     normalize_point,
 )
@@ -99,28 +108,31 @@ class RayJump:
 
 def _candidate_parameters(ideals: IdealTuple, ray: Ray, after: Fraction) -> Iterator[Fraction]:
     """Strictly increasing parameters mu > after where some v_j is a positive
-    integer on the ray, each distinct parameter yielded once."""
+    integer on the ray, each distinct parameter yielded once.  The streams
+    carry the integer keys mu*L, L = lcm_j(N*q_j) (see the module text)."""
+    base = evaluate_point(ideals, ray.base)
+    scale = base.scale
+    common = math.lcm(*(scale * q for q in ray.slopes if q))
+    numerator, denominator = after.numerator, after.denominator
 
-    values = gap_values(ideals, ray.base)
-
-    def stream(j: int) -> Iterator[Fraction]:
-        q, v = ray.slopes[j], values[j]
+    def stream(j: int) -> Iterator[int]:
+        q, v = ray.slopes[j], base.scaled_values[j]
         if q == 0:
             return
-        # v_j(mu) = v + mu*q = n  <=>  mu = (n - v) / q
-        first = max(1, math.floor(after * q + v) + 1)
+        step = common // (scale * q)
+        # the first level n above v_j(after) = after*q + v/N
+        first = max(
+            1, (numerator * q * scale + v * denominator) // (denominator * scale) + 1
+        )
         for n in itertools.count(first):
-            yield (n - v) / q
+            yield (n * scale - v) * step
 
     merged = heapq.merge(*(stream(j) for j in range(ideals.size)))
     previous = None
-    for mu in merged:
-        if mu <= after:
-            continue
-        if previous is not None and mu == previous:
-            continue
-        previous = mu
-        yield mu
+    for key in merged:
+        if key != previous:
+            previous = key
+            yield Fraction(key, common)
 
 
 def _jumps(
@@ -181,16 +193,21 @@ def is_degenerate(ideals: IdealTuple, point: Sequence) -> bool:
     """True when some gap value is an integer <= 0 — the support can still
     grow further along any ray through the point, so recurrences do not
     apply yet."""
-    return any(
-        v.denominator == 1 and v <= 0 for v in gap_values(ideals, point)
-    )
+    evaluation = evaluate_point(ideals, point)
+    scale = evaluation.scale
+    return any(v <= 0 and v % scale == 0 for v in evaluation.scaled_values)
 
 
 def stability_bound(ideals: IdealTuple, ray: Ray) -> Fraction:
     """Smallest T >= 0 such that every point of the ray past T is
-    non-degenerate: beyond T every integral gap value is positive."""
-    values = gap_values(ideals, ray.base)
-    return max(Fraction(0), *(-v / q for v, q in zip(values, ray.slopes)))
+    non-degenerate: beyond T every integral gap value is positive.  It is
+    max(0, max_j -v_j / q_j), compared in integers over the base's N."""
+    base = evaluate_point(ideals, ray.base)
+    numerator, denominator = 0, 1
+    for v, q in zip(base.scaled_values, ray.slopes):
+        if -v * denominator > numerator * q:
+            numerator, denominator = -v, q
+    return Fraction(numerator, denominator * base.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -87,12 +87,17 @@ def intersection_products(graph: DualGraph, divisor: Sequence[int]) -> tuple[int
     )
 
 
+def _effective_integral(divisor: Sequence) -> bool:
+    return all(
+        coefficient == int(coefficient) and coefficient >= 0
+        for coefficient in divisor
+    )
+
+
 def is_antinef(graph: DualGraph, divisor: Sequence[int]) -> bool:
     """True iff *divisor* is effective, integral, and all products are <= 0."""
     _check_length(graph, divisor)
-    if any(coefficient != int(coefficient) for coefficient in divisor):
-        return False
-    if any(coefficient < 0 for coefficient in divisor):
+    if not _effective_integral(divisor):
         return False
     return all(product <= 0 for product in intersection_products(graph, divisor))
 
@@ -204,14 +209,18 @@ def colength(graph: DualGraph, divisor: Sequence[int]) -> int:
     """Codimension of the complete ideal attached to an antinef divisor.
 
     colength(D) = -D.(D + K) / 2 = -(D.D + sum of d_j (-2 - E_j^2)) / 2,
-    in integers.  Defined for antinef divisors only.  The result must be a
+    in integers.  Defined for antinef divisors only; the products D.E_j
+    that test that are the ones the formula reads.  The result must be a
     nonnegative integer, zero exactly for the zero divisor; anything else
     raises NonIntegralTotal.
     """
-    if not is_antinef(graph, divisor):
+    _check_length(graph, divisor)
+    products = (
+        intersection_products(graph, divisor) if _effective_integral(divisor) else None
+    )
+    if products is None or any(product > 0 for product in products):
         raise NotAntinef(f"colength is defined for antinef divisors, got {divisor}")
     matrix = graph.matrix
-    products = intersection_products(graph, divisor)
     twice = -sum(
         d * (product - 2 - matrix[j][j])
         for j, (d, product) in enumerate(zip(divisor, products))

@@ -13,9 +13,11 @@ vector max(floor(v), 0) changes only across a wall line, and there only in
 the components its sources name, by one.  One face is evaluated; a
 breadth-first walk across the interior edges carries its floor vector to
 every other face, checking the value it leaves at each crossing and the
-vector it brings at each edge that closes a cycle.  Each face's divisor is
-the checked closure of its floors, and the lowest-numbered face of every
-cell is evaluated directly as the independent route.
+vector it brings at each edge that closes a cycle; one point of every wall
+line is evaluated to check that the line's sources are all of the walls
+through it.  Each face's divisor is the checked closure of its floors, and
+the lowest-numbered face of every cell is evaluated directly as the
+independent route.
 
 For any number of ideals the log-canonical wall is the boundary of the
 constancy region of the origin.  Its facet count is compared against the
@@ -161,7 +163,9 @@ def _face_floors(
     orientation, so the high side of every edge is where v_j > l.  Crossing
     low to high takes component j from l - 1 to l.  Each crossing checks
     the value it leaves, and each edge that reaches a face already assigned
-    checks that it gives the same vector."""
+    checks that it gives the same vector.  A source missing from a line that
+    no crossing exposes is caught afterwards: the wall lines evaluated at
+    the midpoint of each wall line's first edge must be its sources."""
     faces, edges, lines = arrangement.faces, arrangement.edges, arrangement.lines
     crossings: list[list[int]] = [[] for _ in faces]
     for e, (low, high) in enumerate(arrangement.edge_faces):
@@ -200,6 +204,17 @@ def _face_floors(
         raise InternalConsistencyError(
             f"face {floors.index(None)} is not reached from face 0"
         )
+    for line_index, line in enumerate(lines):
+        if line.is_box:
+            continue
+        first = edges[arrangement.line_edges[line_index][0]]
+        midpoint = first.midpoint(arrangement.vertices)
+        through = evaluate_point(ideals, midpoint).wall_lines
+        if set(through) != set(line.sources):
+            raise InternalConsistencyError(
+                f"wall line {line_index} has sources {sorted(line.sources)}, "
+                f"but its point {format_point(midpoint)} lies on {sorted(through)}"
+            )
     return floors
 
 

@@ -272,6 +272,22 @@ def test_jump_record_reads_H_once(monkeypatch, rat6):
     assert sum(tuple(args[1]) == shifted for args in products) == 1
 
 
+def test_jump_record_builds_no_fraction_views(tuples):
+    # every route reads the scaled integers; c.F and v as Fractions are views
+    # for the public readers only.  Stands in for counting Fraction
+    # constructions, which newer Pythons make without calling __new__.
+    for name in ("RAT6", "CHAIN10", "NEST14"):
+        ideals = tuples[name]
+        ray = make_ray(ideals, (0,) * ideals.r, (1,) * ideals.r)
+        jumps = [jump.point for jump in ray_walk(ideals, ray, Fraction(1, 2))]
+        assert jumps
+        for point in jumps + [tuple(Fraction(1, 7 + i) for i in range(ideals.r))]:
+            evaluation = evaluate_point(ideals, point)
+            jump_record(ideals, evaluation)
+            assert "values" not in evaluation.__dict__
+            assert "weighted" not in evaluation.__dict__
+
+
 def test_cli_point_runs_each_route_once(monkeypatch, capsys):
     # the command prints the routes jump_record has already compared
     routes = (

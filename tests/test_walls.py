@@ -162,32 +162,69 @@ def _swap_sides(arrangement, position):
     return replace(arrangement, edge_faces=tuple(edge_faces))
 
 
-def _drop_source(arrangement):
-    index = next(
-        i for i, line in enumerate(arrangement.lines) if len(line.sources) >= 2
-    )
+def _drop_source(arrangement, index=None, source=None):
+    """The arrangement with one source removed from one line; by default the
+    first source of the first line that has two or more."""
+    if index is None:
+        index = next(
+            i for i, line in enumerate(arrangement.lines) if len(line.sources) >= 2
+        )
     line = arrangement.lines[index]
+    kept = tuple(s for s in line.sources if s != (source or line.sources[0]))
+    assert len(kept) == len(line.sources) - 1
     lines = list(arrangement.lines)
-    lines[index] = replace(line, sources=line.sources[1:])
+    lines[index] = replace(line, sources=kept)
     return replace(arrangement, lines=tuple(lines))
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, message",
     [
-        lambda arrangement: _swap_sides(arrangement, 0),
-        lambda arrangement: _swap_sides(arrangement, -1),
-        _drop_source,
+        (lambda arrangement: _swap_sides(arrangement, 0), "crossing edge"),
+        (lambda arrangement: _swap_sides(arrangement, -1), "crossing edge"),
+        (_drop_source, "crossing edge"),
+        # line 31 carries no facet, so no crossing of it exposes these two
+        (lambda arrangement: _drop_source(arrangement, 31, (0, 18)), "wall line 31"),
+        (lambda arrangement: _drop_source(arrangement, 31, (2, 17)), "wall line 31"),
     ],
-    ids=["first interior edge swapped", "last interior edge swapped", "source dropped"],
+    ids=[
+        "first interior edge swapped",
+        "last interior edge swapped",
+        "source dropped",
+        "source E1 level 18 dropped from line 31",
+        "source E3 level 17 dropped from line 31",
+    ],
 )
-def test_corrupted_arrangement_is_caught(rat6, monkeypatch, corrupt):
+def test_corrupted_arrangement_is_caught(rat6, monkeypatch, corrupt, message):
     build = walls.build_arrangement
     monkeypatch.setattr(
         walls, "build_arrangement", lambda lines, box: corrupt(build(lines, box))
     )
-    with pytest.raises(InternalConsistencyError, match="crossing edge"):
+    with pytest.raises(InternalConsistencyError, match=message):
         cell_decomposition(rat6, (Fraction(1), Fraction(1)))
+
+
+def test_every_dropped_source_is_caught(rat6, monkeypatch):
+    box = (Fraction(1), Fraction(1))
+    build = walls.build_arrangement
+    arrangement = build(wall_lines(rat6, box), box)
+    drops = [
+        (index, source)
+        for index, line in enumerate(arrangement.lines)
+        if not line.is_box
+        for source in line.sources
+    ]
+    # 34 of the 57 come from lines with two or more sources
+    shared = sum(len(arrangement.lines[index].sources) >= 2 for index, _ in drops)
+    assert (len(drops), shared) == (57, 34)
+    for index, source in drops:
+        monkeypatch.setattr(
+            walls,
+            "build_arrangement",
+            lambda lines, box: _drop_source(build(lines, box), index, source),
+        )
+        with pytest.raises(InternalConsistencyError):
+            cell_decomposition(rat6, box)
 
 
 def test_chain10_arrangement_at_scale(chain10):
