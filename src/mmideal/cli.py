@@ -2,9 +2,9 @@
 
 Every subcommand takes a fixture (bundled name or path to a JSON file) and
 prints exact rationals; the SVG export is the only output with decimal
-approximations.  Exit codes: 0 success, 1 usage or parse failure, 2
-mathematical validation failure, 3 internal consistency failure (an oracle
-disagreement — must never happen).
+approximations.  Exit codes: 0 success, 1 usage or parse failure or an
+output file that cannot be written, 2 mathematical validation failure, 3
+internal consistency failure (an oracle disagreement — must never happen).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .multiplicity import jump_record
 from .rationals import format_point, format_rational, parse_point, parse_rational
 from .rays import make_ray, poincare, ray_walk
 from .svg import render_atlas_svg
-from .unloading import colength
+from .unloading import antinef_closure_checked, colength
 from .walls import (
     bijection_report,
     cell_decomposition,
@@ -106,8 +106,6 @@ def _cmd_fcycle(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    from .unloading import antinef_closure_checked
-
     _, ideals = _load(args)
     graph = ideals.graph
     divisor = _int_vector(args.divisor, graph.size)
@@ -439,6 +437,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalConsistencyError as error:
         print(f"internal consistency error: {error}", file=sys.stderr)
         return 3
+    except OSError as error:
+        print(f"io error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -83,10 +83,6 @@ class BindingNonRuptureConstraint(ValidationError):
     mid-computation."""
 
 
-class DirectionOrthogonal(ValidationError):
-    """The ray direction is orthogonal to every constraint normal it must cross."""
-
-
 class OffsetTooLarge(ValidationError):
     """The parallel ray strays outside the ball in which the perturbation-sum
     identity is guaranteed: a foreign wall line crosses it between the first

@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
-from .dualgraph import IdealTuple
+from .dualgraph import IdealTuple, attach_ideals
 from .errors import InternalConsistencyError, LengthMismatch, ValidationError
 from .polytope import (
     Halfspace,
@@ -88,6 +88,14 @@ def _integer_direction(
     if any(u < 0 or u.denominator != 1 for u in exact) or not any(exact):
         raise ValidationError(f"{what} must be nonnegative integers, not all zero")
     return tuple(u.numerator for u in exact)
+
+
+def _dot_F(ideals: IdealTuple, vector: Sequence) -> tuple:
+    """(u.F)_j = sum_i u_i F_i[j] for every component j, for a vector u of
+    `int` or `Fraction` entries, one per ideal."""
+    return tuple(
+        sum(map(operator.mul, vector, column)) for column in zip(*ideals.ideals)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,10 +211,7 @@ def evaluate_point(ideals: IdealTuple, point: PointLike) -> PointEvaluation:
     scale = math.lcm(denominator, *(c.denominator for c in coords))
     factor = scale // denominator
     scaled_point = tuple(c.numerator * (scale // c.denominator) for c in coords)
-    scaled_weighted = tuple(
-        sum(map(operator.mul, scaled_point, column))
-        for column in zip(*ideals.ideals)
-    )
+    scaled_weighted = _dot_F(ideals, scaled_point)
     scaled_values = tuple(
         w - k * factor for w, k in zip(scaled_weighted, scaled_canonical)
     )
@@ -373,8 +378,6 @@ def region(ideals: IdealTuple, point: PointLike) -> RegionReport:
 
 def subtuple(ideals: IdealTuple, indices: Sequence[int]) -> IdealTuple:
     """The tuple restricted to the chosen ideals (0-based indices)."""
-    from .dualgraph import attach_ideals
-
     chosen = [ideals.ideals[i] for i in indices]
     return attach_ideals(ideals.graph, chosen)
 
@@ -385,8 +388,4 @@ def combined_ideal(ideals: IdealTuple, weights: Sequence[int]) -> tuple[int, ...
     Used by the planar-slice reduction: the slice through an axis point and
     an interior point sees the duple (F_a, sum of weighted others).
     """
-    weights = _integer_direction(ideals, weights, "weights")
-    return tuple(
-        sum(weights[i] * ideals.ideals[i][j] for i in range(ideals.r))
-        for j in range(ideals.size)
-    )
+    return _dot_F(ideals, _integer_direction(ideals, weights, "weights"))

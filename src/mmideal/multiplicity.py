@@ -40,12 +40,11 @@ from .evaluate import (
     Point,
     PointEvaluation,
     PointLike,
+    _dot_F,
     _integer_direction,
     evaluate_point,
     support_components,
-    weighted_F,
 )
-from .polytope import make_halfspace
 from .unloading import colength, intersection_products
 
 __all__ = [
@@ -286,6 +285,10 @@ def perturbation_sum(
     admissible iff no line *missing* the point crosses L' within the closed
     parameter interval of the crossings and every crossing stays in the
     nonnegative orthant; otherwise OffsetTooLarge is raised.
+
+    The point's evaluation supplies the wall lines and the scaled gap values;
+    no `Fraction` view of c.F is built.  Every ideal has full support, so each
+    slope q_j = ray_dir . F_j is a positive integer and L' crosses every line.
     """
     evaluation = evaluate_point(ideals, point)
     coords = evaluation.point
@@ -296,37 +299,26 @@ def perturbation_sum(
     base = tuple(c + s for c, s in zip(coords, shift))
     if any(b < 0 for b in base):
         raise OffsetTooLarge(f"shifted base {base} leaves the orthant")
+    slopes = _dot_F(ideals, direction)
+    drifts = _dot_F(ideals, shift)  # offset.F: how far the base moves each v_j
 
-    columns = [
-        tuple(ideals.ideals[i][j] for i in range(ideals.r))
-        for j in range(ideals.size)
-    ]
-    weighted_at = evaluation.weighted
-    weighted_base = weighted_F(ideals, base)
-    # distinct geometric lines through the point carrying some V_{j,l}, l > 0
-    groups: dict[tuple[Fraction, ...], list[tuple[int, int]]] = {}
-    for j, level in evaluation.wall_lines:
-        key = make_halfspace(columns[j], weighted_at[j]).key()
-        groups.setdefault(key, []).append((j, level))
+    # Lines through one point coincide exactly when their normals F_j are
+    # proportional, so the distinct geometric lines are keyed by the
+    # gcd-reduced normal.
+    lines: dict[tuple[int, ...], int] = {}
+    for j, _ in evaluation.wall_lines:
+        normal = tuple(vector[j] for vector in ideals.ideals)
+        divisor = math.gcd(*normal)
+        lines.setdefault(tuple(n // divisor for n in normal), j)
 
     crossings: list[tuple[Fraction, Point, int]] = []
-    parameters: list[Fraction] = []
-    for key, members in sorted(groups.items()):
-        j = members[0][0]
-        normal = columns[j]
-        slope = sum(n * u for n, u in zip(normal, direction))
-        if slope == 0:
-            raise OffsetTooLarge(
-                f"ray direction {direction} is parallel to the wall line of "
-                f"{ideals.graph.label(j)}"
-            )
-        parameter = (weighted_at[j] - weighted_base[j]) / slope
+    for j in lines.values():
+        parameter = -drifts[j] / slopes[j]
         crossing = tuple(b + parameter * u for b, u in zip(base, direction))
         if any(x < 0 for x in crossing):
             raise OffsetTooLarge(
                 f"crossing {crossing} leaves the orthant; shrink the offset"
             )
-        parameters.append(parameter)
         crossings.append((parameter, crossing, 0))
 
     if crossings:
@@ -335,31 +327,17 @@ def perturbation_sum(
         # of {0} and the crossings.  No integral-level line that misses the
         # point may meet that region, otherwise a crossing could drift onto a
         # different stretch of its wall and the crossing sum would change.
-        low = min(Fraction(0), *parameters)
-        high = max(Fraction(0), *parameters)
-        through_keys = set(groups)
-        for j in range(ideals.size):
-            normal = columns[j]
-            slope = sum(n * u for n, u in zip(normal, direction))
-            k_j = ideals.graph.canonical[j]
-            corners = (
-                weighted_at[j] + low * slope,
-                weighted_at[j] + high * slope,
-                weighted_base[j] + low * slope,
-                weighted_base[j] + high * slope,
-            )
-            level_low = math.ceil(min(corners) - k_j)
-            level_high = math.floor(max(corners) - k_j)
-            for level in range(level_low, level_high + 1):
-                bound = k_j + level
-                if bound == weighted_at[j]:
-                    continue  # the line passes through the point itself
-                if make_halfspace(normal, bound).key() in through_keys:
-                    continue
-                raise OffsetTooLarge(
-                    f"wall line of {ideals.graph.label(j)} at level {level} "
-                    f"meets the swept region; shrink the offset"
-                )
+        # v_j is affine, so its range there is spanned by the four corners.
+        hull = [Fraction(0)] + [parameter for parameter, _, _ in crossings]
+        ends, scale = (min(hull), max(hull)), evaluation.scale
+        for j, (v, q, d) in enumerate(zip(evaluation.scaled_values, slopes, drifts)):
+            corners = [Fraction(v, scale) + t * q + e for t in ends for e in (0, d)]
+            for level in range(math.ceil(min(corners)), math.floor(max(corners)) + 1):
+                if level * scale != v:  # else the line passes through the point
+                    raise OffsetTooLarge(
+                        f"wall line of {ideals.graph.label(j)} at level {level} "
+                        f"meets the swept region; shrink the offset"
+                    )
         crossings = [
             (parameter, crossing, multiplicity_checked(ideals, crossing))
             for parameter, crossing, _ in sorted(crossings)

@@ -1,10 +1,11 @@
 """Walking rays through the wall arrangement and closed-form Poincare series.
 
 A ray is L(mu) = base + mu * direction with a nonnegative-integer direction,
-not all zero.  Because every ideal in a tuple has full support, the pulled
-back slope q_j = direction . F_j is a positive integer for every component,
-so each gap value v_j is strictly increasing and integer-periodic along the
-ray: v_j(mu + 1) = v_j(mu) + q_j.
+not all zero.  Because every ideal in a tuple has full support (the tuple
+refuses any other), the pulled back slope q_j = direction . F_j is a
+positive integer for every component, so each gap value v_j is strictly
+increasing and integer-periodic along the ray: v_j(mu + 1) = v_j(mu) + q_j.
+No direction is parallel to a wall line, and no component lacks candidates.
 
 Consequently the jumping parameters of the ray split into residue classes
 modulo 1.  Within a class, once a jumping point is *non-degenerate* — no gap
@@ -38,9 +39,10 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .dualgraph import IdealTuple
-from .errors import DirectionOrthogonal, HorizonTooSmall, InternalConsistencyError
+from .errors import HorizonTooSmall, InternalConsistencyError
 from .evaluate import (
     Point,
+    _dot_F,
     _integer_direction,
     evaluate_point,
     maximal_jumping_divisor,
@@ -77,15 +79,7 @@ class Ray:
 def make_ray(ideals: IdealTuple, base: Sequence, direction: Sequence[int]) -> Ray:
     origin = normalize_point(ideals, base)
     dir_ = _integer_direction(ideals, direction, "ray direction")
-    slopes = tuple(
-        sum(dir_[i] * ideals.ideals[i][j] for i in range(ideals.r))
-        for j in range(ideals.size)
-    )
-    if all(q == 0 for q in slopes):
-        raise DirectionOrthogonal(
-            f"direction {dir_} is orthogonal to every wall normal"
-        )
-    return Ray(base=origin, direction=dir_, slopes=slopes)
+    return Ray(base=origin, direction=dir_, slopes=_dot_F(ideals, dir_))
 
 
 def ray_point(ray: Ray, parameter: Fraction) -> Point:
@@ -112,13 +106,11 @@ def _candidate_parameters(ideals: IdealTuple, ray: Ray, after: Fraction) -> Iter
     carry the integer keys mu*L, L = lcm_j(N*q_j) (see the module text)."""
     base = evaluate_point(ideals, ray.base)
     scale = base.scale
-    common = math.lcm(*(scale * q for q in ray.slopes if q))
+    common = math.lcm(*(scale * q for q in ray.slopes))
     numerator, denominator = after.numerator, after.denominator
 
     def stream(j: int) -> Iterator[int]:
         q, v = ray.slopes[j], base.scaled_values[j]
-        if q == 0:
-            return
         step = common // (scale * q)
         # the first level n above v_j(after) = after*q + v/N
         first = max(

@@ -254,6 +254,25 @@ def test_cli_walls_csv_and_svg(tmp_path, capsys):
     assert "3,2,3,1,1,1" in svg
 
 
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (["ray", "RAT6", "--base", "0,0", "--dir", "1,1", "--until", "1/4",
+          "--csv"], "mu = 1/4; c = 1/4,1/4; m = 3"),
+        (["walls", "RAT6", "--box", "1,1", "--svg"], "facets = 37"),
+    ],
+    ids=["ray-csv", "walls-svg"],
+)
+def test_cli_unwritable_output_is_exit_1(argv, printed, tmp_path, capsys):
+    target = tmp_path / "missing" / "out"
+    assert main(argv + [str(target)]) == 1
+    captured = capsys.readouterr()
+    assert printed in captured.out
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("io error: ")
+    assert str(target) in lines[0] and "Traceback" not in captured.err
+
+
 def test_cli_selftest_deterministic(capsys):
     assert main(["selftest"]) == 0
     first = capsys.readouterr().out

@@ -11,6 +11,7 @@ from mmideal import (
     admissible_perturbation,
     check_H_inequalities,
     default_offset,
+    evaluate_point,
     is_jumping,
     jump_record,
     minimal_jumping_divisor,
@@ -144,6 +145,22 @@ def test_offset_too_large(rat6):
             frozen.RAY_DIR,
             (Fraction(1, 2), Fraction(0)),
         )
+
+
+@pytest.mark.parametrize(
+    "name, point",
+    [("RAT6", frozen.RAT6_CORNER), ("CHAIN10", frozen.RAY_L_DOUBLE_POINT)],
+    ids=["rat6-corner", "chain10-double-point"],
+)
+def test_perturbation_builds_no_fraction_views(tuples, name, point):
+    ideals = tuples[name]
+    offset = admissible_perturbation(ideals, point, frozen.RAY_DIR).offset
+    evaluation = evaluate_point(ideals, point)
+    report = perturbation_sum(ideals, evaluation, frozen.RAY_DIR, offset)
+    assert report.matched and len(report.crossings) >= 2
+    assert "wall_lines" in evaluation.__dict__  # cached views land here
+    assert "weighted" not in evaluation.__dict__
+    assert "values" not in evaluation.__dict__
 
 
 def test_default_offset_prefers_vanishing_axis():
