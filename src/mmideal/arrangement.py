@@ -16,7 +16,10 @@ half-edge points along its line's direction or against it, so one exact
 angular sort of those directions (half-plane index plus cross-product
 comparisons -- no trigonometry) ranks the half-edges at every vertex, and
 each face is an orbit of the next-pointer.  The single clockwise orbit
-along the box boundary is the outside and is dropped.
+along the box boundary is the outside and is dropped.  Every kept orbit
+runs counterclockwise, so each half-edge has its face on its left: the
+orbits alone say which face lies on the low and which on the high side of
+every edge, and no point is tested against a line.
 
 The module knows nothing about ideals; `walls` feeds it wall lines and
 interprets the cells.
@@ -281,9 +284,8 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
         loops.append(tuple(orbit))
 
     # twice the signed area and the vertex sum of each loop, over the
-    # loop's common denominator W; centroids[f] = (sum X, sum Y, W * n)
+    # loop's common denominator W
     faces: list[Face] = []
-    centroids: list[tuple[int, int, int]] = []
     face_renumber: list[int | None] = []
     for orbit in loops:
         loop = tuple(tail_of[half] for half in orbit)
@@ -297,15 +299,11 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
             face_renumber.append(None)
             continue
         face_renumber.append(len(faces))
-        centroid = (sum(xs), sum(ys), common * len(loop))
-        centroids.append(centroid)
+        count = common * len(loop)
         faces.append(
             Face(
                 loop=loop,
-                barycenter=(
-                    Fraction(centroid[0], centroid[2]),
-                    Fraction(centroid[1], centroid[2]),
-                ),
+                barycenter=(Fraction(sum(xs), count), Fraction(sum(ys), count)),
                 area=Fraction(doubled, 2 * common * common),
             )
         )
@@ -317,23 +315,11 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
     if len(vertices) - len(edges) + (len(faces) + 1) != 2:
         raise InternalConsistencyError("Euler characteristic violated")
 
-    # sides: the sign of A*X + B*Y - C*W at the face's centroid
-    edge_faces: list[tuple[int | None, int | None]] = []
-    for e, edge in enumerate(edges):
-        a, b, c = forms[edge.line_index]
-        sides: list[int | None] = [None, None]
-        for half in (2 * e, 2 * e + 1):
-            face_id = face_renumber[face_of_half[half]]
-            if face_id is None:
-                continue
-            x, y, w = centroids[face_id]
-            value = a * x + b * y - c * w
-            if value == 0:
-                raise InternalConsistencyError(
-                    "face barycenter lies on an incident carrier line"
-                )
-            sides[value > 0] = face_id
-        edge_faces.append((sides[0], sides[1]))
+    # sides: every kept loop runs counterclockwise, so the face of a
+    # half-edge lies on its left; left of the forward direction (b, -a) is
+    # the high side A*X + B*Y > C*W
+    side = [face_renumber[face] for face in face_of_half]
+    edge_faces = [(side[2 * e + 1], side[2 * e]) for e in range(len(edges))]
 
     return Arrangement(
         lines=tuple(lines),

@@ -108,12 +108,6 @@ class DualGraph:
     def label(self, j: int) -> str:
         return self.labels[j]
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise LengthMismatch(f"unknown component label: {label!r}") from None
-
 
 @dataclass(frozen=True)
 class IdealTuple:
@@ -270,7 +264,8 @@ def derive_diagonal(
     *edges* are index pairs (0-based by default; pass one_based=True for
     1-based pairs as used in fixture files).  Raises DivisionByZero when some
     k_j = -1 and NonIntegralSelfIntersection when the quotient is not an
-    integer <= -1.
+    integer <= -1.  An edge listed twice, in either orientation, raises
+    NotTree.
     """
     canonical = tuple(Fraction(k) for k in canonical)
     size = len(canonical)
@@ -281,6 +276,8 @@ def derive_diagonal(
         b -= offset
         if not (0 <= a < size and 0 <= b < size) or a == b:
             raise LengthMismatch(f"edge ({a + offset},{b + offset}) out of range")
+        if b in neighbor_sets[a]:
+            raise NotTree(f"edge ({a + offset},{b + offset}) is listed twice")
         neighbor_sets[a].add(b)
         neighbor_sets[b].add(a)
     diagonal = []

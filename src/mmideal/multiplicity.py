@@ -14,10 +14,9 @@ A fourth route evaluates the adjunction form on the *minimal* jumping
 divisor G and is valid at jumping points only.  All routes are exact; any
 disagreement is an internal-consistency failure, never a rounding question.
 
-The perturbation sum rule decomposes the multiplicity at a point lying on
-several wall lines into the multiplicities at one generic point per line,
-obtained by intersecting the lines with a parallel ray shifted by a small
-exact offset.  Admissibility of the offset is itself checked exactly.
+The perturbation sum rule splits the multiplicity at a point on several
+walls over the distinct points where a parallel ray, shifted by a small
+exact offset, crosses them; the offset's admissibility is checked exactly.
 """
 
 from __future__ import annotations
@@ -277,18 +276,20 @@ def perturbation_sum(
     ray_dir: Sequence[int],
     offset: Sequence,
 ) -> PerturbationReport:
-    """Decompose m(point) across the wall lines through it.
+    """Decompose m(point) across the walls through it.
 
-    The parallel line L'(mu) = (point + offset) + mu * ray_dir is intersected
-    with every geometric line carrying a wall V_{j,l} through the point; the
-    multiplicities at the crossings must add up to m(point).  The offset is
-    admissible iff no line *missing* the point crosses L' within the closed
-    parameter interval of the crossings and every crossing stays in the
-    nonnegative orthant; otherwise OffsetTooLarge is raised.
+    The parallel line L'(mu) = (point + offset) + mu * ray_dir crosses every
+    wall V_{j,l} through the point (a line when r = 2, a hyperplane when
+    r >= 3) at mu = -(offset.F_j)/q_j; the multiplicities at the distinct
+    crossing points must add up to m(point).  The offset is admissible iff
+    no wall *missing* the point meets the region swept between the point and
+    the crossings and every crossing stays in the nonnegative orthant;
+    otherwise OffsetTooLarge is raised.  An offset parallel to the ray gives
+    one crossing, the point itself.
 
-    The point's evaluation supplies the wall lines and the scaled gap values;
-    no `Fraction` view of c.F is built.  Every ideal has full support, so each
-    slope q_j = ray_dir . F_j is a positive integer and L' crosses every line.
+    The point's evaluation supplies the walls and the scaled gap values; no
+    `Fraction` view of c.F is built.  Every ideal has full support, so each
+    slope q_j = ray_dir . F_j is a positive integer and L' crosses every wall.
     """
     evaluation = evaluate_point(ideals, point)
     coords = evaluation.point
@@ -302,46 +303,39 @@ def perturbation_sum(
     slopes = _dot_F(ideals, direction)
     drifts = _dot_F(ideals, shift)  # offset.F: how far the base moves each v_j
 
-    # Lines through one point coincide exactly when their normals F_j are
-    # proportional, so the distinct geometric lines are keyed by the
-    # gcd-reduced normal.
-    lines: dict[tuple[int, ...], int] = {}
-    for j, _ in evaluation.wall_lines:
-        normal = tuple(vector[j] for vector in ideals.ideals)
-        divisor = math.gcd(*normal)
-        lines.setdefault(tuple(n // divisor for n in normal), j)
-
-    crossings: list[tuple[Fraction, Point, int]] = []
-    for j in lines.values():
-        parameter = -drifts[j] / slopes[j]
+    # Two walls meet L' at one parameter exactly when they meet it at one
+    # point, so the crossings are the distinct parameters.
+    parameters = {-drifts[j] / slopes[j] for j, _ in evaluation.wall_lines}
+    crossings = []
+    for parameter in sorted(parameters):
         crossing = tuple(b + parameter * u for b, u in zip(base, direction))
         if any(x < 0 for x in crossing):
             raise OffsetTooLarge(
                 f"crossing {crossing} leaves the orthant; shrink the offset"
             )
-        crossings.append((parameter, crossing, 0))
+        crossings.append((parameter, crossing))
 
     if crossings:
         # Admissibility: sliding the ray from the point to its offset copy
         # sweeps a parallelogram spanned by the offset and the parameter hull
-        # of {0} and the crossings.  No integral-level line that misses the
+        # of {0} and the crossings.  No integral-level wall that misses the
         # point may meet that region, otherwise a crossing could drift onto a
         # different stretch of its wall and the crossing sum would change.
         # v_j is affine, so its range there is spanned by the four corners.
-        hull = [Fraction(0)] + [parameter for parameter, _, _ in crossings]
-        ends, scale = (min(hull), max(hull)), evaluation.scale
+        ends = (min(0, crossings[0][0]), max(0, crossings[-1][0]))
+        scale = evaluation.scale
         for j, (v, q, d) in enumerate(zip(evaluation.scaled_values, slopes, drifts)):
             corners = [Fraction(v, scale) + t * q + e for t in ends for e in (0, d)]
             for level in range(math.ceil(min(corners)), math.floor(max(corners)) + 1):
-                if level * scale != v:  # else the line passes through the point
+                if level * scale != v:  # else the wall passes through the point
                     raise OffsetTooLarge(
                         f"wall line of {ideals.graph.label(j)} at level {level} "
                         f"meets the swept region; shrink the offset"
                     )
-        crossings = [
-            (parameter, crossing, multiplicity_checked(ideals, crossing))
-            for parameter, crossing, _ in sorted(crossings)
-        ]
+    crossings = [
+        (parameter, crossing, multiplicity_checked(ideals, crossing))
+        for parameter, crossing in crossings
+    ]
 
     center_mult = multiplicity_checked(ideals, evaluation)
     total = sum(m for _, _, m in crossings)

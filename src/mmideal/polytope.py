@@ -35,7 +35,7 @@ incidence sets, as
 * ``slack`` — no vertex lies on it.
 
 `Polytope.classification` holds that verdict for every constraint, computed
-once; `classify` and `facet_keys` read it.
+once; `facet_keys` reads it.
 
 Two constraints may be *coincident* (equal halfspaces up to positive
 scaling); both then earn the same classification.  Geometric dedup is by the
@@ -156,10 +156,6 @@ class Polytope:
     def dimension(self) -> int:
         return len(self.halfspaces[0].normal)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
-
     def incident_vertices(self, index: int) -> tuple[Vector, ...]:
         return tuple(
             v for v, tight in zip(self.vertices, self.incidence) if index in tight
@@ -181,10 +177,6 @@ class Polytope:
             else:
                 kinds.append("touch")
         return tuple(kinds)
-
-    def classify(self, index: int) -> str:
-        """'facet', 'touch', or 'slack' for the index-th halfspace."""
-        return self.classification[index]
 
     def facet_keys(self) -> dict[tuple[Fraction, ...], list[int]]:
         """Distinct facet-supporting hyperplanes -> indices of carrying constraints."""

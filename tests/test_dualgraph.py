@@ -53,6 +53,13 @@ def test_chain10_diagonal_and_canonical_round_trip():
     assert graph.canonical == tuple(Fraction(k) for k in frozen.CHAIN10_CANONICAL)
 
 
+def test_repeated_edge_is_refused():
+    first = frozen.CHAIN10_EDGES[0]
+    edges = tuple(frozen.CHAIN10_EDGES) + (first[::-1],)
+    with pytest.raises(NotTree, match=rf"edge \({first[1]},{first[0]}\)"):
+        graph_from_adjacency(edges, frozen.CHAIN10_CANONICAL, one_based=True)
+
+
 def test_chain10_is_a_chain(chain10):
     # ten components in a path: two leaves, eight valence-2 vertices
     valences = sorted(chain10.graph.valence(j) for j in range(10))
@@ -206,6 +213,3 @@ def test_elimination_matches_leading_minors():
 def test_labels(rat6):
     graph = rat6.graph
     assert graph.label(0) == "E1"
-    assert graph.index_of("E6") == 5
-    with pytest.raises(LengthMismatch):
-        graph.index_of("E7")

@@ -1,5 +1,6 @@
 """Fixture schema, serialization round-trips, and the command-line surface."""
 
+import ast
 import csv
 import json
 import random
@@ -19,7 +20,7 @@ from mmideal import (
     parse_fixture,
 )
 from mmideal.cli import main
-from mmideal.errors import ParseError, ValidationError
+from mmideal.errors import NotTree, ParseError, ValidationError
 from mmideal.svg import decimal_approx
 
 
@@ -27,6 +28,15 @@ def _smooth1_data():
     return json.loads(
         resources.files("mmideal").joinpath("fixtures/SMOOTH1.json").read_text()
     )
+
+
+def _chain10_with_repeated_edge():
+    """CHAIN10's fixture text with its first edge listed again, reversed."""
+    data = json.loads(
+        resources.files("mmideal").joinpath("fixtures/CHAIN10.json").read_text()
+    )
+    data["adjacency"].append(data["adjacency"][0][::-1])
+    return json.dumps(data)
 
 
 # ---------------------------------------------------------------- fixtures
@@ -182,6 +192,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_repeated_fixture_edge_is_refused(tmp_path, capsys):
+    with pytest.raises(NotTree):
+        build_tuple(parse_fixture(_chain10_with_repeated_edge()))
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(_chain10_with_repeated_edge())
+    assert main(["validate", str(repeated)]) == 2
+    assert "listed twice" in capsys.readouterr().err
+
+
 def test_cli_usage_error_is_exit_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
@@ -303,6 +322,29 @@ def _readme_transcripts() -> dict[tuple[str, ...], str]:
             if command.startswith("mmideal "):
                 transcripts[tuple(command.split()[1:])] = output
     return transcripts
+
+
+def test_readme_python_api():
+    """The README's Python API block runs, and every `expr  # value` line whose
+    value (up to any " — " remark) is a Python literal shows what expr gives."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    namespace = {}
+    exec(block, namespace)
+    compared = 0
+    for line in block.splitlines():
+        shown = re.fullmatch(r"([^#\s][^#]*?)\s+# (.*)", line)
+        if shown is None:
+            continue
+        expr, value = shown[1], shown[2].split(" — ")[0]
+        try:
+            value = ast.literal_eval(value)
+        except (ValueError, SyntaxError):
+            continue
+        assert eval(expr, namespace) == value, line
+        compared += 1
+    assert compared >= 6
 
 
 # The CLI byte for byte: every README command, and two lc commands on NEST14,

@@ -147,6 +147,46 @@ def test_offset_too_large(rat6):
         )
 
 
+_F = Fraction
+
+
+@pytest.mark.parametrize(
+    "name, point, direction, offset, crossing",
+    [
+        # an offset parallel to the ray: the shifted ray is the ray itself
+        (
+            "RAT6",
+            (_F(1, 4), _F(1, 4)),
+            (1, 1),
+            (_F(1, 64), _F(1, 64)),
+            (_F(-1, 64), (_F(1, 4), _F(1, 4)), 3),
+        ),
+        (
+            "CHAIN10",
+            (_F(0), _F(2)),
+            (1, 1),
+            (_F(1, 4096), _F(1, 4096)),
+            (_F(-1, 4096), (_F(0), _F(2)), 1),
+        ),
+        # three walls through the point, met by the shifted ray at one point
+        (
+            "NEST14",
+            (_F(13, 12), _F(1, 4), _F(0)),
+            (0, 0, 2),
+            (_F(-1, 512), _F(-1, 512), _F(1, 1024)),
+            (_F(19, 10240), (_F(1661, 1536), _F(127, 512), _F(3, 640)), 1),
+        ),
+    ],
+    ids=["rat6-parallel", "chain10-parallel", "nest14-shared-crossing"],
+)
+def test_perturbation_counts_each_crossing_point_once(
+    tuples, name, point, direction, offset, crossing
+):
+    report = perturbation_sum(tuples[name], point, direction, offset)
+    assert report.crossings == (crossing,)
+    assert report.matched and report.center_mult == crossing[2]
+
+
 @pytest.mark.parametrize(
     "name, point",
     [("RAT6", frozen.RAT6_CORNER), ("CHAIN10", frozen.RAY_L_DOUBLE_POINT)],

@@ -1,11 +1,14 @@
 """The perturbation sums against a `Fraction` reference.
 
-The reference below is the earlier `perturbation_sum`: it evaluates c.F again
-at the shifted base in `Fraction`s, keys the wall lines through the point by
-their canonical halfspace, and also skips a level line whose key is that of
-a line through the point.  The library reads the point's evaluation instead.  The two must give equal
-reports, or raise the same exception class, on seeded on-wall points of
-every fixture and at every facet-intersection vertex of two atlases.
+The reference below is an earlier `perturbation_sum`: it evaluates c.F again
+at the shifted base in `Fraction`s, keys the walls through the point by their
+canonical halfspace, intersects one wall per key with the shifted ray and
+keeps one crossing per distinct crossing point (its own `Fraction` tuple), and
+also skips a level wall whose key is that of a wall through the point.  The
+library reads the point's evaluation and keeps one crossing per distinct
+parameter of the shifted ray instead.  The two must give equal reports, or
+raise the same exception class, on seeded on-wall points of every fixture and
+at every facet-intersection vertex of two atlases.
 """
 
 import math
@@ -51,8 +54,7 @@ def reference_perturbation_sum(ideals, point, ray_dir, offset):
         key = make_halfspace(columns[j], weighted_at[j]).key()
         groups.setdefault(key, []).append((j, level))
 
-    crossings = []
-    parameters = []
+    crossings = {}  # one per distinct crossing point
     for key, members in sorted(groups.items()):
         j = members[0][0]
         slope = sum(n * u for n, u in zip(columns[j], direction))
@@ -62,12 +64,11 @@ def reference_perturbation_sum(ideals, point, ray_dir, offset):
         crossing = tuple(b + parameter * u for b, u in zip(base, direction))
         if any(x < 0 for x in crossing):
             raise OffsetTooLarge("crossing leaves the orthant")
-        parameters.append(parameter)
-        crossings.append((parameter, crossing, 0))
+        crossings[crossing] = parameter
 
     if crossings:
-        low = min(Fraction(0), *parameters)
-        high = max(Fraction(0), *parameters)
+        low = min(Fraction(0), *crossings.values())
+        high = max(Fraction(0), *crossings.values())
         through_keys = set(groups)
         for j in range(ideals.size):
             normal = columns[j]
@@ -88,10 +89,10 @@ def reference_perturbation_sum(ideals, point, ray_dir, offset):
                 if make_halfspace(normal, bound).key() in through_keys:
                     continue
                 raise OffsetTooLarge("a foreign wall line meets the swept region")
-        crossings = [
-            (parameter, crossing, multiplicity_checked(ideals, crossing))
-            for parameter, crossing, _ in sorted(crossings)
-        ]
+    crossings = [
+        (parameter, crossing, multiplicity_checked(ideals, crossing))
+        for crossing, parameter in sorted(crossings.items(), key=lambda c: c[1])
+    ]
 
     center_mult = multiplicity_checked(ideals, evaluation)
     total = sum(m for _, _, m in crossings)

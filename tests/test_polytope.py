@@ -31,7 +31,7 @@ def test_unit_square_vertices():
     assert set(polytope.vertices) == {
         (0, 0), (1, 0), (0, 1), (1, 1)
     }
-    assert all(polytope.classify(i) == "facet" for i in range(4))
+    assert all(polytope.classification[i] == "facet" for i in range(4))
 
 
 def test_touch_and_slack_classification():
@@ -41,8 +41,8 @@ def test_touch_and_slack_classification():
         make_halfspace((1, 1), 5),
     ]
     polytope = intersect_halfspaces(halfspaces)
-    assert polytope.classify(4) == "touch"
-    assert polytope.classify(5) == "slack"
+    assert polytope.classification[4] == "touch"
+    assert polytope.classification[5] == "slack"
 
 
 def test_coincident_facet_constraints_share_a_key():
@@ -98,7 +98,7 @@ def test_affine_rank():
 def test_empty_intersection():
     halfspaces = orthant_halfspaces(1) + [make_halfspace((1,), -1)]
     polytope = intersect_halfspaces(halfspaces)
-    assert polytope.is_empty
+    assert not polytope.vertices
 
 
 def test_no_halfspaces_rejected():
@@ -170,7 +170,7 @@ def _assert_matches_reference(spaces):
             spaces, vertices, index
         )
         kind = _reference_classify(spaces, vertices, index)
-        assert polytope.classify(index) == kind
+        assert polytope.classification[index] == kind
         if kind == "facet":
             keys.setdefault(spaces[index].key(), []).append(index)
     assert polytope.facet_keys() == keys
