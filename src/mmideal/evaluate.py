@@ -33,12 +33,15 @@ adjoint products (ceil(K - c.F) + H_c).E_j.
 The constancy region of c is the set of weights with the same ideal: the
 points z >= 0 with (z.F)_j < k_j + 1 + e_j^c for every j, where e^c = D_c.
 Constraints are emitted for all components; a validation pass checks that
-dropping every non-rupture, non-dicritical constraint leaves the open region
-unchanged (the binding constraints belong to rupture or dicritical
-components).  The pass runs together with the polytope build, the first
-time the region's polytope, classification or binding list is read; the
-bounds and the per-axis thresholds alone build nothing.  Violations are
-reported in the result, never raised.
+every facet of the region's polytope is carried by a rupture or dicritical
+component or by an orthant plane.  The region contains its centre, so the
+polytope is full-dimensional and equals the intersection of its facet
+halfspaces: dropping every non-rupture, non-dicritical constraint leaves the
+open region unchanged exactly when the pass finds nothing.  The pass reads
+the facet map of the one polytope built, the first time the region's
+polytope, classification or binding list is read; the bounds and the
+per-axis thresholds alone build nothing.  Violations are reported in the
+result, never raised.
 """
 
 from __future__ import annotations
@@ -52,14 +55,7 @@ from typing import Sequence, Union
 
 from .dualgraph import IdealTuple, attach_ideals
 from .errors import InternalConsistencyError, LengthMismatch, ValidationError
-from .polytope import (
-    Halfspace,
-    Polytope,
-    intersect_halfspaces,
-    orthant_halfspaces,
-    redundant_over,
-    same_region,
-)
+from .polytope import Halfspace, Polytope, intersect_halfspaces, orthant_halfspaces
 from .rationals import format_rational
 from .unloading import antinef_closure_checked, intersection_products
 
@@ -290,14 +286,14 @@ class RegionReport:
 
     The rest is built together, once, the first time any of it is read, so
     callers that need only the bounds or thresholds build no polytope.
-    `polytope` uses every component's constraint plus the orthant bounds;
-    `restricted` keeps only rupture/dicritical constraints.  The build checks
-    each axis's extreme vertex of `polytope` against `thresholds` and raises
-    `InternalConsistencyError` on a mismatch.  `classification` classifies
-    each component's constraint against the full polytope as 'facet',
-    'touch', or 'slack'.  `binding_non_rupture` lists components whose
-    constraint genuinely cuts the restricted open region — expected to be
-    empty always; surfaced for reporting rather than raised.
+    `polytope` uses every component's constraint plus the orthant bounds.
+    The build checks each axis's extreme vertex of `polytope` against
+    `thresholds` and raises `InternalConsistencyError` on a mismatch.
+    `classification` classifies each component's constraint against the
+    polytope as 'facet', 'touch', or 'slack'.  `binding_non_rupture` lists
+    the components, neither rupture nor dicritical, that carry a facet no
+    rupture/dicritical component and no orthant plane also carries.  It is
+    expected to be empty always; surfaced for reporting rather than raised.
     """
 
     ideals: IdealTuple
@@ -312,9 +308,8 @@ class RegionReport:
         )
 
     @cached_property
-    def _geometry(self) -> tuple[Polytope, Polytope, tuple[int, ...]]:
+    def _geometry(self) -> tuple[Polytope, tuple[int, ...]]:
         ideals = self.ideals
-        axis = orthant_halfspaces(ideals.r)
         constraints = [
             Halfspace(
                 tuple(Fraction(ideals.ideals[i][j]) for i in range(ideals.r)),
@@ -322,7 +317,7 @@ class RegionReport:
             )
             for j in range(ideals.size)
         ]
-        full = intersect_halfspaces(axis + constraints)
+        full = intersect_halfspaces(orthant_halfspaces(ideals.r) + constraints)
         for i, threshold in enumerate(self.thresholds):
             on_axis = [v[i] for v in full.vertices if not any(v[:i] + v[i + 1 :])]
             extreme = max(on_axis, default=None)
@@ -333,26 +328,19 @@ class RegionReport:
                     f"{format_rational(threshold)}, the region polytope's "
                     f"vertex on that axis gives {shown}"
                 )
-        keep = ideals.rupture_or_dicritical
-        restricted = intersect_halfspaces(
-            axis + [c for j, c in enumerate(constraints) if keep[j]]
+        # halfspace index i >= r is component i - r; the orthant planes are kept
+        kept = (True,) * ideals.r + ideals.rupture_or_dicritical
+        binding = sorted(
+            index - ideals.r
+            for carriers in full.facet_keys().values()
+            if not any(kept[i] for i in carriers)
+            for index in carriers
         )
-        binding = ()
-        if not same_region(full, restricted):
-            binding = tuple(
-                j
-                for j, constraint in enumerate(constraints)
-                if not keep[j] and not redundant_over(restricted, constraint)
-            )
-        return full, restricted, binding
+        return full, tuple(binding)
 
     @property
     def polytope(self) -> Polytope:
         return self._geometry[0]
-
-    @property
-    def restricted(self) -> Polytope:
-        return self._geometry[1]
 
     @property
     def classification(self) -> tuple[str, ...]:
@@ -360,7 +348,7 @@ class RegionReport:
 
     @property
     def binding_non_rupture(self) -> tuple[int, ...]:
-        return self._geometry[2]
+        return self._geometry[1]
 
     @property
     def valid(self) -> bool:

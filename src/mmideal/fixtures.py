@@ -301,7 +301,9 @@ def load_fixture(name_or_path: str) -> Fixture:
 def build_graph_from_fixture(fixture: Fixture) -> DualGraph:
     if fixture.matrix is not None:
         return build_graph(fixture.matrix)
-    return graph_from_adjacency(fixture.adjacency, fixture.canonical)
+    # the file's 1-based pairs, so an error names an edge as the file writes it
+    edges = [(a + 1, b + 1) for a, b in fixture.adjacency]
+    return graph_from_adjacency(edges, fixture.canonical, one_based=True)
 
 
 def build_tuple(fixture: Fixture) -> IdealTuple:

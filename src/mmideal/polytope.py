@@ -278,23 +278,3 @@ def intersect_halfspaces(halfspaces: Sequence[Halfspace]) -> Polytope:
         incidence=tuple(labels for _, labels in pairs),
     )
 
-
-def same_region(a: Polytope, b: Polytope) -> bool:
-    """Equality of the two regions, compared through their closures.
-
-    Both arguments are closures of regions of the form
-    {z in the orthant : strict wall inequalities}; two such regions with the
-    same closure are equal as sets, and bounded closed polytopes coincide iff
-    their vertex sets do.
-    """
-    return set(a.vertices) == set(b.vertices)
-
-
-def redundant_over(polytope: Polytope, halfspace: Halfspace) -> bool:
-    """True iff adding the (strict) halfspace would not cut the region.
-
-    For a bounded polytope the maximum of the linear form is attained at a
-    vertex, so the open region carved from `polytope` loses points iff some
-    vertex exceeds the bound.
-    """
-    return all(halfspace.value(v) <= halfspace.bound for v in polytope.vertices)

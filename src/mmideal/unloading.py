@@ -17,9 +17,10 @@ Two implementations of unloading are provided on purpose:
   worklist instead of rescanning in index order.
 
 Both must return the same divisor on every input; the test-suite and the
-``closure`` CLI subcommand verify that exactly.  Checked closures are
-memoized per graph, keyed by the divisor alone, in the graph's own
-``closure_cache``, a :class:`ClosureCache` of at most
+``closure`` CLI subcommand verify that exactly.  Both start from the
+clamped divisor max(D, 0) and refuse a non-integer coefficient.  Checked
+closures are memoized per graph, keyed by the clamped divisor alone, in the
+graph's own ``closure_cache``, a :class:`ClosureCache` of at most
 ``CLOSURE_CACHE_BOUND`` entries that counts its hits and misses; the cache
 dies with its graph.
 
@@ -36,6 +37,7 @@ from .errors import (
     LengthMismatch,
     NonIntegralTotal,
     NotAntinef,
+    ValidationError,
 )
 
 if TYPE_CHECKING:
@@ -102,6 +104,16 @@ def is_antinef(graph: DualGraph, divisor: Sequence[int]) -> bool:
     return all(product <= 0 for product in intersection_products(graph, divisor))
 
 
+def _clamped(divisor: Sequence) -> list[int]:
+    """max(D, 0) coefficientwise.  Both closures start from it; a
+    non-integer coefficient is refused, never truncated."""
+    integers = list(map(int, divisor))
+    if integers != list(divisor):
+        shown = ", ".join(map(str, divisor))
+        raise ValidationError(f"divisor ({shown}) has a non-integer coefficient")
+    return [c if c > 0 else 0 for c in integers]
+
+
 def _unload(graph: DualGraph, start: list[int]) -> tuple[int, ...]:
     """Ceiling-step unloading loop.
 
@@ -128,12 +140,13 @@ def _unload(graph: DualGraph, start: list[int]) -> tuple[int, ...]:
 
 
 def antinef_closure(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]:
-    """Smallest antinef divisor >= divisor (negative coefficients clamp to 0).
+    """Smallest antinef divisor >= divisor (negative coefficients clamp to 0,
+    non-integer ones are refused).
 
     Uses ceiling-step unloading.  The result is asserted antinef and above
     the clamped input.
     """
-    clamped = [max(int(coefficient), 0) for coefficient in divisor]
+    clamped = _clamped(divisor)
     result = _unload(graph, list(clamped))
     if not is_antinef(graph, result):
         raise InternalConsistencyError("unloading returned a non-antinef divisor")
@@ -151,7 +164,7 @@ def antinef_closure_unit(graph: DualGraph, divisor: Sequence[int]) -> tuple[int,
     a popped component that is no longer violated is skipped.
     """
     matrix, adjacency = graph.matrix, graph.adjacency
-    result = [max(int(coefficient), 0) for coefficient in divisor]
+    result = _clamped(divisor)
     products = list(intersection_products(graph, result))
     pending = [j for j, product in enumerate(products) if product > 0]
     while pending:
@@ -175,11 +188,12 @@ def antinef_closure_unit(graph: DualGraph, divisor: Sequence[int]) -> tuple[int,
 def antinef_closure_checked(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]:
     """Closure computed by both unloading variants, which must agree exactly.
 
-    Memoized in the graph's ``closure_cache``, keyed by the divisor: atlases
-    and perturbation sums evaluate heavily overlapping floor vectors, and the
-    closure is deterministic.
+    Memoized in the graph's ``closure_cache``, keyed by the clamped divisor
+    max(D, 0), which has the same closure: atlases and perturbation sums
+    evaluate heavily overlapping floor vectors, and the closure is
+    deterministic.
     """
-    key = tuple(int(c) for c in divisor)
+    key = tuple(_clamped(divisor))
     cached = graph.closure_cache.lookup(key)
     if cached is not None:
         return cached

@@ -28,7 +28,8 @@ from mmideal import (
     support_components,
     weighted_F,
 )
-from mmideal import cli, evaluate, walls
+from mmideal import cli, walls
+from mmideal.dualgraph import IdealTuple
 from mmideal.errors import LengthMismatch, ValidationError
 from mmideal.unloading import divisor_leq
 
@@ -188,9 +189,8 @@ def test_bound_only_callers_build_no_polytope(monkeypatch, nest14):
     assert built == []
 
 
-def test_bijection_report_builds_both_polytopes_once(monkeypatch, nest14):
+def test_bijection_report_builds_one_polytope(monkeypatch, nest14):
     built = _record_calls(monkeypatch, "evaluate", "intersect_halfspaces")
-    compared = _record_calls(monkeypatch, "evaluate", "same_region")
     reports = []
 
     def recording_lc_region(ideals):
@@ -199,11 +199,9 @@ def test_bijection_report_builds_both_polytopes_once(monkeypatch, nest14):
 
     monkeypatch.setattr(walls, "lc_region", recording_lc_region)
     bijection_report(nest14)
-    assert len(built) == 2  # the full and the restricted polytope
-    assert len(compared) == 1  # the binding test ran in the same build
     (report,) = reports
     assert report.binding_non_rupture == ()
-    assert len(built) == 2 and len(compared) == 1
+    assert len(built) == 1  # the binding test read the same polytope
 
 
 def test_bijection_report_ranks_each_constraint_at_most_once(monkeypatch, nest14):
@@ -224,11 +222,12 @@ def test_bijection_report_ranks_each_constraint_at_most_once(monkeypatch, nest14
 
 def test_cli_lct_still_refuses_a_binding_constraint(monkeypatch, capsys):
     built = _record_calls(monkeypatch, "evaluate", "intersect_halfspaces")
-    monkeypatch.setattr(evaluate, "same_region", lambda a, b: False)
-    monkeypatch.setattr(evaluate, "redundant_over", lambda polytope, space: False)
+    monkeypatch.setattr(
+        IdealTuple, "rupture_or_dicritical", property(lambda self: (False,) * self.size)
+    )
     assert cli.main(["lct", "RAT6"]) == 2
-    assert "bind the region" in capsys.readouterr().err
-    assert len(built) == 2
+    assert "components 2, 4 bind the region" in capsys.readouterr().err
+    assert len(built) == 1
 
 
 def test_jump_record_evaluates_the_point_once(monkeypatch, rat6):

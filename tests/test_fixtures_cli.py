@@ -198,7 +198,8 @@ def test_repeated_fixture_edge_is_refused(tmp_path, capsys):
     repeated = tmp_path / "repeated.json"
     repeated.write_text(_chain10_with_repeated_edge())
     assert main(["validate", str(repeated)]) == 2
-    assert "listed twice" in capsys.readouterr().err
+    # named in the file's 1-based numbering: the file writes (7, 10), then (10, 7)
+    assert "edge (10,7) is listed twice" in capsys.readouterr().err
 
 
 def test_cli_usage_error_is_exit_1(capsys):

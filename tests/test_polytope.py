@@ -8,13 +8,12 @@ import pytest
 
 import frozen
 from mmideal import attach_ideals, lc_region, region, subtuple
+from mmideal.dualgraph import IdealTuple
 from mmideal.polytope import (
     affine_rank,
     intersect_halfspaces,
     make_halfspace,
     orthant_halfspaces,
-    redundant_over,
-    same_region,
     solve_square,
 )
 
@@ -54,16 +53,6 @@ def test_coincident_facet_constraints_share_a_key():
     keys = polytope.facet_keys()
     diagonal = [indices for key, indices in keys.items() if len(indices) == 2]
     assert diagonal == [[2, 3]]
-
-
-def test_same_region_and_redundancy():
-    square = intersect_halfspaces(unit_square())
-    with_extra = intersect_halfspaces(
-        unit_square() + [make_halfspace((1, 1), 7)]
-    )
-    assert same_region(square, with_extra)
-    assert redundant_over(square, make_halfspace((1, 1), 2))
-    assert not redundant_over(square, make_halfspace((1, 1), 1))
 
 
 def test_solve_square():
@@ -238,6 +227,13 @@ def test_clip_matches_reference_on_positive_floors():
             _assert_matches_reference(spaces)
 
 
+def _kept_halfspaces(report):
+    """The orthant planes and the rupture/dicritical components' constraints
+    of a region's polytope, in its halfspace order."""
+    kept = (True,) * report.ideals.r + report.ideals.rupture_or_dicritical
+    return [space for space, keep in zip(report.polytope.halfspaces, kept) if keep]
+
+
 def _with_fundamental_cycle(ideals):
     return attach_ideals(ideals.graph, ideals.ideals + (ideals.graph.fundamental,))
 
@@ -254,7 +250,7 @@ def test_clip_matches_reference_on_fixture_lc_regions(tuples, name):
     for chosen in chosen_tuples:
         report = lc_region(chosen)
         _assert_matches_reference(report.polytope.halfspaces)
-        _assert_matches_reference(report.restricted.halfspaces)
+        _assert_matches_reference(_kept_halfspaces(report))
 
 
 def test_clip_matches_reference_on_sample_regions(tuples):
@@ -270,4 +266,38 @@ def test_clip_matches_reference_on_sample_regions(tuples):
     for name, point in points:
         report = region(tuples[name], point)
         _assert_matches_reference(report.polytope.halfspaces)
-        _assert_matches_reference(report.restricted.halfspaces)
+        _assert_matches_reference(_kept_halfspaces(report))
+
+
+def test_valid_matches_the_two_clip_rule_on_random_masks(monkeypatch, tuples):
+    # the former rule: a region is valid exactly when clipping the orthant by
+    # the kept constraints alone gives the full polytope's vertex set
+    rng = random.Random(41)
+    verdicts = {True: 0, False: 0}
+    for name in ("CHAIN10", "NEST14", "PROP16", "RAT6", "SMOOTH1"):
+        ideals = tuples[name]
+        centres = [(0,) * ideals.r] + [
+            tuple(
+                Fraction(rng.randint(0, 30), rng.randint(1, 12))
+                for _ in range(ideals.r)
+            )
+            for _ in range(3)
+        ]
+        for centre in centres:
+            for _ in range(8):
+                share = rng.random()
+                mask = tuple(rng.random() < share for _ in range(ideals.size))
+                if not any(mask):
+                    continue  # the orthant alone is unbounded
+                monkeypatch.setattr(IdealTuple, "rupture_or_dicritical", mask)
+                report = region(ideals, centre)
+                restricted = intersect_halfspaces(_kept_halfspaces(report))
+                expected = set(restricted.vertices) == set(report.polytope.vertices)
+                assert report.valid == expected, (name, centre, mask)
+                verdicts[expected] += 1
+                carriers = list(report.polytope.facet_keys().values())
+                for j in report.binding_non_rupture:
+                    assert not mask[j]
+                    (facet,) = [c for c in carriers if ideals.r + j in c]
+                    assert all(i >= ideals.r and not mask[i - ideals.r] for i in facet)
+    assert verdicts[True] >= 30 and verdicts[False] >= 30, verdicts

@@ -133,6 +133,37 @@ def test_closure_clamps_negative_entries(rat6):
     assert closure == (0,) * 6
 
 
+def test_closures_refuse_non_integer_coefficients(rat6):
+    graph = build_graph(rat6.graph.matrix)
+    for coefficient in (Fraction(1, 2), Fraction(5, 2), 2.7):
+        divisor = (coefficient, 0, 0, 0, 0, 0)
+        for closure in (antinef_closure, antinef_closure_unit, antinef_closure_checked):
+            with pytest.raises(ValidationError, match="non-integer coefficient"):
+                closure(graph, divisor)
+    assert graph.closure_cache == {}
+    # an integer-valued Fraction or float is an integer coefficient
+    two = antinef_closure_checked(graph, (2, 0, 0, 0, 0, 0))
+    assert antinef_closure_checked(graph, (Fraction(4, 2), 0, 0, 0, 0, 0)) == two
+    assert antinef_closure_checked(graph, (2.0, 0, 0, 0, 0, 0)) == two
+
+
+def test_checked_closure_keys_on_the_clamped_divisor(rat6, monkeypatch):
+    graph = build_graph(rat6.graph.matrix)
+    oracle = unloading.antinef_closure_unit
+    calls = []
+
+    def counted(graph, divisor):
+        calls.append(divisor)
+        return oracle(graph, divisor)
+
+    monkeypatch.setattr(unloading, "antinef_closure_unit", counted)
+    closure = antinef_closure_checked(graph, (3, -2, 1, 0, -7, 0))
+    assert antinef_closure_checked(graph, (3, 0, 1, -1, 0, 0)) == closure
+    assert len(calls) == 1
+    assert graph.closure_cache == {(3, 0, 1, 0, 0, 0): closure}
+    assert (graph.closure_cache.hits, graph.closure_cache.misses) == (1, 1)
+
+
 def test_fundamental_cycles(tuples):
     assert fundamental_cycle(tuples["RAT6"].graph) == frozen.RAT6_FUNDAMENTAL
     assert fundamental_cycle(tuples["SMOOTH1"].graph) == (1,)
