@@ -69,7 +69,6 @@ from .multiplicity import (
     multiplicity_oracle,
     multiplicity_via_G,
     perturbation_sum,
-    wall_lines_through,
 )
 from .rationals import format_point, format_rational, parse_point, parse_rational
 from .rays import (
@@ -196,6 +195,5 @@ __all__ = [
     "subtuple",
     "support_components",
     "wall_lines",
-    "wall_lines_through",
     "weighted_F",
 ]

@@ -34,6 +34,7 @@ from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .errors import InternalConsistencyError
+from .rationals import over_common_denominator
 
 __all__ = [
     "Line",
@@ -100,12 +101,6 @@ def merge_lines(lines: Iterable[Line]) -> list[Line]:
                 seen.is_box or line.is_box,
             )
     return [merged[key] for key in sorted(merged)]
-
-
-def _integer_form(line: Line) -> tuple[int, int, int]:
-    """(A, B, C): a positive integer multiple of the line's (a, b, c)."""
-    scale = math.lcm(line.a.denominator, line.b.denominator, line.c.denominator)
-    return (int(line.a * scale), int(line.b * scale), int(line.c * scale))
 
 
 def _direction_compare(left: tuple[int, int], right: tuple[int, int]) -> int:
@@ -175,7 +170,7 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
             make_line(0, 1, by, is_box=True),
         ]
     )
-    forms = [_integer_form(line) for line in lines]
+    forms = [over_common_denominator((line.a, line.b, line.c))[1] for line in lines]
 
     # vertices: pairwise intersections (X/W, Y/W) with W > 0 and
     # gcd(X, Y, W) = 1 inside the closed box, each recorded on both lines

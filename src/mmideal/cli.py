@@ -383,10 +383,9 @@ def _build_parser() -> _Parser:
         dest="command", required=True, parser_class=_Parser
     )
 
-    def add(name: str, handler, help_text: str, fixture: bool = True):
+    def add(name: str, handler, help_text: str):
         sub = commands.add_parser(name, help=help_text)
-        if fixture:
-            sub.add_argument("fixture", help="bundled fixture name or JSON path")
+        sub.add_argument("fixture", help="bundled fixture name or JSON path")
         sub.set_defaults(handler=handler)
         return sub
 

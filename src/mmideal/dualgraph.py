@@ -19,13 +19,15 @@ vanishing orders of the i-th ideal along each component).  Excesses
 rho[i][j] = -F_i.E_j classify components: *dicritical* ones carry positive
 excess for some ideal, *rupture* ones have valence >= 3 in the tree.
 
-Indices are 0-based internally; user-facing labels are "E1".."Es".
+Component indices are 0-based in memory.  Edge pairs given to
+`derive_diagonal` and `graph_from_adjacency` are 1-based, like the labels
+"E1".."Es" and the fixture files; those two functions are the only place the
+numbering is converted, and their errors name a pair as the caller gave it.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -45,6 +47,7 @@ from .errors import (
     NotTree,
     ValidationError,
 )
+from .rationals import over_common_denominator
 from .unloading import (
     ClosureCache,
     fundamental_cycle,
@@ -76,7 +79,6 @@ class DualGraph:
     matrix: Matrix
     canonical: tuple[Fraction, ...]
     adjacency: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
     closure_cache: ClosureCache = field(
         default_factory=ClosureCache, init=False, compare=False, repr=False
     )
@@ -93,10 +95,7 @@ class DualGraph:
     @cached_property
     def scaled_canonical(self) -> tuple[int, tuple[int, ...]]:
         """(D, D*K): D the lcm of the denominators of K, D*K in integers."""
-        denominator = math.lcm(*(k.denominator for k in self.canonical))
-        return denominator, tuple(
-            k.numerator * (denominator // k.denominator) for k in self.canonical
-        )
+        return over_common_denominator(self.canonical)
 
     def valence(self, j: int) -> int:
         return len(self.adjacency[j])
@@ -106,7 +105,7 @@ class DualGraph:
         return tuple(self.valence(j) >= 3 for j in range(self.size))
 
     def label(self, j: int) -> str:
-        return self.labels[j]
+        return f"E{j + 1}"
 
 
 @dataclass(frozen=True)
@@ -228,14 +227,11 @@ def build_graph(rows) -> DualGraph:
     """
     matrix = _normalized_matrix(rows)
     adjacency, canonical = _validate_matrix(matrix)
-    labels = tuple(f"E{j + 1}" for j in range(len(matrix)))
     for j, row in enumerate(matrix):
         # (K + E_j).E_j, read off the sparse row of the tree
         if row[j] * (canonical[j] + 1) + sum(canonical[l] for l in adjacency[j]) != -2:
-            raise InternalConsistencyError(f"K fails adjunction at {labels[j]}")
-    graph = DualGraph(
-        matrix=matrix, canonical=canonical, adjacency=adjacency, labels=labels
-    )
+            raise InternalConsistencyError(f"K fails adjunction at E{j + 1}")
+    graph = DualGraph(matrix=matrix, canonical=canonical, adjacency=adjacency)
     fundamental = graph.fundamental
     if any(coefficient < 1 for coefficient in fundamental):
         raise InternalConsistencyError("fundamental cycle is not strictly positive")
@@ -250,10 +246,7 @@ def build_graph(rows) -> DualGraph:
 
 
 def derive_diagonal(
-    edges: Sequence[tuple[int, int]],
-    canonical: Sequence[Fraction],
-    *,
-    one_based: bool = False,
+    edges: Sequence[tuple[int, int]], canonical: Sequence[Fraction]
 ) -> tuple[int, ...]:
     """Reconstruct self-intersections from a tree and its canonical divisor.
 
@@ -261,25 +254,22 @@ def derive_diagonal(
 
         E_j^2 = -(2 + sum of k_l over neighbors l of j) / (k_j + 1).
 
-    *edges* are index pairs (0-based by default; pass one_based=True for
-    1-based pairs as used in fixture files).  Raises DivisionByZero when some
-    k_j = -1 and NonIntegralSelfIntersection when the quotient is not an
-    integer <= -1.  An edge listed twice, in either orientation, raises
-    NotTree.
+    *edges* are 1-based index pairs, as in fixture files: (1, 2) joins E1
+    and E2.  A pair outside 1..s (or a self-loop) raises LengthMismatch, an
+    edge listed twice, in either orientation, raises NotTree; both messages
+    name the pair as given.  Raises DivisionByZero when some k_j = -1 and
+    NonIntegralSelfIntersection when the quotient is not an integer <= -1.
     """
     canonical = tuple(Fraction(k) for k in canonical)
     size = len(canonical)
-    offset = 1 if one_based else 0
     neighbor_sets: list[set[int]] = [set() for _ in range(size)]
     for a, b in edges:
-        a -= offset
-        b -= offset
-        if not (0 <= a < size and 0 <= b < size) or a == b:
-            raise LengthMismatch(f"edge ({a + offset},{b + offset}) out of range")
-        if b in neighbor_sets[a]:
-            raise NotTree(f"edge ({a + offset},{b + offset}) is listed twice")
-        neighbor_sets[a].add(b)
-        neighbor_sets[b].add(a)
+        if not (1 <= a <= size and 1 <= b <= size) or a == b:
+            raise LengthMismatch(f"edge ({a},{b}) out of range")
+        if b - 1 in neighbor_sets[a - 1]:
+            raise NotTree(f"edge ({a},{b}) is listed twice")
+        neighbor_sets[a - 1].add(b - 1)
+        neighbor_sets[b - 1].add(a - 1)
     diagonal = []
     for j in range(size):
         denominator = canonical[j] + 1
@@ -298,24 +288,20 @@ def derive_diagonal(
 
 
 def graph_from_adjacency(
-    edges: Sequence[tuple[int, int]],
-    canonical: Sequence[Fraction],
-    *,
-    one_based: bool = False,
+    edges: Sequence[tuple[int, int]], canonical: Sequence[Fraction]
 ) -> DualGraph:
-    """Assemble and validate a graph from tree edges plus K.
+    """Assemble and validate a graph from 1-based tree edges plus K.
 
     The derived matrix must reproduce the given K exactly (checked)."""
     canonical = tuple(Fraction(k) for k in canonical)
-    diagonal = derive_diagonal(edges, canonical, one_based=one_based)
+    diagonal = derive_diagonal(edges, canonical)
     size = len(canonical)
-    offset = 1 if one_based else 0
     rows = [[0] * size for _ in range(size)]
     for j in range(size):
         rows[j][j] = diagonal[j]
     for a, b in edges:
-        rows[a - offset][b - offset] = 1
-        rows[b - offset][a - offset] = 1
+        rows[a - 1][b - 1] = 1
+        rows[b - 1][a - 1] = 1
     graph = build_graph(rows)
     if graph.canonical != canonical:
         raise InternalConsistencyError(

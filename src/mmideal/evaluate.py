@@ -73,6 +73,13 @@ def normalize_point(ideals: IdealTuple, point: Sequence) -> Point:
     return coords
 
 
+def _ideal_index(ideals: IdealTuple, index: int) -> int:
+    """A 0-based ideal (or axis) index, refused outside 0..r-1."""
+    if not 0 <= index < ideals.r:
+        raise LengthMismatch(f"ideal index {index} is outside 0..{ideals.r - 1}")
+    return index
+
+
 def _integer_direction(
     ideals: IdealTuple, entries: Sequence, what: str
 ) -> tuple[int, ...]:
@@ -366,7 +373,7 @@ def region(ideals: IdealTuple, point: PointLike) -> RegionReport:
 
 def subtuple(ideals: IdealTuple, indices: Sequence[int]) -> IdealTuple:
     """The tuple restricted to the chosen ideals (0-based indices)."""
-    chosen = [ideals.ideals[i] for i in indices]
+    chosen = [ideals.ideals[_ideal_index(ideals, i)] for i in indices]
     return attach_ideals(ideals.graph, chosen)
 
 

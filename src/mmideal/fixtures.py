@@ -5,7 +5,7 @@ intersection matrix or as an edge list plus the exact rational canonical
 vector (from which the diagonal is derived).  Exactly one of the two forms
 must be present.  Rationals on the wire are JSON integers or lowest-term
 "p/q" strings; emission always normalizes.  Component indices in files are
-1-based; everything in memory is 0-based.
+1-based; `Fixture.adjacency` keeps the file's 1-based edge pairs as written.
 
 The optional "expected" block records independently known values (canonical
 vector, derived diagonal, fundamental cycle, Newton nest, facet counts,
@@ -58,7 +58,7 @@ _EXPECTED_KEYS = {
 class Fixture:
     name: str
     matrix: tuple[tuple[int, ...], ...] | None
-    adjacency: tuple[tuple[int, int], ...] | None  # 0-based
+    adjacency: tuple[tuple[int, int], ...] | None  # 1-based, as in the file
     canonical: tuple[Fraction, ...] | None
     ideals: tuple[tuple[int, ...], ...]
     expected: dict | None = None
@@ -177,12 +177,12 @@ def parse_fixture(text: str) -> Fixture:
             a, b = (_integer(v, field) for v in pair)
             _require(a != b, f"{field}: self-loops are not allowed")
             _require(a >= 1 and b >= 1, f"{field}: component indices are 1-based")
-            edges.append((a - 1, b - 1))
+            edges.append((a, b))
         adjacency = tuple(edges)
         canonical = _rational_vector(data["canonical"], "canonical")
         size = len(canonical)
         _require(
-            all(a < size and b < size for a, b in adjacency),
+            all(a <= size and b <= size for a, b in adjacency),
             f"adjacency: component index beyond {size}",
         )
 
@@ -252,7 +252,7 @@ def emit_fixture(fixture: Fixture) -> str:
     if fixture.matrix is not None:
         data["matrix"] = [list(row) for row in fixture.matrix]
     else:
-        data["adjacency"] = [[a + 1, b + 1] for a, b in fixture.adjacency]
+        data["adjacency"] = [list(pair) for pair in fixture.adjacency]
         data["canonical"] = [_encode_rational(k) for k in fixture.canonical]
     data["ideals"] = [list(vector) for vector in fixture.ideals]
     if fixture.expected is not None:
@@ -301,9 +301,7 @@ def load_fixture(name_or_path: str) -> Fixture:
 def build_graph_from_fixture(fixture: Fixture) -> DualGraph:
     if fixture.matrix is not None:
         return build_graph(fixture.matrix)
-    # the file's 1-based pairs, so an error names an edge as the file writes it
-    edges = [(a + 1, b + 1) for a, b in fixture.adjacency]
-    return graph_from_adjacency(edges, fixture.canonical, one_based=True)
+    return graph_from_adjacency(fixture.adjacency, fixture.canonical)
 
 
 def build_tuple(fixture: Fixture) -> IdealTuple:

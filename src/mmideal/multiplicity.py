@@ -56,7 +56,6 @@ __all__ = [
     "check_H_inequalities",
     "minimal_jumping_divisor",
     "jump_record",
-    "wall_lines_through",
     "perturbation_sum",
     "default_offset",
     "admissible_perturbation",
@@ -211,11 +210,6 @@ def multiplicity_via_G(ideals: IdealTuple, point: PointLike) -> int:
     return _adjunction_value(
         ideals, evaluation, minimal_jumping_divisor(ideals, evaluation)
     )
-
-
-def wall_lines_through(ideals: IdealTuple, point: PointLike) -> list[tuple[int, int]]:
-    """(component j, level l) pairs with (c.F)_j - k_j = l, a positive integer."""
-    return list(evaluate_point(ideals, point).wall_lines)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from .rationals import over_common_denominator
+
 Vector = tuple[Fraction, ...]
 
 
@@ -187,15 +189,6 @@ class Polytope:
         return keys
 
 
-def _integer_form(space: Halfspace) -> tuple[tuple[int, ...], int]:
-    """(N, B): a positive integer multiple of the halfspace's (normal, bound)."""
-    scale = math.lcm(space.bound.denominator, *(n.denominator for n in space.normal))
-    return (
-        tuple(n.numerator * (scale // n.denominator) for n in space.normal),
-        space.bound.numerator * (scale // space.bound.denominator),
-    )
-
-
 def intersect_halfspaces(halfspaces: Sequence[Halfspace]) -> Polytope:
     """Vertices and incidence sets of a bounded intersection of halfspaces
     inside the orthant, by incremental clipping of the homogenized orthant."""
@@ -224,7 +217,7 @@ def intersect_halfspaces(halfspaces: Sequence[Halfspace]) -> Polytope:
     tight = [floors] + [floors - {-2 - i} | {-1} for i in range(dimension)]
 
     for index, space in enumerate(spaces):
-        normal, bound = _integer_form(space)
+        *normal, bound = over_common_denominator(space.normal + (space.bound,))[1]
         values = [
             sum(n * x for n, x in zip(normal, point)) - bound * point[-1]
             for point in points

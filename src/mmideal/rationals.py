@@ -8,6 +8,7 @@ denominator and drops "/1".
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -45,6 +46,15 @@ def format_rational(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def over_common_denominator(
+    values: tuple[Fraction | int, ...],
+) -> tuple[int, tuple[int, ...]]:
+    """(N, (N*x_1, ...)): N the lcm of the denominators of the `int` or
+    `Fraction` entries, so every N*x_i is an integer."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return scale, tuple(x.numerator * (scale // x.denominator) for x in values)
 
 
 def parse_point(text: str, length: int | None = None) -> tuple[Fraction, ...]:

@@ -48,6 +48,7 @@ from .errors import (
 from .evaluate import (
     PointEvaluation,
     RegionReport,
+    _ideal_index,
     evaluate_point,
     mmi_divisor,
     region,
@@ -377,12 +378,14 @@ def _axis_supports(
 
 def lct_axis(ideals: IdealTuple, axis: int) -> Fraction:
     """Jumping threshold of the single ideal F_axis (0-based axis)."""
+    axis = _ideal_index(ideals, axis)
     return lc_region(ideals).thresholds[axis]
 
 
 def axis_Gprime(ideals: IdealTuple, axis: int) -> tuple[int, ...]:
     """Rupture-or-dicritical components whose wall passes through the axis
     threshold point of the given ideal."""
+    axis = _ideal_index(ideals, axis)
     return _axis_supports(ideals, lc_region(ideals))[axis]
 
 

@@ -20,6 +20,7 @@ from mmideal import (
     build_tuple,
     check_H_inequalities,
     colength,
+    evaluate_point,
     facet_intersection_vertices,
     fundamental_cycle,
     gap_values,
@@ -41,7 +42,6 @@ from mmideal import (
     require_valid_region,
     rho,
     series_expand,
-    wall_lines_through,
 )
 from mmideal.polytope import make_halfspace
 
@@ -55,9 +55,7 @@ def test_01_relative_canonical_exact(rat6, chain10):
         Fraction(-2, 3),
         Fraction(-5, 6),
     )
-    rebuilt = graph_from_adjacency(
-        frozen.CHAIN10_EDGES, frozen.CHAIN10_CANONICAL, one_based=True
-    )
+    rebuilt = graph_from_adjacency(frozen.CHAIN10_EDGES, frozen.CHAIN10_CANONICAL)
     assert rebuilt.canonical == tuple(
         Fraction(k) for k in (1, 2, 3, 6, 9, 2, 3, 6, 10, 14)
     )
@@ -145,7 +143,7 @@ def test_05_table_membership(chain10):
         walked = {jump.point for jump in ray_walk(chain10, ray, last)}
         assert set(listed) <= walked, label
         for point in listed:
-            assert wall_lines_through(chain10, point), point
+            assert evaluate_point(chain10, point).wall_lines, point
         # report-only: the highlighted pair of each column expects
         # multiplicity 2; print the whole column for reconciliation
         pattern = [

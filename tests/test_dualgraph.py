@@ -43,13 +43,9 @@ def test_rat6_excesses(rat6):
 
 
 def test_chain10_diagonal_and_canonical_round_trip():
-    diagonal = derive_diagonal(
-        frozen.CHAIN10_EDGES, frozen.CHAIN10_CANONICAL, one_based=True
-    )
+    diagonal = derive_diagonal(frozen.CHAIN10_EDGES, frozen.CHAIN10_CANONICAL)
     assert diagonal == frozen.CHAIN10_DIAGONAL
-    graph = graph_from_adjacency(
-        frozen.CHAIN10_EDGES, frozen.CHAIN10_CANONICAL, one_based=True
-    )
+    graph = graph_from_adjacency(frozen.CHAIN10_EDGES, frozen.CHAIN10_CANONICAL)
     assert graph.canonical == tuple(Fraction(k) for k in frozen.CHAIN10_CANONICAL)
 
 
@@ -57,7 +53,16 @@ def test_repeated_edge_is_refused():
     first = frozen.CHAIN10_EDGES[0]
     edges = tuple(frozen.CHAIN10_EDGES) + (first[::-1],)
     with pytest.raises(NotTree, match=rf"edge \({first[1]},{first[0]}\)"):
-        graph_from_adjacency(edges, frozen.CHAIN10_CANONICAL, one_based=True)
+        graph_from_adjacency(edges, frozen.CHAIN10_CANONICAL)
+
+
+def test_edges_are_one_based():
+    # (0, 1) names no component: E1 is index 1 in an edge pair
+    with pytest.raises(LengthMismatch, match=r"^edge \(0,1\) out of range$"):
+        derive_diagonal(((0, 1),), frozen.CHAIN10_CANONICAL[:2])
+    size = len(frozen.CHAIN10_CANONICAL)
+    with pytest.raises(LengthMismatch, match=rf"^edge \(1,{size + 1}\) out of range$"):
+        derive_diagonal(((1, size + 1),), frozen.CHAIN10_CANONICAL)
 
 
 def test_chain10_is_a_chain(chain10):
@@ -74,11 +79,7 @@ def test_nest14_diagonal(nest14):
 
 def test_nest14_inconsistent_canonical_rejected():
     with pytest.raises(NonIntegralSelfIntersection):
-        derive_diagonal(
-            frozen.NEST14_EDGES,
-            frozen.NEST14_CANONICAL_INCONSISTENT,
-            one_based=True,
-        )
+        derive_diagonal(frozen.NEST14_EDGES, frozen.NEST14_CANONICAL_INCONSISTENT)
 
 
 def test_prop16_diagonal_and_excesses(prop16):

@@ -155,6 +155,15 @@ def test_subtuple_and_combined(nest14):
         combined_ideal(nest14, (0, 0, 0))
 
 
+@pytest.mark.parametrize("function", [lct_axis, axis_Gprime, subtuple])
+def test_ideal_index_outside_the_tuple_is_refused(rat6, function):
+    for index in (-1, rat6.r):
+        argument = [index] if function is subtuple else index
+        message = rf"^ideal index {index} is outside 0\.\.1$"
+        with pytest.raises(LengthMismatch, match=message):
+            function(rat6, argument)
+
+
 def _record_calls(monkeypatch, module_name, function_name):
     """Wrap a library function at every mmideal module attribute bound to it,
     so calls are seen whichever module makes them; return the argument list

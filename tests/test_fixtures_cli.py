@@ -119,7 +119,7 @@ def test_adjacency_form_round_trip():
     )
     fixture = parse_fixture(text)
     assert fixture.matrix is None
-    assert fixture.adjacency == ((0, 1),)
+    assert fixture.adjacency == ((1, 2),)
     assert fixture.canonical == (Fraction(1, 3), Fraction(2, 3))
     again = parse_fixture(emit_fixture(fixture))
     assert again == fixture
@@ -374,7 +374,8 @@ pairing: E5 -> facet 1; E1 -> facet 2; E14 -> facet 3; E6 -> facet 4
 }
 
 
-@pytest.mark.parametrize("argv", sorted(TRANSCRIPTS))
+# each case's id is its command line, so adding a command renames no other case
+@pytest.mark.parametrize("argv", sorted(TRANSCRIPTS), ids=" ".join)
 def test_cli_lc_transcripts(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # `walls` writes its CSV and SVG here
     assert main(list(argv)) == 0

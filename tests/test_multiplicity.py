@@ -21,7 +21,6 @@ from mmideal import (
     multiplicity_oracle,
     multiplicity_via_G,
     perturbation_sum,
-    wall_lines_through,
 )
 from mmideal.errors import (
     InternalConsistencyError,
@@ -76,10 +75,8 @@ def test_jump_record_consistency(rat6):
 
 
 def test_wall_membership_chain10(chain10):
-    walls = {
-        (j + 1, level)
-        for j, level in wall_lines_through(chain10, frozen.RAY_L_DOUBLE_POINT)
-    }
+    evaluation = evaluate_point(chain10, frozen.RAY_L_DOUBLE_POINT)
+    walls = {(j + 1, level) for j, level in evaluation.wall_lines}
     assert walls == frozen.RAY_L_DOUBLE_WALLS
 
 
@@ -132,7 +129,7 @@ def test_perturbation_single_wall_point(chain10):
     point = (frozen.RAY_L2_POINTS[3][0], frozen.RAY_L2_POINTS[3][1])
     report = admissible_perturbation(chain10, point, frozen.RAY_DIR)
     assert report.matched
-    assert len({(j, level) for j, level in wall_lines_through(chain10, point)}) == 1
+    assert len(set(evaluate_point(chain10, point).wall_lines)) == 1
     assert len(report.crossings) == 1
     assert report.crossings[0][2] == report.center_mult == 1
 
@@ -217,7 +214,7 @@ def test_multiplicity_zero_off_walls(tuples):
                 Fraction(rng.randint(0, 60), rng.randint(1, 30))
                 for _ in range(ideals.r)
             )
-            if wall_lines_through(ideals, point):
+            if evaluate_point(ideals, point).wall_lines:
                 continue
             assert multiplicity_checked(ideals, point) == 0
 

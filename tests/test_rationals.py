@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import frozen
 from mmideal import format_point, format_rational, parse_point, parse_rational
 from mmideal.errors import RationalFormatError
+from mmideal.rationals import over_common_denominator
 
 
 def test_parse_integer_and_fraction():
@@ -25,6 +27,15 @@ def test_parse_normalizes():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(RationalFormatError):
         parse_rational(bad)
+
+
+def test_over_common_denominator():
+    assert over_common_denominator(frozen.RAT6_CANONICAL) == (6, (-3, -6, 3, -3, -4, -5))
+    assert over_common_denominator((2, Fraction(-3, 4), 0, Fraction(5, 6))) == (
+        12,
+        (24, -9, 0, 10),
+    )
+    assert over_common_denominator((1, -2)) == (1, (1, -2))
 
 
 def test_parse_tolerates_whitespace():

@@ -8,6 +8,7 @@ import frozen
 from mmideal import (
     combined_ideal,
     divisor_leq,
+    evaluate_point,
     is_degenerate,
     make_ray,
     perturbation_sum,
@@ -18,7 +19,6 @@ from mmideal import (
     rho,
     series_expand,
     stability_bound,
-    wall_lines_through,
 )
 from mmideal.errors import HorizonTooSmall, ValidationError
 
@@ -96,7 +96,7 @@ def test_walk_points_lie_on_wall_lines(tuples):
             continue
         ray = make_ray(ideals, (0, 0), (1, 1))
         for jump in ray_walk(ideals, ray, Fraction(3, 4)):
-            assert wall_lines_through(ideals, jump.point)
+            assert evaluate_point(ideals, jump.point).wall_lines
 
 
 def test_walk_divisors_strictly_increase(chain10):
