@@ -130,9 +130,10 @@ class Edge:
     head: int
     line_index: int
 
-    def midpoint(self, vertices: Sequence[Point2]) -> Point2:
+    def point(self, vertices: Sequence[Point2], fraction: Fraction) -> Point2:
+        """The point `fraction` of the way from tail to head."""
         p, q = vertices[self.tail], vertices[self.head]
-        return ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+        return (p[0] + fraction * (q[0] - p[0]), p[1] + fraction * (q[1] - p[1]))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Walking rays through the wall arrangement and closed-form Poincare series.
 
-A ray is L(mu) = base + mu * direction with a nonnegative-integer direction,
-not all zero.  Because every ideal in a tuple has full support (the tuple
-refuses any other), the pulled back slope q_j = direction . F_j is a
-positive integer for every component, so each gap value v_j is strictly
-increasing and integer-periodic along the ray: v_j(mu + 1) = v_j(mu) + q_j.
-No direction is parallel to a wall line, and no component lacks candidates.
+A ray is a base plus a direction, L(mu) = base + mu * direction, with a
+nonnegative-integer direction, not all zero; its slopes q_j = direction . F_j
+are read off the tuple it is walked on.  Because every ideal in a tuple has
+full support (the tuple refuses any other), each q_j is a positive integer,
+so each gap value v_j is strictly increasing and integer-periodic along the
+ray: v_j(mu + 1) = v_j(mu) + q_j.  No direction is parallel to a wall line,
+and no component lacks candidates.
 
 Consequently the jumping parameters of the ray split into residue classes
 modulo 1.  Within a class, once a jumping point is *non-degenerate* — no gap
@@ -18,6 +19,7 @@ contributes a rational closed form
 
 anchored at its first non-degenerate jumping point a (u = direction), plus
 one explicit monomial per degenerate jumping point seen before the anchor.
+The closed form is checked by expanding it back over the walk that built it.
 
 The walk runs on the base's scaled integers (see ``evaluate``): with N the
 lcm of the denominators of K and of the base, v_j(mu) = n exactly when
@@ -73,13 +75,11 @@ __all__ = [
 class Ray:
     base: Point
     direction: tuple[int, ...]
-    slopes: tuple[int, ...]  # q_j = direction . F_j, all positive
 
 
 def make_ray(ideals: IdealTuple, base: Sequence, direction: Sequence[int]) -> Ray:
     origin = normalize_point(ideals, base)
-    dir_ = _integer_direction(ideals, direction, "ray direction")
-    return Ray(base=origin, direction=dir_, slopes=_dot_F(ideals, dir_))
+    return Ray(origin, _integer_direction(ideals, direction, "ray direction"))
 
 
 def ray_point(ray: Ray, parameter: Fraction) -> Point:
@@ -106,11 +106,12 @@ def _candidate_parameters(ideals: IdealTuple, ray: Ray, after: Fraction) -> Iter
     carry the integer keys mu*L, L = lcm_j(N*q_j) (see the module text)."""
     base = evaluate_point(ideals, ray.base)
     scale = base.scale
-    common = math.lcm(*(scale * q for q in ray.slopes))
+    slopes = _dot_F(ideals, ray.direction)
+    common = math.lcm(*(scale * q for q in slopes))
     numerator, denominator = after.numerator, after.denominator
 
     def stream(j: int) -> Iterator[int]:
-        q, v = ray.slopes[j], base.scaled_values[j]
+        q, v = slopes[j], base.scaled_values[j]
         step = common // (scale * q)
         # the first level n above v_j(after) = after*q + v/N
         first = max(
@@ -196,7 +197,7 @@ def stability_bound(ideals: IdealTuple, ray: Ray) -> Fraction:
     max(0, max_j -v_j / q_j), compared in integers over the base's N."""
     base = evaluate_point(ideals, ray.base)
     numerator, denominator = 0, 1
-    for v, q in zip(base.scaled_values, ray.slopes):
+    for v, q in zip(base.scaled_values, _dot_F(ideals, ray.direction)):
         if -v * denominator > numerator * q:
             numerator, denominator = -v, q
     return Fraction(numerator, denominator * base.scale)
@@ -287,11 +288,12 @@ def poincare(
 ) -> SeriesClosedForm:
     """Closed form of the multiplicity generating series along the ray.
 
-    The walk runs over (0, horizon + 1]; the extra unit interval both
-    verifies the recurrences and proves completeness.  The horizon must
-    reach one unit past the stability bound of the ray, and every residue
-    class must anchor at or before it; otherwise HorizonTooSmall names the
-    smallest horizon that can work.
+    The walk runs over (0, horizon + 1]; the closed form is expanded back
+    over that interval and must list exactly the walk's jumps, so the
+    extra unit interval both verifies the recurrences and proves
+    completeness.  The horizon must reach one unit past the stability bound
+    of the ray, and every residue class must anchor at or before it;
+    otherwise HorizonTooSmall names the smallest horizon that can work.
     """
     limit = Fraction(horizon)
     bound = stability_bound(ideals, ray)
@@ -302,68 +304,64 @@ def poincare(
             f"anchored by {format_rational(bound + 2)}"
         )
 
-    anchors: dict[Fraction, AnchorTerm] = {}
-    supports: dict[Fraction, tuple[bool, ...]] = {}
+    # residue -> (anchor term, support H at the anchor)
+    anchors: dict[Fraction, tuple[AnchorTerm, tuple[bool, ...]]] = {}
     monomials: list[tuple[Fraction, Point, int]] = []
-    for jump in ray_walk(ideals, ray, limit + 1):
+    jumps = ray_walk(ideals, ray, limit + 1)
+    for jump in jumps:
         residue = _residue(jump.parameter)
-        anchor = anchors.get(residue)
-        if anchor is None:
-            if is_degenerate(ideals, jump.point):
-                if jump.parameter > bound:
-                    raise InternalConsistencyError(
-                        f"degenerate point past the stability bound at "
-                        f"parameter {jump.parameter}"
-                    )
-                monomials.append((jump.parameter, jump.point, jump.mult))
-                continue
-            if jump.parameter > limit:
-                raise HorizonTooSmall(
-                    f"a residue class anchors only at parameter "
-                    f"{format_rational(jump.parameter)} past the horizon; "
-                    f"rerun with horizon >= {format_rational(bound + 2)}"
+        if residue in anchors:
+            anchor, support = anchors[residue]
+            if jump.record.maximal != support:
+                raise InternalConsistencyError(
+                    f"support changed along the class anchored at "
+                    f"{anchor.parameter}"
                 )
-            anchors[residue] = AnchorTerm(
-                parameter=jump.parameter,
-                point=jump.point,
-                initial=jump.mult,
-                step=_rho(ideals, jump.record.maximal, ray.direction),
-            )
-            supports[residue] = jump.record.maximal
             continue
-        offset = jump.parameter - anchor.parameter
-        if offset.denominator != 1:
-            raise InternalConsistencyError(
-                f"class member at {jump.parameter} not an integer step from "
-                f"its anchor {anchor.parameter}"
+        if is_degenerate(ideals, jump.point):
+            if jump.parameter > bound:
+                raise InternalConsistencyError(
+                    f"degenerate point past the stability bound at "
+                    f"parameter {jump.parameter}"
+                )
+            monomials.append((jump.parameter, jump.point, jump.mult))
+            continue
+        if jump.parameter > limit:
+            raise HorizonTooSmall(
+                f"a residue class anchors only at parameter "
+                f"{format_rational(jump.parameter)} past the horizon; "
+                f"rerun with horizon >= {format_rational(bound + 2)}"
             )
-        predicted = anchor.initial + int(offset) * anchor.step
-        if jump.mult != predicted:
-            raise InternalConsistencyError(
-                f"recurrence predicts multiplicity {predicted} at parameter "
-                f"{jump.parameter}, found {jump.mult}"
-            )
-        if jump.record.maximal != supports[residue]:
-            raise InternalConsistencyError(
-                f"support changed along the class anchored at "
-                f"{anchor.parameter}"
-            )
+        step = _rho(ideals, jump.record.maximal, ray.direction)
+        term = AnchorTerm(jump.parameter, jump.point, jump.mult, step)
+        anchors[residue] = (term, jump.record.maximal)
 
-    denominators = [1]
-    for term in anchors.values():
-        denominators.extend(x.denominator for x in term.point)
-    for _, point, _ in monomials:
-        denominators.extend(x.denominator for x in point)
-    exponent_denominator = math.lcm(*denominators)
-
-    return SeriesClosedForm(
+    terms = sorted((term for term, _ in anchors.values()), key=lambda t: t.parameter)
+    points = [term.point for term in terms] + [point for _, point, _ in monomials]
+    form = SeriesClosedForm(
         base=ray.base,
         direction=ray.direction,
         horizon=limit,
-        anchors=tuple(sorted(anchors.values(), key=lambda t: t.parameter)),
+        anchors=tuple(terms),
         monomials=tuple(sorted(monomials)),
-        exponent_denominator=exponent_denominator,
+        exponent_denominator=math.lcm(*(x.denominator for pt in points for x in pt)),
     )
+    walked = [(jump.parameter, jump.point, jump.mult) for jump in jumps]
+    for predicted, found in itertools.zip_longest(
+        series_expand(form, limit + 1), walked
+    ):
+        if predicted != found:
+            raise InternalConsistencyError(
+                f"closed form predicts {_entry(predicted)} where the walk "
+                f"finds {_entry(found)}"
+            )
+    return form
+
+
+def _entry(entry: tuple[Fraction, Point, int] | None) -> str:
+    if entry is None:
+        return "no further jump"
+    return f"multiplicity {entry[2]} at parameter {format_rational(entry[0])}"
 
 
 def series_expand(

@@ -5,8 +5,11 @@ with positive integer levels l.  The atlas is the cell decomposition of a box
 by those lines: every open face carries one mixed multiplier ideal, faces are
 merged into cells of constant ideal, and the boundary pieces where the ideal
 actually changes are grouped into C-facets — maximal collinear runs with one
-(lower ideal, upper ideal) pair.  Every facet is sampled at two interior
-points which must agree on multiplicity and minimal jumping divisor.
+(lower ideal, upper ideal) pair.  Every facet is sampled a third of the way
+along the first edge of its run and two thirds along the last; an open edge
+holds no vertex and meets no other line.  Both samples must be jumping
+points between the low and high ideals, with one multiplicity and one
+minimal jumping divisor.
 
 Face divisors are propagated, not evaluated face by face.  The clamped floor
 vector max(floor(v), 0) changes only across a wall line, and there only in
@@ -42,6 +45,7 @@ from .errors import (
     BindingNonRuptureConstraint,
     BoxTooSmall,
     InternalConsistencyError,
+    LengthMismatch,
     NoCleanSample,
     ValidationError,
 )
@@ -83,6 +87,8 @@ def wall_lines(ideals: IdealTuple, box: tuple[Fraction, Fraction]) -> list[Line]
         raise ValidationError(
             f"wall atlases need exactly two ideals, got {ideals.r}"
         )
+    if len(box) != 2:
+        raise LengthMismatch(f"box needs 2 sides, got {len(box)}")
     bx, by = Fraction(box[0]), Fraction(box[1])
     if bx <= 0 or by <= 0:
         raise ValidationError("box sides must be positive rationals")
@@ -126,30 +132,6 @@ class WallAtlas:
     cells: tuple[tuple[int, ...], ...]
     cell_divisors: tuple[tuple[int, ...], ...]
     facets: tuple[CFacet, ...]
-
-
-def _facet_sample(
-    arrangement: Arrangement, edge_indices: Sequence[int], fraction: Fraction
-) -> Point2:
-    """Point at the given fraction of the facet chord, moved to the midpoint
-    of the containing edge if it collides with an arrangement vertex."""
-    vertices = arrangement.vertices
-    first = arrangement.edges[edge_indices[0]]
-    last = arrangement.edges[edge_indices[-1]]
-    start, end = vertices[first.tail], vertices[last.head]
-    sample = (
-        start[0] + fraction * (end[0] - start[0]),
-        start[1] + fraction * (end[1] - start[1]),
-    )
-    interior = {
-        vertices[arrangement.edges[e].tail] for e in edge_indices[1:]
-    }
-    if sample in interior:
-        for e in edge_indices:
-            edge = arrangement.edges[e]
-            if vertices[edge.tail] == sample or vertices[edge.head] == sample:
-                return edge.midpoint(vertices)
-    return sample
 
 
 def _face_floors(
@@ -209,7 +191,7 @@ def _face_floors(
         if line.is_box:
             continue
         first = edges[arrangement.line_edges[line_index][0]]
-        midpoint = first.midpoint(arrangement.vertices)
+        midpoint = first.point(arrangement.vertices, Fraction(1, 2))
         through = evaluate_point(ideals, midpoint).wall_lines
         if set(through) != set(line.sources):
             raise InternalConsistencyError(
@@ -263,6 +245,7 @@ def cell_decomposition(
             raise InternalConsistencyError("wall edge with a missing incident face")
         return face_divisors[low], face_divisors[high]
 
+    vertices = arrangement.vertices
     facets: list[CFacet] = []
     for line_index, line in enumerate(arrangement.lines):
         if line.is_box:
@@ -273,9 +256,11 @@ def cell_decomposition(
             if low_divisor == high_divisor:
                 continue
             run = list(group)
+            first = arrangement.edges[run[0]]
+            last = arrangement.edges[run[-1]]
             samples = (
-                _facet_sample(arrangement, run, Fraction(1, 3)),
-                _facet_sample(arrangement, run, Fraction(2, 3)),
+                first.point(vertices, Fraction(1, 3)),
+                last.point(vertices, Fraction(2, 3)),
             )
             records = [jump_record(ideals, s) for s in samples]
             for record in records:
@@ -298,17 +283,12 @@ def cell_decomposition(
                 raise InternalConsistencyError(
                     "facet samples disagree on multiplicity or minimal divisor"
                 )
-            first = arrangement.edges[run[0]]
-            last = arrangement.edges[run[-1]]
             facets.append(
                 CFacet(
                     line_index=line_index,
                     sources=line.sources,
                     edge_indices=tuple(run),
-                    endpoints=(
-                        arrangement.vertices[first.tail],
-                        arrangement.vertices[last.head],
-                    ),
+                    endpoints=(vertices[first.tail], vertices[last.head]),
                     low_divisor=low_divisor,
                     high_divisor=high_divisor,
                     samples=samples,

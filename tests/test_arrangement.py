@@ -76,7 +76,7 @@ def test_edge_faces_sides():
     )
     for edge_index, edge in enumerate(arr.edges):
         line = arr.lines[edge.line_index]
-        mid = edge.midpoint(arr.vertices)
+        mid = edge.point(arr.vertices, Fraction(1, 2))
         assert line.contains(mid)
         low, high = arr.edge_faces[edge_index]
         if low is not None:
@@ -103,7 +103,7 @@ def test_fixture_atlas_geometry(rat6_atlas):
         assert len([line for line in arr.lines if line.contains(point)]) >= 2
     for edge_index, edge in enumerate(arr.edges):
         line = arr.lines[edge.line_index]
-        assert line.contains(edge.midpoint(arr.vertices))
+        assert line.contains(edge.point(arr.vertices, Fraction(1, 2)))
         low, high = arr.edge_faces[edge_index]
         assert low is not None or high is not None
 

@@ -17,6 +17,7 @@ import pytest
 
 from conftest import FIXTURE_NAMES
 from mmideal import (
+    combined_ideal,
     evaluate_point,
     is_degenerate,
     jump_record,
@@ -69,9 +70,10 @@ def reference_fractional(ideals, evaluation, values):
 
 def reference_candidates(ideals, ray, after):
     values = reference_evaluation(ideals, ray.base)[1]
+    slopes = combined_ideal(ideals, ray.direction)
 
     def stream(j):
-        q, v = ray.slopes[j], values[j]
+        q, v = slopes[j], values[j]
         if q == 0:
             return
         first = max(1, math.floor(after * q + v) + 1)
@@ -175,8 +177,9 @@ def test_candidates_match_fraction_reference(tuples, name):
     ideals = tuples[name]
     for ray in _rays(ideals, seed=name):
         values = reference_evaluation(ideals, ray.base)[1]
+        slopes = combined_ideal(ideals, ray.direction)
         assert stability_bound(ideals, ray) == max(
-            Fraction(0), *(-v / q for v, q in zip(values, ray.slopes))
+            Fraction(0), *(-v / q for v, q in zip(values, slopes))
         )
         head = _head(reference_candidates(ideals, ray, Fraction(0)), 40)
         afters = [Fraction(0), head[0], head[7], head[8] + Fraction(1, 10007)]

@@ -19,8 +19,10 @@ from mmideal import (
     rho,
     series_expand,
     stability_bound,
+    subtuple,
 )
-from mmideal.errors import HorizonTooSmall, ValidationError
+from mmideal import rays
+from mmideal.errors import HorizonTooSmall, InternalConsistencyError, ValidationError
 
 
 def test_make_ray_validation(rat6):
@@ -38,9 +40,23 @@ def test_make_ray_validation(rat6):
 
 def test_ray_slopes_and_point(rat6):
     ray = make_ray(rat6, (0, 0), (1, 1))
-    assert ray.slopes == (18, 8, 18, 10, 3, 2)
-    assert all(q > 0 for q in ray.slopes)
+    slopes = combined_ideal(rat6, ray.direction)
+    assert slopes == (18, 8, 18, 10, 3, 2)
+    assert all(q > 0 for q in slopes)
     assert ray_point(ray, Fraction(1, 4)) == (Fraction(1, 4), Fraction(1, 4))
+
+
+def test_a_ray_walks_any_tuple_with_that_tuples_slopes(rat6, chain10):
+    # a ray lives in weight space: made for RAT6, it walks the swapped pair
+    # and CHAIN10 exactly as each tuple's own ray does
+    ray = make_ray(rat6, (0, 0), (1, 2))
+    swapped = subtuple(rat6, [1, 0])
+    for ideals in (swapped, chain10):
+        own = make_ray(ideals, (0, 0), (1, 2))
+        assert ray_walk(ideals, ray, Fraction(1)) == ray_walk(ideals, own, Fraction(1))
+        assert stability_bound(ideals, ray) == stability_bound(ideals, own)
+    assert len(ray_walk(swapped, ray, Fraction(1))) == 31
+    assert stability_bound(swapped, ray) == Fraction(1, 66)
 
 
 def test_rat6_diagonal_walk_prefix(rat6):
@@ -161,3 +177,17 @@ def test_chain10_series_matches_walk(chain10):
     assert [(p, pt, m) for p, pt, m in longer] == [
         (j.parameter, j.point, j.mult) for j in walk3
     ]
+
+
+def test_series_refuses_a_walk_missing_a_class_member(rat6, monkeypatch):
+    # every jump left in the walk still fits its class's recurrence; only
+    # the re-expansion over the walk sees the dropped member
+    ray = make_ray(rat6, (0, 0), (1, 1))
+    horizon = stability_bound(rat6, ray) + 2
+    assert len(poincare(rat6, ray, horizon).anchors) == 21
+    walk = rays.ray_walk
+    monkeypatch.setattr(
+        rays, "ray_walk", lambda *args: (lambda w: w[:-2] + w[-1:])(walk(*args))
+    )
+    with pytest.raises(InternalConsistencyError, match="closed form predicts"):
+        poincare(rat6, ray, horizon)

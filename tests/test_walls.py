@@ -40,6 +40,7 @@ from mmideal import cli, walls
 from mmideal.errors import (
     BoxTooSmall,
     InternalConsistencyError,
+    LengthMismatch,
     NoCleanSample,
     ValidationError,
 )
@@ -57,6 +58,12 @@ def test_wall_lines_have_positive_levels(rat6):
 def test_box_too_small(rat6):
     with pytest.raises(BoxTooSmall):
         wall_lines(rat6, (Fraction(1, 100), Fraction(1, 100)))
+
+
+@pytest.mark.parametrize("box", [(1,), (1, 1, 5)], ids=["one side", "three sides"])
+def test_box_needs_two_sides(rat6, box):
+    with pytest.raises(LengthMismatch, match="box needs 2 sides"):
+        cell_decomposition(rat6, box)
 
 
 def test_rat6_atlas_counts(rat6_atlas):
@@ -250,11 +257,21 @@ def test_atlas_svg_with_lct_ticks(rat6, rat6_atlas):
 
 def test_facet_transitions(rat6_atlas, chain10_atlas):
     for atlas in (rat6_atlas, chain10_atlas):
+        arr = atlas.arrangement
+        vertices = set(arr.vertices)
         for facet in atlas.facets:
             assert facet.mult >= 1
             assert divisor_leq(facet.low_divisor, facet.high_divisor)
             assert facet.low_divisor != facet.high_divisor
             assert any(facet.minimal_support)
+            # samples sit inside the open first and last edges of the run
+            first = arr.edges[facet.edge_indices[0]]
+            last = arr.edges[facet.edge_indices[-1]]
+            assert facet.samples == (
+                first.point(arr.vertices, Fraction(1, 3)),
+                last.point(arr.vertices, Fraction(2, 3)),
+            )
+            assert not vertices & set(facet.samples)
 
 
 def test_rat6_lc_facets(rat6, rat6_atlas):
