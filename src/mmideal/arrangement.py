@@ -1,19 +1,19 @@
 """Exact planar line arrangements clipped to an axis-aligned box.
 
-Everything here is two-dimensional and exact: lines are a*x + b*y = c with
-rational coefficients, vertices are pairwise intersections, faces are the
-open convex cells of the arrangement inside the box.  The geometry runs in
-integers: each line is scaled once to an integer form (A, B, C), a positive
-multiple of (a, b, c), pairs are intersected with integer determinants and
-tested against the box by integer comparisons, and only vertices inside the
-box become `Fraction` points.  The pair loop records each vertex on both of
-its lines, so a line's vertices are never searched for.  Vertices are
-numbered in lexicographic order, which runs along +x on a non-vertical line
-and along +y on a vertical one, so each line's edge order is its sorted
-vertex numbers, reversed when its direction (b, -a) points the other way.
-Faces are recovered with the usual half-edge rotation trick: every
-half-edge points along its line's direction or against it, so one exact
-angular sort of those directions (half-plane index plus cross-product
+Everything here is two-dimensional, exact and in integers.  A line arrives
+as its reduced integer form (A, B, C) of A*x + B*y = C (`make_line`), pairs
+are intersected with integer determinants and tested against the box by
+integer comparisons, and each vertex keeps its reduced triple (X, Y, W), the
+point (X/W, Y/W): `Arrangement.mean` combines triples into edge and face
+points and the picture reads its pixels off them, so only the vertex list
+handed to readers holds `Fraction` points.  The pair loop records each
+vertex on both of its lines, so a line's vertices are never searched for.
+Vertices are numbered in lexicographic order, which runs along +x on a
+non-vertical line and along +y on a vertical one, so each line's edge order
+is its sorted vertex numbers, reversed when its direction (B, -A) points the
+other way.  Faces are recovered with the usual half-edge rotation trick:
+every half-edge points along its line's direction or against it, so one
+exact angular sort of those directions (half-plane index plus cross-product
 comparisons -- no trigonometry) ranks the half-edges at every vertex, and
 each face is an orbit of the next-pointer.  The single clockwise orbit
 along the box boundary is the outside and is dropped.  Every kept orbit
@@ -51,18 +51,21 @@ Point2 = tuple[Fraction, Fraction]
 
 @dataclass(frozen=True)
 class Line:
-    """a*x + b*y = c, scaled so the first nonzero coefficient is +/-1 stable:
-    divide through by the absolute value of the first nonzero of (a, b)."""
+    """A*x + B*y = C as the integer form (A, B, C), gcd 1, in the orientation
+    it was made with; `key` (a, b, c) is (A, B, C) over |first nonzero of
+    (A, B)| in `Fraction`s."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    form: tuple[int, int, int]
     sources: tuple[tuple[int, int], ...] = ()
     is_box: bool = False
 
     @property
     def key(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c)
+        return tuple(Fraction(n, abs(self.form[0] or self.form[1])) for n in self.form)
+
+    a = property(lambda self: self.key[0])
+    b = property(lambda self: self.key[1])
+    c = property(lambda self: self.key[2])
 
     def value(self, point: Point2) -> Fraction:
         return self.a * point[0] + self.b * point[1]
@@ -72,35 +75,35 @@ class Line:
 
 
 def make_line(a, b, c, sources: Iterable[tuple[int, int]] = (), is_box: bool = False) -> Line:
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if a == 0 and b == 0:
+    """The line a*x + b*y = c for `int` or `Fraction` a, b, c, in lowest terms."""
+    if not all(isinstance(x, (int, Fraction)) for x in (a, b, c)):
+        raise ValueError(f"line coefficients must be int or Fraction, got {(a, b, c)!r}")
+    _, (A, B, C) = over_common_denominator((a, b, c))
+    if A == 0 and B == 0:
         raise ValueError("degenerate line with zero normal")
-    scale = abs(a) if a != 0 else abs(b)
-    return Line(a / scale, b / scale, c / scale, tuple(sources), is_box)
+    g = math.gcd(A, B, C)
+    return Line((A // g, B // g, C // g), tuple(sources), is_box)
 
 
 def merge_lines(lines: Iterable[Line]) -> list[Line]:
     """Collapse geometrically coincident lines, concatenating their sources.
 
-    A line and its negation coincide: lines are matched on the key whose
+    A line and its negation coincide: lines are matched on the form whose
     first nonzero normal coefficient is positive, and the first line seen
-    keeps its orientation."""
-    merged: dict[tuple[Fraction, Fraction, Fraction], Line] = {}
+    keeps its orientation.  The merged lines come in the order of the
+    `Fraction` keys (A, B, C)/d of those forms, d the first nonzero of
+    (A, B), compared in integers as the vertices are in `build_arrangement`."""
+    merged: dict[tuple[int, int, int], Line] = {}
     for line in lines:
-        positive = line.a > 0 or (line.a == 0 and line.b > 0)
-        key = line.key if positive else (-line.a, -line.b, -line.c)
+        A, B, C = line.form
+        key = line.form if A > 0 or (A == 0 and B > 0) else (-A, -B, -C)
         seen = merged.get(key)
-        if seen is None:
-            merged[key] = line
-        else:
-            merged[key] = Line(
-                seen.a,
-                seen.b,
-                seen.c,
-                seen.sources + line.sources,
-                seen.is_box or line.is_box,
-            )
-    return [merged[key] for key in sorted(merged)]
+        merged[key] = line if seen is None else Line(
+            seen.form, seen.sources + line.sources, seen.is_box or line.is_box
+        )
+    shift = 2 * max((A or B for A, B, _ in merged), default=0).bit_length()
+    order = sorted(merged, key=lambda f: tuple((n << shift) // (f[0] or f[1]) for n in f))
+    return [merged[key] for key in order]
 
 
 def _direction_compare(left: tuple[int, int], right: tuple[int, int]) -> int:
@@ -130,11 +133,6 @@ class Edge:
     head: int
     line_index: int
 
-    def point(self, vertices: Sequence[Point2], fraction: Fraction) -> Point2:
-        """The point `fraction` of the way from tail to head."""
-        p, q = vertices[self.tail], vertices[self.head]
-        return (p[0] + fraction * (q[0] - p[0]), p[1] + fraction * (q[1] - p[1]))
-
 
 @dataclass(frozen=True)
 class Face:
@@ -149,6 +147,8 @@ class Face:
 class Arrangement:
     lines: tuple[Line, ...]
     vertices: tuple[Point2, ...]
+    # per vertex (X/W, Y/W), the reduced triple (X, Y, W) with W > 0
+    vertex_triples: tuple[tuple[int, int, int], ...]
     edges: tuple[Edge, ...]
     faces: tuple[Face, ...]
     # edge index -> (face on the low side of the carrier, face on the high
@@ -156,6 +156,15 @@ class Arrangement:
     edge_faces: tuple[tuple[int | None, int | None], ...]
     # per line, edge indices in order along the line
     line_edges: tuple[tuple[int, ...], ...]
+
+    def mean(self, vertices: Sequence[int]) -> tuple[tuple[int, int], int]:
+        """The average of the listed vertices, one listed twice counting
+        twice, as integer numerators over one denominator (not reduced)."""
+        triples = [self.vertex_triples[v] for v in vertices]
+        common = math.lcm(*(w for _, _, w in triples))
+        x = sum(X * (common // W) for X, _, W in triples)
+        y = sum(Y * (common // W) for _, Y, W in triples)
+        return (x, y), common * len(triples)
 
 
 def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]) -> Arrangement:
@@ -171,7 +180,7 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
             make_line(0, 1, by, is_box=True),
         ]
     )
-    forms = [over_common_denominator((line.a, line.b, line.c))[1] for line in lines]
+    forms = [line.form for line in lines]
 
     # vertices: pairwise intersections (X/W, Y/W) with W > 0 and
     # gcd(X, Y, W) = 1 inside the closed box, each recorded on both lines
@@ -320,6 +329,7 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
     return Arrangement(
         lines=tuple(lines),
         vertices=vertices,
+        vertex_triples=tuple(exact),
         edges=tuple(edges),
         faces=tuple(faces),
         edge_faces=tuple(edge_faces),

@@ -16,7 +16,9 @@ c, scales the point to the integer vector N*c; then N*(c.F) and N*v are
 integer vectors too, and floor(v_j) = N*v_j // N, v_j is an integer exactly
 when N*v_j % N == 0, and v_j = 1 + e_j exactly when N*v_j = N*(1 + e_j).
 The rational divisor c.F and the gap values v are `Fraction` views of the
-scaled vectors, built only when read.
+scaled vectors, built only when read.  Points built in integers (atlas edge
+and face points, ray candidates) enter through the private `_evaluate_at`,
+which :func:`evaluate_point` itself calls on the point it has checked.
 
 The wall lines through c are the pairs (j, l) with v_j = l a strictly
 positive integer.  The maximal jumping divisor H_c is the reduced divisor
@@ -56,14 +58,14 @@ from typing import Sequence, Union
 from .dualgraph import IdealTuple, attach_ideals
 from .errors import InternalConsistencyError, LengthMismatch, ValidationError
 from .polytope import Halfspace, Polytope, intersect_halfspaces, orthant_halfspaces
-from .rationals import format_rational
+from .rationals import format_rational, over_common_denominator
 from .unloading import antinef_closure_checked, intersection_products
 
 Point = tuple[Fraction, ...]
 
 
 def normalize_point(ideals: IdealTuple, point: Sequence) -> Point:
-    coords = tuple(Fraction(x) for x in point)
+    coords = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in point)
     if len(coords) != ideals.r:
         raise LengthMismatch(
             f"point has {len(coords)} coordinates, tuple has {ideals.r} ideals"
@@ -209,11 +211,21 @@ def evaluate_point(ideals: IdealTuple, point: PointLike) -> PointEvaluation:
                 "the point evaluation belongs to a different ideal tuple"
             )
         return point
-    coords = normalize_point(ideals, point)
-    denominator, scaled_canonical = ideals.graph.scaled_canonical
-    scale = math.lcm(denominator, *(c.denominator for c in coords))
-    factor = scale // denominator
-    scaled_point = tuple(c.numerator * (scale // c.denominator) for c in coords)
+    denominator, numerators = over_common_denominator(normalize_point(ideals, point))
+    return _evaluate_at(ideals, numerators, denominator)
+
+
+def _evaluate_at(
+    ideals: IdealTuple, numerators: Sequence[int], denominator: int
+) -> PointEvaluation:
+    """The evaluation of the point numerators / denominator (integers >= 0
+    over one positive denominator, in any terms), unchecked: the integer
+    entry of `evaluate_point`, which checks its point first."""
+    canonical_denominator, scaled_canonical = ideals.graph.scaled_canonical
+    reduced = denominator // math.gcd(denominator, *numerators)
+    scale = math.lcm(canonical_denominator, reduced)
+    factor = scale // canonical_denominator
+    scaled_point = tuple(n * scale // denominator for n in numerators)
     scaled_weighted = _dot_F(ideals, scaled_point)
     scaled_values = tuple(
         w - k * factor for w, k in zip(scaled_weighted, scaled_canonical)
@@ -225,7 +237,7 @@ def evaluate_point(ideals: IdealTuple, point: PointLike) -> PointEvaluation:
     )
     return PointEvaluation(
         ideals,
-        coords,
+        tuple(Fraction(n, denominator) for n in numerators),
         scale,
         scaled_point,
         scaled_weighted,

@@ -26,9 +26,10 @@ lcm of the denominators of K and of the base, v_j(mu) = n exactly when
 mu = (N*n - N*v_j) / (N*q_j).  Every candidate parameter is therefore an
 integer key mu*L over L = lcm_j(N*q_j); the per-component streams of keys
 are merged and deduplicated as integers, and one `Fraction` is built per
-distinct candidate.  Each candidate point is evaluated by the one
-``evaluate_point`` and gets a checked jump record.  The stability bound and
-the degeneracy test read the scaled gap values too.
+distinct candidate.  Each candidate point is built in integers, over the
+base's denominator times the parameter's, evaluated through the integer
+entry of ``evaluate_point`` and given a checked jump record.  The stability
+bound and the degeneracy test read the scaled gap values too.
 """
 
 from __future__ import annotations
@@ -45,13 +46,14 @@ from .errors import HorizonTooSmall, InternalConsistencyError
 from .evaluate import (
     Point,
     _dot_F,
+    _evaluate_at,
     _integer_direction,
     evaluate_point,
     maximal_jumping_divisor,
     normalize_point,
 )
 from .multiplicity import JumpRecord, jump_record
-from .rationals import format_rational
+from .rationals import format_rational, over_common_denominator
 from .unloading import divisor_leq
 
 __all__ = [
@@ -131,9 +133,14 @@ def _candidate_parameters(ideals: IdealTuple, ray: Ray, after: Fraction) -> Iter
 def _jumps(
     ideals: IdealTuple, ray: Ray, candidates: Iterable[Fraction]
 ) -> Iterator[RayJump]:
-    """The jumping points among the candidate parameters, in their order."""
+    """The jumping points among the candidate parameters, in their order;
+    base + (n/d)*u is (M*b*d + n*M*u) / (M*d), M*b the base's integers."""
+    scale, scaled_base = over_common_denominator(ray.base)
+    steps = [scale * u for u in ray.direction]
     for mu in candidates:
-        record = jump_record(ideals, ray_point(ray, mu))
+        n, d = mu.numerator, mu.denominator
+        point = [b * d + n * step for b, step in zip(scaled_base, steps)]
+        record = jump_record(ideals, _evaluate_at(ideals, point, scale * d))
         if record.mult > 0:
             yield RayJump(parameter=mu, record=record)
 

@@ -2,10 +2,12 @@
 
 Coordinates are the single place the library writes decimal approximations;
 they are produced by one integer division to 20 significant digits, never
-by floating point.  Everything semantic in the picture (tick labels, cell
-tooltips) stays in exact "p/q" notation.  Cell colors are assigned by the
-lexicographic rank of the distinct ideal divisors, so the same atlas always
-renders byte-identically.
+by floating point.  A pixel is one integer numerator over one denominator,
+read off a vertex's reduced triple (X, Y, W) and the box sides, so no
+`Fraction` is built per vertex.  Everything semantic in the picture (tick
+labels, cell tooltips) stays in exact "p/q" notation.  Cell colors are
+assigned by the lexicographic rank of the distinct ideal divisors, so the
+same atlas always renders byte-identically.
 """
 
 from __future__ import annotations
@@ -23,10 +25,15 @@ def decimal_approx(value: Fraction, significant: int = 20) -> str:
     """Decimal expansion of an exact rational, truncated to the given number
     of significant digits, computed with integer arithmetic only."""
     value = Fraction(value)
-    if value == 0:
+    return _decimal(value.numerator, value.denominator, significant)
+
+
+def _decimal(numerator: int, denominator: int, significant: int = 20) -> str:
+    """`decimal_approx` of numerator / denominator > 0, in any terms."""
+    if numerator == 0:
         return "0"
-    sign = "-" if value < 0 else ""
-    numerator, denominator = abs(value.numerator), value.denominator
+    sign = "-" if numerator < 0 else ""
+    numerator = abs(numerator)
     integer_part, remainder = divmod(numerator, denominator)
     digits = str(integer_part)
     if remainder == 0:
@@ -62,13 +69,14 @@ def render_atlas_svg(
 ) -> str:
     """Filled constancy cells, stroked facets, exact tick labels."""
     bx, by = atlas.box
+    px, qx, py, qy = bx.numerator, bx.denominator, by.numerator, by.denominator
     height = _WIDTH  # logical square viewport; axes scale independently
 
-    def x_pix(x: Fraction) -> str:
-        return decimal_approx(_MARGIN + Fraction(x, bx) * _WIDTH)
+    def x_pix(x: int, w: int) -> str:  # _MARGIN + (x/w) / bx * _WIDTH
+        return _decimal(_MARGIN * w * px + x * qx * _WIDTH, w * px)
 
-    def y_pix(y: Fraction) -> str:
-        return decimal_approx(_MARGIN + (1 - Fraction(y, by)) * height)
+    def y_pix(y: int, w: int) -> str:  # _MARGIN + (1 - (y/w) / by) * height
+        return _decimal((_MARGIN + height) * w * py - y * qy * height, w * py)
 
     divisors = sorted(set(atlas.cell_divisors))
     colors = _palette(len(divisors))
@@ -82,26 +90,29 @@ def render_atlas_svg(
         f'height="{height}" fill="white" stroke="none"/>',
     ]
 
-    faces = atlas.arrangement.faces
-    pixels = [f"{x_pix(x)},{y_pix(y)}" for x, y in atlas.arrangement.vertices]
+    arrangement = atlas.arrangement
+    xs = [x_pix(x, w) for x, _, w in arrangement.vertex_triples]
+    ys = [y_pix(y, w) for _, y, w in arrangement.vertex_triples]
+    pixels = [f"{x},{y}" for x, y in zip(xs, ys)]
     for cell, divisor in zip(atlas.cells, atlas.cell_divisors):
         fill = color_of[divisor]
         label = ",".join(str(c) for c in divisor)
         for face_index in cell:
-            points = " ".join(pixels[v] for v in faces[face_index].loop)
+            points = " ".join(pixels[v] for v in arrangement.faces[face_index].loop)
             parts.append(
                 f'<polygon points="{points}" fill="{fill}" stroke="none">'
                 f"<title>D = {label}</title></polygon>"
             )
 
     for facet in atlas.facets:
-        (x0, y0), (x1, y1) = facet.endpoints
+        start = arrangement.edges[facet.edge_indices[0]].tail
+        end = arrangement.edges[facet.edge_indices[-1]].head
         label = "; ".join(
             f"component {j + 1} level {level}" for j, level in facet.sources
         )
         parts.append(
-            f'<line x1="{x_pix(x0)}" y1="{y_pix(y0)}" '
-            f'x2="{x_pix(x1)}" y2="{y_pix(y1)}" '
+            f'<line x1="{xs[start]}" y1="{ys[start]}" '
+            f'x2="{xs[end]}" y2="{ys[end]}" '
             f'stroke="#222222" stroke-width="1.4">'
             f"<title>{label}; m = {facet.mult}</title></line>"
         )
@@ -113,28 +124,25 @@ def render_atlas_svg(
 
     for axis, tick in enumerate(lct_ticks):
         if axis == 0 and 0 <= tick <= bx:
-            x = x_pix(tick)
-            bottom = decimal_approx(Fraction(_MARGIN + height))
+            x = x_pix(tick.numerator, tick.denominator)
             parts.append(
-                f'<line x1="{x}" y1="{bottom}" x2="{x}" '
-                f'y2="{decimal_approx(Fraction(_MARGIN + height + 10))}" '
+                f'<line x1="{x}" y1="{_MARGIN + height}" x2="{x}" '
+                f'y2="{_MARGIN + height + 10}" '
                 f'stroke="crimson" stroke-width="2"/>'
             )
             parts.append(
-                f'<text x="{x}" '
-                f'y="{decimal_approx(Fraction(_MARGIN + height + 28))}" '
+                f'<text x="{x}" y="{_MARGIN + height + 28}" '
                 f'text-anchor="middle" font-size="13" fill="crimson">'
                 f"{format_rational(tick)}</text>"
             )
         elif axis == 1 and 0 <= tick <= by:
-            y = y_pix(tick)
+            y = y_pix(tick.numerator, tick.denominator)
             parts.append(
-                f'<line x1="{decimal_approx(Fraction(_MARGIN - 10))}" '
-                f'y1="{y}" x2="{decimal_approx(Fraction(_MARGIN))}" y2="{y}" '
+                f'<line x1="{_MARGIN - 10}" y1="{y}" x2="{_MARGIN}" y2="{y}" '
                 f'stroke="crimson" stroke-width="2"/>'
             )
             parts.append(
-                f'<text x="{decimal_approx(Fraction(_MARGIN - 14))}" y="{y}" '
+                f'<text x="{_MARGIN - 14}" y="{y}" '
                 f'text-anchor="end" font-size="13" fill="crimson">'
                 f"{format_rational(tick)}</text>"
             )
@@ -142,12 +150,11 @@ def render_atlas_svg(
     origin_label = format_point((Fraction(0), Fraction(0)))
     corner_label = format_point((bx, by))
     parts.append(
-        f'<text x="{x_pix(Fraction(0))}" '
-        f'y="{decimal_approx(Fraction(_MARGIN + height + 44))}" '
+        f'<text x="{_MARGIN}" y="{_MARGIN + height + 44}" '
         f'font-size="12" fill="#555555">({origin_label})</text>'
     )
     parts.append(
-        f'<text x="{x_pix(bx)}" y="{decimal_approx(Fraction(_MARGIN - 12))}" '
+        f'<text x="{_MARGIN + _WIDTH}" y="{_MARGIN - 12}" '
         f'text-anchor="end" font-size="12" fill="#555555">'
         f"({corner_label})</text>"
     )

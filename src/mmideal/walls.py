@@ -1,15 +1,16 @@
 """Wall atlases for pairs of ideals and log-canonical geometry for any tuple.
 
 For a pair (r = 2) the jumping walls are lines F_1[j]*z1 + F_2[j]*z2 = l + k_j
-with positive integer levels l.  The atlas is the cell decomposition of a box
-by those lines: every open face carries one mixed multiplier ideal, faces are
-merged into cells of constant ideal, and the boundary pieces where the ideal
-actually changes are grouped into C-facets — maximal collinear runs with one
-(lower ideal, upper ideal) pair.  Every facet is sampled a third of the way
-along the first edge of its run and two thirds along the last; an open edge
-holds no vertex and meets no other line.  Both samples must be jumping
-points between the low and high ideals, with one multiplicity and one
-minimal jumping divisor.
+with positive integer levels l, built as integer forms over K's denominator.
+The atlas is the cell decomposition of a box by those lines: every open face
+carries one mixed multiplier ideal, faces are merged into cells of constant
+ideal, and the boundary pieces where the ideal actually changes are grouped
+into C-facets — maximal collinear runs with one (lower ideal, upper ideal)
+pair.  Every facet is sampled a third of the way along the first edge of its
+run and two thirds along the last; an open edge holds no vertex and meets no
+other line.  Both samples must be jumping points between the low and high
+ideals, with one multiplicity and one minimal jumping divisor.  Every point
+evaluated here is an average of vertex triples, evaluated from its integers.
 
 Face divisors are propagated, not evaluated face by face.  The clamped floor
 vector max(floor(v), 0) changes only across a wall line, and there only in
@@ -33,7 +34,6 @@ a bare count mismatch.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -52,6 +52,7 @@ from .errors import (
 from .evaluate import (
     PointEvaluation,
     RegionReport,
+    _evaluate_at,
     _ideal_index,
     evaluate_point,
     mmi_divisor,
@@ -82,29 +83,35 @@ Point2 = tuple[Fraction, Fraction]
 
 
 def wall_lines(ideals: IdealTuple, box: tuple[Fraction, Fraction]) -> list[Line]:
-    """Positive-level wall lines meeting the open box (0,bx) x (0,by)."""
+    """Positive-level wall lines meeting the open box (0,bx) x (0,by) of
+    `int` or `Fraction` sides, built as (D*F_1[j], D*F_2[j], D*k_j + D*l)."""
     if ideals.r != 2:
         raise ValidationError(
             f"wall atlases need exactly two ideals, got {ideals.r}"
         )
     if len(box) != 2:
         raise LengthMismatch(f"box needs 2 sides, got {len(box)}")
-    bx, by = Fraction(box[0]), Fraction(box[1])
-    if bx <= 0 or by <= 0:
+    if any(isinstance(side, bool) or not isinstance(side, (int, Fraction)) for side in box):
+        raise ValidationError(f"box sides must be integers or Fractions, got {box!r}")
+    (px, qx), (py, qy) = ((side.numerator, side.denominator) for side in box)
+    if px <= 0 or py <= 0:
         raise ValidationError("box sides must be positive rationals")
+    denominator, scaled_canonical = ideals.graph.scaled_canonical
     lines: list[Line] = []
     for j in range(ideals.size):
         a, b = ideals.ideals[0][j], ideals.ideals[1][j]
-        k = ideals.graph.canonical[j]
-        far_corner = a * bx + b * by
-        lowest = max(1, math.floor(-k) + 1)
-        highest = math.ceil(far_corner - k) - 1
+        k = scaled_canonical[j]
+        # levels l >= 1 with 0 < k_j + l < a*bx + b*by
+        lowest = max(1, -k // denominator + 1)
+        far = denominator * (a * px * qy + b * py * qx) - k * qx * qy
+        highest = -(-far // (denominator * qx * qy)) - 1
         for level in range(lowest, highest + 1):
-            lines.append(make_line(a, b, k + level, sources=[(j, level)]))
+            form = (denominator * a, denominator * b, k + denominator * level)
+            lines.append(make_line(*form, sources=((j, level),)))
     if not lines:
         raise BoxTooSmall(
-            f"no jumping wall meets the box {format_rational(bx)} x "
-            f"{format_rational(by)}"
+            f"no jumping wall meets the box {format_rational(box[0])} x "
+            f"{format_rational(box[1])}"
         )
     return lines
 
@@ -155,7 +162,7 @@ def _face_floors(
         if low is not None and high is not None:
             crossings[low].append(e)
             crossings[high].append(e)
-    start = evaluate_point(ideals, faces[0].barycenter)
+    start = _evaluate_at(ideals, *arrangement.mean(faces[0].loop))
     floors: list[tuple[int, ...] | None] = [None] * len(faces)
     floors[0] = tuple(max(f, 0) for f in start.floors)
     queue = deque([0])
@@ -191,12 +198,11 @@ def _face_floors(
         if line.is_box:
             continue
         first = edges[arrangement.line_edges[line_index][0]]
-        midpoint = first.point(arrangement.vertices, Fraction(1, 2))
-        through = evaluate_point(ideals, midpoint).wall_lines
-        if set(through) != set(line.sources):
+        midpoint = _evaluate_at(ideals, *arrangement.mean((first.tail, first.head)))
+        if set(midpoint.wall_lines) != set(line.sources):
             raise InternalConsistencyError(
-                f"wall line {line_index} has sources {sorted(line.sources)}, "
-                f"but its point {format_point(midpoint)} lies on {sorted(through)}"
+                f"wall line {line_index} has sources {sorted(line.sources)}, but its "
+                f"point {format_point(midpoint.point)} lies on {sorted(midpoint.wall_lines)}"
             )
     return floors
 
@@ -232,7 +238,8 @@ def cell_decomposition(
     cell_divisors = tuple(face_divisors[cell[0]] for cell in cells)
     # the independent route: one direct evaluation per cell
     for cell, divisor in zip(cells, cell_divisors):
-        direct = mmi_divisor(ideals, arrangement.faces[cell[0]].barycenter)
+        barycenter = arrangement.mean(arrangement.faces[cell[0]].loop)
+        direct = mmi_divisor(ideals, _evaluate_at(ideals, *barycenter))
         if direct != divisor:
             raise InternalConsistencyError(
                 f"face {cell[0]}: propagated divisor {divisor} but the "
@@ -258,11 +265,12 @@ def cell_decomposition(
             run = list(group)
             first = arrangement.edges[run[0]]
             last = arrangement.edges[run[-1]]
+            # a third of the way along the first edge, two thirds along the last
             samples = (
-                first.point(vertices, Fraction(1, 3)),
-                last.point(vertices, Fraction(2, 3)),
+                arrangement.mean((first.tail, first.tail, first.head)),
+                arrangement.mean((last.tail, last.head, last.head)),
             )
-            records = [jump_record(ideals, s) for s in samples]
+            records = [jump_record(ideals, _evaluate_at(ideals, *s)) for s in samples]
             for record in records:
                 if record.mult <= 0:
                     raise InternalConsistencyError(
@@ -291,7 +299,7 @@ def cell_decomposition(
                     endpoints=(vertices[first.tail], vertices[last.head]),
                     low_divisor=low_divisor,
                     high_divisor=high_divisor,
-                    samples=samples,
+                    samples=(records[0].point, records[1].point),
                     mult=records[0].mult,
                     minimal_support=records[0].minimal,
                 )

@@ -9,6 +9,13 @@ from mmideal import build_tuple, cell_decomposition, load_fixture
 FIXTURE_NAMES = ("CHAIN10", "NEST14", "PROP16", "RAT6", "SMOOTH1")
 
 
+def edge_point(vertices, edge, fraction):
+    """The point `fraction` of the way from an edge's tail to its head, in
+    `Fraction` arithmetic."""
+    p, q = vertices[edge.tail], vertices[edge.head]
+    return tuple(a + fraction * (b - a) for a, b in zip(p, q))
+
+
 @pytest.fixture(scope="session")
 def tuples():
     """Name -> IdealTuple for every bundled fixture."""

@@ -1,5 +1,6 @@
 """Exact line-arrangement geometry inside a box."""
 
+import math
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -14,7 +15,11 @@ from mmideal.arrangement import (
     make_line,
     merge_lines,
 )
+from mmideal import subtuple
+from mmideal.errors import BoxTooSmall
 from mmideal.walls import wall_lines
+
+from conftest import FIXTURE_NAMES, edge_point
 
 
 def test_make_line_canonicalization():
@@ -23,6 +28,12 @@ def test_make_line_canonicalization():
     assert make_line(0, 3, 2).key == (0, 1, Fraction(2, 3))
     with pytest.raises(ValueError):
         make_line(0, 0, 1)
+
+
+@pytest.mark.parametrize("a", [0.5, "1/2"], ids=["float", "str"])
+def test_make_line_takes_ints_and_fractions(a):
+    with pytest.raises(ValueError, match="int or Fraction"):
+        make_line(a, 1, 1)
 
 
 def test_merge_lines_concatenates_sources():
@@ -76,7 +87,7 @@ def test_edge_faces_sides():
     )
     for edge_index, edge in enumerate(arr.edges):
         line = arr.lines[edge.line_index]
-        mid = edge.point(arr.vertices, Fraction(1, 2))
+        mid = edge_point(arr.vertices, edge, Fraction(1, 2))
         assert line.contains(mid)
         low, high = arr.edge_faces[edge_index]
         if low is not None:
@@ -103,7 +114,10 @@ def test_fixture_atlas_geometry(rat6_atlas):
         assert len([line for line in arr.lines if line.contains(point)]) >= 2
     for edge_index, edge in enumerate(arr.edges):
         line = arr.lines[edge.line_index]
-        assert line.contains(edge.point(arr.vertices, Fraction(1, 2)))
+        mid = edge_point(arr.vertices, edge, Fraction(1, 2))
+        assert line.contains(mid)
+        (x, y), w = arr.mean((edge.tail, edge.head))
+        assert (Fraction(x, w), Fraction(y, w)) == mid
         low, high = arr.edge_faces[edge_index]
         assert low is not None or high is not None
 
@@ -246,9 +260,14 @@ def _reference_arrangement(wall_lines, box):
                 assert value != line.c
                 sides[value > line.c] = face_id
         edge_faces.append((sides[False], sides[True]))
+    triples = []
+    for x, y in vertices:
+        w = x.denominator * y.denominator // math.gcd(x.denominator, y.denominator)
+        triples.append((x.numerator * w // x.denominator, y.numerator * w // y.denominator, w))
     return Arrangement(
         lines=tuple(lines),
         vertices=vertices,
+        vertex_triples=tuple(triples),
         edges=tuple(edges),
         faces=tuple(faces),
         edge_faces=tuple(edge_faces),
@@ -259,6 +278,7 @@ def _reference_arrangement(wall_lines, box):
 def _assert_same_arrangement(got, want):
     assert got.lines == want.lines
     assert got.vertices == want.vertices
+    assert got.vertex_triples == want.vertex_triples
     assert got.edges == want.edges
     assert got.line_edges == want.line_edges
     assert len(got.faces) == len(want.faces)
@@ -350,3 +370,113 @@ def test_matches_reference_on_fixture_walls(tuples, name, side):
     _assert_same_arrangement(
         build_arrangement(lines, box), _reference_arrangement(lines, box)
     )
+
+
+# Reference: the `Fraction` lines the integer forms replaced.  A line was
+# (a, b, c) divided by |first nonzero of (a, b)|; merging matched the key with
+# a positive first normal coefficient and sorted by those keys.
+
+
+def _fraction_line(a, b, c, sources=(), is_box=False):
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    scale = abs(a) if a != 0 else abs(b)
+    return (a / scale, b / scale, c / scale, tuple(sources), is_box)
+
+
+def _fraction_merge(lines):
+    merged = {}
+    for a, b, c, sources, is_box in lines:
+        key = (a, b, c) if a > 0 or (a == 0 and b > 0) else (-a, -b, -c)
+        seen = merged.get(key)
+        merged[key] = (
+            (a, b, c, sources, is_box)
+            if seen is None
+            else (*seen[:3], seen[3] + sources, seen[4] or is_box)
+        )
+    return [merged[key] for key in sorted(merged)]
+
+
+def _fraction_wall_lines(ideals, box):
+    bx, by = Fraction(box[0]), Fraction(box[1])
+    lines = []
+    for j in range(ideals.size):
+        a, b = ideals.ideals[0][j], ideals.ideals[1][j]
+        k = ideals.graph.canonical[j]
+        for level in range(max(1, math.floor(-k) + 1), math.ceil(a * bx + b * by - k)):
+            lines.append(_fraction_line(a, b, k + level, [(j, level)]))
+    return lines
+
+
+def _fraction_box(box):
+    bx, by = Fraction(box[0]), Fraction(box[1])
+    sides = [(1, 0, 0), (1, 0, bx), (0, 1, 0), (0, 1, by)]
+    return [_fraction_line(*side, is_box=True) for side in sides]
+
+
+def _as_tuples(lines):
+    return [(line.a, line.b, line.c, line.sources, line.is_box) for line in lines]
+
+
+def _pair(tuples, name):
+    """A pair of ideals from every fixture: the first two ideals, or the one
+    ideal twice."""
+    ideals = tuples[name]
+    return subtuple(ideals, (0, 1) if ideals.r > 1 else (0, 0))
+
+
+_BOXES = [(1, 1), (Fraction(1, 3), Fraction(5, 14)), (Fraction(2, 7), 2), (3, Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_wall_lines_match_fraction_route(tuples, name):
+    ideals = _pair(tuples, name)
+    boxes = _BOXES
+    if name == "PROP16":  # dense walls: 2901 meet the unit box
+        boxes = [(Fraction(x) / 16, Fraction(y) / 16) for x, y in _BOXES]
+    for box in boxes:
+        reference = _fraction_wall_lines(ideals, box)
+        if not reference:
+            with pytest.raises(BoxTooSmall):
+                wall_lines(ideals, box)
+            continue
+        lines = wall_lines(ideals, box)
+        assert _as_tuples(lines) == reference
+        assert _as_tuples(merge_lines(lines)) == _fraction_merge(reference)
+        arrangement = build_arrangement(lines, box)
+        assert _as_tuples(arrangement.lines) == _fraction_merge(reference + _fraction_box(box))
+
+
+def test_merge_matches_fraction_route_on_random_lines():
+    rng = random.Random(16)
+    kinds = {"vertical": 0, "horizontal": 0, "negated": 0, "scaled": 0}
+    for _ in range(300):
+        coefficients = []
+        for _ in range(rng.randint(1, 12)):
+            a = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            b = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            kind = rng.random()
+            if kind < 0.2 or a == b == 0:
+                a, b = Fraction(rng.randint(1, 3)) * rng.choice((-1, 1)), Fraction(0)
+                kinds["vertical"] += 1
+            elif kind < 0.4:
+                a = Fraction(0)
+                b = b or Fraction(-2)
+                kinds["horizontal"] += 1
+            coefficients.append((a, b, c))
+            if coefficients and rng.random() < 0.3:
+                a, b, c = rng.choice(coefficients)
+                factor = Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
+                coefficients.append((factor * a, factor * b, factor * c))
+                kinds["negated" if factor < 0 else "scaled"] += 1
+        lines = [
+            make_line(a, b, c, sources=((i, 1),), is_box=i % 5 == 0)
+            for i, (a, b, c) in enumerate(coefficients)
+        ]
+        reference = [
+            _fraction_line(a, b, c, ((i, 1),), i % 5 == 0)
+            for i, (a, b, c) in enumerate(coefficients)
+        ]
+        assert _as_tuples(lines) == reference
+        assert _as_tuples(merge_lines(lines)) == _fraction_merge(reference)
+    assert min(kinds.values()) > 50

@@ -4,7 +4,9 @@ references.
 The references compute c.F, the gap values, floors, left floors, wall lines,
 the fractional-form total and the ray candidates in `Fraction` arithmetic,
 straight from their definitions, and are compared with the library point by
-point and candidate by candidate.
+point and candidate by candidate.  Points the library builds in integers
+(atlas edge and face points, ray candidates) are compared field by field
+with `evaluate_point` of the same `Fraction` point.
 """
 
 import heapq
@@ -15,8 +17,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import FIXTURE_NAMES
+from conftest import FIXTURE_NAMES, edge_point
 from mmideal import (
+    cell_decomposition,
     combined_ideal,
     evaluate_point,
     is_degenerate,
@@ -25,9 +28,10 @@ from mmideal import (
     multiplicity_fractional,
     ray_next,
     ray_point,
+    ray_walk,
     stability_bound,
 )
-from mmideal import rays
+from mmideal import evaluate, rays
 from mmideal.errors import InternalConsistencyError
 
 
@@ -207,3 +211,75 @@ def test_ray_next_matches_fraction_reference(tuples, name):
             jump = ray_next(ideals, ray, after)
             assert (jump.parameter, jump.record) == expected
             assert jump.parameter > after
+
+
+_FIELDS = (
+    "point",
+    "scale",
+    "scaled_point",
+    "scaled_weighted",
+    "scaled_values",
+    "floors",
+    "left_floors",
+    "wall_lines",
+    "divisor",
+)
+
+
+def _assert_same_evaluation(got, want):
+    for field in _FIELDS:
+        assert getattr(got, field) == getattr(want, field), field
+
+
+@pytest.mark.parametrize(
+    "name, box",
+    [("RAT6", (1, 1)), ("RAT6", (Fraction(3, 7), Fraction(2, 5))),
+     ("CHAIN10", (Fraction(1, 3), Fraction(3, 8))), ("PROP16", (Fraction(1, 16), Fraction(2, 27)))],
+)
+def test_atlas_points_enter_as_integers(tuples, name, box):
+    """Edge midpoints, facet samples and face barycenters, combined from
+    the vertex triples, evaluate as their `Fraction` points do."""
+    ideals = tuples[name]
+    atlas = cell_decomposition(ideals, box)
+    arr = atlas.arrangement
+    for edge in arr.edges:
+        _assert_same_evaluation(
+            evaluate._evaluate_at(ideals, *arr.mean((edge.tail, edge.head))),
+            evaluate_point(ideals, edge_point(arr.vertices, edge, Fraction(1, 2))),
+        )
+    for facet in atlas.facets:
+        first = arr.edges[facet.edge_indices[0]]
+        last = arr.edges[facet.edge_indices[-1]]
+        samples = (
+            arr.mean((first.tail, first.tail, first.head)),
+            arr.mean((last.tail, last.head, last.head)),
+        )
+        for sample, point in zip(samples, facet.samples):
+            _assert_same_evaluation(
+                evaluate._evaluate_at(ideals, *sample), evaluate_point(ideals, point)
+            )
+    for face in arr.faces:
+        _assert_same_evaluation(
+            evaluate._evaluate_at(ideals, *arr.mean(face.loop)),
+            evaluate_point(ideals, face.barycenter),
+        )
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_ray_candidates_enter_as_integers(tuples, name, monkeypatch):
+    """Every candidate the walk hands to `jump_record` is evaluated as
+    base + mu*direction is in `Fraction` arithmetic."""
+    ideals = tuples[name]
+    seen = []
+    record = rays.jump_record
+    monkeypatch.setattr(
+        rays, "jump_record", lambda ideals, point: seen.append(point) or record(ideals, point)
+    )
+    for ray in _rays(ideals, seed=f"integer {name}"):
+        seen.clear()
+        limit = _head(reference_candidates(ideals, ray, Fraction(0)), 30)[-1]
+        ray_walk(ideals, ray, limit)
+        candidates = _head(reference_candidates(ideals, ray, Fraction(0)), 30)
+        assert len(seen) == len(candidates)
+        for evaluation, mu in zip(seen, candidates):
+            _assert_same_evaluation(evaluation, evaluate_point(ideals, ray_point(ray, mu)))

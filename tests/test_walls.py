@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -9,10 +10,11 @@ from types import SimpleNamespace
 import pytest
 
 import frozen
+from conftest import edge_point
 from trees import random_tree_matrix
 from mmideal.arrangement import build_arrangement, merge_lines
 from mmideal.rationals import format_point
-from mmideal.svg import render_atlas_svg
+from mmideal.svg import decimal_approx, render_atlas_svg
 from mmideal import (
     RegionReport,
     attach_ideals,
@@ -36,7 +38,7 @@ from mmideal import (
     subtuple,
     wall_lines,
 )
-from mmideal import cli, walls
+from mmideal import cli, svg, walls
 from mmideal.errors import (
     BoxTooSmall,
     InternalConsistencyError,
@@ -64,6 +66,22 @@ def test_box_too_small(rat6):
 def test_box_needs_two_sides(rat6, box):
     with pytest.raises(LengthMismatch, match="box needs 2 sides"):
         cell_decomposition(rat6, box)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [(0.3, 0.3), (True, 1), (1, False), ("1/2", 1)],
+    ids=["float", "bool", "bool second", "str"],
+)
+def test_box_sides_are_ints_or_fractions(rat6, box):
+    with pytest.raises(ValidationError, match="integers or Fractions"):
+        cell_decomposition(rat6, box)
+
+
+def test_int_and_fraction_sides_build_the_same_walls(rat6):
+    assert wall_lines(rat6, (1, Fraction(1, 2))) == wall_lines(
+        rat6, (Fraction(1), Fraction(1, 2))
+    )
 
 
 def test_rat6_atlas_counts(rat6_atlas):
@@ -255,6 +273,53 @@ def test_atlas_svg_with_lct_ticks(rat6, rat6_atlas):
     )
 
 
+def _reference_pixels(atlas, ticks):
+    """Every coordinate string of the picture by the `Fraction` formulas
+    _MARGIN + x/bx * _WIDTH and _MARGIN + (1 - y/by) * height."""
+    bx, by = atlas.box
+
+    def x_pix(x):
+        return decimal_approx(svg._MARGIN + Fraction(x, bx) * svg._WIDTH)
+
+    def y_pix(y):
+        return decimal_approx(svg._MARGIN + (1 - Fraction(y, by)) * svg._WIDTH)
+
+    arr = atlas.arrangement
+    polygons = [
+        " ".join(f"{x_pix(arr.vertices[v][0])},{y_pix(arr.vertices[v][1])}" for v in loop)
+        for cell in atlas.cells
+        for loop in (arr.faces[face].loop for face in cell)
+    ]
+    segments = [
+        (x_pix(x0), y_pix(y0), x_pix(x1), y_pix(y1))
+        for (x0, y0), (x1, y1) in (facet.endpoints for facet in atlas.facets)
+    ]
+    tick_x = [x_pix(ticks[0])] if len(ticks) > 0 and 0 <= ticks[0] <= bx else []
+    tick_y = [y_pix(ticks[1])] if len(ticks) > 1 and 0 <= ticks[1] <= by else []
+    return polygons, segments, tick_x, tick_y
+
+
+@pytest.mark.parametrize(
+    "name, box",
+    [*(("RAT6", (n, n)) for n in range(1, 5)), ("RAT6", (Fraction(3, 7), Fraction(2, 5))),
+     ("CHAIN10", (1, 1)), ("PROP16", (Fraction(1, 8), Fraction(2, 27)))],
+)
+def test_svg_pixels_match_fraction_formula(tuples, name, box):
+    ideals = tuples[name]
+    atlas = cell_decomposition(ideals, box)
+    ticks = lc_region(ideals).thresholds
+    picture = render_atlas_svg(atlas, ticks)
+    polygons, segments, tick_x, tick_y = _reference_pixels(atlas, ticks)
+    assert re.findall(r'<polygon points="([^"]*)"', picture) == polygons
+    assert re.findall(
+        r'<line x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)" stroke="#222222"',
+        picture,
+    ) == segments
+    assert re.findall(r'<line x1="([^"]*)" y1="780"', picture) == tick_x
+    assert re.findall(r'<line x1="50" y1="([^"]*)"', picture) == tick_y
+    assert 'x="60" y="824"' in picture and 'x="780" y="48"' in picture
+
+
 def test_facet_transitions(rat6_atlas, chain10_atlas):
     for atlas in (rat6_atlas, chain10_atlas):
         arr = atlas.arrangement
@@ -268,8 +333,8 @@ def test_facet_transitions(rat6_atlas, chain10_atlas):
             first = arr.edges[facet.edge_indices[0]]
             last = arr.edges[facet.edge_indices[-1]]
             assert facet.samples == (
-                first.point(arr.vertices, Fraction(1, 3)),
-                last.point(arr.vertices, Fraction(2, 3)),
+                edge_point(arr.vertices, first, Fraction(1, 3)),
+                edge_point(arr.vertices, last, Fraction(2, 3)),
             )
             assert not vertices & set(facet.samples)
 
