@@ -5,12 +5,16 @@ intersection matrix of the exceptional components and one integer vector
 per ideal.  All arithmetic is exact (integers and ``fractions.Fraction``);
 no floating point is used anywhere.
 
+Numbers are ``int`` (not ``bool``) or ``Fraction``; floats, bools and
+strings are refused with ``ValidationError`` (see ``mmideal.rationals``).
 Typical use::
+
+    from fractions import Fraction
 
     from mmideal import load_fixture, build_tuple, jump_record
 
     ideals = build_tuple(load_fixture("RAT6"))
-    record = jump_record(ideals, ("1/12", "3/4"))
+    record = jump_record(ideals, (Fraction(1, 12), Fraction(3, 4)))
     record.mult        # jumping multiplicity at that point
     record.divisor     # the mixed multiplier ideal as an antinef divisor
 """

@@ -139,8 +139,6 @@ class Face:
     """Convex open cell; `loop` lists vertex indices counterclockwise."""
 
     loop: tuple[int, ...]
-    barycenter: Point2
-    area: Fraction
 
 
 @dataclass(frozen=True)
@@ -288,8 +286,8 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
                 break
         loops.append(tuple(orbit))
 
-    # twice the signed area and the vertex sum of each loop, over the
-    # loop's common denominator W
+    # twice the signed area of each loop, over the loop's common
+    # denominator W: only the outer orbit is not positive
     faces: list[Face] = []
     face_renumber: list[int | None] = []
     for orbit in loops:
@@ -304,14 +302,7 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
             face_renumber.append(None)
             continue
         face_renumber.append(len(faces))
-        count = common * len(loop)
-        faces.append(
-            Face(
-                loop=loop,
-                barycenter=(Fraction(sum(xs), count), Fraction(sum(ys), count)),
-                area=Fraction(doubled, 2 * common * common),
-            )
-        )
+        faces.append(Face(loop=loop))
     dropped = len(loops) - len(faces)
     if dropped != 1:
         raise InternalConsistencyError(

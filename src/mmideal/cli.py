@@ -25,7 +25,9 @@ from .errors import (
 from .evaluate import mmi_divisor
 from .fixtures import build_tuple, bundled_names, load_fixture
 from .multiplicity import jump_record
-from .rationals import format_point, format_rational, parse_point, parse_rational
+from .rationals import (
+    _as_integer, format_point, format_rational, parse_point, parse_rational
+)
 from .rays import make_ray, poincare, ray_walk
 from .svg import render_atlas_svg
 from .unloading import antinef_closure_checked, colength
@@ -56,11 +58,11 @@ def _support(divisor: Sequence[bool]) -> list[int]:
     return [j for j, inside in enumerate(divisor) if inside]
 
 
-def _int_vector(text: str, length: int | None = None) -> tuple[int, ...]:
-    point = parse_point(text, length)
-    if any(x.denominator != 1 for x in point):
+def _int_vector(text: str, length: int) -> tuple[int, ...]:
+    integers = tuple(map(_as_integer, parse_point(text, length)))
+    if None in integers:
         raise RationalFormatError(f"expected integers, got {text!r}")
-    return tuple(x.numerator for x in point)
+    return integers
 
 
 def _divisor_text(divisor: Sequence[int]) -> str:

@@ -47,7 +47,9 @@ from .errors import (
     NotTree,
     ValidationError,
 )
-from .rationals import over_common_denominator
+from .rationals import (
+    _entries, _integer_vector, _rational_vector, over_common_denominator
+)
 from .unloading import (
     ClosureCache,
     fundamental_cycle,
@@ -144,20 +146,6 @@ class IdealTuple:
 # ---------------------------------------------------------------------------
 
 
-def _normalized_matrix(rows) -> Matrix:
-    rows = [list(row) for row in rows]
-    size = len(rows)
-    for row in rows:
-        if len(row) != size:
-            raise LengthMismatch("intersection matrix must be square")
-        for entry in row:
-            if entry != int(entry):
-                raise NonIntegralSelfIntersection(
-                    f"matrix entries must be integers, got {entry!r}"
-                )
-    return tuple(tuple(int(entry) for entry in row) for row in rows)
-
-
 def _validate_matrix(
     matrix: Matrix,
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
@@ -225,7 +213,10 @@ def build_graph(rows) -> DualGraph:
 
     Raises NotRational unless p_a(Z) = 0 (Artin's rationality criterion).
     """
-    matrix = _normalized_matrix(rows)
+    rows = _entries(rows, None, "intersection matrix")
+    matrix = tuple(
+        _integer_vector(row, len(rows), "intersection matrix row") for row in rows
+    )
     adjacency, canonical = _validate_matrix(matrix)
     for j, row in enumerate(matrix):
         # (K + E_j).E_j, read off the sparse row of the tree
@@ -245,6 +236,42 @@ def build_graph(rows) -> DualGraph:
     return graph
 
 
+def _neighbor_sets(edges, size: int) -> list[set[int]]:
+    """0-based neighbour sets of 1-based edge pairs; each refusal names the
+    pair as given."""
+    neighbor_sets: list[set[int]] = [set() for _ in range(size)]
+    for pair in _entries(edges, None, "edges"):
+        a, b = _integer_vector(pair, 2, "edge")
+        if not (1 <= a <= size and 1 <= b <= size):
+            raise LengthMismatch(f"edge ({a},{b}) out of range")
+        if a == b:
+            raise NotTree(f"edge ({a},{b}) is a self-loop")
+        if b - 1 in neighbor_sets[a - 1]:
+            raise NotTree(f"edge ({a},{b}) is listed twice")
+        neighbor_sets[a - 1].add(b - 1)
+        neighbor_sets[b - 1].add(a - 1)
+    return neighbor_sets
+
+
+def _diagonal(
+    neighbor_sets: list[set[int]], canonical: tuple[Fraction, ...]
+) -> tuple[int, ...]:
+    diagonal = []
+    for j, k in enumerate(canonical):
+        if k == -1:
+            raise DivisionByZero(
+                f"component E{j + 1} has canonical coefficient -1; "
+                "its self-intersection is not determined by the tree"
+            )
+        value = -(2 + sum(canonical[l] for l in neighbor_sets[j])) / (k + 1)
+        if value.denominator != 1 or value > -1:
+            raise NonIntegralSelfIntersection(
+                f"component E{j + 1} would need self-intersection {value}"
+            )
+        diagonal.append(value.numerator)
+    return tuple(diagonal)
+
+
 def derive_diagonal(
     edges: Sequence[tuple[int, int]], canonical: Sequence[Fraction]
 ) -> tuple[int, ...]:
@@ -255,36 +282,13 @@ def derive_diagonal(
         E_j^2 = -(2 + sum of k_l over neighbors l of j) / (k_j + 1).
 
     *edges* are 1-based index pairs, as in fixture files: (1, 2) joins E1
-    and E2.  A pair outside 1..s (or a self-loop) raises LengthMismatch, an
-    edge listed twice, in either orientation, raises NotTree; both messages
-    name the pair as given.  Raises DivisionByZero when some k_j = -1 and
+    and E2.  A pair outside 1..s raises LengthMismatch; a self-loop, or an
+    edge listed twice in either orientation, raises NotTree; each message
+    names the pair as given.  Raises DivisionByZero when some k_j = -1 and
     NonIntegralSelfIntersection when the quotient is not an integer <= -1.
     """
-    canonical = tuple(Fraction(k) for k in canonical)
-    size = len(canonical)
-    neighbor_sets: list[set[int]] = [set() for _ in range(size)]
-    for a, b in edges:
-        if not (1 <= a <= size and 1 <= b <= size) or a == b:
-            raise LengthMismatch(f"edge ({a},{b}) out of range")
-        if b - 1 in neighbor_sets[a - 1]:
-            raise NotTree(f"edge ({a},{b}) is listed twice")
-        neighbor_sets[a - 1].add(b - 1)
-        neighbor_sets[b - 1].add(a - 1)
-    diagonal = []
-    for j in range(size):
-        denominator = canonical[j] + 1
-        if denominator == 0:
-            raise DivisionByZero(
-                f"component E{j + 1} has canonical coefficient -1; "
-                "its self-intersection is not determined by the tree"
-            )
-        value = -(2 + sum(canonical[l] for l in neighbor_sets[j])) / denominator
-        if value.denominator != 1 or value > -1:
-            raise NonIntegralSelfIntersection(
-                f"component E{j + 1} would need self-intersection {value}"
-            )
-        diagonal.append(int(value))
-    return tuple(diagonal)
+    canonical = _rational_vector(canonical, None, "canonical divisor")
+    return _diagonal(_neighbor_sets(edges, len(canonical)), canonical)
 
 
 def graph_from_adjacency(
@@ -293,15 +297,14 @@ def graph_from_adjacency(
     """Assemble and validate a graph from 1-based tree edges plus K.
 
     The derived matrix must reproduce the given K exactly (checked)."""
-    canonical = tuple(Fraction(k) for k in canonical)
-    diagonal = derive_diagonal(edges, canonical)
+    canonical = _rational_vector(canonical, None, "canonical divisor")
+    neighbor_sets = _neighbor_sets(edges, len(canonical))
+    diagonal = _diagonal(neighbor_sets, canonical)
     size = len(canonical)
-    rows = [[0] * size for _ in range(size)]
-    for j in range(size):
-        rows[j][j] = diagonal[j]
-    for a, b in edges:
-        rows[a - 1][b - 1] = 1
-        rows[b - 1][a - 1] = 1
+    rows = [
+        [diagonal[j] if l == j else int(l in neighbors) for l in range(size)]
+        for j, neighbors in enumerate(neighbor_sets)
+    ]
     graph = build_graph(rows)
     if graph.canonical != canonical:
         raise InternalConsistencyError(
@@ -312,18 +315,12 @@ def graph_from_adjacency(
 
 def attach_ideals(graph: DualGraph, ideals: Sequence[Sequence[int]]) -> IdealTuple:
     """Attach a tuple of ideals given by their antinef vanishing-order vectors."""
+    ideals = _entries(ideals, None, "ideals")
     if not ideals:
         raise ValidationError("at least one ideal is required")
     normalized = []
     for index, vector in enumerate(ideals):
-        if len(vector) != graph.size:
-            raise LengthMismatch(
-                f"ideal {index + 1} has {len(vector)} coefficients, "
-                f"graph has {graph.size} components"
-            )
-        entries = tuple(int(v) for v in vector)
-        if any(entry != original for entry, original in zip(entries, vector)):
-            raise NotAntinef(f"ideal {index + 1} has non-integer coefficients")
+        entries = _integer_vector(vector, graph.size, f"ideal {index + 1}")
         if all(entry == 0 for entry in entries):
             raise NotAntinef(f"ideal {index + 1} is the zero divisor")
         if not is_antinef(graph, entries):

@@ -2,8 +2,11 @@
 
 Two broad families:
 
-* :class:`ValidationError` — the input data is mathematically inadmissible
-  (bad matrix, non-antinef ideal divisor, malformed point, ...).  These are
+* :class:`ValidationError` — the input data is inadmissible: a number that
+  is not an ``int`` or ``Fraction`` (floats, bools, strings, None), a
+  non-integer where an integer is needed, or mathematically bad data (bad
+  matrix, non-antinef ideal divisor, negative point, ...); a wrong length
+  or an index out of range is a :class:`LengthMismatch`.  These are
   expected, user-facing failures; the CLI maps them to exit code 2.
 * :class:`InternalConsistencyError` — two independent computation routes that
   must agree exactly have disagreed, or a value the theory guarantees (an
@@ -70,7 +73,8 @@ class NotAntinef(ValidationError):
 
 
 class LengthMismatch(ValidationError):
-    """A vector's length does not match the number of exceptional components."""
+    """A vector has the wrong length (components, ideals, box sides, ...) or
+    an index lies outside its range."""
 
 
 class NotAJumpingPoint(ValidationError):

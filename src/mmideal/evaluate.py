@@ -11,6 +11,11 @@ limit divisor D_{(1-eps)c} for all small eps > 0 is computed symbolically:
 component j gets floor(v_j) - 1 when v_j is an integer and (c.F)_j > 0, and
 floor(v_j) otherwise.  No numeric epsilon is ever chosen.
 
+A point is one `int` or `Fraction` per ideal, none negative, read through
+``rationals`` (floats, bools and strings raise ValidationError); a ray
+direction or weight vector is one nonnegative integer per ideal, not all
+zero.
+
 The arithmetic is in integers.  N, the lcm of the denominators of K and of
 c, scales the point to the integer vector N*c; then N*(c.F) and N*v are
 integer vectors too, and floor(v_j) = N*v_j // N, v_j is an integer exactly
@@ -56,43 +61,32 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .dualgraph import IdealTuple, attach_ideals
-from .errors import InternalConsistencyError, LengthMismatch, ValidationError
+from .errors import InternalConsistencyError, ValidationError
 from .polytope import Halfspace, Polytope, intersect_halfspaces, orthant_halfspaces
+from .rationals import _entries, _flags, _index, _integer_vector, _rational_vector
 from .rationals import format_rational, over_common_denominator
 from .unloading import antinef_closure_checked, intersection_products
 
 Point = tuple[Fraction, ...]
 
 
-def normalize_point(ideals: IdealTuple, point: Sequence) -> Point:
-    coords = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in point)
-    if len(coords) != ideals.r:
-        raise LengthMismatch(
-            f"point has {len(coords)} coordinates, tuple has {ideals.r} ideals"
-        )
+def _weight_point(ideals: IdealTuple, point: Sequence) -> Point:
+    """A caller's weight point: one rational per ideal, none negative."""
+    coords = _rational_vector(point, ideals.r, "point")
     if any(x < 0 for x in coords):
         raise ValidationError(f"point {coords} has a negative coordinate")
     return coords
-
-
-def _ideal_index(ideals: IdealTuple, index: int) -> int:
-    """A 0-based ideal (or axis) index, refused outside 0..r-1."""
-    if not 0 <= index < ideals.r:
-        raise LengthMismatch(f"ideal index {index} is outside 0..{ideals.r - 1}")
-    return index
 
 
 def _integer_direction(
     ideals: IdealTuple, entries: Sequence, what: str
 ) -> tuple[int, ...]:
     """One nonnegative integer per ideal, not all zero: a ray direction or a
-    weight vector.  Non-integer entries are refused, never truncated."""
-    exact = tuple(Fraction(u) for u in entries)
-    if len(exact) != ideals.r:
-        raise LengthMismatch(f"{what} has {len(exact)} entries, expected {ideals.r}")
-    if any(u < 0 or u.denominator != 1 for u in exact) or not any(exact):
+    weight vector."""
+    direction = _integer_vector(entries, ideals.r, what)
+    if any(u < 0 for u in direction) or not any(direction):
         raise ValidationError(f"{what} must be nonnegative integers, not all zero")
-    return tuple(u.numerator for u in exact)
+    return direction
 
 
 def _dot_F(ideals: IdealTuple, vector: Sequence) -> tuple:
@@ -211,7 +205,7 @@ def evaluate_point(ideals: IdealTuple, point: PointLike) -> PointEvaluation:
                 "the point evaluation belongs to a different ideal tuple"
             )
         return point
-    denominator, numerators = over_common_denominator(normalize_point(ideals, point))
+    denominator, numerators = over_common_denominator(_weight_point(ideals, point))
     return _evaluate_at(ideals, numerators, denominator)
 
 
@@ -273,7 +267,9 @@ def maximal_jumping_divisor(ideals: IdealTuple, point: PointLike) -> tuple[bool,
 
 
 def support_components(ideals: IdealTuple, support: Sequence[bool]) -> list[list[int]]:
-    """Connected components (index lists) of a reduced divisor in the tree."""
+    """Connected components (index lists) of a reduced divisor in the tree,
+    given as one `bool` per component."""
+    support = _flags(support, ideals.size, "support")
     adjacency = ideals.graph.adjacency
     seen = [False] * len(support)
     components = []
@@ -385,7 +381,10 @@ def region(ideals: IdealTuple, point: PointLike) -> RegionReport:
 
 def subtuple(ideals: IdealTuple, indices: Sequence[int]) -> IdealTuple:
     """The tuple restricted to the chosen ideals (0-based indices)."""
-    chosen = [ideals.ideals[_ideal_index(ideals, i)] for i in indices]
+    chosen = [
+        ideals.ideals[_index(i, ideals.r, "ideal index")]
+        for i in _entries(indices, None, "ideal indices")
+    ]
     return attach_ideals(ideals.graph, chosen)
 
 

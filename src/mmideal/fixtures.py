@@ -28,7 +28,7 @@ from .dualgraph import (
     graph_from_adjacency,
 )
 from .errors import ParseError, SchemaError
-from .rationals import format_rational, parse_rational
+from .rationals import _as_integer, format_rational, parse_rational
 
 __all__ = [
     "Fixture",
@@ -71,9 +71,9 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _integer(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if (integer := _as_integer(value)) is None:  # JSON has ints, no Fractions
         raise SchemaError(f"{field}: expected an integer, got {value!r}")
-    return value
+    return integer
 
 
 def _rational(value, field: str) -> Fraction:
@@ -129,6 +129,8 @@ def _parse_expected(block, size: int, r: int) -> dict:
 
 
 def parse_fixture(text: str) -> Fixture:
+    if not isinstance(text, str):
+        raise ParseError(f"fixture text must be a string, got {text!r}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as error:
@@ -285,6 +287,8 @@ def bundled_names() -> list[str]:
 
 def load_fixture(name_or_path: str) -> Fixture:
     """Load a bundled fixture by name or any fixture file by path."""
+    if not isinstance(name_or_path, str):
+        raise ParseError(f"a fixture is named by a string, got {name_or_path!r}")
     root = resources.files(__package__) / "fixtures"
     bundled = root / f"{name_or_path}.json"
     if bundled.is_file():

@@ -44,25 +44,8 @@ from .evaluate import (
     evaluate_point,
     support_components,
 )
+from .rationals import _rational, _rational_vector
 from .unloading import colength, intersection_products
-
-__all__ = [
-    "multiplicity",
-    "multiplicity_fractional",
-    "multiplicity_oracle",
-    "multiplicity_via_G",
-    "multiplicity_checked",
-    "is_jumping",
-    "check_H_inequalities",
-    "minimal_jumping_divisor",
-    "jump_record",
-    "perturbation_sum",
-    "default_offset",
-    "admissible_perturbation",
-    "JumpRecord",
-    "HInequalityReport",
-    "PerturbationReport",
-]
 
 
 def multiplicity(ideals: IdealTuple, point: PointLike) -> int:
@@ -288,8 +271,8 @@ def perturbation_sum(
     evaluation = evaluate_point(ideals, point)
     coords = evaluation.point
     direction = _integer_direction(ideals, ray_dir, "ray direction")
-    shift = tuple(Fraction(o) for o in offset)
-    if len(shift) != ideals.r or all(s == 0 for s in shift):
+    shift = _rational_vector(offset, ideals.r, "offset")
+    if not any(shift):
         raise ValidationError("offset must be a nonzero rational vector")
     base = tuple(c + s for c, s in zip(coords, shift))
     if any(b < 0 for b in base):
@@ -349,7 +332,8 @@ def perturbation_sum(
 
 def default_offset(point: Sequence[Fraction], delta: Fraction) -> tuple[Fraction, ...]:
     """Offset along the first axis on which the point vanishes, else axis 1."""
-    coords = tuple(Fraction(x) for x in point)
+    coords = _rational_vector(point, None, "point")
+    delta = _rational(delta, "offset size")
     axis = next((i for i, x in enumerate(coords) if x == 0), 0)
     return tuple(delta if i == axis else Fraction(0) for i in range(len(coords)))
 

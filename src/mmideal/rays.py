@@ -42,35 +42,19 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .dualgraph import IdealTuple
-from .errors import HorizonTooSmall, InternalConsistencyError
+from .errors import HorizonTooSmall, InternalConsistencyError, ValidationError
 from .evaluate import (
     Point,
     _dot_F,
     _evaluate_at,
     _integer_direction,
+    _weight_point,
     evaluate_point,
     maximal_jumping_divisor,
-    normalize_point,
 )
 from .multiplicity import JumpRecord, jump_record
-from .rationals import format_rational, over_common_denominator
+from .rationals import _rational, format_rational, over_common_denominator
 from .unloading import divisor_leq
-
-__all__ = [
-    "Ray",
-    "RayJump",
-    "make_ray",
-    "ray_point",
-    "ray_next",
-    "ray_walk",
-    "rho",
-    "is_degenerate",
-    "stability_bound",
-    "AnchorTerm",
-    "SeriesClosedForm",
-    "poincare",
-    "series_expand",
-]
 
 
 @dataclass(frozen=True)
@@ -80,11 +64,12 @@ class Ray:
 
 
 def make_ray(ideals: IdealTuple, base: Sequence, direction: Sequence[int]) -> Ray:
-    origin = normalize_point(ideals, base)
+    origin = _weight_point(ideals, base)
     return Ray(origin, _integer_direction(ideals, direction, "ray direction"))
 
 
 def ray_point(ray: Ray, parameter: Fraction) -> Point:
+    parameter = _rational(parameter, "ray parameter")
     return tuple(b + parameter * u for b, u in zip(ray.base, ray.direction))
 
 
@@ -146,8 +131,12 @@ def _jumps(
 
 
 def ray_next(ideals: IdealTuple, ray: Ray, after: Fraction) -> RayJump | None:
-    """First jumping point on the ray with parameter strictly beyond `after`."""
-    candidates = _candidate_parameters(ideals, ray, Fraction(after))
+    """First jumping point on the ray with parameter strictly beyond
+    `after`, which must be nonnegative: the walk never leaves the orthant."""
+    after = _rational(after, "after")
+    if after < 0:
+        raise ValidationError(f"after must be nonnegative, got {after}")
+    candidates = _candidate_parameters(ideals, ray, after)
     return next(_jumps(ideals, ray, candidates), None)
 
 
@@ -158,7 +147,7 @@ def ray_walk(ideals: IdealTuple, ray: Ray, until: Fraction) -> list[RayJump]:
     jump's divisor dominates the previous jump's divisor through the left
     limit.  Violations are internal errors, never data.
     """
-    limit = Fraction(until)
+    limit = _rational(until, "until")
     candidates = itertools.takewhile(
         lambda mu: mu <= limit, _candidate_parameters(ideals, ray, Fraction(0))
     )
@@ -302,7 +291,7 @@ def poincare(
     of the ray, and every residue class must anchor at or before it;
     otherwise HorizonTooSmall names the smallest horizon that can work.
     """
-    limit = Fraction(horizon)
+    limit = _rational(horizon, "horizon")
     bound = stability_bound(ideals, ray)
     if limit < bound + 1:
         raise HorizonTooSmall(
@@ -376,7 +365,7 @@ def series_expand(
 ) -> list[tuple[Fraction, Point, int]]:
     """Expand the closed form back into (parameter, point, multiplicity)
     triples with parameter in (0, until], sorted by parameter."""
-    limit = Fraction(until)
+    limit = _rational(until, "until")
     out: list[tuple[Fraction, Point, int]] = []
     for parameter, point, mult in form.monomials:
         if 0 < parameter <= limit:

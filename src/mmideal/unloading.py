@@ -18,7 +18,10 @@ Two implementations of unloading are provided on purpose:
 
 Both must return the same divisor on every input; the test-suite and the
 ``closure`` CLI subcommand verify that exactly.  Both start from the
-clamped divisor max(D, 0) and refuse a non-integer coefficient.  Checked
+clamped divisor max(D, 0).  Every public function here reads its divisor
+through ``rationals``: one integer (an ``int`` or a ``Fraction`` with
+denominator 1) per component; a float, bool, string or non-integer
+``Fraction`` raises ValidationError, a wrong length LengthMismatch.  Checked
 closures are memoized per graph, keyed by the clamped divisor alone, in the
 graph's own ``closure_cache``, a :class:`ClosureCache` of at most
 ``CLOSURE_CACHE_BOUND`` entries that counts its hits and misses; the cache
@@ -30,15 +33,10 @@ d_j (-2 - E_j^2), which holds because M K = b, so K itself is never read.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import (
-    InternalConsistencyError,
-    LengthMismatch,
-    NonIntegralTotal,
-    NotAntinef,
-    ValidationError,
-)
+from .errors import InternalConsistencyError, NonIntegralTotal, NotAntinef
+from .rationals import _integer_vector
 
 if TYPE_CHECKING:
     from .dualgraph import DualGraph
@@ -72,16 +70,9 @@ class ClosureCache(dict):
         self[key] = closure
 
 
-def _check_length(graph: DualGraph, divisor: Sequence) -> None:
-    if len(divisor) != graph.size:
-        raise LengthMismatch(
-            f"divisor has {len(divisor)} coefficients, graph has {graph.size} components"
-        )
-
-
 def intersection_products(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]:
-    """Return (D.E_1, ..., D.E_s), read off the sparse rows of the tree."""
-    _check_length(graph, divisor)
+    """Return (D.E_1, ..., D.E_s), read off the sparse rows of the tree;
+    the divisor is the library's own, unchecked."""
     matrix, adjacency = graph.matrix, graph.adjacency
     return tuple(
         matrix[j][j] * coefficient + sum(divisor[l] for l in adjacency[j])
@@ -89,29 +80,22 @@ def intersection_products(graph: DualGraph, divisor: Sequence[int]) -> tuple[int
     )
 
 
-def _effective_integral(divisor: Sequence) -> bool:
-    return all(
-        coefficient == int(coefficient) and coefficient >= 0
-        for coefficient in divisor
-    )
+def _divisor(graph: DualGraph, divisor: Sequence) -> tuple[int, ...]:
+    return _integer_vector(divisor, graph.size, "divisor coefficients")
 
 
 def is_antinef(graph: DualGraph, divisor: Sequence[int]) -> bool:
-    """True iff *divisor* is effective, integral, and all products are <= 0."""
-    _check_length(graph, divisor)
-    if not _effective_integral(divisor):
+    """True iff the integer *divisor* is effective and all products are <= 0."""
+    divisor = _divisor(graph, divisor)
+    if any(coefficient < 0 for coefficient in divisor):
         return False
     return all(product <= 0 for product in intersection_products(graph, divisor))
 
 
-def _clamped(divisor: Sequence) -> list[int]:
+def _clamped(graph: DualGraph, divisor: Sequence) -> list[int]:
     """max(D, 0) coefficientwise.  Both closures start from it; a
     non-integer coefficient is refused, never truncated."""
-    integers = list(map(int, divisor))
-    if integers != list(divisor):
-        shown = ", ".join(map(str, divisor))
-        raise ValidationError(f"divisor ({shown}) has a non-integer coefficient")
-    return [c if c > 0 else 0 for c in integers]
+    return [c if c > 0 else 0 for c in _divisor(graph, divisor)]
 
 
 def _unload(graph: DualGraph, start: list[int]) -> tuple[int, ...]:
@@ -146,7 +130,7 @@ def antinef_closure(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]
     Uses ceiling-step unloading.  The result is asserted antinef and above
     the clamped input.
     """
-    clamped = _clamped(divisor)
+    clamped = _clamped(graph, divisor)
     result = _unload(graph, list(clamped))
     if not is_antinef(graph, result):
         raise InternalConsistencyError("unloading returned a non-antinef divisor")
@@ -164,7 +148,7 @@ def antinef_closure_unit(graph: DualGraph, divisor: Sequence[int]) -> tuple[int,
     a popped component that is no longer violated is skipped.
     """
     matrix, adjacency = graph.matrix, graph.adjacency
-    result = _clamped(divisor)
+    result = _clamped(graph, divisor)
     products = list(intersection_products(graph, result))
     pending = [j for j, product in enumerate(products) if product > 0]
     while pending:
@@ -193,7 +177,7 @@ def antinef_closure_checked(graph: DualGraph, divisor: Sequence[int]) -> tuple[i
     evaluate heavily overlapping floor vectors, and the closure is
     deterministic.
     """
-    key = tuple(_clamped(divisor))
+    key = tuple(_clamped(graph, divisor))
     cached = graph.closure_cache.lookup(key)
     if cached is not None:
         return cached
@@ -228,11 +212,9 @@ def colength(graph: DualGraph, divisor: Sequence[int]) -> int:
     nonnegative integer, zero exactly for the zero divisor; anything else
     raises NonIntegralTotal.
     """
-    _check_length(graph, divisor)
-    products = (
-        intersection_products(graph, divisor) if _effective_integral(divisor) else None
-    )
-    if products is None or any(product > 0 for product in products):
+    divisor = _divisor(graph, divisor)
+    products = intersection_products(graph, divisor)
+    if any(d < 0 for d in divisor) or any(product > 0 for product in products):
         raise NotAntinef(f"colength is defined for antinef divisors, got {divisor}")
     matrix = graph.matrix
     twice = -sum(
@@ -251,6 +233,8 @@ def colength(graph: DualGraph, divisor: Sequence[int]) -> int:
     return value
 
 
-def divisor_leq(left: Iterable, right: Iterable) -> bool:
-    """Componentwise <= for divisors."""
+def divisor_leq(left: Sequence[int], right: Sequence[int]) -> bool:
+    """Componentwise <= for two integer divisors of one length."""
+    left = _integer_vector(left, None, "left divisor")
+    right = _integer_vector(right, len(left), "right divisor")
     return all(a <= b for a, b in zip(left, right))

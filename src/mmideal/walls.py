@@ -45,7 +45,6 @@ from .errors import (
     BindingNonRuptureConstraint,
     BoxTooSmall,
     InternalConsistencyError,
-    LengthMismatch,
     NoCleanSample,
     ValidationError,
 )
@@ -53,49 +52,30 @@ from .evaluate import (
     PointEvaluation,
     RegionReport,
     _evaluate_at,
-    _ideal_index,
     evaluate_point,
     mmi_divisor,
     region,
 )
 from .multiplicity import jump_record, multiplicity_checked
 from .polytope import Vector
-from .rationals import format_point, format_rational
+from .rationals import _index, _rational_vector, format_point, format_rational
 from .unloading import antinef_closure_checked
 
-__all__ = [
-    "wall_lines",
-    "cell_decomposition",
-    "facet_intersection_vertices",
-    "WallAtlas",
-    "CFacet",
-    "lc_region",
-    "require_valid_region",
-    "lct_axis",
-    "axis_Gprime",
-    "newton_nest",
-    "bijection_report",
-    "LCFacet",
-    "BijectionReport",
-]
 
 Point2 = tuple[Fraction, Fraction]
 
 
 def wall_lines(ideals: IdealTuple, box: tuple[Fraction, Fraction]) -> list[Line]:
-    """Positive-level wall lines meeting the open box (0,bx) x (0,by) of
-    `int` or `Fraction` sides, built as (D*F_1[j], D*F_2[j], D*k_j + D*l)."""
+    """Positive-level wall lines meeting the open box (0,bx) x (0,by),
+    built as (D*F_1[j], D*F_2[j], D*k_j + D*l)."""
     if ideals.r != 2:
         raise ValidationError(
             f"wall atlases need exactly two ideals, got {ideals.r}"
         )
-    if len(box) != 2:
-        raise LengthMismatch(f"box needs 2 sides, got {len(box)}")
-    if any(isinstance(side, bool) or not isinstance(side, (int, Fraction)) for side in box):
-        raise ValidationError(f"box sides must be integers or Fractions, got {box!r}")
-    (px, qx), (py, qy) = ((side.numerator, side.denominator) for side in box)
-    if px <= 0 or py <= 0:
+    box = _rational_vector(box, 2, "box sides")
+    if any(side <= 0 for side in box):
         raise ValidationError("box sides must be positive rationals")
+    (px, qx), (py, qy) = ((side.numerator, side.denominator) for side in box)
     denominator, scaled_canonical = ideals.graph.scaled_canonical
     lines: list[Line] = []
     for j in range(ideals.size):
@@ -306,7 +286,7 @@ def cell_decomposition(
             )
 
     return WallAtlas(
-        box=(Fraction(box[0]), Fraction(box[1])),
+        box=_rational_vector(box, 2, "box sides"),
         arrangement=arrangement,
         face_divisors=face_divisors,
         cells=cells,
@@ -366,14 +346,14 @@ def _axis_supports(
 
 def lct_axis(ideals: IdealTuple, axis: int) -> Fraction:
     """Jumping threshold of the single ideal F_axis (0-based axis)."""
-    axis = _ideal_index(ideals, axis)
+    axis = _index(axis, ideals.r, "ideal index")
     return lc_region(ideals).thresholds[axis]
 
 
 def axis_Gprime(ideals: IdealTuple, axis: int) -> tuple[int, ...]:
     """Rupture-or-dicritical components whose wall passes through the axis
     threshold point of the given ideal."""
-    axis = _ideal_index(ideals, axis)
+    axis = _index(axis, ideals.r, "ideal index")
     return _axis_supports(ideals, lc_region(ideals))[axis]
 
 

@@ -16,6 +16,25 @@ def edge_point(vertices, edge, fraction):
     return tuple(a + fraction * (b - a) for a, b in zip(p, q))
 
 
+def _loop_points(arrangement, face):
+    triples = (arrangement.vertex_triples[n] for n in face.loop)
+    return [(Fraction(x, w), Fraction(y, w)) for x, y, w in triples]
+
+
+def face_barycenter(arrangement, face):
+    """The average of a face's loop vertices, read off their triples in
+    `Fraction` arithmetic."""
+    points = _loop_points(arrangement, face)
+    return tuple(sum(coords, Fraction(0)) / len(points) for coords in zip(*points))
+
+
+def face_area(arrangement, face):
+    """The shoelace area of a face's loop, read off its vertex triples."""
+    points = _loop_points(arrangement, face)
+    pairs = zip(points, points[1:] + points[:1])
+    return sum((x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in pairs), Fraction(0)) / 2
+
+
 @pytest.fixture(scope="session")
 def tuples():
     """Name -> IdealTuple for every bundled fixture."""

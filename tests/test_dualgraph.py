@@ -65,6 +65,12 @@ def test_edges_are_one_based():
         derive_diagonal(((1, size + 1),), frozen.CHAIN10_CANONICAL)
 
 
+def test_self_loop_is_not_a_tree():
+    # a loop is a cycle; it is not out of range
+    with pytest.raises(NotTree, match=r"^edge \(1,1\) is a self-loop$"):
+        graph_from_adjacency([(1, 1)], (1, 1))
+
+
 def test_chain10_is_a_chain(chain10):
     # ten components in a path: two leaves, eight valence-2 vertices
     valences = sorted(chain10.graph.valence(j) for j in range(10))

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import FIXTURE_NAMES, edge_point
+from conftest import FIXTURE_NAMES, edge_point, face_barycenter
 from mmideal import (
     cell_decomposition,
     combined_ideal,
@@ -261,7 +261,7 @@ def test_atlas_points_enter_as_integers(tuples, name, box):
     for face in arr.faces:
         _assert_same_evaluation(
             evaluate._evaluate_at(ideals, *arr.mean(face.loop)),
-            evaluate_point(ideals, face.barycenter),
+            evaluate_point(ideals, face_barycenter(arr, face)),
         )
 
 

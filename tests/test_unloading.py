@@ -24,7 +24,12 @@ from mmideal import (
 )
 from mmideal import unloading
 from mmideal.cli import main
-from mmideal.errors import InternalConsistencyError, NotAntinef, ValidationError
+from mmideal.errors import (
+    InternalConsistencyError,
+    LengthMismatch,
+    NotAntinef,
+    ValidationError,
+)
 from mmideal.unloading import intersection_products
 from trees import random_any_tree_matrix, random_divisor, random_tree_matrix
 
@@ -135,16 +140,16 @@ def test_closure_clamps_negative_entries(rat6):
 
 def test_closures_refuse_non_integer_coefficients(rat6):
     graph = build_graph(rat6.graph.matrix)
-    for coefficient in (Fraction(1, 2), Fraction(5, 2), 2.7):
+    # a float is refused even when it is integer-valued
+    for coefficient in (Fraction(1, 2), Fraction(5, 2), 2.7, 2.0, True):
         divisor = (coefficient, 0, 0, 0, 0, 0)
         for closure in (antinef_closure, antinef_closure_unit, antinef_closure_checked):
-            with pytest.raises(ValidationError, match="non-integer coefficient"):
+            with pytest.raises(ValidationError, match="expected integers"):
                 closure(graph, divisor)
     assert graph.closure_cache == {}
-    # an integer-valued Fraction or float is an integer coefficient
+    # an integer-valued Fraction is an integer coefficient
     two = antinef_closure_checked(graph, (2, 0, 0, 0, 0, 0))
     assert antinef_closure_checked(graph, (Fraction(4, 2), 0, 0, 0, 0, 0)) == two
-    assert antinef_closure_checked(graph, (2.0, 0, 0, 0, 0, 0)) == two
 
 
 def test_checked_closure_keys_on_the_clamped_divisor(rat6, monkeypatch):
@@ -205,6 +210,12 @@ def test_odd_colength_total_is_an_internal_error(monkeypatch, capsys, rat6):
 def test_divisor_leq():
     assert divisor_leq((1, 2), (1, 3))
     assert not divisor_leq((2, 2), (1, 3))
+
+
+def test_divisor_leq_needs_equal_lengths():
+    # zip would compare the first coefficient only and answer True
+    with pytest.raises(LengthMismatch, match="right divisor: expected 3 entries, got 1"):
+        divisor_leq((1, 2, 3), (5,))
 
 
 def test_two_routes_agree_on_random_trees():

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import frozen
-from conftest import edge_point
+from conftest import edge_point, face_barycenter
 from trees import random_tree_matrix
 from mmideal.arrangement import build_arrangement, merge_lines
 from mmideal.rationals import format_point
@@ -64,7 +64,7 @@ def test_box_too_small(rat6):
 
 @pytest.mark.parametrize("box", [(1,), (1, 1, 5)], ids=["one side", "three sides"])
 def test_box_needs_two_sides(rat6, box):
-    with pytest.raises(LengthMismatch, match="box needs 2 sides"):
+    with pytest.raises(LengthMismatch, match="box sides: expected 2 entries"):
         cell_decomposition(rat6, box)
 
 
@@ -170,7 +170,7 @@ def test_propagated_faces_match_direct_evaluation(tuples, name, box):
     for face, propagated, divisor in zip(
         atlas.arrangement.faces, floors, atlas.face_divisors
     ):
-        evaluation = evaluate_point(ideals, face.barycenter)
+        evaluation = evaluate_point(ideals, face_barycenter(atlas.arrangement, face))
         assert propagated == tuple(max(f, 0) for f in evaluation.floors)
         assert divisor == mmi_divisor(ideals, evaluation)
 
