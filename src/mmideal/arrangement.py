@@ -33,18 +33,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from .errors import InternalConsistencyError
-from .rationals import over_common_denominator
-
-__all__ = [
-    "Line",
-    "Edge",
-    "Face",
-    "Arrangement",
-    "make_line",
-    "merge_lines",
-    "build_arrangement",
-]
+from .errors import InternalConsistencyError, ValidationError
+from .rationals import _rational_vector, over_common_denominator
 
 Point2 = tuple[Fraction, Fraction]
 
@@ -76,9 +66,8 @@ class Line:
 
 def make_line(a, b, c, sources: Iterable[tuple[int, int]] = (), is_box: bool = False) -> Line:
     """The line a*x + b*y = c for `int` or `Fraction` a, b, c, in lowest terms."""
-    if not all(isinstance(x, (int, Fraction)) for x in (a, b, c)):
-        raise ValueError(f"line coefficients must be int or Fraction, got {(a, b, c)!r}")
-    _, (A, B, C) = over_common_denominator((a, b, c))
+    coefficients = _rational_vector((a, b, c), 3, "line coefficients")
+    _, (A, B, C) = over_common_denominator(coefficients)
     if A == 0 and B == 0:
         raise ValueError("degenerate line with zero normal")
     g = math.gcd(A, B, C)
@@ -166,9 +155,9 @@ class Arrangement:
 
 
 def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]) -> Arrangement:
-    bx, by = Fraction(box[0]), Fraction(box[1])
+    bx, by = _rational_vector(box, 2, "box sides")
     if bx <= 0 or by <= 0:
-        raise ValueError("box sides must be positive")
+        raise ValidationError("box sides must be positive")
     lines = merge_lines(
         list(wall_lines)
         + [

@@ -39,8 +39,6 @@ from .walls import (
     require_valid_region,
 )
 
-__all__ = ["main"]
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; the contract says 1."""

@@ -30,16 +30,6 @@ from .dualgraph import (
 from .errors import ParseError, SchemaError
 from .rationals import _as_integer, format_rational, parse_rational
 
-__all__ = [
-    "Fixture",
-    "parse_fixture",
-    "emit_fixture",
-    "load_fixture",
-    "bundled_names",
-    "build_graph_from_fixture",
-    "build_tuple",
-]
-
 _TOP_KEYS = {"name", "matrix", "adjacency", "canonical", "ideals", "expected", "notes"}
 _EXPECTED_KEYS = {
     "canonical",

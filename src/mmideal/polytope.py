@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .rationals import over_common_denominator
+from .rationals import _rational, _rational_vector, over_common_denominator
 
 Vector = tuple[Fraction, ...]
 
@@ -78,7 +78,8 @@ class Halfspace:
 
 
 def make_halfspace(normal: Iterable, bound) -> Halfspace:
-    return Halfspace(tuple(Fraction(n) for n in normal), Fraction(bound))
+    normal = _rational_vector(normal, None, "halfspace normal")
+    return Halfspace(normal, _rational(bound, "halfspace bound"))
 
 
 def orthant_halfspaces(dimension: int) -> list[Halfspace]:

@@ -53,7 +53,13 @@ from .evaluate import (
     maximal_jumping_divisor,
 )
 from .multiplicity import JumpRecord, jump_record
-from .rationals import _rational, format_rational, over_common_denominator
+from .rationals import (
+    _integer_vector,
+    _rational,
+    _rational_vector,
+    format_rational,
+    over_common_denominator,
+)
 from .unloading import divisor_leq
 
 
@@ -68,9 +74,20 @@ def make_ray(ideals: IdealTuple, base: Sequence, direction: Sequence[int]) -> Ra
     return Ray(origin, _integer_direction(ideals, direction, "ray direction"))
 
 
+def _fields(ray: Ray) -> tuple[Point, tuple[int, ...]]:
+    """A caller's ray read through the contract: `Ray` is public, so a
+    hand-built one has skipped `make_ray`.  The walks read it again through
+    `make_ray`, which adds the tuple's rules."""
+    if not isinstance(ray, Ray):
+        raise ValidationError(f"expected a Ray, got {ray!r}")
+    base = _rational_vector(ray.base, None, "ray base")
+    return base, _integer_vector(ray.direction, len(base), "ray direction")
+
+
 def ray_point(ray: Ray, parameter: Fraction) -> Point:
+    base, direction = _fields(ray)
     parameter = _rational(parameter, "ray parameter")
-    return tuple(b + parameter * u for b, u in zip(ray.base, ray.direction))
+    return tuple(b + parameter * u for b, u in zip(base, direction))
 
 
 @dataclass(frozen=True)
@@ -133,6 +150,7 @@ def _jumps(
 def ray_next(ideals: IdealTuple, ray: Ray, after: Fraction) -> RayJump | None:
     """First jumping point on the ray with parameter strictly beyond
     `after`, which must be nonnegative: the walk never leaves the orthant."""
+    ray = make_ray(ideals, *_fields(ray))
     after = _rational(after, "after")
     if after < 0:
         raise ValidationError(f"after must be nonnegative, got {after}")
@@ -147,6 +165,7 @@ def ray_walk(ideals: IdealTuple, ray: Ray, until: Fraction) -> list[RayJump]:
     jump's divisor dominates the previous jump's divisor through the left
     limit.  Violations are internal errors, never data.
     """
+    ray = make_ray(ideals, *_fields(ray))
     limit = _rational(until, "until")
     candidates = itertools.takewhile(
         lambda mu: mu <= limit, _candidate_parameters(ideals, ray, Fraction(0))
@@ -191,6 +210,7 @@ def stability_bound(ideals: IdealTuple, ray: Ray) -> Fraction:
     """Smallest T >= 0 such that every point of the ray past T is
     non-degenerate: beyond T every integral gap value is positive.  It is
     max(0, max_j -v_j / q_j), compared in integers over the base's N."""
+    ray = make_ray(ideals, *_fields(ray))
     base = evaluate_point(ideals, ray.base)
     numerator, denominator = 0, 1
     for v, q in zip(base.scaled_values, _dot_F(ideals, ray.direction)):
@@ -291,6 +311,7 @@ def poincare(
     of the ray, and every residue class must anchor at or before it;
     otherwise HorizonTooSmall names the smallest horizon that can work.
     """
+    ray = make_ray(ideals, *_fields(ray))
     limit = _rational(horizon, "horizon")
     bound = stability_bound(ideals, ray)
     if limit < bound + 1:

@@ -15,16 +15,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import format_point, format_rational
+from .rationals import _integer, _rational, format_point, format_rational
 from .walls import WallAtlas
-
-__all__ = ["decimal_approx", "render_atlas_svg"]
 
 
 def decimal_approx(value: Fraction, significant: int = 20) -> str:
     """Decimal expansion of an exact rational, truncated to the given number
     of significant digits, computed with integer arithmetic only."""
-    value = Fraction(value)
+    value = _rational(value, "value")
+    significant = _integer(significant, "significant digits")
     return _decimal(value.numerator, value.denominator, significant)
 
 

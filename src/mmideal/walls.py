@@ -190,6 +190,7 @@ def _face_floors(
 def cell_decomposition(
     ideals: IdealTuple, box: tuple[Fraction, Fraction]
 ) -> WallAtlas:
+    box = _rational_vector(box, 2, "box sides")
     lines = wall_lines(ideals, box)
     arrangement = build_arrangement(lines, box)
     face_divisors = tuple(
@@ -286,7 +287,7 @@ def cell_decomposition(
             )
 
     return WallAtlas(
-        box=_rational_vector(box, 2, "box sides"),
+        box=box,
         arrangement=arrangement,
         face_divisors=face_divisors,
         cells=cells,

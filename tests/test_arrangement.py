@@ -16,7 +16,7 @@ from mmideal.arrangement import (
     merge_lines,
 )
 from mmideal import subtuple
-from mmideal.errors import BoxTooSmall
+from mmideal.errors import BoxTooSmall, ValidationError
 from mmideal.walls import wall_lines
 
 from conftest import FIXTURE_NAMES, edge_point, face_area, face_barycenter
@@ -30,9 +30,9 @@ def test_make_line_canonicalization():
         make_line(0, 0, 1)
 
 
-@pytest.mark.parametrize("a", [0.5, "1/2"], ids=["float", "str"])
+@pytest.mark.parametrize("a", [0.5, "1/2", True], ids=["float", "str", "bool"])
 def test_make_line_takes_ints_and_fractions(a):
-    with pytest.raises(ValueError, match="int or Fraction"):
+    with pytest.raises(ValidationError, match="expected integers or Fractions"):
         make_line(a, 1, 1)
 
 

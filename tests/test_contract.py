@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 import mmideal
 from mmideal import (
     Fixture,
+    Ray,
     build_tuple,
     colength,
     emit_fixture,
@@ -42,6 +43,9 @@ from mmideal import (
     make_ray,
     poincare,
     ray_next,
+    ray_point,
+    ray_walk,
+    stability_bound,
     subtuple,
     support_components,
 )
@@ -199,6 +203,24 @@ def _rays(ideals):
 WALKED_RAYS = {name: _rays(TUPLES[name]) for name in WALKED}
 RAYS = [ray for rays in WALKED_RAYS.values() for ray in rays]
 FORMS = [poincare(TUPLES[name], rays[0], 2) for name, rays in WALKED_RAYS.items()]
+# `Ray` is public, so a caller can build one without `make_ray`: every ray
+# function refuses these ...
+MISTYPED_RAYS = [
+    Ray((0, 0), (0.5, 1)),
+    Ray((Fraction(1, 2), 0.0), (1, 1)),
+    Ray((0, 0), (True, 1)),
+    Ray((0, 0), (1, 1, 1)),
+    Ray(None, (1, 1)),
+    Ray((0, 0), "11"),
+    ((0, 0), (1, 1)),
+]
+# ... and the walks also refuse a ray outside the orthant or standing still
+UNWALKABLE_RAYS = [
+    Ray((0, 0), (0, 0)),
+    Ray((0, 0), (-1, 1)),
+    Ray((Fraction(-1, 2), 0), (1, 1)),
+]
+hand_built_rays = st.sampled_from(MISTYPED_RAYS + UNWALKABLE_RAYS).map(Bad)
 
 
 def _walk(parameter):
@@ -206,7 +228,11 @@ def _walk(parameter):
     return st.sampled_from(WALKED).flatmap(
         lambda name: st.tuples(
             st.just(TUPLES[name]),
-            mostly(st.sampled_from(WALKED_RAYS[name]), st.sampled_from(RAYS)),
+            mostly(
+                st.sampled_from(WALKED_RAYS[name]),
+                st.sampled_from(RAYS),
+                hand_built_rays,
+            ),
             scalar(parameter),
         )
     )
@@ -351,10 +377,15 @@ DRIVEN = {
         scalar(rational),
     ),
     "make_ray": _tuple_and(lambda i: points(i) + directions(i)),
-    "ray_point": st.tuples(st.sampled_from(RAYS), scalar(rational)),
+    "ray_point": st.tuples(
+        mostly(st.sampled_from(RAYS), st.sampled_from(MISTYPED_RAYS).map(Bad)),
+        scalar(rational),
+    ),
     "ray_next": _walk(rational),
     "ray_walk": _walk(rational.map(lambda x: x / 3)),
-    "stability_bound": _tuple_and(lambda i: [st.sampled_from(RAYS)]),
+    "stability_bound": _tuple_and(
+        lambda i: [mostly(st.sampled_from(RAYS), hand_built_rays)]
+    ),
     "poincare": _walk(st.integers(1, 3) | rational),
     "series_expand": st.tuples(st.sampled_from(FORMS), scalar(rational)),
     **{
@@ -402,6 +433,7 @@ EXEMPT = {
     "require_valid_region": "reads a RegionReport built by `region`",
     "emit_fixture": "writes a Fixture that `parse_fixture` built",
     "facet_intersection_vertices": "reads a WallAtlas that `cell_decomposition` built",
+    "Ray": "a plain record; the ray functions above are driven with hand-built ones",
     "bundled_names": "takes no arguments",
     # result and error types
     **{
@@ -418,7 +450,6 @@ EXEMPT = {
             "LCFacet",
             "PerturbationReport",
             "PointEvaluation",
-            "Ray",
             "RayJump",
             "RegionReport",
             "SeriesClosedForm",
@@ -619,6 +650,35 @@ def test_short_support_is_refused():
 def test_bools_are_refused(call):
     with pytest.raises(ValidationError, match="got True"):
         call(TUPLES["RAT6"])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t, ray: ray_walk(t, ray, 1),
+        lambda t, ray: ray_next(t, ray, 0),
+        lambda t, ray: stability_bound(t, ray),
+        lambda t, ray: poincare(t, ray, 3),
+    ],
+    ids=["ray_walk", "ray_next", "stability_bound", "poincare"],
+)
+def test_hand_built_rays_are_refused(call):
+    rat6 = TUPLES["RAT6"]
+    message = r"^ray direction: expected integers, got 0\.5$"
+    with pytest.raises(ValidationError, match=message):
+        call(rat6, Ray((0, 0), (0.5, 1)))
+    message = "^ray direction must be nonnegative integers, not all zero$"
+    for direction in ((0, 0), (-1, 1)):
+        with pytest.raises(ValidationError, match=message):
+            call(rat6, Ray((0, 0), direction))
+    with pytest.raises(ValidationError, match="^expected a Ray, got "):
+        call(rat6, ((0, 0), (1, 1)))
+
+
+def test_hand_built_ray_point_is_refused():
+    message = "^ray base: expected integers or Fractions, got 0.5$"
+    with pytest.raises(ValidationError, match=message):
+        ray_point(Ray((0.5, 0), (1, 1)), 1)
 
 
 def test_domain_rules_keep_their_messages():

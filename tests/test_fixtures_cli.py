@@ -141,6 +141,14 @@ def test_decimal_approx():
     assert decimal_approx(Fraction(123456, 1000)) == "123.456"
 
 
+@pytest.mark.parametrize("value", [0.1, "0.5", True], ids=["float", "str", "bool"])
+def test_decimal_approx_takes_ints_and_fractions(value):
+    with pytest.raises(ValidationError, match="expected integers or Fractions"):
+        decimal_approx(value)
+    with pytest.raises(ValidationError, match="significant digits: expected integers"):
+        decimal_approx(Fraction(1, 3), value)
+
+
 def _long_division(value, significant):
     # one digit at a time, counting significant digits as they appear
     sign = "-" if value < 0 else ""

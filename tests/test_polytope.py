@@ -9,6 +9,7 @@ import pytest
 import frozen
 from mmideal import attach_ideals, lc_region, region, subtuple
 from mmideal.dualgraph import IdealTuple
+from mmideal.errors import ValidationError
 from mmideal.polytope import (
     affine_rank,
     intersect_halfspaces,
@@ -23,6 +24,16 @@ def unit_square():
         make_halfspace((1, 0), 1),
         make_halfspace((0, 1), 1),
     ]
+
+
+@pytest.mark.parametrize(
+    "normal, bound",
+    [((0.5, 1), 1), ((1, 0), "1"), ((True, 0), 1), ((1, 0), None)],
+    ids=["float", "str", "bool", "none"],
+)
+def test_make_halfspace_takes_ints_and_fractions(normal, bound):
+    with pytest.raises(ValidationError, match="expected integers or Fractions"):
+        make_halfspace(normal, bound)
 
 
 def test_unit_square_vertices():
