@@ -3,14 +3,14 @@
 Everything here is two-dimensional, exact and in integers.  A line arrives
 as its reduced integer form (A, B, C) of A*x + B*y = C (`make_line`), pairs
 are intersected with integer determinants and tested against the box by
-integer comparisons, and each vertex keeps its reduced triple (X, Y, W), the
+integer comparisons, and each vertex is its reduced triple (X, Y, W), the
 point (X/W, Y/W): `Arrangement.mean` combines triples into edge and face
-points and the picture reads its pixels off them, so only the vertex list
-handed to readers holds `Fraction` points.  The pair loop records each
-vertex on both of its lines, so a line's vertices are never searched for.
-Vertices are numbered in lexicographic order, which runs along +x on a
-non-vertical line and along +y on a vertical one, so each line's edge order
-is its sorted vertex numbers, reversed when its direction (B, -A) points the
+points and the picture reads its pixels off them, so no vertex is ever a
+`Fraction` point.  The pair loop records each vertex on both of its lines,
+so a line's vertices are never searched for.  Vertices are numbered in
+lexicographic order of their points, which runs along +x on a non-vertical
+line and along +y on a vertical one, so each line's edge order is its
+sorted vertex numbers, reversed when its direction (B, -A) points the
 other way.  Faces are recovered with the usual half-edge rotation trick:
 every half-edge points along its line's direction or against it, so one
 exact angular sort of those directions (half-plane index plus cross-product
@@ -36,32 +36,15 @@ from typing import Iterable, Sequence
 from .errors import InternalConsistencyError, ValidationError
 from .rationals import _rational_vector, over_common_denominator
 
-Point2 = tuple[Fraction, Fraction]
-
 
 @dataclass(frozen=True)
 class Line:
     """A*x + B*y = C as the integer form (A, B, C), gcd 1, in the orientation
-    it was made with; `key` (a, b, c) is (A, B, C) over |first nonzero of
-    (A, B)| in `Fraction`s."""
+    it was made with."""
 
     form: tuple[int, int, int]
     sources: tuple[tuple[int, int], ...] = ()
     is_box: bool = False
-
-    @property
-    def key(self) -> tuple[Fraction, Fraction, Fraction]:
-        return tuple(Fraction(n, abs(self.form[0] or self.form[1])) for n in self.form)
-
-    a = property(lambda self: self.key[0])
-    b = property(lambda self: self.key[1])
-    c = property(lambda self: self.key[2])
-
-    def value(self, point: Point2) -> Fraction:
-        return self.a * point[0] + self.b * point[1]
-
-    def contains(self, point: Point2) -> bool:
-        return self.value(point) == self.c
 
 
 def make_line(a, b, c, sources: Iterable[tuple[int, int]] = (), is_box: bool = False) -> Line:
@@ -79,9 +62,9 @@ def merge_lines(lines: Iterable[Line]) -> list[Line]:
 
     A line and its negation coincide: lines are matched on the form whose
     first nonzero normal coefficient is positive, and the first line seen
-    keeps its orientation.  The merged lines come in the order of the
-    `Fraction` keys (A, B, C)/d of those forms, d the first nonzero of
-    (A, B), compared in integers as the vertices are in `build_arrangement`."""
+    keeps its orientation.  The merged lines come in the lexicographic
+    order of (A, B, C)/d for those forms, d the first nonzero of (A, B),
+    compared in integers as the vertices are in `build_arrangement`."""
     merged: dict[tuple[int, int, int], Line] = {}
     for line in lines:
         A, B, C = line.form
@@ -133,9 +116,9 @@ class Face:
 @dataclass(frozen=True)
 class Arrangement:
     lines: tuple[Line, ...]
-    vertices: tuple[Point2, ...]
-    # per vertex (X/W, Y/W), the reduced triple (X, Y, W) with W > 0
-    vertex_triples: tuple[tuple[int, int, int], ...]
+    # per vertex (X/W, Y/W), the reduced triple (X, Y, W) with W > 0, in
+    # lexicographic order of the points
+    vertices: tuple[tuple[int, int, int], ...]
     edges: tuple[Edge, ...]
     faces: tuple[Face, ...]
     # edge index -> (face on the low side of the carrier, face on the high
@@ -147,7 +130,7 @@ class Arrangement:
     def mean(self, vertices: Sequence[int]) -> tuple[tuple[int, int], int]:
         """The average of the listed vertices, one listed twice counting
         twice, as integer numerators over one denominator (not reduced)."""
-        triples = [self.vertex_triples[v] for v in vertices]
+        triples = [self.vertices[v] for v in vertices]
         common = math.lcm(*(w for _, _, w in triples))
         x = sum(X * (common // W) for X, _, W in triples)
         y = sum(Y * (common // W) for _, Y, W in triples)
@@ -198,12 +181,11 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
     # 2^s >= W * W' for every pair of denominators, distinct coordinates
     # differ by at least 2^-s, so their keys differ
     shift = 2 * max(w for _, _, w in found).bit_length()
-    exact = sorted(
+    vertices = sorted(
         found, key=lambda p: ((p[0] << shift) // p[2], (p[1] << shift) // p[2])
     )
-    vertices = tuple((Fraction(x, w), Fraction(y, w)) for x, y, w in exact)
-    number = [0] * len(exact)
-    for position, point in enumerate(exact):
+    number = [0] * len(vertices)
+    for position, point in enumerate(vertices):
         number[found[point]] = position
 
     # edges: consecutive vertices along each line, in the direction (b, -a);
@@ -281,9 +263,9 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
     face_renumber: list[int | None] = []
     for orbit in loops:
         loop = tuple(tail_of[half] for half in orbit)
-        common = math.lcm(*(exact[n][2] for n in loop))
-        xs = [exact[n][0] * (common // exact[n][2]) for n in loop]
-        ys = [exact[n][1] * (common // exact[n][2]) for n in loop]
+        common = math.lcm(*(vertices[n][2] for n in loop))
+        xs = [vertices[n][0] * (common // vertices[n][2]) for n in loop]
+        ys = [vertices[n][1] * (common // vertices[n][2]) for n in loop]
         doubled = sum(
             xs[k - 1] * ys[k] - xs[k] * ys[k - 1] for k in range(len(loop))
         )
@@ -308,8 +290,7 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
 
     return Arrangement(
         lines=tuple(lines),
-        vertices=vertices,
-        vertex_triples=tuple(exact),
+        vertices=tuple(vertices),
         edges=tuple(edges),
         faces=tuple(faces),
         edge_faces=tuple(edge_faces),

@@ -62,7 +62,7 @@ from typing import Sequence, Union
 
 from .dualgraph import IdealTuple, attach_ideals
 from .errors import InternalConsistencyError, ValidationError
-from .polytope import Halfspace, Polytope, intersect_halfspaces, orthant_halfspaces
+from .polytope import Halfspace, Polytope, intersect_halfspaces
 from .rationals import _entries, _flags, _index, _integer_vector, _rational_vector
 from .rationals import format_rational, over_common_denominator
 from .unloading import antinef_closure_checked, intersection_products
@@ -301,14 +301,15 @@ class RegionReport:
 
     The rest is built together, once, the first time any of it is read, so
     callers that need only the bounds or thresholds build no polytope.
-    `polytope` uses every component's constraint plus the orthant bounds.
-    The build checks each axis's extreme vertex of `polytope` against
-    `thresholds` and raises `InternalConsistencyError` on a mismatch.
-    `classification` classifies each component's constraint against the
-    polytope as 'facet', 'touch', or 'slack'.  `binding_non_rupture` lists
-    the components, neither rupture nor dicritical, that carry a facet no
-    rupture/dicritical component and no orthant plane also carries.  It is
-    expected to be empty always; surfaced for reporting rather than raised.
+    `polytope` clips the orthant by one integer row per component, so its
+    halfspace j is component j's constraint.  The build checks each axis's
+    extreme vertex of `polytope` against `thresholds` and raises
+    `InternalConsistencyError` on a mismatch.  `classification` classifies
+    each component's constraint against the polytope as 'facet', 'touch',
+    or 'slack'.  `binding_non_rupture` lists the components, neither rupture
+    nor dicritical, that carry a facet no rupture/dicritical component also
+    carries.  It is expected to be empty always; surfaced for reporting
+    rather than raised.
     """
 
     ideals: IdealTuple
@@ -325,14 +326,17 @@ class RegionReport:
     @cached_property
     def _geometry(self) -> tuple[Polytope, tuple[int, ...]]:
         ideals = self.ideals
-        constraints = [
+        # row j is constraint j scaled by K's denominator D: (D*F_1[j], ...,
+        # D*F_r[j]; D*k_j + D*(1 + e_j)), integers as in the wall lines
+        denominator = ideals.graph.scaled_canonical[0]
+        rows = [
             Halfspace(
-                tuple(Fraction(ideals.ideals[i][j]) for i in range(ideals.r)),
-                self.bounds[j],
+                tuple(denominator * vector[j] for vector in ideals.ideals),
+                (denominator * bound).numerator,
             )
-            for j in range(ideals.size)
+            for j, bound in enumerate(self.bounds)
         ]
-        full = intersect_halfspaces(orthant_halfspaces(ideals.r) + constraints)
+        full = intersect_halfspaces(rows)
         for i, threshold in enumerate(self.thresholds):
             on_axis = [v[i] for v in full.vertices if not any(v[:i] + v[i + 1 :])]
             extreme = max(on_axis, default=None)
@@ -343,13 +347,13 @@ class RegionReport:
                     f"{format_rational(threshold)}, the region polytope's "
                     f"vertex on that axis gives {shown}"
                 )
-        # halfspace index i >= r is component i - r; the orthant planes are kept
-        kept = (True,) * ideals.r + ideals.rupture_or_dicritical
+        # every normal is positive, so no row coincides with an orthant plane
+        kept = ideals.rupture_or_dicritical
         binding = sorted(
-            index - ideals.r
+            j
             for carriers in full.facet_keys().values()
             if not any(kept[i] for i in carriers)
-            for index in carriers
+            for j in carriers
         )
         return full, tuple(binding)
 
@@ -359,7 +363,7 @@ class RegionReport:
 
     @property
     def classification(self) -> tuple[str, ...]:
-        return self.polytope.classification[self.ideals.r :]
+        return self.polytope.classification
 
     @property
     def binding_non_rupture(self) -> tuple[int, ...]:

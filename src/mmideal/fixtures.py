@@ -280,12 +280,13 @@ def load_fixture(name_or_path: str) -> Fixture:
     if not isinstance(name_or_path, str):
         raise ParseError(f"a fixture is named by a string, got {name_or_path!r}")
     root = resources.files(__package__) / "fixtures"
-    bundled = root / f"{name_or_path}.json"
-    if bundled.is_file():
-        return parse_fixture(bundled.read_text(encoding="utf-8"))
-    path = Path(name_or_path)
-    if path.is_file():
-        return parse_fixture(path.read_text(encoding="utf-8"))
+    for path in (root / f"{name_or_path}.json", Path(name_or_path)):
+        try:
+            found = path.is_file()
+        except OSError:  # a name the system cannot look up, too long say
+            found = False
+        if found:
+            return parse_fixture(path.read_text(encoding="utf-8"))
     raise ParseError(
         f"no fixture named {name_or_path!r}; bundled fixtures: "
         f"{', '.join(bundled_names())}"

@@ -1,25 +1,24 @@
-"""Exact halfspace intersection in low dimension by incremental clipping.
+"""Exact intersection of the orthant with integer halfspaces by incremental
+clipping.
 
-The regions this library works with are intersections of closed halfspaces
-``normal . z <= bound`` over exact rationals.  Their vertices come from the
-double-description step of Motzkin et al. (1953), as in Fukuda and Prodon,
-"Double description method revisited" (1996):
+The regions this library works with are the points z >= 0 that satisfy a
+list of closed halfspaces ``normal . z <= bound``, each an integer row.
+Their vertices come from the double-description step of Motzkin et al.
+(1953), as in Fukuda and Prodon, "Double description method revisited"
+(1996):
 
 * Start from the homogenized orthant: the cone X >= 0, W >= 0 in
   (X, W)-space, generated by the origin (0, ..., 0, 1) and one axis ray
-  (e_i, 0) per axis.  The input must lie in the orthant, so every axis
-  needs a floor z_i >= l_i with l_i >= 0 (a constraint whose normal is a
-  negative multiple of e_i); input without one is refused with
-  ``ValueError``.
-* Cut by one halfspace N . X <= B W at a time.  Generators on its inner
-  side stay, and one new generator is formed on each edge from an inner to
-  an outer generator.
-* Every generator carries its incidence set: the constraints tight at it,
-  the cone's own facets X_i >= 0 and W >= 0 included.  Two generators span
-  an edge iff their common incidence set holds at least r - 1 constraints
-  and no third generator's incidence set contains it (the combinatorial
+  (e_i, 0) per axis.  The orthant is the starting cone, never an input row.
+* Cut by one row N . X <= B W at a time.  Generators on its inner side
+  stay, and one new generator is formed on each edge from an inner to an
+  outer generator.
+* Every generator carries its incidence set: the rows tight at it, the
+  cone's own facets X_i >= 0 and W >= 0 included.  Two generators span an
+  edge iff their common incidence set holds at least r - 1 constraints and
+  no third generator's incidence set contains it (the combinatorial
   adjacency test).  A new generator's incidence set is that common set plus
-  the cutting constraint.
+  the cutting row.
 * A generator left with W = 0 at the end is a ray of the intersection, so
   the input is unbounded and is refused with ``ValueError``.
 
@@ -27,19 +26,20 @@ Generators are kept in integer homogeneous coordinates (X, W), reduced by
 their gcd, so a cut is integer arithmetic only; they become `Fraction`
 points X / W once, at the end.
 
-A constraint is classified against the resulting polytope, from the
-incidence sets, as
+A row is classified against the resulting polytope, from the incidence
+sets, as
 
 * ``facet`` — its incident vertices affinely span dimension r - 1;
 * ``touch`` — it has incident vertices but they span less;
 * ``slack`` — no vertex lies on it.
 
-`Polytope.classification` holds that verdict for every constraint, computed
-once; `facet_keys` reads it.
+`Polytope.classification` holds that verdict for every row, computed once;
+`facet_keys` reads it.
 
-Two constraints may be *coincident* (equal halfspaces up to positive
-scaling); both then earn the same classification.  Geometric dedup is by the
-canonical key of the hyperplane.
+Two rows may be *coincident* (equal halfspaces up to positive scaling);
+both then earn the same classification.  Geometric dedup is by the
+canonical key of the hyperplane: the row over the absolute value of its
+first nonzero normal entry, in `Fraction`s.
 
 `solve_square` no longer takes part in the clipping.  It stays because
 ``bench/spans.py`` wraps it by name and the tests pin it.
@@ -51,46 +51,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
-
-from .rationals import _rational, _rational_vector, over_common_denominator
+from typing import Sequence
 
 Vector = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
 class Halfspace:
-    """The closed halfspace normal . z <= bound."""
+    """The closed halfspace normal . z <= bound, an integer row."""
 
-    normal: Vector
-    bound: Fraction
-
-    def value(self, point: Sequence[Fraction]) -> Fraction:
-        return sum((n * x for n, x in zip(self.normal, point)), Fraction(0))
+    normal: tuple[int, ...]
+    bound: int
 
     def key(self) -> tuple[Fraction, ...]:
         """Canonical form invariant under positive scaling (halfspace identity)."""
         for entry in self.normal:
             if entry != 0:
                 scale = abs(entry)
-                return tuple(n / scale for n in self.normal) + (self.bound / scale,)
+                return tuple(Fraction(n, scale) for n in self.normal + (self.bound,))
         raise ValueError("halfspace with zero normal")
-
-
-def make_halfspace(normal: Iterable, bound) -> Halfspace:
-    normal = _rational_vector(normal, None, "halfspace normal")
-    return Halfspace(normal, _rational(bound, "halfspace bound"))
-
-
-def orthant_halfspaces(dimension: int) -> list[Halfspace]:
-    """The constraints z_i >= 0, written as (-e_i) . z <= 0."""
-    spaces = []
-    for i in range(dimension):
-        normal = tuple(
-            Fraction(-1) if j == i else Fraction(0) for j in range(dimension)
-        )
-        spaces.append(Halfspace(normal, Fraction(0)))
-    return spaces
 
 
 def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
@@ -191,34 +170,23 @@ class Polytope:
 
 
 def intersect_halfspaces(halfspaces: Sequence[Halfspace]) -> Polytope:
-    """Vertices and incidence sets of a bounded intersection of halfspaces
-    inside the orthant, by incremental clipping of the homogenized orthant."""
+    """Vertices and incidence sets of the orthant cut by the given rows, by
+    incremental clipping of the homogenized orthant."""
     spaces = tuple(halfspaces)
     if not spaces:
         raise ValueError("no halfspaces given")
     dimension = len(spaces[0].normal)
-    floored = set()  # axes with a floor z_i >= l_i >= 0: normal -a e_i, bound <= 0
-    for space in spaces:
-        nonzero = [i for i, n in enumerate(space.normal) if n]
-        if len(nonzero) == 1 and space.normal[nonzero[0]] < 0 and space.bound <= 0:
-            floored.add(nonzero[0])
-    floorless = [i + 1 for i in range(dimension) if i not in floored]
-    if floorless:
-        raise ValueError(
-            f"no floor z_i >= l_i with l_i >= 0 on axes "
-            f"{', '.join(map(str, floorless))}: the input must lie in the orthant"
-        )
     # generators (X, W): the origin, then the axis rays; artificial labels
     # -1 for W >= 0 and -2 - i for X_i >= 0
     points = [(0,) * dimension + (1,)] + [
         tuple(int(i == axis) for i in range(dimension)) + (0,)
         for axis in range(dimension)
     ]
-    floors = frozenset(range(-1 - dimension, -1))
-    tight = [floors] + [floors - {-2 - i} | {-1} for i in range(dimension)]
+    cone = frozenset(range(-1 - dimension, -1))
+    tight = [cone] + [cone - {-2 - i} | {-1} for i in range(dimension)]
 
     for index, space in enumerate(spaces):
-        *normal, bound = over_common_denominator(space.normal + (space.bound,))[1]
+        normal, bound = space.normal, space.bound
         values = [
             sum(n * x for n, x in zip(normal, point)) - bound * point[-1]
             for point in points

@@ -15,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import _integer, _rational, format_point, format_rational
+from .rationals import _integer, _rational, _rational_vector
+from .rationals import format_point, format_rational
 from .walls import WallAtlas
 
 
@@ -67,6 +68,7 @@ def render_atlas_svg(
     atlas: WallAtlas, lct_ticks: Sequence[Fraction] = ()
 ) -> str:
     """Filled constancy cells, stroked facets, exact tick labels."""
+    lct_ticks = _rational_vector(lct_ticks, None, "lct ticks")
     bx, by = atlas.box
     px, qx, py, qy = bx.numerator, bx.denominator, by.numerator, by.denominator
     height = _WIDTH  # logical square viewport; axes scale independently
@@ -90,8 +92,8 @@ def render_atlas_svg(
     ]
 
     arrangement = atlas.arrangement
-    xs = [x_pix(x, w) for x, _, w in arrangement.vertex_triples]
-    ys = [y_pix(y, w) for _, y, w in arrangement.vertex_triples]
+    xs = [x_pix(x, w) for x, _, w in arrangement.vertices]
+    ys = [y_pix(y, w) for _, y, w in arrangement.vertices]
     pixels = [f"{x},{y}" for x, y in zip(xs, ys)]
     for cell, divisor in zip(atlas.cells, atlas.cell_divisors):
         fill = color_of[divisor]

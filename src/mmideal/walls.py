@@ -10,7 +10,9 @@ pair.  Every facet is sampled a third of the way along the first edge of its
 run and two thirds along the last; an open edge holds no vertex and meets no
 other line.  Both samples must be jumping points between the low and high
 ideals, with one multiplicity and one minimal jumping divisor.  Every point
-evaluated here is an average of vertex triples, evaluated from its integers.
+evaluated here is an average of vertex triples, evaluated from its integers;
+`Fraction` points are built only for what a caller reads, the facet
+endpoints and `facet_intersection_vertices`.
 
 Face divisors are propagated, not evaluated face by face.  The clamped floor
 vector max(floor(v), 0) changes only across a wall line, and there only in
@@ -24,11 +26,12 @@ the lowest-numbered face of every cell is evaluated directly as the
 independent route.
 
 For any number of ideals the log-canonical wall is the boundary of the
-constancy region of the origin.  Its facet count is compared against the
-Newton nest — the rupture-or-dicritical part of the smallest subtree spanning
-every axis contact locus — and the comparison verdict explains any failure:
-a proportional pair in the nest, a wall point of multiplicity above one, or
-a bare count mismatch.
+constancy region of the origin: the orthant clipped by one integer row per
+component, each facet of the clip a facet of the wall.  Its facet count is
+compared against the Newton nest — the rupture-or-dicritical part of the
+smallest subtree spanning every axis contact locus — and the comparison
+verdict explains any failure: a proportional pair in the nest, a wall point
+of multiplicity above one, or a bare count mismatch.
 """
 
 from __future__ import annotations
@@ -63,6 +66,12 @@ from .unloading import antinef_closure_checked
 
 
 Point2 = tuple[Fraction, Fraction]
+
+
+def _point(vertex: tuple[int, int, int]) -> Point2:
+    """The point (X/W, Y/W) of an arrangement vertex (X, Y, W)."""
+    x, y, w = vertex
+    return Fraction(x, w), Fraction(y, w)
 
 
 def wall_lines(ideals: IdealTuple, box: tuple[Fraction, Fraction]) -> list[Line]:
@@ -277,7 +286,7 @@ def cell_decomposition(
                     line_index=line_index,
                     sources=line.sources,
                     edge_indices=tuple(run),
-                    endpoints=(vertices[first.tail], vertices[last.head]),
+                    endpoints=tuple(_point(vertices[v]) for v in (first.tail, last.head)),
                     low_divisor=low_divisor,
                     high_divisor=high_divisor,
                     samples=(records[0].point, records[1].point),
@@ -297,18 +306,20 @@ def cell_decomposition(
 
 
 def facet_intersection_vertices(atlas: WallAtlas) -> list[Point2]:
-    """Arrangement vertices where facets on different carrier lines meet."""
+    """Arrangement vertices where facets on different carrier lines meet,
+    in increasing order."""
     carriers: dict[int, set[int]] = {}
     for facet in atlas.facets:
         for edge_index in facet.edge_indices:
             edge = atlas.arrangement.edges[edge_index]
             for vertex in (edge.tail, edge.head):
                 carriers.setdefault(vertex, set()).add(facet.line_index)
-    return sorted(
-        atlas.arrangement.vertices[vertex]
-        for vertex, lines in carriers.items()
-        if len(lines) >= 2
-    )
+    # vertex numbers are in lexicographic order of the points
+    return [
+        _point(atlas.arrangement.vertices[vertex])
+        for vertex in sorted(carriers)
+        if len(carriers[vertex]) >= 2
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +452,13 @@ def _interior_sample(
 def bijection_report(ideals: IdealTuple) -> BijectionReport:
     region_report = lc_region(ideals)
     polytope = region_report.polytope
-    axes = ideals.r
     supports = _axis_supports(ideals, region_report)
     nest = _nest(ideals, supports)
 
     facets: list[LCFacet] = []
     for key, indices in sorted(polytope.facet_keys().items()):
-        carriers = tuple(sorted(i - axes for i in indices if i >= axes))
-        if not carriers:
-            continue  # orthant plane
-        vertices = polytope.incident_vertices(axes + carriers[0])
+        carriers = tuple(indices)
+        vertices = polytope.incident_vertices(carriers[0])
         sample = _interior_sample(ideals, carriers, vertices)
         facets.append(
             LCFacet(
@@ -475,7 +483,7 @@ def bijection_report(ideals: IdealTuple) -> BijectionReport:
         for higher in nest[position + 1 :]:
             ratios = {
                 Fraction(ideals.ideals[i][higher], ideals.ideals[i][lower])
-                for i in range(axes)
+                for i in range(ideals.r)
             }
             if len(ratios) != 1:
                 continue
@@ -500,7 +508,7 @@ def bijection_report(ideals: IdealTuple) -> BijectionReport:
     for j, kind in enumerate(region_report.classification):
         if kind != "touch":
             continue
-        for vertex in polytope.incident_vertices(axes + j):
+        for vertex in polytope.incident_vertices(j):
             if any(vertex):
                 mult = multiplicity_checked(ideals, vertex)
                 if mult != 1:

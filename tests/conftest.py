@@ -9,21 +9,31 @@ from mmideal import build_tuple, cell_decomposition, load_fixture
 FIXTURE_NAMES = ("CHAIN10", "NEST14", "PROP16", "RAT6", "SMOOTH1")
 
 
-def edge_point(vertices, edge, fraction):
+def vertex_point(vertex):
+    """The `Fraction` point (X/W, Y/W) of an arrangement vertex (X, Y, W)."""
+    x, y, w = vertex
+    return (Fraction(x, w), Fraction(y, w))
+
+
+def vertex_points(arrangement):
+    """Every vertex of an arrangement as a `Fraction` point, in its order."""
+    return [vertex_point(vertex) for vertex in arrangement.vertices]
+
+
+def edge_point(arrangement, edge, fraction):
     """The point `fraction` of the way from an edge's tail to its head, in
     `Fraction` arithmetic."""
-    p, q = vertices[edge.tail], vertices[edge.head]
+    p = vertex_point(arrangement.vertices[edge.tail])
+    q = vertex_point(arrangement.vertices[edge.head])
     return tuple(a + fraction * (b - a) for a, b in zip(p, q))
 
 
 def _loop_points(arrangement, face):
-    triples = (arrangement.vertex_triples[n] for n in face.loop)
-    return [(Fraction(x, w), Fraction(y, w)) for x, y, w in triples]
+    return [vertex_point(arrangement.vertices[n]) for n in face.loop]
 
 
 def face_barycenter(arrangement, face):
-    """The average of a face's loop vertices, read off their triples in
-    `Fraction` arithmetic."""
+    """The average of a face's loop vertices in `Fraction` arithmetic."""
     points = _loop_points(arrangement, face)
     return tuple(sum(coords, Fraction(0)) / len(points) for coords in zip(*points))
 
@@ -33,6 +43,30 @@ def face_area(arrangement, face):
     points = _loop_points(arrangement, face)
     pairs = zip(points, points[1:] + points[:1])
     return sum((x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in pairs), Fraction(0)) / 2
+
+
+def hyperplane_key(normal, bound):
+    """(normal, bound) over the absolute value of the first nonzero normal
+    entry, in `Fraction`s: equal for two halfspaces exactly when one is the
+    other scaled by a positive factor."""
+    scale = abs(next(Fraction(n) for n in normal if n))
+    return tuple(Fraction(n) / scale for n in (*normal, bound))
+
+
+def line_key(line):
+    """The hyperplane key (a, b, c) of a line's form A*x + B*y = C."""
+    A, B, C = line.form
+    return hyperplane_key((A, B), C)
+
+
+def line_value(line, point):
+    """A*x + B*y at a `Fraction` point, for the line's form A*x + B*y = C."""
+    A, B, _ = line.form
+    return A * point[0] + B * point[1]
+
+
+def on_line(line, point):
+    return line_value(line, point) == line.form[2]
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import frozen
 import trees
+from conftest import hyperplane_key
 from mmideal import (
     admissible_perturbation,
     antinef_closure,
@@ -43,7 +44,6 @@ from mmideal import (
     rho,
     series_expand,
 )
-from mmideal.polytope import make_halfspace
 
 
 def test_01_relative_canonical_exact(rat6, chain10):
@@ -243,8 +243,8 @@ def test_09_log_canonical_geometry(rat6, prop16, nest14):
     second = bijection_report(prop16)
     assert len(second.facets) == 1
     line_a, line_b = frozen.PROP16_FACET_LINES
-    key_a = make_halfspace(line_a[:2], line_a[2]).key()
-    key_b = make_halfspace(line_b[:2], line_b[2]).key()
+    key_a = hyperplane_key(line_a[:2], line_a[2])
+    key_b = hyperplane_key(line_b[:2], line_b[2])
     assert key_a == key_b == second.facets[0].key
     assert tuple(j + 1 for j in second.nest) == (4, 13)
     assert second.verdict == "DegenerateProportional"

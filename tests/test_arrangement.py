@@ -19,13 +19,23 @@ from mmideal import subtuple
 from mmideal.errors import BoxTooSmall, ValidationError
 from mmideal.walls import wall_lines
 
-from conftest import FIXTURE_NAMES, edge_point, face_area, face_barycenter
+from conftest import (
+    FIXTURE_NAMES,
+    edge_point,
+    face_area,
+    face_barycenter,
+    line_key,
+    line_value,
+    on_line,
+    vertex_points,
+)
 
 
 def test_make_line_canonicalization():
-    assert make_line(2, 4, 6).key == (1, 2, 3)
-    assert make_line(-2, 4, 6).key == (-1, 2, 3)
-    assert make_line(0, 3, 2).key == (0, 1, Fraction(2, 3))
+    assert make_line(2, 4, 6).form == (1, 2, 3)
+    assert make_line(-2, 4, 6).form == (-1, 2, 3)
+    assert make_line(0, 3, 2).form == (0, 3, 2)
+    assert make_line(Fraction(1, 2), Fraction(-3, 4), 1).form == (2, -3, 4)
     with pytest.raises(ValueError):
         make_line(0, 0, 1)
 
@@ -46,9 +56,9 @@ def test_merge_lines_concatenates_sources():
         ]
     )
     assert len(merged) == 2
-    coincident = next(line for line in merged if line.b != 0)
+    coincident = next(line for line in merged if line.form[1] != 0)
     assert coincident.sources == ((0, 1), (1, 3), (3, 2))
-    assert coincident.key == (1, 1, 1)  # the first line's orientation
+    assert coincident.form == (1, 1, 1)  # the first line's orientation
 
 
 def test_diagonal_arrangement():
@@ -87,13 +97,13 @@ def test_edge_faces_sides():
     )
     for edge_index, edge in enumerate(arr.edges):
         line = arr.lines[edge.line_index]
-        mid = edge_point(arr.vertices, edge, Fraction(1, 2))
-        assert line.contains(mid)
+        mid = edge_point(arr, edge, Fraction(1, 2))
+        assert on_line(line, mid)
         low, high = arr.edge_faces[edge_index]
         if low is not None:
-            assert line.value(face_barycenter(arr, arr.faces[low])) < line.c
+            assert line_value(line, face_barycenter(arr, arr.faces[low])) < line.form[2]
         if high is not None:
-            assert line.value(face_barycenter(arr, arr.faces[high])) > line.c
+            assert line_value(line, face_barycenter(arr, arr.faces[high])) > line.form[2]
 
 
 def _euler_characteristic(arr):
@@ -110,12 +120,12 @@ def test_fixture_atlas_geometry(rat6_atlas):
     arr = rat6_atlas.arrangement
     box_area = Fraction(1)
     assert sum(face_area(arr, face) for face in arr.faces) == box_area
-    for point in arr.vertices:
-        assert len([line for line in arr.lines if line.contains(point)]) >= 2
+    for point in vertex_points(arr):
+        assert len([line for line in arr.lines if on_line(line, point)]) >= 2
     for edge_index, edge in enumerate(arr.edges):
         line = arr.lines[edge.line_index]
-        mid = edge_point(arr.vertices, edge, Fraction(1, 2))
-        assert line.contains(mid)
+        mid = edge_point(arr, edge, Fraction(1, 2))
+        assert on_line(line, mid)
         (x, y), w = arr.mean((edge.tail, edge.head))
         assert (Fraction(x, w), Fraction(y, w)) == mid
         low, high = arr.edge_faces[edge_index]
@@ -129,11 +139,12 @@ def test_fixture_atlas_geometry(rat6_atlas):
 
 
 def _reference_intersect(first, second):
-    det = first.a * second.b - first.b * second.a
+    (a1, b1, c1), (a2, b2, c2) = line_key(first), line_key(second)
+    det = a1 * b2 - b1 * a2
     if det == 0:
         return None
-    x = (first.c * second.b - first.b * second.c) / det
-    y = (first.a * second.c - first.c * second.a) / det
+    x = (c1 * b2 - b1 * c2) / det
+    y = (a1 * c2 - c1 * a2) / det
     return (x, y)
 
 
@@ -172,7 +183,8 @@ def _reference_arrangement(wall_lines, box):
 
     edges, line_edges = [], []
     for li, line in enumerate(lines):
-        direction = (line.b, -line.a)
+        a, b, _ = line_key(line)
+        direction = (b, -a)
         on_line = [
             vertex_index[point]
             for point, incidents in incident.items()
@@ -257,9 +269,9 @@ def _reference_arrangement(wall_lines, box):
         for half in (2 * e, 2 * e + 1):
             face_id = face_renumber[face_of_half[half]]
             if face_id is not None:
-                value = line.value(barycenters[face_id])
-                assert value != line.c
-                sides[value > line.c] = face_id
+                value = line_value(line, barycenters[face_id])
+                assert value != line.form[2]
+                sides[value > line.form[2]] = face_id
         edge_faces.append((sides[False], sides[True]))
     triples = []
     for x, y in vertices:
@@ -267,8 +279,7 @@ def _reference_arrangement(wall_lines, box):
         triples.append((x.numerator * w // x.denominator, y.numerator * w // y.denominator, w))
     return Arrangement(
         lines=tuple(lines),
-        vertices=vertices,
-        vertex_triples=tuple(triples),
+        vertices=tuple(triples),
         edges=tuple(edges),
         faces=tuple(faces),
         edge_faces=tuple(edge_faces),
@@ -279,7 +290,6 @@ def _reference_arrangement(wall_lines, box):
 def _assert_same_arrangement(got, want):
     assert got.lines == want.lines
     assert got.vertices == want.vertices
-    assert got.vertex_triples == want.vertex_triples
     assert got.edges == want.edges
     assert got.line_edges == want.line_edges
     assert len(got.faces) == len(want.faces)
@@ -413,7 +423,7 @@ def _fraction_box(box):
 
 
 def _as_tuples(lines):
-    return [(line.a, line.b, line.c, line.sources, line.is_box) for line in lines]
+    return [(*line_key(line), line.sources, line.is_box) for line in lines]
 
 
 def _pair(tuples, name):

@@ -60,6 +60,8 @@ from mmideal.errors import (
 from conftest import FIXTURE_NAMES
 
 TUPLES = {name: build_tuple(load_fixture(name)) for name in FIXTURE_NAMES}
+# a fixture name too long for the system to look up
+TOO_LONG = "x" * 5000
 # walks and series stay cheap on these
 WALKED = ("RAT6", "SMOOTH1")
 HUGE = 10**40 + 7  # denominators far beyond any the fixtures produce
@@ -424,7 +426,10 @@ DRIVEN = {
     ),
     "parse_fixture": st.tuples(fixture_texts),
     "load_fixture": st.tuples(
-        mostly(st.sampled_from(FIXTURE_NAMES), st.text(max_size=6) | hostile)
+        mostly(
+            st.sampled_from(FIXTURE_NAMES),
+            st.text(max_size=6) | hostile | st.just(TOO_LONG),
+        )
     ),
 }
 
@@ -507,9 +512,9 @@ def test_hostile_arguments_answer_or_are_refused(name):
 
 # ---------------------------------------------------------------- the CLI
 
-# fixture -> (r, s) for the bundled ones and two unknown names
+# fixture -> (r, s) for the bundled ones and three unknown names
 CLI_FIXTURES = {name: (t.r, t.size) for name, t in TUPLES.items()}
-CLI_FIXTURES.update({"NOPE": (2, 2), "": (1, 1)})
+CLI_FIXTURES.update({"NOPE": (2, 2), "": (1, 1), TOO_LONG: (1, 1)})
 fine = st.sampled_from(
     ["0", "1", "2", "1/2", "1/3", "3/4", " 1 ", "0/5", "1/9999999967"]
 )

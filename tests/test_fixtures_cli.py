@@ -59,6 +59,25 @@ def test_load_unknown_name_lists_bundled():
     assert "NOPE" in message and "SMOOTH1" in message
 
 
+def test_load_name_too_long_to_look_up():
+    # the system refuses to look such a name up; that names no fixture
+    with pytest.raises(ParseError, match="no fixture named"):
+        load_fixture("x" * 5000)
+
+
+def test_load_read_failure_stays_an_os_error(tmp_path, monkeypatch):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(_smooth1_data()))
+    assert load_fixture(str(path)) == load_fixture("SMOOTH1")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    with pytest.raises(PermissionError):
+        load_fixture(str(path))
+
+
 def test_round_trip_is_byte_identical():
     for name in bundled_names():
         raw = (
@@ -208,6 +227,13 @@ def test_repeated_fixture_edge_is_refused(tmp_path, capsys):
     assert main(["validate", str(repeated)]) == 2
     # named in the file's 1-based numbering: the file writes (7, 10), then (10, 7)
     assert "edge (10,7) is listed twice" in capsys.readouterr().err
+
+
+def test_cli_name_too_long_is_a_parse_error(capsys):
+    assert main(["validate", "x" * 5000]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: no fixture named")
+    assert "io error" not in err
 
 
 def test_cli_usage_error_is_exit_1(capsys):

@@ -245,7 +245,7 @@ def test_atlas_points_enter_as_integers(tuples, name, box):
     for edge in arr.edges:
         _assert_same_evaluation(
             evaluate._evaluate_at(ideals, *arr.mean((edge.tail, edge.head))),
-            evaluate_point(ideals, edge_point(arr.vertices, edge, Fraction(1, 2))),
+            evaluate_point(ideals, edge_point(arr, edge, Fraction(1, 2))),
         )
     for facet in atlas.facets:
         first = arr.edges[facet.edge_indices[0]]

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import FIXTURE_NAMES
+from conftest import FIXTURE_NAMES, hyperplane_key
 from mmideal import (
     admissible_perturbation,
     default_offset,
@@ -29,7 +29,6 @@ from mmideal import (
 from mmideal.errors import InternalConsistencyError, OffsetTooLarge, ValidationError
 from mmideal.evaluate import _integer_direction, weighted_F
 from mmideal.multiplicity import PerturbationReport
-from mmideal.polytope import make_halfspace
 
 
 def reference_perturbation_sum(ideals, point, ray_dir, offset):
@@ -51,7 +50,7 @@ def reference_perturbation_sum(ideals, point, ray_dir, offset):
     weighted_base = weighted_F(ideals, base)
     groups = {}
     for j, level in evaluation.wall_lines:
-        key = make_halfspace(columns[j], weighted_at[j]).key()
+        key = hyperplane_key(columns[j], weighted_at[j])
         groups.setdefault(key, []).append((j, level))
 
     crossings = {}  # one per distinct crossing point
@@ -86,7 +85,7 @@ def reference_perturbation_sum(ideals, point, ray_dir, offset):
                 bound = k_j + level
                 if bound == weighted_at[j]:
                     continue
-                if make_halfspace(normal, bound).key() in through_keys:
+                if hyperplane_key(normal, bound) in through_keys:
                     continue
                 raise OffsetTooLarge("a foreign wall line meets the swept region")
     crossings = [

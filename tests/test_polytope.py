@@ -1,5 +1,6 @@
 """Exact halfspace intersection and facet classification."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,33 +8,23 @@ from itertools import combinations
 import pytest
 
 import frozen
+from conftest import hyperplane_key
 from mmideal import attach_ideals, lc_region, region, subtuple
 from mmideal.dualgraph import IdealTuple
-from mmideal.errors import ValidationError
-from mmideal.polytope import (
-    affine_rank,
-    intersect_halfspaces,
-    make_halfspace,
-    orthant_halfspaces,
-    solve_square,
-)
+from mmideal.polytope import Halfspace, affine_rank, intersect_halfspaces, solve_square
+
+
+def row(normal, bound):
+    """normal . z <= bound for `int` or `Fraction` entries, as the integer
+    row scaled by the lcm of their denominators."""
+    entries = [Fraction(x) for x in (*normal, bound)]
+    scale = math.lcm(*(x.denominator for x in entries))
+    *normal, bound = (int(x * scale) for x in entries)
+    return Halfspace(tuple(normal), bound)
 
 
 def unit_square():
-    return orthant_halfspaces(2) + [
-        make_halfspace((1, 0), 1),
-        make_halfspace((0, 1), 1),
-    ]
-
-
-@pytest.mark.parametrize(
-    "normal, bound",
-    [((0.5, 1), 1), ((1, 0), "1"), ((True, 0), 1), ((1, 0), None)],
-    ids=["float", "str", "bool", "none"],
-)
-def test_make_halfspace_takes_ints_and_fractions(normal, bound):
-    with pytest.raises(ValidationError, match="expected integers or Fractions"):
-        make_halfspace(normal, bound)
+    return [row((1, 0), 1), row((0, 1), 1)]
 
 
 def test_unit_square_vertices():
@@ -41,29 +32,34 @@ def test_unit_square_vertices():
     assert set(polytope.vertices) == {
         (0, 0), (1, 0), (0, 1), (1, 1)
     }
-    assert all(polytope.classification[i] == "facet" for i in range(4))
+    assert polytope.classification == ("facet", "facet")
 
 
 def test_touch_and_slack_classification():
     # a diagonal constraint through one corner touches; a distant one is slack
-    halfspaces = unit_square() + [
-        make_halfspace((1, 1), 2),
-        make_halfspace((1, 1), 5),
-    ]
+    halfspaces = unit_square() + [row((1, 1), 2), row((1, 1), 5)]
     polytope = intersect_halfspaces(halfspaces)
-    assert polytope.classification[4] == "touch"
-    assert polytope.classification[5] == "slack"
+    assert polytope.classification[2] == "touch"
+    assert polytope.classification[3] == "slack"
 
 
 def test_coincident_facet_constraints_share_a_key():
-    halfspaces = orthant_halfspaces(2) + [
-        make_halfspace((2, 2), 2),
-        make_halfspace((3, 3), 3),  # the same line scaled
+    halfspaces = [
+        row((2, 2), 2),
+        row((3, 3), 3),  # the same line scaled
     ]
     polytope = intersect_halfspaces(halfspaces)
     keys = polytope.facet_keys()
-    diagonal = [indices for key, indices in keys.items() if len(indices) == 2]
-    assert diagonal == [[2, 3]]
+    assert list(keys.values()) == [[0, 1]]
+
+
+def test_key_divides_in_fractions():
+    key = Halfspace((3, 6), 2).key()
+    assert key == (1, 2, Fraction(2, 3))
+    assert all(type(entry) is Fraction for entry in key)
+    assert Halfspace((0, -4), 6).key() == (0, -1, Fraction(3, 2))
+    with pytest.raises(ValueError):
+        Halfspace((0, 0), 1).key()
 
 
 def test_solve_square():
@@ -96,8 +92,7 @@ def test_affine_rank():
 
 
 def test_empty_intersection():
-    halfspaces = orthant_halfspaces(1) + [make_halfspace((1,), -1)]
-    polytope = intersect_halfspaces(halfspaces)
+    polytope = intersect_halfspaces([row((1,), -1)])
     assert not polytope.vertices
 
 
@@ -107,39 +102,47 @@ def test_no_halfspaces_rejected():
 
 
 def test_unbounded_input_rejected():
-    # no lower bound on either axis
-    with pytest.raises(ValueError):
-        intersect_halfspaces([make_halfspace((1, 0), 1), make_halfspace((0, 1), 1)])
-    # the orthant, but nothing caps the second axis
-    with pytest.raises(ValueError):
-        intersect_halfspaces(orthant_halfspaces(2) + [make_halfspace((1, -1), 1)])
+    # the orthant is the starting cone, so two caps bound it
+    assert len(intersect_halfspaces(unit_square()).vertices) == 4
+    # nothing caps the second axis
+    with pytest.raises(ValueError, match="unbounded"):
+        intersect_halfspaces([row((1, -1), 1)])
 
 
-def test_input_outside_the_orthant_rejected():
-    # z_1 >= -1 is a floor below 0: the orthant start would cut the region
-    with pytest.raises(ValueError, match="orthant"):
-        intersect_halfspaces(
-            [make_halfspace((-1, 0), 1), make_halfspace((0, -1), 0)]
-            + [make_halfspace((1, 1), 3)]
-        )
+def test_input_outside_the_orthant_is_clipped():
+    # z_1 >= -1 reaches below the orthant; the clip keeps z >= 0, so that
+    # row is slack and z_2 >= 0 carries the orthant's own facet
+    polytope = intersect_halfspaces([row((-1, 0), 1), row((0, -1), 0), row((1, 1), 3)])
+    assert polytope.vertices == ((0, 0), (0, 3), (3, 0))
+    assert polytope.classification == ("slack", "facet", "facet")
 
 
 # ---------------------------------------------------------------------------
-# Reference: the brute-force enumeration the clipping replaced.  It solves
-# every r-subset of constraint hyperplanes and keeps the solutions inside
-# every halfspace; incidences are re-evaluated per vertex.
+# Reference: the brute-force enumeration the clipping replaced.  It adds the
+# orthant rows -z_i <= 0, solves every r-subset of hyperplanes in
+# `Fraction`s and keeps the solutions inside every halfspace; incidences are
+# re-evaluated per vertex.
 # ---------------------------------------------------------------------------
+
+
+def _dot(normal, point):
+    return sum((n * x for n, x in zip(normal, point)), Fraction(0))
 
 
 def _reference_vertices(spaces):
     dimension = len(spaces[0].normal)
+    rows = [(space.normal, space.bound) for space in spaces] + [
+        (tuple(-int(i == axis) for i in range(dimension)), 0)
+        for axis in range(dimension)
+    ]
     found = set()
-    for subset in combinations(range(len(spaces)), dimension):
+    for subset in combinations(rows, dimension):
         solution = solve_square(
-            [spaces[i].normal for i in subset], [spaces[i].bound for i in subset]
+            [[Fraction(n) for n in normal] for normal, _ in subset],
+            [Fraction(bound) for _, bound in subset],
         )
         if solution is not None and all(
-            h.value(solution) <= h.bound for h in spaces
+            _dot(normal, solution) <= bound for normal, bound in rows
         ):
             found.add(solution)
     return tuple(sorted(found))
@@ -147,7 +150,7 @@ def _reference_vertices(spaces):
 
 def _reference_incident(spaces, vertices, index):
     space = spaces[index]
-    return tuple(v for v in vertices if space.value(v) == space.bound)
+    return tuple(v for v in vertices if _dot(space.normal, v) == space.bound)
 
 
 def _reference_classify(spaces, vertices, index):
@@ -172,19 +175,20 @@ def _assert_matches_reference(spaces):
         kind = _reference_classify(spaces, vertices, index)
         assert polytope.classification[index] == kind
         if kind == "facet":
-            keys.setdefault(spaces[index].key(), []).append(index)
+            key = hyperplane_key(spaces[index].normal, spaces[index].bound)
+            keys.setdefault(key, []).append(index)
     assert polytope.facet_keys() == keys
 
 
 def _random_down_closed(rng, dimension):
-    """The orthant and nonnegative-normal constraints: some through vertices
-    of the constraints so far (degenerate vertices), coincident scaled
-    copies, redundant constraints, and one cap per axis."""
-    spaces = orthant_halfspaces(dimension)
+    """Nonnegative-normal constraints: one cap per axis, some through
+    vertices of the constraints so far (degenerate vertices), coincident
+    scaled copies and redundant constraints."""
+    spaces = []
     for axis in range(dimension):
         normal = [rng.randint(0, 3) for _ in range(dimension)]
         normal[axis] = rng.randint(1, 4)
-        spaces.append(make_halfspace(normal, rng.randint(1, 12)))
+        spaces.append(row(normal, rng.randint(1, 12)))
     for _ in range(rng.randint(1, 7)):
         normal = [rng.randint(0, 4) for _ in range(dimension)]
         if not any(normal):
@@ -193,10 +197,7 @@ def _random_down_closed(rng, dimension):
         if kind < 0.05:
             bound = 0  # through the origin: a lower-dimensional polytope
         elif kind < 0.55:
-            values = [
-                sum(n * x for n, x in zip(normal, v))
-                for v in _reference_vertices(spaces)
-            ]
+            values = [_dot(normal, v) for v in _reference_vertices(spaces)]
             if kind < 0.4:
                 # through a vertex off the normal's zero set
                 bound = rng.choice([value for value in values if value > 0] or values)
@@ -204,10 +205,10 @@ def _random_down_closed(rng, dimension):
                 bound = max(values) + rng.choice((0, 1, Fraction(1, 3)))  # redundant
         else:
             bound = Fraction(rng.randint(1, 40), rng.randint(1, 4))
-        spaces.append(make_halfspace(normal, bound))
+        spaces.append(row(normal, bound))
         if rng.random() < 0.25:
             scale = rng.randint(2, 4)
-            spaces.append(make_halfspace([scale * n for n in normal], scale * bound))
+            spaces.append(row([scale * n for n in normal], scale * bound))
     rng.shuffle(spaces)
     return spaces
 
@@ -220,28 +221,25 @@ def test_clip_matches_reference_on_random_down_closed_polytopes():
 
 
 def test_clip_matches_reference_on_positive_floors():
-    # z_i >= l_i > 0 replaces the orthant; some of these polytopes are empty
+    # floors z_i >= l_i > 0 inside the orthant; some of these polytopes are
+    # empty
     rng = random.Random(29)
     for dimension, trials in ((1, 30), (2, 30), (3, 20)):
         for _ in range(trials):
-            spaces = [
-                space
-                for space in _random_down_closed(rng, dimension)
-                if space.bound != 0 or any(n > 0 for n in space.normal)
-            ]
+            spaces = _random_down_closed(rng, dimension)
             for axis in range(dimension):
                 normal = [0] * dimension
                 normal[axis] = -rng.randint(1, 3)
                 floor = Fraction(rng.randint(1, 3), rng.randint(2, 8))
-                spaces.append(make_halfspace(normal, normal[axis] * floor))
+                spaces.append(row(normal, normal[axis] * floor))
             rng.shuffle(spaces)
             _assert_matches_reference(spaces)
 
 
 def _kept_halfspaces(report):
-    """The orthant planes and the rupture/dicritical components' constraints
-    of a region's polytope, in its halfspace order."""
-    kept = (True,) * report.ideals.r + report.ideals.rupture_or_dicritical
+    """The rupture/dicritical components' constraints of a region's
+    polytope, in its halfspace order."""
+    kept = report.ideals.rupture_or_dicritical
     return [space for space, keep in zip(report.polytope.halfspaces, kept) if keep]
 
 
@@ -260,6 +258,10 @@ def test_clip_matches_reference_on_fixture_lc_regions(tuples, name):
         chosen_tuples.append(ideals)
     for chosen in chosen_tuples:
         report = lc_region(chosen)
+        assert all(
+            type(n) is int for space in report.polytope.halfspaces
+            for n in (*space.normal, space.bound)
+        )
         _assert_matches_reference(report.polytope.halfspaces)
         _assert_matches_reference(_kept_halfspaces(report))
 
@@ -299,7 +301,7 @@ def test_valid_matches_the_two_clip_rule_on_random_masks(monkeypatch, tuples):
                 share = rng.random()
                 mask = tuple(rng.random() < share for _ in range(ideals.size))
                 if not any(mask):
-                    continue  # the orthant alone is unbounded
+                    continue  # no row caps the orthant
                 monkeypatch.setattr(IdealTuple, "rupture_or_dicritical", mask)
                 report = region(ideals, centre)
                 restricted = intersect_halfspaces(_kept_halfspaces(report))
@@ -309,6 +311,6 @@ def test_valid_matches_the_two_clip_rule_on_random_masks(monkeypatch, tuples):
                 carriers = list(report.polytope.facet_keys().values())
                 for j in report.binding_non_rupture:
                     assert not mask[j]
-                    (facet,) = [c for c in carriers if ideals.r + j in c]
-                    assert all(i >= ideals.r and not mask[i - ideals.r] for i in facet)
+                    (facet,) = [c for c in carriers if j in c]
+                    assert not any(mask[i] for i in facet)
     assert verdicts[True] >= 30 and verdicts[False] >= 30, verdicts

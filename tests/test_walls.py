@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import frozen
-from conftest import edge_point, face_barycenter
+from conftest import edge_point, face_barycenter, on_line, vertex_points
 from trees import random_tree_matrix
 from mmideal.arrangement import build_arrangement, merge_lines
 from mmideal.rationals import format_point
@@ -273,6 +273,16 @@ def test_atlas_svg_with_lct_ticks(rat6, rat6_atlas):
     )
 
 
+@pytest.mark.parametrize(
+    "ticks",
+    [(0.5,), ("1/2",), (Fraction(1, 2), None), Fraction(1, 2), "1/2"],
+    ids=["float", "str", "none", "scalar", "text"],
+)
+def test_svg_ticks_take_ints_and_fractions(rat6_atlas, ticks):
+    with pytest.raises(ValidationError):
+        render_atlas_svg(rat6_atlas, ticks)
+
+
 def _reference_pixels(atlas, ticks):
     """Every coordinate string of the picture by the `Fraction` formulas
     _MARGIN + x/bx * _WIDTH and _MARGIN + (1 - y/by) * height."""
@@ -285,8 +295,9 @@ def _reference_pixels(atlas, ticks):
         return decimal_approx(svg._MARGIN + (1 - Fraction(y, by)) * svg._WIDTH)
 
     arr = atlas.arrangement
+    points = vertex_points(arr)
     polygons = [
-        " ".join(f"{x_pix(arr.vertices[v][0])},{y_pix(arr.vertices[v][1])}" for v in loop)
+        " ".join(f"{x_pix(points[v][0])},{y_pix(points[v][1])}" for v in loop)
         for cell in atlas.cells
         for loop in (arr.faces[face].loop for face in cell)
     ]
@@ -323,7 +334,7 @@ def test_svg_pixels_match_fraction_formula(tuples, name, box):
 def test_facet_transitions(rat6_atlas, chain10_atlas):
     for atlas in (rat6_atlas, chain10_atlas):
         arr = atlas.arrangement
-        vertices = set(arr.vertices)
+        vertices = set(vertex_points(arr))
         for facet in atlas.facets:
             assert facet.mult >= 1
             assert divisor_leq(facet.low_divisor, facet.high_divisor)
@@ -333,8 +344,8 @@ def test_facet_transitions(rat6_atlas, chain10_atlas):
             first = arr.edges[facet.edge_indices[0]]
             last = arr.edges[facet.edge_indices[-1]]
             assert facet.samples == (
-                edge_point(arr.vertices, first, Fraction(1, 3)),
-                edge_point(arr.vertices, last, Fraction(2, 3)),
+                edge_point(arr, first, Fraction(1, 3)),
+                edge_point(arr, last, Fraction(2, 3)),
             )
             assert not vertices & set(facet.samples)
 
@@ -549,7 +560,7 @@ def test_smooth_pair_atlas_is_diagonal_strips():
 def _on_some_facet(atlas, point):
     for facet in atlas.facets:
         line = atlas.arrangement.lines[facet.line_index]
-        if not line.contains(point):
+        if not on_line(line, point):
             continue
         (x0, y0), (x1, y1) = facet.endpoints
         if (
