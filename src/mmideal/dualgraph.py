@@ -51,7 +51,7 @@ from .rationals import (
     _entries, _integer_vector, _rational_vector, over_common_denominator
 )
 from .unloading import (
-    ClosureCache,
+    BoundedCache,
     fundamental_cycle,
     intersection_products,
     is_antinef,
@@ -72,22 +72,43 @@ class SingularityClass(enum.Enum):
 class DualGraph:
     """Immutable dual graph with its canonical data.
 
-    `closure_cache` maps a divisor to its checked antinef closure (see
-    ``unloading.antinef_closure_checked``), keeping at most
-    ``unloading.CLOSURE_CACHE_BOUND`` entries; it is neither compared nor shown,
-    so two graphs built from one matrix are equal but share no closures.
+    Two per-graph caches, each a bounded, counted
+    :class:`~mmideal.unloading.BoundedCache` of at most
+    ``unloading.CLOSURE_CACHE_BOUND`` entries: `closure_cache` maps a
+    divisor to its checked antinef closure (see
+    ``unloading.antinef_closure_checked``) and `colength_cache` an antinef
+    divisor to its checked colength (see ``unloading.colength``).  Neither is
+    compared nor shown, so two graphs built from one matrix are equal but
+    share no cached values, and both die with their graph.  `_edge_kernel`
+    is the diagonal and the tree's edge list, each edge once, that
+    ``unloading.intersection_products`` reads.
     """
 
     matrix: Matrix
     canonical: tuple[Fraction, ...]
     adjacency: tuple[tuple[int, ...], ...]
-    closure_cache: ClosureCache = field(
-        default_factory=ClosureCache, init=False, compare=False, repr=False
+    closure_cache: BoundedCache = field(
+        default_factory=BoundedCache, init=False, compare=False, repr=False
+    )
+    colength_cache: BoundedCache = field(
+        default_factory=BoundedCache, init=False, compare=False, repr=False
     )
 
     @property
     def size(self) -> int:
         return len(self.matrix)
+
+    @cached_property
+    def _edge_kernel(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """(E_1^2, ..., E_s^2) and the edges (a, b), a < b, of the tree."""
+        diagonal = tuple(row[j] for j, row in enumerate(self.matrix))
+        edges = tuple(
+            (a, b)
+            for a, neighbors in enumerate(self.adjacency)
+            for b in neighbors
+            if a < b
+        )
+        return diagonal, edges
 
     @cached_property
     def fundamental(self) -> tuple[int, ...]:
@@ -218,11 +239,11 @@ def build_graph(rows) -> DualGraph:
         _integer_vector(row, len(rows), "intersection matrix row") for row in rows
     )
     adjacency, canonical = _validate_matrix(matrix)
-    for j, row in enumerate(matrix):
-        # (K + E_j).E_j, read off the sparse row of the tree
-        if row[j] * (canonical[j] + 1) + sum(canonical[l] for l in adjacency[j]) != -2:
-            raise InternalConsistencyError(f"K fails adjunction at E{j + 1}")
     graph = DualGraph(matrix=matrix, canonical=canonical, adjacency=adjacency)
+    for j, product in enumerate(intersection_products(graph, canonical)):
+        # (K + E_j).E_j = K.E_j + E_j^2
+        if product + matrix[j][j] != -2:
+            raise InternalConsistencyError(f"K fails adjunction at E{j + 1}")
     fundamental = graph.fundamental
     if any(coefficient < 1 for coefficient in fundamental):
         raise InternalConsistencyError("fundamental cycle is not strictly positive")

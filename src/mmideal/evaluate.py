@@ -60,7 +60,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
-from .dualgraph import IdealTuple, attach_ideals
+from .dualgraph import DualGraph, IdealTuple, attach_ideals
 from .errors import InternalConsistencyError, ValidationError
 from .polytope import Halfspace, Polytope, intersect_halfspaces
 from .rationals import _entries, _flags, _index, _integer_vector, _rational_vector
@@ -159,7 +159,7 @@ class PointEvaluation:
     def maximal_components(self) -> tuple[tuple[int, ...], ...]:
         """The connected components of H_c."""
         return tuple(
-            tuple(part) for part in support_components(self.ideals, self.maximal)
+            tuple(part) for part in _components(self.ideals.graph, self.maximal)
         )
 
     @cached_property
@@ -269,8 +269,12 @@ def maximal_jumping_divisor(ideals: IdealTuple, point: PointLike) -> tuple[bool,
 def support_components(ideals: IdealTuple, support: Sequence[bool]) -> list[list[int]]:
     """Connected components (index lists) of a reduced divisor in the tree,
     given as one `bool` per component."""
-    support = _flags(support, ideals.size, "support")
-    adjacency = ideals.graph.adjacency
+    return _components(ideals.graph, _flags(support, ideals.size, "support"))
+
+
+def _components(graph: DualGraph, support: Sequence[bool]) -> list[list[int]]:
+    """`support_components` on a support the library built itself, unread."""
+    adjacency = graph.adjacency
     seen = [False] * len(support)
     components = []
     for start, inside in enumerate(support):

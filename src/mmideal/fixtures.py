@@ -30,6 +30,8 @@ from .dualgraph import (
 from .errors import ParseError, SchemaError
 from .rationals import _as_integer, format_rational, parse_rational
 
+# Characters of an unknown fixture name that its error message echoes.
+_SHOWN_NAME = 60
 _TOP_KEYS = {"name", "matrix", "adjacency", "canonical", "ideals", "expected", "notes"}
 _EXPECTED_KEYS = {
     "canonical",
@@ -287,9 +289,11 @@ def load_fixture(name_or_path: str) -> Fixture:
             found = False
         if found:
             return parse_fixture(path.read_text(encoding="utf-8"))
+    shown = repr(name_or_path[:_SHOWN_NAME])
+    if len(name_or_path) > _SHOWN_NAME:
+        shown += f"... ({len(name_or_path)} characters)"
     raise ParseError(
-        f"no fixture named {name_or_path!r}; bundled fixtures: "
-        f"{', '.join(bundled_names())}"
+        f"no fixture named {shown}; bundled fixtures: {', '.join(bundled_names())}"
     )
 
 

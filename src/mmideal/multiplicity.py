@@ -39,10 +39,10 @@ from .evaluate import (
     Point,
     PointEvaluation,
     PointLike,
+    _components,
     _dot_F,
     _integer_direction,
     evaluate_point,
-    support_components,
 )
 from .rationals import _rational, _rational_vector
 from .unloading import colength, intersection_products
@@ -183,7 +183,7 @@ def _adjunction_value(
     `support`; ceil(K - c.F) = -floor(v) exactly."""
     shifted = [inside - f for f, inside in zip(evaluation.floors, support)]
     products = intersection_products(ideals.graph, shifted)
-    components = support_components(ideals, support)
+    components = _components(ideals.graph, support)
     return sum(products[j] for part in components for j in part) + len(components)
 
 

@@ -73,9 +73,13 @@ class Halfspace:
 
 
 def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve a small square system exactly; None if singular."""
+    """Solve a small square system exactly, in `Fraction`s whatever the
+    entries' type (`int` rows divide exactly too); None if singular."""
     size = len(rows)
-    work = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    work = [
+        [Fraction(entry) for entry in row] + [Fraction(rhs[i])]
+        for i, row in enumerate(rows)
+    ]
     for col in range(size):
         pivot_row = next(
             (r for r in range(col, size) if work[r][col] != 0), None

@@ -1,9 +1,11 @@
 """Antinef closures and colengths on the intersection lattice of a dual graph.
 
 A divisor here is a vector of coefficients over the exceptional components
-of a :class:`~mmideal.dualgraph.DualGraph`.  The graph is a tree, so each
-product D.E_j = E_j^2 d_j + (sum of d_l over the neighbours l of j) is read
-off its sparse row in O(valence); no dense matrix is formed.  A divisor D is
+of a :class:`~mmideal.dualgraph.DualGraph`.  The graph is a tree, so the
+products D.E_j = E_j^2 d_j + (sum of d_l over the neighbours l of j) are
+read off one kernel per graph, its diagonal and its edge list with each edge
+once: O(s) work for all of them, and no dense matrix is formed.  Every
+product in the library goes through :func:`intersection_products`.  A divisor D is
 *antinef* when it is effective and every product D.E_j is <= 0.  The closure
 operator sends any integer divisor to the smallest antinef divisor bounding
 it from above; it is computed by the classical unloading loop.
@@ -21,11 +23,15 @@ Both must return the same divisor on every input; the test-suite and the
 clamped divisor max(D, 0).  Every public function here reads its divisor
 through ``rationals``: one integer (an ``int`` or a ``Fraction`` with
 denominator 1) per component; a float, bool, string or non-integer
-``Fraction`` raises ValidationError, a wrong length LengthMismatch.  Checked
-closures are memoized per graph, keyed by the clamped divisor alone, in the
-graph's own ``closure_cache``, a :class:`ClosureCache` of at most
-``CLOSURE_CACHE_BOUND`` entries that counts its hits and misses; the cache
-dies with its graph.
+``Fraction`` raises ValidationError, a wrong length LengthMismatch.
+
+Each graph owns two caches, both a :class:`BoundedCache` of at most
+``CLOSURE_CACHE_BOUND`` entries that counts its hits and misses, and both
+die with their graph.  Checked closures are memoized in ``closure_cache``,
+keyed by the clamped divisor alone; colengths in ``colength_cache``, keyed
+by the divisor as read, and stored only after every check has passed.  Along
+a ray the left divisor at one candidate is the divisor at the one before, so
+most colengths are repeats.
 
 All arithmetic is in Python integers: the colength uses D.K = sum of
 d_j (-2 - E_j^2), which holds because M K = b, so K itself is never read.
@@ -33,6 +39,7 @@ d_j (-2 - E_j^2), which holds because M K = b, so K itself is never read.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import InternalConsistencyError, NonIntegralTotal, NotAntinef
@@ -46,17 +53,17 @@ if TYPE_CHECKING:
 CLOSURE_CACHE_BOUND = 4096
 
 
-class ClosureCache(dict):
-    """Checked closures keyed by divisor, at most ``CLOSURE_CACHE_BOUND``
-    of them: storing into a full cache evicts the oldest entry first.
-    ``hits`` and ``misses`` count the lookups."""
+class BoundedCache(dict):
+    """Checked values keyed by divisor, at most ``CLOSURE_CACHE_BOUND`` of
+    them: storing into a full cache evicts the oldest entry first.  ``hits``
+    and ``misses`` count the lookups."""
 
     def __init__(self) -> None:
         super().__init__()
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, key: tuple[int, ...]) -> tuple[int, ...] | None:
+    def lookup(self, key: tuple[int, ...]):
         found = self.get(key)
         if found is None:
             self.misses += 1
@@ -64,20 +71,23 @@ class ClosureCache(dict):
             self.hits += 1
         return found
 
-    def store(self, key: tuple[int, ...], closure: tuple[int, ...]) -> None:
+    def store(self, key: tuple[int, ...], value) -> None:
         while len(self) >= CLOSURE_CACHE_BOUND:
             del self[next(iter(self))]
-        self[key] = closure
+        self[key] = value
 
 
 def intersection_products(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]:
-    """Return (D.E_1, ..., D.E_s), read off the sparse rows of the tree;
-    the divisor is the library's own, unchecked."""
-    matrix, adjacency = graph.matrix, graph.adjacency
-    return tuple(
-        matrix[j][j] * coefficient + sum(divisor[l] for l in adjacency[j])
-        for j, coefficient in enumerate(divisor)
-    )
+    """Return (D.E_1, ..., D.E_s); the divisor is the library's own,
+    unchecked.  The products start as E_j^2 d_j, and each edge (a, b) of the
+    tree, listed once in the graph's ``_edge_kernel``, adds d_b at a and d_a
+    at b."""
+    diagonal, edges = graph._edge_kernel
+    products = list(map(operator.mul, diagonal, divisor))
+    for a, b in edges:
+        products[a] += divisor[b]
+        products[b] += divisor[a]
+    return tuple(products)
 
 
 def _divisor(graph: DualGraph, divisor: Sequence) -> tuple[int, ...]:
@@ -211,8 +221,16 @@ def colength(graph: DualGraph, divisor: Sequence[int]) -> int:
     that test that are the ones the formula reads.  The result must be a
     nonnegative integer, zero exactly for the zero divisor; anything else
     raises NonIntegralTotal.
+
+    Memoized in the graph's ``colength_cache``, keyed by the divisor as read
+    through ``rationals`` (so a float that compares equal to a stored int is
+    still refused), and only once every check has passed: a repeat is served
+    from the memo, the first value always comes from the formula.
     """
     divisor = _divisor(graph, divisor)
+    cached = graph.colength_cache.lookup(divisor)
+    if cached is not None:
+        return cached
     products = intersection_products(graph, divisor)
     if any(d < 0 for d in divisor) or any(product > 0 for product in products):
         raise NotAntinef(f"colength is defined for antinef divisors, got {divisor}")
@@ -230,6 +248,7 @@ def colength(graph: DualGraph, divisor: Sequence[int]) -> int:
         raise NonIntegralTotal(
             "colength must vanish exactly for the zero divisor"
         )
+    graph.colength_cache.store(divisor, value)
     return value
 
 

@@ -269,7 +269,7 @@ def test_jump_record_reads_H_once(monkeypatch, rat6):
     # the evaluation owns H's components and adjoint products: a jumping
     # record finds components twice (H, then G) and forms H's product vector
     # (ceil(K - c.F) + H).E_j once
-    components = _record_calls(monkeypatch, "evaluate", "support_components")
+    components = _record_calls(monkeypatch, "evaluate", "_components")
     products = _record_calls(monkeypatch, "unloading", "intersection_products")
     point = (Fraction(1, 4), Fraction(1, 4))
     record = jump_record(rat6, point)

@@ -236,6 +236,13 @@ def test_cli_name_too_long_is_a_parse_error(capsys):
     assert "io error" not in err
 
 
+def test_cli_long_name_error_is_one_short_line(capsys):
+    assert main(["validate", "y" * 5000]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200
+    assert "'" + "y" * 60 + "'... (5000 characters)" in lines[0]
+
+
 def test_cli_usage_error_is_exit_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

@@ -76,6 +76,14 @@ def test_solve_square():
     )
 
 
+def test_solve_square_is_exact_on_int_rows():
+    # `/` on two ints gives a float; the solution must stay exact
+    solution = solve_square([[2, 0], [0, 4]], [1, 1])
+    assert solution == (Fraction(1, 2), Fraction(1, 4))
+    assert all(type(x) is Fraction for x in solution)
+    assert solve_square([[1, 1], [2, 2]], [0, 0]) is None
+
+
 def test_affine_rank():
     assert affine_rank([(Fraction(0), Fraction(0))]) == 0
     assert affine_rank([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]) == 1

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import frozen
 from mmideal import (
     antinef_closure,
+    attach_ideals,
     antinef_closure_checked,
     antinef_closure_unit,
     build_graph,
@@ -21,6 +22,8 @@ from mmideal import (
     fundamental_cycle,
     is_antinef,
     load_fixture,
+    make_ray,
+    ray_walk,
 )
 from mmideal import unloading
 from mmideal.cli import main
@@ -190,7 +193,9 @@ def test_colength_requires_antinef(rat6):
 def test_odd_colength_total_is_an_internal_error(monkeypatch, capsys, rat6):
     # one product made a unit more negative at a component of odd coefficient,
     # only where colength reads them: the divisor stays antinef and the total
-    # turns odd, which no correct route produces
+    # turns odd, which no correct route produces.  A fresh graph has an empty
+    # colength memo, so colength reads the products.
+    graph = build_graph(rat6.graph.matrix)
     honest = unloading.intersection_products
 
     def skewed(graph, divisor):
@@ -202,9 +207,92 @@ def test_odd_colength_total_is_an_internal_error(monkeypatch, capsys, rat6):
 
     monkeypatch.setattr(unloading, "intersection_products", skewed)
     with pytest.raises(InternalConsistencyError, match="fractional"):
-        colength(rat6.graph, rat6.graph.fundamental)
+        colength(graph, graph.fundamental)
     assert main(["fcycle", "RAT6"]) == 3
     assert "colength came out fractional" in capsys.readouterr().err
+
+
+def test_colength_cache_belongs_to_its_graph(rat6):
+    first = build_graph(rat6.graph.matrix)
+    second = build_graph(rat6.graph.matrix)
+    assert first == second
+    divisor = frozen.RAT6_FUNDAMENTAL
+    assert colength(first, divisor) == 1
+    assert colength(first, divisor) == 1
+    assert first.colength_cache == {divisor: 1}
+    assert (first.colength_cache.hits, first.colength_cache.misses) == (1, 1)
+    assert second.colength_cache == {}
+    assert colength(second, divisor) == 1
+    assert (second.colength_cache.hits, second.colength_cache.misses) == (0, 1)
+
+
+def test_colength_cache_is_bounded_and_counted(rat6, monkeypatch):
+    monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 4)
+    graph = build_graph(rat6.graph.matrix)
+    fundamental = graph.fundamental
+    divisors = [tuple(n * z for z in fundamental) for n in range(12)]
+    values = {divisor: colength(rat6.graph, divisor) for divisor in divisors}
+    checked = divisors + divisors[9:] + divisors[:2]
+    for divisor in checked:
+        assert colength(graph, divisor) == values[divisor]
+        assert len(graph.colength_cache) <= 4
+    cache = graph.colength_cache
+    assert (cache.hits, cache.misses) == (3, 14)
+    assert cache.hits + cache.misses == len(checked)
+    # the oldest entry goes first; a hit does not renew an entry
+    assert list(cache) == [divisors[10], divisors[11], divisors[0], divisors[1]]
+    assert len(graph.closure_cache) == 0
+
+
+def test_colength_memo_still_reads_its_input(rat6):
+    # a float or a bool hashes and compares equal to the int in a stored key,
+    # so the memo is read only after the divisor has passed the contract
+    graph = build_graph(rat6.graph.matrix)
+    assert colength(graph, frozen.RAT6_FUNDAMENTAL) == 1
+    assert graph.colength_cache == {frozen.RAT6_FUNDAMENTAL: 1}
+    for divisor in ((3.0, 2, 3, 1, 1, 1), (3, 2, 3, True, 1, 1)):
+        assert divisor == frozen.RAT6_FUNDAMENTAL
+        with pytest.raises(ValidationError, match="expected integers"):
+            colength(graph, divisor)
+    assert colength(graph, (Fraction(3), 2, 3, 1, 1, 1)) == 1
+    assert (graph.colength_cache.hits, graph.colength_cache.misses) == (1, 1)
+
+
+def test_colength_memo_never_stores_a_refused_divisor(rat6):
+    graph = build_graph(rat6.graph.matrix)
+    for _ in range(2):
+        with pytest.raises(NotAntinef):
+            colength(graph, (1, 0, 0, 0, 0, 0))
+    assert graph.colength_cache == {}
+    assert (graph.colength_cache.hits, graph.colength_cache.misses) == (0, 2)
+
+
+def test_ray_walk_evaluates_each_colength_once(tuples, monkeypatch):
+    # along a ray the left divisor at a candidate is the divisor at the one
+    # before, so the oracle asks for most colengths twice; the formula runs
+    # once per distinct divisor, and every repeat is a memo hit
+    honest = unloading.colength
+    asked = []
+
+    def recorded(graph, divisor):
+        asked.append(tuple(divisor))
+        return honest(graph, divisor)
+
+    # the oracle's binding; ``mmideal.multiplicity`` names a function
+    monkeypatch.setattr(sys.modules["mmideal.multiplicity"], "colength", recorded)
+    rng = random.Random(19)
+    for name in ("RAT6", "CHAIN10"):
+        shared = tuples[name]
+        ideals = attach_ideals(build_graph(shared.graph.matrix), shared.ideals)
+        asked.clear()
+        base = [Fraction(rng.randint(0, 6), rng.randint(1, 6)) for _ in range(ideals.r)]
+        direction = [rng.randint(1, 4) for _ in range(ideals.r)]
+        jumps = ray_walk(ideals, make_ray(ideals, base, direction), Fraction(3, 2))
+        assert jumps
+        cache = ideals.graph.colength_cache
+        assert cache.misses == len(set(asked)) < len(asked)
+        assert cache.hits + cache.misses == len(asked)
+        assert len(cache) == len(set(asked))
 
 
 def test_divisor_leq():
