@@ -72,16 +72,11 @@ class SingularityClass(enum.Enum):
 class DualGraph:
     """Immutable dual graph with its canonical data.
 
-    Two per-graph caches, each a bounded, counted
-    :class:`~mmideal.unloading.BoundedCache` of at most
-    ``unloading.CLOSURE_CACHE_BOUND`` entries: `closure_cache` maps a
-    divisor to its checked antinef closure (see
-    ``unloading.antinef_closure_checked``) and `colength_cache` an antinef
-    divisor to its checked colength (see ``unloading.colength``).  Neither is
-    compared nor shown, so two graphs built from one matrix are equal but
-    share no cached values, and both die with their graph.  `_edge_kernel`
-    is the diagonal and the tree's edge list, each edge once, that
-    ``unloading.intersection_products`` reads.
+    `closure_cache` maps a divisor to its checked antinef closure and
+    `colength_cache` an antinef divisor to its checked colength (see
+    ``unloading``).  Both are bounded, counted caches under the one bound
+    ``unloading.CLOSURE_CACHE_BOUND``; neither is compared nor shown, so two
+    graphs built from one matrix are equal but share no cached values.
     """
 
     matrix: Matrix
@@ -100,7 +95,8 @@ class DualGraph:
 
     @cached_property
     def _edge_kernel(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """(E_1^2, ..., E_s^2) and the edges (a, b), a < b, of the tree."""
+        """(E_1^2, ..., E_s^2) and the tree's edges (a, b), a < b: what
+        ``unloading.intersection_products`` reads."""
         diagonal = tuple(row[j] for j, row in enumerate(self.matrix))
         edges = tuple(
             (a, b)

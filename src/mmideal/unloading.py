@@ -3,12 +3,12 @@
 A divisor here is a vector of coefficients over the exceptional components
 of a :class:`~mmideal.dualgraph.DualGraph`.  The graph is a tree, so the
 products D.E_j = E_j^2 d_j + (sum of d_l over the neighbours l of j) are
-read off one kernel per graph, its diagonal and its edge list with each edge
-once: O(s) work for all of them, and no dense matrix is formed.  Every
-product in the library goes through :func:`intersection_products`.  A divisor D is
-*antinef* when it is effective and every product D.E_j is <= 0.  The closure
-operator sends any integer divisor to the smallest antinef divisor bounding
-it from above; it is computed by the classical unloading loop.
+read off its diagonal and its edge list, each edge once, in O(s); no dense
+matrix is formed, and every product in the library goes through
+:func:`intersection_products`.  A divisor D is *antinef* when it is
+effective and every product D.E_j is <= 0.  The closure operator sends any
+integer divisor to the smallest antinef divisor bounding it from above; it
+is computed by the classical unloading loop.
 
 Two implementations of unloading are provided on purpose:
 
