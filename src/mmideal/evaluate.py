@@ -34,8 +34,10 @@ All of this is computed once per point: :func:`evaluate_point` returns a
 frozen :class:`PointEvaluation`, and every function here and in
 ``multiplicity`` that takes a point accepts that evaluation in its place.
 The evaluation also owns what the multiplicity routes and the jumping
-criterion read off H_c: its wall lines, its connected components and the
-adjoint products (ceil(K - c.F) + H_c).E_j.
+criterion read off H_c: its wall lines and its adjunction values
+(ceil(K - c.F) + H_c).E_i per component and .P per connected component P,
+each asserted >= -1 (the H inequalities) where it is derived.  One private
+kernel derives these values for H and, on the via-G route, for G.
 
 The constancy region of c is the set of weights with the same ideal: the
 points z >= 0 with (z.F)_j < k_j + 1 + e_j^c for every j, where e^c = D_c.
@@ -61,13 +63,14 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .dualgraph import DualGraph, IdealTuple, attach_ideals
-from .errors import InternalConsistencyError, ValidationError
+from .errors import InequalityViolated, InternalConsistencyError, ValidationError
 from .polytope import Halfspace, Polytope, intersect_halfspaces
 from .rationals import _entries, _flags, _index, _integer_vector, _rational_vector
 from .rationals import format_rational, over_common_denominator
 from .unloading import antinef_closure_checked, intersection_products
 
 Point = tuple[Fraction, ...]
+Connected = tuple[tuple[tuple[int, ...], int], ...]  # (P, value) per connected part P
 
 
 def _weight_point(ideals: IdealTuple, point: Sequence) -> Point:
@@ -104,9 +107,9 @@ class PointEvaluation:
     The scaled gap data is computed on construction, in integers: `scale` is
     N, the lcm of the denominators of K and of the point.  `weighted` and
     `values` are their `Fraction` views.  These views, the wall lines, H,
-    its connected components, its adjoint products, D_c, D_left and G are
-    computed when first read, at most once: callers that need only gap
-    values never unload, and D_c stays defined where the H assertion fails.
+    its adjunction values, D_c, D_left and G are computed when first read,
+    at most once: callers that need only gap values never unload, and D_c
+    stays defined where an H assertion fails.
     """
 
     ideals: IdealTuple
@@ -156,18 +159,25 @@ class PointEvaluation:
         return support
 
     @cached_property
-    def maximal_components(self) -> tuple[tuple[int, ...], ...]:
-        """The connected components of H_c."""
-        return tuple(
-            tuple(part) for part in _components(self.ideals.graph, self.maximal)
-        )
-
-    @cached_property
-    def maximal_products(self) -> tuple[int, ...]:
-        """(ceil(K - c.F) + H_c).E_j for every component; ceil(K - c.F) =
-        -floor(v) exactly."""
-        shifted = [inside - f for f, inside in zip(self.floors, self.maximal)]
-        return intersection_products(self.ideals.graph, shifted)
+    def maximal_values(self) -> tuple[tuple[tuple[int, int], ...], Connected]:
+        """(singles, connected): (i, (ceil(K - c.F) + H_c).E_i) for every
+        component E_i of H_c and (P, (ceil(K - c.F) + H_c).P) for every
+        connected component P, each asserted >= -1 (the H inequalities)."""
+        support = self.maximal
+        products, connected = _adjunction_values(self, support)
+        singles = tuple((i, products[i]) for i, inside in enumerate(support) if inside)
+        for i, value in singles:
+            if value < -1:
+                raise InequalityViolated(
+                    f"component {self.ideals.graph.label(i)} gives {value} < -1 "
+                    f"at {self.point}"
+                )
+        for component, value in connected:
+            if value < -1:
+                raise InequalityViolated(
+                    f"H-component {list(component)} gives {value} < -1 at {self.point}"
+                )
+        return singles, connected
 
     @cached_property
     def divisor(self) -> tuple[int, ...]:
@@ -270,6 +280,21 @@ def support_components(ideals: IdealTuple, support: Sequence[bool]) -> list[list
     """Connected components (index lists) of a reduced divisor in the tree,
     given as one `bool` per component."""
     return _components(ideals.graph, _flags(support, ideals.size, "support"))
+
+
+def _adjunction_values(
+    evaluation: PointEvaluation, support: Sequence[bool]
+) -> tuple[tuple[int, ...], Connected]:
+    """For a support S the library built: the products (ceil(K - c.F) + S).E_j
+    for every component, and (P, (ceil(K - c.F) + S).P) for every connected
+    component P of S; ceil(K - c.F) = -floor(v) exactly."""
+    graph = evaluation.ideals.graph
+    shifted = [inside - f for f, inside in zip(evaluation.floors, support)]
+    products = intersection_products(graph, shifted)
+    return products, tuple(
+        (tuple(part), sum(products[j] for j in part))
+        for part in _components(graph, support)
+    )
 
 
 def _components(graph: DualGraph, support: Sequence[bool]) -> list[list[int]]:

@@ -77,12 +77,19 @@ def _rational(value, field: str) -> Fraction:
 
 def _int_vector(value, field: str) -> tuple[int, ...]:
     _require(isinstance(value, list) and value, f"{field}: expected a nonempty list")
-    return tuple(_integer(v, f"{field}[{i + 1}]") for i, v in enumerate(value))
+    # an `int` entry is taken as it is; a path is built for the others only
+    return tuple(
+        v if type(v) is int else _integer(v, f"{field}[{i + 1}]")
+        for i, v in enumerate(value)
+    )
 
 
 def _rational_vector(value, field: str) -> tuple[Fraction, ...]:
     _require(isinstance(value, list) and value, f"{field}: expected a nonempty list")
-    return tuple(_rational(v, f"{field}[{i + 1}]") for i, v in enumerate(value))
+    try:
+        return tuple(map(parse_rational, value))
+    except ParseError:  # read again, to name the first refused entry
+        return tuple(_rational(v, f"{field}[{i + 1}]") for i, v in enumerate(value))
 
 
 def _parse_expected(block, size: int, r: int) -> dict:

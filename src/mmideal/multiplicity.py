@@ -14,6 +14,12 @@ A fourth route evaluates the adjunction form on the *minimal* jumping
 divisor G and is valid at jumping points only.  All routes are exact; any
 disagreement is an internal-consistency failure, never a rounding question.
 
+The adjunction form is the sum of v_P + 1 over the connected components P
+of H_c, v_P = (ceil(K - c.F) + H_c).P, as the point's evaluation derives
+them and asserts them >= -1; the jumping criterion (some v_P >= 0) and the
+H-inequality report read the same values.  `multiplicity_checked` alone
+certifies a point: routes equal, m > 0 exactly when D_c != D_left, via-G.
+
 The perturbation sum rule splits the multiplicity at a point on several
 walls over the distinct points where a parallel ray, shifted by a small
 exact offset, crosses them; the offset's admissibility is checked exactly.
@@ -28,7 +34,6 @@ from typing import Sequence
 
 from .dualgraph import IdealTuple
 from .errors import (
-    InequalityViolated,
     InternalConsistencyError,
     NonIntegralTotal,
     NotAJumpingPoint,
@@ -37,22 +42,20 @@ from .errors import (
 )
 from .evaluate import (
     Point,
-    PointEvaluation,
     PointLike,
-    _components,
+    _adjunction_values,
     _dot_F,
     _integer_direction,
     evaluate_point,
 )
 from .rationals import _rational, _rational_vector
-from .unloading import colength, intersection_products
+from .unloading import colength
 
 
 def multiplicity(ideals: IdealTuple, point: PointLike) -> int:
     """Adjunction-form multiplicity (the production route)."""
-    evaluation = evaluate_point(ideals, point)
-    products, components = evaluation.maximal_products, evaluation.maximal_components
-    return sum(products[j] for part in components for j in part) + len(components)
+    _, connected = evaluate_point(ideals, point).maximal_values
+    return sum(value + 1 for _, value in connected)
 
 
 def multiplicity_fractional(ideals: IdealTuple, point: PointLike) -> int:
@@ -70,7 +73,7 @@ def multiplicity_fractional(ideals: IdealTuple, point: PointLike) -> int:
             continue
         total += sum(scaled_values[j] % scale for j in adjacency[i])
         total += sum(c * excesses[k][i] for k, c in enumerate(scaled_point))
-    total -= scale * len(evaluation.maximal_components)
+    total -= scale * len(evaluation.maximal_values[1])
     if total % scale:
         raise NonIntegralTotal(
             f"fractional-form multiplicity is {Fraction(total, scale)} at "
@@ -87,9 +90,15 @@ def multiplicity_oracle(ideals: IdealTuple, point: PointLike) -> int:
 
 
 def multiplicity_checked(ideals: IdealTuple, point: PointLike) -> int:
-    """All always-defined routes, asserted equal; via-G added at jumping points."""
+    """All always-defined routes asserted equal, m > 0 asserted exactly when
+    D_c != D_left, via-G added at jumping points."""
     evaluation = evaluate_point(ideals, point)
     adjunction = multiplicity(ideals, evaluation)
+    if (adjunction > 0) != (evaluation.divisor != evaluation.divisor_left):
+        raise InternalConsistencyError(
+            f"multiplicity {adjunction} inconsistent with divisor jump at "
+            f"{evaluation.point}"
+        )
     fractional = multiplicity_fractional(ideals, evaluation)
     oracle = multiplicity_oracle(ideals, evaluation)
     if not (adjunction == fractional == oracle):
@@ -110,25 +119,13 @@ def multiplicity_checked(ideals: IdealTuple, point: PointLike) -> int:
 def is_jumping(ideals: IdealTuple, point: PointLike) -> tuple[bool, list[int] | None]:
     """(jumping?, witness component of H achieving the criterion).
 
-    The criterion — some connected component H' of H_c with
-    (ceil(K - c.F) + H_c) . H' >= 0 — is asserted to agree with m > 0.
+    The criterion, some connected component H' of H_c with
+    (ceil(K - c.F) + H_c) . H' >= 0, holds exactly when m > 0 because the
+    evaluation asserts every such value >= -1.
     """
-    evaluation = evaluate_point(ideals, point)
-    products = evaluation.maximal_products
-    witness = next(
-        (
-            list(component)
-            for component in evaluation.maximal_components
-            if sum(products[j] for j in component) >= 0
-        ),
-        None,
-    )
-    jumping = multiplicity(ideals, evaluation) > 0
-    if jumping != (witness is not None):
-        raise InternalConsistencyError(
-            f"jumping criterion and multiplicity disagree at {evaluation.point}"
-        )
-    return jumping, witness
+    _, connected = evaluate_point(ideals, point).maximal_values
+    witness = next((list(part) for part, value in connected if value >= 0), None)
+    return witness is not None, witness
 
 
 @dataclass(frozen=True)
@@ -143,28 +140,11 @@ class HInequalityReport:
 
 
 def check_H_inequalities(ideals: IdealTuple, point: PointLike) -> HInequalityReport:
+    """The adjunction values of H_c at the point, as the evaluation derived
+    them; reading them asserts the H inequalities (InequalityViolated)."""
     evaluation = evaluate_point(ideals, point)
-    coords, support = evaluation.point, evaluation.maximal
-    products = evaluation.maximal_products
-    singles = []
-    for i, inside in enumerate(support):
-        if not inside:
-            continue
-        value = products[i]
-        if value < -1:
-            raise InequalityViolated(
-                f"component {ideals.graph.label(i)} gives {value} < -1 at {coords}"
-            )
-        singles.append((i, value))
-    connected = []
-    for component in evaluation.maximal_components:
-        value = sum(products[j] for j in component)
-        if value < -1:
-            raise InequalityViolated(
-                f"H-component {list(component)} gives {value} < -1 at {coords}"
-            )
-        connected.append((component, value))
-    return HInequalityReport(coords, support, tuple(singles), tuple(connected))
+    singles, connected = evaluation.maximal_values
+    return HInequalityReport(evaluation.point, evaluation.maximal, singles, connected)
 
 
 def minimal_jumping_divisor(ideals: IdealTuple, point: PointLike) -> tuple[bool, ...]:
@@ -176,23 +156,12 @@ def minimal_jumping_divisor(ideals: IdealTuple, point: PointLike) -> tuple[bool,
     return evaluation.minimal
 
 
-def _adjunction_value(
-    ideals: IdealTuple, evaluation: PointEvaluation, support: Sequence[bool]
-) -> int:
-    """(ceil(K - c.F) + S).S + #components(S), S the reduced divisor on
-    `support`; ceil(K - c.F) = -floor(v) exactly."""
-    shifted = [inside - f for f, inside in zip(evaluation.floors, support)]
-    products = intersection_products(ideals.graph, shifted)
-    components = _components(ideals.graph, support)
-    return sum(products[j] for part in components for j in part) + len(components)
-
-
 def multiplicity_via_G(ideals: IdealTuple, point: PointLike) -> int:
     """Adjunction form on the minimal jumping divisor; jumping points only."""
     evaluation = evaluate_point(ideals, point)
-    return _adjunction_value(
-        ideals, evaluation, minimal_jumping_divisor(ideals, evaluation)
-    )
+    minimal = minimal_jumping_divisor(ideals, evaluation)
+    _, connected = _adjunction_values(evaluation, minimal)
+    return sum(value + 1 for _, value in connected)
 
 
 @dataclass(frozen=True)
@@ -209,13 +178,11 @@ class JumpRecord:
 
 
 def jump_record(ideals: IdealTuple, point: PointLike) -> JumpRecord:
+    """The record of one point: its multiplicity as `multiplicity_checked`
+    certifies it, and the evaluation's divisors and walls; G only at jumping
+    points."""
     evaluation = evaluate_point(ideals, point)
     mult = multiplicity_checked(ideals, evaluation)
-    if (mult > 0) != (evaluation.divisor != evaluation.divisor_left):
-        raise InternalConsistencyError(
-            f"multiplicity {mult} inconsistent with divisor jump at "
-            f"{evaluation.point}"
-        )
     return JumpRecord(
         point=evaluation.point,
         divisor=evaluation.divisor,

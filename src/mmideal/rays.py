@@ -60,7 +60,6 @@ from .rationals import (
     format_rational,
     over_common_denominator,
 )
-from .unloading import divisor_leq
 
 
 @dataclass(frozen=True)
@@ -172,9 +171,9 @@ def ray_walk(ideals: IdealTuple, ray: Ray, until: Fraction) -> list[RayJump]:
     )
     jumps = list(_jumps(ideals, ray, candidates))
     for previous, jump in zip(jumps, jumps[1:]):
-        record = jump.record
-        chained = divisor_leq(previous.record.divisor, record.divisor_left)
-        if not chained or previous.record.divisor == record.divisor:
+        record, divisor = jump.record, previous.record.divisor
+        chained = all(a <= b for a, b in zip(divisor, record.divisor_left))
+        if not chained or divisor == record.divisor:
             raise InternalConsistencyError(
                 f"divisor chain broken between parameters "
                 f"{previous.parameter} and {jump.parameter}"

@@ -24,17 +24,15 @@ from mmideal.errors import NotTree, ParseError, ValidationError
 from mmideal.svg import decimal_approx
 
 
-def _smooth1_data():
+def _fixture_data(name):
     return json.loads(
-        resources.files("mmideal").joinpath("fixtures/SMOOTH1.json").read_text()
+        resources.files("mmideal").joinpath(f"fixtures/{name}.json").read_text()
     )
 
 
 def _chain10_with_repeated_edge():
     """CHAIN10's fixture text with its first edge listed again, reversed."""
-    data = json.loads(
-        resources.files("mmideal").joinpath("fixtures/CHAIN10.json").read_text()
-    )
+    data = _fixture_data("CHAIN10")
     data["adjacency"].append(data["adjacency"][0][::-1])
     return json.dumps(data)
 
@@ -67,7 +65,7 @@ def test_load_name_too_long_to_look_up():
 
 def test_load_read_failure_stays_an_os_error(tmp_path, monkeypatch):
     path = tmp_path / "fixture.json"
-    path.write_text(json.dumps(_smooth1_data()))
+    path.write_text(json.dumps(_fixture_data("SMOOTH1")))
     assert load_fixture(str(path)) == load_fixture("SMOOTH1")
 
     def refuse(self, *args, **kwargs):
@@ -109,18 +107,38 @@ def test_json_error_reports_position():
         (lambda d: d["expected"].update(lct=["1/0"]), "zero denominator"),
         (lambda d: d["expected"].update(lct=[2, 3]), "expected 1 entries"),
         (lambda d: d["expected"].update(canonical=["x"]), "malformed rational"),
+        (
+            lambda d: d["expected"].update(canonical=[1, "1/0"]),
+            "expected.canonical[2]: zero denominator: '1/0'",
+        ),
     ],
 )
 def test_schema_violations(mutate, fragment):
-    data = _smooth1_data()
+    data = _fixture_data("SMOOTH1")
     mutate(data)
     with pytest.raises(ParseError) as info:
         parse_fixture(json.dumps(data))
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "field, row, column, value, message",
+    [
+        ("matrix", 2, 2, 1.5, "matrix[2][2]: expected an integer, got 1.5"),
+        ("ideals", 1, 2, "a", "ideals[1][2]: expected an integer, got 'a'"),
+        ("ideals", 2, 6, True, "ideals[2][6]: expected an integer, got True"),
+    ],
+)
+def test_refused_vector_entry_is_named_by_its_path(field, row, column, value, message):
+    data = _fixture_data("RAT6")
+    data[field][row - 1][column - 1] = value
+    with pytest.raises(ParseError) as info:
+        parse_fixture(json.dumps(data))
+    assert str(info.value) == message
+
+
 def test_zero_ideal_rejected_at_build():
-    data = _smooth1_data()
+    data = _fixture_data("SMOOTH1")
     data["ideals"] = [[0]]
     fixture = parse_fixture(json.dumps(data))  # schema-valid
     with pytest.raises(ValidationError):

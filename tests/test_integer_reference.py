@@ -30,6 +30,7 @@ from mmideal import (
     ray_point,
     ray_walk,
     stability_bound,
+    support_components,
 )
 from mmideal import evaluate, rays
 from mmideal.errors import InternalConsistencyError
@@ -69,7 +70,7 @@ def reference_fractional(ideals, evaluation, values):
             Fraction(0),
         )
         total += fractional + excess
-    return total - len(evaluation.maximal_components)
+    return total - len(support_components(ideals, support))
 
 
 def reference_candidates(ideals, ray, after):

@@ -22,7 +22,9 @@ from mmideal import (
     multiplicity_via_G,
     perturbation_sum,
 )
+from mmideal import evaluate
 from mmideal.errors import (
+    InequalityViolated,
     InternalConsistencyError,
     NotAJumpingPoint,
     OffsetTooLarge,
@@ -103,6 +105,76 @@ def test_h_inequalities_on_random_points(tuples):
             report = check_H_inequalities(ideals, point)
             assert all(value >= -1 for _, value in report.per_component)
             assert all(value >= -1 for _, value in report.per_connected)
+
+
+def test_h_inequality_report_is_the_evaluations_values(tuples):
+    rng = random.Random(29)
+    for ideals in tuples.values():
+        for _ in range(20):
+            point = tuple(
+                Fraction(rng.randint(0, 30), rng.randint(1, 12))
+                for _ in range(ideals.r)
+            )
+            evaluation = evaluate_point(ideals, point)
+            report = check_H_inequalities(ideals, evaluation)
+            assert report.support == evaluation.maximal
+            singles, connected = evaluation.maximal_values
+            assert report.per_component == singles
+            assert report.per_connected == connected
+
+
+# At RAT6 (1/12, 1/12), H has the connected components {E1, E3} and {E6}, of
+# adjunction values -1 each, and single values E1: 0, E3: -1, E6: -1.  A
+# mutant shifts H's adjoint products (ceil(K - c.F) + H).E_j by `delta`.
+_TWO_PARTS = (Fraction(1, 12), Fraction(1, 12))
+
+
+def _shift_adjoint_products(monkeypatch, delta):
+    original = evaluate.intersection_products
+
+    def shifted(graph, divisor):
+        return tuple(p + d for p, d in zip(original(graph, divisor), delta))
+
+    monkeypatch.setattr(evaluate, "intersection_products", shifted)
+
+
+@pytest.mark.parametrize(
+    "delta, message",
+    [
+        # singles -1, -1, 0; parts -2 and 0: the criterion finds a witness
+        # while m = (-2 + 1) + (0 + 1) = 0
+        ((-1, 0, 0, 0, 0, 1), r"H-component \[0, 2\] gives -2 < -1"),
+        # singles -2, 1, 0; parts -1 and 0
+        ((-2, 0, 2, 0, 0, 1), r"component E1 gives -2 < -1"),
+    ],
+    ids=["connected", "single"],
+)
+def test_every_evaluated_point_asserts_the_H_inequalities(
+    monkeypatch, rat6, delta, message
+):
+    _shift_adjoint_products(monkeypatch, delta)
+    for read in (multiplicity_checked, jump_record, is_jumping, check_H_inequalities):
+        with pytest.raises(InequalityViolated, match=message):
+            read(rat6, _TWO_PARTS)
+
+
+def _without_divisor_jump(ideals, point):
+    """An evaluation whose left-limit divisor is forced equal to D_c."""
+    evaluation = evaluate_point(ideals, point)
+    evaluation.__dict__["divisor_left"] = evaluation.divisor
+    return evaluation
+
+
+def test_multiplicity_checked_asserts_the_divisor_jump(rat6):
+    point = (Fraction(1, 4), Fraction(1, 4))
+    message = "multiplicity 3 inconsistent with divisor jump"
+    with pytest.raises(InternalConsistencyError, match=message):
+        multiplicity_checked(rat6, _without_divisor_jump(rat6, point))
+    offset = admissible_perturbation(rat6, point, frozen.RAY_DIR).offset
+    with pytest.raises(InternalConsistencyError, match=message):
+        perturbation_sum(
+            rat6, _without_divisor_jump(rat6, point), frozen.RAY_DIR, offset
+        )
 
 
 def test_perturbation_at_corner(rat6):
