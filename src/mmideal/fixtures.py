@@ -84,6 +84,19 @@ def _int_vector(value, field: str) -> tuple[int, ...]:
     )
 
 
+def _edge(pair, field: str) -> tuple[int, int]:
+    """One edge, every check named by *field*: the slow path for a pair
+    that is not two distinct positive `int`s."""
+    _require(
+        isinstance(pair, list) and len(pair) == 2,
+        f"{field}: expected a pair of component indices",
+    )
+    a, b = (_integer(v, field) for v in pair)
+    _require(a != b, f"{field}: self-loops are not allowed")
+    _require(a >= 1 and b >= 1, f"{field}: component indices are 1-based")
+    return a, b
+
+
 def _rational_vector(value, field: str) -> tuple[Fraction, ...]:
     _require(isinstance(value, list) and value, f"{field}: expected a nonempty list")
     try:
@@ -170,15 +183,14 @@ def parse_fixture(text: str) -> Fixture:
         _require(isinstance(raw, list) and raw, "adjacency: expected a nonempty list")
         edges = []
         for i, pair in enumerate(raw):
-            field = f"adjacency[{i + 1}]"
-            _require(
-                isinstance(pair, list) and len(pair) == 2,
-                f"{field}: expected a pair of component indices",
-            )
-            a, b = (_integer(v, field) for v in pair)
-            _require(a != b, f"{field}: self-loops are not allowed")
-            _require(a >= 1 and b >= 1, f"{field}: component indices are 1-based")
-            edges.append((a, b))
+            # a pair of distinct positive `int`s is taken as it is; a path is
+            # built, and the endpoints read, for the others only
+            if isinstance(pair, list) and len(pair) == 2:
+                a, b = pair
+                if type(a) is int and type(b) is int and a != b and a >= 1 and b >= 1:
+                    edges.append((a, b))
+                    continue
+            edges.append(_edge(pair, f"adjacency[{i + 1}]"))
         adjacency = tuple(edges)
         canonical = _rational_vector(data["canonical"], "canonical")
         size = len(canonical)

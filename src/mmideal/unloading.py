@@ -12,18 +12,45 @@ is computed by the classical unloading loop.
 
 Two implementations of unloading are provided on purpose:
 
-* :func:`antinef_closure` — the production version, which unloads with the
-  ceiling step n_j = ceil((D.E_j) / (-E_j^2));
+* :func:`antinef_closure` — the production version, which sweeps the
+  components in index order and fires each violated one with the ceiling
+  step n_j = ceil((D.E_j) / (-E_j^2));
 * :func:`antinef_closure_unit` — an independent oracle that adds one copy of
   E_j at a time, taking violated components from a last-in-first-out
-  worklist instead of rescanning in index order.
+  worklist instead of sweeping in index order.
 
 Both must return the same divisor on every input; the test-suite and the
-``closure`` CLI subcommand verify that exactly.  Both start from the
-clamped divisor max(D, 0).  Every public function here reads its divisor
-through ``rationals``: one integer (an ``int`` or a ``Fraction`` with
-denominator 1) per component; a float, bool, string or non-integer
-``Fraction`` raises ValidationError, a wrong length LengthMismatch.
+``closure`` CLI subcommand verify that exactly.  Called directly, both
+start from the clamped divisor max(D, 0).
+
+:func:`antinef_closure_checked` does not make the oracle repeat the climb
+the ceiling loop has just made.  From the ceiling result it unloads
+*downward* to a start L with key <= L and L.E_j >= 0 wherever l_j > key_j
+(key = max(D, 0)), checks that certificate on its own, and lets the oracle
+climb from L.  The certificate alone puts L below the closure:
+
+    Lemma.  Let M be negative definite with nonnegative off-diagonal
+    entries, key <= L, and (M L)_j >= 0 wherever l_j > key_j.  Then L <= C
+    for every antinef C >= key.
+
+    Proof.  Put Y = L - C = Y+ - Y- and P = {j : y_j > 0}.  For j in P,
+    l_j > c_j >= key_j, so (M L)_j >= 0 >= (M C)_j and (M Y)_j >= 0; also
+    y-_j = 0, so (M Y-)_j sums off-diagonal entries times y-_l and is >= 0.
+    Hence (M Y+)_j = (M Y)_j + (M Y-)_j >= 0 on P, and Y+ vanishes off P,
+    so Y+^T M Y+ = sum over P of y+_j (M Y+)_j >= 0.  Negative
+    definiteness forces Y+ = 0, that is L <= C.
+
+So key <= L <= closure(key), hence closure(L) = closure(key), and every
+unit step from L is forced as it is from key: the oracle's answer never
+depends on the ceiling result being right, and an overshooting ceiling
+loop still disagrees with it.  This is the least-element property of
+Z-matrix polyhedra (Cottle and Veinott, Math. Programming 3, 1972) for the
+intersection form.
+
+Every public function here reads its divisor through ``rationals``: one
+integer (an ``int`` or a ``Fraction`` with denominator 1) per component; a
+float, bool, string or non-integer ``Fraction`` raises ValidationError, a
+wrong length LengthMismatch.
 
 Each graph owns two caches, both a :class:`BoundedCache` of at most
 ``CLOSURE_CACHE_BOUND`` entries that counts its hits and misses, and both
@@ -103,34 +130,83 @@ def is_antinef(graph: DualGraph, divisor: Sequence[int]) -> bool:
 
 
 def _clamped(graph: DualGraph, divisor: Sequence) -> list[int]:
-    """max(D, 0) coefficientwise.  Both closures start from it; a
+    """max(D, 0) coefficientwise.  Both public closures start from it; a
     non-integer coefficient is refused, never truncated."""
     return [c if c > 0 else 0 for c in _divisor(graph, divisor)]
 
 
 def _unload(graph: DualGraph, start: list[int]) -> tuple[int, ...]:
-    """Ceiling-step unloading loop.
+    """Ceiling-step unloading loop, in sweeps.
 
-    Scans components lowest-index-first; at the first violated component j
-    (D.E_j > 0) it adds n_j = ceil((D.E_j) / (-E_j^2)) copies of E_j, then
-    rescans from the start.  Terminates because the closure exists and every
-    intermediate divisor stays <= it.
+    Each sweep visits the components in index order and, at every violated
+    one it meets (D.E_j > 0, read after the sweep's earlier steps), adds
+    n_j = ceil((D.E_j) / (-E_j^2)) copies of E_j; sweeps repeat until one
+    fires nothing.  Every step is forced: if D <= C for an antinef C, the
+    step keeps D <= C.  So the loop ends, at the closure of its start.
     """
-    matrix, adjacency = graph.matrix, graph.adjacency
+    diagonal = graph._edge_kernel[0]
+    adjacency = graph.adjacency
     divisor = start
     products = list(intersection_products(graph, divisor))
-    while True:
-        for j, product in enumerate(products):
+    fired = True
+    while fired:
+        fired = False
+        for j, square in enumerate(diagonal):
+            product = products[j]
             if product > 0:
                 # ceil(product / -E_j^2) with positive operands
-                step = -(-product // -matrix[j][j])
+                step = -(-product // -square)
                 divisor[j] += step
-                products[j] += step * matrix[j][j]
+                products[j] += step * square
                 for l in adjacency[j]:
                     products[l] += step
-                break
-        else:
-            return tuple(divisor)
+                fired = True
+    return tuple(divisor)
+
+
+def _descend(graph: DualGraph, key: Sequence[int], top: Sequence[int]) -> tuple[int, ...]:
+    """The greatest L with key <= L <= top and L.E_j >= 0 wherever
+    l_j > key_j: the oracle's start in :func:`antinef_closure_checked`.
+
+    Downward unloading from *top* (>= key): at a violated component j
+    (l_j > key_j and L.E_j < 0) it removes min(l_j - key_j,
+    ceil(-L.E_j / -E_j^2)) copies of E_j, after which j itself is settled,
+    and pushes the neighbours whose products turned negative.  Each step
+    is forced: every such L below the divisor before it is below the
+    divisor after it.  So the order does not matter, and the loop ends at
+    the greatest one.
+    """
+    diagonal = graph._edge_kernel[0]
+    adjacency = graph.adjacency
+    start = list(top)
+    products = list(intersection_products(graph, start))
+    pending = [j for j, product in enumerate(products) if product < 0]
+    while pending:
+        j = pending.pop()
+        product, slack = products[j], start[j] - key[j]
+        if product >= 0 or slack <= 0:
+            continue
+        # ceil(-product / -E_j^2) with positive operands
+        step = min(slack, -(product // -diagonal[j]))
+        start[j] -= step
+        products[j] -= step * diagonal[j]
+        for l in adjacency[j]:
+            products[l] -= step
+            if products[l] < 0:
+                pending.append(l)
+    return tuple(start)
+
+
+def _check_start(graph: DualGraph, key: Sequence[int], start: Sequence[int]) -> None:
+    """Raise unless key <= start and start.E_j >= 0 wherever start_j >
+    key_j: the certificate that puts *start* below the closure of *key*."""
+    if any(s < k for s, k in zip(start, key)) or any(
+        product < 0 and s > k
+        for product, s, k in zip(intersection_products(graph, start), start, key)
+    ):
+        raise InternalConsistencyError(
+            f"oracle start {start} is not certified below the closure of {key}"
+        )
 
 
 def antinef_closure(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]:
@@ -150,7 +226,8 @@ def antinef_closure(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]
 
 
 def antinef_closure_unit(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]:
-    """Independent unloading oracle that adds one component at a time.
+    """Independent unloading oracle that adds one component at a time,
+    climbing from max(D, 0).
 
     Violated components wait on a last-in-first-out worklist.  Adding E_j
     changes only the products at j and its neighbours, so those are the only
@@ -182,6 +259,14 @@ def antinef_closure_unit(graph: DualGraph, divisor: Sequence[int]) -> tuple[int,
 def antinef_closure_checked(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]:
     """Closure computed by both unloading variants, which must agree exactly.
 
+    The ceiling loop climbs from key = max(D, 0).  The oracle climbs from
+    the start L that :func:`_descend` unloads down from the ceiling result;
+    L is checked on its own to satisfy key <= L and L.E_j >= 0 wherever
+    l_j > key_j, which by the module's lemma puts it below every antinef
+    divisor >= key.  So the oracle's climb from L ends at the closure of
+    key whatever the ceiling loop returned, and most of it is not repeated.
+    A start that fails its certificate raises InternalConsistencyError.
+
     Memoized in the graph's ``closure_cache``, keyed by the clamped divisor
     max(D, 0), which has the same closure: atlases and perturbation sums
     evaluate heavily overlapping floor vectors, and the closure is
@@ -192,7 +277,9 @@ def antinef_closure_checked(graph: DualGraph, divisor: Sequence[int]) -> tuple[i
     if cached is not None:
         return cached
     fast = antinef_closure(graph, key)
-    slow = antinef_closure_unit(graph, key)
+    start = _descend(graph, key, fast)
+    _check_start(graph, key, start)
+    slow = antinef_closure_unit(graph, start)
     if fast != slow:
         raise InternalConsistencyError(
             f"unloading variants disagree: {fast} vs {slow}"

@@ -137,6 +137,26 @@ def test_refused_vector_entry_is_named_by_its_path(field, row, column, value, me
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ([1, 2, 3], "adjacency[4]: expected a pair of component indices"),
+        (7, "adjacency[4]: expected a pair of component indices"),
+        ([6, 2.5], "adjacency[4]: expected an integer, got 2.5"),
+        ([True, 6], "adjacency[4]: expected an integer, got True"),
+        ([8, 8], "adjacency[4]: self-loops are not allowed"),
+        ([0, 6], "adjacency[4]: component indices are 1-based"),
+        ([6, 11], "adjacency: component index beyond 10"),
+    ],
+)
+def test_refused_adjacency_pair_is_named(pair, message):
+    data = _fixture_data("CHAIN10")
+    data["adjacency"][3] = pair
+    with pytest.raises(ParseError) as info:
+        parse_fixture(json.dumps(data))
+    assert str(info.value) == message
+
+
 def test_zero_ideal_rejected_at_build():
     data = _fixture_data("SMOOTH1")
     data["ideals"] = [[0]]

@@ -346,6 +346,65 @@ def test_oracle_does_not_share_the_ceiling_loop(rat6, monkeypatch):
         antinef_closure_checked(graph, (4, 0, 1, 0, 0, 2))
 
 
+def _certified(graph, key, start):
+    """key <= start and start.E_j >= 0 wherever start_j > key_j, with the
+    dense matrix."""
+    products = [sum(m * s for m, s in zip(row, start)) for row in graph.matrix]
+    return all(s >= k for s, k in zip(start, key)) and all(
+        product >= 0 for product, s, k in zip(products, start, key) if s > k
+    )
+
+
+def test_descent_from_above_the_closure_stays_below_it(tuples):
+    # the lemma of ``unloading``: a certified start lies below the closure,
+    # from any top >= key, and the oracle climbs from it to the closure;
+    # coefficients up to +-1000
+    rng = random.Random(2101)
+    graphs = [tuples[name].graph for name in ("CHAIN10", "NEST14", "PROP16")]
+    graphs += [build_graph(random_tree_matrix(rng)) for _ in range(40)]
+    for graph in graphs:
+        for _ in range(4):
+            key = tuple(max(rng.randint(-1000, 1000), 0) for _ in range(graph.size))
+            closure = antinef_closure(graph, key)
+            top = [c + rng.choice((0, rng.randint(0, 1000))) for c in closure]
+            start = unloading._descend(graph, key, top)
+            assert divisor_leq(key, start) and divisor_leq(start, closure)
+            assert _certified(graph, key, start)
+            assert antinef_closure_unit(graph, start) == closure
+            # every certified start lies below the closure, so the greatest
+            # one below top is the greatest one below the closure
+            assert unloading._descend(graph, key, closure) == start
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        lambda graph, key, top: top,
+        lambda graph, key, top: tuple(a + z for a, z in zip(top, graph.fundamental)),
+    ],
+    ids=["returns_the_ceiling_result", "adds_the_fundamental_cycle"],
+)
+def test_uncertified_oracle_start_is_refused(rat6, monkeypatch, mutant):
+    # a fresh graph has an empty closure cache, so the descent runs
+    graph = build_graph(rat6.graph.matrix)
+    monkeypatch.setattr(unloading, "_descend", mutant)
+    with pytest.raises(InternalConsistencyError, match="not certified"):
+        antinef_closure_checked(graph, (4, 0, 1, 0, 0, 2))
+    assert graph.closure_cache == {}
+
+
+def test_oracle_keeps_its_cold_start_on_large_inputs(tuples):
+    # called directly, the oracle climbs from max(D, 0) even at scale 1000
+    rng = random.Random(2102)
+    for name in ("CHAIN10", "NEST14", "PROP16"):
+        for _ in range(3):
+            graph = build_graph(tuples[name].graph.matrix)
+            divisor = [rng.randint(-1000, 1000) for _ in range(graph.size)]
+            unit = antinef_closure_unit(graph, divisor)
+            assert unit == antinef_closure(graph, divisor)
+            assert unit == antinef_closure_checked(graph, divisor)
+
+
 def test_closure_is_minimal_on_small_cases():
     # on a 2-vertex chain, check minimality against brute force
     graph = build_graph(((-2, 1), (1, -2)))
