@@ -9,7 +9,11 @@ From M alone the module computes, eagerly at build time:
 
 * the relative canonical divisor K: the unique rational vector with
   (K + E_j).E_j = -2 for every j, i.e. M K = b with b_j = -2 - M[j][j],
-  by one leaf-first elimination over the tree that also checks definiteness;
+  by one leaf-first elimination over the tree that also checks definiteness.
+  The elimination runs in integers, each pivot and right-hand side a reduced
+  pair (numerator, denominator); only K's entries become `Fraction`s.  The
+  adjunction check then reads K over its common denominator D, so
+  `scaled_canonical` = (D, D*K) is filled at build time;
 * the fundamental cycle Z: the smallest nonzero antinef divisor, which must
   have arithmetic genus p_a(Z) = 0 (Artin's criterion for rationality).  It
   is found by unloading on the built graph and cached on it.
@@ -28,10 +32,11 @@ numbering is converted, and their errors name a pair as the caller gave it.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .errors import (
     BadOffDiagonal,
@@ -163,17 +168,10 @@ class IdealTuple:
 # ---------------------------------------------------------------------------
 
 
-def _validate_matrix(
-    matrix: Matrix,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
-    """Full admissibility check; returns the adjacency lists and K.
-
-    Checks run in a fixed order: symmetry, off-diagonal entries, diagonal
-    entries, connectivity, tree shape, then negative definiteness.
-    """
+def _refuse_first_violation(matrix: Matrix) -> NoReturn:
+    """Raise the refusal for the first entry, row by row, that breaks
+    symmetry, the 0/1 rule off the diagonal, or E_j^2 <= -1."""
     size = len(matrix)
-    if size == 0:
-        raise LengthMismatch("intersection matrix is empty")
     for i in range(size):
         for j in range(size):
             if matrix[i][j] != matrix[j][i]:
@@ -186,10 +184,38 @@ def _validate_matrix(
             raise NotNegativeDefinite(
                 f"self-intersection of E{i + 1} is {matrix[i][i]} (must be <= -1)"
             )
-    adjacency = tuple(
-        tuple(j for j in range(size) if j != i and matrix[i][j] == 1)
-        for i in range(size)
-    )
+    raise InternalConsistencyError("matrix refused without a violation to name")
+
+
+def _validate_matrix(
+    matrix: Matrix,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
+    """Full admissibility check; returns the adjacency lists and K.
+
+    Checks run in a fixed order: symmetry, off-diagonal entries, diagonal
+    entries, connectivity, tree shape, then negative definiteness.  The
+    first three compare the rows with the columns and then count each row's
+    0s and 1s; an entry-by-entry scan runs only to name the first violation.
+    """
+    size = len(matrix)
+    if size == 0:
+        raise LengthMismatch("intersection matrix is empty")
+    if any(row != column for row, column in zip(matrix, zip(*matrix))):
+        _refuse_first_violation(matrix)
+    adjacency = []
+    for i, row in enumerate(matrix):
+        ones = row.count(1)
+        # E_i^2 <= -1 is neither 0 nor 1: the row is admissible exactly when
+        # its other size - 1 entries are all 0 or 1
+        if row[i] > -1 or row.count(0) + ones != size - 1:
+            _refuse_first_violation(matrix)
+        # the positions of the 1s, by searches in C rather than a Python loop
+        neighbors = []
+        j = -1
+        for _ in range(ones):
+            j = row.index(1, j + 1)
+            neighbors.append(j)
+        adjacency.append(tuple(neighbors))
     edge_count = sum(len(neighbors) for neighbors in adjacency) // 2
     # breadth-first from E1: every vertex is listed after its parent
     parent = {0: 0}
@@ -207,22 +233,38 @@ def _validate_matrix(
     # its parent p (pivot_p -= 1/pivot_c, rhs_p -= rhs_c/pivot_c) is Gaussian
     # elimination in reversed order, whose pivots are ratios of consecutive
     # leading principal minors.  By Sylvester's criterion M is negative
-    # definite exactly when every pivot is negative.
-    pivot = [Fraction(matrix[j][j]) for j in range(size)]
-    rhs = [Fraction(-2 - matrix[j][j]) for j in range(size)]
+    # definite exactly when every pivot is negative.  Every pivot, right-hand
+    # side and k_j is held in integers, as a pair (numerator, denominator > 0)
+    # in lowest terms.
+    pivot = [(row[j], 1) for j, row in enumerate(matrix)]
+    rhs = [(-2 - row[j], 1) for j, row in enumerate(matrix)]
     for vertex in reversed(order):
-        if pivot[vertex] >= 0:
+        n, d = pivot[vertex]
+        if n >= 0:
             raise NotNegativeDefinite(
-                f"elimination pivot of E{vertex + 1} is {pivot[vertex]} (must be < 0)"
+                f"elimination pivot of E{vertex + 1} is {Fraction(n, d)} (must be < 0)"
             )
         if vertex:
-            pivot[parent[vertex]] -= 1 / pivot[vertex]
-            rhs[parent[vertex]] -= rhs[vertex] / pivot[vertex]
-    canonical = [Fraction(0)] * size
+            up = parent[vertex]
+            # 1/pivot_c = d/n: p/q - d/n and r/s - (a/b)(d/n), over the
+            # positive denominators -q*n and -s*b*n
+            p, q = pivot[up]
+            numerator, denominator = d * q - p * n, -q * n
+            g = math.gcd(numerator, denominator)
+            pivot[up] = numerator // g, denominator // g
+            (r, s), (a, b) = rhs[up], rhs[vertex]
+            numerator, denominator = a * d * s - r * b * n, -s * b * n
+            g = math.gcd(numerator, denominator)
+            rhs[up] = numerator // g, denominator // g
+    canonical = [(0, 1)] * size
     for vertex in order:
-        above = canonical[parent[vertex]] if vertex else 0
-        canonical[vertex] = (rhs[vertex] - above) / pivot[vertex]
-    return adjacency, tuple(canonical)
+        # k_v = (r/s - k/m) / (n/d), k/m that of the parent (0 above the root)
+        (r, s), (n, d) = rhs[vertex], pivot[vertex]
+        k, m = canonical[parent[vertex]] if vertex else (0, 1)
+        numerator, denominator = (k * s - r * m) * d, -s * m * n
+        g = math.gcd(numerator, denominator)
+        canonical[vertex] = numerator // g, denominator // g
+    return tuple(adjacency), tuple(Fraction(k, m) for k, m in canonical)
 
 
 def build_graph(rows) -> DualGraph:
@@ -236,9 +278,10 @@ def build_graph(rows) -> DualGraph:
     )
     adjacency, canonical = _validate_matrix(matrix)
     graph = DualGraph(matrix=matrix, canonical=canonical, adjacency=adjacency)
-    for j, product in enumerate(intersection_products(graph, canonical)):
-        # (K + E_j).E_j = K.E_j + E_j^2
-        if product + matrix[j][j] != -2:
+    denominator, scaled = graph.scaled_canonical
+    for j, product in enumerate(intersection_products(graph, scaled)):
+        # D (K + E_j).E_j = (D K).E_j + D E_j^2
+        if product + denominator * matrix[j][j] != -2 * denominator:
             raise InternalConsistencyError(f"K fails adjunction at E{j + 1}")
     fundamental = graph.fundamental
     if any(coefficient < 1 for coefficient in fundamental):
@@ -273,19 +316,25 @@ def _neighbor_sets(edges, size: int) -> list[set[int]]:
 def _diagonal(
     neighbor_sets: list[set[int]], canonical: tuple[Fraction, ...]
 ) -> tuple[int, ...]:
+    """E_j^2 = -(2D + sum of D*k_l over neighbors l) / (D*k_j + D) in
+    integers, D the common denominator of K."""
+    denominator, scaled = over_common_denominator(canonical)
     diagonal = []
-    for j, k in enumerate(canonical):
-        if k == -1:
+    for j, k in enumerate(scaled):
+        below = k + denominator
+        if below == 0:
             raise DivisionByZero(
                 f"component E{j + 1} has canonical coefficient -1; "
                 "its self-intersection is not determined by the tree"
             )
-        value = -(2 + sum(canonical[l] for l in neighbor_sets[j])) / (k + 1)
-        if value.denominator != 1 or value > -1:
+        above = -2 * denominator - sum(scaled[l] for l in neighbor_sets[j])
+        value, remainder = divmod(above, below)
+        if remainder or value > -1:
             raise NonIntegralSelfIntersection(
-                f"component E{j + 1} would need self-intersection {value}"
+                f"component E{j + 1} would need self-intersection "
+                f"{Fraction(above, below)}"
             )
-        diagonal.append(value.numerator)
+        diagonal.append(value)
     return tuple(diagonal)
 
 
@@ -318,10 +367,13 @@ def graph_from_adjacency(
     neighbor_sets = _neighbor_sets(edges, len(canonical))
     diagonal = _diagonal(neighbor_sets, canonical)
     size = len(canonical)
-    rows = [
-        [diagonal[j] if l == j else int(l in neighbors) for l in range(size)]
-        for j, neighbors in enumerate(neighbor_sets)
-    ]
+    rows = []
+    for j, neighbors in enumerate(neighbor_sets):
+        row = [0] * size
+        for l in neighbors:
+            row[l] = 1
+        row[j] = diagonal[j]
+        rows.append(row)
     graph = build_graph(rows)
     if graph.canonical != canonical:
         raise InternalConsistencyError(

@@ -37,12 +37,13 @@ of multiplicity above one, or a bare count mismatch.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .arrangement import Arrangement, Line, build_arrangement, make_line
+from .arrangement import Arrangement, Line, build_arrangement
 from .dualgraph import IdealTuple
 from .errors import (
     BindingNonRuptureConstraint,
@@ -75,8 +76,8 @@ def _point(vertex: tuple[int, int, int]) -> Point2:
 
 
 def wall_lines(ideals: IdealTuple, box: tuple[Fraction, Fraction]) -> list[Line]:
-    """Positive-level wall lines meeting the open box (0,bx) x (0,by),
-    built as (D*F_1[j], D*F_2[j], D*k_j + D*l)."""
+    """Positive-level wall lines meeting the open box (0,bx) x (0,by):
+    the forms (D*F_1[j], D*F_2[j], D*k_j + D*l) in lowest terms."""
     if ideals.r != 2:
         raise ValidationError(
             f"wall atlases need exactly two ideals, got {ideals.r}"
@@ -95,8 +96,10 @@ def wall_lines(ideals: IdealTuple, box: tuple[Fraction, Fraction]) -> list[Line]
         far = denominator * (a * px * qy + b * py * qx) - k * qx * qy
         highest = -(-far // (denominator * qx * qy)) - 1
         for level in range(lowest, highest + 1):
-            form = (denominator * a, denominator * b, k + denominator * level)
-            lines.append(make_line(*form, sources=((j, level),)))
+            # the normal (D*a, D*b) is nonzero: ideals have full support
+            A, B, C = denominator * a, denominator * b, k + denominator * level
+            g = math.gcd(A, B, C)
+            lines.append(Line((A // g, B // g, C // g), ((j, level),)))
     if not lines:
         raise BoxTooSmall(
             f"no jumping wall meets the box {format_rational(box[0])} x "

@@ -1,0 +1,142 @@
+"""K from `build_graph` against a dense reference solve kept in this file.
+
+The reference is plain Gauss-Jordan elimination over `Fraction` on the
+augmented matrix [M | b], b_j = -2 - E_j^2; it reads no tree structure and
+imports nothing from the library.  Every graph is also rebuilt by
+`graph_from_adjacency` from its edges and the reference K, which must give
+back the same matrix.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from mmideal import build_graph, graph_from_adjacency
+from trees import random_tree_matrix, tree_rows
+
+BLOWUP_GRAPHS = 4
+
+
+def _reference_canonical(rows):
+    """The solution of M K = b by Gauss-Jordan elimination, last column
+    first (a leaf-first order on trees numbered parent before child)."""
+    size = len(rows)
+    augmented = [
+        [Fraction(entry) for entry in row] + [Fraction(-2 - row[j])]
+        for j, row in enumerate(rows)
+    ]
+    free = set(range(size))
+    pivots = {}
+    for column in reversed(range(size)):
+        pivot = max(i for i in free if augmented[i][column] != 0)
+        free.remove(pivot)
+        pivots[column] = pivot
+        lead = augmented[pivot][column]
+        augmented[pivot] = [
+            entry / lead if entry else entry for entry in augmented[pivot]
+        ]
+        # the rows stay dense; a row operation skips the pivot row's zeros
+        nonzero = [(c, entry) for c, entry in enumerate(augmented[pivot]) if entry]
+        for i in range(size):
+            factor = augmented[i][column]
+            if i != pivot and factor != 0:
+                row = augmented[i]
+                for c, entry in nonzero:
+                    row[c] -= factor * entry
+    return tuple(augmented[pivots[column]][size] for column in range(size))
+
+
+def _common_denominator(values):
+    scale = math.lcm(*(value.denominator for value in values))
+    return scale, tuple(int(value * scale) for value in values)
+
+
+def _edges(rows):
+    return [
+        (a + 1, b + 1)
+        for a, row in enumerate(rows)
+        for b in range(a + 1, len(rows))
+        if row[b] == 1
+    ]
+
+
+def _chain(rng, size):
+    return tree_rows(
+        [-rng.randint(2, 5) for _ in range(size)],
+        [(j, j + 1) for j in range(1, size)],
+    )
+
+
+def _tree(rng, size):
+    """A random tree numbered parent before child, E_j^2 <= -valence - 1."""
+    edges = [(rng.randrange(vertex) + 1, vertex + 1) for vertex in range(1, size)]
+    valence = [0] * size
+    for a, b in edges:
+        valence[a - 1] += 1
+        valence[b - 1] += 1
+    return tree_rows([-(v + rng.randint(1, 3)) for v in valence], edges)
+
+
+def _blowup(index):
+    """The matrix and K of the benchmark's blow-up graph `index`: n point
+    blow-ups of a smooth point, K by k_new = 1 + the k of the curves through
+    the point blown up."""
+    rng = random.Random(f"graph:{index}")
+    size = 20 + 20 * index // (BLOWUP_GRAPHS - 1)
+    diagonal, canonical, edges = [-1], [1], []
+    for new in range(1, size):
+        if edges and rng.random() < 0.3:
+            a, b = edges.pop(rng.randrange(len(edges)))
+            through = [a, b]
+            edges.extend([(a, new), (b, new)])
+        else:
+            through = [rng.randrange(new)]
+            edges.append((through[0], new))
+        for c in through:
+            diagonal[c] -= 1
+        diagonal.append(-1)
+        canonical.append(1 + sum(canonical[c] for c in through))
+    rows = tree_rows(diagonal, [(a + 1, b + 1) for a, b in edges])
+    return rows, tuple(Fraction(k) for k in canonical)
+
+
+def _check(rows):
+    graph = build_graph(rows)
+    reference = _reference_canonical(rows)
+    assert graph.canonical == reference
+    assert graph.scaled_canonical == _common_denominator(reference)
+    if all(k != -1 for k in reference):
+        rebuilt = graph_from_adjacency(_edges(rows), reference)
+        assert rebuilt.matrix == graph.matrix
+        assert rebuilt.canonical == reference
+    return graph
+
+
+def test_small_random_trees_match_the_reference():
+    rng = random.Random(2201)
+    for _ in range(300):
+        _check(random_tree_matrix(rng))
+
+
+def test_bundled_fixtures_match_the_reference(tuples):
+    for ideals in tuples.values():
+        _check([list(row) for row in ideals.graph.matrix])
+
+
+@pytest.mark.parametrize("size", [10, 50, 200])
+def test_long_chains_and_trees_match_the_reference(size):
+    rng = random.Random(size)
+    for _ in range(2):
+        chain = _check(_chain(rng, size))
+        _check(_tree(rng, size))
+    if size == 200:
+        # continuants of -2..-5 chains: the pairs outgrow machine words
+        assert chain.scaled_canonical[0].bit_length() > 64
+
+
+@pytest.mark.parametrize("index", range(BLOWUP_GRAPHS))
+def test_blowup_graphs_match_the_reference_and_the_recurrence(index):
+    rows, canonical = _blowup(index)
+    assert _check(rows).canonical == canonical

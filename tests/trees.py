@@ -30,5 +30,15 @@ def random_any_tree_matrix(rng: random.Random, max_size: int = 7) -> list[list[i
     return rows
 
 
+def tree_rows(diagonal, edges) -> list[list[int]]:
+    """Intersection matrix from a diagonal and 1-based edge pairs."""
+    rows = [[0] * len(diagonal) for _ in diagonal]
+    for j, entry in enumerate(diagonal):
+        rows[j][j] = entry
+    for a, b in edges:
+        rows[a - 1][b - 1] = rows[b - 1][a - 1] = 1
+    return rows
+
+
 def random_divisor(rng: random.Random, size: int) -> list[int]:
     return [rng.randint(-6, 12) for _ in range(size)]
