@@ -16,10 +16,13 @@ every half-edge points along its line's direction or against it, so one
 exact angular sort of those directions (half-plane index plus cross-product
 comparisons -- no trigonometry) ranks the half-edges at every vertex, and
 each face is an orbit of the next-pointer.  The single clockwise orbit
-along the box boundary is the outside and is dropped.  Every kept orbit
-runs counterclockwise, so each half-edge has its face on its left: the
-orbits alone say which face lies on the low and which on the high side of
-every edge, and no point is tested against a line.
+along the box boundary is the outside and is dropped.  An orbit's
+orientation is read at its lowest-numbered vertex, the lexicographically
+smallest point of a convex loop and so a strict corner, as the sign of one
+3x3 determinant of homogeneous triples; no area is summed.  Every kept
+orbit runs counterclockwise, so each half-edge has its face on its left:
+the orbits alone say which face lies on the low and which on the high side
+of every edge, and no point is tested against a line.
 
 The module knows nothing about ideals; `walls` feeds it wall lines and
 interprets the cells.
@@ -257,19 +260,25 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
                 break
         loops.append(tuple(orbit))
 
-    # twice the signed area of each loop, over the loop's common
-    # denominator W: only the outer orbit is not positive
+    # the turn of each loop at its lowest-numbered vertex, an extreme point
+    # and so a strict corner, has the sign of the determinant of the three
+    # homogeneous triples (every W > 0); only the outer orbit turns clockwise
     faces: list[Face] = []
     face_renumber: list[int | None] = []
     for orbit in loops:
         loop = tuple(tail_of[half] for half in orbit)
-        common = math.lcm(*(vertices[n][2] for n in loop))
-        xs = [vertices[n][0] * (common // vertices[n][2]) for n in loop]
-        ys = [vertices[n][1] * (common // vertices[n][2]) for n in loop]
-        doubled = sum(
-            xs[k - 1] * ys[k] - xs[k] * ys[k - 1] for k in range(len(loop))
+        at = loop.index(min(loop))
+        (x0, y0, w0), (x1, y1, w1), (x2, y2, w2) = (
+            vertices[loop[at - 1]],
+            vertices[loop[at]],
+            vertices[loop[(at + 1) % len(loop)]],
         )
-        if doubled <= 0:
+        turn = (
+            x0 * (y1 * w2 - w1 * y2)
+            - y0 * (x1 * w2 - w1 * x2)
+            + w0 * (x1 * y2 - y1 * x2)
+        )
+        if turn <= 0:
             face_renumber.append(None)
             continue
         face_renumber.append(len(faces))

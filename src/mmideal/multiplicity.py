@@ -265,13 +265,21 @@ def perturbation_sum(
         # of {0} and the crossings.  No integral-level wall that misses the
         # point may meet that region, otherwise a crossing could drift onto a
         # different stretch of its wall and the crossing sum would change.
-        # v_j is affine, so its range there is spanned by the four corners.
+        # v_j is affine, so its range there is spanned by the four corners,
+        # taken in integers over M = lcm(N, denominators of the two ends and
+        # of the drifts); the levels in range are ceil(min/M)..floor(max/M).
         ends = (min(0, crossings[0][0]), max(0, crossings[-1][0]))
-        scale = evaluation.scale
-        for j, (v, q, d) in enumerate(zip(evaluation.scaled_values, slopes, drifts)):
-            corners = [Fraction(v, scale) + t * q + e for t in ends for e in (0, d)]
-            for level in range(math.ceil(min(corners)), math.floor(max(corners)) + 1):
-                if level * scale != v:  # else the wall passes through the point
+        common = math.lcm(evaluation.scale, *(x.denominator for x in (*ends, *drifts)))
+        factor = common // evaluation.scale
+        scaled_ends = [t.numerator * (common // t.denominator) for t in ends]
+        scaled_drifts = [d.numerator * (common // d.denominator) for d in drifts]
+        for j, (v, q, d) in enumerate(
+            zip(evaluation.scaled_values, slopes, scaled_drifts)
+        ):
+            v *= factor
+            corners = [v + t * q + e for t in scaled_ends for e in (0, d)]
+            for level in range(-(-min(corners) // common), max(corners) // common + 1):
+                if level * common != v:  # else the wall passes through the point
                     raise OffsetTooLarge(
                         f"wall line of {ideals.graph.label(j)} at level {level} "
                         f"meets the swept region; shrink the offset"

@@ -19,8 +19,10 @@ vector max(floor(v), 0) changes only across a wall line, and there only in
 the components its sources name, by one.  One face is evaluated; a
 breadth-first walk across the interior edges carries its floor vector to
 every other face, checking the value it leaves at each crossing and the
-vector it brings at each edge that closes a cycle; one point of every wall
-line is evaluated to check that the line's sources are all of the walls
+vector it brings at each edge that closes a cycle.  Each interior edge is
+crossed once; crossing back would only undo a crossing already checked.
+At one point of every wall line an integer scan of v_j, separate code from
+the point evaluation, checks that the line's sources are all of the walls
 through it.  Each face's divisor is the checked closure of its floors, and
 the lowest-numbered face of every cell is evaluated directly as the
 independent route.
@@ -145,9 +147,13 @@ def _face_floors(
     orientation, so the high side of every edge is where v_j > l.  Crossing
     low to high takes component j from l - 1 to l.  Each crossing checks
     the value it leaves, and each edge that reaches a face already assigned
-    checks that it gives the same vector.  A source missing from a line that
-    no crossing exposes is caught afterwards: the wall lines evaluated at
-    the midpoint of each wall line's first edge must be its sources."""
+    checks that it gives the same vector.  Every interior edge is crossed
+    once, from whichever of its faces the walk leaves first: crossing it
+    back from the other side would only check T^-1(T(f)) = f for the
+    crossing map T, which the first crossing's checks already imply.  A
+    source missing from a line that no crossing exposes is caught
+    afterwards: the walls through the midpoint of each wall line's first
+    edge, found by `_walls_through`, must be its sources."""
     faces, edges, lines = arrangement.faces, arrangement.edges, arrangement.lines
     crossings: list[list[int]] = [[] for _ in faces]
     for e, (low, high) in enumerate(arrangement.edge_faces):
@@ -157,12 +163,16 @@ def _face_floors(
     start = _evaluate_at(ideals, *arrangement.mean(faces[0].loop))
     floors: list[tuple[int, ...] | None] = [None] * len(faces)
     floors[0] = tuple(max(f, 0) for f in start.floors)
+    left = [False] * len(faces)  # every edge of a face left is crossed
     queue = deque([0])
     while queue:
         face = queue.popleft()
+        left[face] = True
         for e in crossings[face]:
             low, high = arrangement.edge_faces[e]
             upward = face == low
+            if left[high if upward else low]:
+                continue
             vector = list(floors[face])
             for j, level in lines[edges[e].line_index].sources:
                 before, after = (level - 1, level) if upward else (level, level - 1)
@@ -190,13 +200,32 @@ def _face_floors(
         if line.is_box:
             continue
         first = edges[arrangement.line_edges[line_index][0]]
-        midpoint = _evaluate_at(ideals, *arrangement.mean((first.tail, first.head)))
-        if set(midpoint.wall_lines) != set(line.sources):
+        (x, y), w = arrangement.mean((first.tail, first.head))
+        through = _walls_through(ideals, x, y, w)
+        if set(through) != set(line.sources):
             raise InternalConsistencyError(
                 f"wall line {line_index} has sources {sorted(line.sources)}, but its "
-                f"point {format_point(midpoint.point)} lies on {sorted(midpoint.wall_lines)}"
+                f"point {format_point((Fraction(x, w), Fraction(y, w)))} lies on "
+                f"{sorted(through)}"
             )
     return floors
+
+
+def _walls_through(ideals: IdealTuple, x: int, y: int, w: int) -> list[tuple[int, int]]:
+    """The wall lines (j, l) through the point (x/w, y/w), w > 0: v_j = l, a
+    positive integer.  With D the denominator of K, D*w*v_j is the integer
+    D*(F_1[j]*x + F_2[j]*y) - (D*k_j)*w.
+
+    This scan shares no code with the point evaluation that gives face 0
+    its floors, so a fault there cannot hide from the check that reads it."""
+    denominator, scaled_canonical = ideals.graph.scaled_canonical
+    scale = denominator * w
+    through = []
+    for j, (a, b, k) in enumerate(zip(*ideals.ideals, scaled_canonical)):
+        value = denominator * (a * x + b * y) - k * w
+        if value > 0 and value % scale == 0:
+            through.append((j, value // scale))
+    return through
 
 
 def cell_decomposition(

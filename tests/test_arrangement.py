@@ -7,6 +7,7 @@ from functools import cmp_to_key
 
 import pytest
 
+from mmideal import arrangement as arrangement_module
 from mmideal.arrangement import (
     Arrangement,
     Edge,
@@ -16,7 +17,7 @@ from mmideal.arrangement import (
     merge_lines,
 )
 from mmideal import subtuple
-from mmideal.errors import BoxTooSmall, ValidationError
+from mmideal.errors import BoxTooSmall, InternalConsistencyError, ValidationError
 from mmideal.walls import wall_lines
 
 from conftest import (
@@ -27,6 +28,7 @@ from conftest import (
     line_key,
     line_value,
     on_line,
+    vertex_point,
     vertex_points,
 )
 
@@ -350,7 +352,7 @@ def test_matches_reference_on_random_lines():
         (Fraction(3, 2), Fraction(2, 3)),
         (Fraction(2, 7), Fraction(5, 3)),
     ]
-    merged = negated = 0
+    merged = negated = straight = 0
     for trial in range(150):
         box = boxes[trial % len(boxes)]
         lines = _random_lines(rng, box)
@@ -364,8 +366,10 @@ def test_matches_reference_on_random_lines():
             for line in arrangement.lines
         )
         _assert_same_arrangement(arrangement, _reference_arrangement(lines, box))
+        straight += _assert_orientations(arrangement)
     assert merged > 0  # coincident inputs did reach the merge
     assert negated > 0  # and so did negated ones
+    assert straight > 0
 
 
 @pytest.mark.parametrize(
@@ -376,9 +380,66 @@ def test_matches_reference_on_random_lines():
 def test_matches_reference_on_fixture_walls(tuples, name, side):
     box = (Fraction(side), Fraction(side))
     lines = wall_lines(tuples[name], box)
-    _assert_same_arrangement(
-        build_arrangement(lines, box), _reference_arrangement(lines, box)
+    arrangement = build_arrangement(lines, box)
+    _assert_same_arrangement(arrangement, _reference_arrangement(lines, box))
+    assert _assert_orientations(arrangement) > 0
+
+
+# Reference for the outer-orbit test: the shoelace area of a loop, which
+# `build_arrangement` replaced by one determinant at the loop's lowest
+# vertex.  Every kept face must have positive area, and the dropped orbit,
+# walked here from the half-edges that have no face, negative area.  That
+# orbit runs along the box and straight through every vertex where a wall
+# meets a box side.
+
+
+def _dropped_loop(arrangement):
+    """The dropped orbit as a `Face`: half-edge 2e runs tail to head with
+    the high side on its left, 2e + 1 runs back."""
+    step = {}
+    for edge, (low, high) in zip(arrangement.edges, arrangement.edge_faces):
+        if high is None:
+            step[edge.tail] = edge.head
+        if low is None:
+            step[edge.head] = edge.tail
+    loop = [min(step)]
+    while step[loop[-1]] != loop[0]:
+        loop.append(step[loop[-1]])
+    assert len(loop) == len(step)
+    return Face(loop=tuple(loop))
+
+
+def _assert_orientations(arrangement):
+    """Kept faces have positive area, the dropped orbit negative; returns how
+    many vertices the dropped orbit passes without turning."""
+    assert all(face_area(arrangement, face) > 0 for face in arrangement.faces)
+    dropped = _dropped_loop(arrangement)
+    assert face_area(arrangement, dropped) < 0
+    points = [vertex_point(arrangement.vertices[n]) for n in dropped.loop]
+    return sum(
+        (q[0] - p[0]) * (r[1] - p[1]) == (q[1] - p[1]) * (r[0] - p[0])
+        for p, q, r in zip(points[-1:] + points[:-1], points, points[1:] + points[:1])
     )
+
+
+def test_reversed_rotation_is_refused(tuples, monkeypatch):
+    # Reversing the angular order makes `next_half` rotate counterclockwise
+    # instead of clockwise: every face orbit then runs clockwise and is
+    # dropped, so more than one orbit is.  (With a single face the mutant
+    # swaps the face and the outside and is not seen, so every case here has
+    # two faces or more.)
+    rng = random.Random(24)
+    box = (Fraction(1), Fraction(1))
+    cases = [wall_lines(tuples["RAT6"], box)] + [_random_lines(rng, box) for _ in range(20)]
+    cases = [lines for lines in cases if len(build_arrangement(lines, box).faces) >= 2]
+    assert len(cases) >= 15
+    compare = arrangement_module._direction_compare
+    monkeypatch.setattr(
+        arrangement_module, "_direction_compare", lambda left, right: compare(right, left)
+    )
+    for lines in cases:
+        with pytest.raises(InternalConsistencyError, match="expected exactly one outer orbit"):
+            build_arrangement(lines, box)
 
 
 # Reference: the `Fraction` lines the integer forms replaced.  A line was

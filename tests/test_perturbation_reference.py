@@ -8,7 +8,10 @@ also skips a level wall whose key is that of a wall through the point.  The
 library reads the point's evaluation and keeps one crossing per distinct
 parameter of the shifted ray instead.  The two must give equal reports, or
 raise the same exception class, on seeded on-wall points of every fixture and
-at every facet-intersection vertex of two atlases.
+at every facet-intersection vertex of two atlases.  Two kinds of boundary
+input ride along with the seeded points: offsets that put a corner of the
+swept region exactly on an integer level, and points with some v_j < 0,
+where the library's integer ceiling and floor divide negative numbers.
 """
 
 import math
@@ -171,6 +174,40 @@ def _direction(rng, r):
     return tuple(direction)
 
 
+def _corner_on_level(rng, ideals, point):
+    """A single-axis offset that puts the shifted base, a corner of the swept
+    region, exactly on the nearest level of a wall missing the point: above
+    v_j for a positive offset, below it for a negative one.  Every crossing
+    then lies behind the point, so that corner is the extreme one and its
+    level ends the scanned range: the offset must be refused.  None when no
+    component misses every wall at the point."""
+    values = evaluate_point(ideals, point).values
+    axis = rng.randrange(ideals.r)
+    sign = rng.choice((-1, 1))
+    column = ideals.ideals[axis]
+    steps = [
+        ((math.ceil(v) if sign > 0 else math.floor(v)) - v) / column[j]
+        for j, v in enumerate(values)
+        if v.denominator != 1
+    ]
+    if not steps:
+        return None
+    size = min(steps, key=abs)
+    return tuple(size if i == axis else Fraction(0) for i in range(ideals.r))
+
+
+def _below_zero(rng, ideals):
+    """A point on a wall v_j = 1 near the origin where some other v_j < 0,
+    or None."""
+    j, axis = rng.randrange(ideals.size), rng.randrange(ideals.r)
+    coords = [Fraction(rng.randint(0, 4), 16) for _ in range(ideals.r)]
+    fixed = sum(coords[i] * ideals.ideals[i][j] for i in range(ideals.r) if i != axis)
+    coords[axis] = (ideals.graph.canonical[j] + 1 - fixed) / ideals.ideals[axis][j]
+    if coords[axis] < 0 or min(evaluate_point(ideals, coords).values) >= 0:
+        return None
+    return tuple(coords)
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_perturbation_sum_matches_reference(tuples, name):
     ideals = tuples[name]
@@ -196,6 +233,41 @@ def test_perturbation_sum_matches_reference(tuples, name):
     assert reports >= 30 and failures >= 10
     if ideals.r > 1:
         assert multi_line >= 10
+
+    if ideals.size == 1:
+        return  # no wall misses an on-wall point, and no v_j < 0 there
+    corners = 0
+    for _ in range(2000):
+        point = _on_walls(rng, ideals, 1)
+        offset = None if point is None else _corner_on_level(rng, ideals, point)
+        if offset is not None:
+            found = _same_outcome(ideals, point, _direction(rng, ideals.r), offset)
+            assert found is OffsetTooLarge, (point, offset)
+            corners += 1
+            if corners == 30:
+                break
+    negative, reports = [], 0
+    for _ in range(4000):
+        point = _below_zero(rng, ideals)
+        if point is not None:
+            direction, offset = _direction(rng, ideals.r), _offset(rng, ideals.r)
+            found = _same_outcome(ideals, point, direction, offset)
+            reports += isinstance(found, PerturbationReport)
+            negative.append(point)
+            if len(negative) == 30:
+                break
+    assert (corners, len(negative)) == (30, 30)
+    # RAT6's one such point is its origin, which every offset pushes out of
+    # the orthant
+    assert reports >= 5 or set(negative) == {(0,) * ideals.r}
+
+
+def _same_outcome(ideals, point, direction, offset):
+    """The library's outcome, asserted equal to the reference's."""
+    expected = _outcome(reference_perturbation_sum, ideals, point, direction, offset)
+    found = _outcome(perturbation_sum, ideals, point, direction, offset)
+    assert found == expected, (point, direction, offset)
+    return found
 
 
 @pytest.mark.parametrize("name", ("RAT6", "CHAIN10"))

@@ -13,6 +13,7 @@ import frozen
 from conftest import edge_point, face_barycenter, on_line, vertex_points
 from trees import random_tree_matrix
 from mmideal.arrangement import build_arrangement, merge_lines
+from mmideal.evaluate import _evaluate_at
 from mmideal.rationals import format_point
 from mmideal.svg import decimal_approx, render_atlas_svg
 from mmideal import (
@@ -250,6 +251,37 @@ def test_every_dropped_source_is_caught(rat6, monkeypatch):
         )
         with pytest.raises(InternalConsistencyError):
             cell_decomposition(rat6, box)
+
+
+# Reference for the wall-line source check in `walls._face_floors`: the wall
+# lines of the point evaluation at the midpoint of each wall line's first
+# edge, the route the integer scan `walls._walls_through` replaced.  The scan
+# is also compared at every vertex, where several walls can meet.
+
+
+@pytest.mark.parametrize(
+    "name, side",
+    [("RAT6", 1), ("RAT6", 2), ("RAT6", 3), ("RAT6", 4), ("CHAIN10", 1),
+     ("PROP16", Fraction(1, 8))],
+)
+def test_wall_scan_matches_point_evaluation(tuples, name, side):
+    ideals = tuples[name]
+    box = (Fraction(side), Fraction(side))
+    arrangement = build_arrangement(wall_lines(ideals, box), box)
+    for line_index, line in enumerate(arrangement.lines):
+        if line.is_box:
+            continue
+        first = arrangement.edges[arrangement.line_edges[line_index][0]]
+        (x, y), w = midpoint = arrangement.mean((first.tail, first.head))
+        reference = _evaluate_at(ideals, *midpoint).wall_lines
+        assert tuple(walls._walls_through(ideals, x, y, w)) == reference
+        assert set(reference) == set(line.sources)
+    crowded = 0
+    for x, y, w in arrangement.vertices:
+        reference = _evaluate_at(ideals, (x, y), w).wall_lines
+        assert tuple(walls._walls_through(ideals, x, y, w)) == reference
+        crowded += len(reference) >= 2
+    assert crowded > 0
 
 
 def test_chain10_arrangement_at_scale(chain10):
