@@ -11,18 +11,20 @@ so a line's vertices are never searched for.  Vertices are numbered in
 lexicographic order of their points, which runs along +x on a non-vertical
 line and along +y on a vertical one, so each line's edge order is its
 sorted vertex numbers, reversed when its direction (B, -A) points the
-other way.  Faces are recovered with the usual half-edge rotation trick:
-every half-edge points along its line's direction or against it, so one
-exact angular sort of those directions (half-plane index plus cross-product
-comparisons -- no trigonometry) ranks the half-edges at every vertex, and
-each face is an orbit of the next-pointer.  The single clockwise orbit
-along the box boundary is the outside and is dropped.  An orbit's
-orientation is read at its lowest-numbered vertex, the lexicographically
-smallest point of a convex loop and so a strict corner, as the sign of one
-3x3 determinant of homogeneous triples; no area is summed.  Every kept
-orbit runs counterclockwise, so each half-edge has its face on its left:
-the orbits alone say which face lies on the low and which on the high side
-of every edge, and no point is tested against a line.
+other way.  An edge is the plain triple (tail, head, line), running from
+tail to head along the line's direction, and a face is the plain tuple of
+its vertex loop, counterclockwise.  Faces are recovered with the usual
+half-edge rotation trick: every half-edge points along its line's direction
+or against it, so one exact angular sort of those directions (half-plane
+index plus cross-product comparisons -- no trigonometry) ranks the
+half-edges at every vertex, and each face is an orbit of the next-pointer.
+The single clockwise orbit along the box boundary is the outside and is
+dropped.  An orbit's orientation is read at its lowest-numbered vertex, the
+lexicographically smallest point of a convex loop and so a strict corner,
+as the sign of one 3x3 determinant of homogeneous triples; no area is
+summed.  Every kept orbit runs counterclockwise, so each half-edge has its
+face on its left: the orbits alone say which face lies on the low and which
+on the high side of every edge, and no point is tested against a line.
 
 The module knows nothing about ideals; `walls` feeds it wall lines and
 interprets the cells.
@@ -101,29 +103,16 @@ def _direction_compare(left: tuple[int, int], right: tuple[int, int]) -> int:
 
 
 @dataclass(frozen=True)
-class Edge:
-    """Open segment between two arrangement vertices on one carrier line."""
-
-    tail: int
-    head: int
-    line_index: int
-
-
-@dataclass(frozen=True)
-class Face:
-    """Convex open cell; `loop` lists vertex indices counterclockwise."""
-
-    loop: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Arrangement:
     lines: tuple[Line, ...]
     # per vertex (X/W, Y/W), the reduced triple (X, Y, W) with W > 0, in
     # lexicographic order of the points
     vertices: tuple[tuple[int, int, int], ...]
-    edges: tuple[Edge, ...]
-    faces: tuple[Face, ...]
+    # per open edge, (tail, head, line): consecutive vertices on one carrier
+    # line, running along the line's direction (B, -A)
+    edges: tuple[tuple[int, int, int], ...]
+    # per convex open face, its vertex loop, counterclockwise
+    faces: tuple[tuple[int, ...], ...]
     # edge index -> (face on the low side of the carrier, face on the high
     # side); None marks the outside of the box
     edge_faces: tuple[tuple[int | None, int | None], ...]
@@ -193,17 +182,14 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
 
     # edges: consecutive vertices along each line, in the direction (b, -a);
     # vertex numbers increase along +x, or along +y on a vertical line
-    edges: list[Edge] = []
+    edges: list[tuple[int, int, int]] = []
     line_edges: list[tuple[int, ...]] = []
     for li, (a, b, _) in enumerate(forms):
         along = sorted(number[n] for n in on_line[li])
         if b < 0 or (b == 0 and a > 0):
             along.reverse()
         start = len(edges)
-        edges.extend(
-            Edge(tail=tail, head=head, line_index=li)
-            for tail, head in zip(along, along[1:])
-        )
+        edges.extend((tail, head, li) for tail, head in zip(along, along[1:]))
         line_edges.append(tuple(range(start, len(edges))))
 
     # half-edges: 2*e runs tail->head of edge e along its line's direction
@@ -224,14 +210,11 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
     tail_of: list[int] = []
     half_angle: list[int] = []
     outgoing: list[list[int]] = [[] for _ in vertices]
-    for e, edge in enumerate(edges):
-        tail_of += (edge.tail, edge.head)
-        half_angle += (
-            angle[forward[edge.line_index]],
-            angle[backward[edge.line_index]],
-        )
-        outgoing[edge.tail].append(2 * e)
-        outgoing[edge.head].append(2 * e + 1)
+    for e, (tail, head, li) in enumerate(edges):
+        tail_of += (tail, head)
+        half_angle += (angle[forward[li]], angle[backward[li]])
+        outgoing[tail].append(2 * e)
+        outgoing[head].append(2 * e + 1)
     ring_position = [0] * len(tail_of)
     for halves in outgoing:
         halves.sort(key=half_angle.__getitem__)
@@ -263,7 +246,7 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
     # the turn of each loop at its lowest-numbered vertex, an extreme point
     # and so a strict corner, has the sign of the determinant of the three
     # homogeneous triples (every W > 0); only the outer orbit turns clockwise
-    faces: list[Face] = []
+    faces: list[tuple[int, ...]] = []
     face_renumber: list[int | None] = []
     for orbit in loops:
         loop = tuple(tail_of[half] for half in orbit)
@@ -282,7 +265,7 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
             face_renumber.append(None)
             continue
         face_renumber.append(len(faces))
-        faces.append(Face(loop=loop))
+        faces.append(loop)
     dropped = len(loops) - len(faces)
     if dropped != 1:
         raise InternalConsistencyError(

@@ -99,15 +99,15 @@ def render_atlas_svg(
         fill = color_of[divisor]
         label = ",".join(str(c) for c in divisor)
         for face_index in cell:
-            points = " ".join(pixels[v] for v in arrangement.faces[face_index].loop)
+            points = " ".join(pixels[v] for v in arrangement.faces[face_index])
             parts.append(
                 f'<polygon points="{points}" fill="{fill}" stroke="none">'
                 f"<title>D = {label}</title></polygon>"
             )
 
     for facet in atlas.facets:
-        start = arrangement.edges[facet.edge_indices[0]].tail
-        end = arrangement.edges[facet.edge_indices[-1]].head
+        start = arrangement.edges[facet.edge_indices[0]][0]
+        end = arrangement.edges[facet.edge_indices[-1]][1]
         label = "; ".join(
             f"component {j + 1} level {level}" for j, level in facet.sources
         )

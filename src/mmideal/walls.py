@@ -6,13 +6,15 @@ The atlas is the cell decomposition of a box by those lines: every open face
 carries one mixed multiplier ideal, faces are merged into cells of constant
 ideal, and the boundary pieces where the ideal actually changes are grouped
 into C-facets — maximal collinear runs with one (lower ideal, upper ideal)
-pair.  Every facet is sampled a third of the way along the first edge of its
-run and two thirds along the last; an open edge holds no vertex and meets no
-other line.  Both samples must be jumping points between the low and high
-ideals, with one multiplicity and one minimal jumping divisor.  Every point
-evaluated here is an average of vertex triples, evaluated from its integers;
-`Fraction` points are built only for what a caller reads, the facet
-endpoints and `facet_intersection_vertices`.
+pair.  The arrangement's edges are (tail, head, line) triples running along
+the line's direction and its faces counterclockwise vertex loops, read here
+as plain tuples.  Every facet is sampled a third of the way along the first
+edge of its run and two thirds along the last; an open edge holds no vertex
+and meets no other line.  Both samples must be jumping points between the
+low and high ideals, with one multiplicity and one minimal jumping divisor.
+Every point evaluated here is an average of vertex triples, evaluated from
+its integers; `Fraction` points are built only for what a caller reads, the
+facet endpoints and `facet_intersection_vertices`.
 
 Face divisors are propagated, not evaluated face by face.  The clamped floor
 vector max(floor(v), 0) changes only across a wall line, and there only in
@@ -160,7 +162,7 @@ def _face_floors(
         if low is not None and high is not None:
             crossings[low].append(e)
             crossings[high].append(e)
-    start = _evaluate_at(ideals, *arrangement.mean(faces[0].loop))
+    start = _evaluate_at(ideals, *arrangement.mean(faces[0]))
     floors: list[tuple[int, ...] | None] = [None] * len(faces)
     floors[0] = tuple(max(f, 0) for f in start.floors)
     left = [False] * len(faces)  # every edge of a face left is crossed
@@ -174,7 +176,7 @@ def _face_floors(
             if left[high if upward else low]:
                 continue
             vector = list(floors[face])
-            for j, level in lines[edges[e].line_index].sources:
+            for j, level in lines[edges[e][2]].sources:
                 before, after = (level - 1, level) if upward else (level, level - 1)
                 if vector[j] != before:
                     raise InternalConsistencyError(
@@ -199,8 +201,8 @@ def _face_floors(
     for line_index, line in enumerate(lines):
         if line.is_box:
             continue
-        first = edges[arrangement.line_edges[line_index][0]]
-        (x, y), w = arrangement.mean((first.tail, first.head))
+        tail, head, _ = edges[arrangement.line_edges[line_index][0]]
+        (x, y), w = arrangement.mean((tail, head))
         through = _walls_through(ideals, x, y, w)
         if set(through) != set(line.sources):
             raise InternalConsistencyError(
@@ -260,7 +262,7 @@ def cell_decomposition(
     cell_divisors = tuple(face_divisors[cell[0]] for cell in cells)
     # the independent route: one direct evaluation per cell
     for cell, divisor in zip(cells, cell_divisors):
-        barycenter = arrangement.mean(arrangement.faces[cell[0]].loop)
+        barycenter = arrangement.mean(arrangement.faces[cell[0]])
         direct = mmi_divisor(ideals, _evaluate_at(ideals, *barycenter))
         if direct != divisor:
             raise InternalConsistencyError(
@@ -285,12 +287,12 @@ def cell_decomposition(
             if low_divisor == high_divisor:
                 continue
             run = list(group)
-            first = arrangement.edges[run[0]]
-            last = arrangement.edges[run[-1]]
+            first_tail, first_head, _ = arrangement.edges[run[0]]
+            last_tail, last_head, _ = arrangement.edges[run[-1]]
             # a third of the way along the first edge, two thirds along the last
             samples = (
-                arrangement.mean((first.tail, first.tail, first.head)),
-                arrangement.mean((last.tail, last.head, last.head)),
+                arrangement.mean((first_tail, first_tail, first_head)),
+                arrangement.mean((last_tail, last_head, last_head)),
             )
             records = [jump_record(ideals, _evaluate_at(ideals, *s)) for s in samples]
             for record in records:
@@ -318,7 +320,7 @@ def cell_decomposition(
                     line_index=line_index,
                     sources=line.sources,
                     edge_indices=tuple(run),
-                    endpoints=tuple(_point(vertices[v]) for v in (first.tail, last.head)),
+                    endpoints=(_point(vertices[first_tail]), _point(vertices[last_head])),
                     low_divisor=low_divisor,
                     high_divisor=high_divisor,
                     samples=(records[0].point, records[1].point),
@@ -343,8 +345,7 @@ def facet_intersection_vertices(atlas: WallAtlas) -> list[Point2]:
     carriers: dict[int, set[int]] = {}
     for facet in atlas.facets:
         for edge_index in facet.edge_indices:
-            edge = atlas.arrangement.edges[edge_index]
-            for vertex in (edge.tail, edge.head):
+            for vertex in atlas.arrangement.edges[edge_index][:2]:
                 carriers.setdefault(vertex, set()).add(facet.line_index)
     # vertex numbers are in lexicographic order of the points
     return [

@@ -21,26 +21,27 @@ def vertex_points(arrangement):
 
 
 def edge_point(arrangement, edge, fraction):
-    """The point `fraction` of the way from an edge's tail to its head, in
-    `Fraction` arithmetic."""
-    p = vertex_point(arrangement.vertices[edge.tail])
-    q = vertex_point(arrangement.vertices[edge.head])
+    """The point `fraction` of the way from the tail to the head of an edge
+    (tail, head, line), in `Fraction` arithmetic."""
+    tail, head, _ = edge
+    p = vertex_point(arrangement.vertices[tail])
+    q = vertex_point(arrangement.vertices[head])
     return tuple(a + fraction * (b - a) for a, b in zip(p, q))
 
 
-def _loop_points(arrangement, face):
-    return [vertex_point(arrangement.vertices[n]) for n in face.loop]
+def _loop_points(arrangement, loop):
+    return [vertex_point(arrangement.vertices[n]) for n in loop]
 
 
-def face_barycenter(arrangement, face):
+def face_barycenter(arrangement, loop):
     """The average of a face's loop vertices in `Fraction` arithmetic."""
-    points = _loop_points(arrangement, face)
+    points = _loop_points(arrangement, loop)
     return tuple(sum(coords, Fraction(0)) / len(points) for coords in zip(*points))
 
 
-def face_area(arrangement, face):
+def face_area(arrangement, loop):
     """The shoelace area of a face's loop, read off its vertex triples."""
-    points = _loop_points(arrangement, face)
+    points = _loop_points(arrangement, loop)
     pairs = zip(points, points[1:] + points[:1])
     return sum((x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in pairs), Fraction(0)) / 2
 

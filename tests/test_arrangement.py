@@ -10,8 +10,6 @@ import pytest
 from mmideal import arrangement as arrangement_module
 from mmideal.arrangement import (
     Arrangement,
-    Edge,
-    Face,
     build_arrangement,
     make_line,
     merge_lines,
@@ -74,9 +72,9 @@ def test_diagonal_arrangement():
     diagonal = next(
         i for i, line in enumerate(arr.lines) if not line.is_box
     )
-    for edge_index, edge in enumerate(arr.edges):
+    for edge_index, (_, _, line_index) in enumerate(arr.edges):
         low, high = arr.edge_faces[edge_index]
-        if edge.line_index == diagonal:
+        if line_index == diagonal:
             assert low is not None and high is not None
         else:
             assert (low is None) != (high is None)
@@ -98,7 +96,7 @@ def test_edge_faces_sides():
         [make_line(1, -1, 0), make_line(1, 1, Fraction(3, 4))], box
     )
     for edge_index, edge in enumerate(arr.edges):
-        line = arr.lines[edge.line_index]
+        line = arr.lines[edge[2]]
         mid = edge_point(arr, edge, Fraction(1, 2))
         assert on_line(line, mid)
         low, high = arr.edge_faces[edge_index]
@@ -125,10 +123,11 @@ def test_fixture_atlas_geometry(rat6_atlas):
     for point in vertex_points(arr):
         assert len([line for line in arr.lines if on_line(line, point)]) >= 2
     for edge_index, edge in enumerate(arr.edges):
-        line = arr.lines[edge.line_index]
+        tail, head, line_index = edge
+        line = arr.lines[line_index]
         mid = edge_point(arr, edge, Fraction(1, 2))
         assert on_line(line, mid)
-        (x, y), w = arr.mean((edge.tail, edge.head))
+        (x, y), w = arr.mean((tail, head))
         assert (Fraction(x, w), Fraction(y, w)) == mid
         low, high = arr.edge_faces[edge_index]
         assert low is not None or high is not None
@@ -199,12 +198,12 @@ def _reference_arrangement(wall_lines, box):
         indices = []
         for tail, head in zip(on_line, on_line[1:]):
             indices.append(len(edges))
-            edges.append(Edge(tail=tail, head=head, line_index=li))
+            edges.append((tail, head, li))
         line_edges.append(tuple(indices))
 
     def endpoints(half):
-        edge = edges[half // 2]
-        return (edge.tail, edge.head) if half % 2 == 0 else (edge.head, edge.tail)
+        tail, head, _ = edges[half // 2]
+        return (tail, head) if half % 2 == 0 else (head, tail)
 
     def half_direction(half):
         tail, head = endpoints(half)
@@ -214,9 +213,9 @@ def _reference_arrangement(wall_lines, box):
         )
 
     outgoing = {n: [] for n in range(len(vertices))}
-    for e in range(len(edges)):
-        outgoing[edges[e].tail].append(2 * e)
-        outgoing[edges[e].head].append(2 * e + 1)
+    for e, (tail, head, _) in enumerate(edges):
+        outgoing[tail].append(2 * e)
+        outgoing[head].append(2 * e + 1)
     order_at = {}
     for vertex, halves in outgoing.items():
         halves.sort(key=cmp_to_key(
@@ -260,13 +259,13 @@ def _reference_arrangement(wall_lines, box):
             sum((vertices[n][1] for n in loop), Fraction(0)) / len(loop),
         )
         face_renumber[li] = len(faces)
-        faces.append(Face(loop=loop))
+        faces.append(loop)
         barycenters.append(barycenter)
     assert len(loops) - len(faces) == 1
 
     edge_faces = []
-    for e, edge in enumerate(edges):
-        line = lines[edge.line_index]
+    for e, (_, _, line_index) in enumerate(edges):
+        line = lines[line_index]
         sides = {False: None, True: None}
         for half in (2 * e, 2 * e + 1):
             face_id = face_renumber[face_of_half[half]]
@@ -296,7 +295,7 @@ def _assert_same_arrangement(got, want):
     assert got.line_edges == want.line_edges
     assert len(got.faces) == len(want.faces)
     for face, reference in zip(got.faces, want.faces):
-        assert face.loop == reference.loop
+        assert face == reference
     assert got.edge_faces == want.edge_faces
 
 
@@ -394,19 +393,19 @@ def test_matches_reference_on_fixture_walls(tuples, name, side):
 
 
 def _dropped_loop(arrangement):
-    """The dropped orbit as a `Face`: half-edge 2e runs tail to head with
-    the high side on its left, 2e + 1 runs back."""
+    """The dropped orbit as a vertex loop: half-edge 2e runs tail to head
+    with the high side on its left, 2e + 1 runs back."""
     step = {}
-    for edge, (low, high) in zip(arrangement.edges, arrangement.edge_faces):
+    for (tail, head, _), (low, high) in zip(arrangement.edges, arrangement.edge_faces):
         if high is None:
-            step[edge.tail] = edge.head
+            step[tail] = head
         if low is None:
-            step[edge.head] = edge.tail
+            step[head] = tail
     loop = [min(step)]
     while step[loop[-1]] != loop[0]:
         loop.append(step[loop[-1]])
     assert len(loop) == len(step)
-    return Face(loop=tuple(loop))
+    return tuple(loop)
 
 
 def _assert_orientations(arrangement):
@@ -415,7 +414,7 @@ def _assert_orientations(arrangement):
     assert all(face_area(arrangement, face) > 0 for face in arrangement.faces)
     dropped = _dropped_loop(arrangement)
     assert face_area(arrangement, dropped) < 0
-    points = [vertex_point(arrangement.vertices[n]) for n in dropped.loop]
+    points = [vertex_point(arrangement.vertices[n]) for n in dropped]
     return sum(
         (q[0] - p[0]) * (r[1] - p[1]) == (q[1] - p[1]) * (r[0] - p[0])
         for p, q, r in zip(points[-1:] + points[:-1], points, points[1:] + points[:1])

@@ -244,16 +244,17 @@ def test_atlas_points_enter_as_integers(tuples, name, box):
     atlas = cell_decomposition(ideals, box)
     arr = atlas.arrangement
     for edge in arr.edges:
+        tail, head, _ = edge
         _assert_same_evaluation(
-            evaluate._evaluate_at(ideals, *arr.mean((edge.tail, edge.head))),
+            evaluate._evaluate_at(ideals, *arr.mean((tail, head))),
             evaluate_point(ideals, edge_point(arr, edge, Fraction(1, 2))),
         )
     for facet in atlas.facets:
-        first = arr.edges[facet.edge_indices[0]]
-        last = arr.edges[facet.edge_indices[-1]]
+        first_tail, first_head, _ = arr.edges[facet.edge_indices[0]]
+        last_tail, last_head, _ = arr.edges[facet.edge_indices[-1]]
         samples = (
-            arr.mean((first.tail, first.tail, first.head)),
-            arr.mean((last.tail, last.head, last.head)),
+            arr.mean((first_tail, first_tail, first_head)),
+            arr.mean((last_tail, last_head, last_head)),
         )
         for sample, point in zip(samples, facet.samples):
             _assert_same_evaluation(
@@ -261,7 +262,7 @@ def test_atlas_points_enter_as_integers(tuples, name, box):
             )
     for face in arr.faces:
         _assert_same_evaluation(
-            evaluate._evaluate_at(ideals, *arr.mean(face.loop)),
+            evaluate._evaluate_at(ideals, *arr.mean(face)),
             evaluate_point(ideals, face_barycenter(arr, face)),
         )
 

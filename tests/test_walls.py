@@ -1,6 +1,7 @@
 """Wall atlases, the log-canonical wall, Newton nests, and the facet pairing."""
 
 import hashlib
+import math
 import random
 import re
 from dataclasses import replace
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import frozen
-from conftest import edge_point, face_barycenter, on_line, vertex_points
+from conftest import FIXTURE_NAMES, edge_point, face_barycenter, on_line, vertex_points
 from trees import random_tree_matrix
 from mmideal.arrangement import build_arrangement, merge_lines
 from mmideal.evaluate import _evaluate_at
@@ -271,8 +272,8 @@ def test_wall_scan_matches_point_evaluation(tuples, name, side):
     for line_index, line in enumerate(arrangement.lines):
         if line.is_box:
             continue
-        first = arrangement.edges[arrangement.line_edges[line_index][0]]
-        (x, y), w = midpoint = arrangement.mean((first.tail, first.head))
+        tail, head, _ = arrangement.edges[arrangement.line_edges[line_index][0]]
+        (x, y), w = midpoint = arrangement.mean((tail, head))
         reference = _evaluate_at(ideals, *midpoint).wall_lines
         assert tuple(walls._walls_through(ideals, x, y, w)) == reference
         assert set(reference) == set(line.sources)
@@ -331,7 +332,7 @@ def _reference_pixels(atlas, ticks):
     polygons = [
         " ".join(f"{x_pix(points[v][0])},{y_pix(points[v][1])}" for v in loop)
         for cell in atlas.cells
-        for loop in (arr.faces[face].loop for face in cell)
+        for loop in (arr.faces[face] for face in cell)
     ]
     segments = [
         (x_pix(x0), y_pix(y0), x_pix(x1), y_pix(y1))
@@ -408,6 +409,105 @@ def test_facet_intersection_vertices(rat6_atlas):
     vertices = facet_intersection_vertices(rat6_atlas)
     assert len(vertices) == 17
     assert frozen.RAT6_CORNER in vertices
+
+
+# Theorem checks across layers.  Each ties the arrangement's C-facets to a
+# second layer through a statement about the walls, not a second copy of a
+# loop; both stay in tests, since `cell_decomposition` already runs its own.
+
+
+def _lowest_terms(key):
+    """A `Fraction` hyperplane key as its integer triple with gcd 1."""
+    scale = math.lcm(*(entry.denominator for entry in key))
+    entries = [int(entry * scale) for entry in key]
+    divisor = math.gcd(*entries)
+    return tuple(entry // divisor for entry in entries)
+
+
+def _seeded_pairs(tuples, seed, count):
+    """Pairs of nonnegative integer combinations, with coefficients 0 or 1, of
+    one fixture's ideals and its fundamental cycle."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        ideals = tuples[rng.choice(FIXTURE_NAMES)]
+        generators = ideals.ideals + (ideals.graph.fundamental,)
+        pair = []
+        for _ in range(2):
+            coefficients = [0] * len(generators)
+            while not any(coefficients):
+                coefficients = [rng.randint(0, 1) for _ in generators]
+            pair.append(
+                [
+                    sum(c * entry for c, entry in zip(coefficients, column))
+                    for column in zip(*generators)
+                ]
+            )
+        pairs.append(attach_ideals(ideals.graph, pair))
+    return pairs
+
+
+def test_lc_polytope_facets_bound_the_origin_cell(tuples):
+    """In a box that holds the lc region, the carrier lines of the C-facets
+    leaving the origin cell are exactly the lc polytope's facet hyperplanes.
+
+    The polytope clips the orthant by one row per component; the atlas finds
+    the same wall as where the propagated face divisors first change.  The
+    origin cell is the cell of the face at the corner (0, 0), vertex 0, and
+    carries that face's divisor.  A region bound of k_j + e_j + 1/2 in place
+    of k_j + 1 + e_j passes the per-axis threshold check on RAT6 but fails
+    here."""
+    nest14 = tuples["NEST14"]
+    cases = [tuples[name] for name in ("RAT6", "CHAIN10", "PROP16")]
+    cases += [subtuple(nest14, pair) for pair in ((0, 1), (0, 2), (1, 2))]
+    cases += _seeded_pairs(tuples, seed=1, count=10)
+    for ideals in cases:
+        report = lc_region(ideals)
+        box = tuple(threshold + Fraction(1, 5) for threshold in report.thresholds)
+        atlas = cell_decomposition(ideals, box)
+        arr = atlas.arrangement
+        assert arr.vertices[0] == (0, 0, 1)
+        corner = next(face for face, loop in enumerate(arr.faces) if 0 in loop)
+        origin = atlas.face_divisors[corner]
+        carriers = {
+            arr.lines[facet.line_index].form
+            for facet in atlas.facets
+            if facet.low_divisor == origin
+        }
+        assert carriers == {_lowest_terms(key) for key in report.polytope.facet_keys()}
+
+
+def test_facets_lie_on_contributing_walls(tuples, rat6_atlas, chain10_atlas):
+    """Every C-facet has a source component that is rupture or dicritical.
+
+    For one ideal, only rupture and dicritical divisors contribute jumping
+    numbers (Smith–Thompson 2007; Tucker, Trans. AMS 2010).  For the walls of
+    a tuple the property is measured here, not proven: Alberich-Carramiñana,
+    Àlvarez Montaner, Dachs-Cadefau and González-Alonso, "Constancy regions
+    of mixed multiplier ideals…", is where a statement would be, and none has
+    been checked there.  Wall lines whose sources are all unmarked do cross
+    these boxes (77 of 141 on CHAIN10 1x1, 186 of 440 on PROP16 1/4x1/4, none
+    on RAT6), so the check is not vacuous.  Marking rupture components at
+    valence 4 instead of 3 fails it."""
+    nest14 = tuples["NEST14"]
+    boxes = [(tuples["RAT6"], (side, side)) for side in (2, 3, 4)]
+    boxes.append((tuples["PROP16"], (Fraction(1, 4), Fraction(1, 4))))
+    boxes += [
+        (subtuple(nest14, pair), (Fraction(1, 2), Fraction(1, 2)))
+        for pair in ((0, 1), (0, 2), (1, 2))
+    ]
+    atlases = [(tuples["RAT6"], rat6_atlas), (tuples["CHAIN10"], chain10_atlas)]
+    atlases += [(ideals, cell_decomposition(ideals, box)) for ideals, box in boxes]
+    unmarked_lines = 0
+    for ideals, atlas in atlases:
+        keep = ideals.rupture_or_dicritical
+        for facet in atlas.facets:
+            assert any(keep[j] for j, _ in facet.sources), facet.sources
+        unmarked_lines += sum(
+            not line.is_box and not any(keep[j] for j, _ in line.sources)
+            for line in atlas.arrangement.lines
+        )
+    assert unmarked_lines > 0
 
 
 def test_lct_axes(tuples):
