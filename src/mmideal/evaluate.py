@@ -33,11 +33,16 @@ clamped floor-difference is asserted whenever H_c is computed.
 All of this is computed once per point: :func:`evaluate_point` returns a
 frozen :class:`PointEvaluation`, and every function here and in
 ``multiplicity`` that takes a point accepts that evaluation in its place.
+Its lazy attributes come from one small descriptor that stores each value
+in the instance on first read, without the lock `functools.cached_property`
+takes on Python 3.11; a ray walk makes five or six such first reads per
+candidate.
 The evaluation also owns what the multiplicity routes and the jumping
 criterion read off H_c: its wall lines and its adjunction values
 (ceil(K - c.F) + H_c).E_i per component and .P per connected component P,
 each asserted >= -1 (the H inequalities) where it is derived.  One private
-kernel derives these values for H and, on the via-G route, for G.
+kernel derives these values for H and, on the via-G route, for G where G
+differs from H; where G == H the route reads H's values.
 
 The constancy region of c is the set of weights with the same ideal: the
 points z >= 0 with (z.F)_j < k_j + 1 + e_j^c for every j, where e^c = D_c.
@@ -59,7 +64,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence, Union
 
 from .dualgraph import DualGraph, IdealTuple, attach_ideals
@@ -71,6 +75,30 @@ from .unloading import antinef_closure_checked, intersection_products
 
 Point = tuple[Fraction, ...]
 Connected = tuple[tuple[tuple[int, ...], int], ...]  # (P, value) per connected part P
+
+
+class _lazy:
+    """An attribute computed on first read and stored in the instance
+    ``__dict__``, where later reads find it without a call.
+
+    It is what `functools.cached_property` does without the lock that
+    Python 3.11 takes on every first read; two threads may both compute a
+    value, and they store the same one.  The store bypasses a frozen
+    dataclass's ``__setattr__``, so assigning the attribute still raises
+    `FrozenInstanceError`.  A computation that raises stores nothing.
+    """
+
+    def __init__(self, func) -> None:
+        self.func = func  # the name `functools.cached_property` gives it
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        instance.__dict__[self.name] = value
+        return value
 
 
 def _weight_point(ideals: IdealTuple, point: Sequence) -> Point:
@@ -121,17 +149,17 @@ class PointEvaluation:
     floors: tuple[int, ...]
     left_floors: tuple[int, ...]  # floors of D_{(1-eps)c} before closure
 
-    @cached_property
+    @_lazy
     def weighted(self) -> tuple[Fraction, ...]:
         """c.F"""
         return tuple(Fraction(w, self.scale) for w in self.scaled_weighted)
 
-    @cached_property
+    @_lazy
     def values(self) -> tuple[Fraction, ...]:
         """v = c.F - K"""
         return tuple(Fraction(v, self.scale) for v in self.scaled_values)
 
-    @cached_property
+    @_lazy
     def wall_lines(self) -> tuple[tuple[int, int], ...]:
         """(component j, level l) pairs with v_j = l, a positive integer."""
         scale = self.scale
@@ -141,7 +169,7 @@ class PointEvaluation:
             if v > 0 and v % scale == 0
         )
 
-    @cached_property
+    @_lazy
     def maximal(self) -> tuple[bool, ...]:
         """H_c: support = the components of the wall lines, asserted equal to
         the support of max(floor(v), 0) - max(left-floor(v), 0)."""
@@ -158,7 +186,7 @@ class PointEvaluation:
             )
         return support
 
-    @cached_property
+    @_lazy
     def maximal_values(self) -> tuple[tuple[tuple[int, int], ...], Connected]:
         """(singles, connected): (i, (ceil(K - c.F) + H_c).E_i) for every
         component E_i of H_c and (P, (ceil(K - c.F) + H_c).P) for every
@@ -179,15 +207,15 @@ class PointEvaluation:
                 )
         return singles, connected
 
-    @cached_property
+    @_lazy
     def divisor(self) -> tuple[int, ...]:
         return antinef_closure_checked(self.ideals.graph, self.floors)
 
-    @cached_property
+    @_lazy
     def divisor_left(self) -> tuple[int, ...]:
         return antinef_closure_checked(self.ideals.graph, self.left_floors)
 
-    @cached_property
+    @_lazy
     def minimal(self) -> tuple[bool, ...]:
         """G: support = {j : v_j = 1 + e_j^left}, asserted inside H.  It is
         the minimal jumping divisor only at jumping points."""
@@ -345,14 +373,14 @@ class RegionReport:
     center: Point
     bounds: tuple[Fraction, ...]
 
-    @cached_property
+    @_lazy
     def thresholds(self) -> tuple[Fraction, ...]:
         return tuple(
             min(bound / vector[j] for j, bound in enumerate(self.bounds))
             for vector in self.ideals.ideals
         )
 
-    @cached_property
+    @_lazy
     def _geometry(self) -> tuple[Polytope, tuple[int, ...]]:
         ideals = self.ideals
         # row j is constraint j scaled by K's denominator D: (D*F_1[j], ...,

@@ -77,7 +77,9 @@ def _rational(value, field: str) -> Fraction:
 
 def _int_vector(value, field: str) -> tuple[int, ...]:
     _require(isinstance(value, list) and value, f"{field}: expected a nonempty list")
-    # an `int` entry is taken as it is; a path is built for the others only
+    if set(map(type, value)) <= {int}:  # one type test for a list of `int`s
+        return tuple(value)
+    # a path is built, and an entry read, for the other lists only
     return tuple(
         v if type(v) is int else _integer(v, f"{field}[{i + 1}]")
         for i, v in enumerate(value)

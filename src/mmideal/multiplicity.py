@@ -157,10 +157,16 @@ def minimal_jumping_divisor(ideals: IdealTuple, point: PointLike) -> tuple[bool,
 
 
 def multiplicity_via_G(ideals: IdealTuple, point: PointLike) -> int:
-    """Adjunction form on the minimal jumping divisor; jumping points only."""
+    """Adjunction form on the minimal jumping divisor; jumping points only.
+
+    Where G == H the kernel would rerun on H's support, so H's values, as
+    the evaluation derived them, are read instead."""
     evaluation = evaluate_point(ideals, point)
     minimal = minimal_jumping_divisor(ideals, evaluation)
-    _, connected = _adjunction_values(evaluation, minimal)
+    if minimal == evaluation.maximal:
+        _, connected = evaluation.maximal_values
+    else:
+        _, connected = _adjunction_values(evaluation, minimal)
     return sum(value + 1 for _, value in connected)
 
 

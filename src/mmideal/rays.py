@@ -25,8 +25,9 @@ The walk runs on the base's scaled integers (see ``evaluate``): with N the
 lcm of the denominators of K and of the base, v_j(mu) = n exactly when
 mu = (N*n - N*v_j) / (N*q_j).  Every candidate parameter is therefore an
 integer key mu*L over L = lcm_j(N*q_j); the per-component streams of keys
-are merged and deduplicated as integers, and one `Fraction` is built per
-distinct candidate.  Each candidate point is built in integers, over the
+are merged, cut at the key floor(until*L) and deduplicated as integers, and
+one `Fraction` is built per distinct candidate: no `Fraction` is compared
+per candidate.  Each candidate point is built in integers, over the
 base's denominator times the parameter's, evaluated through the integer
 entry of ``evaluate_point`` and given a checked jump record.  The stability
 bound and the degeneracy test read the scaled gap values too.
@@ -103,10 +104,14 @@ class RayJump:
         return self.record.mult
 
 
-def _candidate_parameters(ideals: IdealTuple, ray: Ray, after: Fraction) -> Iterator[Fraction]:
+def _candidate_parameters(
+    ideals: IdealTuple, ray: Ray, after: Fraction, until: Fraction | None = None
+) -> Iterator[Fraction]:
     """Strictly increasing parameters mu > after where some v_j is a positive
-    integer on the ray, each distinct parameter yielded once.  The streams
-    carry the integer keys mu*L, L = lcm_j(N*q_j) (see the module text)."""
+    integer on the ray, each distinct parameter yielded once; up to `until`
+    inclusive unless that is None.  The streams carry the integer keys mu*L,
+    L = lcm_j(N*q_j) (see the module text), and stop after the key
+    floor(until*L)."""
     base = evaluate_point(ideals, ray.base)
     scale = base.scale
     slopes = _dot_F(ideals, ray.direction)
@@ -124,6 +129,9 @@ def _candidate_parameters(ideals: IdealTuple, ray: Ray, after: Fraction) -> Iter
             yield (n * scale - v) * step
 
     merged = heapq.merge(*(stream(j) for j in range(ideals.size)))
+    if until is not None:
+        stop = until.numerator * common // until.denominator  # floor(until*L)
+        merged = itertools.takewhile(stop.__ge__, merged)
     previous = None
     for key in merged:
         if key != previous:
@@ -165,9 +173,8 @@ def ray_walk(ideals: IdealTuple, ray: Ray, until: Fraction) -> list[RayJump]:
     limit.  Violations are internal errors, never data.
     """
     ray = make_ray(ideals, *_fields(ray))
-    limit = _rational(until, "until")
-    candidates = itertools.takewhile(
-        lambda mu: mu <= limit, _candidate_parameters(ideals, ray, Fraction(0))
+    candidates = _candidate_parameters(
+        ideals, ray, Fraction(0), _rational(until, "until")
     )
     jumps = list(_jumps(ideals, ray, candidates))
     for previous, jump in zip(jumps, jumps[1:]):

@@ -1,5 +1,6 @@
 """Weighted divisors, one-sided limits, constancy regions."""
 
+import dataclasses
 import importlib
 import random
 import sys
@@ -28,9 +29,9 @@ from mmideal import (
     support_components,
     weighted_F,
 )
-from mmideal import cli, walls
+from mmideal import cli, rays, walls
 from mmideal.dualgraph import IdealTuple
-from mmideal.errors import LengthMismatch, ValidationError
+from mmideal.errors import InternalConsistencyError, LengthMismatch, ValidationError
 from mmideal.unloading import divisor_leq
 
 
@@ -294,6 +295,67 @@ def test_jump_record_builds_no_fraction_views(tuples):
             jump_record(ideals, evaluation)
             assert "values" not in evaluation.__dict__
             assert "weighted" not in evaluation.__dict__
+
+
+def test_lazy_attributes_run_once_and_stay_frozen(monkeypatch, rat6):
+    closures = _record_calls(monkeypatch, "evaluate", "antinef_closure_checked")
+    evaluation = evaluate_point(rat6, (Fraction(1, 4), Fraction(1, 4)))
+    first = [evaluation.divisor, evaluation.divisor_left, evaluation.minimal]
+    for _ in range(3):
+        assert [evaluation.divisor, evaluation.divisor_left, evaluation.minimal] == first
+    assert [tuple(args[1]) for args in closures] == [
+        evaluation.floors,
+        evaluation.left_floors,
+    ]
+    # the values live in the instance; assigning, read or unread, still raises
+    for name in ("divisor", "maximal_values", "values"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(evaluation, name, None)
+    assert evaluation.divisor == first[0]
+
+
+def test_a_failed_lazy_attribute_stores_nothing(rat6):
+    # at the RAT6 origin the H support check fails (see ROADMAP item 1):
+    # every read raises again, and D_c stays readable
+    evaluation = evaluate_point(rat6, (0, 0))
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError, match="integrality scan"):
+            evaluation.maximal
+    assert "maximal" not in evaluation.__dict__
+    assert evaluation.divisor == frozen.RAT6_FUNDAMENTAL
+
+
+def test_via_G_runs_the_kernel_only_where_G_differs_from_H(monkeypatch, tuples):
+    # the kernel runs once per candidate for H, and once more at a jump only
+    # where G != H; where G == H, via-G reads H's values, which are the
+    # kernel's answer on the same support
+    honest = sys.modules["mmideal.evaluate"]._adjunction_values
+    kernel = _record_calls(monkeypatch, "evaluate", "_adjunction_values")
+    via_G = _record_calls(monkeypatch, "multiplicity", "multiplicity_via_G")
+    rng = random.Random(25)
+    shapes = set()
+    for name in ("RAT6", "CHAIN10"):
+        ideals = tuples[name]
+        for _ in range(3):
+            base = [Fraction(rng.randint(0, 6), rng.randint(1, 6)) for _ in range(ideals.r)]
+            direction = [rng.randint(1, 4) for _ in range(ideals.r)]
+            ray = make_ray(ideals, base, direction)
+            until = Fraction(3, 2)
+            candidates = list(rays._candidate_parameters(ideals, ray, Fraction(0), until))
+            kernel.clear()
+            via_G.clear()
+            jumps = ray_walk(ideals, ray, until)
+            differing = [j for j in jumps if j.record.minimal != j.record.maximal]
+            assert len(via_G) == len(jumps)
+            assert len(kernel) == len(candidates) + len(differing)
+            for jump in jumps:
+                evaluation = evaluate_point(ideals, jump.point)
+                same = evaluation.minimal == evaluation.maximal
+                shapes.add(same)
+                if same:
+                    _, connected = honest(evaluation, evaluation.minimal)
+                    assert connected == evaluation.maximal_values[1]
+    assert shapes == {True, False}
 
 
 def test_cli_point_runs_each_route_once(monkeypatch, capsys):

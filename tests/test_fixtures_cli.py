@@ -19,6 +19,7 @@ from mmideal import (
     load_fixture,
     parse_fixture,
 )
+from mmideal import fixtures
 from mmideal.cli import main
 from mmideal.errors import NotTree, ParseError, ValidationError
 from mmideal.svg import decimal_approx
@@ -135,6 +136,30 @@ def test_refused_vector_entry_is_named_by_its_path(field, row, column, value, me
     with pytest.raises(ParseError) as info:
         parse_fixture(json.dumps(data))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ([], "row: expected a nonempty list"),
+        ((1, 2), "row: expected a nonempty list"),
+        ([1, 2.0, 3], "row[2]: expected an integer, got 2.0"),
+        ([1, 2, True], "row[3]: expected an integer, got True"),
+    ],
+)
+def test_int_vector_refusals_after_the_type_test(value, message):
+    with pytest.raises(ParseError) as info:
+        fixtures._int_vector(value, "row")
+    assert str(info.value) == message
+
+
+def test_parsed_rows_reach_the_graph_unchanged():
+    # a list of exact ints passes one type test in the parser, and the tuple
+    # it becomes passes one in build_graph, which keeps it
+    assert fixtures._int_vector([-2, 1, 0], "row") == (-2, 1, 0)
+    fixture = parse_fixture(json.dumps(_fixture_data("RAT6")))
+    graph = build_tuple(fixture).graph
+    assert all(a is b for a, b in zip(graph.matrix, fixture.matrix))
 
 
 @pytest.mark.parametrize(

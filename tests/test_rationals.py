@@ -6,8 +6,8 @@ import pytest
 
 import frozen
 from mmideal import format_point, format_rational, parse_point, parse_rational
-from mmideal.errors import RationalFormatError
-from mmideal.rationals import over_common_denominator
+from mmideal.errors import LengthMismatch, RationalFormatError, ValidationError
+from mmideal.rationals import _integer_vector, over_common_denominator
 
 
 def test_parse_integer_and_fraction():
@@ -65,3 +65,44 @@ def test_parse_point_and_length():
 def test_format_point_round_trip():
     point = (Fraction(101, 780), Fraction(-1, 2), Fraction(9))
     assert parse_point(format_point(point)) == point
+
+
+class _Int(int):
+    pass
+
+
+def test_exact_int_tuple_is_returned_unchanged():
+    divisor = (3, 2, 3, 1, 1, 1)
+    assert _integer_vector(divisor, 6, "divisor") is divisor
+    assert _integer_vector(divisor, None, "divisor") is divisor
+    assert _integer_vector((), None, "divisor") == ()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(3, Fraction(2), 1), (3, _Int(2), 1), [3, 2, 1], range(3, 0, -1)],
+    ids=["Fraction(2)", "int subclass", "list", "range"],
+)
+def test_other_integer_vectors_are_read_entry_by_entry(values):
+    read = _integer_vector(values, 3, "divisor")
+    assert read == (3, 2, 1) and type(read) is tuple
+    assert read is not values
+
+
+@pytest.mark.parametrize(
+    "entry", [True, 2.0, Fraction(1, 2), "2", None], ids=repr
+)
+def test_refused_entry_is_named_on_the_slow_path(entry):
+    # bool is a type of its own, so a tuple holding True fails the one type
+    # test and reaches the entry-by-entry read that refuses it
+    for values in ((3, entry, 1), [3, entry, 1]):
+        with pytest.raises(ValidationError) as info:
+            _integer_vector(values, 3, "divisor")
+        assert str(info.value) == f"divisor: expected integers, got {entry!r}"
+
+
+@pytest.mark.parametrize("values", [(3, 2), [3, 2], (3, 2, 1, 0)])
+def test_wrong_length_is_refused_after_the_type_test(values):
+    with pytest.raises(LengthMismatch) as info:
+        _integer_vector(values, 3, "divisor")
+    assert str(info.value) == f"divisor: expected 3 entries, got {len(values)}"

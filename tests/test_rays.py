@@ -1,10 +1,13 @@
 """Monomial rays: walks, stability, and the multiplicity generating series."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 import frozen
+from conftest import FIXTURE_NAMES
 from mmideal import (
     combined_ideal,
     divisor_leq,
@@ -104,6 +107,48 @@ def test_ray_next_matches_walk(rat6):
         assert ray_next(rat6, ray, after) == jump
         after = jump.parameter
     assert ray_next(rat6, ray, after).parameter > Fraction(1, 2)
+
+
+def _takewhile_candidates(ideals, ray, until):
+    """The candidates up to `until` as the walk once cut them: a `Fraction`
+    comparison per candidate of the unbounded stream."""
+    stream = rays._candidate_parameters(ideals, ray, Fraction(0))
+    return list(itertools.takewhile(lambda mu: mu <= until, stream))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_integer_stop_matches_the_takewhile_reference(tuples, name):
+    ideals = tuples[name]
+    rng = random.Random(f"integer stop:{name}")
+    for _ in range(3):
+        base = [Fraction(rng.randint(0, 6), rng.randint(1, 6)) for _ in range(ideals.r)]
+        direction = [rng.randint(1, 4) for _ in range(ideals.r)]
+        ray = make_ray(ideals, base, direction)
+        head = _takewhile_candidates(ideals, ray, Fraction(1))
+        k = rng.randrange(min(12, len(head) - 1))
+        on, after = head[k], head[k + 1]
+        stops = [
+            on,  # exactly on a candidate
+            (on + after) / 2,  # strictly between two candidates
+            after - Fraction(1, 10**9),  # just below a candidate
+            Fraction(3 * on.numerator, 3 * on.denominator),  # given unreduced
+            Fraction(0),
+            0,
+            Fraction(-1, 3),
+            1,
+        ]
+        for until in stops:
+            reference = _takewhile_candidates(ideals, ray, until)
+            found = list(rays._candidate_parameters(ideals, ray, Fraction(0), until))
+            assert found == reference
+        assert _takewhile_candidates(ideals, ray, on)[-1] == on
+        for until in stops[:5]:
+            expected = [
+                (jump.parameter, jump.mult)
+                for jump in rays._jumps(ideals, ray, _takewhile_candidates(ideals, ray, until))
+            ]
+            walked = [(jump.parameter, jump.mult) for jump in ray_walk(ideals, ray, until)]
+            assert walked == expected
 
 
 def test_walk_points_lie_on_wall_lines(tuples):

@@ -257,6 +257,22 @@ def test_colength_memo_still_reads_its_input(rat6):
     assert (graph.colength_cache.hits, graph.colength_cache.misses) == (1, 1)
 
 
+def test_cached_int_tuples_do_not_admit_equal_refused_ones(rat6):
+    # the library's own int tuple is taken after one type test and then
+    # cached; a caller's tuple that compares equal to it is still read entry
+    # by entry by the checked closure, colength and is_antinef
+    graph = build_graph(rat6.graph.matrix)
+    divisor = frozen.RAT6_FUNDAMENTAL
+    assert antinef_closure_checked(graph, divisor) == divisor
+    assert colength(graph, divisor) == 1
+    assert is_antinef(graph, divisor)
+    for refused in ((3.0, 2, 3, 1, 1, 1), (3, 2, 3, True, 1, 1)):
+        for function in (antinef_closure_checked, colength, is_antinef):
+            with pytest.raises(ValidationError, match="expected integers"):
+                function(graph, refused)
+    assert (graph.closure_cache.hits, graph.closure_cache.misses) == (0, 1)
+
+
 def test_colength_memo_never_stores_a_refused_divisor(rat6):
     graph = build_graph(rat6.graph.matrix)
     for _ in range(2):
