@@ -33,17 +33,15 @@ interprets the cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalConsistencyError, ValidationError
 from .rationals import _rational_vector, over_common_denominator
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     """A*x + B*y = C as the integer form (A, B, C), gcd 1, in the orientation
     it was made with."""
 
@@ -102,8 +100,7 @@ def _direction_compare(left: tuple[int, int], right: tuple[int, int]) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(NamedTuple):
     lines: tuple[Line, ...]
     # per vertex (X/W, Y/W), the reduced triple (X, Y, W) with W > 0, in
     # lexicographic order of the points

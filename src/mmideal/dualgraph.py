@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import NoReturn, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 from .errors import (
     BadOffDiagonal,
@@ -51,6 +50,7 @@ from .errors import (
     NotSymmetric,
     NotTree,
     ValidationError,
+    _Frozen,
 )
 from .rationals import (
     _entries, _integer_vector, _rational_vector, over_common_denominator
@@ -73,8 +73,7 @@ class SingularityClass(enum.Enum):
     NEITHER = "Neither"                   # some k_j < -1
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(_Frozen):
     """Immutable dual graph with its canonical data.
 
     `closure_cache` maps a divisor to its checked antinef closure and
@@ -84,15 +83,31 @@ class DualGraph:
     graphs built from one matrix are equal but share no cached values.
     """
 
-    matrix: Matrix
-    canonical: tuple[Fraction, ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    closure_cache: BoundedCache = field(
-        default_factory=BoundedCache, init=False, compare=False, repr=False
-    )
-    colength_cache: BoundedCache = field(
-        default_factory=BoundedCache, init=False, compare=False, repr=False
-    )
+    _shown = ("matrix", "canonical", "adjacency")
+
+    def __init__(
+        self,
+        matrix: Matrix,
+        canonical: tuple[Fraction, ...],
+        adjacency: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self.__dict__.update(
+            matrix=matrix,
+            canonical=canonical,
+            adjacency=adjacency,
+            closure_cache=BoundedCache(),
+            colength_cache=BoundedCache(),
+        )
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.matrix, self.canonical, self.adjacency) == (
+            other.matrix, other.canonical, other.adjacency
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.matrix, self.canonical, self.adjacency))
 
     @property
     def size(self) -> int:
@@ -132,8 +147,7 @@ class DualGraph:
         return f"E{j + 1}"
 
 
-@dataclass(frozen=True)
-class IdealTuple:
+class IdealTuple(NamedTuple):
     """A dual graph together with r attached antinef ideal vectors."""
 
     graph: DualGraph

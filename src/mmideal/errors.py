@@ -16,6 +16,9 @@ Two broad families:
 Parse-level problems with fixture files or CLI arguments raise
 :class:`ParseError` / :class:`SchemaError` / :class:`RationalFormatError`
 (exit code 1 when raised while reading user input).
+
+:class:`_Frozen` is the base of the records that cache per instance: it
+refuses assignment and deletion with ``AttributeError``.
 """
 
 from __future__ import annotations
@@ -144,3 +147,29 @@ class NonIntegralTotal(InternalConsistencyError):
 
 class InequalityViolated(InternalConsistencyError):
     """A divisor inequality guaranteed by the theory failed."""
+
+
+# ---------------------------------------------------------------------------
+# Immutable records that cache per instance.
+# ---------------------------------------------------------------------------
+
+
+class _Frozen:
+    """Base of a record whose ``__init__`` fills its ``__dict__`` once:
+    assigning or deleting an attribute raises ``AttributeError``, and a
+    cache that stores into ``__dict__`` directly (``cached_property``,
+    ``evaluate._lazy``) still works.  ``repr`` shows the attributes named in
+    ``_shown``, in constructor order."""
+
+    __slots__ = ()
+    _shown: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"

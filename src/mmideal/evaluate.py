@@ -23,7 +23,8 @@ when N*v_j % N == 0, and v_j = 1 + e_j exactly when N*v_j = N*(1 + e_j).
 The rational divisor c.F and the gap values v are `Fraction` views of the
 scaled vectors, built only when read.  Points built in integers (atlas edge
 and face points, ray candidates) enter through the private `_evaluate_at`,
-which :func:`evaluate_point` itself calls on the point it has checked.
+which :func:`evaluate_point` itself calls on the point it has checked,
+handing that point over to be kept as it is.
 
 The wall lines through c are the pairs (j, l) with v_j = l a strictly
 positive integer.  The maximal jumping divisor H_c is the reduced divisor
@@ -61,13 +62,13 @@ result, never raised.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .dualgraph import DualGraph, IdealTuple, attach_ideals
-from .errors import InequalityViolated, InternalConsistencyError, ValidationError
+from .errors import (
+    InequalityViolated, InternalConsistencyError, ValidationError, _Frozen
+)
 from .polytope import Halfspace, Polytope, intersect_halfspaces
 from .rationals import _entries, _flags, _index, _integer_vector, _rational_vector
 from .rationals import format_rational, over_common_denominator
@@ -83,9 +84,9 @@ class _lazy:
 
     It is what `functools.cached_property` does without the lock that
     Python 3.11 takes on every first read; two threads may both compute a
-    value, and they store the same one.  The store bypasses a frozen
-    dataclass's ``__setattr__``, so assigning the attribute still raises
-    `FrozenInstanceError`.  A computation that raises stores nothing.
+    value, and they store the same one.  The store bypasses the record's
+    refusing ``__setattr__`` (``errors._Frozen``), so assigning the attribute
+    still raises `AttributeError`.  A computation that raises stores nothing.
     """
 
     def __init__(self, func) -> None:
@@ -122,14 +123,17 @@ def _integer_direction(
 
 def _dot_F(ideals: IdealTuple, vector: Sequence) -> tuple:
     """(u.F)_j = sum_i u_i F_i[j] for every component j, for a vector u of
-    `int` or `Fraction` entries, one per ideal."""
-    return tuple(
-        sum(map(operator.mul, vector, column)) for column in zip(*ideals.ideals)
-    )
+    `int` or `Fraction` entries, one per ideal: a running sum over the r
+    ideal vectors."""
+    rows = zip(vector, ideals.ideals)
+    u, row = next(rows)
+    total = [u * f for f in row]
+    for u, row in rows:
+        total = [t + u * f for t, f in zip(total, row)]
+    return tuple(total)
 
 
-@dataclass(frozen=True, eq=False)
-class PointEvaluation:
+class PointEvaluation(_Frozen):
     """Everything read off one weight point of one ideal tuple.
 
     The scaled gap data is computed on construction, in integers: `scale` is
@@ -137,17 +141,36 @@ class PointEvaluation:
     `values` are their `Fraction` views.  These views, the wall lines, H,
     its adjunction values, D_c, D_left and G are computed when first read,
     at most once: callers that need only gap values never unload, and D_c
-    stays defined where an H assertion fails.
+    stays defined where an H assertion fails.  Two evaluations are equal
+    only when they are the same object.
     """
 
-    ideals: IdealTuple
-    point: Point
-    scale: int  # N
-    scaled_point: tuple[int, ...]  # N*c
-    scaled_weighted: tuple[int, ...]  # N*(c.F)
-    scaled_values: tuple[int, ...]  # N*v, v = c.F - K
-    floors: tuple[int, ...]
-    left_floors: tuple[int, ...]  # floors of D_{(1-eps)c} before closure
+    _shown = (
+        "ideals", "point", "scale", "scaled_point", "scaled_weighted",
+        "scaled_values", "floors", "left_floors",
+    )
+
+    def __init__(
+        self,
+        ideals: IdealTuple,
+        point: Point,
+        scale: int,  # N
+        scaled_point: tuple[int, ...],  # N*c
+        scaled_weighted: tuple[int, ...],  # N*(c.F)
+        scaled_values: tuple[int, ...],  # N*v, v = c.F - K
+        floors: tuple[int, ...],
+        left_floors: tuple[int, ...],  # floors of D_{(1-eps)c} before closure
+    ) -> None:
+        self.__dict__.update(
+            ideals=ideals,
+            point=point,
+            scale=scale,
+            scaled_point=scaled_point,
+            scaled_weighted=scaled_weighted,
+            scaled_values=scaled_values,
+            floors=floors,
+            left_floors=left_floors,
+        )
 
     @_lazy
     def weighted(self) -> tuple[Fraction, ...]:
@@ -243,16 +266,22 @@ def evaluate_point(ideals: IdealTuple, point: PointLike) -> PointEvaluation:
                 "the point evaluation belongs to a different ideal tuple"
             )
         return point
-    denominator, numerators = over_common_denominator(_weight_point(ideals, point))
-    return _evaluate_at(ideals, numerators, denominator)
+    checked = _weight_point(ideals, point)
+    denominator, numerators = over_common_denominator(checked)
+    return _evaluate_at(ideals, numerators, denominator, checked)
 
 
 def _evaluate_at(
-    ideals: IdealTuple, numerators: Sequence[int], denominator: int
+    ideals: IdealTuple,
+    numerators: Sequence[int],
+    denominator: int,
+    point: Point | None = None,
 ) -> PointEvaluation:
     """The evaluation of the point numerators / denominator (integers >= 0
     over one positive denominator, in any terms), unchecked: the integer
-    entry of `evaluate_point`, which checks its point first."""
+    entry of `evaluate_point`, which checks its point first and passes it
+    as `point`, the same point in `Fraction`s; without it the point is
+    built from the numerators."""
     canonical_denominator, scaled_canonical = ideals.graph.scaled_canonical
     reduced = denominator // math.gcd(denominator, *numerators)
     scale = math.lcm(canonical_denominator, reduced)
@@ -267,9 +296,11 @@ def _evaluate_at(
         f - 1 if w > 0 and v % scale == 0 else f
         for w, v, f in zip(scaled_weighted, scaled_values, floors)
     )
+    if point is None:
+        point = tuple(Fraction(n, denominator) for n in numerators)
     return PointEvaluation(
         ideals,
-        tuple(Fraction(n, denominator) for n in numerators),
+        point,
         scale,
         scaled_point,
         scaled_weighted,
@@ -347,8 +378,7 @@ def _components(graph: DualGraph, support: Sequence[bool]) -> list[list[int]]:
     return components
 
 
-@dataclass(frozen=True, eq=False)
-class RegionReport:
+class RegionReport(_Frozen):
     """The constancy-region polytope of a point, with validation results.
 
     `center` and `bounds` are computed on construction.  `thresholds` holds,
@@ -366,12 +396,16 @@ class RegionReport:
     or 'slack'.  `binding_non_rupture` lists the components, neither rupture
     nor dicritical, that carry a facet no rupture/dicritical component also
     carries.  It is expected to be empty always; surfaced for reporting
-    rather than raised.
+    rather than raised.  Two reports are equal only when they are the same
+    object.
     """
 
-    ideals: IdealTuple
-    center: Point
-    bounds: tuple[Fraction, ...]
+    _shown = ("ideals", "center", "bounds")
+
+    def __init__(
+        self, ideals: IdealTuple, center: Point, bounds: tuple[Fraction, ...]
+    ) -> None:
+        self.__dict__.update(ideals=ideals, center=center, bounds=bounds)
 
     @_lazy
     def thresholds(self) -> tuple[Fraction, ...]:

@@ -15,10 +15,10 @@ thresholds, verdicts) that the `selftest` command re-derives and compares.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .dualgraph import (
     DualGraph,
@@ -46,8 +46,7 @@ _EXPECTED_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     matrix: tuple[tuple[int, ...], ...] | None
     adjacency: tuple[tuple[int, int], ...] | None  # 1-based, as in the file

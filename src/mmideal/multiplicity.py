@@ -28,9 +28,8 @@ exact offset, crosses them; the offset's admissibility is checked exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dualgraph import IdealTuple
 from .errors import (
@@ -128,8 +127,7 @@ def is_jumping(ideals: IdealTuple, point: PointLike) -> tuple[bool, list[int] | 
     return witness is not None, witness
 
 
-@dataclass(frozen=True)
-class HInequalityReport:
+class HInequalityReport(NamedTuple):
     """Exact values of the adjunction form against single components and
     whole connected components of H_c; every value must be >= -1."""
 
@@ -170,8 +168,7 @@ def multiplicity_via_G(ideals: IdealTuple, point: PointLike) -> int:
     return sum(value + 1 for _, value in connected)
 
 
-@dataclass(frozen=True)
-class JumpRecord:
+class JumpRecord(NamedTuple):
     """Everything the library knows about one evaluated point."""
 
     point: Point
@@ -205,8 +202,7 @@ def jump_record(ideals: IdealTuple, point: PointLike) -> JumpRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
+class PerturbationReport(NamedTuple):
     """m at the center versus the sum of crossing multiplicities."""
 
     center: Point

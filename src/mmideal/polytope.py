@@ -48,16 +48,16 @@ first nonzero normal entry, in `Fraction`s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+from .errors import _Frozen
 
 Vector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Halfspace:
+class Halfspace(NamedTuple):
     """The closed halfspace normal . z <= bound, an integer row."""
 
     normal: tuple[int, ...]
@@ -126,17 +126,35 @@ def affine_rank(points: Sequence[Vector]) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(_Frozen):
     """A bounded intersection of closed halfspaces with its vertex set.
 
     ``incidence[n]`` is the set of indices of the halfspaces tight at
-    ``vertices[n]``.
+    ``vertices[n]``.  Equality and hash read these three fields, not the
+    cached classification.
     """
 
-    halfspaces: tuple[Halfspace, ...]
-    vertices: tuple[Vector, ...]
-    incidence: tuple[frozenset[int], ...]
+    _shown = ("halfspaces", "vertices", "incidence")
+
+    def __init__(
+        self,
+        halfspaces: tuple[Halfspace, ...],
+        vertices: tuple[Vector, ...],
+        incidence: tuple[frozenset[int], ...],
+    ) -> None:
+        self.__dict__.update(
+            halfspaces=halfspaces, vertices=vertices, incidence=incidence
+        )
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.halfspaces, self.vertices, self.incidence) == (
+            other.halfspaces, other.vertices, other.incidence
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.halfspaces, self.vertices, self.incidence))
 
     @property
     def dimension(self) -> int:

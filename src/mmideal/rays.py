@@ -38,9 +38,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dualgraph import IdealTuple
 from .errors import HorizonTooSmall, InternalConsistencyError, ValidationError
@@ -63,8 +62,7 @@ from .rationals import (
 )
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(NamedTuple):
     base: Point
     direction: tuple[int, ...]
 
@@ -90,8 +88,7 @@ def ray_point(ray: Ray, parameter: Fraction) -> Point:
     return tuple(b + parameter * u for b, u in zip(base, direction))
 
 
-@dataclass(frozen=True)
-class RayJump:
+class RayJump(NamedTuple):
     parameter: Fraction
     record: JumpRecord
 
@@ -230,8 +227,7 @@ def stability_bound(ideals: IdealTuple, ray: Ray) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnchorTerm:
+class AnchorTerm(NamedTuple):
     """One residue class: m0 * t^point / (1 - t^u) +
     step * t^(point + u) / (1 - t^u)^2 with u = the ray direction."""
 
@@ -241,8 +237,7 @@ class AnchorTerm:
     step: int
 
 
-@dataclass(frozen=True)
-class SeriesClosedForm:
+class SeriesClosedForm(NamedTuple):
     base: Point
     direction: tuple[int, ...]
     horizon: Fraction

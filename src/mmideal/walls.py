@@ -43,9 +43,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arrangement import Arrangement, Line, build_arrangement
 from .dualgraph import IdealTuple
@@ -112,8 +111,7 @@ def wall_lines(ideals: IdealTuple, box: tuple[Fraction, Fraction]) -> list[Line]
     return lines
 
 
-@dataclass(frozen=True)
-class CFacet:
+class CFacet(NamedTuple):
     """Maximal collinear wall piece with a single ideal transition."""
 
     line_index: int
@@ -127,8 +125,7 @@ class CFacet:
     minimal_support: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
-class WallAtlas:
+class WallAtlas(NamedTuple):
     box: tuple[Fraction, Fraction]
     arrangement: Arrangement
     face_divisors: tuple[tuple[int, ...], ...]
@@ -430,8 +427,7 @@ def _nest(ideals: IdealTuple, supports: Sequence[Sequence[int]]) -> tuple[int, .
     return tuple(j for j, gone in enumerate(pruned) if keep[j] and not gone)
 
 
-@dataclass(frozen=True)
-class LCFacet:
+class LCFacet(NamedTuple):
     """One geometric facet of the log-canonical wall."""
 
     key: tuple[Fraction, ...]
@@ -441,8 +437,7 @@ class LCFacet:
     sample_mult: int
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(NamedTuple):
     nest: tuple[int, ...]
     facets: tuple[LCFacet, ...]
     verdict: str
@@ -522,8 +517,7 @@ def bijection_report(ideals: IdealTuple) -> BijectionReport:
                 continue
             ratio = ratios.pop()
             if ratio * (canon[lower] + 1) == canon[higher] + 1:
-                return replace(
-                    report,
+                return report._replace(
                     verdict="DegenerateProportional",
                     degenerate_pair=(lower, higher) if ratio < 1 else (higher, lower),
                     degenerate_ratio=min(ratio, 1 / ratio),
@@ -533,8 +527,7 @@ def bijection_report(ideals: IdealTuple) -> BijectionReport:
     #    check facet interiors and the isolated touch points
     for facet in facets:
         if facet.sample_mult != 1:
-            return replace(
-                report,
+            return report._replace(
                 verdict="MultiplicityHypothesisFails",
                 witness=(facet.sample, facet.sample_mult),
             )
@@ -545,8 +538,7 @@ def bijection_report(ideals: IdealTuple) -> BijectionReport:
             if any(vertex):
                 mult = multiplicity_checked(ideals, vertex)
                 if mult != 1:
-                    return replace(
-                        report,
+                    return report._replace(
                         verdict="MultiplicityHypothesisFails",
                         witness=(vertex, mult),
                     )
@@ -559,5 +551,5 @@ def bijection_report(ideals: IdealTuple) -> BijectionReport:
             if len(matched) == 1:
                 pairing.append((matched[0], index))
         if len(pairing) == len(nest):
-            return replace(report, verdict="Bijection", pairing=tuple(pairing))
+            return report._replace(verdict="Bijection", pairing=tuple(pairing))
     return report

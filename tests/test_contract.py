@@ -21,7 +21,6 @@ out of the draws, and the strict xfail tests below flip once it is fixed.
 import contextlib
 import io
 import itertools
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -292,7 +291,7 @@ fixtures = st.sampled_from(FIXTURES).flatmap(
     lambda f: mostly(
         st.just(f),
         st.builds(
-            lambda field, value: replace(f, **{field: value}),
+            lambda field, value: f._replace(**{field: value}),
             st.sampled_from(["matrix", "adjacency", "canonical", "ideals"]),
             hostile | st.lists(hostile, max_size=2),
         ),

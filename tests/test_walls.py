@@ -4,7 +4,6 @@ import hashlib
 import math
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -186,7 +185,7 @@ def _swap_sides(arrangement, position):
     edge_faces = list(arrangement.edge_faces)
     low, high = edge_faces[interior[position]]
     edge_faces[interior[position]] = (high, low)
-    return replace(arrangement, edge_faces=tuple(edge_faces))
+    return arrangement._replace(edge_faces=tuple(edge_faces))
 
 
 def _drop_source(arrangement, index=None, source=None):
@@ -200,8 +199,8 @@ def _drop_source(arrangement, index=None, source=None):
     kept = tuple(s for s in line.sources if s != (source or line.sources[0]))
     assert len(kept) == len(line.sources) - 1
     lines = list(arrangement.lines)
-    lines[index] = replace(line, sources=kept)
-    return replace(arrangement, lines=tuple(lines))
+    lines[index] = line._replace(sources=kept)
+    return arrangement._replace(lines=tuple(lines))
 
 
 @pytest.mark.parametrize(
