@@ -130,24 +130,28 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
     bx, by = _rational_vector(box, 2, "box sides")
     if bx <= 0 or by <= 0:
         raise ValidationError("box sides must be positive")
+    px, qx = bx.numerator, bx.denominator
+    py, qy = by.numerator, by.denominator
+    # the box lines x = 0, x = bx, y = 0 and y = by in reduced form
     lines = merge_lines(
         list(wall_lines)
         + [
-            make_line(1, 0, 0, is_box=True),
-            make_line(1, 0, bx, is_box=True),
-            make_line(0, 1, 0, is_box=True),
-            make_line(0, 1, by, is_box=True),
+            Line((1, 0, 0), (), True),
+            Line((qx, 0, px), (), True),
+            Line((0, 1, 0), (), True),
+            Line((0, qy, py), (), True),
         ]
     )
     forms = [line.form for line in lines]
 
     # vertices: pairwise intersections (X/W, Y/W) with W > 0 and
     # gcd(X, Y, W) = 1 inside the closed box, each recorded on both lines
-    px, qx = bx.numerator, bx.denominator
-    py, qy = by.numerator, by.denominator
+    # (where k lines meet, k - 1 times on each; the edges read each line's
+    # distinct vertices)
     found: dict[tuple[int, int, int], int] = {}
-    on_line: list[set[int]] = [set() for _ in lines]
+    on_line: list[list[int]] = [[] for _ in lines]
     for i, (a1, b1, c1) in enumerate(forms):
+        here = on_line[i]
         for j in range(i + 1, len(forms)):
             a2, b2, c2 = forms[j]
             det = a1 * b2 - b1 * a2
@@ -160,9 +164,12 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
             if x < 0 or y < 0 or x * qx > px * det or y * qy > py * det:
                 continue
             g = math.gcd(x, y, det)
-            vertex = found.setdefault((x // g, y // g, det // g), len(found))
-            on_line[i].add(vertex)
-            on_line[j].add(vertex)
+            point = (x // g, y // g, det // g)
+            vertex = found.get(point)
+            if vertex is None:
+                vertex = found[point] = len(found)
+            here.append(vertex)
+            on_line[j].append(vertex)
     if not found:
         raise InternalConsistencyError("box corners missing from arrangement")
 
@@ -177,21 +184,8 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
     for position, point in enumerate(vertices):
         number[found[point]] = position
 
-    # edges: consecutive vertices along each line, in the direction (b, -a);
-    # vertex numbers increase along +x, or along +y on a vertical line
-    edges: list[tuple[int, int, int]] = []
-    line_edges: list[tuple[int, ...]] = []
-    for li, (a, b, _) in enumerate(forms):
-        along = sorted(number[n] for n in on_line[li])
-        if b < 0 or (b == 0 and a > 0):
-            along.reverse()
-        start = len(edges)
-        edges.extend((tail, head, li) for tail, head in zip(along, along[1:]))
-        line_edges.append(tuple(range(start, len(edges))))
-
-    # half-edges: 2*e runs tail->head of edge e along its line's direction
-    # (b, -a), 2*e+1 runs back against it; one angular sort of the reduced
-    # directions ranks them all, parallel lines sharing a rank
+    # one angular sort of the reduced directions (b, -a) of the lines and
+    # their reversals ranks them all, parallel lines sharing a rank
     forward = []
     for a, b, _ in forms:
         g = math.gcd(a, b)
@@ -204,49 +198,59 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
         )
     }
 
+    # edges: consecutive vertices along each line, in the direction (b, -a);
+    # vertex numbers increase along +x, or along +y on a vertical line.
+    # Half-edge 2*e runs tail->head of edge e along that direction, 2*e+1
+    # runs back against it, and each is listed at the vertex it leaves.
+    edges: list[tuple[int, int, int]] = []
+    line_edges: list[tuple[int, ...]] = []
     tail_of: list[int] = []
     half_angle: list[int] = []
     outgoing: list[list[int]] = [[] for _ in vertices]
-    for e, (tail, head, li) in enumerate(edges):
-        tail_of += (tail, head)
-        half_angle += (angle[forward[li]], angle[backward[li]])
-        outgoing[tail].append(2 * e)
-        outgoing[head].append(2 * e + 1)
-    ring_position = [0] * len(tail_of)
-    for halves in outgoing:
-        halves.sort(key=half_angle.__getitem__)
-        for position, half in enumerate(halves):
-            ring_position[half] = position
+    for li, (a, b, _) in enumerate(forms):
+        along = sorted(map(number.__getitem__, set(on_line[li])))
+        if b < 0 or (b == 0 and a > 0):
+            along.reverse()
+        ahead, back = angle[forward[li]], angle[backward[li]]
+        start = len(edges)
+        for tail, head in zip(along, along[1:]):
+            half = 2 * len(edges)
+            edges.append((tail, head, li))
+            tail_of += (tail, head)
+            half_angle += (ahead, back)
+            outgoing[tail].append(half)
+            outgoing[head].append(half + 1)
+        line_edges.append(tuple(range(start, len(edges))))
 
-    def next_half(half: int) -> int:
-        # at the head vertex, rotate clockwise one step from the reversal
-        twin = half ^ 1
-        ring = outgoing[tail_of[twin]]
-        return ring[(ring_position[twin] - 1) % len(ring)]
+    # next-pointer: after half-edge h, its face goes on along the half-edge
+    # one step clockwise from the reversal h ^ 1 at h's head
+    next_of = [0] * len(tail_of)
+    for ring in outgoing:
+        ring.sort(key=half_angle.__getitem__)
+        for position, half in enumerate(ring):
+            next_of[half ^ 1] = ring[position - 1]
 
-    # face orbits
-    face_of_half: list[int | None] = [None] * len(tail_of)
-    loops: list[tuple[int, ...]] = []
+    # face orbits, each kept at once or dropped: the turn of a loop at its
+    # lowest-numbered vertex, an extreme point and so a strict corner, has
+    # the sign of the determinant of the three homogeneous triples (every
+    # W > 0); only the outer orbit turns clockwise.  Every kept loop runs
+    # counterclockwise, so the face of a half-edge lies on its left; left of
+    # the forward direction (b, -a) is the high side A*X + B*Y > C*W
+    seen = [False] * len(tail_of)
+    side: list[int | None] = [None] * len(tail_of)
+    faces: list[tuple[int, ...]] = []
+    dropped = 0
     for start in range(len(tail_of)):
-        if face_of_half[start] is not None:
+        if seen[start]:
             continue
         orbit = []
+        loop = []
         half = start
-        while True:
+        while not seen[half]:
+            seen[half] = True
             orbit.append(half)
-            face_of_half[half] = len(loops)
-            half = next_half(half)
-            if half == start:
-                break
-        loops.append(tuple(orbit))
-
-    # the turn of each loop at its lowest-numbered vertex, an extreme point
-    # and so a strict corner, has the sign of the determinant of the three
-    # homogeneous triples (every W > 0); only the outer orbit turns clockwise
-    faces: list[tuple[int, ...]] = []
-    face_renumber: list[int | None] = []
-    for orbit in loops:
-        loop = tuple(tail_of[half] for half in orbit)
+            loop.append(tail_of[half])
+            half = next_of[half]
         at = loop.index(min(loop))
         (x0, y0, w0), (x1, y1, w1), (x2, y2, w2) = (
             vertices[loop[at - 1]],
@@ -259,11 +263,11 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
             + w0 * (x1 * y2 - y1 * x2)
         )
         if turn <= 0:
-            face_renumber.append(None)
+            dropped += 1
             continue
-        face_renumber.append(len(faces))
-        faces.append(loop)
-    dropped = len(loops) - len(faces)
+        for half in orbit:
+            side[half] = len(faces)
+        faces.append(tuple(loop))
     if dropped != 1:
         raise InternalConsistencyError(
             f"expected exactly one outer orbit, found {dropped}"
@@ -271,17 +275,11 @@ def build_arrangement(wall_lines: Sequence[Line], box: tuple[Fraction, Fraction]
     if len(vertices) - len(edges) + (len(faces) + 1) != 2:
         raise InternalConsistencyError("Euler characteristic violated")
 
-    # sides: every kept loop runs counterclockwise, so the face of a
-    # half-edge lies on its left; left of the forward direction (b, -a) is
-    # the high side A*X + B*Y > C*W
-    side = [face_renumber[face] for face in face_of_half]
-    edge_faces = [(side[2 * e + 1], side[2 * e]) for e in range(len(edges))]
-
     return Arrangement(
         lines=tuple(lines),
         vertices=tuple(vertices),
         edges=tuple(edges),
         faces=tuple(faces),
-        edge_faces=tuple(edge_faces),
+        edge_faces=tuple(zip(side[1::2], side[::2])),
         line_edges=tuple(line_edges),
     )

@@ -186,22 +186,24 @@ class PointEvaluation(_Frozen):
     def wall_lines(self) -> tuple[tuple[int, int], ...]:
         """(component j, level l) pairs with v_j = l, a positive integer."""
         scale = self.scale
-        return tuple(
+        return tuple([
             (j, v // scale)
             for j, v in enumerate(self.scaled_values)
             if v > 0 and v % scale == 0
-        )
+        ])
 
     @_lazy
     def maximal(self) -> tuple[bool, ...]:
         """H_c: support = the components of the wall lines, asserted equal to
         the support of max(floor(v), 0) - max(left-floor(v), 0)."""
-        on_wall = {j for j, _ in self.wall_lines}
-        support = tuple(j in on_wall for j in range(len(self.floors)))
-        differences = tuple(
-            max(f, 0) != max(left, 0)
+        support = [False] * len(self.floors)
+        for j, _ in self.wall_lines:
+            support[j] = True
+        support = tuple(support)
+        differences = tuple([
+            (f if f > 0 else 0) != (left if left > 0 else 0)
             for f, left in zip(self.floors, self.left_floors)
-        )
+        ])
         if differences != support:
             raise InternalConsistencyError(
                 "clamped floor-difference support disagrees with the "
@@ -216,7 +218,9 @@ class PointEvaluation(_Frozen):
         connected component P, each asserted >= -1 (the H inequalities)."""
         support = self.maximal
         products, connected = _adjunction_values(self, support)
-        singles = tuple((i, products[i]) for i, inside in enumerate(support) if inside)
+        singles = tuple([
+            (i, products[i]) for i, inside in enumerate(support) if inside
+        ])
         for i, value in singles:
             if value < -1:
                 raise InequalityViolated(
@@ -243,14 +247,15 @@ class PointEvaluation(_Frozen):
         """G: support = {j : v_j = 1 + e_j^left}, asserted inside H.  It is
         the minimal jumping divisor only at jumping points."""
         scale = self.scale
-        support = tuple(
+        support = tuple([
             v == scale * (1 + e)
             for v, e in zip(self.scaled_values, self.divisor_left)
-        )
-        if any(g and not h for g, h in zip(support, self.maximal)):
-            raise InternalConsistencyError(
-                f"minimal jumping divisor exceeds the maximal one at {self.point}"
-            )
+        ])
+        for g, h in zip(support, self.maximal):
+            if g and not h:
+                raise InternalConsistencyError(
+                    f"minimal jumping divisor exceeds the maximal one at {self.point}"
+                )
         return support
 
 
@@ -286,18 +291,18 @@ def _evaluate_at(
     reduced = denominator // math.gcd(denominator, *numerators)
     scale = math.lcm(canonical_denominator, reduced)
     factor = scale // canonical_denominator
-    scaled_point = tuple(n * scale // denominator for n in numerators)
+    scaled_point = tuple([n * scale // denominator for n in numerators])
     scaled_weighted = _dot_F(ideals, scaled_point)
-    scaled_values = tuple(
+    scaled_values = tuple([
         w - k * factor for w, k in zip(scaled_weighted, scaled_canonical)
-    )
-    floors = tuple(v // scale for v in scaled_values)
-    left_floors = tuple(
+    ])
+    floors = tuple([v // scale for v in scaled_values])
+    left_floors = tuple([
         f - 1 if w > 0 and v % scale == 0 else f
         for w, v, f in zip(scaled_weighted, scaled_values, floors)
-    )
+    ])
     if point is None:
-        point = tuple(Fraction(n, denominator) for n in numerators)
+        point = tuple([Fraction(n, denominator) for n in numerators])
     return PointEvaluation(
         ideals,
         point,
@@ -350,10 +355,13 @@ def _adjunction_values(
     graph = evaluation.ideals.graph
     shifted = [inside - f for f, inside in zip(evaluation.floors, support)]
     products = intersection_products(graph, shifted)
-    return products, tuple(
-        (tuple(part), sum(products[j] for j in part))
-        for part in _components(graph, support)
-    )
+    connected = []
+    for part in _components(graph, support):
+        value = 0
+        for j in part:
+            value += products[j]
+        connected.append((tuple(part), value))
+    return products, tuple(connected)
 
 
 def _components(graph: DualGraph, support: Sequence[bool]) -> list[list[int]]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,6 +29,8 @@ from .dualgraph import (
 from .errors import ParseError, SchemaError
 from .rationals import _as_integer, format_rational, parse_rational
 
+# The bundled fixtures, shipped as files beside this module.
+_BUNDLED = Path(__file__).parent / "fixtures"
 # Characters of an unknown fixture name that its error message echoes.
 _SHOWN_NAME = 60
 _TOP_KEYS = {"name", "matrix", "adjacency", "canonical", "ideals", "expected", "notes"}
@@ -289,10 +290,9 @@ def emit_fixture(fixture: Fixture) -> str:
 
 
 def bundled_names() -> list[str]:
-    root = resources.files(__package__) / "fixtures"
     return sorted(
         entry.name[: -len(".json")]
-        for entry in root.iterdir()
+        for entry in _BUNDLED.iterdir()
         if entry.name.endswith(".json")
     )
 
@@ -301,8 +301,7 @@ def load_fixture(name_or_path: str) -> Fixture:
     """Load a bundled fixture by name or any fixture file by path."""
     if not isinstance(name_or_path, str):
         raise ParseError(f"a fixture is named by a string, got {name_or_path!r}")
-    root = resources.files(__package__) / "fixtures"
-    for path in (root / f"{name_or_path}.json", Path(name_or_path)):
+    for path in (_BUNDLED / f"{name_or_path}.json", Path(name_or_path)):
         try:
             found = path.is_file()
         except OSError:  # a name the system cannot look up, too long say

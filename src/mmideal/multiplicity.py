@@ -54,7 +54,10 @@ from .unloading import colength
 def multiplicity(ideals: IdealTuple, point: PointLike) -> int:
     """Adjunction-form multiplicity (the production route)."""
     _, connected = evaluate_point(ideals, point).maximal_values
-    return sum(value + 1 for _, value in connected)
+    total = 0
+    for _, value in connected:
+        total += value + 1
+    return total
 
 
 def multiplicity_fractional(ideals: IdealTuple, point: PointLike) -> int:
@@ -70,8 +73,10 @@ def multiplicity_fractional(ideals: IdealTuple, point: PointLike) -> int:
     for i, inside in enumerate(evaluation.maximal):
         if not inside:
             continue
-        total += sum(scaled_values[j] % scale for j in adjacency[i])
-        total += sum(c * excesses[k][i] for k, c in enumerate(scaled_point))
+        for j in adjacency[i]:
+            total += scaled_values[j] % scale
+        for c, excess in zip(scaled_point, excesses):
+            total += c * excess[i]
     total -= scale * len(evaluation.maximal_values[1])
     if total % scale:
         raise NonIntegralTotal(
@@ -123,8 +128,10 @@ def is_jumping(ideals: IdealTuple, point: PointLike) -> tuple[bool, list[int] | 
     evaluation asserts every such value >= -1.
     """
     _, connected = evaluate_point(ideals, point).maximal_values
-    witness = next((list(part) for part, value in connected if value >= 0), None)
-    return witness is not None, witness
+    for part, value in connected:
+        if value >= 0:
+            return True, list(part)
+    return False, None
 
 
 class HInequalityReport(NamedTuple):
@@ -165,7 +172,10 @@ def multiplicity_via_G(ideals: IdealTuple, point: PointLike) -> int:
         _, connected = evaluation.maximal_values
     else:
         _, connected = _adjunction_values(evaluation, minimal)
-    return sum(value + 1 for _, value in connected)
+    total = 0
+    for _, value in connected:
+        total += value + 1
+    return total
 
 
 class JumpRecord(NamedTuple):
@@ -187,13 +197,13 @@ def jump_record(ideals: IdealTuple, point: PointLike) -> JumpRecord:
     evaluation = evaluate_point(ideals, point)
     mult = multiplicity_checked(ideals, evaluation)
     return JumpRecord(
-        point=evaluation.point,
-        divisor=evaluation.divisor,
-        divisor_left=evaluation.divisor_left,
-        maximal=evaluation.maximal,
-        minimal=evaluation.minimal if mult > 0 else None,
-        mult=mult,
-        wall_lines=evaluation.wall_lines,
+        evaluation.point,
+        evaluation.divisor,
+        evaluation.divisor_left,
+        evaluation.maximal,
+        evaluation.minimal if mult > 0 else None,
+        mult,
+        evaluation.wall_lines,
     )
 
 

@@ -24,12 +24,14 @@ The closed form is checked by expanding it back over the walk that built it.
 The walk runs on the base's scaled integers (see ``evaluate``): with N the
 lcm of the denominators of K and of the base, v_j(mu) = n exactly when
 mu = (N*n - N*v_j) / (N*q_j).  Every candidate parameter is therefore an
-integer key mu*L over L = lcm_j(N*q_j); the per-component streams of keys
-are merged, cut at the key floor(until*L) and deduplicated as integers, and
-one `Fraction` is built per distinct candidate: no `Fraction` is compared
-per candidate.  Each candidate point is built in integers, over the
-base's denominator times the parameter's, evaluated through the integer
-entry of ``evaluate_point`` and given a checked jump record.  The stability
+integer key mu*L over L = lcm_j(N*q_j), and component j's keys step by
+L/q_j.  One heap holds each component's next key with that increment; the
+least is read and advanced in place, the walk stops past the key
+floor(until*L), a key two components share is yielded once, and one
+`Fraction` is built per distinct candidate: no `Fraction` is compared per
+candidate.  Each candidate point is built in integers, over the base's
+denominator times the parameter's, evaluated through the integer entry of
+``evaluate_point`` and given a checked jump record.  The stability
 bound and the degeneracy test read the scaled gap values too.
 """
 
@@ -106,31 +108,34 @@ def _candidate_parameters(
 ) -> Iterator[Fraction]:
     """Strictly increasing parameters mu > after where some v_j is a positive
     integer on the ray, each distinct parameter yielded once; up to `until`
-    inclusive unless that is None.  The streams carry the integer keys mu*L,
-    L = lcm_j(N*q_j) (see the module text), and stop after the key
+    inclusive unless that is None.  The candidates are the integer keys
+    mu*L, L = lcm_j(N*q_j) (see the module text): one heap holds each
+    component's next key and its increment L/q_j, the least key is advanced
+    in place by `heapq.heapreplace`, and the walk stops after the key
     floor(until*L)."""
     base = evaluate_point(ideals, ray.base)
     scale = base.scale
     slopes = _dot_F(ideals, ray.direction)
-    common = math.lcm(*(scale * q for q in slopes))
+    common = math.lcm(*[scale * q for q in slopes])
     numerator, denominator = after.numerator, after.denominator
-
-    def stream(j: int) -> Iterator[int]:
-        q, v = slopes[j], base.scaled_values[j]
-        step = common // (scale * q)
-        # the first level n above v_j(after) = after*q + v/N
+    heap = []
+    for q, v in zip(slopes, base.scaled_values):
+        # the first level n above v_j(after) = after*q + v/N, at the key
+        # (n*N - N*v_j) * L/(N*q_j); each further level adds L/q_j
         first = max(
             1, (numerator * q * scale + v * denominator) // (denominator * scale) + 1
         )
-        for n in itertools.count(first):
-            yield (n * scale - v) * step
-
-    merged = heapq.merge(*(stream(j) for j in range(ideals.size)))
-    if until is not None:
-        stop = until.numerator * common // until.denominator  # floor(until*L)
-        merged = itertools.takewhile(stop.__ge__, merged)
+        step = common // (scale * q)
+        heap.append(((first * scale - v) * step, scale * step))
+    heapq.heapify(heap)
+    # floor(until*L)
+    stop = None if until is None else until.numerator * common // until.denominator
     previous = None
-    for key in merged:
+    while True:
+        key, increment = heap[0]
+        if stop is not None and key > stop:
+            return
+        heapq.heapreplace(heap, (key + increment, increment))
         if key != previous:
             previous = key
             yield Fraction(key, common)
@@ -148,7 +153,7 @@ def _jumps(
         point = [b * d + n * step for b, step in zip(scaled_base, steps)]
         record = jump_record(ideals, _evaluate_at(ideals, point, scale * d))
         if record.mult > 0:
-            yield RayJump(parameter=mu, record=record)
+            yield RayJump(mu, record)
 
 
 def ray_next(ideals: IdealTuple, ray: Ray, after: Fraction) -> RayJump | None:
@@ -176,7 +181,7 @@ def ray_walk(ideals: IdealTuple, ray: Ray, until: Fraction) -> list[RayJump]:
     jumps = list(_jumps(ideals, ray, candidates))
     for previous, jump in zip(jumps, jumps[1:]):
         record, divisor = jump.record, previous.record.divisor
-        chained = all(a <= b for a, b in zip(divisor, record.divisor_left))
+        chained = all([a <= b for a, b in zip(divisor, record.divisor_left)])
         if not chained or divisor == record.divisor:
             raise InternalConsistencyError(
                 f"divisor chain broken between parameters "

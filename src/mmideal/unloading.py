@@ -53,10 +53,11 @@ float, bool, string or non-integer ``Fraction`` raises ValidationError, a
 wrong length LengthMismatch.
 
 Each graph owns two caches, both a :class:`BoundedCache` of at most
-``CLOSURE_CACHE_BOUND`` entries that counts its hits and misses, and both
-die with their graph.  Checked closures are memoized in ``closure_cache``,
-keyed by the clamped divisor alone; colengths in ``colength_cache``, keyed
-by the divisor as read, and stored only after every check has passed.  Along
+``CLOSURE_CACHE_BOUND`` entries that counts its hits, misses and evictions,
+and both die with their graph.  Checked closures are memoized in
+``closure_cache``, keyed by the clamped divisor alone; colengths in
+``colength_cache``, keyed by the divisor as read, and stored only after
+every check has passed.  Along
 a ray the left divisor at one candidate is the divisor at the one before, so
 most colengths are repeats.
 
@@ -82,25 +83,21 @@ CLOSURE_CACHE_BOUND = 4096
 
 class BoundedCache(dict):
     """Checked values keyed by divisor, at most ``CLOSURE_CACHE_BOUND`` of
-    them: storing into a full cache evicts the oldest entry first.  ``hits``
-    and ``misses`` count the lookups."""
+    them: storing into a full cache evicts the oldest entry first, and
+    ``evictions`` counts the entries dropped.  ``hits`` and ``misses`` count
+    the lookups, which its two users make inline: one `get`, then one count.
+    """
 
     def __init__(self) -> None:
         super().__init__()
         self.hits = 0
         self.misses = 0
-
-    def lookup(self, key: tuple[int, ...]):
-        found = self.get(key)
-        if found is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return found
+        self.evictions = 0
 
     def store(self, key: tuple[int, ...], value) -> None:
         while len(self) >= CLOSURE_CACHE_BOUND:
             del self[next(iter(self))]
+            self.evictions += 1
         self[key] = value
 
 
@@ -124,9 +121,9 @@ def _divisor(graph: DualGraph, divisor: Sequence) -> tuple[int, ...]:
 def is_antinef(graph: DualGraph, divisor: Sequence[int]) -> bool:
     """True iff the integer *divisor* is effective and all products are <= 0."""
     divisor = _divisor(graph, divisor)
-    if any(coefficient < 0 for coefficient in divisor):
+    if min(divisor) < 0:
         return False
-    return all(product <= 0 for product in intersection_products(graph, divisor))
+    return max(intersection_products(graph, divisor)) <= 0
 
 
 def _clamped(graph: DualGraph, divisor: Sequence) -> list[int]:
@@ -200,13 +197,12 @@ def _descend(graph: DualGraph, key: Sequence[int], top: Sequence[int]) -> tuple[
 def _check_start(graph: DualGraph, key: Sequence[int], start: Sequence[int]) -> None:
     """Raise unless key <= start and start.E_j >= 0 wherever start_j >
     key_j: the certificate that puts *start* below the closure of *key*."""
-    if any(s < k for s, k in zip(start, key)) or any(
-        product < 0 and s > k
-        for product, s, k in zip(intersection_products(graph, start), start, key)
-    ):
-        raise InternalConsistencyError(
-            f"oracle start {start} is not certified below the closure of {key}"
-        )
+    products = intersection_products(graph, start)
+    for s, k, product in zip(start, key, products):
+        if s < k or (product < 0 and s > k):
+            raise InternalConsistencyError(
+                f"oracle start {start} is not certified below the closure of {key}"
+            )
 
 
 def antinef_closure(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]:
@@ -272,10 +268,16 @@ def antinef_closure_checked(graph: DualGraph, divisor: Sequence[int]) -> tuple[i
     evaluate heavily overlapping floor vectors, and the closure is
     deterministic.
     """
-    key = tuple(_clamped(graph, divisor))
-    cached = graph.closure_cache.lookup(key)
+    key = tuple([
+        c if c > 0 else 0
+        for c in _integer_vector(divisor, graph.size, "divisor coefficients")
+    ])
+    cache = graph.closure_cache
+    cached = cache.get(key)
     if cached is not None:
+        cache.hits += 1
         return cached
+    cache.misses += 1
     fast = antinef_closure(graph, key)
     start = _descend(graph, key, fast)
     _check_start(graph, key, start)
@@ -284,7 +286,7 @@ def antinef_closure_checked(graph: DualGraph, divisor: Sequence[int]) -> tuple[i
         raise InternalConsistencyError(
             f"unloading variants disagree: {fast} vs {slow}"
         )
-    graph.closure_cache.store(key, fast)
+    cache.store(key, fast)
     return fast
 
 
@@ -314,28 +316,29 @@ def colength(graph: DualGraph, divisor: Sequence[int]) -> int:
     still refused), and only once every check has passed: a repeat is served
     from the memo, the first value always comes from the formula.
     """
-    divisor = _divisor(graph, divisor)
-    cached = graph.colength_cache.lookup(divisor)
+    divisor = _integer_vector(divisor, graph.size, "divisor coefficients")
+    cache = graph.colength_cache
+    cached = cache.get(divisor)
     if cached is not None:
+        cache.hits += 1
         return cached
+    cache.misses += 1
     products = intersection_products(graph, divisor)
-    if any(d < 0 for d in divisor) or any(product > 0 for product in products):
+    if min(divisor) < 0 or max(products) > 0:
         raise NotAntinef(f"colength is defined for antinef divisors, got {divisor}")
-    matrix = graph.matrix
-    twice = -sum(
-        d * (product - 2 - matrix[j][j])
-        for j, (d, product) in enumerate(zip(divisor, products))
-    )
+    twice = 0
+    for d, product, square in zip(divisor, products, graph._edge_kernel[0]):
+        twice -= d * (product - 2 - square)
     if twice % 2:
         raise NonIntegralTotal(f"colength came out fractional: {twice}/2")
     value = twice // 2
     if value < 0:
         raise NonIntegralTotal(f"colength came out negative: {value}")
-    if (value == 0) != all(coefficient == 0 for coefficient in divisor):
+    if (value == 0) != (not any(divisor)):
         raise NonIntegralTotal(
             "colength must vanish exactly for the zero divisor"
         )
-    graph.colength_cache.store(divisor, value)
+    cache.store(divisor, value)
     return value
 
 

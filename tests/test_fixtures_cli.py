@@ -5,6 +5,8 @@ import csv
 import json
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -23,6 +25,8 @@ from mmideal import fixtures
 from mmideal.cli import main
 from mmideal.errors import NotTree, ParseError, ValidationError
 from mmideal.svg import decimal_approx
+
+SOURCE = Path(__file__).resolve().parents[1] / "src"
 
 
 def _fixture_data(name):
@@ -75,6 +79,24 @@ def test_load_read_failure_stays_an_os_error(tmp_path, monkeypatch):
     monkeypatch.setattr(Path, "read_text", refuse)
     with pytest.raises(PermissionError):
         load_fixture(str(path))
+
+
+def test_importing_the_cli_leaves_importlib_resources_out():
+    """The bundled fixtures are read from the directory beside
+    ``fixtures.py``; a fresh interpreter without ``site`` imports no
+    ``importlib.resources`` for them."""
+    script = (
+        "import sys; import mmideal.cli; "
+        "print('importlib.resources' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={"PYTHONPATH": str(SOURCE), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_round_trip_is_byte_identical():

@@ -195,6 +195,41 @@ def test_candidates_match_fraction_reference(tuples, name):
             assert found == expected
 
 
+def _levels_reached(ideals, ray, mu):
+    """How many components have a positive integer gap value at mu."""
+    values = reference_evaluation(ideals, ray.base)[1]
+    slopes = combined_ideal(ideals, ray.direction)
+    return sum(
+        (v + mu * q).denominator == 1 and v + mu * q > 0
+        for v, q in zip(values, slopes)
+    )
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_candidates_up_to_until_match_fraction_reference(tuples, name):
+    ideals = tuples[name]
+    shared = 0
+    for ray in _rays(ideals, seed=f"until {name}"):
+        head = _head(reference_candidates(ideals, ray, Fraction(0)), 30)
+        spans = [
+            (Fraction(0), head[-1]),
+            (head[4], head[19] + Fraction(1, 7919)),
+            (head[1], head[2]),  # exactly one candidate
+            (head[2], head[2]),  # none
+        ]
+        for after, until in spans:
+            expected = list(
+                itertools.takewhile(
+                    until.__ge__, reference_candidates(ideals, ray, after)
+                )
+            )
+            found = list(rays._candidate_parameters(ideals, ray, after, until))
+            assert found == expected
+        # a key two components reach together is yielded once
+        shared += sum(_levels_reached(ideals, ray, mu) > 1 for mu in head)
+    assert shared > 0 or ideals.size == 1
+
+
 @pytest.mark.parametrize("name", ("RAT6", "CHAIN10", "SMOOTH1"))
 def test_ray_next_matches_fraction_reference(tuples, name):
     ideals = tuples[name]

@@ -111,6 +111,8 @@ def test_closure_cache_is_bounded_and_counted(rat6, monkeypatch):
     cache = graph.closure_cache
     assert (cache.hits, cache.misses) == (3, 14)
     assert cache.hits + cache.misses == len(checked)
+    # every miss stores, so all but the last 4 stored entries were evicted
+    assert cache.evictions == 14 - 4
     # the oldest entry goes first; a hit does not renew an entry
     assert list(cache) == [divisors[10], divisors[11], divisors[0], divisors[1]]
 
@@ -239,6 +241,7 @@ def test_colength_cache_is_bounded_and_counted(rat6, monkeypatch):
     cache = graph.colength_cache
     assert (cache.hits, cache.misses) == (3, 14)
     assert cache.hits + cache.misses == len(checked)
+    assert cache.evictions == 14 - 4
     # the oldest entry goes first; a hit does not renew an entry
     assert list(cache) == [divisors[10], divisors[11], divisors[0], divisors[1]]
 
@@ -308,6 +311,51 @@ def test_ray_walk_evaluates_each_colength_once(tuples, monkeypatch):
         assert cache.misses == len(set(asked)) < len(asked)
         assert cache.hits + cache.misses == len(asked)
         assert len(cache) == len(set(asked))
+
+
+def _count_calls(monkeypatch, function):
+    """Wrap *function* at every ``mmideal`` module attribute bound to it, as
+    a tracer does from outside; the returned list grows by one per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mmideal" or name.startswith("mmideal."):
+            for attribute, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attribute, counted)
+    return calls
+
+
+def test_cache_counts_equal_the_calls_at_the_module_bindings(tuples, monkeypatch):
+    # the checked closure and the colength count their own hits and misses;
+    # together they must be exactly the calls made through the bindings
+    closures = _count_calls(monkeypatch, unloading.antinef_closure_checked)
+    colengths = _count_calls(monkeypatch, unloading.colength)
+
+    def check_counts(ideals, run):
+        closed, measured = len(closures), len(colengths)
+        run()
+        closure, memo = ideals.graph.closure_cache, ideals.graph.colength_cache
+        assert closure.hits + closure.misses == len(closures) - closed
+        assert memo.hits + memo.misses == len(colengths) - measured
+        assert closure.misses == len(closure) and memo.misses == len(memo)
+        assert closure.hits and memo.hits
+
+    rng = random.Random(28)
+    for name in ("RAT6", "CHAIN10"):
+        for _ in range(2):
+            shared = tuples[name]
+            ideals = attach_ideals(build_graph(shared.graph.matrix), shared.ideals)
+            base = [Fraction(rng.randint(0, 6), rng.randint(1, 6)) for _ in range(ideals.r)]
+            direction = [rng.randint(1, 4) for _ in range(ideals.r)]
+            ray = make_ray(ideals, base, direction)
+            check_counts(ideals, lambda: ray_walk(ideals, ray, Fraction(2)))
+    ideals = build_tuple(load_fixture("RAT6"))
+    check_counts(ideals, lambda: cell_decomposition(ideals, (Fraction(1), Fraction(1))))
 
 
 def test_divisor_leq():
