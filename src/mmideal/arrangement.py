@@ -1,12 +1,15 @@
 """Exact planar line arrangements clipped to an axis-aligned box.
 
-Everything here is two-dimensional, exact and in integers.  A line arrives
-as its reduced integer form (A, B, C) of A*x + B*y = C (`make_line`), pairs
-are intersected with integer determinants and tested against the box by
-integer comparisons, and each vertex is its reduced triple (X, Y, W), the
-point (X/W, Y/W): `Arrangement.mean` combines triples into edge and face
-points and the picture reads its pixels off them, so no vertex is ever a
-`Fraction` point.  The pair loop records each vertex on both of its lines,
+Everything here is two-dimensional, exact and in integers.  Lines arrive as
+reduced integer forms (A, B, C) of A*x + B*y = C: the wall lines from
+`walls.wall_lines` and the four box lines that `build_arrangement` builds
+(`make_line` is the helper that brings `int` or `Fraction` coefficients to
+that form).  Pairs are intersected with integer determinants and tested
+against the box by integer comparisons, and each vertex is its reduced
+triple (X, Y, W), the point (X/W, Y/W): `Arrangement.mean` combines triples
+into edge and face points and the picture reads its pixels off them, so no
+vertex is ever a `Fraction` point.
+The pair loop records each vertex on both of its lines,
 so a line's vertices are never searched for.  Vertices are numbered in
 lexicographic order of their points, which runs along +x on a non-vertical
 line and along +y on a vertical one, so each line's edge order is its

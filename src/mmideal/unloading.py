@@ -47,6 +47,30 @@ loop still disagrees with it.  This is the least-element property of
 Z-matrix polyhedra (Cottle and Veinott, Math. Programming 3, 1972) for the
 intersection form.
 
+Index-order sweeps behave like Gauss-Seidel and crawl on long chains at
+large coefficients, so a call of the ceiling loop still firing after s
+sweeps (s = graph.size), at a divisor D, proposes a new start: the
+componentwise ceiling of the least rational x >= D with x.E_j <= 0 for
+every j.  That x is the least element of a Z-matrix polyhedron (Cottle and
+Veinott again), and Chandrasekaran's method (Opsearch 7, 1970) finds it in
+at most s rounds: each round frees the components where x.E_j > 0 and
+solves x.E_j = 0 on the free ones, holding the others at D, by one
+leaf-first elimination over the free forest that keeps every pivot as a
+ratio of two integer minors, so no fraction is formed.  The closure C of D
+lies in that polyhedron, so x <= C and, C being integral, ceil(x) <= C.
+The loop does not rely on it: it lifts the proposal to max(proposal, D),
+descends from there with the oracle's descent to the greatest L >= D
+certified as in the lemma (D in place of key), checks that certificate on
+its own, and sweeps on from L.  By the lemma D <= L <= C, so every later
+ceiling step is forced and the loop still ends at C: a wrong proposal can
+cost sweeps, never a closure.  A call that settles within s sweeps runs no
+proposal.
+
+On a checked closure's miss each divisor is read once and each product
+vector computed once: the key and the oracle's start go to the two closures
+and the descent as :class:`_Known` tuples, which carry the products the
+miss has computed so far, the ceiling result's among them.
+
 Every public function here reads its divisor through ``rationals``: one
 integer (an ``int`` or a ``Fraction`` with denominator 1) per component; a
 float, bool, string or non-integer ``Fraction`` raises ValidationError, a
@@ -132,6 +156,30 @@ def _clamped(graph: DualGraph, divisor: Sequence) -> list[int]:
     return [c if c > 0 else 0 for c in _divisor(graph, divisor)]
 
 
+class _Known(tuple):
+    """A nonnegative integer divisor that a checked closure's miss has
+    already read, with ``known``: the product vectors that miss has
+    computed, keyed by divisor and shared by every ``_Known`` of the miss.
+    It is passed in place of a plain tuple, so the closures and the descent
+    keep the arity a tracer or a test wraps them with."""
+
+    def __new__(cls, divisor: Sequence[int], known: dict) -> _Known:
+        self = super().__new__(cls, divisor)
+        self.known = known
+        return self
+
+
+def _products(graph: DualGraph, divisor: Sequence[int], known: dict | None) -> tuple[int, ...]:
+    """intersection_products of *divisor*, read from and stored in *known*
+    when it is a miss's dictionary."""
+    if known is None:
+        return intersection_products(graph, divisor)
+    products = known.get(divisor)
+    if products is None:
+        products = known[divisor] = intersection_products(graph, divisor)
+    return products
+
+
 def _unload(graph: DualGraph, start: list[int]) -> tuple[int, ...]:
     """Ceiling-step unloading loop, in sweeps.
 
@@ -140,11 +188,18 @@ def _unload(graph: DualGraph, start: list[int]) -> tuple[int, ...]:
     n_j = ceil((D.E_j) / (-E_j^2)) copies of E_j; sweeps repeat until one
     fires nothing.  Every step is forced: if D <= C for an antinef C, the
     step keeps D <= C.  So the loop ends, at the closure of its start.
+
+    If the s-th sweep (s = graph.size) still fires, the loop moves once to
+    the certified start L of the module docstring: :func:`_proposal` of the
+    divisor D reached, lifted to at least D, then :func:`_descend` and
+    :func:`_check_start` with D as key.  D <= L <= closure(D), so the steps
+    after it are forced too.
     """
     diagonal = graph._edge_kernel[0]
     adjacency = graph.adjacency
     divisor = start
     products = list(intersection_products(graph, divisor))
+    sweeps = len(diagonal)  # left before the proposal
     fired = True
     while fired:
         fired = False
@@ -158,12 +213,85 @@ def _unload(graph: DualGraph, start: list[int]) -> tuple[int, ...]:
                 for l in adjacency[j]:
                     products[l] += step
                 fired = True
+        sweeps -= 1
+        if fired and not sweeps:
+            floor = tuple(divisor)
+            top = [p if p > d else d for p, d in zip(_proposal(graph, floor), floor)]
+            divisor = list(_descend(graph, floor, top))
+            products = list(_check_start(graph, floor, divisor))
     return tuple(divisor)
+
+
+def _proposal(graph: DualGraph, floor: Sequence[int]) -> list[int]:
+    """Componentwise ceiling of the least rational x >= *floor* with
+    x.E_j <= 0 for every j, by Chandrasekaran's rounds.
+
+    With A = -M, a round solves (A x)_j = 0 on the free components j,
+    x_l = floor_l on the others, leaf first over the free forest in the
+    tree's breadth-first order.  Folding a child c into its parent p keeps
+    the pivot det_p / minor_p and the right-hand side rhs_p / minor_p in
+    integers: det is the determinant of A on the vertices folded into p so
+    far, minor the same without p, and the expansion along the edge gives
+    det_p det_c - minor_p minor_c.  A free root r fixes delta = det_r for
+    its tree, and delta x_v is an integer by Cramer's rule, which the way
+    back computes by exact division.  So no fraction is ever formed.
+    """
+    diagonal = graph._edge_kernel[0]
+    adjacency = graph.adjacency
+    size = len(diagonal)
+    # breadth-first from E1: every vertex after its parent
+    parent = [-1] * size
+    order = [0]
+    for vertex in order:
+        for neighbor in adjacency[vertex]:
+            if neighbor != parent[vertex]:
+                parent[neighbor] = vertex
+                order.append(neighbor)
+    free = [product > 0 for product in intersection_products(graph, floor)]
+    while True:
+        det = [-square for square in diagonal]
+        minor = [1] * size
+        rhs = [
+            sum([floor[l] for l in neighbors if not free[l]]) if free[j] else 0
+            for j, neighbors in enumerate(adjacency)
+        ]
+        for vertex in reversed(order):
+            up = parent[vertex]
+            if free[vertex] and up >= 0 and free[up]:
+                d, m, b = det[vertex], minor[vertex], rhs[vertex]
+                det[up], minor[up], rhs[up] = (
+                    det[up] * d - minor[up] * m, minor[up] * d, rhs[up] * d + b * minor[up]
+                )
+        # delta x_v and delta, with x_l = floor_l over 1 off the free set
+        scaled, scale = list(floor), [1] * size
+        for vertex in order:
+            if free[vertex]:
+                up = parent[vertex]
+                if up >= 0 and free[up]:
+                    delta = scale[vertex] = scale[up]
+                    scaled[vertex] = (
+                        rhs[vertex] * delta + scaled[up] * minor[vertex]
+                    ) // det[vertex]
+                else:
+                    scale[vertex], scaled[vertex] = det[vertex], rhs[vertex]
+        grown = False
+        for j, neighbors in enumerate(adjacency):
+            if not free[j]:
+                # the sign of x.E_j over the positive denominator of its terms
+                numerator, denominator = diagonal[j] * floor[j], 1
+                for l in neighbors:
+                    numerator = numerator * scale[l] + scaled[l] * denominator
+                    denominator *= scale[l]
+                if numerator > 0:
+                    free[j] = grown = True
+        if not grown:
+            return [-(-y // delta) for y, delta in zip(scaled, scale)]
 
 
 def _descend(graph: DualGraph, key: Sequence[int], top: Sequence[int]) -> tuple[int, ...]:
     """The greatest L with key <= L <= top and L.E_j >= 0 wherever
-    l_j > key_j: the oracle's start in :func:`antinef_closure_checked`.
+    l_j > key_j: the oracle's start in :func:`antinef_closure_checked`, and
+    the ceiling loop's after a proposal.
 
     Downward unloading from *top* (>= key): at a violated component j
     (l_j > key_j and L.E_j < 0) it removes min(l_j - key_j,
@@ -176,7 +304,7 @@ def _descend(graph: DualGraph, key: Sequence[int], top: Sequence[int]) -> tuple[
     diagonal = graph._edge_kernel[0]
     adjacency = graph.adjacency
     start = list(top)
-    products = list(intersection_products(graph, start))
+    products = list(_products(graph, top, key.known if type(key) is _Known else None))
     pending = [j for j, product in enumerate(products) if product < 0]
     while pending:
         j = pending.pop()
@@ -194,30 +322,36 @@ def _descend(graph: DualGraph, key: Sequence[int], top: Sequence[int]) -> tuple[
     return tuple(start)
 
 
-def _check_start(graph: DualGraph, key: Sequence[int], start: Sequence[int]) -> None:
+def _check_start(graph: DualGraph, key: Sequence[int], start: Sequence[int]) -> tuple[int, ...]:
     """Raise unless key <= start and start.E_j >= 0 wherever start_j >
-    key_j: the certificate that puts *start* below the closure of *key*."""
-    products = intersection_products(graph, start)
+    key_j: the certificate that puts *start* below the closure of *key*.
+    Returns the products of *start* it read."""
+    products = _products(graph, start, key.known if type(key) is _Known else None)
     for s, k, product in zip(start, key, products):
         if s < k or (product < 0 and s > k):
             raise InternalConsistencyError(
-                f"oracle start {start} is not certified below the closure of {key}"
+                f"start {tuple(start)} is not certified below the closure of {tuple(key)}"
             )
+    return products
 
 
 def antinef_closure(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]:
     """Smallest antinef divisor >= divisor (negative coefficients clamp to 0,
     non-integer ones are refused).
 
-    Uses ceiling-step unloading.  The result is asserted antinef and above
-    the clamped input.
+    Uses ceiling-step unloading.  The result is asserted antinef, from a
+    freshly computed product vector, and above the clamped input.
     """
-    clamped = _clamped(graph, divisor)
+    known = divisor.known if type(divisor) is _Known else None
+    clamped = _clamped(graph, divisor) if known is None else list(divisor)
     result = _unload(graph, list(clamped))
-    if not is_antinef(graph, result):
+    products = intersection_products(graph, result)
+    if min(result) < 0 or max(products) > 0:
         raise InternalConsistencyError("unloading returned a non-antinef divisor")
     if any(r < c for r, c in zip(result, clamped)):
         raise InternalConsistencyError("unloading decreased a coefficient")
+    if known is not None:
+        known[result] = products
     return result
 
 
@@ -231,8 +365,13 @@ def antinef_closure_unit(graph: DualGraph, divisor: Sequence[int]) -> tuple[int,
     a popped component that is no longer violated is skipped.
     """
     matrix, adjacency = graph.matrix, graph.adjacency
-    result = _clamped(graph, divisor)
-    products = list(intersection_products(graph, result))
+    known = divisor.known if type(divisor) is _Known else None
+    if known is None:
+        result = _clamped(graph, divisor)
+        products = list(intersection_products(graph, result))
+    else:
+        result = list(divisor)
+        products = list(_products(graph, divisor, known))
     pending = [j for j, product in enumerate(products) if product > 0]
     while pending:
         j = pending.pop()
@@ -247,7 +386,7 @@ def antinef_closure_unit(graph: DualGraph, divisor: Sequence[int]) -> tuple[int,
             if products[l] > 0:
                 pending.append(l)
     result = tuple(result)
-    if not is_antinef(graph, result):
+    if min(result) < 0 or max(_products(graph, result, known)) > 0:
         raise InternalConsistencyError("unit unloading returned a non-antinef divisor")
     return result
 
@@ -266,7 +405,9 @@ def antinef_closure_checked(graph: DualGraph, divisor: Sequence[int]) -> tuple[i
     Memoized in the graph's ``closure_cache``, keyed by the clamped divisor
     max(D, 0), which has the same closure: atlases and perturbation sums
     evaluate heavily overlapping floor vectors, and the closure is
-    deterministic.
+    deterministic.  On a miss the key and L go on as :class:`_Known`
+    tuples, so neither is read again and no product vector is computed
+    twice.
     """
     key = tuple([
         c if c > 0 else 0
@@ -278,10 +419,12 @@ def antinef_closure_checked(graph: DualGraph, divisor: Sequence[int]) -> tuple[i
         cache.hits += 1
         return cached
     cache.misses += 1
-    fast = antinef_closure(graph, key)
-    start = _descend(graph, key, fast)
-    _check_start(graph, key, start)
-    slow = antinef_closure_unit(graph, start)
+    known = {}
+    read = _Known(key, known)
+    fast = antinef_closure(graph, read)
+    start = _descend(graph, read, fast)
+    _check_start(graph, read, start)
+    slow = antinef_closure_unit(graph, _Known(start, known))
     if fast != slow:
         raise InternalConsistencyError(
             f"unloading variants disagree: {fast} vs {slow}"

@@ -34,7 +34,7 @@ from mmideal.errors import (
     ValidationError,
 )
 from mmideal.unloading import intersection_products
-from trees import random_any_tree_matrix, random_divisor, random_tree_matrix
+from trees import random_any_tree_matrix, random_divisor, random_tree_matrix, tree_rows
 
 
 def _reference_graphs(tuples):
@@ -467,6 +467,205 @@ def test_oracle_keeps_its_cold_start_on_large_inputs(tuples):
             unit = antinef_closure_unit(graph, divisor)
             assert unit == antinef_closure(graph, divisor)
             assert unit == antinef_closure_checked(graph, divisor)
+
+
+def _sweeps_from_key(graph, divisor):
+    """The ceiling loop without proposals: index-order sweeps from
+    max(D, 0) until one fires nothing."""
+    result = [max(d, 0) for d in divisor]
+    fired = True
+    while fired:
+        fired = False
+        for j, row in enumerate(graph.matrix):
+            product = row[j] * result[j] + sum(result[l] for l in graph.adjacency[j])
+            if product > 0:
+                result[j] += -(-product // -row[j])
+                fired = True
+    return tuple(result)
+
+
+def _least_element(graph, floor):
+    """The least rational x >= floor with x.E_j <= 0 for every j: the
+    rounds of Chandrasekaran's method, each solving the free block densely
+    in Fractions."""
+    matrix, size = graph.matrix, graph.size
+    free, x = [], [Fraction(f) for f in floor]
+    while True:
+        violated = [
+            j for j in range(size)
+            if j not in free and sum(m * v for m, v in zip(matrix[j], x)) > 0
+        ]
+        if not violated:
+            return x
+        free = sorted(free + violated)
+        rows = [
+            [Fraction(matrix[i][j]) for j in free]
+            + [-sum(matrix[i][l] * floor[l] for l in range(size) if l not in free)]
+            for i in free
+        ]
+        # Gauss-Jordan; the block is negative definite, so no pivot is 0
+        for c in range(len(rows)):
+            rows[c] = [v / rows[c][c] for v in rows[c]]
+            for r, row in enumerate(rows):
+                if r != c and row[c]:
+                    rows[r] = [a - row[c] * b for a, b in zip(row, rows[c])]
+        x = [Fraction(f) for f in floor]
+        for i, j in enumerate(free):
+            x[j] = rows[i][-1]
+
+
+def _a40():
+    """The chain of 40 (-2)-curves: the A_40 singularity."""
+    return build_graph(tree_rows([-2] * 40, [(j, j + 1) for j in range(1, 40)]))
+
+
+def _counted_proposals(monkeypatch, proposal=None):
+    """Put *proposal* (by default the real one) in place of
+    ``unloading._proposal``; the returned list grows by the floor of each
+    call."""
+    calls = []
+    proposal = proposal or unloading._proposal
+    monkeypatch.setattr(
+        unloading, "_proposal", lambda graph, floor: calls.append(floor) or proposal(graph, floor)
+    )
+    return calls
+
+
+def test_proposal_lies_between_its_floor_and_the_closure(tuples):
+    # key <= proposal <= closure, the start descended from it is certified,
+    # and the proposal is the ceiling of the least element, which a dense
+    # Fraction solve finds too; coefficients up to +-10^6
+    rng = random.Random(2901)
+    graphs = [tuples[name].graph for name in ("CHAIN10", "NEST14", "PROP16")]
+    graphs += [_a40()]
+    graphs += [build_graph(random_tree_matrix(rng, max_size=12)) for _ in range(30)]
+    for graph in graphs:
+        for scale in (10, 1000, 10**6):
+            key = tuple(max(rng.randint(-scale, scale), 0) for _ in range(graph.size))
+            closure = _sweeps_from_key(graph, key)
+            proposal = unloading._proposal(graph, key)
+            assert divisor_leq(key, proposal) and divisor_leq(proposal, closure)
+            assert proposal == [-(-x.numerator // x.denominator) for x in _least_element(graph, key)]
+            start = unloading._descend(graph, key, proposal)
+            assert _certified(graph, key, start) and divisor_leq(start, closure)
+            assert antinef_closure(graph, key) == closure
+
+
+def test_closures_with_proposals_match_both_references(tuples, monkeypatch):
+    # the ceiling loop equals the sweeps without proposals everywhere, and
+    # the unit-step oracle where its climb from max(D, 0) is short enough
+    calls = _counted_proposals(monkeypatch)
+    rng = random.Random(2902)
+    graphs = [tuples[name].graph for name in ("CHAIN10", "NEST14", "PROP16")] + [_a40()]
+    graphs += [build_graph(random_tree_matrix(rng, max_size=12)) for _ in range(20)]
+    unit_after_proposal = 0
+    for graph in graphs:
+        for scale in (100, 1000, 10**5, 10**6):
+            divisor = [rng.randint(-scale, scale) for _ in range(graph.size)]
+            proposals = len(calls)
+            closure = antinef_closure(graph, divisor)
+            proposed = len(calls) > proposals
+            assert closure == _sweeps_from_key(graph, divisor)
+            assert closure == antinef_closure_checked(build_graph(graph.matrix), divisor)
+            if scale <= 1000:
+                assert closure == antinef_closure_unit(graph, divisor)
+                unit_after_proposal += proposed
+    assert unit_after_proposal
+
+
+def test_proposals_run_only_where_sweeps_run_long(monkeypatch):
+    calls = _counted_proposals(monkeypatch)
+    graph = _a40()
+    rng = random.Random(2903)
+    divisor = [rng.randint(-10**5, 10**5) for _ in range(graph.size)]
+    assert antinef_closure_checked(graph, divisor) == _sweeps_from_key(graph, divisor)
+    assert calls
+    calls.clear()
+    ideals = build_tuple(load_fixture("RAT6"))
+    cell_decomposition(ideals, (Fraction(1), Fraction(1)))
+    # walks drawn as the rays benchmark draws them: the origin or a base in
+    # [0, 1/2]^r, directions in {0, 1, 2}^r, about 30 candidates each
+    for name in ("RAT6", "CHAIN10"):
+        for _ in range(6):
+            ideals = build_tuple(load_fixture(name))
+            base = [Fraction(rng.randint(0, 1), rng.randint(2, 6)) for _ in range(ideals.r)]
+            if rng.random() < 0.5:
+                base = [Fraction(0)] * ideals.r
+            direction = [rng.randint(0, 2) for _ in range(ideals.r)]
+            direction[rng.randrange(ideals.r)] = 1 + rng.randint(0, 1)
+            slope = sum(u * sum(ideal) for u, ideal in zip(direction, ideals.ideals))
+            ray_walk(ideals, make_ray(ideals, base, direction), Fraction(30, slope))
+    assert calls == []
+
+
+def _one_too_high(graph, floor):
+    closure = list(_sweeps_from_key(graph, floor))
+    closure[len(closure) // 2] += 1
+    return closure
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        _one_too_high,
+        lambda graph, floor: list(floor),
+        lambda graph, floor: [
+            c + z for c, z in zip(_sweeps_from_key(graph, floor), graph.fundamental)
+        ],
+        lambda graph, floor: [0] * graph.size,
+    ],
+    ids=["one_too_high", "the_key_itself", "adds_the_fundamental_cycle", "zero"],
+)
+def test_a_wrong_proposal_costs_sweeps_not_closures(monkeypatch, mutant):
+    graph = _a40()
+    rng = random.Random(2904)
+    divisors = [[rng.randint(-scale, scale) for _ in range(graph.size)] for scale in (10**3, 10**5)]
+    expected = [_sweeps_from_key(graph, divisor) for divisor in divisors]
+    calls = _counted_proposals(monkeypatch, mutant)
+    for divisor, closure in zip(divisors, expected):
+        assert antinef_closure(graph, divisor) == closure
+        assert antinef_closure_checked(build_graph(graph.matrix), divisor) == closure
+    assert len(calls) >= 4
+
+
+def test_a_miss_reads_its_key_once_and_multiplies_each_vector_once(tuples, monkeypatch):
+    # the key is read once; the products are computed for the loop's start,
+    # freshly for the ceiling result, and for the oracle's start L unless L
+    # is the ceiling result; the descent and the oracle compute none
+    reads, multiplied, returned = [], [], []
+    read, multiply, unload = (
+        unloading._integer_vector, unloading.intersection_products, unloading._unload
+    )
+    monkeypatch.setattr(
+        unloading, "_integer_vector", lambda values, *rest: reads.append(values) or read(values, *rest)
+    )
+    monkeypatch.setattr(
+        unloading, "intersection_products",
+        lambda graph, divisor: multiplied.append(tuple(divisor)) or multiply(graph, divisor),
+    )
+
+    def marked(graph, start):
+        # the products computed up to here are the ceiling loop's own
+        result = unload(graph, start)
+        returned.append(len(multiplied))
+        return result
+
+    monkeypatch.setattr(unloading, "_unload", marked)
+    rng = random.Random(2905)
+    for name in ("RAT6", "CHAIN10", "NEST14", "PROP16"):
+        graph = build_graph(tuples[name].graph.matrix)
+        for scale in (1, 10, 100, 1000):
+            divisor = [rng.randint(-scale, scale) for _ in range(graph.size)]
+            key = tuple(max(d, 0) for d in divisor)
+            reads.clear()
+            multiplied.clear()
+            returned.clear()
+            closure = antinef_closure_checked(graph, divisor)
+            assert len(reads) == 1
+            assert multiplied[0] == key
+            after = multiplied[returned.pop():]
+            start = unloading._descend(graph, key, closure)
+            assert after == [closure] + ([] if start == closure else [start])
 
 
 def test_closure_is_minimal_on_small_cases():
