@@ -139,9 +139,9 @@ class DualGraph(_Frozen):
     def valence(self, j: int) -> int:
         return len(self.adjacency[j])
 
-    @property
+    @cached_property
     def rupture(self) -> tuple[bool, ...]:
-        return tuple(self.valence(j) >= 3 for j in range(self.size))
+        return tuple([len(neighbors) >= 3 for neighbors in self.adjacency])
 
     def label(self, j: int) -> str:
         return f"E{j + 1}"
@@ -165,16 +165,11 @@ class IdealTuple(NamedTuple):
     @property
     def dicritical(self) -> tuple[bool, ...]:
         """Components carrying positive excess for at least one ideal."""
-        return tuple(
-            any(self.excesses[i][j] > 0 for i in range(self.r))
-            for j in range(self.size)
-        )
+        return tuple([max(column) > 0 for column in zip(*self.excesses)])
 
     @property
     def rupture_or_dicritical(self) -> tuple[bool, ...]:
-        rupture = self.graph.rupture
-        dicritical = self.dicritical
-        return tuple(a or b for a, b in zip(rupture, dicritical))
+        return tuple([a or b for a, b in zip(self.graph.rupture, self.dicritical)])
 
 
 # ---------------------------------------------------------------------------

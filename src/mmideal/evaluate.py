@@ -47,15 +47,17 @@ differs from H; where G == H the route reads H's values.
 
 The constancy region of c is the set of weights with the same ideal: the
 points z >= 0 with (z.F)_j < k_j + 1 + e_j^c for every j, where e^c = D_c.
-Constraints are emitted for all components; a validation pass checks that
-every facet of the region's polytope is carried by a rupture or dicritical
+Its bounds are integers scaled by K's denominator D, B_j = D*k_j +
+D*(1 + e_j); the per-axis thresholds min_j B_j / (D*F_i[j]) come from
+integer cross-multiplication, and the rows (D*F[j]; B_j), one per
+component, go straight to the clip.  A validation pass checks that every
+facet of the region's polytope is carried by a rupture or dicritical
 component or by an orthant plane.  The region contains its centre, so the
 polytope is full-dimensional and equals the intersection of its facet
 halfspaces: dropping every non-rupture, non-dicritical constraint leaves the
 open region unchanged exactly when the pass finds nothing.  The pass reads
-the facet map of the one polytope built, the first time the region's
-polytope, classification or binding list is read; the bounds and the
-per-axis thresholds alone build nothing.  Violations are reported in the
+the facet map of the one polytope, built the first time the polytope,
+classification or binding list is read.  Violations are reported in the
 result, never raised.
 """
 
@@ -389,51 +391,57 @@ def _components(graph: DualGraph, support: Sequence[bool]) -> list[list[int]]:
 class RegionReport(_Frozen):
     """The constancy-region polytope of a point, with validation results.
 
-    `center` and `bounds` are computed on construction.  `thresholds` holds,
-    per axis i, the far end min_j bound_j / F_i[j] of the region's segment on
-    that axis (the log-canonical threshold of F_i for the region of the
-    origin); it is read off the bounds and builds no polytope.
+    `center` and `scaled_bounds`, the integers B_j = D*k_j + D*(1 + e_j),
+    are computed on construction; `bounds` is their `Fraction` view and
+    `thresholds` holds, per axis i, the far end min_j B_j / (D*F_i[j]) of
+    the region's segment on that axis (the log-canonical threshold of F_i
+    for the region of the origin), one `Fraction` each.  Both are built on
+    first read, and neither builds a polytope.
 
-    The rest is built together, once, the first time any of it is read, so
-    callers that need only the bounds or thresholds build no polytope.
-    `polytope` clips the orthant by one integer row per component, so its
-    halfspace j is component j's constraint.  The build checks each axis's
-    extreme vertex of `polytope` against `thresholds` and raises
+    The rest is built together, once, the first time any of it is read.
+    `polytope` clips the orthant by the rows (D*F_1[j], ..., D*F_r[j]; B_j),
+    so its halfspace j is component j's constraint; the build checks each
+    axis's extreme vertex against `thresholds` and raises
     `InternalConsistencyError` on a mismatch.  `classification` classifies
-    each component's constraint against the polytope as 'facet', 'touch',
-    or 'slack'.  `binding_non_rupture` lists the components, neither rupture
-    nor dicritical, that carry a facet no rupture/dicritical component also
-    carries.  It is expected to be empty always; surfaced for reporting
-    rather than raised.  Two reports are equal only when they are the same
-    object.
+    each constraint as 'facet', 'touch', or 'slack'.  `binding_non_rupture`
+    lists the components, neither rupture nor dicritical, that carry a facet
+    no rupture/dicritical component also carries: expected to be empty
+    always, and reported rather than raised.  Two reports are equal only
+    when they are the same object.
     """
 
     _shown = ("ideals", "center", "bounds")
 
     def __init__(
-        self, ideals: IdealTuple, center: Point, bounds: tuple[Fraction, ...]
+        self, ideals: IdealTuple, center: Point, scaled_bounds: tuple[int, ...]
     ) -> None:
-        self.__dict__.update(ideals=ideals, center=center, bounds=bounds)
+        self.__dict__.update(ideals=ideals, center=center, scaled_bounds=scaled_bounds)
+
+    @_lazy
+    def bounds(self) -> tuple[Fraction, ...]:
+        """k_j + 1 + e_j"""
+        denominator = self.ideals.graph.scaled_canonical[0]
+        return tuple([Fraction(b, denominator) for b in self.scaled_bounds])
 
     @_lazy
     def thresholds(self) -> tuple[Fraction, ...]:
-        return tuple(
-            min(bound / vector[j] for j, bound in enumerate(self.bounds))
-            for vector in self.ideals.ideals
-        )
+        denominator, bounds = self.ideals.graph.scaled_canonical[0], self.scaled_bounds
+        thresholds = []
+        for vector in self.ideals.ideals:
+            low, f = bounds[0], vector[0]
+            for bound, entry in zip(bounds, vector):  # every entry is positive
+                if bound * f < low * entry:
+                    low, f = bound, entry
+            thresholds.append(Fraction(low, denominator * f))
+        return tuple(thresholds)
 
     @_lazy
     def _geometry(self) -> tuple[Polytope, tuple[int, ...]]:
         ideals = self.ideals
-        # row j is constraint j scaled by K's denominator D: (D*F_1[j], ...,
-        # D*F_r[j]; D*k_j + D*(1 + e_j)), integers as in the wall lines
         denominator = ideals.graph.scaled_canonical[0]
         rows = [
-            Halfspace(
-                tuple(denominator * vector[j] for vector in ideals.ideals),
-                (denominator * bound).numerator,
-            )
-            for j, bound in enumerate(self.bounds)
+            Halfspace(tuple([denominator * f for f in column]), bound)
+            for column, bound in zip(zip(*ideals.ideals), self.scaled_bounds)
         ]
         full = intersect_halfspaces(rows)
         for i, threshold in enumerate(self.thresholds):
@@ -476,9 +484,10 @@ class RegionReport(_Frozen):
 def region(ideals: IdealTuple, point: PointLike) -> RegionReport:
     """Open constancy region {z >= 0 : (z.F)_j < k_j + 1 + e_j^c for all j}."""
     evaluation = evaluate_point(ideals, point)
-    bounds = tuple(
-        k + 1 + e for k, e in zip(ideals.graph.canonical, evaluation.divisor)
-    )
+    denominator, scaled_canonical = ideals.graph.scaled_canonical
+    bounds = tuple([
+        k + denominator * (1 + e) for k, e in zip(scaled_canonical, evaluation.divisor)
+    ])
     return RegionReport(ideals, evaluation.point, bounds)
 
 

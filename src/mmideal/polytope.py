@@ -22,17 +22,17 @@ Their vertices come from the double-description step of Motzkin et al.
 * A generator left with W = 0 at the end is a ray of the intersection, so
   the input is unbounded and is refused with ``ValueError``.
 
-Generators are kept in integer homogeneous coordinates (X, W), reduced by
-their gcd, so a cut is integer arithmetic only; they become `Fraction`
-points X / W once, at the end.
+Each row is read through the ``rationals`` helpers: a normal of another
+length than the first row's raises `LengthMismatch`, an entry or bound that
+is no integer `ValidationError`.  Generators are kept in integer homogeneous
+coordinates (X, W), reduced by their gcd, so a cut is integer arithmetic
+only.  The vertices are ordered by the integer keys floor(2^s * X / W), as
+in ``arrangement``, and become `Fraction` points X / W once, at the end.
 
 A row is classified against the resulting polytope, from the incidence
-sets, as
-
-* ``facet`` — its incident vertices affinely span dimension r - 1;
-* ``touch`` — it has incident vertices but they span less;
-* ``slack`` — no vertex lies on it.
-
+sets, as ``facet`` when its incident vertices affinely span dimension
+r - 1, ``touch`` when they span less and ``slack`` when there are none.
+The affine rank is taken fraction-free, on integer rows.
 `Polytope.classification` holds that verdict for every row, computed once;
 `facet_keys` reads it.
 
@@ -53,6 +53,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .errors import _Frozen
+from .rationals import _entries, _integer, _integer_vector, over_common_denominator
 
 Vector = tuple[Fraction, ...]
 
@@ -97,32 +98,24 @@ def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
 
 
 def affine_rank(points: Sequence[Vector]) -> int:
-    """Dimension of the affine hull of a point set (-1 for empty)."""
-    if not points:
-        return -1
-    base = points[0]
-    rows = [
-        [coordinate - base_coordinate for coordinate, base_coordinate in zip(p, base)]
-        for p in points[1:]
-    ]
-    # Gaussian elimination rank over the rationals
-    rank = 0
-    cols = len(base)
-    pivot_col = 0
-    while rows and pivot_col < cols:
-        pivot_row = next((i for i, row in enumerate(rows) if row[pivot_col] != 0), None)
-        if pivot_row is None:
-            pivot_col += 1
+    """Dimension of the affine hull of a set of `int` or `Fraction` points
+    (-1 for empty), fraction-free: one less than the rank of the integer
+    rows (L*p, L), L the lcm of p's denominators, found by Bareiss
+    elimination, where every entry stays a minor of the input and so each
+    division by the previous pivot is exact."""
+    rows = [n + (scale,) for scale, n in map(over_common_denominator, points)]
+    rank, previous = -1, 1
+    while rows:
+        lead = rows.pop()
+        column = next((c for c, entry in enumerate(lead) if entry), None)
+        if column is None:
             continue
-        rows[0], rows[pivot_row] = rows[pivot_row], rows[0]
-        lead = rows[0]
-        for i in range(1, len(rows)):
-            if rows[i][pivot_col] != 0:
-                factor = rows[i][pivot_col] / lead[pivot_col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], lead)]
-        rows = rows[1:]
-        rank += 1
-        pivot_col += 1
+        rank, pivot = rank + 1, lead[column]
+        rows = [
+            [(pivot * a - row[column] * b) // previous for a, b in zip(row, lead)]
+            for row in rows
+        ]
+        previous = pivot
     return rank
 
 
@@ -193,11 +186,21 @@ class Polytope(_Frozen):
 
 def intersect_halfspaces(halfspaces: Sequence[Halfspace]) -> Polytope:
     """Vertices and incidence sets of the orthant cut by the given rows, by
-    incremental clipping of the homogenized orthant."""
-    spaces = tuple(halfspaces)
-    if not spaces:
+    incremental clipping of the homogenized orthant; the vertices in
+    lexicographic order.  Each row is a (normal, bound) pair of integers,
+    every normal as long as the first; empty or unbounded input raises
+    `ValueError`."""
+    halfspaces = tuple(halfspaces)
+    if not halfspaces:
         raise ValueError("no halfspaces given")
-    dimension = len(spaces[0].normal)
+    dimension = len(_entries(halfspaces[0][0], None, "halfspace normal"))
+    spaces = tuple(
+        Halfspace(
+            _integer_vector(normal, dimension, "halfspace normal"),
+            _integer(bound, "halfspace bound"),
+        )
+        for normal, bound in halfspaces
+    )
     # generators (X, W): the origin, then the axis rays; artificial labels
     # -1 for W >= 0 and -2 - i for X_i >= 0
     points = [(0,) * dimension + (1,)] + [
@@ -249,16 +252,14 @@ def intersect_halfspaces(halfspaces: Sequence[Halfspace]) -> Polytope:
 
     if any(point[-1] == 0 for point in points):
         raise ValueError("the intersection is unbounded")
-    pairs = sorted(
-        (
-            tuple(Fraction(x, point[-1]) for x in point[:-1]),
-            frozenset(label for label in labels if label >= 0),
-        )
-        for point, labels in zip(points, tight)
+    # lexicographic order on the keys floor(2^s * X / W): 2^s >= W * W' for
+    # every pair of denominators, so distinct coordinates get distinct keys
+    shift = 2 * max((point[-1] for point in points), default=0).bit_length()
+    order = sorted(
+        zip(points, tight), key=lambda p: [(x << shift) // p[0][-1] for x in p[0][:-1]]
     )
     return Polytope(
         halfspaces=spaces,
-        vertices=tuple(vertex for vertex, _ in pairs),
-        incidence=tuple(labels for _, labels in pairs),
+        vertices=tuple(tuple([Fraction(x, p[-1]) for x in p[:-1]]) for p, _ in order),
+        incidence=tuple(frozenset(i for i in labels if i >= 0) for _, labels in order),
     )
-

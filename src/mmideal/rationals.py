@@ -59,8 +59,8 @@ def over_common_denominator(
 ) -> tuple[int, tuple[int, ...]]:
     """(N, (N*x_1, ...)): N the lcm of the denominators of the `int` or
     `Fraction` entries, so every N*x_i is an integer."""
-    scale = math.lcm(*(x.denominator for x in values))
-    return scale, tuple(x.numerator * (scale // x.denominator) for x in values)
+    scale = math.lcm(*[x.denominator for x in values])
+    return scale, tuple([x.numerator * (scale // x.denominator) for x in values])
 
 
 def _entries(values, length: int | None, what: str) -> tuple:

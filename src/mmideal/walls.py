@@ -59,13 +59,13 @@ from .evaluate import (
     PointEvaluation,
     RegionReport,
     _evaluate_at,
-    evaluate_point,
     mmi_divisor,
     region,
 )
 from .multiplicity import jump_record, multiplicity_checked
 from .polytope import Vector
 from .rationals import _index, _rational_vector, format_point, format_rational
+from .rationals import over_common_denominator
 from .unloading import antinef_closure_checked
 
 
@@ -376,13 +376,14 @@ def _axis_supports(
     ideals: IdealTuple, report: RegionReport
 ) -> tuple[tuple[int, ...], ...]:
     keep = ideals.rupture_or_dicritical
+    denominator = ideals.graph.scaled_canonical[0]
     return tuple(
-        tuple(
+        tuple([
             j
-            for j, bound in enumerate(report.bounds)
-            if keep[j] and threshold * vector[j] == bound
-        )
-        for vector, threshold in zip(ideals.ideals, report.thresholds)
+            for j, (bound, entry) in enumerate(zip(report.scaled_bounds, vector))
+            if keep[j] and t.numerator * entry * denominator == bound * t.denominator
+        ])
+        for vector, t in zip(ideals.ideals, report.thresholds)
     )
 
 
@@ -457,19 +458,17 @@ def _interior_sample(
     ideals: IdealTuple, carriers: Sequence[int], vertices: Sequence[Vector]
 ) -> PointEvaluation:
     """Evaluated relative-interior point of the facet where no foreign gap
-    value is an integer, so the sampled multiplicity belongs to this facet."""
-    count = len(vertices)
+    value is an integer, so the sampled multiplicity belongs to this facet.
+    Each try, a weighted average of the vertices, is built as integer
+    numerators over one denominator and evaluated through the integer entry."""
+    scale, flat = over_common_denominator(tuple(x for v in vertices for x in v))
+    columns = [flat[i :: ideals.r] for i in range(ideals.r)]  # one per axis
     carrier_set = set(carriers)
     for attempt in range(50):
-        weights = [1] * count
-        weights[attempt % count] += attempt
-        total = sum(weights)
-        sample = tuple(
-            sum((w * v[i] for w, v in zip(weights, vertices)), Fraction(0))
-            / total
-            for i in range(ideals.r)
-        )
-        evaluation = evaluate_point(ideals, sample)
+        weights = [1] * len(vertices)
+        weights[attempt % len(vertices)] += attempt
+        numerators = [sum(w * x for w, x in zip(weights, column)) for column in columns]
+        evaluation = _evaluate_at(ideals, numerators, sum(weights) * scale)
         if all(j in carrier_set for j, _ in evaluation.wall_lines):
             return evaluation
     raise NoCleanSample(
@@ -488,15 +487,8 @@ def bijection_report(ideals: IdealTuple) -> BijectionReport:
         carriers = tuple(indices)
         vertices = polytope.incident_vertices(carriers[0])
         sample = _interior_sample(ideals, carriers, vertices)
-        facets.append(
-            LCFacet(
-                key=key,
-                carriers=carriers,
-                vertices=vertices,
-                sample=sample.point,
-                sample_mult=multiplicity_checked(ideals, sample),
-            )
-        )
+        mult = multiplicity_checked(ideals, sample)
+        facets.append(LCFacet(key, carriers, vertices, sample.point, mult))
     report = BijectionReport(
         nest=nest,
         facets=tuple(facets),
@@ -509,10 +501,7 @@ def bijection_report(ideals: IdealTuple) -> BijectionReport:
     canon = ideals.graph.canonical
     for position, lower in enumerate(nest):
         for higher in nest[position + 1 :]:
-            ratios = {
-                Fraction(ideals.ideals[i][higher], ideals.ideals[i][lower])
-                for i in range(ideals.r)
-            }
+            ratios = {Fraction(v[higher], v[lower]) for v in ideals.ideals}
             if len(ratios) != 1:
                 continue
             ratio = ratios.pop()
@@ -536,7 +525,9 @@ def bijection_report(ideals: IdealTuple) -> BijectionReport:
             continue
         for vertex in polytope.incident_vertices(j):
             if any(vertex):
-                mult = multiplicity_checked(ideals, vertex)
+                scale, numerators = over_common_denominator(vertex)
+                point = _evaluate_at(ideals, numerators, scale, vertex)
+                mult = multiplicity_checked(ideals, point)
                 if mult != 1:
                     return report._replace(
                         verdict="MultiplicityHypothesisFails",
