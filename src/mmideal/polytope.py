@@ -34,7 +34,7 @@ sets, as ``facet`` when its incident vertices affinely span dimension
 r - 1, ``touch`` when they span less and ``slack`` when there are none.
 The affine rank is taken fraction-free, on integer rows.
 `Polytope.classification` holds that verdict for every row, computed once;
-`facet_keys` reads it.
+`facet_keys` reads it once, and keeps the map it builds.
 
 Two rows may be *coincident* (equal halfspaces up to positive scaling);
 both then earn the same classification.  Geometric dedup is by the
@@ -176,7 +176,12 @@ class Polytope(_Frozen):
         return tuple(kinds)
 
     def facet_keys(self) -> dict[tuple[Fraction, ...], list[int]]:
-        """Distinct facet-supporting hyperplanes -> indices of carrying constraints."""
+        """Distinct facet-supporting hyperplanes -> indices of carrying
+        constraints, built once: every call returns that dict, unchanged."""
+        return self._facet_keys
+
+    @cached_property
+    def _facet_keys(self) -> dict[tuple[Fraction, ...], list[int]]:
         keys: dict[tuple[Fraction, ...], list[int]] = {}
         for index, kind in enumerate(self.classification):
             if kind == "facet":

@@ -19,20 +19,20 @@ contributes a rational closed form
 
 anchored at its first non-degenerate jumping point a (u = direction), plus
 one explicit monomial per degenerate jumping point seen before the anchor.
-The closed form is checked by expanding it back over the walk that built it.
 
-The walk runs on the base's scaled integers (see ``evaluate``): with N the
+Everything runs on the base's scaled integers (see ``evaluate``): with N the
 lcm of the denominators of K and of the base, v_j(mu) = n exactly when
-mu = (N*n - N*v_j) / (N*q_j).  Every candidate parameter is therefore an
-integer key mu*L over L = lcm_j(N*q_j), and component j's keys step by
-L/q_j.  One heap holds each component's next key with that increment; the
-least is read and advanced in place, the walk stops past the key
-floor(until*L), a key two components share is yielded once, and one
-`Fraction` is built per distinct candidate: no `Fraction` is compared per
-candidate.  Each candidate point is built in integers, over the base's
-denominator times the parameter's, evaluated through the integer entry of
-``evaluate_point`` and given a checked jump record.  The stability
-bound and the degeneracy test read the scaled gap values too.
+mu = (N*n - N*v_j) / (N*q_j), so every candidate parameter is an integer
+key mu*L over L = lcm_j(N*q_j), and component j's keys step by L/q_j.  One
+heap holds each component's next key with that increment; the least is read
+and advanced in place up to the key floor(until*L), and a key two components
+share gives one `Fraction` candidate, whose point is built in integers and
+evaluated through the integer entry of ``evaluate_point``.  The series reads
+each jump back as its key kappa: its class is kappa mod L, its degeneracy
+and the stability bound are read off the base's scaled gap values, and the
+closed form is checked by expanding it back, anchor a to the keys
+kappa_a + k*L, over the walk that built it, with no `Fraction` arithmetic
+per jump.
 """
 
 from __future__ import annotations
@@ -40,27 +40,19 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .dualgraph import IdealTuple
 from .errors import HorizonTooSmall, InternalConsistencyError, ValidationError
 from .evaluate import (
-    Point,
-    _dot_F,
-    _evaluate_at,
-    _integer_direction,
-    _weight_point,
-    evaluate_point,
-    maximal_jumping_divisor,
+    Point, PointEvaluation, _dot_F, _evaluate_at, _integer_direction,
+    _weight_point, evaluate_point, maximal_jumping_divisor,
 )
 from .multiplicity import JumpRecord, jump_record
 from .rationals import (
-    _integer_vector,
-    _rational,
-    _rational_vector,
-    format_rational,
-    over_common_denominator,
+    _integer_vector, _rational, _rational_vector, over_common_denominator,
 )
 
 
@@ -103,20 +95,33 @@ class RayJump(NamedTuple):
         return self.record.mult
 
 
+def _grid(ideals: IdealTuple, ray: Ray) -> tuple[PointEvaluation, tuple, int, int]:
+    """The base's evaluation, the slopes q_j, L = lcm_j(N*q_j) and the
+    stability bound max(0, max_j -v_j/q_j) as its key over L, where each
+    -v_j/q_j * L is the integer -N*v_j * L/(N*q_j)."""
+    base = evaluate_point(ideals, ray.base)
+    slopes, scale = _dot_F(ideals, ray.direction), base.scale
+    common = math.lcm(*[scale * q for q in slopes])
+    gaps = zip(base.scaled_values, slopes)
+    return base, slopes, common, max(0, *[-v * (common // (scale * q)) for v, q in gaps])
+
+
+def _key(parameter: Fraction, common: int) -> int:
+    """mu*L; a parameter off the grid of keys over L is not the walk's."""
+    if common % parameter.denominator:
+        raise InternalConsistencyError(f"parameter {parameter} is off the grid {common}")
+    return parameter.numerator * (common // parameter.denominator)
+
+
 def _candidate_parameters(
     ideals: IdealTuple, ray: Ray, after: Fraction, until: Fraction | None = None
 ) -> Iterator[Fraction]:
     """Strictly increasing parameters mu > after where some v_j is a positive
     integer on the ray, each distinct parameter yielded once; up to `until`
-    inclusive unless that is None.  The candidates are the integer keys
-    mu*L, L = lcm_j(N*q_j) (see the module text): one heap holds each
-    component's next key and its increment L/q_j, the least key is advanced
-    in place by `heapq.heapreplace`, and the walk stops after the key
-    floor(until*L)."""
-    base = evaluate_point(ideals, ray.base)
+    inclusive unless that is None.  A heap of integer keys, as in the
+    module text, advanced in place by `heapq.heapreplace`."""
+    base, slopes, common, _ = _grid(ideals, ray)
     scale = base.scale
-    slopes = _dot_F(ideals, ray.direction)
-    common = math.lcm(*[scale * q for q in slopes])
     numerator, denominator = after.numerator, after.denominator
     heap = []
     for q, v in zip(slopes, base.scaled_values):
@@ -170,9 +175,10 @@ def ray_next(ideals: IdealTuple, ray: Ray, after: Fraction) -> RayJump | None:
 def ray_walk(ideals: IdealTuple, ray: Ray, until: Fraction) -> list[RayJump]:
     """All jumping points with parameter in (0, until], in order.
 
-    The mixed multiplier ideals strictly decrease along the walk: each
-    jump's divisor dominates the previous jump's divisor through the left
-    limit.  Violations are internal errors, never data.
+    The mixed multiplier ideals strictly decrease along the walk, and the
+    divisor stays put from one jump up to the next: each jump's left limit
+    is the previous jump's divisor, so a walk that skips a jump breaks the
+    chain.  Violations are internal errors, never data.
     """
     ray = make_ray(ideals, *_fields(ray))
     candidates = _candidate_parameters(
@@ -181,8 +187,7 @@ def ray_walk(ideals: IdealTuple, ray: Ray, until: Fraction) -> list[RayJump]:
     jumps = list(_jumps(ideals, ray, candidates))
     for previous, jump in zip(jumps, jumps[1:]):
         record, divisor = jump.record, previous.record.divisor
-        chained = all([a <= b for a, b in zip(divisor, record.divisor_left)])
-        if not chained or divisor == record.divisor:
+        if record.divisor_left != divisor or record.divisor == divisor:
             raise InternalConsistencyError(
                 f"divisor chain broken between parameters "
                 f"{previous.parameter} and {jump.parameter}"
@@ -217,14 +222,9 @@ def is_degenerate(ideals: IdealTuple, point: Sequence) -> bool:
 def stability_bound(ideals: IdealTuple, ray: Ray) -> Fraction:
     """Smallest T >= 0 such that every point of the ray past T is
     non-degenerate: beyond T every integral gap value is positive.  It is
-    max(0, max_j -v_j / q_j), compared in integers over the base's N."""
-    ray = make_ray(ideals, *_fields(ray))
-    base = evaluate_point(ideals, ray.base)
-    numerator, denominator = 0, 1
-    for v, q in zip(base.scaled_values, _dot_F(ideals, ray.direction)):
-        if -v * denominator > numerator * q:
-            numerator, denominator = -v, q
-    return Fraction(numerator, denominator * base.scale)
+    max(0, max_j -v_j / q_j), taken in integers as a key over L."""
+    _, _, common, bound = _grid(ideals, make_ray(ideals, *_fields(ray)))
+    return Fraction(bound, common)
 
 
 # ---------------------------------------------------------------------------
@@ -252,57 +252,44 @@ class SeriesClosedForm(NamedTuple):
 
     def render(self) -> str:
         """Canonical text form; exponents are written over the common
-        denominator via z_i = t_i^(1/e) when e > 1."""
+        denominator e via z_i = t_i^(1/e) when e > 1.  A coordinate p/q
+        gives the exponent p*(e // q), refused unless q divides e."""
         e = self.exponent_denominator
-        width = len(self.base)
+        letter = "z" if e > 1 else "t"
 
-        def power(point: Sequence[Fraction]) -> str:
-            letter = "z" if e > 1 else "t"
-            scaled = [Fraction(x) * e for x in point]
-            if any(s.denominator != 1 for s in scaled):
+        def exponents(point: Sequence[Fraction]) -> list[int]:
+            if any(e % x.denominator for x in point):
                 raise InternalConsistencyError(
                     f"exponent {tuple(point)} not integral over denominator {e}"
                 )
-            if width == 1:
-                exponent = scaled[0].numerator
-                return letter if exponent == 1 else f"{letter}^{exponent}"
-            body = ",".join(str(s.numerator) for s in scaled)
-            return f"{letter}^({body})"
+            return [x.numerator * (e // x.denominator) for x in point]
+
+        def power(scaled: Sequence[int]) -> str:
+            if len(self.base) == 1:
+                return letter if scaled[0] == 1 else f"{letter}^{scaled[0]}"
+            return f"{letter}^({','.join(map(str, scaled))})"
 
         def coefficient(value: int, tail: str) -> str:
             return tail if value == 1 else f"{value}*{tail}"
 
-        parts: list[str] = []
-        for _, point, mult in self.monomials:
-            parts.append(coefficient(mult, power(point)))
-        unit = power(self.direction)
+        parts = [coefficient(m, power(exponents(pt))) for _, pt, m in self.monomials]
+        denominator = f"(1 - {power(exponents(self.direction))})"
         for term in self.anchors:
-            denominator = f"(1 - {unit})"
             # m0*t^a/(1-t^u) + s*t^(a+u)/(1-t^u)^2
             #   = (m0*t^a + (s-m0)*t^(a+u)) / (1-t^u)^2
-            shifted = tuple(
-                Fraction(a) + u for a, u in zip(term.point, self.direction)
-            )
+            scaled = exponents(term.point)
+            head = coefficient(term.initial, power(scaled))
             if term.step == term.initial:
-                parts.append(
-                    f"{coefficient(term.initial, power(term.point))}"
-                    f"/{denominator}^2"
-                )
+                parts.append(f"{head}/{denominator}^2")
             elif term.step == 0:
-                parts.append(
-                    f"{coefficient(term.initial, power(term.point))}/{denominator}"
-                )
+                parts.append(f"{head}/{denominator}")
             else:
-                head = coefficient(term.initial, power(term.point))
                 extra = term.step - term.initial
-                sign = "+" if extra > 0 else "-"
+                shifted = [a + u * e for a, u in zip(scaled, self.direction)]
                 tail = coefficient(abs(extra), power(shifted))
+                sign = "+" if extra > 0 else "-"
                 parts.append(f"({head} {sign} {tail})/{denominator}^2")
         return " + ".join(parts) if parts else "0"
-
-
-def _residue(parameter: Fraction) -> Fraction:
-    return parameter - math.floor(parameter)
 
 
 def poincare(
@@ -312,108 +299,145 @@ def poincare(
 
     The walk runs over (0, horizon + 1]; the closed form is expanded back
     over that interval and must list exactly the walk's jumps, so the
-    extra unit interval both verifies the recurrences and proves
-    completeness.  The horizon must reach one unit past the stability bound
-    of the ray, and every residue class must anchor at or before it;
-    otherwise HorizonTooSmall names the smallest horizon that can work.
+    extra unit interval both verifies the recurrences and proves every
+    class complete (the walk's divisor chain covers degenerate monomials).
+    The horizon must reach one unit past the stability bound of the ray,
+    and every residue class must anchor at or before it; otherwise
+    HorizonTooSmall names the smallest horizon that can work.
     """
     ray = make_ray(ideals, *_fields(ray))
     limit = _rational(horizon, "horizon")
-    bound = stability_bound(ideals, ray)
-    if limit < bound + 1:
+    base, slopes, common, bound = _grid(ideals, ray)
+    last = limit.numerator * common // limit.denominator  # floor(horizon*L)
+    if last < bound + common:
         raise HorizonTooSmall(
-            f"horizon {format_rational(limit)} is below the stability bound "
-            f"plus one ({format_rational(bound + 1)}); every class is "
-            f"anchored by {format_rational(bound + 2)}"
+            f"horizon {limit} is below the stability bound plus one "
+            f"({Fraction(bound + common, common)}); every class is anchored "
+            f"by {Fraction(bound + 2 * common, common)}"
         )
-
-    # residue -> (anchor term, support H at the anchor)
-    anchors: dict[Fraction, tuple[AnchorTerm, tuple[bool, ...]]] = {}
+    degenerate = _degeneracy(base, slopes, common)
+    # residue kappa mod L -> (anchor term, support H at the anchor)
+    anchors: dict[int, tuple[AnchorTerm, tuple[bool, ...]]] = {}
     monomials: list[tuple[Fraction, Point, int]] = []
-    jumps = ray_walk(ideals, ray, limit + 1)
-    for jump in jumps:
-        residue = _residue(jump.parameter)
-        if residue in anchors:
-            anchor, support = anchors[residue]
-            if jump.record.maximal != support:
+    walked: list[tuple[int, int]] = []
+    for jump in ray_walk(ideals, ray, limit + 1):
+        key, record = _key(jump.parameter, common), jump.record
+        walked.append((key, record.mult))
+        if key % common in anchors:
+            anchor, support = anchors[key % common]
+            if record.maximal != support:
                 raise InternalConsistencyError(
-                    f"support changed along the class anchored at "
-                    f"{anchor.parameter}"
+                    f"support changed along the class anchored at {anchor.parameter}"
                 )
-            continue
-        if is_degenerate(ideals, jump.point):
-            if jump.parameter > bound:
+        elif degenerate(key):
+            if key > bound:
                 raise InternalConsistencyError(
                     f"degenerate point past the stability bound at "
                     f"parameter {jump.parameter}"
                 )
-            monomials.append((jump.parameter, jump.point, jump.mult))
-            continue
-        if jump.parameter > limit:
+            monomials.append((jump.parameter, record.point, record.mult))
+        elif key > last:
             raise HorizonTooSmall(
-                f"a residue class anchors only at parameter "
-                f"{format_rational(jump.parameter)} past the horizon; "
-                f"rerun with horizon >= {format_rational(bound + 2)}"
+                f"a residue class anchors only at parameter {jump.parameter} past "
+                f"the horizon; rerun with horizon >= {Fraction(bound + 2 * common, common)}"
             )
-        step = _rho(ideals, jump.record.maximal, ray.direction)
-        term = AnchorTerm(jump.parameter, jump.point, jump.mult, step)
-        anchors[residue] = (term, jump.record.maximal)
+        else:
+            step = _rho(ideals, record.maximal, ray.direction)
+            term = AnchorTerm(jump.parameter, record.point, record.mult, step)
+            anchors[key % common] = (term, record.maximal)
 
-    terms = sorted((term for term, _ in anchors.values()), key=lambda t: t.parameter)
+    # the walk is in increasing order, and the check holds the expansion
+    # to it, so anchors and monomials come out sorted
+    terms = tuple([term for term, _ in anchors.values()])
     points = [term.point for term in terms] + [point for _, point, _ in monomials]
+    denominator = math.lcm(*(x.denominator for pt in points for x in pt))
     form = SeriesClosedForm(
-        base=ray.base,
-        direction=ray.direction,
-        horizon=limit,
-        anchors=tuple(terms),
-        monomials=tuple(sorted(monomials)),
-        exponent_denominator=math.lcm(*(x.denominator for pt in points for x in pt)),
+        ray.base, ray.direction, limit, terms, tuple(monomials), denominator
     )
-    walked = [(jump.parameter, jump.point, jump.mult) for jump in jumps]
-    for predicted, found in itertools.zip_longest(
-        series_expand(form, limit + 1), walked
-    ):
-        if predicted != found:
+    placed = [term[:2] for term in form.anchors + form.monomials]
+    keys = [_key(parameter, common) for parameter, _ in placed]
+    predicted = [entry[:2] for entry in _expansion(form, keys, common, last + common)]
+    for pair in itertools.zip_longest(predicted, walked):
+        if pair[0] != pair[1]:
+            said = [
+                f"multiplicity {e[1]} at parameter {Fraction(e[0], common)}"
+                if e else "no further jump" for e in pair
+            ]
             raise InternalConsistencyError(
-                f"closed form predicts {_entry(predicted)} where the walk "
-                f"finds {_entry(found)}"
+                f"closed form predicts {said[0]} where the walk finds {said[1]}"
             )
+    # each point is base + mu*u: B*L*x_i = L*B*b_i + kappa*B*u_i over B*L
+    scale, numerators = over_common_denominator(ray.base)
+    frame = [(common * b, scale * u) for b, u in zip(numerators, ray.direction)]
+    for key, (parameter, point) in zip(keys, placed):
+        if any([
+            x.numerator * scale * common != (b + key * u) * x.denominator
+            for x, (b, u) in zip(point, frame)
+        ]):
+            raise InternalConsistencyError(f"closed form puts {parameter} off the ray")
     return form
 
 
-def _entry(entry: tuple[Fraction, Point, int] | None) -> str:
-    if entry is None:
-        return "no further jump"
-    return f"multiplicity {entry[2]} at parameter {format_rational(entry[0])}"
+def _degeneracy(
+    base: PointEvaluation, slopes: Sequence[int], common: int
+) -> Callable[[int], bool]:
+    """Whether the point at the key kappa = mu*L is degenerate: some
+    N*L*v_j(mu) = L*(N*v_j) + kappa*(N*q_j) is <= 0 and divisible by N*L."""
+    whole, scale = base.scale * common, base.scale
+    gaps = [(common * v, scale * q) for v, q in zip(base.scaled_values, slopes)]
+    return lambda key: any([
+        g <= 0 and g % whole == 0 for g in [v + key * q for v, q in gaps]
+    ])
+
+
+def _expansion(
+    form: SeriesClosedForm, keys: Sequence[int], common: int, stop: int
+) -> list[tuple[int, int, int, int | None]]:
+    """(key, multiplicity, index, offset) of the form's terms up to the key
+    `stop`, sorted, from the anchors' and then the monomials' keys over L:
+    anchor a gives kappa_a + k*L with m0 + k*step at each offset k >= 0, a
+    monomial its positive key.  Nonpositive multiplicities and repeated
+    keys are refused."""
+    singles = enumerate(zip(keys[len(form.anchors):], form.monomials))
+    out = [(kappa, term[2], i, None) for i, (kappa, term) in singles if 0 < kappa <= stop]
+    for index, (term, kappa) in enumerate(zip(form.anchors, keys)):
+        for k in range((stop - kappa) // common + 1):
+            if (mult := term.initial + k * term.step) <= 0:
+                raise InternalConsistencyError(
+                    f"closed form predicts nonpositive multiplicity {mult} "
+                    f"at anchor offset {k}"
+                )
+            out.append((kappa + k * common, mult, index, k))
+    out.sort(key=operator.itemgetter(0))
+    for left, right in zip(out, out[1:]):
+        if left[0] == right[0]:
+            raise InternalConsistencyError(
+                f"closed form lists parameter {Fraction(left[0], common)} twice"
+            )
+    return out
 
 
 def series_expand(
     form: SeriesClosedForm, until: Fraction
 ) -> list[tuple[Fraction, Point, int]]:
     """Expand the closed form back into (parameter, point, multiplicity)
-    triples with parameter in (0, until], sorted by parameter."""
+    triples with parameter in (0, until], sorted by parameter, as keys over
+    the lcm of the parameter denominators.  Anchor p/q with point n/M over
+    its common denominator M gives ((p + k*q)/q, (n + k*M*u)/M) at offset k."""
     limit = _rational(until, "until")
+    parameters = [term[0] for term in form.anchors + form.monomials]
+    common = math.lcm(*[parameter.denominator for parameter in parameters])
+    keys = [_key(parameter, common) for parameter in parameters]
+    stop = limit.numerator * common // limit.denominator  # floor(until*L)
+    frames = [over_common_denominator(term.point) for term in form.anchors]
+    direction = form.direction
     out: list[tuple[Fraction, Point, int]] = []
-    for parameter, point, mult in form.monomials:
-        if 0 < parameter <= limit:
-            out.append((parameter, point, mult))
-    for term in form.anchors:
-        steps = math.floor(limit - term.parameter)
-        for k in range(steps + 1):
-            mult = term.initial + k * term.step
-            if mult <= 0:
-                raise InternalConsistencyError(
-                    f"closed form predicts nonpositive multiplicity {mult} "
-                    f"at anchor offset {k}"
-                )
-            point = tuple(
-                a + k * u for a, u in zip(term.point, form.direction)
-            )
-            out.append((term.parameter + k, point, mult))
-    out.sort(key=lambda entry: entry[0])
-    for left, right in zip(out, out[1:]):
-        if left[0] == right[0]:
-            raise InternalConsistencyError(
-                f"closed form lists parameter {left[0]} twice"
-            )
+    for _, mult, index, k in _expansion(form, keys, common, stop):
+        if k is None:
+            out.append(form.monomials[index])
+            continue
+        p, q = parameters[index].numerator, parameters[index].denominator
+        scale, numerators = frames[index]
+        point = [Fraction(n + k * scale * u, scale) for n, u in zip(numerators, direction)]
+        out.append((Fraction(p + k * q, q), tuple(point), mult))
     return out

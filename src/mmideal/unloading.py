@@ -405,14 +405,13 @@ def antinef_closure_checked(graph: DualGraph, divisor: Sequence[int]) -> tuple[i
     Memoized in the graph's ``closure_cache``, keyed by the clamped divisor
     max(D, 0), which has the same closure: atlases and perturbation sums
     evaluate heavily overlapping floor vectors, and the closure is
-    deterministic.  On a miss the key and L go on as :class:`_Known`
-    tuples, so neither is read again and no product vector is computed
-    twice.
+    deterministic; a divisor with no negative coefficient is its own key.
+    On a miss the key and L go on as :class:`_Known` tuples, so neither is
+    read again and no product vector is computed twice.
     """
-    key = tuple([
-        c if c > 0 else 0
-        for c in _integer_vector(divisor, graph.size, "divisor coefficients")
-    ])
+    key = _integer_vector(divisor, graph.size, "divisor coefficients")
+    if min(key) < 0:
+        key = tuple([c if c > 0 else 0 for c in key])
     cache = graph.closure_cache
     cached = cache.get(key)
     if cached is not None:

@@ -53,6 +53,17 @@ def test_coincident_facet_constraints_share_a_key():
     assert list(keys.values()) == [[0, 1]]
 
 
+def test_facet_keys_are_built_once(monkeypatch):
+    # a bijection report and the region's binding check both read the map
+    polytope = intersect_halfspaces(unit_square() + [row((2, 2), 2), row((3, 3), 3)])
+    calls = []
+    key = Halfspace.key
+    monkeypatch.setattr(Halfspace, "key", lambda self: calls.append(self) or key(self))
+    keys = polytope.facet_keys()
+    assert polytope.facet_keys() is keys
+    assert len(calls) == polytope.classification.count("facet") == sum(map(len, keys.values()))
+
+
 def test_key_divides_in_fractions():
     key = Halfspace((3, 6), 2).key()
     assert key == (1, 2, Fraction(2, 3))
