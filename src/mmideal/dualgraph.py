@@ -76,11 +76,13 @@ class SingularityClass(enum.Enum):
 class DualGraph(_Frozen):
     """Immutable dual graph with its canonical data.
 
-    `closure_cache` maps a divisor to its checked antinef closure and
-    `colength_cache` an antinef divisor to its checked colength (see
-    ``unloading``).  Both are bounded, counted caches under the one bound
-    ``unloading.CLOSURE_CACHE_BOUND``; neither is compared nor shown, so two
-    graphs built from one matrix are equal but share no cached values.
+    Three bounded, counted caches live on the graph, under the one bound
+    ``unloading.CLOSURE_CACHE_BOUND``: `closure_cache` maps a divisor to its
+    checked antinef closure, `colength_cache` an antinef divisor to its
+    checked colength (see ``unloading``), and `record_cache` a point of an
+    ideal tuple on the graph to its certified `JumpRecord` (see
+    ``multiplicity``).  None is compared or shown, so two graphs built from
+    one matrix are equal but share no cached values.
     """
 
     _shown = ("matrix", "canonical", "adjacency")
@@ -97,6 +99,7 @@ class DualGraph(_Frozen):
             adjacency=adjacency,
             closure_cache=BoundedCache(),
             colength_cache=BoundedCache(),
+            record_cache=BoundedCache(),
         )
 
     def __eq__(self, other) -> bool:

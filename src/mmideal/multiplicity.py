@@ -17,8 +17,16 @@ disagreement is an internal-consistency failure, never a rounding question.
 The adjunction form is the sum of v_P + 1 over the connected components P
 of H_c, v_P = (ceil(K - c.F) + H_c).P, as the point's evaluation derives
 them and asserts them >= -1; the jumping criterion (some v_P >= 0) and the
-H-inequality report read the same values.  `multiplicity_checked` alone
-certifies a point: routes equal, m > 0 exactly when D_c != D_left, via-G.
+H-inequality report read the same values.  `multiplicity_checked` and
+`jump_record` alone certify a point: routes equal, m > 0 exactly when
+D_c != D_left, via-G.
+
+A point is certified once per graph.  Both read the graph's
+``record_cache`` (see ``dualgraph``), keyed by the ideal vectors and the
+point's canonical integers (N*c, N); the first call runs every route and
+stores the record only after every check has passed, and a repeat, from an
+atlas facet sample, a perturbation crossing or a ray candidate alike, is
+served that checked record.
 
 The perturbation sum rule splits the multiplicity at a point on several
 walls over the distinct points where a parallel ray, shifted by a small
@@ -41,6 +49,7 @@ from .errors import (
 )
 from .evaluate import (
     Point,
+    PointEvaluation,
     PointLike,
     _adjunction_values,
     _dot_F,
@@ -95,29 +104,9 @@ def multiplicity_oracle(ideals: IdealTuple, point: PointLike) -> int:
 
 def multiplicity_checked(ideals: IdealTuple, point: PointLike) -> int:
     """All always-defined routes asserted equal, m > 0 asserted exactly when
-    D_c != D_left, via-G added at jumping points."""
-    evaluation = evaluate_point(ideals, point)
-    adjunction = multiplicity(ideals, evaluation)
-    if (adjunction > 0) != (evaluation.divisor != evaluation.divisor_left):
-        raise InternalConsistencyError(
-            f"multiplicity {adjunction} inconsistent with divisor jump at "
-            f"{evaluation.point}"
-        )
-    fractional = multiplicity_fractional(ideals, evaluation)
-    oracle = multiplicity_oracle(ideals, evaluation)
-    if not (adjunction == fractional == oracle):
-        raise InternalConsistencyError(
-            f"multiplicity routes disagree at {evaluation.point}: "
-            f"adjunction {adjunction}, fractional {fractional}, oracle {oracle}"
-        )
-    if adjunction > 0:
-        via_G = multiplicity_via_G(ideals, evaluation)
-        if via_G != adjunction:
-            raise InternalConsistencyError(
-                f"minimal-divisor route gives {via_G} != {adjunction} "
-                f"at {evaluation.point}"
-            )
-    return adjunction
+    D_c != D_left, via-G added at jumping points: the `mult` of the point's
+    certified record, which a repeat reads from the graph's cache."""
+    return _certified(ideals, evaluate_point(ideals, point)).mult
 
 
 def is_jumping(ideals: IdealTuple, point: PointLike) -> tuple[bool, list[int] | None]:
@@ -190,21 +179,58 @@ class JumpRecord(NamedTuple):
     wall_lines: tuple[tuple[int, int], ...]
 
 
-def jump_record(ideals: IdealTuple, point: PointLike) -> JumpRecord:
-    """The record of one point: its multiplicity as `multiplicity_checked`
-    certifies it, and the evaluation's divisors and walls; G only at jumping
-    points."""
-    evaluation = evaluate_point(ideals, point)
-    mult = multiplicity_checked(ideals, evaluation)
-    return JumpRecord(
+def _certified(ideals: IdealTuple, evaluation: PointEvaluation) -> JumpRecord:
+    """The point's record, certified at most once per graph.
+
+    Looked up in the graph's ``record_cache`` under the ideal vectors and
+    the evaluation's canonical integers (N*c, N); on a miss every route runs
+    and is compared, and the record is stored only once every check has
+    passed, so a point that raises stores nothing and raises again."""
+    cache = ideals.graph.record_cache
+    key = (ideals.ideals, evaluation.scaled_point, evaluation.scale)
+    cached = cache.get(key)
+    if cached is not None:
+        cache.hits += 1
+        return cached
+    cache.misses += 1
+    adjunction = multiplicity(ideals, evaluation)
+    if (adjunction > 0) != (evaluation.divisor != evaluation.divisor_left):
+        raise InternalConsistencyError(
+            f"multiplicity {adjunction} inconsistent with divisor jump at "
+            f"{evaluation.point}"
+        )
+    fractional = multiplicity_fractional(ideals, evaluation)
+    oracle = multiplicity_oracle(ideals, evaluation)
+    if not (adjunction == fractional == oracle):
+        raise InternalConsistencyError(
+            f"multiplicity routes disagree at {evaluation.point}: "
+            f"adjunction {adjunction}, fractional {fractional}, oracle {oracle}"
+        )
+    if adjunction > 0:
+        via_G = multiplicity_via_G(ideals, evaluation)
+        if via_G != adjunction:
+            raise InternalConsistencyError(
+                f"minimal-divisor route gives {via_G} != {adjunction} "
+                f"at {evaluation.point}"
+            )
+    record = JumpRecord(
         evaluation.point,
         evaluation.divisor,
         evaluation.divisor_left,
         evaluation.maximal,
-        evaluation.minimal if mult > 0 else None,
-        mult,
+        evaluation.minimal if adjunction > 0 else None,
+        adjunction,
         evaluation.wall_lines,
     )
+    cache.store(key, record)
+    return record
+
+
+def jump_record(ideals: IdealTuple, point: PointLike) -> JumpRecord:
+    """The record of one point: its multiplicity as `multiplicity_checked`
+    certifies it, and the evaluation's divisors and walls; G only at jumping
+    points.  A repeat on the graph is served the first certified record."""
+    return _certified(ideals, evaluate_point(ideals, point))
 
 
 # ---------------------------------------------------------------------------

@@ -114,13 +114,18 @@ def _key(parameter: Fraction, common: int) -> int:
 
 
 def _candidate_parameters(
-    ideals: IdealTuple, ray: Ray, after: Fraction, until: Fraction | None = None
+    ideals: IdealTuple,
+    ray: Ray,
+    after: Fraction,
+    until: Fraction | None = None,
+    grid: tuple | None = None,
 ) -> Iterator[Fraction]:
     """Strictly increasing parameters mu > after where some v_j is a positive
     integer on the ray, each distinct parameter yielded once; up to `until`
     inclusive unless that is None.  A heap of integer keys, as in the
-    module text, advanced in place by `heapq.heapreplace`."""
-    base, slopes, common, _ = _grid(ideals, ray)
+    module text, advanced in place by `heapq.heapreplace`.  `grid` is the
+    ray's `_grid` when the caller has read it already."""
+    base, slopes, common, _ = grid or _grid(ideals, ray)
     scale = base.scale
     numerator, denominator = after.numerator, after.denominator
     heap = []
@@ -176,22 +181,26 @@ def ray_walk(ideals: IdealTuple, ray: Ray, until: Fraction) -> list[RayJump]:
     """All jumping points with parameter in (0, until], in order.
 
     The mixed multiplier ideals strictly decrease along the walk, and the
-    divisor stays put from one jump up to the next: each jump's left limit
-    is the previous jump's divisor, so a walk that skips a jump breaks the
-    chain.  Violations are internal errors, never data.
+    divisor stays put from one jump up to the next: the first jump's left
+    limit is the divisor at the base, and each later one's the previous
+    jump's divisor, so a walk that skips a jump, the first included, breaks
+    the chain.  The base's divisor is all the chain reads of the base, never
+    its H.  Violations are internal errors, never data.
     """
     ray = make_ray(ideals, *_fields(ray))
-    candidates = _candidate_parameters(
-        ideals, ray, Fraction(0), _rational(until, "until")
-    )
+    until = _rational(until, "until")
+    grid = _grid(ideals, ray)
+    candidates = _candidate_parameters(ideals, ray, Fraction(0), until, grid)
     jumps = list(_jumps(ideals, ray, candidates))
-    for previous, jump in zip(jumps, jumps[1:]):
-        record, divisor = jump.record, previous.record.divisor
+    parameter, divisor = Fraction(0), grid[0].divisor
+    for jump in jumps:
+        record = jump.record
         if record.divisor_left != divisor or record.divisor == divisor:
             raise InternalConsistencyError(
                 f"divisor chain broken between parameters "
-                f"{previous.parameter} and {jump.parameter}"
+                f"{parameter} and {jump.parameter}"
             )
+        parameter, divisor = jump.parameter, record.divisor
     return jumps
 
 
@@ -303,7 +312,9 @@ def poincare(
     class complete (the walk's divisor chain covers degenerate monomials).
     The horizon must reach one unit past the stability bound of the ray,
     and every residue class must anchor at or before it; otherwise
-    HorizonTooSmall names the smallest horizon that can work.
+    HorizonTooSmall names the smallest horizon that can work.  A class
+    anchored past the horizon is refused only after the walk has passed
+    every check, so a walk fault is always an InternalConsistencyError.
     """
     ray = make_ray(ideals, *_fields(ray))
     limit = _rational(horizon, "horizon")
@@ -320,6 +331,7 @@ def poincare(
     anchors: dict[int, tuple[AnchorTerm, tuple[bool, ...]]] = {}
     monomials: list[tuple[Fraction, Point, int]] = []
     walked: list[tuple[int, int]] = []
+    late = None  # the first anchor past the horizon
     for jump in ray_walk(ideals, ray, limit + 1):
         key, record = _key(jump.parameter, common), jump.record
         walked.append((key, record.mult))
@@ -336,12 +348,9 @@ def poincare(
                     f"parameter {jump.parameter}"
                 )
             monomials.append((jump.parameter, record.point, record.mult))
-        elif key > last:
-            raise HorizonTooSmall(
-                f"a residue class anchors only at parameter {jump.parameter} past "
-                f"the horizon; rerun with horizon >= {Fraction(bound + 2 * common, common)}"
-            )
         else:
+            if key > last and late is None:
+                late = jump.parameter
             step = _rho(ideals, record.maximal, ray.direction)
             term = AnchorTerm(jump.parameter, record.point, record.mult, step)
             anchors[key % common] = (term, record.maximal)
@@ -375,6 +384,11 @@ def poincare(
             for x, (b, u) in zip(point, frame)
         ]):
             raise InternalConsistencyError(f"closed form puts {parameter} off the ray")
+    if late is not None:
+        raise HorizonTooSmall(
+            f"a residue class anchors only at parameter {late} past the horizon; "
+            f"rerun with horizon >= {Fraction(bound + 2 * common, common)}"
+        )
     return form
 
 

@@ -76,14 +76,14 @@ integer (an ``int`` or a ``Fraction`` with denominator 1) per component; a
 float, bool, string or non-integer ``Fraction`` raises ValidationError, a
 wrong length LengthMismatch.
 
-Each graph owns two caches, both a :class:`BoundedCache` of at most
+Each graph owns three caches, each a :class:`BoundedCache` of at most
 ``CLOSURE_CACHE_BOUND`` entries that counts its hits, misses and evictions,
-and both die with their graph.  Checked closures are memoized in
+and all three die with their graph.  Checked closures are memoized in
 ``closure_cache``, keyed by the clamped divisor alone; colengths in
 ``colength_cache``, keyed by the divisor as read, and stored only after
-every check has passed.  Along
-a ray the left divisor at one candidate is the divisor at the one before, so
-most colengths are repeats.
+every check has passed.  Along a ray the left divisor at one candidate is
+the divisor at the one before, so most colengths are repeats.  The third,
+``record_cache``, holds the certified jump records of ``multiplicity``.
 
 All arithmetic is in Python integers: the colength uses D.K = sum of
 d_j (-2 - E_j^2), which holds because M K = b, so K itself is never read.
@@ -100,16 +100,17 @@ from .rationals import _integer_vector
 if TYPE_CHECKING:
     from .dualgraph import DualGraph
 
-# Entries one graph's closure cache keeps; the largest cache a seed-1
+# Entries each of one graph's caches keeps; the largest cache a seed-1
 # benchmark pass fills holds a few hundred, a RAT6 4x4 atlas about 1000.
 CLOSURE_CACHE_BOUND = 4096
 
 
 class BoundedCache(dict):
-    """Checked values keyed by divisor, at most ``CLOSURE_CACHE_BOUND`` of
-    them: storing into a full cache evicts the oldest entry first, and
-    ``evictions`` counts the entries dropped.  ``hits`` and ``misses`` count
-    the lookups, which its two users make inline: one `get`, then one count.
+    """Checked values keyed by divisor or by point, at most
+    ``CLOSURE_CACHE_BOUND`` of them: storing into a full cache evicts the
+    oldest entry first, and ``evictions`` counts the entries dropped.
+    ``hits`` and ``misses`` count the lookups, which its users make inline:
+    one `get`, then one count.
     """
 
     def __init__(self) -> None:
@@ -118,7 +119,7 @@ class BoundedCache(dict):
         self.misses = 0
         self.evictions = 0
 
-    def store(self, key: tuple[int, ...], value) -> None:
+    def store(self, key: tuple, value) -> None:
         while len(self) >= CLOSURE_CACHE_BOUND:
             del self[next(iter(self))]
             self.evictions += 1

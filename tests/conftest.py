@@ -4,9 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from mmideal import build_tuple, cell_decomposition, load_fixture
+from mmideal import attach_ideals, build_graph, build_tuple, cell_decomposition, load_fixture
 
 FIXTURE_NAMES = ("CHAIN10", "NEST14", "PROP16", "RAT6", "SMOOTH1")
+
+
+def cold(ideals):
+    """The same ideals on a newly built graph, every graph cache empty: a
+    test that injects a fault sees each point certified for the first time."""
+    return attach_ideals(build_graph(ideals.graph.matrix), ideals.ideals)
 
 
 def vertex_point(vertex):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import frozen
+from conftest import cold
 from mmideal import (
     PointEvaluation,
     axis_Gprime,
@@ -240,9 +241,12 @@ def test_cli_lct_still_refuses_a_binding_constraint(monkeypatch, capsys):
 
 
 def test_jump_record_evaluates_the_point_once(monkeypatch, rat6):
+    ideals = cold(rat6)
     weighted = _record_calls(monkeypatch, "evaluate", "weighted_F")
     evaluations = _record_calls(monkeypatch, "evaluate", "evaluate_point")
-    jump_record(rat6, frozen.RAT6_CORNER)
+    jump_record(ideals, frozen.RAT6_CORNER)
+    # the point was certified, not served from the graph's record cache
+    assert ideals.graph.record_cache.misses == 1
     assert len(weighted) <= 1
     built = [args for args in evaluations if not isinstance(args[1], PointEvaluation)]
     assert len(built) == 1
@@ -256,10 +260,11 @@ def test_jump_record_finds_G_once(monkeypatch, rat6):
     points += [jump.point for jump in ray_walk(rat6, ray, until=Fraction(1, 2))]
     adjunction = _record_calls(monkeypatch, "multiplicity", "multiplicity")
     criterion = _record_calls(monkeypatch, "multiplicity", "is_jumping")
+    ideals = cold(rat6)
     for point in points:
         adjunction.clear()
         criterion.clear()
-        record = jump_record(rat6, point)
+        record = jump_record(ideals, point)
         assert record.mult > 0 and record.minimal is not None
         assert len(adjunction) <= 2
         assert len(criterion) == 1
@@ -272,7 +277,7 @@ def test_jump_record_reads_H_once(monkeypatch, rat6):
     components = _record_calls(monkeypatch, "evaluate", "_components")
     products = _record_calls(monkeypatch, "unloading", "intersection_products")
     point = (Fraction(1, 4), Fraction(1, 4))
-    record = jump_record(rat6, point)
+    record = jump_record(cold(rat6), point)
     assert record.mult == 3 and record.minimal != record.maximal
     assert len(components) <= 2
     floors = evaluate_point(rat6, point).floors
@@ -285,15 +290,19 @@ def test_jump_record_builds_no_fraction_views(tuples):
     # for the public readers only.  Stands in for counting Fraction
     # constructions, which newer Pythons make without calling __new__.
     for name in ("RAT6", "CHAIN10", "NEST14"):
-        ideals = tuples[name]
-        ray = make_ray(ideals, (0,) * ideals.r, (1,) * ideals.r)
-        jumps = [jump.point for jump in ray_walk(ideals, ray, Fraction(1, 2))]
+        walked = tuples[name]
+        ray = make_ray(walked, (0,) * walked.r, (1,) * walked.r)
+        jumps = [jump.point for jump in ray_walk(walked, ray, Fraction(1, 2))]
         assert jumps
-        for point in jumps + [tuple(Fraction(1, 7 + i) for i in range(ideals.r))]:
+        # certified on a fresh graph, where no record of the walk is cached
+        ideals = cold(walked)
+        points = jumps + [tuple(Fraction(1, 7 + i) for i in range(ideals.r))]
+        for point in points:
             evaluation = evaluate_point(ideals, point)
             jump_record(ideals, evaluation)
             assert "values" not in evaluation.__dict__
             assert "weighted" not in evaluation.__dict__
+        assert ideals.graph.record_cache.misses == len(points)
 
 
 def test_lazy_attributes_run_once_and_stay_frozen(monkeypatch, rat6):
@@ -334,8 +343,9 @@ def test_via_G_runs_the_kernel_only_where_G_differs_from_H(monkeypatch, tuples):
     rng = random.Random(25)
     shapes = set()
     for name in ("RAT6", "CHAIN10"):
-        ideals = tuples[name]
         for _ in range(3):
+            # a fresh graph per ray, so every candidate is certified here
+            ideals = cold(tuples[name])
             base = [Fraction(rng.randint(0, 6), rng.randint(1, 6)) for _ in range(ideals.r)]
             direction = [rng.randint(1, 4) for _ in range(ideals.r)]
             ray = make_ray(ideals, base, direction)
@@ -345,6 +355,7 @@ def test_via_G_runs_the_kernel_only_where_G_differs_from_H(monkeypatch, tuples):
             via_G.clear()
             jumps = ray_walk(ideals, ray, until)
             differing = [j for j in jumps if j.record.minimal != j.record.maximal]
+            assert ideals.graph.record_cache.misses == len(candidates)
             assert len(via_G) == len(jumps)
             assert len(kernel) == len(candidates) + len(differing)
             for jump in jumps:

@@ -7,8 +7,11 @@ from fractions import Fraction
 import pytest
 
 import frozen
+from conftest import cold
 from mmideal import (
     admissible_perturbation,
+    attach_ideals,
+    cell_decomposition,
     check_H_inequalities,
     default_offset,
     evaluate_point,
@@ -22,7 +25,7 @@ from mmideal import (
     multiplicity_via_G,
     perturbation_sum,
 )
-from mmideal import evaluate
+from mmideal import evaluate, unloading
 from mmideal.errors import (
     InequalityViolated,
     InternalConsistencyError,
@@ -153,9 +156,10 @@ def test_every_evaluated_point_asserts_the_H_inequalities(
     monkeypatch, rat6, delta, message
 ):
     _shift_adjoint_products(monkeypatch, delta)
+    ideals = cold(rat6)
     for read in (multiplicity_checked, jump_record, is_jumping, check_H_inequalities):
         with pytest.raises(InequalityViolated, match=message):
-            read(rat6, _TWO_PARTS)
+            read(ideals, _TWO_PARTS)
 
 
 def _without_divisor_jump(ideals, point):
@@ -168,12 +172,14 @@ def _without_divisor_jump(ideals, point):
 def test_multiplicity_checked_asserts_the_divisor_jump(rat6):
     point = (Fraction(1, 4), Fraction(1, 4))
     message = "multiplicity 3 inconsistent with divisor jump"
+    # a refused point stores nothing, so the tuple stays cold at the point
+    ideals = cold(rat6)
     with pytest.raises(InternalConsistencyError, match=message):
-        multiplicity_checked(rat6, _without_divisor_jump(rat6, point))
+        multiplicity_checked(ideals, _without_divisor_jump(ideals, point))
     offset = admissible_perturbation(rat6, point, frozen.RAY_DIR).offset
     with pytest.raises(InternalConsistencyError, match=message):
         perturbation_sum(
-            rat6, _without_divisor_jump(rat6, point), frozen.RAY_DIR, offset
+            ideals, _without_divisor_jump(ideals, point), frozen.RAY_DIR, offset
         )
 
 
@@ -309,4 +315,77 @@ def test_each_route_is_compared(monkeypatch, rat6, route):
         module, route, lambda ideals, point: original(ideals, point) + 1
     )
     with pytest.raises(InternalConsistencyError):
-        jump_record(rat6, frozen.RAT6_CORNER)
+        jump_record(cold(rat6), frozen.RAT6_CORNER)
+
+
+# ---------------------------------------------------------------------------
+# The record cache: each point certified once per graph.
+# ---------------------------------------------------------------------------
+
+
+def test_record_cache_belongs_to_its_graph(rat6, monkeypatch):
+    first, second = cold(rat6), cold(rat6)
+    module = importlib.import_module("mmideal.multiplicity")
+    original, oracle = module.multiplicity_oracle, []
+    monkeypatch.setattr(
+        module,
+        "multiplicity_oracle",
+        lambda ideals, point: oracle.append(point) or original(ideals, point),
+    )
+    point = frozen.RAT6_CORNER
+    record = jump_record(first, point)
+    evaluation = evaluate_point(first, point)
+    key = (rat6.ideals, evaluation.scaled_point, evaluation.scale)
+    assert first.graph.record_cache == {key: record}
+    # a repeat by either entry point is the stored record, no route reruns
+    assert jump_record(first, point) is record
+    assert multiplicity_checked(first, evaluation) == record.mult
+    assert len(oracle) == 1
+    cache = first.graph.record_cache
+    assert (cache.hits, cache.misses, cache.evictions) == (2, 1, 0)
+    assert second.graph.record_cache == {}
+    again = jump_record(second, point)
+    assert again == record and again is not record
+    assert len(oracle) == 2
+    # another tuple on the first graph keys its points by its own ideals
+    swapped = attach_ideals(first.graph, rat6.ideals[::-1])
+    other = jump_record(swapped, point)
+    assert other == jump_record(cold(swapped), point) and other != record
+    assert len(first.graph.record_cache) == 2
+
+
+def test_record_cache_is_bounded_and_counted(rat6, monkeypatch):
+    monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 4)
+    ideals, reference = cold(rat6), cold(rat6)
+    points = [(Fraction(n, 7), Fraction(1, 5)) for n in range(10)]
+    for point in points + points[-3:]:
+        assert jump_record(ideals, point) == jump_record(cold(reference), point)
+        assert len(ideals.graph.record_cache) <= 4
+    cache = ideals.graph.record_cache
+    assert (cache.hits, cache.misses, cache.evictions) == (3, 10, 6)
+    # the oldest entry goes first
+    assert [record.point for record in cache.values()] == points[-4:]
+
+
+def test_a_refused_point_stores_no_record(monkeypatch, rat6):
+    ideals = cold(rat6)
+    _shift_adjoint_products(monkeypatch, (-1, 0, 0, 0, 0, 1))
+    for read in (multiplicity_checked, jump_record):
+        with pytest.raises(InequalityViolated):
+            read(ideals, _TWO_PARTS)
+    cache = ideals.graph.record_cache
+    assert cache == {} and (cache.hits, cache.misses) == (0, 2)
+    monkeypatch.undo()
+    assert jump_record(ideals, _TWO_PARTS) == jump_record(cold(rat6), _TWO_PARTS)
+    assert len(cache) == 1 and (cache.hits, cache.misses) == (0, 3)
+
+
+def test_overlapping_atlases_on_one_graph_equal_fresh_ones(rat6):
+    shared = cold(rat6)
+    for box in ((1, 1), (Fraction(1, 2), Fraction(1, 2))):
+        atlas = cell_decomposition(shared, box)
+        fresh = cell_decomposition(cold(rat6), box)
+        for field in atlas._fields:
+            assert getattr(atlas, field) == getattr(fresh, field), field
+    # the smaller box re-reads facet samples the larger one certified
+    assert shared.graph.record_cache.hits > 0

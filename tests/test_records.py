@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import cold
 from mmideal import (
     admissible_perturbation,
     attach_ideals,
@@ -63,10 +64,11 @@ ROWS = [Halfspace((2, 1), 1), Halfspace((1, 3), 1)]
 VALUE_RECORDS = {
     "Line": lambda rat6: make_line(1, 2, Fraction(3, 4), [(0, 1)]),
     "Arrangement": lambda rat6: _atlas(rat6).arrangement,
-    "IdealTuple": lambda rat6: attach_ideals(build_graph(rat6.graph.matrix), rat6.ideals),
+    "IdealTuple": cold,
     "Fixture": lambda rat6: load_fixture("RAT6")._replace(expected=None),
     "HInequalityReport": lambda rat6: check_H_inequalities(rat6, WALL_POINT),
-    "JumpRecord": lambda rat6: jump_record(rat6, WALL_POINT),
+    # on a fresh tuple each time: a repeat on one graph is the cached record
+    "JumpRecord": lambda rat6: jump_record(cold(rat6), WALL_POINT),
     "PerturbationReport": _perturbation,
     "Halfspace": lambda rat6: Halfspace((1, 2), 3),
     "Ray": lambda rat6: make_ray(rat6, (Fraction(1, 3), 0), (1, 2)),

@@ -177,21 +177,22 @@ def test_horizon_refusals(rat6, monkeypatch):
             if (jump.parameter - first).denominator != 1 or jump.parameter > bound + 2
         ]
 
-    message = _refused(monkeypatch, rat6, ray, late)
+    message = _refused(monkeypatch, rat6, ray, late, HorizonTooSmall)
     assert message.startswith("a residue class anchors only at parameter")
     assert message.endswith(f"horizon >= {bound + 2}")
 
 
-def _refused(monkeypatch, ideals, ray, mutate):
+def _refused(monkeypatch, ideals, ray, mutate, refusal=InternalConsistencyError):
     """poincare on the ray, its walk changed by `mutate` through the module
-    attribute; returns the refusal's message."""
+    attribute; returns the message of the refusal, which must be of the
+    class `refusal`: a broken walk is an internal fault, not a user error."""
     horizon = stability_bound(ideals, ray) + 2
     walk = ray_walk(ideals, ray, horizon + 1)
     monkeypatch.setattr(rays, "ray_walk", lambda *args: mutate(list(walk)))
-    with pytest.raises((InternalConsistencyError, HorizonTooSmall)) as refusal:
+    with pytest.raises(refusal) as raised:
         poincare(ideals, ray, horizon)
     monkeypatch.undo()
-    return str(refusal.value)
+    return str(raised.value)
 
 
 def _raised(jump):
@@ -223,8 +224,10 @@ def test_series_refuses_a_jump_moved_to_the_next_candidate(rat6, monkeypatch):
         return walk
 
     assert _refused(monkeypatch, rat6, ray, mutate).startswith("closed form predicts")
-    # any jump moved is refused, by the closed form or by the class loop
+    # any jump moved is refused as an internal fault, by the closed form or
+    # by the class loop, never as a horizon too small for a class's anchor
     count = len(ray_walk(rat6, ray, stability_bound(rat6, ray) + 3))
+    assert count == 57
     for index in range(count):
         _refused(monkeypatch, rat6, ray, lambda walk, index=index: mutate(walk, index))
 
@@ -268,6 +271,25 @@ def test_series_refuses_a_walk_missing_a_degenerate_monomial(tuples, name, monke
     )
     with pytest.raises(InternalConsistencyError, match="divisor chain broken"):
         poincare(ideals, ray, horizon)
+
+
+def test_walk_refuses_a_walk_missing_its_first_jump(chain10, monkeypatch):
+    # the chain starts at the base's divisor, so dropping the first
+    # candidate, a degenerate jump, leaves the next jump's left limit wrong
+    ray = make_ray(chain10, (0, Fraction(1, 3)), (2, 3))
+    first = ray_walk(chain10, ray, 1)[0]
+    assert first.parameter == Fraction(1, 29) and is_degenerate(chain10, first.point)
+    stream = rays._candidate_parameters
+    monkeypatch.setattr(
+        rays,
+        "_candidate_parameters",
+        lambda *args: (mu for mu in stream(*args) if mu != first.parameter),
+    )
+    message = "divisor chain broken between parameters 0 and 2/29"
+    with pytest.raises(InternalConsistencyError, match=message):
+        ray_walk(chain10, ray, 1)
+    with pytest.raises(InternalConsistencyError, match=message):
+        poincare(chain10, ray, stability_bound(chain10, ray) + 2)
 
 
 # ---------------------------------------------------------------------------
