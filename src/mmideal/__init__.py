@@ -17,6 +17,14 @@ Typical use::
     record = jump_record(ideals, (Fraction(1, 12), Fraction(3, 4)))
     record.mult        # jumping multiplicity at that point
     record.divisor     # the mixed multiplier ideal as an antinef divisor
+
+There is one way in per quantity: a point's divisors, gap values and H_c
+are attributes of `evaluate_point`'s record, and its multiplicity is
+`jump_record` or `multiplicity_checked`, which run every route.  The
+routes and readers behind them (``evaluate.mmi_divisor``,
+``multiplicity.multiplicity_oracle``, ``unloading.antinef_closure`` and the
+like) stay module-level functions that are not exported here, where the
+benchmark's tracer wraps them by module attribute.
 """
 
 from .dualgraph import (
@@ -40,14 +48,8 @@ from .evaluate import (
     RegionReport,
     combined_ideal,
     evaluate_point,
-    gap_values,
-    maximal_jumping_divisor,
-    mmi_divisor,
-    mmi_divisor_left,
     region,
     subtuple,
-    support_components,
-    weighted_F,
 )
 from .fixtures import (
     Fixture,
@@ -58,20 +60,12 @@ from .fixtures import (
     parse_fixture,
 )
 from .multiplicity import (
-    HInequalityReport,
     JumpRecord,
     PerturbationReport,
     admissible_perturbation,
-    check_H_inequalities,
-    default_offset,
-    is_jumping,
     jump_record,
     minimal_jumping_divisor,
-    multiplicity,
     multiplicity_checked,
-    multiplicity_fractional,
-    multiplicity_oracle,
-    multiplicity_via_G,
     perturbation_sum,
 )
 from .rationals import format_point, format_rational, parse_point, parse_rational
@@ -83,35 +77,23 @@ from .rays import (
     is_degenerate,
     make_ray,
     poincare,
-    ray_next,
-    ray_point,
     ray_walk,
     rho,
     series_expand,
     stability_bound,
 )
-from .unloading import (
-    antinef_closure,
-    antinef_closure_checked,
-    antinef_closure_unit,
-    colength,
-    divisor_leq,
-    fundamental_cycle,
-    is_antinef,
-)
+from .unloading import antinef_closure_checked, colength, fundamental_cycle, is_antinef
 from .walls import (
     BijectionReport,
     CFacet,
     LCFacet,
     WallAtlas,
-    axis_Gprime,
     bijection_report,
     cell_decomposition,
     facet_intersection_vertices,
     lc_region,
     lct_axis,
     newton_nest,
-    require_valid_region,
     wall_lines,
 )
 
@@ -123,7 +105,6 @@ __all__ = [
     "CFacet",
     "DualGraph",
     "Fixture",
-    "HInequalityReport",
     "IdealTuple",
     "InternalConsistencyError",
     "JumpRecord",
@@ -140,64 +121,44 @@ __all__ = [
     "ValidationError",
     "WallAtlas",
     "admissible_perturbation",
-    "antinef_closure",
     "antinef_closure_checked",
-    "antinef_closure_unit",
     "attach_ideals",
-    "axis_Gprime",
     "bijection_report",
     "build_graph",
     "build_tuple",
     "bundled_names",
     "cell_decomposition",
-    "check_H_inequalities",
     "colength",
     "combined_ideal",
-    "default_offset",
     "derive_diagonal",
-    "divisor_leq",
     "emit_fixture",
     "evaluate_point",
     "facet_intersection_vertices",
     "format_point",
     "format_rational",
     "fundamental_cycle",
-    "gap_values",
     "graph_from_adjacency",
     "is_antinef",
     "is_degenerate",
-    "is_jumping",
     "jump_record",
     "lc_region",
     "lct_axis",
     "load_fixture",
     "make_ray",
-    "maximal_jumping_divisor",
     "minimal_jumping_divisor",
-    "mmi_divisor",
-    "mmi_divisor_left",
-    "multiplicity",
     "multiplicity_checked",
-    "multiplicity_fractional",
-    "multiplicity_oracle",
-    "multiplicity_via_G",
     "newton_nest",
     "parse_fixture",
     "parse_point",
     "parse_rational",
     "perturbation_sum",
     "poincare",
-    "ray_next",
-    "ray_point",
     "ray_walk",
     "region",
-    "require_valid_region",
     "rho",
     "series_expand",
     "singularity_class",
     "stability_bound",
     "subtuple",
-    "support_components",
     "wall_lines",
-    "weighted_F",
 ]

@@ -34,6 +34,12 @@ clamped floor-difference is asserted whenever H_c is computed.
 All of this is computed once per point: :func:`evaluate_point` returns a
 frozen :class:`PointEvaluation`, and every function here and in
 ``multiplicity`` that takes a point accepts that evaluation in its place.
+The readers `weighted_F`, `gap_values`, `mmi_divisor`, `mmi_divisor_left`
+and `maximal_jumping_divisor` restate its attributes, and
+`support_components` its connected parts.  The package does not export
+them: the benchmark's tracer wraps the five readers by module attribute,
+and `walls`, `rays` and the CLI call `mmi_divisor` and
+`maximal_jumping_divisor`.
 Its lazy attributes come from one small descriptor that stores each value
 in the instance on first read, without the lock `functools.cached_property`
 takes on Python 3.11; a ray walk makes five or six such first reads per
@@ -92,14 +98,14 @@ class _lazy:
     """
 
     def __init__(self, func) -> None:
-        self.func = func  # the name `functools.cached_property` gives it
+        self._func = func
         self.name = func.__name__
         self.__doc__ = func.__doc__
 
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        value = self.func(instance)
+        value = self._func(instance)
         instance.__dict__[self.name] = value
         return value
 

@@ -16,10 +16,13 @@ disagreement is an internal-consistency failure, never a rounding question.
 
 The adjunction form is the sum of v_P + 1 over the connected components P
 of H_c, v_P = (ceil(K - c.F) + H_c).P, as the point's evaluation derives
-them and asserts them >= -1; the jumping criterion (some v_P >= 0) and the
-H-inequality report read the same values.  `multiplicity_checked` and
-`jump_record` alone certify a point: routes equal, m > 0 exactly when
-D_c != D_left, via-G.
+them and asserts them >= -1; the jumping criterion (some v_P >= 0) reads
+the same values.  `multiplicity_checked` and `jump_record` alone certify a
+point: routes equal, m > 0 exactly when D_c != D_left, via-G.  The package
+exports those two; the routes `multiplicity`, `multiplicity_fractional`,
+`multiplicity_oracle` and `multiplicity_via_G`, the criterion `is_jumping`
+and `default_offset` stay here unexported, called by module attribute so
+that the benchmark's tracer can wrap them.
 
 A point is certified once per graph.  Both read the graph's
 ``record_cache`` (see ``dualgraph``), keyed by the ideal vectors and the
@@ -121,24 +124,6 @@ def is_jumping(ideals: IdealTuple, point: PointLike) -> tuple[bool, list[int] | 
         if value >= 0:
             return True, list(part)
     return False, None
-
-
-class HInequalityReport(NamedTuple):
-    """Exact values of the adjunction form against single components and
-    whole connected components of H_c; every value must be >= -1."""
-
-    point: Point
-    support: tuple[bool, ...]
-    per_component: tuple[tuple[int, int], ...]  # (component index, value)
-    per_connected: tuple[tuple[tuple[int, ...], int], ...]
-
-
-def check_H_inequalities(ideals: IdealTuple, point: PointLike) -> HInequalityReport:
-    """The adjunction values of H_c at the point, as the evaluation derived
-    them; reading them asserts the H inequalities (InequalityViolated)."""
-    evaluation = evaluate_point(ideals, point)
-    singles, connected = evaluation.maximal_values
-    return HInequalityReport(evaluation.point, evaluation.maximal, singles, connected)
 
 
 def minimal_jumping_divisor(ideals: IdealTuple, point: PointLike) -> tuple[bool, ...]:

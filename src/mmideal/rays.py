@@ -76,12 +76,6 @@ def _fields(ray: Ray) -> tuple[Point, tuple[int, ...]]:
     return base, _integer_vector(ray.direction, len(base), "ray direction")
 
 
-def ray_point(ray: Ray, parameter: Fraction) -> Point:
-    base, direction = _fields(ray)
-    parameter = _rational(parameter, "ray parameter")
-    return tuple(b + parameter * u for b, u in zip(base, direction))
-
-
 class RayJump(NamedTuple):
     parameter: Fraction
     record: JumpRecord
@@ -164,17 +158,6 @@ def _jumps(
         record = jump_record(ideals, _evaluate_at(ideals, point, scale * d))
         if record.mult > 0:
             yield RayJump(mu, record)
-
-
-def ray_next(ideals: IdealTuple, ray: Ray, after: Fraction) -> RayJump | None:
-    """First jumping point on the ray with parameter strictly beyond
-    `after`, which must be nonnegative: the walk never leaves the orthant."""
-    ray = make_ray(ideals, *_fields(ray))
-    after = _rational(after, "after")
-    if after < 0:
-        raise ValidationError(f"after must be nonnegative, got {after}")
-    candidates = _candidate_parameters(ideals, ray, after)
-    return next(_jumps(ideals, ray, candidates), None)
 
 
 def ray_walk(ideals: IdealTuple, ray: Ray, until: Fraction) -> list[RayJump]:

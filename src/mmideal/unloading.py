@@ -21,7 +21,9 @@ Two implementations of unloading are provided on purpose:
 
 Both must return the same divisor on every input; the test-suite and the
 ``closure`` CLI subcommand verify that exactly.  Called directly, both
-start from the clamped divisor max(D, 0).
+start from the clamped divisor max(D, 0).  The package exports only the
+checked closure below; both loops stay module-level, unexported, so that
+the benchmark's tracer can wrap them.
 
 :func:`antinef_closure_checked` does not make the oracle repeat the climb
 the ceiling loop has just made.  From the ceiling result it unloads
@@ -483,10 +485,3 @@ def colength(graph: DualGraph, divisor: Sequence[int]) -> int:
         )
     cache.store(divisor, value)
     return value
-
-
-def divisor_leq(left: Sequence[int], right: Sequence[int]) -> bool:
-    """Componentwise <= for two integer divisors of one length."""
-    left = _integer_vector(left, None, "left divisor")
-    right = _integer_vector(right, len(left), "right divisor")
-    return all(a <= b for a, b in zip(left, right))

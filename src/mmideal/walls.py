@@ -35,7 +35,9 @@ component, each facet of the clip a facet of the wall.  Its facet count is
 compared against the Newton nest — the rupture-or-dicritical part of the
 smallest subtree spanning every axis contact locus — and the comparison
 verdict explains any failure: a proportional pair in the nest, a wall point
-of multiplicity above one, or a bare count mismatch.
+of multiplicity above one, or a bare count mismatch.  `require_valid_region`,
+which raises where a region's validation pass found a binding component
+that is neither rupture nor dicritical, serves the CLI and stays unexported.
 """
 
 from __future__ import annotations
@@ -391,13 +393,6 @@ def lct_axis(ideals: IdealTuple, axis: int) -> Fraction:
     """Jumping threshold of the single ideal F_axis (0-based axis)."""
     axis = _index(axis, ideals.r, "ideal index")
     return lc_region(ideals).thresholds[axis]
-
-
-def axis_Gprime(ideals: IdealTuple, axis: int) -> tuple[int, ...]:
-    """Rupture-or-dicritical components whose wall passes through the axis
-    threshold point of the given ideal."""
-    axis = _index(axis, ideals.r, "ideal index")
-    return _axis_supports(ideals, lc_region(ideals))[axis]
 
 
 def newton_nest(ideals: IdealTuple) -> tuple[int, ...]:

@@ -15,6 +15,12 @@ def cold(ideals):
     return attach_ideals(build_graph(ideals.graph.matrix), ideals.ideals)
 
 
+def divisor_leq(left, right):
+    """Componentwise <= for two divisors of one length."""
+    assert len(left) == len(right)
+    return all(a <= b for a, b in zip(left, right))
+
+
 def vertex_point(vertex):
     """The `Fraction` point (X/W, Y/W) of an arrangement vertex (X, Y, W)."""
     x, y, w = vertex

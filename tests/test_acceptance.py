@@ -14,36 +14,31 @@ import trees
 from conftest import hyperplane_key
 from mmideal import (
     admissible_perturbation,
-    antinef_closure,
-    antinef_closure_unit,
     bijection_report,
     build_graph,
     build_tuple,
-    check_H_inequalities,
     colength,
     evaluate_point,
     facet_intersection_vertices,
     fundamental_cycle,
-    gap_values,
     graph_from_adjacency,
     is_degenerate,
     lc_region,
     lct_axis,
     load_fixture,
     make_ray,
-    maximal_jumping_divisor,
     minimal_jumping_divisor,
-    multiplicity,
     multiplicity_checked,
-    multiplicity_fractional,
-    multiplicity_oracle,
     poincare,
     ray_walk,
     region,
-    require_valid_region,
     rho,
     series_expand,
 )
+from mmideal.evaluate import gap_values, maximal_jumping_divisor
+from mmideal.multiplicity import multiplicity, multiplicity_fractional, multiplicity_oracle
+from mmideal.unloading import antinef_closure, antinef_closure_unit
+from mmideal.walls import require_valid_region
 
 
 def test_01_relative_canonical_exact(rat6, chain10):
@@ -352,9 +347,9 @@ def test_10_structural_lemmas(tuples, rat6_atlas, chain10_atlas):
             for _ in range(100)
         ]
         for point in samples:
-            report = check_H_inequalities(ideals, point)
-            assert all(value >= -1 for _, value in report.per_component)
-            assert all(value >= -1 for _, value in report.per_connected)
+            singles, connected = evaluate_point(ideals, point).maximal_values
+            assert all(value >= -1 for _, value in singles)
+            assert all(value >= -1 for _, value in connected)
         for point in samples[:25]:
             require_valid_region(region(ideals, point))
 
@@ -362,7 +357,7 @@ def test_10_structural_lemmas(tuples, rat6_atlas, chain10_atlas):
         ideals = tuples[name]
         for facet in atlas.facets:
             for sample in facet.samples:
-                check_H_inequalities(ideals, sample)
+                evaluate_point(ideals, sample).maximal_values
         for vertex in facet_intersection_vertices(atlas):
-            check_H_inequalities(ideals, vertex)
+            evaluate_point(ideals, vertex).maximal_values
             require_valid_region(region(ideals, vertex))

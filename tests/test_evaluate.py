@@ -8,31 +8,31 @@ from fractions import Fraction
 import pytest
 
 import frozen
-from conftest import cold
+from conftest import cold, divisor_leq
 from mmideal import (
     PointEvaluation,
-    axis_Gprime,
     bijection_report,
     combined_ideal,
     evaluate_point,
-    gap_values,
     jump_record,
     lct_axis,
     make_ray,
-    maximal_jumping_divisor,
-    mmi_divisor,
-    mmi_divisor_left,
     newton_nest,
     ray_walk,
     region,
     subtuple,
-    support_components,
-    weighted_F,
 )
 from mmideal import cli, rays, walls
 from mmideal.dualgraph import IdealTuple
 from mmideal.errors import InternalConsistencyError, LengthMismatch, ValidationError
-from mmideal.unloading import divisor_leq
+from mmideal.evaluate import (
+    gap_values,
+    maximal_jumping_divisor,
+    mmi_divisor,
+    mmi_divisor_left,
+    support_components,
+    weighted_F,
+)
 
 
 def test_weighted_and_gap_values(rat6):
@@ -156,7 +156,7 @@ def test_subtuple_and_combined(nest14):
         combined_ideal(nest14, (0, 0, 0))
 
 
-@pytest.mark.parametrize("function", [lct_axis, axis_Gprime, subtuple])
+@pytest.mark.parametrize("function", [lct_axis, subtuple])
 def test_ideal_index_outside_the_tuple_is_refused(rat6, function):
     for index in (-1, rat6.r):
         argument = [index] if function is subtuple else index
@@ -194,7 +194,6 @@ def test_bound_only_callers_build_no_polytope(monkeypatch, nest14):
     built = _record_calls(monkeypatch, "evaluate", "intersect_halfspaces")
     for axis in range(nest14.r):
         lct_axis(nest14, axis)
-        axis_Gprime(nest14, axis)
     newton_nest(nest14)
     assert built == []
 

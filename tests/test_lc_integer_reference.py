@@ -17,17 +17,16 @@ import pytest
 from conftest import FIXTURE_NAMES
 from mmideal import (
     attach_ideals,
-    axis_Gprime,
     bijection_report,
     evaluate_point,
     lc_region,
     lct_axis,
-    mmi_divisor,
     multiplicity_checked,
     region,
 )
 from mmideal import evaluate, walls
 from mmideal.errors import LengthMismatch, NoCleanSample, ValidationError
+from mmideal.evaluate import mmi_divisor
 from mmideal.polytope import Halfspace, affine_rank, intersect_halfspaces
 
 
@@ -144,7 +143,7 @@ def test_axis_supports_match_the_fraction_test(lc_tuples):
         bounds = _reference_bounds(ideals, (0,) * ideals.r)
         expected = _reference_supports(ideals, bounds, _reference_thresholds(ideals, bounds))
         assert walls._axis_supports(ideals, report) == expected, label
-        assert tuple(axis_Gprime(ideals, i) for i in range(ideals.r)) == expected, label
+        assert bijection_report(ideals).axis_supports == expected, label
 
 
 def test_interior_samples_match_the_fraction_averages(lc_tuples):

@@ -1,6 +1,5 @@
 """Multiplicities by several routes, jumping criterion, perturbation sums."""
 
-import importlib
 import random
 from fractions import Fraction
 
@@ -12,25 +11,27 @@ from mmideal import (
     admissible_perturbation,
     attach_ideals,
     cell_decomposition,
-    check_H_inequalities,
-    default_offset,
     evaluate_point,
-    is_jumping,
     jump_record,
     minimal_jumping_divisor,
-    multiplicity,
     multiplicity_checked,
-    multiplicity_fractional,
-    multiplicity_oracle,
-    multiplicity_via_G,
     perturbation_sum,
 )
 from mmideal import evaluate, unloading
+from mmideal import multiplicity as routes
 from mmideal.errors import (
     InequalityViolated,
     InternalConsistencyError,
     NotAJumpingPoint,
     OffsetTooLarge,
+)
+from mmideal.multiplicity import (
+    default_offset,
+    is_jumping,
+    multiplicity,
+    multiplicity_fractional,
+    multiplicity_oracle,
+    multiplicity_via_G,
 )
 
 
@@ -86,15 +87,14 @@ def test_wall_membership_chain10(chain10):
 
 
 def test_h_inequality_single_entry(chain10):
-    report = check_H_inequalities(chain10, frozen.RAY_L_FLAGGED)
-    assert report.per_component == ((4, 0),)
-    assert report.per_connected == (((4,), 0),)
+    singles, connected = evaluate_point(chain10, frozen.RAY_L_FLAGGED).maximal_values
+    assert singles == ((4, 0),)
+    assert connected == (((4,), 0),)
 
 
 def test_h_inequality_empty_when_off_wall(rat6):
-    report = check_H_inequalities(rat6, (Fraction(1, 100), Fraction(1, 100)))
-    assert report.per_component == ()
-    assert report.per_connected == ()
+    evaluation = evaluate_point(rat6, (Fraction(1, 100), Fraction(1, 100)))
+    assert evaluation.maximal_values == ((), ())
 
 
 def test_h_inequalities_on_random_points(tuples):
@@ -105,25 +105,9 @@ def test_h_inequalities_on_random_points(tuples):
                 Fraction(rng.randint(0, 50), rng.randint(1, 25))
                 for _ in range(ideals.r)
             )
-            report = check_H_inequalities(ideals, point)
-            assert all(value >= -1 for _, value in report.per_component)
-            assert all(value >= -1 for _, value in report.per_connected)
-
-
-def test_h_inequality_report_is_the_evaluations_values(tuples):
-    rng = random.Random(29)
-    for ideals in tuples.values():
-        for _ in range(20):
-            point = tuple(
-                Fraction(rng.randint(0, 30), rng.randint(1, 12))
-                for _ in range(ideals.r)
-            )
-            evaluation = evaluate_point(ideals, point)
-            report = check_H_inequalities(ideals, evaluation)
-            assert report.support == evaluation.maximal
-            singles, connected = evaluation.maximal_values
-            assert report.per_component == singles
-            assert report.per_connected == connected
+            singles, connected = evaluate_point(ideals, point).maximal_values
+            assert all(value >= -1 for _, value in singles)
+            assert all(value >= -1 for _, value in connected)
 
 
 # At RAT6 (1/12, 1/12), H has the connected components {E1, E3} and {E6}, of
@@ -157,7 +141,10 @@ def test_every_evaluated_point_asserts_the_H_inequalities(
 ):
     _shift_adjoint_products(monkeypatch, delta)
     ideals = cold(rat6)
-    for read in (multiplicity_checked, jump_record, is_jumping, check_H_inequalities):
+    def maximal_values(ideals, point):
+        return evaluate_point(ideals, point).maximal_values
+
+    for read in (multiplicity_checked, jump_record, is_jumping, maximal_values):
         with pytest.raises(InequalityViolated, match=message):
             read(ideals, _TWO_PARTS)
 
@@ -307,12 +294,9 @@ def test_multiplicity_zero_off_walls(tuples):
     ],
 )
 def test_each_route_is_compared(monkeypatch, rat6, route):
-    # the package re-exports the function `multiplicity`, which shadows the
-    # submodule attribute, so the module is fetched by its full name
-    module = importlib.import_module("mmideal.multiplicity")
-    original = getattr(module, route)
+    original = getattr(routes, route)
     monkeypatch.setattr(
-        module, route, lambda ideals, point: original(ideals, point) + 1
+        routes, route, lambda ideals, point: original(ideals, point) + 1
     )
     with pytest.raises(InternalConsistencyError):
         jump_record(cold(rat6), frozen.RAT6_CORNER)
@@ -325,10 +309,9 @@ def test_each_route_is_compared(monkeypatch, rat6, route):
 
 def test_record_cache_belongs_to_its_graph(rat6, monkeypatch):
     first, second = cold(rat6), cold(rat6)
-    module = importlib.import_module("mmideal.multiplicity")
-    original, oracle = module.multiplicity_oracle, []
+    original, oracle = routes.multiplicity_oracle, []
     monkeypatch.setattr(
-        module,
+        routes,
         "multiplicity_oracle",
         lambda ideals, point: oracle.append(point) or original(ideals, point),
     )

@@ -23,7 +23,6 @@ import pytest
 from conftest import FIXTURE_NAMES, hyperplane_key
 from mmideal import (
     admissible_perturbation,
-    default_offset,
     evaluate_point,
     facet_intersection_vertices,
     multiplicity_checked,
@@ -31,7 +30,7 @@ from mmideal import (
 )
 from mmideal.errors import InternalConsistencyError, OffsetTooLarge, ValidationError
 from mmideal.evaluate import _integer_direction, weighted_F
-from mmideal.multiplicity import PerturbationReport
+from mmideal.multiplicity import PerturbationReport, default_offset
 
 
 def reference_perturbation_sum(ideals, point, ray_dir, offset):

@@ -7,17 +7,14 @@ from fractions import Fraction
 import pytest
 
 import frozen
-from conftest import FIXTURE_NAMES
+from conftest import FIXTURE_NAMES, divisor_leq
 from mmideal import (
     combined_ideal,
-    divisor_leq,
     evaluate_point,
     is_degenerate,
     make_ray,
     perturbation_sum,
     poincare,
-    ray_next,
-    ray_point,
     ray_walk,
     rho,
     series_expand,
@@ -46,7 +43,12 @@ def test_ray_slopes_and_point(rat6):
     slopes = combined_ideal(rat6, ray.direction)
     assert slopes == (18, 8, 18, 10, 3, 2)
     assert all(q > 0 for q in slopes)
-    assert ray_point(ray, Fraction(1, 4)) == (Fraction(1, 4), Fraction(1, 4))
+    # each jump lies on the ray, at base + parameter * direction
+    walk = ray_walk(rat6, ray, Fraction(1, 4))
+    assert [(jump.parameter, jump.point, jump.mult) for jump in walk] == [
+        (Fraction(3, 20), (Fraction(3, 20),) * 2, 1),
+        (Fraction(1, 4), (Fraction(1, 4),) * 2, 3),
+    ]
 
 
 def test_a_ray_walks_any_tuple_with_that_tuples_slopes(rat6, chain10):
@@ -91,22 +93,6 @@ def test_non_integer_directions_are_refused(rat6, nest14):
     with pytest.raises(ValidationError, match="expected integers"):
         combined_ideal(nest14, (Fraction(1, 2), 1, 0))
     assert make_ray(rat6, (0, 0), (Fraction(2), 1)).direction == (2, 1)
-
-
-def test_ray_next_matches_walk(rat6):
-    ray = make_ray(rat6, (0, 0), (1, 1))
-    first = ray_next(rat6, ray, Fraction(0))
-    assert first is not None
-    assert (first.parameter, first.mult) == (Fraction(3, 20), 1)
-    second = ray_next(rat6, ray, first.parameter)
-    assert second is not None and second.parameter == Fraction(1, 4)
-    # chained from each jump of the walk, ray_next finds the walk's next one
-    walk = ray_walk(rat6, ray, Fraction(1, 2))
-    after = Fraction(0)
-    for jump in walk:
-        assert ray_next(rat6, ray, after) == jump
-        after = jump.parameter
-    assert ray_next(rat6, ray, after).parameter > Fraction(1, 2)
 
 
 def _takewhile_candidates(ideals, ray, until):

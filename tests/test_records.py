@@ -16,7 +16,6 @@ from mmideal import (
     bijection_report,
     build_graph,
     cell_decomposition,
-    check_H_inequalities,
     evaluate_point,
     facet_intersection_vertices,
     jump_record,
@@ -66,7 +65,6 @@ VALUE_RECORDS = {
     "Arrangement": lambda rat6: _atlas(rat6).arrangement,
     "IdealTuple": cold,
     "Fixture": lambda rat6: load_fixture("RAT6")._replace(expected=None),
-    "HInequalityReport": lambda rat6: check_H_inequalities(rat6, WALL_POINT),
     # on a fresh tuple each time: a repeat on one graph is the cached record
     "JumpRecord": lambda rat6: jump_record(cold(rat6), WALL_POINT),
     "PerturbationReport": _perturbation,

@@ -23,7 +23,6 @@ from mmideal import (
     is_degenerate,
     make_ray,
     poincare,
-    ray_point,
     ray_walk,
     series_expand,
     stability_bound,
@@ -235,7 +234,7 @@ def test_series_refuses_a_jump_moved_to_the_next_candidate(rat6, monkeypatch):
 def test_series_refuses_a_point_off_the_ray_or_a_parameter_off_the_grid(rat6, monkeypatch):
     ray = make_ray(rat6, (0, 0), (1, 1))
     # the first jump anchors its class: its point is read against the ray
-    elsewhere = ray_point(ray, Fraction(1, 7))
+    elsewhere = (Fraction(1, 7),) * 2
 
     def moved_point(walk):
         walk[0] = rays.RayJump(walk[0].parameter, walk[0].record._replace(point=elsewhere))

@@ -9,31 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frozen
+from conftest import divisor_leq
 from mmideal import (
-    antinef_closure,
     attach_ideals,
     antinef_closure_checked,
-    antinef_closure_unit,
     build_graph,
     build_tuple,
     cell_decomposition,
     colength,
-    divisor_leq,
     fundamental_cycle,
     is_antinef,
     load_fixture,
     make_ray,
     ray_walk,
 )
-from mmideal import unloading
+from mmideal import multiplicity, unloading
 from mmideal.cli import main
 from mmideal.errors import (
     InternalConsistencyError,
-    LengthMismatch,
     NotAntinef,
     ValidationError,
 )
-from mmideal.unloading import intersection_products
+from mmideal.unloading import antinef_closure, antinef_closure_unit, intersection_products
 from trees import random_any_tree_matrix, random_divisor, random_tree_matrix, tree_rows
 
 
@@ -296,8 +293,8 @@ def test_ray_walk_evaluates_each_colength_once(tuples, monkeypatch):
         asked.append(tuple(divisor))
         return honest(graph, divisor)
 
-    # the oracle's binding; ``mmideal.multiplicity`` names a function
-    monkeypatch.setattr(sys.modules["mmideal.multiplicity"], "colength", recorded)
+    # the oracle's binding
+    monkeypatch.setattr(multiplicity, "colength", recorded)
     rng = random.Random(19)
     for name in ("RAT6", "CHAIN10"):
         shared = tuples[name]
@@ -356,17 +353,6 @@ def test_cache_counts_equal_the_calls_at_the_module_bindings(tuples, monkeypatch
             check_counts(ideals, lambda: ray_walk(ideals, ray, Fraction(2)))
     ideals = build_tuple(load_fixture("RAT6"))
     check_counts(ideals, lambda: cell_decomposition(ideals, (Fraction(1), Fraction(1))))
-
-
-def test_divisor_leq():
-    assert divisor_leq((1, 2), (1, 3))
-    assert not divisor_leq((2, 2), (1, 3))
-
-
-def test_divisor_leq_needs_equal_lengths():
-    # zip would compare the first coefficient only and answer True
-    with pytest.raises(LengthMismatch, match="right divisor: expected 3 entries, got 1"):
-        divisor_leq((1, 2, 3), (5,))
 
 
 def test_two_routes_agree_on_random_trees():

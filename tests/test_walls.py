@@ -10,7 +10,14 @@ from types import SimpleNamespace
 import pytest
 
 import frozen
-from conftest import FIXTURE_NAMES, edge_point, face_barycenter, on_line, vertex_points
+from conftest import (
+    FIXTURE_NAMES,
+    divisor_leq,
+    edge_point,
+    face_barycenter,
+    on_line,
+    vertex_points,
+)
 from trees import random_tree_matrix
 from mmideal.arrangement import build_arrangement, merge_lines
 from mmideal.evaluate import _evaluate_at
@@ -19,23 +26,19 @@ from mmideal.svg import decimal_approx, render_atlas_svg
 from mmideal import (
     RegionReport,
     attach_ideals,
-    axis_Gprime,
     bijection_report,
     build_graph,
     build_tuple,
     cell_decomposition,
-    divisor_leq,
     evaluate_point,
     facet_intersection_vertices,
     lc_region,
     lct_axis,
     load_fixture,
     make_ray,
-    mmi_divisor,
     newton_nest,
     ray_walk,
     region,
-    require_valid_region,
     subtuple,
     wall_lines,
 )
@@ -47,6 +50,8 @@ from mmideal.errors import (
     NoCleanSample,
     ValidationError,
 )
+from mmideal.evaluate import mmi_divisor
+from mmideal.walls import require_valid_region
 
 
 def test_wall_lines_have_positive_levels(rat6):
@@ -523,9 +528,11 @@ def test_lct_axes(tuples):
 
 
 def test_axis_Gprime(rat6, chain10, nest14):
-    assert [axis_Gprime(rat6, i) for i in range(2)] == [(3,), (1,)]
-    assert [axis_Gprime(chain10, i) for i in range(2)] == [(9,), (4,)]
-    assert [axis_Gprime(nest14, i) for i in range(3)] == [(4,), (5,), (13,)]
+    # G' of each axis: the rupture-or-dicritical components whose wall passes
+    # through that ideal's threshold point
+    assert bijection_report(rat6).axis_supports == ((3,), (1,))
+    assert bijection_report(chain10).axis_supports == ((9,), (4,))
+    assert bijection_report(nest14).axis_supports == ((4,), (5,), (13,))
 
 
 def test_newton_nests(tuples):
@@ -550,8 +557,9 @@ def test_lc_region_valid(tuples):
 
 def test_lct_routes_must_agree(monkeypatch, capsys, nest14, rat6):
     # the min-ratio route drifts on the second axis; the polytope's vertex on
-    # that axis no longer matches it, in every region build
-    honest = RegionReport.thresholds.func
+    # that axis no longer matches it, in every region build; the honest route
+    # is the class's own descriptor, read for each report
+    honest = RegionReport.thresholds.__get__
 
     def drifted(report):
         values = list(honest(report))
