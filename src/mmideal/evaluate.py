@@ -24,7 +24,10 @@ The rational divisor c.F and the gap values v are `Fraction` views of the
 scaled vectors, built only when read.  Points built in integers (atlas edge
 and face points, ray candidates) enter through the private `_evaluate_at`,
 which :func:`evaluate_point` itself calls on the point it has checked,
-handing that point over to be kept as it is.
+handing that point over to be kept as it is.  `_evaluate_at` computes only
+the point's key (N*c, N); the scaled gap data N*(c.F), N*v and the two floor
+vectors are filled together on first read, so a point whose certified
+record is already cached (see ``multiplicity``) never computes them.
 
 The wall lines through c are the pairs (j, l) with v_j = l a strictly
 positive integer.  The maximal jumping divisor H_c is the reduced divisor
@@ -42,8 +45,8 @@ and `walls`, `rays` and the CLI call `mmi_divisor` and
 `maximal_jumping_divisor`.
 Its lazy attributes come from one small descriptor that stores each value
 in the instance on first read, without the lock `functools.cached_property`
-takes on Python 3.11; a ray walk makes five or six such first reads per
-candidate.
+takes on Python 3.11; a certified ray candidate makes five or six such first
+reads, a served repeat none.
 The evaluation also owns what the multiplicity routes and the jumping
 criterion read off H_c: its wall lines and its adjunction values
 (ceil(K - c.F) + H_c).E_i per component and .P per connected component P,
@@ -141,16 +144,36 @@ def _dot_F(ideals: IdealTuple, vector: Sequence) -> tuple:
     return tuple(total)
 
 
+class _gap:
+    """One of the four gap attributes of a `PointEvaluation`: its first read
+    runs the evaluation's fill, which stores all four in the instance
+    ``__dict__``, where later reads find them without a call."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        instance._fill()
+        return instance.__dict__[self.name]
+
+
 class PointEvaluation(_Frozen):
     """Everything read off one weight point of one ideal tuple.
 
-    The scaled gap data is computed on construction, in integers: `scale` is
-    N, the lcm of the denominators of K and of the point.  `weighted` and
-    `values` are their `Fraction` views.  These views, the wall lines, H,
-    its adjunction values, D_c, D_left and G are computed when first read,
-    at most once: callers that need only gap values never unload, and D_c
-    stays defined where an H assertion fails.  Two evaluations are equal
-    only when they are the same object.
+    Its key is computed on construction, in integers: `scale` is N, the lcm
+    of the denominators of K and of the point, and `scaled_point` is N*c.
+    The scaled gap data, `scaled_weighted`, `scaled_values`, `floors` and
+    `left_floors`, is filled on first read, all four at once, by `_fill`;
+    a fill that raises stores none of them.  `point` is built from
+    (N*c, N) on first read unless the caller handed over the `Fraction`
+    point it checked.  `weighted` and `values` are the `Fraction` views of
+    the gap data.  These views, the wall lines, H, its adjunction values,
+    D_c, D_left and G are computed when first read, at most once: a
+    certified repeat reads only the key, callers that need only gap values
+    never unload, and D_c stays defined where an H assertion fails.  Two
+    evaluations are equal only when they are the same object.
     """
 
     _shown = (
@@ -161,24 +184,47 @@ class PointEvaluation(_Frozen):
     def __init__(
         self,
         ideals: IdealTuple,
-        point: Point,
         scale: int,  # N
         scaled_point: tuple[int, ...],  # N*c
-        scaled_weighted: tuple[int, ...],  # N*(c.F)
-        scaled_values: tuple[int, ...],  # N*v, v = c.F - K
-        floors: tuple[int, ...],
-        left_floors: tuple[int, ...],  # floors of D_{(1-eps)c} before closure
+        point: Point | None,  # c as checked, or None to build it from N*c / N
     ) -> None:
+        self.__dict__.update(ideals=ideals, scale=scale, scaled_point=scaled_point)
+        if point is not None:
+            self.__dict__["point"] = point
+
+    scaled_weighted = _gap()  # N*(c.F)
+    scaled_values = _gap()  # N*v, v = c.F - K
+    floors = _gap()
+    left_floors = _gap()  # floors of D_{(1-eps)c} before closure
+
+    def _fill(self) -> None:
+        """The scaled gap data, computed once and stored together: N*(c.F),
+        N*v, floor(v) and the floors of D_{(1-eps)c}."""
+        if "floors" in self.__dict__:
+            return
+        canonical_denominator, scaled_canonical = self.ideals.graph.scaled_canonical
+        scale = self.scale
+        factor = scale // canonical_denominator
+        scaled_weighted = _dot_F(self.ideals, self.scaled_point)
+        scaled_values, floors, left_floors = [], [], []
+        for w, k in zip(scaled_weighted, scaled_canonical):
+            v = w - k * factor
+            f, rest = divmod(v, scale)
+            scaled_values.append(v)
+            floors.append(f)
+            left_floors.append(f - 1 if w > 0 and not rest else f)
         self.__dict__.update(
-            ideals=ideals,
-            point=point,
-            scale=scale,
-            scaled_point=scaled_point,
             scaled_weighted=scaled_weighted,
-            scaled_values=scaled_values,
-            floors=floors,
-            left_floors=left_floors,
+            scaled_values=tuple(scaled_values),
+            floors=tuple(floors),
+            left_floors=tuple(left_floors),
         )
+
+    @_lazy
+    def point(self) -> Point:
+        """c, from N*c over N."""
+        scale = self.scale
+        return tuple([Fraction(n, scale) for n in self.scaled_point])
 
     @_lazy
     def weighted(self) -> tuple[Fraction, ...]:
@@ -294,33 +340,12 @@ def _evaluate_at(
     over one positive denominator, in any terms), unchecked: the integer
     entry of `evaluate_point`, which checks its point first and passes it
     as `point`, the same point in `Fraction`s; without it the point is
-    built from the numerators."""
-    canonical_denominator, scaled_canonical = ideals.graph.scaled_canonical
+    built from the key when first read.  Only the key (N*c, N) is computed
+    here."""
     reduced = denominator // math.gcd(denominator, *numerators)
-    scale = math.lcm(canonical_denominator, reduced)
-    factor = scale // canonical_denominator
+    scale = math.lcm(ideals.graph.scaled_canonical[0], reduced)
     scaled_point = tuple([n * scale // denominator for n in numerators])
-    scaled_weighted = _dot_F(ideals, scaled_point)
-    scaled_values = tuple([
-        w - k * factor for w, k in zip(scaled_weighted, scaled_canonical)
-    ])
-    floors = tuple([v // scale for v in scaled_values])
-    left_floors = tuple([
-        f - 1 if w > 0 and v % scale == 0 else f
-        for w, v, f in zip(scaled_weighted, scaled_values, floors)
-    ])
-    if point is None:
-        point = tuple([Fraction(n, denominator) for n in numerators])
-    return PointEvaluation(
-        ideals,
-        point,
-        scale,
-        scaled_point,
-        scaled_weighted,
-        scaled_values,
-        floors,
-        left_floors,
-    )
+    return PointEvaluation(ideals, scale, scaled_point, point)
 
 
 def weighted_F(ideals: IdealTuple, point: PointLike) -> tuple[Fraction, ...]:

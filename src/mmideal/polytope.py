@@ -24,15 +24,18 @@ Their vertices come from the double-description step of Motzkin et al.
 
 Each row is read through the ``rationals`` helpers: a normal of another
 length than the first row's raises `LengthMismatch`, an entry or bound that
-is no integer `ValidationError`.  Generators are kept in integer homogeneous
-coordinates (X, W), reduced by their gcd, so a cut is integer arithmetic
-only.  The vertices are ordered by the integer keys floor(2^s * X / W), as
-in ``arrangement``, and become `Fraction` points X / W once, at the end.
+is no integer `ValidationError`; a `Halfspace` of `int`s passes the check
+as it is.  Generators are kept in integer homogeneous coordinates (X, W),
+reduced by their gcd, so a cut is integer arithmetic only.  The vertices
+are ordered by the integer keys floor(2^s * X / W), as in ``arrangement``,
+and the `Polytope` keeps them as those rows; the `Fraction` points X / W
+are built on first read.
 
 A row is classified against the resulting polytope, from the incidence
 sets, as ``facet`` when its incident vertices affinely span dimension
 r - 1, ``touch`` when they span less and ``slack`` when there are none.
-The affine rank is taken fraction-free, on integer rows.
+The affine rank of vertices X / W is one less than the rank of their rows
+(X, W), taken fraction-free on the rows the polytope keeps.
 `Polytope.classification` holds that verdict for every row, computed once;
 `facet_keys` reads it once, and keeps the map it builds.
 
@@ -100,11 +103,15 @@ def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
 def affine_rank(points: Sequence[Vector]) -> int:
     """Dimension of the affine hull of a set of `int` or `Fraction` points
     (-1 for empty), fraction-free: one less than the rank of the integer
-    rows (L*p, L), L the lcm of p's denominators, found by Bareiss
-    elimination, where every entry stays a minor of the input and so each
-    division by the previous pivot is exact."""
-    rows = [n + (scale,) for scale, n in map(over_common_denominator, points)]
-    rank, previous = -1, 1
+    rows (L*p, L), L the lcm of p's denominators."""
+    return _rank([n + (scale,) for scale, n in map(over_common_denominator, points)]) - 1
+
+
+def _rank(rows: list[Sequence[int]]) -> int:
+    """The rank of integer rows, by Bareiss elimination, where every entry
+    stays a minor of the input and so each division by the previous pivot
+    is exact.  The list is consumed."""
+    rank, previous = 0, 1
     while rows:
         lead = rows.pop()
         column = next((c for c, entry in enumerate(lead) if entry), None)
@@ -122,9 +129,12 @@ def affine_rank(points: Sequence[Vector]) -> int:
 class Polytope(_Frozen):
     """A bounded intersection of closed halfspaces with its vertex set.
 
-    ``incidence[n]`` is the set of indices of the halfspaces tight at
-    ``vertices[n]``.  Equality and hash read these three fields, not the
-    cached classification.
+    ``homogeneous[n]`` is vertex n as its integer row (X, W), reduced by
+    its gcd with W > 0, and ``vertices[n]`` its `Fraction` point X / W,
+    built on first read.  ``incidence[n]`` is the set of indices of the
+    halfspaces tight at vertex n.  Equality and hash read the halfspaces,
+    the rows and the incidence sets, not the cached views: a reduced row
+    fixes its vertex, so two polytopes with equal rows have equal vertices.
     """
 
     _shown = ("halfspaces", "vertices", "incidence")
@@ -132,22 +142,28 @@ class Polytope(_Frozen):
     def __init__(
         self,
         halfspaces: tuple[Halfspace, ...],
-        vertices: tuple[Vector, ...],
+        homogeneous: tuple[tuple[int, ...], ...],
         incidence: tuple[frozenset[int], ...],
     ) -> None:
         self.__dict__.update(
-            halfspaces=halfspaces, vertices=vertices, incidence=incidence
+            halfspaces=halfspaces, homogeneous=homogeneous, incidence=incidence
         )
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.halfspaces, self.vertices, self.incidence) == (
-            other.halfspaces, other.vertices, other.incidence
+        return (self.halfspaces, self.homogeneous, self.incidence) == (
+            other.halfspaces, other.homogeneous, other.incidence
         )
 
     def __hash__(self) -> int:
-        return hash((self.halfspaces, self.vertices, self.incidence))
+        return hash((self.halfspaces, self.homogeneous, self.incidence))
+
+    @cached_property
+    def vertices(self) -> tuple[Vector, ...]:
+        return tuple([
+            tuple([Fraction(x, row[-1]) for x in row[:-1]]) for row in self.homogeneous
+        ])
 
     @property
     def dimension(self) -> int:
@@ -161,15 +177,15 @@ class Polytope(_Frozen):
     @cached_property
     def classification(self) -> tuple[str, ...]:
         """'facet', 'touch', or 'slack' for every halfspace, in input order."""
-        incident: list[list[Vector]] = [[] for _ in self.halfspaces]
-        for vertex, tight in zip(self.vertices, self.incidence):
+        incident: list[list[tuple[int, ...]]] = [[] for _ in self.halfspaces]
+        for row, tight in zip(self.homogeneous, self.incidence):
             for index in tight:
-                incident[index].append(vertex)
+                incident[index].append(row)
         kinds = []
-        for points in incident:
-            if not points:
+        for rows in incident:
+            if not rows:
                 kinds.append("slack")
-            elif affine_rank(points) == self.dimension - 1:
+            elif _rank(rows) == self.dimension:  # affine rank r - 1
                 kinds.append("facet")
             else:
                 kinds.append("touch")
@@ -199,13 +215,7 @@ def intersect_halfspaces(halfspaces: Sequence[Halfspace]) -> Polytope:
     if not halfspaces:
         raise ValueError("no halfspaces given")
     dimension = len(_entries(halfspaces[0][0], None, "halfspace normal"))
-    spaces = tuple(
-        Halfspace(
-            _integer_vector(normal, dimension, "halfspace normal"),
-            _integer(bound, "halfspace bound"),
-        )
-        for normal, bound in halfspaces
-    )
+    spaces = tuple(_checked(row, dimension) for row in halfspaces)
     # generators (X, W): the origin, then the axis rays; artificial labels
     # -1 for W >= 0 and -2 - i for X_i >= 0
     points = [(0,) * dimension + (1,)] + [
@@ -265,6 +275,17 @@ def intersect_halfspaces(halfspaces: Sequence[Halfspace]) -> Polytope:
     )
     return Polytope(
         halfspaces=spaces,
-        vertices=tuple(tuple([Fraction(x, p[-1]) for x in p[:-1]]) for p, _ in order),
+        homogeneous=tuple([p for p, _ in order]),
         incidence=tuple(frozenset(i for i in labels if i >= 0) for _, labels in order),
     )
+
+
+def _checked(row, dimension: int) -> Halfspace:
+    """A caller's row as a `Halfspace` of integers; one that is already
+    that is returned as it is."""
+    normal, bound = row
+    checked_normal = _integer_vector(normal, dimension, "halfspace normal")
+    checked_bound = _integer(bound, "halfspace bound")
+    if type(row) is Halfspace and checked_normal is normal and checked_bound is bound:
+        return row
+    return Halfspace(checked_normal, checked_bound)

@@ -22,7 +22,7 @@ from mmideal import (
     region,
     subtuple,
 )
-from mmideal import cli, rays, walls
+from mmideal import cli, evaluate, rays, walls
 from mmideal.dualgraph import IdealTuple
 from mmideal.errors import InternalConsistencyError, LengthMismatch, ValidationError
 from mmideal.evaluate import (
@@ -214,7 +214,8 @@ def test_bijection_report_builds_one_polytope(monkeypatch, nest14):
 
 
 def test_bijection_report_ranks_each_constraint_at_most_once(monkeypatch, nest14):
-    ranked = _record_calls(monkeypatch, "polytope", "affine_rank")
+    # classification ranks the polytope's integer vertex rows (X, W) directly
+    ranked = _record_calls(monkeypatch, "polytope", "_rank")
     reports = []
 
     def recording_lc_region(ideals):
@@ -330,6 +331,22 @@ def test_a_failed_lazy_attribute_stores_nothing(rat6):
             evaluation.maximal
     assert "maximal" not in evaluation.__dict__
     assert evaluation.divisor == frozen.RAT6_FUNDAMENTAL
+
+
+def test_a_failed_gap_fill_stores_nothing(monkeypatch, rat6):
+    # the fill fails after N*(c.F) is computed: none of the four gap
+    # attributes is stored, and a later fill stores all four
+    gaps = ("scaled_weighted", "scaled_values", "floors", "left_floors")
+    evaluation = evaluate._evaluate_at(rat6, (1, 3), 4)
+    monkeypatch.setattr(evaluate, "_dot_F", lambda ideals, vector: (None,) * ideals.size)
+    for name in gaps:
+        with pytest.raises(TypeError):
+            getattr(evaluation, name)
+        assert not set(gaps) & set(vars(evaluation))
+    monkeypatch.undo()
+    fresh = evaluate_point(rat6, (Fraction(1, 4), Fraction(3, 4)))
+    assert [getattr(evaluation, name) for name in gaps] == [getattr(fresh, name) for name in gaps]
+    assert set(gaps) <= set(vars(evaluation))
 
 
 def test_via_G_runs_the_kernel_only_where_G_differs_from_H(monkeypatch, tuples):

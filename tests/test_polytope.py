@@ -64,6 +64,23 @@ def test_facet_keys_are_built_once(monkeypatch):
     assert len(calls) == polytope.classification.count("facet") == sum(map(len, keys.values()))
 
 
+def test_the_polytope_keeps_the_clip_integers():
+    # a Halfspace of ints is kept as it is; any other row becomes one
+    rows = unit_square() + [row((1, 1), 2)]
+    polytope = intersect_halfspaces(rows + [((1, 3), 5), Halfspace((Fraction(2), 1), 7)])
+    assert all(kept is given for kept, given in zip(polytope.halfspaces, rows))
+    assert polytope.halfspaces[3:] == (Halfspace((1, 3), 5), Halfspace((2, 1), 7))
+    assert all(type(x) is int for space in polytope.halfspaces[3:] for x in space.normal)
+    # classification reads the rows (X, W), never the Fraction vertices
+    assert polytope.classification == ("facet", "facet", "touch", "slack", "slack")
+    assert "vertices" not in vars(polytope)
+    for (*X, W), vertex in zip(polytope.homogeneous, polytope.vertices):
+        assert W > 0 and math.gcd(*X, W) == 1
+        assert vertex == tuple(Fraction(x, W) for x in X)
+    again = intersect_halfspaces(rows + [((1, 3), 5), Halfspace((2, 1), 7)])
+    assert again == polytope and hash(again) == hash(polytope)
+
+
 def test_key_divides_in_fractions():
     key = Halfspace((3, 6), 2).key()
     assert key == (1, 2, Fraction(2, 3))

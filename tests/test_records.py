@@ -2,6 +2,7 @@
 cache per instance are plain classes; all of them refuse assignment and
 deletion, and importing the package builds no dataclass."""
 
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cold
+from conftest import FIXTURE_NAMES, cold
 from mmideal import (
     admissible_perturbation,
     attach_ideals,
@@ -27,13 +28,13 @@ from mmideal import (
     stability_bound,
 )
 from mmideal.arrangement import make_line
-from mmideal import evaluate
+from mmideal import evaluate, rationals, rays
 from mmideal.evaluate import _dot_F
 from mmideal.polytope import Halfspace, intersect_halfspaces
 
 SOURCE = Path(__file__).resolve().parents[1] / "src"
 
-# a jumping point of RAT6 on two wall lines (m = 2), and one off every wall
+# a jumping point of RAT6 on one wall line (m = 1), and one off every wall
 WALL_POINT = (Fraction(1, 2), Fraction(1, 2))
 PLAIN_POINT = (Fraction(1, 7), Fraction(1, 5))
 BOX = (Fraction(1), Fraction(1))
@@ -206,7 +207,101 @@ def test_evaluate_point_keeps_the_point_it_checked(monkeypatch, rat6):
     assert evaluation.point == (Fraction(1, 3), Fraction(1))
     assert all(type(x) is Fraction for x in evaluation.point)
     assert evaluation.scaled_point == tuple(evaluation.scale * x for x in evaluation.point)
-    # the integer entry of the rays and the atlas still builds its point
+    # the integer entry of the rays and the atlas builds its point from the
+    # key (N*c, N), and only when the point is first read
     entered = evaluate._evaluate_at(rat6, (2, 6), 6)
-    assert built == [(2, 6), (6, 6)]
+    assert built == []
+    assert "point" not in vars(entered)
     assert entered.point == evaluation.point
+    assert built == [(n, entered.scale) for n in entered.scaled_point]
+    assert entered.point is entered.point and len(built) == 2
+
+
+def _counting_dot_F(monkeypatch):
+    """Count the gap-data fills: each runs `evaluate._dot_F` once."""
+    calls = []
+    honest = evaluate._dot_F
+
+    def counted(ideals, vector):
+        calls.append(vector)
+        return honest(ideals, vector)
+
+    monkeypatch.setattr(evaluate, "_dot_F", counted)
+    return calls
+
+
+def test_a_repeated_walk_is_served_before_any_gap_data(monkeypatch, rat6):
+    ideals = cold(rat6)
+    ray = make_ray(ideals, (Fraction(1, 3), 0), (1, 2))
+    candidates = list(rays._candidate_parameters(ideals, ray, Fraction(0), Fraction(2)))
+    cache = ideals.graph.record_cache
+    fills = _counting_dot_F(monkeypatch)
+    first = list(rays._jumps(ideals, ray, candidates))
+    # every candidate is a miss on the fresh graph, and each miss fills once
+    assert cache.misses == len(fills) == len(candidates) > 0
+    assert cache.hits == 0
+    fills.clear()
+    second = list(rays._jumps(ideals, ray, candidates))
+    # every candidate of the second walk is a hit, served with no fill
+    assert fills == []
+    assert cache.hits == len(candidates) and cache.misses == len(candidates)
+    assert second == first
+    assert all(a.record is b.record for a, b in zip(first, second))
+    # the public walk again: only the base's evaluation is filled
+    walked = ray_walk(ideals, ray, Fraction(2))
+    assert len(fills) == 1 and fills[0] == evaluate_point(ideals, ray.base).scaled_point
+    assert cache.hits == 2 * len(candidates) and cache.misses == len(candidates)
+    assert walked == first
+
+
+def test_a_miss_fills_once_and_a_repeat_not_at_all(monkeypatch, rat6):
+    ideals = cold(rat6)
+    fills = _counting_dot_F(monkeypatch)
+    record = jump_record(ideals, WALL_POINT)
+    assert len(fills) == 1 and record.mult > 0
+    # the same point entered in integers, in other terms, has the same key
+    evaluation = evaluate._evaluate_at(ideals, (5, 5), 10)
+    assert jump_record(ideals, evaluation) is record
+    assert len(fills) == 1
+    assert not {"scaled_weighted", "scaled_values", "floors", "left_floors", "point"} & set(
+        vars(evaluation)
+    )
+    assert ideals.graph.record_cache.hits == 1
+    # an evaluation whose gap data was read already is not filled again
+    read = evaluate_point(ideals, PLAIN_POINT)
+    read.floors
+    jump_record(ideals, read)
+    assert len(fills) == 2 and ideals.graph.record_cache.misses == 2
+
+
+def _random_point(rng, r):
+    """A seeded point with small denominators, off the origin (where RAT6's
+    H support check fails), often on a wall."""
+    while True:
+        point = tuple(
+            Fraction(rng.randint(0, 12), rng.randint(1, 6)) if rng.random() < 0.8 else Fraction(0)
+            for _ in range(r)
+        )
+        if any(point):
+            return point
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_served_records_equal_records_certified_from_scratch(tuples, name):
+    rng = random.Random(f"served:{name}")
+    warm = cold(tuples[name])
+    points = [_random_point(rng, warm.r) for _ in range(30)]
+    certified = [jump_record(warm, point) for point in points]
+    before = warm.graph.record_cache.hits
+    for point, record in zip(points, certified):
+        # served through the integer entry, the point over a larger denominator
+        factor = rng.randint(2, 5)
+        denominator, numerators = rationals.over_common_denominator(point)
+        entered = evaluate._evaluate_at(
+            warm, [n * factor for n in numerators], denominator * factor
+        )
+        served = jump_record(warm, entered)
+        assert served is record
+        assert served == jump_record(cold(warm), point)
+    assert warm.graph.record_cache.hits - before == len(points)
+    assert any(record.mult > 0 for record in certified)
