@@ -9,9 +9,9 @@ From M alone the module computes, eagerly at build time:
 
 * the relative canonical divisor K: the unique rational vector with
   (K + E_j).E_j = -2 for every j, i.e. M K = b with b_j = -2 - M[j][j],
-  by one leaf-first elimination over the tree that also checks definiteness.
-  The elimination runs in integers, each pivot and right-hand side a reduced
-  pair (numerator, denominator); only K's entries become `Fraction`s.  The
+  by ``unloading``'s leaf-first tree elimination, which also checks
+  definiteness.  It keeps every pivot as a ratio of two integer minors and
+  returns det(-M) K in integers; only K's entries become `Fraction`s.  The
   adjunction check then reads K over its common denominator D, so
   `scaled_canonical` = (D, D*K) is filled at build time;
 * the fundamental cycle Z: the smallest nonzero antinef divisor, which must
@@ -32,7 +32,6 @@ numbering is converted, and their errors name a pair as the caller gave it.
 from __future__ import annotations
 
 import enum
-import math
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, NoReturn, Sequence
@@ -57,6 +56,7 @@ from .rationals import (
 )
 from .unloading import (
     BoundedCache,
+    _tree_solve,
     fundamental_cycle,
     intersection_products,
     is_antinef,
@@ -83,6 +83,11 @@ class DualGraph(_Frozen):
     ideal tuple on the graph to its certified `JumpRecord` (see
     ``multiplicity``).  None is compared or shown, so two graphs built from
     one matrix are equal but share no cached values.
+
+    `build_graph` also stores `_edge_kernel`: (E_1^2, ..., E_s^2) and the
+    tree's edges (parent, child) in the breadth-first order from E1 that
+    validation walked, each edge once; every intersection product and every
+    tree solve in ``unloading`` reads it.
     """
 
     _shown = ("matrix", "canonical", "adjacency")
@@ -115,19 +120,6 @@ class DualGraph(_Frozen):
     @property
     def size(self) -> int:
         return len(self.matrix)
-
-    @cached_property
-    def _edge_kernel(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """(E_1^2, ..., E_s^2) and the tree's edges (a, b), a < b: what
-        ``unloading.intersection_products`` reads."""
-        diagonal = tuple(row[j] for j, row in enumerate(self.matrix))
-        edges = tuple(
-            (a, b)
-            for a, neighbors in enumerate(self.adjacency)
-            for b in neighbors
-            if a < b
-        )
-        return diagonal, edges
 
     @cached_property
     def fundamental(self) -> tuple[int, ...]:
@@ -201,8 +193,9 @@ def _refuse_first_violation(matrix: Matrix) -> NoReturn:
 
 def _validate_matrix(
     matrix: Matrix,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
-    """Full admissibility check; returns the adjacency lists and K.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...], tuple]:
+    """Full admissibility check; returns the adjacency lists, K and the
+    graph's `_edge_kernel`.
 
     Checks run in a fixed order: symmetry, off-diagonal entries, diagonal
     entries, connectivity, tree shape, then negative definiteness.  The
@@ -229,54 +222,24 @@ def _validate_matrix(
             neighbors.append(j)
         adjacency.append(tuple(neighbors))
     edge_count = sum(len(neighbors) for neighbors in adjacency) // 2
-    # breadth-first from E1: every vertex is listed after its parent
-    parent = {0: 0}
+    # breadth-first from E1: each edge (parent, child), the child reached first
+    edges = []
     order = [0]
+    seen = [True] + [False] * (size - 1)
     for current in order:
         for neighbor in adjacency[current]:
-            if neighbor not in parent:
-                parent[neighbor] = current
+            if not seen[neighbor]:
+                seen[neighbor] = True
+                edges.append((current, neighbor))
                 order.append(neighbor)
     if len(order) != size:
         raise Disconnected(f"dual graph has {size - len(order)} unreachable components")
     if edge_count != size - 1:
         raise NotTree(f"connected graph with {edge_count} edges on {size} vertices")
-    # Solve M K = b, b_j = -2 - E_j^2, leaf first: folding each child c into
-    # its parent p (pivot_p -= 1/pivot_c, rhs_p -= rhs_c/pivot_c) is Gaussian
-    # elimination in reversed order, whose pivots are ratios of consecutive
-    # leading principal minors.  By Sylvester's criterion M is negative
-    # definite exactly when every pivot is negative.  Every pivot, right-hand
-    # side and k_j is held in integers, as a pair (numerator, denominator > 0)
-    # in lowest terms.
-    pivot = [(row[j], 1) for j, row in enumerate(matrix)]
-    rhs = [(-2 - row[j], 1) for j, row in enumerate(matrix)]
-    for vertex in reversed(order):
-        n, d = pivot[vertex]
-        if n >= 0:
-            raise NotNegativeDefinite(
-                f"elimination pivot of E{vertex + 1} is {Fraction(n, d)} (must be < 0)"
-            )
-        if vertex:
-            up = parent[vertex]
-            # 1/pivot_c = d/n: p/q - d/n and r/s - (a/b)(d/n), over the
-            # positive denominators -q*n and -s*b*n
-            p, q = pivot[up]
-            numerator, denominator = d * q - p * n, -q * n
-            g = math.gcd(numerator, denominator)
-            pivot[up] = numerator // g, denominator // g
-            (r, s), (a, b) = rhs[up], rhs[vertex]
-            numerator, denominator = a * d * s - r * b * n, -s * b * n
-            g = math.gcd(numerator, denominator)
-            rhs[up] = numerator // g, denominator // g
-    canonical = [(0, 1)] * size
-    for vertex in order:
-        # k_v = (r/s - k/m) / (n/d), k/m that of the parent (0 above the root)
-        (r, s), (n, d) = rhs[vertex], pivot[vertex]
-        k, m = canonical[parent[vertex]] if vertex else (0, 1)
-        numerator, denominator = (k * s - r * m) * d, -s * m * n
-        g = math.gcd(numerator, denominator)
-        canonical[vertex] = numerator // g, denominator // g
-    return tuple(adjacency), tuple(Fraction(k, m) for k, m in canonical)
+    # M K = b, b_j = -2 - E_j^2, is (-M) K = 2 + E_j^2 on every component
+    kernel = tuple([row[j] for j, row in enumerate(matrix)]), tuple(edges)
+    scaled, scale = _tree_solve(kernel, [True] * size, [2 + square for square in kernel[0]])
+    return tuple(adjacency), tuple([Fraction(k, scale[0]) for k in scaled]), kernel
 
 
 def build_graph(rows) -> DualGraph:
@@ -288,8 +251,9 @@ def build_graph(rows) -> DualGraph:
     matrix = tuple(
         _integer_vector(row, len(rows), "intersection matrix row") for row in rows
     )
-    adjacency, canonical = _validate_matrix(matrix)
+    adjacency, canonical, kernel = _validate_matrix(matrix)
     graph = DualGraph(matrix=matrix, canonical=canonical, adjacency=adjacency)
+    graph.__dict__["_edge_kernel"] = kernel
     denominator, scaled = graph.scaled_canonical
     for j, product in enumerate(intersection_products(graph, scaled)):
         # D (K + E_j).E_j = (D K).E_j + D E_j^2

@@ -110,25 +110,21 @@ def _key(parameter: Fraction, common: int) -> int:
 def _candidate_parameters(
     ideals: IdealTuple,
     ray: Ray,
-    after: Fraction,
     until: Fraction | None = None,
     grid: tuple | None = None,
 ) -> Iterator[Fraction]:
-    """Strictly increasing parameters mu > after where some v_j is a positive
+    """Strictly increasing parameters mu > 0 where some v_j is a positive
     integer on the ray, each distinct parameter yielded once; up to `until`
     inclusive unless that is None.  A heap of integer keys, as in the
     module text, advanced in place by `heapq.heapreplace`.  `grid` is the
     ray's `_grid` when the caller has read it already."""
     base, slopes, common, _ = grid or _grid(ideals, ray)
     scale = base.scale
-    numerator, denominator = after.numerator, after.denominator
     heap = []
     for q, v in zip(slopes, base.scaled_values):
-        # the first level n above v_j(after) = after*q + v/N, at the key
+        # the first level n above v_j(0) = v/N, at the key
         # (n*N - N*v_j) * L/(N*q_j); each further level adds L/q_j
-        first = max(
-            1, (numerator * q * scale + v * denominator) // (denominator * scale) + 1
-        )
+        first = max(1, v // scale + 1)
         step = common // (scale * q)
         heap.append(((first * scale - v) * step, scale * step))
     heapq.heapify(heap)
@@ -173,7 +169,7 @@ def ray_walk(ideals: IdealTuple, ray: Ray, until: Fraction) -> list[RayJump]:
     ray = make_ray(ideals, *_fields(ray))
     until = _rational(until, "until")
     grid = _grid(ideals, ray)
-    candidates = _candidate_parameters(ideals, ray, Fraction(0), until, grid)
+    candidates = _candidate_parameters(ideals, ray, until, grid)
     jumps = list(_jumps(ideals, ray, candidates))
     parameter, divisor = Fraction(0), grid[0].divisor
     for jump in jumps:

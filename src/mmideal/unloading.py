@@ -51,22 +51,16 @@ intersection form.
 
 Index-order sweeps behave like Gauss-Seidel and crawl on long chains at
 large coefficients, so a call of the ceiling loop still firing after s
-sweeps (s = graph.size), at a divisor D, proposes a new start: the
-componentwise ceiling of the least rational x >= D with x.E_j <= 0 for
-every j.  That x is the least element of a Z-matrix polyhedron (Cottle and
-Veinott again), and Chandrasekaran's method (Opsearch 7, 1970) finds it in
-at most s rounds: each round frees the components where x.E_j > 0 and
-solves x.E_j = 0 on the free ones, holding the others at D, by one
-leaf-first elimination over the free forest that keeps every pivot as a
-ratio of two integer minors, so no fraction is formed.  The closure C of D
-lies in that polyhedron, so x <= C and, C being integral, ceil(x) <= C.
-The loop does not rely on it: it lifts the proposal to max(proposal, D),
-descends from there with the oracle's descent to the greatest L >= D
-certified as in the lemma (D in place of key), checks that certificate on
-its own, and sweeps on from L.  By the lemma D <= L <= C, so every later
-ceiling step is forced and the loop still ends at C: a wrong proposal can
-cost sweeps, never a closure.  A call that settles within s sweeps runs no
-proposal.
+sweeps (s = graph.size), at a divisor D, proposes a new start: the least
+rational x >= D with x.E_j <= 0 for every j, the least element of a
+Z-matrix polyhedron (Cottle and Veinott again), which Chandrasekaran's
+method (Opsearch 7, 1970) finds in at most s rounds of one tree solve each.
+The same solver, in integer minors, gives K at build time.  The loop checks
+the lemma for x itself, in integers (D in place of key; the proof holds for
+rational vectors), and sweeps on from ceil(x), or from D if x fails: by the
+lemma x <= C for the closure C of D, and ceil(x) <= C because C is integral,
+so every later step is forced and a wrong proposal costs sweeps, never a
+closure.  A call that settles within s sweeps runs no proposal.
 
 On a checked closure's miss each divisor is read once and each product
 vector computed once: the key and the oracle's start go to the two closures
@@ -94,9 +88,10 @@ d_j (-2 - E_j^2), which holds because M K = b, so K itself is never read.
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import InternalConsistencyError, NonIntegralTotal, NotAntinef
+from .errors import InternalConsistencyError, NonIntegralTotal, NotAntinef, NotNegativeDefinite
 from .rationals import _integer_vector
 
 if TYPE_CHECKING:
@@ -192,11 +187,9 @@ def _unload(graph: DualGraph, start: list[int]) -> tuple[int, ...]:
     fires nothing.  Every step is forced: if D <= C for an antinef C, the
     step keeps D <= C.  So the loop ends, at the closure of its start.
 
-    If the s-th sweep (s = graph.size) still fires, the loop moves once to
-    the certified start L of the module docstring: :func:`_proposal` of the
-    divisor D reached, lifted to at least D, then :func:`_descend` and
-    :func:`_check_start` with D as key.  D <= L <= closure(D), so the steps
-    after it are forced too.
+    If the s-th sweep (s = graph.size) still fires, at a divisor D, the loop
+    takes :func:`_proposal` of D once and sweeps on from its ceiling when
+    :func:`_certified` puts it between D and the closure, else from D.
     """
     diagonal = graph._edge_kernel[0]
     adjacency = graph.adjacency
@@ -219,82 +212,100 @@ def _unload(graph: DualGraph, start: list[int]) -> tuple[int, ...]:
         sweeps -= 1
         if fired and not sweeps:
             floor = tuple(divisor)
-            top = [p if p > d else d for p, d in zip(_proposal(graph, floor), floor)]
-            divisor = list(_descend(graph, floor, top))
-            products = list(_check_start(graph, floor, divisor))
+            scaled, scale = _proposal(graph, floor)
+            if _certified(graph, floor, scaled, scale):
+                divisor = [-(-y // delta) for y, delta in zip(scaled, scale)]
+                products = list(intersection_products(graph, divisor))
     return tuple(divisor)
 
 
-def _proposal(graph: DualGraph, floor: Sequence[int]) -> list[int]:
-    """Componentwise ceiling of the least rational x >= *floor* with
-    x.E_j <= 0 for every j, by Chandrasekaran's rounds.
+def _tree_solve(kernel: tuple, free: list[bool], rhs: list[int]) -> tuple[list[int], list[int]]:
+    """(delta x, delta) componentwise for the x with (A x)_j = rhs_j at every
+    free j, A = -M; off the mask x_l = rhs_l over 1, which the caller has
+    also moved into its neighbours' rhs.  *rhs* is overwritten.
 
-    With A = -M, a round solves (A x)_j = 0 on the free components j,
-    x_l = floor_l on the others, leaf first over the free forest in the
-    tree's breadth-first order.  Folding a child c into its parent p keeps
-    the pivot det_p / minor_p and the right-hand side rhs_p / minor_p in
-    integers: det is the determinant of A on the vertices folded into p so
-    far, minor the same without p, and the expansion along the edge gives
-    det_p det_c - minor_p minor_c.  A free root r fixes delta = det_r for
-    its tree, and delta x_v is an integer by Cramer's rule, which the way
-    back computes by exact division.  So no fraction is ever formed.
+    Leaf first over the edges (parent, child) of ``DualGraph._edge_kernel``,
+    folding a free child c into a free parent p keeps p's pivot as
+    det_p / minor_p: the determinants of A on the vertices folded into p so
+    far, with and without p, so the expansion along the edge makes det_p
+    det_c - minor_p minor_c the new det_p.  A pivot det <= 0, the first leaf
+    first, raises NotNegativeDefinite (Sylvester).  A free root fixes
+    delta = det for its tree, and delta x_v is an integer by Cramer's rule,
+    which the way back computes by exact division.
     """
-    diagonal = graph._edge_kernel[0]
+    diagonal, edges = kernel
+    det = [-square for square in diagonal]
+    minor = [1] * len(det)
+    for up, vertex in [*reversed(edges), (None, 0)]:
+        if free[vertex]:
+            d = det[vertex]
+            if d <= 0:
+                pivot = Fraction(-d, minor[vertex])
+                raise NotNegativeDefinite(
+                    f"elimination pivot of E{vertex + 1} is {pivot} (must be < 0)"
+                )
+            if up is not None and free[up]:
+                m = minor[up]
+                det[up], minor[up], rhs[up] = (
+                    det[up] * d - m * minor[vertex], m * d, rhs[up] * d + rhs[vertex] * m
+                )
+    scale = [1] * len(det)
+    for up, vertex in [(None, 0), *edges]:
+        if free[vertex]:
+            if up is not None and free[up]:
+                delta = scale[vertex] = scale[up]
+                rhs[vertex] = (rhs[vertex] * delta + rhs[up] * minor[vertex]) // det[vertex]
+            else:
+                scale[vertex] = det[vertex]
+    return rhs, scale
+
+
+def _numerator(graph: DualGraph, j: int, scaled: list[int], scale: list[int]) -> int:
+    """The numerator of x.E_j over a positive denominator, so of its sign,
+    for x_l = scaled_l / scale_l with every scale_l > 0."""
+    numerator, denominator = graph._edge_kernel[0][j] * scaled[j], scale[j]
+    for l in graph.adjacency[j]:
+        numerator = numerator * scale[l] + scaled[l] * denominator
+        denominator *= scale[l]
+    return numerator
+
+
+def _proposal(graph: DualGraph, floor: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(delta x, delta) for the least rational x >= *floor* with x.E_j <= 0
+    for every j, by Chandrasekaran's rounds: each frees the components where
+    x.E_j > 0 and solves x.E_j = 0 on the free ones, x_l = floor_l on the
+    others, by :func:`_tree_solve`."""
     adjacency = graph.adjacency
-    size = len(diagonal)
-    # breadth-first from E1: every vertex after its parent
-    parent = [-1] * size
-    order = [0]
-    for vertex in order:
-        for neighbor in adjacency[vertex]:
-            if neighbor != parent[vertex]:
-                parent[neighbor] = vertex
-                order.append(neighbor)
     free = [product > 0 for product in intersection_products(graph, floor)]
     while True:
-        det = [-square for square in diagonal]
-        minor = [1] * size
         rhs = [
-            sum([floor[l] for l in neighbors if not free[l]]) if free[j] else 0
+            sum([floor[l] for l in neighbors if not free[l]]) if free[j] else floor[j]
             for j, neighbors in enumerate(adjacency)
         ]
-        for vertex in reversed(order):
-            up = parent[vertex]
-            if free[vertex] and up >= 0 and free[up]:
-                d, m, b = det[vertex], minor[vertex], rhs[vertex]
-                det[up], minor[up], rhs[up] = (
-                    det[up] * d - minor[up] * m, minor[up] * d, rhs[up] * d + b * minor[up]
-                )
-        # delta x_v and delta, with x_l = floor_l over 1 off the free set
-        scaled, scale = list(floor), [1] * size
-        for vertex in order:
-            if free[vertex]:
-                up = parent[vertex]
-                if up >= 0 and free[up]:
-                    delta = scale[vertex] = scale[up]
-                    scaled[vertex] = (
-                        rhs[vertex] * delta + scaled[up] * minor[vertex]
-                    ) // det[vertex]
-                else:
-                    scale[vertex], scaled[vertex] = det[vertex], rhs[vertex]
+        scaled, scale = _tree_solve(graph._edge_kernel, free, rhs)
         grown = False
-        for j, neighbors in enumerate(adjacency):
-            if not free[j]:
-                # the sign of x.E_j over the positive denominator of its terms
-                numerator, denominator = diagonal[j] * floor[j], 1
-                for l in neighbors:
-                    numerator = numerator * scale[l] + scaled[l] * denominator
-                    denominator *= scale[l]
-                if numerator > 0:
-                    free[j] = grown = True
+        for j in range(len(free)):
+            if not free[j] and _numerator(graph, j, scaled, scale) > 0:
+                free[j] = grown = True
         if not grown:
-            return [-(-y // delta) for y, delta in zip(scaled, scale)]
+            return scaled, scale
+
+
+def _certified(graph: DualGraph, floor: Sequence[int], scaled: list, scale: list) -> bool:
+    """The module's lemma for x = scaled / scale with *floor* as key: every
+    scale_l > 0, x >= floor, and x.E_j >= 0 wherever x_j > floor_j.  Then
+    floor <= ceil(x) <= closure(floor)."""
+    if min(scale) <= 0:
+        return False
+    for j, (y, delta, f) in enumerate(zip(scaled, scale, floor)):
+        if y < f * delta or (y > f * delta and _numerator(graph, j, scaled, scale) < 0):
+            return False
+    return True
 
 
 def _descend(graph: DualGraph, key: Sequence[int], top: Sequence[int]) -> tuple[int, ...]:
     """The greatest L with key <= L <= top and L.E_j >= 0 wherever
-    l_j > key_j: the oracle's start in :func:`antinef_closure_checked`, and
-    the ceiling loop's after a proposal.
+    l_j > key_j: the oracle's start in :func:`antinef_closure_checked`.
 
     Downward unloading from *top* (>= key): at a violated component j
     (l_j > key_j and L.E_j < 0) it removes min(l_j - key_j,

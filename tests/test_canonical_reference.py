@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmideal import build_graph, graph_from_adjacency
 from trees import random_tree_matrix, tree_rows
@@ -134,6 +136,14 @@ def test_long_chains_and_trees_match_the_reference(size):
     if size == 200:
         # continuants of -2..-5 chains: the pairs outgrow machine words
         assert chain.scaled_canonical[0].bit_length() > 64
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**62))
+def test_seeded_chains_and_trees_up_to_200_match_the_reference(seed):
+    rng = random.Random(seed)
+    shape = rng.choice((_chain, _tree))
+    _check(shape(rng, rng.randint(1, 200)))
 
 
 @pytest.mark.parametrize("index", range(BLOWUP_GRAPHS))

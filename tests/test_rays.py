@@ -98,7 +98,7 @@ def test_non_integer_directions_are_refused(rat6, nest14):
 def _takewhile_candidates(ideals, ray, until):
     """The candidates up to `until` as the walk once cut them: a `Fraction`
     comparison per candidate of the unbounded stream."""
-    stream = rays._candidate_parameters(ideals, ray, Fraction(0))
+    stream = rays._candidate_parameters(ideals, ray)
     return list(itertools.takewhile(lambda mu: mu <= until, stream))
 
 
@@ -125,7 +125,7 @@ def test_integer_stop_matches_the_takewhile_reference(tuples, name):
         ]
         for until in stops:
             reference = _takewhile_candidates(ideals, ray, until)
-            found = list(rays._candidate_parameters(ideals, ray, Fraction(0), until))
+            found = list(rays._candidate_parameters(ideals, ray, until))
             assert found == reference
         assert _takewhile_candidates(ideals, ray, on)[-1] == on
         for until in stops[:5]:

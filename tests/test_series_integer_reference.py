@@ -199,7 +199,7 @@ def _raised(jump):
 
 
 def _moved(ideals, ray, jump):
-    later = next(rays._candidate_parameters(ideals, ray, jump.parameter))
+    later = next(mu for mu in rays._candidate_parameters(ideals, ray) if mu > jump.parameter)
     return rays.RayJump(later, jump.record)
 
 

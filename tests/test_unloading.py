@@ -518,22 +518,22 @@ def _counted_proposals(monkeypatch, proposal=None):
 
 
 def test_proposal_lies_between_its_floor_and_the_closure(tuples):
-    # key <= proposal <= closure, the start descended from it is certified,
-    # and the proposal is the ceiling of the least element, which a dense
-    # Fraction solve finds too; coefficients up to +-10^6
+    # the proposal (delta x, delta) is exactly the least element that a dense
+    # Fraction solve finds, key <= x <= closure, and x passes the ceiling
+    # loop's own certificate; coefficients up to +-10^6
     rng = random.Random(2901)
     graphs = [tuples[name].graph for name in ("CHAIN10", "NEST14", "PROP16")]
     graphs += [_a40()]
     graphs += [build_graph(random_tree_matrix(rng, max_size=12)) for _ in range(30)]
     for graph in graphs:
-        for scale in (10, 1000, 10**6):
-            key = tuple(max(rng.randint(-scale, scale), 0) for _ in range(graph.size))
+        for bound in (10, 1000, 10**6):
+            key = tuple(max(rng.randint(-bound, bound), 0) for _ in range(graph.size))
             closure = _sweeps_from_key(graph, key)
-            proposal = unloading._proposal(graph, key)
-            assert divisor_leq(key, proposal) and divisor_leq(proposal, closure)
-            assert proposal == [-(-x.numerator // x.denominator) for x in _least_element(graph, key)]
-            start = unloading._descend(graph, key, proposal)
-            assert _certified(graph, key, start) and divisor_leq(start, closure)
+            scaled, scale = unloading._proposal(graph, key)
+            x = [Fraction(y, delta) for y, delta in zip(scaled, scale)]
+            assert x == _least_element(graph, key)
+            assert divisor_leq(key, x) and divisor_leq(x, closure)
+            assert unloading._certified(graph, key, scaled, scale)
             assert antinef_closure(graph, key) == closure
 
 
@@ -584,25 +584,36 @@ def test_proposals_run_only_where_sweeps_run_long(monkeypatch):
     assert calls == []
 
 
+def _over(delta, divisor):
+    """*divisor* as a proposal (delta x, delta) with every scale delta."""
+    return [delta * d for d in divisor], [delta] * len(divisor)
+
+
 def _one_too_high(graph, floor):
     closure = list(_sweeps_from_key(graph, floor))
     closure[len(closure) // 2] += 1
-    return closure
+    return _over(3, closure)
 
 
 @pytest.mark.parametrize(
     "mutant",
     [
         _one_too_high,
-        lambda graph, floor: list(floor),
-        lambda graph, floor: [
-            c + z for c, z in zip(_sweeps_from_key(graph, floor), graph.fundamental)
-        ],
-        lambda graph, floor: [0] * graph.size,
+        lambda graph, floor: _over(7, floor),
+        lambda graph, floor: _over(
+            2, [c + z for c, z in zip(_sweeps_from_key(graph, floor), graph.fundamental)]
+        ),
+        lambda graph, floor: _over(5, [0] * graph.size),
+        lambda graph, floor, propose=unloading._proposal: tuple(
+            [-v for v in part] for part in propose(graph, floor)
+        ),
     ],
-    ids=["one_too_high", "the_key_itself", "adds_the_fundamental_cycle", "zero"],
+    ids=["one_too_high", "the_key_itself", "adds_the_fundamental_cycle", "zero", "negated_scales"],
 )
 def test_a_wrong_proposal_costs_sweeps_not_closures(monkeypatch, mutant):
+    # the certificate refuses every mutant but the key itself, which it
+    # rightly accepts, and the loop sweeps on from the key; the negated
+    # pairs name the true x over negative scales, which it refuses
     graph = _a40()
     rng = random.Random(2904)
     divisors = [[rng.randint(-scale, scale) for _ in range(graph.size)] for scale in (10**3, 10**5)]
@@ -612,6 +623,21 @@ def test_a_wrong_proposal_costs_sweeps_not_closures(monkeypatch, mutant):
         assert antinef_closure(graph, divisor) == closure
         assert antinef_closure_checked(build_graph(graph.matrix), divisor) == closure
     assert len(calls) >= 4
+
+
+def test_an_accepted_overshooting_proposal_is_caught_by_the_oracle(monkeypatch):
+    # a proposal above the closure, with a certificate that accepts anything,
+    # makes the ceiling loop overshoot; the oracle climbs from its own
+    # certified start and disagrees, so the checked closure raises
+    graph = _a40()
+    calls = _counted_proposals(monkeypatch, _one_too_high)
+    monkeypatch.setattr(unloading, "_certified", lambda graph, floor, scaled, scale: True)
+    # the closure of 10^5 E_1 takes index-order sweeps far past graph.size
+    divisor = [10**5] + [0] * (graph.size - 1)
+    with pytest.raises(InternalConsistencyError, match="disagree"):
+        antinef_closure_checked(graph, divisor)
+    assert calls
+    assert graph.closure_cache == {}
 
 
 def test_a_miss_reads_its_key_once_and_multiplies_each_vector_once(tuples, monkeypatch):
