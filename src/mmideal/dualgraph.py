@@ -12,11 +12,12 @@ From M alone the module computes, eagerly at build time:
   by ``unloading``'s leaf-first tree elimination, which also checks
   definiteness.  It keeps every pivot as a ratio of two integer minors and
   returns det(-M) K in integers; only K's entries become `Fraction`s.  The
-  adjunction check then reads K over its common denominator D, so
-  `scaled_canonical` = (D, D*K) is filled at build time;
+  adjunction check then reads K over its common denominator D, as
+  `scaled_canonical` = (D, D*K), which the graph stores;
 * the fundamental cycle Z: the smallest nonzero antinef divisor, which must
   have arithmetic genus p_a(Z) = 0 (Artin's criterion for rationality).  It
-  is found by unloading on the built graph and cached on it.
+  is found by unloading on the built graph, on the first read of its
+  ``errors._lazy`` attribute `fundamental`.
 
 A tuple of ideals is attached as a tuple of antinef vectors F_i (the
 vanishing orders of the i-th ideal along each component).  Excesses
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple, NoReturn, Sequence
 
 from .errors import (
@@ -50,6 +50,7 @@ from .errors import (
     NotTree,
     ValidationError,
     _Frozen,
+    _lazy,
 )
 from .rationals import (
     _entries, _integer_vector, _rational_vector, over_common_denominator
@@ -84,10 +85,13 @@ class DualGraph(_Frozen):
     ``multiplicity``).  None is compared or shown, so two graphs built from
     one matrix are equal but share no cached values.
 
-    `build_graph` also stores `_edge_kernel`: (E_1^2, ..., E_s^2) and the
-    tree's edges (parent, child) in the breadth-first order from E1 that
-    validation walked, each edge once; every intersection product and every
-    tree solve in ``unloading`` reads it.
+    The constructor only stores what `build_graph` computed: besides the
+    matrix, K and the adjacency lists, `scaled_canonical` = (D, D*K), D the
+    lcm of the denominators of K, and `_edge_kernel`: (E_1^2, ..., E_s^2)
+    and the tree's edges (parent, child) in the breadth-first order from E1
+    that validation walked, each edge once; every intersection product and
+    every tree solve in ``unloading`` reads it.  `fundamental` and
+    `rupture` are ``errors._lazy``.
     """
 
     _shown = ("matrix", "canonical", "adjacency")
@@ -97,11 +101,15 @@ class DualGraph(_Frozen):
         matrix: Matrix,
         canonical: tuple[Fraction, ...],
         adjacency: tuple[tuple[int, ...], ...],
+        scaled_canonical: tuple[int, tuple[int, ...]],  # (D, D*K)
+        edge_kernel: tuple,  # ((E_1^2, ..., E_s^2), edges (parent, child))
     ) -> None:
         self.__dict__.update(
             matrix=matrix,
             canonical=canonical,
             adjacency=adjacency,
+            scaled_canonical=scaled_canonical,
+            _edge_kernel=edge_kernel,
             closure_cache=BoundedCache(),
             colength_cache=BoundedCache(),
             record_cache=BoundedCache(),
@@ -121,20 +129,12 @@ class DualGraph(_Frozen):
     def size(self) -> int:
         return len(self.matrix)
 
-    @cached_property
+    @_lazy
     def fundamental(self) -> tuple[int, ...]:
         """Z: the smallest nonzero antinef divisor."""
         return fundamental_cycle(self)
 
-    @cached_property
-    def scaled_canonical(self) -> tuple[int, tuple[int, ...]]:
-        """(D, D*K): D the lcm of the denominators of K, D*K in integers."""
-        return over_common_denominator(self.canonical)
-
-    def valence(self, j: int) -> int:
-        return len(self.adjacency[j])
-
-    @cached_property
+    @_lazy
     def rupture(self) -> tuple[bool, ...]:
         return tuple([len(neighbors) >= 3 for neighbors in self.adjacency])
 
@@ -252,9 +252,8 @@ def build_graph(rows) -> DualGraph:
         _integer_vector(row, len(rows), "intersection matrix row") for row in rows
     )
     adjacency, canonical, kernel = _validate_matrix(matrix)
-    graph = DualGraph(matrix=matrix, canonical=canonical, adjacency=adjacency)
-    graph.__dict__["_edge_kernel"] = kernel
-    denominator, scaled = graph.scaled_canonical
+    denominator, scaled = over_common_denominator(canonical)
+    graph = DualGraph(matrix, canonical, adjacency, (denominator, scaled), kernel)
     for j, product in enumerate(intersection_products(graph, scaled)):
         # D (K + E_j).E_j = (D K).E_j + D E_j^2
         if product + denominator * matrix[j][j] != -2 * denominator:

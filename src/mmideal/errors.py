@@ -18,7 +18,8 @@ Parse-level problems with fixture files or CLI arguments raise
 (exit code 1 when raised while reading user input).
 
 :class:`_Frozen` is the base of the records that cache per instance: it
-refuses assignment and deletion with ``AttributeError``.
+refuses assignment and deletion with ``AttributeError``.  :class:`_lazy` is
+the one way such a record computes an attribute on first read.
 """
 
 from __future__ import annotations
@@ -156,10 +157,10 @@ class InequalityViolated(InternalConsistencyError):
 
 class _Frozen:
     """Base of a record whose ``__init__`` fills its ``__dict__`` once:
-    assigning or deleting an attribute raises ``AttributeError``, and a
-    cache that stores into ``__dict__`` directly (``cached_property``,
-    ``evaluate._lazy``) still works.  ``repr`` shows the attributes named in
-    ``_shown``, in constructor order."""
+    assigning or deleting an attribute raises ``AttributeError``, while a
+    `_lazy` attribute still stores its value into ``__dict__`` on first
+    read.  ``repr`` shows the attributes named in ``_shown``, in constructor
+    order."""
 
     __slots__ = ()
     _shown: tuple[str, ...] = ()
@@ -173,3 +174,30 @@ class _Frozen:
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
         return f"{type(self).__qualname__}({shown})"
+
+
+class _lazy:
+    """An attribute of a `_Frozen` record computed on first read and stored
+    in the instance ``__dict__`` under the name it is bound to, where later
+    reads find it without a call.
+
+    It is what `functools.cached_property` does without the lock that
+    Python 3.11 takes on every first read; two threads may both compute a
+    value, and they store the same one.  The store bypasses the record's
+    refusing ``__setattr__``, so assigning the attribute still raises
+    `AttributeError`.  A computation that raises stores nothing.
+    """
+
+    def __init__(self, func) -> None:
+        self._func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self._func(instance)
+        instance.__dict__[self.name] = value
+        return value

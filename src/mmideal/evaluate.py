@@ -26,7 +26,7 @@ and face points, ray candidates) enter through the private `_evaluate_at`,
 which :func:`evaluate_point` itself calls on the point it has checked,
 handing that point over to be kept as it is.  `_evaluate_at` computes only
 the point's key (N*c, N); the scaled gap data N*(c.F), N*v and the two floor
-vectors are filled together on first read, so a point whose certified
+vectors are computed together on first read, so a point whose certified
 record is already cached (see ``multiplicity``) never computes them.
 
 The wall lines through c are the pairs (j, l) with v_j = l a strictly
@@ -43,10 +43,9 @@ and `maximal_jumping_divisor` restate its attributes, and
 them: the benchmark's tracer wraps the five readers by module attribute,
 and `walls`, `rays` and the CLI call `mmi_divisor` and
 `maximal_jumping_divisor`.
-Its lazy attributes come from one small descriptor that stores each value
-in the instance on first read, without the lock `functools.cached_property`
-takes on Python 3.11; a certified ray candidate makes five or six such first
-reads, a served repeat none.
+The evaluation's attributes beyond its key are ``errors._lazy``: each is
+computed on first read and stored in the instance, so a served repeat
+computes none.
 The evaluation also owns what the multiplicity routes and the jumping
 criterion read off H_c: its wall lines and its adjunction values
 (ceil(K - c.F) + H_c).E_i per component and .P per connected component P,
@@ -78,7 +77,7 @@ from typing import Sequence, Union
 
 from .dualgraph import DualGraph, IdealTuple, attach_ideals
 from .errors import (
-    InequalityViolated, InternalConsistencyError, ValidationError, _Frozen
+    InequalityViolated, InternalConsistencyError, ValidationError, _Frozen, _lazy
 )
 from .polytope import Halfspace, Polytope, intersect_halfspaces
 from .rationals import _entries, _flags, _index, _integer_vector, _rational_vector
@@ -87,30 +86,6 @@ from .unloading import antinef_closure_checked, intersection_products
 
 Point = tuple[Fraction, ...]
 Connected = tuple[tuple[tuple[int, ...], int], ...]  # (P, value) per connected part P
-
-
-class _lazy:
-    """An attribute computed on first read and stored in the instance
-    ``__dict__``, where later reads find it without a call.
-
-    It is what `functools.cached_property` does without the lock that
-    Python 3.11 takes on every first read; two threads may both compute a
-    value, and they store the same one.  The store bypasses the record's
-    refusing ``__setattr__`` (``errors._Frozen``), so assigning the attribute
-    still raises `AttributeError`.  A computation that raises stores nothing.
-    """
-
-    def __init__(self, func) -> None:
-        self._func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = self._func(instance)
-        instance.__dict__[self.name] = value
-        return value
 
 
 def _weight_point(ideals: IdealTuple, point: Sequence) -> Point:
@@ -144,36 +119,21 @@ def _dot_F(ideals: IdealTuple, vector: Sequence) -> tuple:
     return tuple(total)
 
 
-class _gap:
-    """One of the four gap attributes of a `PointEvaluation`: its first read
-    runs the evaluation's fill, which stores all four in the instance
-    ``__dict__``, where later reads find them without a call."""
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        instance._fill()
-        return instance.__dict__[self.name]
-
-
 class PointEvaluation(_Frozen):
     """Everything read off one weight point of one ideal tuple.
 
     Its key is computed on construction, in integers: `scale` is N, the lcm
     of the denominators of K and of the point, and `scaled_point` is N*c.
-    The scaled gap data, `scaled_weighted`, `scaled_values`, `floors` and
-    `left_floors`, is filled on first read, all four at once, by `_fill`;
-    a fill that raises stores none of them.  `point` is built from
-    (N*c, N) on first read unless the caller handed over the `Fraction`
-    point it checked.  `weighted` and `values` are the `Fraction` views of
-    the gap data.  These views, the wall lines, H, its adjunction values,
-    D_c, D_left and G are computed when first read, at most once: a
-    certified repeat reads only the key, callers that need only gap values
-    never unload, and D_c stays defined where an H assertion fails.  Two
-    evaluations are equal only when they are the same object.
+    Everything else is an ``errors._lazy`` attribute, computed when first
+    read, at most once.  The scaled gap data, `scaled_weighted`,
+    `scaled_values`, `floors` and `left_floors`, is read off one such
+    attribute that computes all four in one pass; a computation that raises
+    stores none of them.  `point` is built from (N*c, N) unless the caller
+    handed over the `Fraction` point it checked.  `weighted` and `values`
+    are the `Fraction` views of the gap data.  A certified repeat reads
+    only the key, callers that need only gap values never unload, and D_c
+    stays defined where an H assertion fails.  Two evaluations are equal
+    only when they are the same object.
     """
 
     _shown = (
@@ -192,16 +152,10 @@ class PointEvaluation(_Frozen):
         if point is not None:
             self.__dict__["point"] = point
 
-    scaled_weighted = _gap()  # N*(c.F)
-    scaled_values = _gap()  # N*v, v = c.F - K
-    floors = _gap()
-    left_floors = _gap()  # floors of D_{(1-eps)c} before closure
-
-    def _fill(self) -> None:
-        """The scaled gap data, computed once and stored together: N*(c.F),
-        N*v, floor(v) and the floors of D_{(1-eps)c}."""
-        if "floors" in self.__dict__:
-            return
+    @_lazy
+    def _gap_data(self) -> tuple[tuple[int, ...], ...]:
+        """The scaled gap data, computed together: N*(c.F), N*v, floor(v)
+        and the floors of D_{(1-eps)c}."""
         canonical_denominator, scaled_canonical = self.ideals.graph.scaled_canonical
         scale = self.scale
         factor = scale // canonical_denominator
@@ -213,12 +167,12 @@ class PointEvaluation(_Frozen):
             scaled_values.append(v)
             floors.append(f)
             left_floors.append(f - 1 if w > 0 and not rest else f)
-        self.__dict__.update(
-            scaled_weighted=scaled_weighted,
-            scaled_values=tuple(scaled_values),
-            floors=tuple(floors),
-            left_floors=tuple(left_floors),
-        )
+        return scaled_weighted, tuple(scaled_values), tuple(floors), tuple(left_floors)
+
+    scaled_weighted = _lazy(lambda self: self._gap_data[0])  # N*(c.F)
+    scaled_values = _lazy(lambda self: self._gap_data[1])  # N*v, v = c.F - K
+    floors = _lazy(lambda self: self._gap_data[2])  # floor(v)
+    left_floors = _lazy(lambda self: self._gap_data[3])  # D_{(1-eps)c} before closure
 
     @_lazy
     def point(self) -> Point:
@@ -429,16 +383,16 @@ class RegionReport(_Frozen):
     for the region of the origin), one `Fraction` each.  Both are built on
     first read, and neither builds a polytope.
 
-    The rest is built together, once, the first time any of it is read.
-    `polytope` clips the orthant by the rows (D*F_1[j], ..., D*F_r[j]; B_j),
-    so its halfspace j is component j's constraint; the build checks each
-    axis's extreme vertex against `thresholds` and raises
-    `InternalConsistencyError` on a mismatch.  `classification` classifies
-    each constraint as 'facet', 'touch', or 'slack'.  `binding_non_rupture`
-    lists the components, neither rupture nor dicritical, that carry a facet
-    no rupture/dicritical component also carries: expected to be empty
-    always, and reported rather than raised.  Two reports are equal only
-    when they are the same object.
+    `polytope`, built on first read, clips the orthant by the rows
+    (D*F_1[j], ..., D*F_r[j]; B_j), so its halfspace j is component j's
+    constraint; the build checks each axis's extreme vertex against
+    `thresholds` and raises `InternalConsistencyError` on a mismatch.
+    `classification` is the polytope's: 'facet', 'touch', or 'slack' per
+    constraint.  `binding_non_rupture`, read off the polytope's facet map on
+    first read, lists the components, neither rupture nor dicritical, that
+    carry a facet no rupture/dicritical component also carries: expected to
+    be empty always, and reported rather than raised.  Two reports are equal
+    only when they are the same object.
     """
 
     _shown = ("ideals", "center", "bounds")
@@ -467,7 +421,7 @@ class RegionReport(_Frozen):
         return tuple(thresholds)
 
     @_lazy
-    def _geometry(self) -> tuple[Polytope, tuple[int, ...]]:
+    def polytope(self) -> Polytope:
         ideals = self.ideals
         denominator = ideals.graph.scaled_canonical[0]
         rows = [
@@ -485,27 +439,22 @@ class RegionReport(_Frozen):
                     f"{format_rational(threshold)}, the region polytope's "
                     f"vertex on that axis gives {shown}"
                 )
-        # every normal is positive, so no row coincides with an orthant plane
-        kept = ideals.rupture_or_dicritical
-        binding = sorted(
-            j
-            for carriers in full.facet_keys().values()
-            if not any(kept[i] for i in carriers)
-            for j in carriers
-        )
-        return full, tuple(binding)
-
-    @property
-    def polytope(self) -> Polytope:
-        return self._geometry[0]
+        return full
 
     @property
     def classification(self) -> tuple[str, ...]:
         return self.polytope.classification
 
-    @property
+    @_lazy
     def binding_non_rupture(self) -> tuple[int, ...]:
-        return self._geometry[1]
+        # every normal is positive, so no row coincides with an orthant plane
+        kept = self.ideals.rupture_or_dicritical
+        return tuple(sorted(
+            j
+            for carriers in self.polytope.facet_keys().values()
+            if not any(kept[i] for i in carriers)
+            for j in carriers
+        ))
 
     @property
     def valid(self) -> bool:

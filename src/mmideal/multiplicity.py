@@ -27,11 +27,11 @@ that the benchmark's tracer can wrap them.
 A point is certified once per graph.  Both read the graph's
 ``record_cache`` (see ``dualgraph``), keyed by the ideal vectors and the
 point's canonical integers (N*c, N), the only part of a point's evaluation
-computed on construction; the first call fills the evaluation's gap data,
-runs every route and stores the record only after every check has passed,
-and a repeat, from an atlas facet sample, a perturbation crossing or a ray
-candidate alike, is served that checked record before any gap data is
-computed.
+computed on construction.  The first call runs every route, which computes
+the evaluation's gap data, and stores the record only after every check
+has passed; a repeat, from an atlas facet sample, a perturbation crossing
+or a ray candidate alike, is served that checked record before any gap
+data is computed.
 
 The perturbation sum rule splits the multiplicity at a point on several
 walls over the distinct points where a parallel ray, shifted by a small
@@ -172,9 +172,9 @@ def _certified(ideals: IdealTuple, evaluation: PointEvaluation) -> JumpRecord:
     Looked up in the graph's ``record_cache`` under the ideal vectors and
     the evaluation's key (N*c, N) before anything else of the evaluation is
     read, so a repeat is served before any gap data is computed.  On a miss
-    the evaluation's gap data is filled once, every route runs and is
-    compared, and the record is stored only once every check has passed,
-    so a point that raises stores nothing and raises again."""
+    every route runs and is compared (the first route to read the gap data
+    computes it, once), and the record is stored only once every check has
+    passed, so a point that raises stores nothing and raises again."""
     cache = ideals.graph.record_cache
     key = (ideals.ideals, evaluation.scaled_point, evaluation.scale)
     cached = cache.get(key)
@@ -182,7 +182,6 @@ def _certified(ideals: IdealTuple, evaluation: PointEvaluation) -> JumpRecord:
         cache.hits += 1
         return cached
     cache.misses += 1
-    evaluation._fill()
     adjunction = multiplicity(ideals, evaluation)
     if (adjunction > 0) != (evaluation.divisor != evaluation.divisor_left):
         raise InternalConsistencyError(

@@ -28,16 +28,18 @@ is no integer `ValidationError`; a `Halfspace` of `int`s passes the check
 as it is.  Generators are kept in integer homogeneous coordinates (X, W),
 reduced by their gcd, so a cut is integer arithmetic only.  The vertices
 are ordered by the integer keys floor(2^s * X / W), as in ``arrangement``,
-and the `Polytope` keeps them as those rows; the `Fraction` points X / W
-are built on first read.
+and the `Polytope` keeps them as those rows.
 
 A row is classified against the resulting polytope, from the incidence
 sets, as ``facet`` when its incident vertices affinely span dimension
 r - 1, ``touch`` when they span less and ``slack`` when there are none.
 The affine rank of vertices X / W is one less than the rank of their rows
 (X, W), taken fraction-free on the rows the polytope keeps.
-`Polytope.classification` holds that verdict for every row, computed once;
-`facet_keys` reads it once, and keeps the map it builds.
+
+The `Polytope` computes three things on first read, each an
+``errors._lazy`` attribute stored in the instance: the `Fraction` points
+X / W, the classification of every row, and the facet map `facet_keys`
+returns, built from that classification.
 
 Two rows may be *coincident* (equal halfspaces up to positive scaling);
 both then earn the same classification.  Geometric dedup is by the
@@ -52,11 +54,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .errors import _Frozen
-from .rationals import _entries, _integer, _integer_vector, over_common_denominator
+from .errors import _Frozen, _lazy
+from .rationals import _entries, _integer, _integer_vector
 
 Vector = tuple[Fraction, ...]
 
@@ -100,13 +101,6 @@ def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     return tuple(work[r][size] for r in range(size))
 
 
-def affine_rank(points: Sequence[Vector]) -> int:
-    """Dimension of the affine hull of a set of `int` or `Fraction` points
-    (-1 for empty), fraction-free: one less than the rank of the integer
-    rows (L*p, L), L the lcm of p's denominators."""
-    return _rank([n + (scale,) for scale, n in map(over_common_denominator, points)]) - 1
-
-
 def _rank(rows: list[Sequence[int]]) -> int:
     """The rank of integer rows, by Bareiss elimination, where every entry
     stays a minor of the input and so each division by the previous pivot
@@ -133,7 +127,7 @@ class Polytope(_Frozen):
     its gcd with W > 0, and ``vertices[n]`` its `Fraction` point X / W,
     built on first read.  ``incidence[n]`` is the set of indices of the
     halfspaces tight at vertex n.  Equality and hash read the halfspaces,
-    the rows and the incidence sets, not the cached views: a reduced row
+    the rows and the incidence sets, not the `_lazy` views: a reduced row
     fixes its vertex, so two polytopes with equal rows have equal vertices.
     """
 
@@ -159,7 +153,7 @@ class Polytope(_Frozen):
     def __hash__(self) -> int:
         return hash((self.halfspaces, self.homogeneous, self.incidence))
 
-    @cached_property
+    @_lazy
     def vertices(self) -> tuple[Vector, ...]:
         return tuple([
             tuple([Fraction(x, row[-1]) for x in row[:-1]]) for row in self.homogeneous
@@ -174,7 +168,7 @@ class Polytope(_Frozen):
             v for v, tight in zip(self.vertices, self.incidence) if index in tight
         )
 
-    @cached_property
+    @_lazy
     def classification(self) -> tuple[str, ...]:
         """'facet', 'touch', or 'slack' for every halfspace, in input order."""
         incident: list[list[tuple[int, ...]]] = [[] for _ in self.halfspaces]
@@ -196,7 +190,7 @@ class Polytope(_Frozen):
         constraints, built once: every call returns that dict, unchanged."""
         return self._facet_keys
 
-    @cached_property
+    @_lazy
     def _facet_keys(self) -> dict[tuple[Fraction, ...], list[int]]:
         keys: dict[tuple[Fraction, ...], list[int]] = {}
         for index, kind in enumerate(self.classification):

@@ -15,21 +15,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import _integer, _rational, _rational_vector
+from .rationals import _rational_vector
 from .rationals import format_point, format_rational
 from .walls import WallAtlas
 
 
-def decimal_approx(value: Fraction, significant: int = 20) -> str:
-    """Decimal expansion of an exact rational, truncated to the given number
-    of significant digits, computed with integer arithmetic only."""
-    value = _rational(value, "value")
-    significant = _integer(significant, "significant digits")
-    return _decimal(value.numerator, value.denominator, significant)
-
-
 def _decimal(numerator: int, denominator: int, significant: int = 20) -> str:
-    """`decimal_approx` of numerator / denominator > 0, in any terms."""
+    """Decimal expansion of numerator / denominator (denominator > 0, in any
+    terms), truncated to the given number of significant digits, computed
+    with integer arithmetic only."""
     if numerator == 0:
         return "0"
     sign = "-" if numerator < 0 else ""

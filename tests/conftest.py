@@ -58,6 +58,27 @@ def face_area(arrangement, loop):
     return sum((x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in pairs), Fraction(0)) / 2
 
 
+def fraction_rank(points):
+    """The affine rank of `int` or `Fraction` points (-1 for none), by
+    Gaussian elimination over the rationals: a reference that shares no code
+    with the library's fraction-free rank."""
+    if not points:
+        return -1
+    base = [Fraction(x) for x in points[0]]
+    rows = [[Fraction(x) - b for x, b in zip(p, base)] for p in points[1:]]
+    rank = 0
+    for column in range(len(base)):
+        pivot = next((row for row in rows if row[column] != 0), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = [
+            [a - row[column] / pivot[column] * b for a, b in zip(row, pivot)] for row in rows
+        ]
+        rank += 1
+    return rank
+
+
 def hyperplane_key(normal, bound):
     """(normal, bound) over the absolute value of the first nonzero normal
     entry, in `Fraction`s: equal for two halfspaces exactly when one is the

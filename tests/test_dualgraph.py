@@ -73,7 +73,7 @@ def test_self_loop_is_not_a_tree():
 
 def test_chain10_is_a_chain(chain10):
     # ten components in a path: two leaves, eight valence-2 vertices
-    valences = sorted(chain10.graph.valence(j) for j in range(10))
+    valences = sorted(len(neighbors) for neighbors in chain10.graph.adjacency)
     assert valences == [1, 1] + [2] * 8
     assert not any(chain10.graph.rupture)
 

@@ -24,7 +24,7 @@ from mmideal import (
 from mmideal import fixtures
 from mmideal.cli import main
 from mmideal.errors import NotTree, ParseError, ValidationError
-from mmideal.svg import decimal_approx
+from mmideal.svg import _decimal
 
 SOURCE = Path(__file__).resolve().parents[1] / "src"
 
@@ -232,25 +232,23 @@ def test_adjacency_form_round_trip():
 # ---------------------------------------------------------------- decimals
 
 
+def _approx(value, significant=20):
+    return _decimal(value.numerator, value.denominator, significant)
+
+
 def test_decimal_approx():
-    assert decimal_approx(Fraction(1, 3)) == "0.33333333333333333333"
-    assert decimal_approx(Fraction(1, 2)) == "0.5"
-    assert decimal_approx(Fraction(0)) == "0"
-    assert decimal_approx(Fraction(-7, 4)) == "-1.75"
-    assert decimal_approx(Fraction(5)) == "5"
+    assert _approx(Fraction(1, 3)) == "0.33333333333333333333"
+    assert _approx(Fraction(1, 2)) == "0.5"
+    assert _approx(Fraction(0)) == "0"
+    assert _approx(Fraction(-7, 4)) == "-1.75"
+    assert _approx(Fraction(5)) == "5"
     assert (
-        decimal_approx(Fraction(1, 10**25))
+        _approx(Fraction(1, 10**25))
         == "0.0000000000000000000000001"  # leading zeros are not significant
     )
-    assert decimal_approx(Fraction(123456, 1000)) == "123.456"
-
-
-@pytest.mark.parametrize("value", [0.1, "0.5", True], ids=["float", "str", "bool"])
-def test_decimal_approx_takes_ints_and_fractions(value):
-    with pytest.raises(ValidationError, match="expected integers or Fractions"):
-        decimal_approx(value)
-    with pytest.raises(ValidationError, match="significant digits: expected integers"):
-        decimal_approx(Fraction(1, 3), value)
+    assert _approx(Fraction(123456, 1000)) == "123.456"
+    # a numerator and denominator in other terms give the same digits
+    assert _decimal(2, 6) == _approx(Fraction(1, 3))
 
 
 def _long_division(value, significant):
@@ -276,7 +274,7 @@ def test_decimal_approx_matches_long_division():
             rng.randint(1, 10 ** rng.randint(1, 30)),
         )
         for significant in (1, 3, 20):
-            assert decimal_approx(value, significant) == _long_division(
+            assert _approx(value, significant) == _long_division(
                 value, significant
             ), value
 

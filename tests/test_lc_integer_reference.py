@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import FIXTURE_NAMES
+from conftest import FIXTURE_NAMES, fraction_rank
 from mmideal import (
     attach_ideals,
     bijection_report,
@@ -27,7 +27,8 @@ from mmideal import (
 from mmideal import evaluate, walls
 from mmideal.errors import LengthMismatch, NoCleanSample, ValidationError
 from mmideal.evaluate import mmi_divisor
-from mmideal.polytope import Halfspace, affine_rank, intersect_halfspaces
+from mmideal.polytope import Halfspace, _rank, intersect_halfspaces
+from mmideal.rationals import over_common_denominator
 
 
 def _sums(ideals, r, rng):
@@ -248,25 +249,6 @@ def test_empty_intersection_has_no_vertices():
     assert polytope.classification == ("slack", "slack")
 
 
-def _fraction_rank(points):
-    """The affine rank by Gaussian elimination over the rationals."""
-    if not points:
-        return -1
-    base = [Fraction(x) for x in points[0]]
-    rows = [[Fraction(x) - b for x, b in zip(p, base)] for p in points[1:]]
-    rank = 0
-    for column in range(len(base)):
-        pivot = next((row for row in rows if row[column] != 0), None)
-        if pivot is None:
-            continue
-        rows.remove(pivot)
-        rows = [
-            [a - row[column] / pivot[column] * b for a, b in zip(row, pivot)] for row in rows
-        ]
-        rank += 1
-    return rank
-
-
 def test_fraction_free_rank_matches_the_fraction_rank():
     rng = random.Random(5)
     seen = set()
@@ -289,8 +271,11 @@ def test_fraction_free_rank_matches_the_fraction_rank():
                     ))
             if rng.random() < 0.2:
                 points = [tuple(int(x) for x in p) for p in points]
-            rank = affine_rank(points)
-            assert rank == _fraction_rank(points), points
+            # the library's rank of the integer rows (L*p, L), L the lcm of
+            # p's denominators, is one more than the points' affine rank
+            rows = [n + (scale,) for scale, n in map(over_common_denominator, points)]
+            rank = _rank(rows) - 1
+            assert rank == fraction_rank(points), points
             seen.add(rank)
     assert seen == {-1, 0, 1, 2, 3, 4}
 
@@ -348,7 +333,7 @@ def test_region_clips_through_the_module_binding(monkeypatch, rat6):
 def test_kept_components_match_their_definitions(lc_tuples):
     for label, ideals in lc_tuples:
         graph = ideals.graph
-        rupture = tuple(graph.valence(j) >= 3 for j in range(graph.size))
+        rupture = tuple(len(neighbors) >= 3 for neighbors in graph.adjacency)
         assert graph.rupture == rupture and graph.rupture is graph.rupture, label
         dicritical = tuple(
             any(ideals.excesses[i][j] > 0 for i in range(ideals.r)) for j in range(ideals.size)

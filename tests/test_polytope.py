@@ -8,10 +8,10 @@ from itertools import combinations
 import pytest
 
 import frozen
-from conftest import hyperplane_key
+from conftest import fraction_rank, hyperplane_key
 from mmideal import attach_ideals, lc_region, region, subtuple
 from mmideal.dualgraph import IdealTuple
-from mmideal.polytope import Halfspace, affine_rank, intersect_halfspaces, solve_square
+from mmideal.polytope import Halfspace, _rank, intersect_halfspaces, solve_square
 
 
 def row(normal, bound):
@@ -113,18 +113,14 @@ def test_solve_square_is_exact_on_int_rows():
 
 
 def test_affine_rank():
-    assert affine_rank([(Fraction(0), Fraction(0))]) == 0
-    assert affine_rank([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]) == 1
-    assert (
-        affine_rank(
-            [
-                (Fraction(0), Fraction(0)),
-                (Fraction(1), Fraction(0)),
-                (Fraction(0), Fraction(1)),
-            ]
-        )
-        == 2
-    )
+    # the affine rank of points p is one less than the rank `_rank` gives
+    # their integer rows (L*p, L), L the lcm of p's denominators
+    assert _rank([[0, 0, 1]]) - 1 == 0
+    assert _rank([[0, 0, 1], [1, 1, 1]]) - 1 == 1
+    assert _rank([[0, 0, 1], [1, 0, 1], [0, 1, 1]]) - 1 == 2
+    # (1/2, 1/3), (1, 2/3) and the origin lie on one line
+    assert _rank([[3, 2, 6], [3, 2, 3], [0, 0, 1]]) - 1 == 1
+    assert _rank([]) - 1 == -1
 
 
 def test_empty_intersection():
@@ -193,7 +189,7 @@ def _reference_classify(spaces, vertices, index):
     incident = _reference_incident(spaces, vertices, index)
     if not incident:
         return "slack"
-    if affine_rank(incident) == len(spaces[0].normal) - 1:
+    if fraction_rank(incident) == len(spaces[0].normal) - 1:
         return "facet"
     return "touch"
 

@@ -1,7 +1,9 @@
 """The library's records: value records are NamedTuples, and the four that
-cache per instance are plain classes; all of them refuse assignment and
-deletion, and importing the package builds no dataclass."""
+cache per instance are plain classes whose only first-read attributes are
+``errors._lazy``; all of them refuse assignment and deletion, and importing
+the package builds no dataclass."""
 
+import ast
 import random
 import subprocess
 import sys
@@ -28,7 +30,7 @@ from mmideal import (
     stability_bound,
 )
 from mmideal.arrangement import make_line
-from mmideal import evaluate, rationals, rays
+from mmideal import errors, evaluate, rationals, rays
 from mmideal.evaluate import _dot_F
 from mmideal.polytope import Halfspace, intersect_halfspaces
 
@@ -160,6 +162,78 @@ def test_evaluations_and_region_reports_compare_by_identity(rat6, name):
     assert len({first, second}) == 2
     assert repr(first) == repr(second)
     assert repr(first).startswith(f"{name}(ideals=IdealTuple(graph=DualGraph(")
+
+
+def _class_attributes(record):
+    """name -> class attribute, for every non-dunder name the record's class
+    and its bases define."""
+    return {
+        name: value
+        for cls in reversed(type(record).__mro__)
+        for name, value in vars(cls).items()
+        if not name.startswith("__")
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_RECORDS))
+def test_every_first_read_attribute_is_lazy(rat6, name):
+    record = CACHED_RECORDS[name](rat6)
+    attributes = _class_attributes(record)
+    descriptors = {
+        attribute: value
+        for attribute, value in attributes.items()
+        if hasattr(type(value), "__get__") and not callable(value)
+    }
+    # no cached_property or other descriptor class: what is not recomputed
+    # on every read (a property) is an errors._lazy
+    assert {type(value) for value in descriptors.values()} <= {property, errors._lazy}
+    lazy = {attribute for attribute, value in descriptors.items() if type(value) is errors._lazy}
+    assert lazy
+    before = set(vars(record))
+    for attribute in descriptors:
+        getattr(record, attribute)
+    # reading everything stores exactly the lazy values, each under its name
+    assert set(vars(record)) - before <= lazy <= set(vars(record))
+    assert not set(vars(record)) & (set(descriptors) - lazy)
+
+
+def _dict_readers(tree, scope=()):
+    """(class, function) for every read of ``__dict__`` under an AST node,
+    named by the innermost class and function around it."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, ast.ClassDef):
+            inner = (node.name, None)
+        elif isinstance(node, ast.FunctionDef):
+            inner = (scope[0] if scope else None, node.name)
+        elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            yield scope
+        yield from _dict_readers(node, inner)
+
+
+def test_only_constructors_and_lazy_attributes_store_into_a_record():
+    # an instance __dict__ is written in a record's constructor or in
+    # errors._lazy, and read nowhere else in the library
+    places = {
+        reader
+        for path in (SOURCE / "mmideal").glob("*.py")
+        for reader in _dict_readers(ast.parse(path.read_text()))
+    }
+    constructors = {(name, "__init__") for name in CACHED_RECORDS}
+    assert places == constructors | {("_lazy", "__get__")}
+
+
+def test_the_graph_stores_its_build_time_data_as_plain_fields(rat6):
+    graph = build_graph(rat6.graph.matrix)
+    for name in ("scaled_canonical", "_edge_kernel"):
+        assert name in vars(graph)
+        assert name not in _class_attributes(graph)
+    assert graph.scaled_canonical == rationals.over_common_denominator(graph.canonical)
+    diagonal, edges = graph._edge_kernel
+    assert diagonal == tuple(row[j] for j, row in enumerate(graph.matrix))
+    assert sorted(tuple(sorted(edge)) for edge in edges) == sorted(
+        (j, l) for j, neighbors in enumerate(graph.adjacency) for l in neighbors if j < l
+    )
 
 
 def test_importing_the_package_builds_no_dataclass():

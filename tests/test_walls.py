@@ -22,7 +22,7 @@ from trees import random_tree_matrix
 from mmideal.arrangement import build_arrangement, merge_lines
 from mmideal.evaluate import _evaluate_at
 from mmideal.rationals import format_point
-from mmideal.svg import decimal_approx, render_atlas_svg
+from mmideal.svg import _decimal, render_atlas_svg
 from mmideal import (
     RegionReport,
     attach_ideals,
@@ -300,7 +300,7 @@ def test_chain10_arrangement_at_scale(chain10):
 def test_atlas_svg_with_lct_ticks(rat6, rat6_atlas):
     # the picture `mmideal walls --svg` writes; the digest was computed with
     # the earlier Fraction arrangement, per-face vertex formatting and
-    # digit-by-digit decimal_approx, so it pins that all three are unchanged
+    # digit-by-digit decimal expansion, so it pins that all three are unchanged
     ticks = lc_region(rat6).thresholds
     assert ticks == (Fraction(1, 6), Fraction(1))
     svg = render_atlas_svg(rat6_atlas, ticks)
@@ -325,11 +325,14 @@ def _reference_pixels(atlas, ticks):
     _MARGIN + x/bx * _WIDTH and _MARGIN + (1 - y/by) * height."""
     bx, by = atlas.box
 
+    def decimal(value):
+        return _decimal(value.numerator, value.denominator)
+
     def x_pix(x):
-        return decimal_approx(svg._MARGIN + Fraction(x, bx) * svg._WIDTH)
+        return decimal(svg._MARGIN + Fraction(x, bx) * svg._WIDTH)
 
     def y_pix(y):
-        return decimal_approx(svg._MARGIN + (1 - Fraction(y, by)) * svg._WIDTH)
+        return decimal(svg._MARGIN + (1 - Fraction(y, by)) * svg._WIDTH)
 
     arr = atlas.arrangement
     points = vertex_points(arr)
