@@ -74,16 +74,24 @@ class SingularityClass(enum.Enum):
     NEITHER = "Neither"                   # some k_j < -1
 
 
+def _atlas_faces(atlas) -> int:
+    """A wall atlas's weight in its graph's `atlas_cache`: its face count."""
+    return len(atlas.arrangement.faces)
+
+
 class DualGraph(_Frozen):
     """Immutable dual graph with its canonical data.
 
-    Three bounded, counted caches live on the graph, under the one bound
+    Four bounded, counted caches live on the graph, under the one bound
     ``unloading.CLOSURE_CACHE_BOUND``: `closure_cache` maps a divisor to its
     checked antinef closure, `colength_cache` an antinef divisor to its
-    checked colength (see ``unloading``), and `record_cache` a point of an
+    checked colength (see ``unloading``), `record_cache` a point of an
     ideal tuple on the graph to its certified `JumpRecord` (see
-    ``multiplicity``).  None is compared or shown, so two graphs built from
-    one matrix are equal but share no cached values.
+    ``multiplicity``), and `atlas_cache` a pair of ideals and a box to its
+    checked `WallAtlas` (see ``walls``).  The first three count entries
+    against the bound, the atlas cache counts faces.  None is compared or
+    shown, so two graphs built from one matrix are equal but share no
+    cached values.
 
     The constructor only stores what `build_graph` computed: besides the
     matrix, K and the adjacency lists, `scaled_canonical` = (D, D*K), D the
@@ -113,6 +121,7 @@ class DualGraph(_Frozen):
             closure_cache=BoundedCache(),
             colength_cache=BoundedCache(),
             record_cache=BoundedCache(),
+            atlas_cache=BoundedCache(_atlas_faces),
         )
 
     def __eq__(self, other) -> bool:

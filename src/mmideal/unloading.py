@@ -72,14 +72,17 @@ integer (an ``int`` or a ``Fraction`` with denominator 1) per component; a
 float, bool, string or non-integer ``Fraction`` raises ValidationError, a
 wrong length LengthMismatch.
 
-Each graph owns three caches, each a :class:`BoundedCache` of at most
-``CLOSURE_CACHE_BOUND`` entries that counts its hits, misses and evictions,
-and all three die with their graph.  Checked closures are memoized in
-``closure_cache``, keyed by the clamped divisor alone; colengths in
-``colength_cache``, keyed by the divisor as read, and stored only after
-every check has passed.  Along a ray the left divisor at one candidate is
-the divisor at the one before, so most colengths are repeats.  The third,
-``record_cache``, holds the certified jump records of ``multiplicity``.
+Each graph owns four caches, each a :class:`BoundedCache` that counts its
+hits, misses and evictions, and all four die with their graph.  Each holds
+at most ``CLOSURE_CACHE_BOUND`` in total weight: an entry weighs 1, except
+in ``atlas_cache``, where a wall atlas weighs its face count.  Checked
+closures are memoized in ``closure_cache``, keyed by the clamped divisor
+alone; colengths in ``colength_cache``, keyed by the divisor as read, and
+stored only after every check has passed.  Along a ray the left divisor at
+one candidate is the divisor at the one before, so most colengths are
+repeats.  The third, ``record_cache``, holds the certified jump records of
+``multiplicity``, and the fourth, ``atlas_cache``, the checked atlases of
+``walls``.
 
 All arithmetic is in Python integers: the colength uses D.K = sum of
 d_j (-2 - E_j^2), which holds because M K = b, so K itself is never read.
@@ -97,30 +100,41 @@ from .rationals import _integer_vector
 if TYPE_CHECKING:
     from .dualgraph import DualGraph
 
-# Entries each of one graph's caches keeps; the largest cache a seed-1
-# benchmark pass fills holds a few hundred, a RAT6 4x4 atlas about 1000.
+# Weight each of one graph's caches keeps: entries, or faces in the atlas
+# cache.  The largest cache a seed-1 benchmark pass fills holds a few hundred
+# entries, a RAT6 4x4 atlas about 1000 closures and 1012 faces; no graph's
+# atlas cache holds more than 742 faces in a seed-1 or seed-2 benchmark pass.
 CLOSURE_CACHE_BOUND = 4096
 
 
 class BoundedCache(dict):
-    """Checked values keyed by divisor or by point, at most
-    ``CLOSURE_CACHE_BOUND`` of them: storing into a full cache evicts the
-    oldest entry first, and ``evictions`` counts the entries dropped.
-    ``hits`` and ``misses`` count the lookups, which its users make inline:
-    one `get`, then one count.
+    """Checked values keyed by divisor, by point or by (tuple, box), at most
+    ``CLOSURE_CACHE_BOUND`` of them in total weight: `weigh` gives a value's
+    weight, 1 unless the owner says otherwise, and `held` is the total.
+    Storing evicts the oldest entries until the new one fits; a value
+    heavier than the bound is not held.  ``evictions`` counts the entries
+    dropped or not held.  ``hits`` and ``misses`` count the lookups, which
+    its users make inline: one `get`, then one count.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, weigh=lambda value: 1) -> None:
         super().__init__()
+        self.weigh = weigh
+        self.held = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def store(self, key: tuple, value) -> None:
-        while len(self) >= CLOSURE_CACHE_BOUND:
-            del self[next(iter(self))]
+        weight = self.weigh(value)
+        if weight > CLOSURE_CACHE_BOUND:
+            self.evictions += 1
+            return
+        while self.held + weight > CLOSURE_CACHE_BOUND:
+            self.held -= self.weigh(self.pop(next(iter(self))))
             self.evictions += 1
         self[key] = value
+        self.held += weight
 
 
 def intersection_products(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]:

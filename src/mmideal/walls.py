@@ -29,6 +29,14 @@ through it.  Each face's divisor is the checked closure of its floors, and
 the lowest-numbered face of every cell is evaluated directly as the
 independent route.
 
+Repeated atlases are served, not recomputed: `cell_decomposition` looks up
+the ideal vectors and the box, as read, in the graph's ``atlas_cache`` (see
+``dualgraph``) before it builds anything, and stores the atlas only once
+every check above has passed, so a repeat gets back the same object and an
+atlas that raises stores nothing and raises again.  The cache weighs each
+atlas by its face count; one heavier than ``CLOSURE_CACHE_BOUND`` is
+returned but not held.
+
 For any number of ideals the log-canonical wall is the boundary of the
 constancy region of the origin: the orthant clipped by one integer row per
 component, each facet of the clip a facet of the wall.  Its facet count is
@@ -233,6 +241,13 @@ def cell_decomposition(
     ideals: IdealTuple, box: tuple[Fraction, Fraction]
 ) -> WallAtlas:
     box = _rational_vector(box, 2, "box sides")
+    cache = ideals.graph.atlas_cache
+    key = (ideals.ideals, box)
+    cached = cache.get(key)
+    if cached is not None:
+        cache.hits += 1
+        return cached
+    cache.misses += 1
     lines = wall_lines(ideals, box)
     arrangement = build_arrangement(lines, box)
     face_divisors = tuple(
@@ -328,7 +343,7 @@ def cell_decomposition(
                 )
             )
 
-    return WallAtlas(
+    atlas = WallAtlas(
         box=box,
         arrangement=arrangement,
         face_divisors=face_divisors,
@@ -336,6 +351,8 @@ def cell_decomposition(
         cell_divisors=cell_divisors,
         facets=tuple(facets),
     )
+    cache.store(key, atlas)
+    return atlas
 
 
 def facet_intersection_vertices(atlas: WallAtlas) -> list[Point2]:

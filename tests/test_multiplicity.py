@@ -350,6 +350,63 @@ def test_record_cache_is_bounded_and_counted(rat6, monkeypatch):
     assert [record.point for record in cache.values()] == points[-4:]
 
 
+# ---------------------------------------------------------------------------
+# The atlas cache: a repeated (tuple, box) atlas served from its graph, weighed
+# in faces.
+# ---------------------------------------------------------------------------
+
+
+def test_a_repeated_atlas_is_served_from_its_graph(rat6):
+    ideals = cold(rat6)
+    cache = ideals.graph.atlas_cache
+    atlas = cell_decomposition(ideals, (1, 1))
+    # the box is keyed as read, so ints and Fractions of one value share it
+    assert cell_decomposition(ideals, [Fraction(1), 1]) is atlas
+    assert (cache.hits, cache.misses, cache.evictions) == (1, 1, 0)
+    assert cache.held == len(atlas.arrangement.faces) == 85
+    # another box, another tuple on the graph, another graph: each a miss
+    half = (Fraction(1, 2), Fraction(1, 2))
+    other_box = cell_decomposition(ideals, half)
+    assert other_box == cell_decomposition(cold(rat6), half) != atlas
+    swapped = attach_ideals(ideals.graph, rat6.ideals[::-1])
+    other_tuple = cell_decomposition(swapped, (1, 1))
+    assert other_tuple == cell_decomposition(cold(swapped), (1, 1)) != atlas
+    fresh = cold(rat6)
+    other_graph = cell_decomposition(fresh, (1, 1))
+    assert other_graph == atlas and other_graph is not atlas
+    assert (cache.hits, cache.misses, cache.evictions) == (1, 3, 0)
+    assert list(cache.values()) == [atlas, other_box, other_tuple]
+    assert cache.held == 85 + 28 + 85
+    assert (fresh.graph.atlas_cache.hits, fresh.graph.atlas_cache.misses) == (0, 1)
+
+
+def test_atlas_cache_is_bounded_in_faces_and_counted(rat6, monkeypatch):
+    monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 50)
+    ideals = cold(rat6)
+    graph = ideals.graph
+    cache = graph.atlas_cache
+    sides = [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(2, 3), Fraction(1)]
+    # the sides held after each atlas, oldest first: 2/5 evicts 1/4, 2/3
+    # evicts 1/3 and 2/5, and the 1x1 atlas, heavier than the bound, is not held
+    held = [[0], [0, 1], [1, 2], [3], [3]]
+    atlases = []
+    for side, expected in zip(sides, held):
+        atlas = cell_decomposition(ideals, (side, side))
+        assert atlas == cell_decomposition(cold(rat6), (side, side))
+        atlases.append(atlas)
+        assert list(cache) == [(rat6.ideals, (sides[n], sides[n])) for n in expected]
+        assert cache.held == sum(len(a.arrangement.faces) for a in cache.values()) <= 50
+        for each in (graph.closure_cache, graph.colength_cache, graph.record_cache):
+            assert each.held == len(each) <= 50
+    assert [len(a.arrangement.faces) for a in atlases] == [13, 20, 23, 46, 85]
+    assert (cache.hits, cache.misses, cache.evictions) == (0, 5, 4)
+    # the atlas held is served; the one not held is computed again
+    assert cell_decomposition(ideals, (sides[3], sides[3])) is atlases[3]
+    again = cell_decomposition(ideals, (1, 1))
+    assert again == atlases[4] and again is not atlases[4]
+    assert (cache.hits, cache.misses, cache.evictions) == (1, 6, 5)
+
+
 def test_a_refused_point_stores_no_record(monkeypatch, rat6):
     ideals = cold(rat6)
     _shift_adjoint_products(monkeypatch, (-1, 0, 0, 0, 0, 1))

@@ -43,7 +43,8 @@ BOX = (Fraction(1), Fraction(1))
 
 
 def _atlas(rat6):
-    return cell_decomposition(rat6, BOX)
+    # on a fresh tuple each time: a repeat on one graph is the cached atlas
+    return cell_decomposition(cold(rat6), BOX)
 
 
 def _jumps(rat6):

@@ -12,6 +12,7 @@ import pytest
 import frozen
 from conftest import (
     FIXTURE_NAMES,
+    cold,
     divisor_leq,
     edge_point,
     face_barycenter,
@@ -119,7 +120,7 @@ def test_rat6_atlas_at_scale(rat6, monkeypatch):
         return direct(ideals, point)
 
     monkeypatch.setattr(walls, "mmi_divisor", counted)
-    atlas = cell_decomposition(rat6, (Fraction(4), Fraction(4)))
+    atlas = cell_decomposition(cold(rat6), (Fraction(4), Fraction(4)))
     arr = atlas.arrangement
     assert len([line for line in arr.lines if not line.is_box]) == 163
     assert (len(arr.vertices), len(arr.faces)) == (832, 1012)
@@ -232,7 +233,7 @@ def test_corrupted_arrangement_is_caught(rat6, monkeypatch, corrupt, message):
         walls, "build_arrangement", lambda lines, box: corrupt(build(lines, box))
     )
     with pytest.raises(InternalConsistencyError, match=message):
-        cell_decomposition(rat6, (Fraction(1), Fraction(1)))
+        cell_decomposition(cold(rat6), (Fraction(1), Fraction(1)))
 
 
 def test_every_dropped_source_is_caught(rat6, monkeypatch):
@@ -255,7 +256,30 @@ def test_every_dropped_source_is_caught(rat6, monkeypatch):
             lambda lines, box: _drop_source(build(lines, box), index, source),
         )
         with pytest.raises(InternalConsistencyError):
-            cell_decomposition(rat6, box)
+            cell_decomposition(cold(rat6), box)
+
+
+def test_an_atlas_that_raises_stores_nothing(rat6, monkeypatch):
+    ideals = cold(rat6)
+    cache = ideals.graph.atlas_cache
+    build, builds = walls.build_arrangement, []
+    monkeypatch.setattr(
+        walls, "build_arrangement", lambda lines, box: _swap_sides(build(lines, box), 0)
+    )
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError, match="crossing edge"):
+            cell_decomposition(ideals, (1, 1))
+    assert cache == {} and cache.held == 0
+    assert (cache.hits, cache.misses, cache.evictions) == (0, 2, 0)
+    # unpatched, the next call computes and checks the atlas, then serves it
+    monkeypatch.setattr(
+        walls, "build_arrangement", lambda lines, box: builds.append(box) or build(lines, box)
+    )
+    atlas = cell_decomposition(ideals, (1, 1))
+    assert atlas == cell_decomposition(cold(rat6), (1, 1))
+    assert cell_decomposition(ideals, (1, 1)) is atlas
+    assert len(builds) == 2 and (cache.hits, cache.misses) == (1, 3)
+    assert list(cache.values()) == [atlas]
 
 
 # Reference for the wall-line source check in `walls._face_floors`: the wall
