@@ -79,19 +79,26 @@ def _atlas_faces(atlas) -> int:
     return len(atlas.arrangement.faces)
 
 
+def _walk_jumps(walk) -> int:
+    """A ray walk's weight in its graph's `walk_cache`: its jump count, at
+    least 1; `walk` is (until, jumps)."""
+    return max(1, len(walk[1]))
+
+
 class DualGraph(_Frozen):
     """Immutable dual graph with its canonical data.
 
-    Four bounded, counted caches live on the graph, under the one bound
+    Five bounded, counted caches live on the graph, under the one bound
     ``unloading.CLOSURE_CACHE_BOUND``: `closure_cache` maps a divisor to its
     checked antinef closure, `colength_cache` an antinef divisor to its
     checked colength (see ``unloading``), `record_cache` a point of an
     ideal tuple on the graph to its certified `JumpRecord` (see
-    ``multiplicity``), and `atlas_cache` a pair of ideals and a box to its
-    checked `WallAtlas` (see ``walls``).  The first three count entries
-    against the bound, the atlas cache counts faces.  None is compared or
-    shown, so two graphs built from one matrix are equal but share no
-    cached values.
+    ``multiplicity``), `atlas_cache` a pair of ideals and a box to its
+    checked `WallAtlas` (see ``walls``), and `walk_cache` an ideal tuple and
+    a ray to its longest checked walk (see ``rays``).  The first three
+    count entries against the bound, the atlas cache counts faces and the
+    walk cache jumps.  None is compared or shown, so two graphs built from
+    one matrix are equal but share no cached values.
 
     The constructor only stores what `build_graph` computed: besides the
     matrix, K and the adjacency lists, `scaled_canonical` = (D, D*K), D the
@@ -122,6 +129,7 @@ class DualGraph(_Frozen):
             colength_cache=BoundedCache(),
             record_cache=BoundedCache(),
             atlas_cache=BoundedCache(_atlas_faces),
+            walk_cache=BoundedCache(_walk_jumps),
         )
 
     def __eq__(self, other) -> bool:

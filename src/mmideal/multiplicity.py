@@ -61,7 +61,7 @@ from .evaluate import (
     _integer_direction,
     evaluate_point,
 )
-from .rationals import _rational, _rational_vector
+from .rationals import _rational, _rational_vector, over_common_denominator
 from .unloading import colength
 
 
@@ -259,7 +259,8 @@ def perturbation_sum(
     one crossing, the point itself.
 
     The point's evaluation supplies the walls and the scaled gap values; no
-    `Fraction` view of c.F is built.  Every ideal has full support, so each
+    `Fraction` view of c.F is built, and offset.F is summed in integers over
+    the offset's common denominator.  Every ideal has full support, so each
     slope q_j = ray_dir . F_j is a positive integer and L' crosses every wall.
     """
     evaluation = evaluate_point(ideals, point)
@@ -272,11 +273,16 @@ def perturbation_sum(
     if any(b < 0 for b in base):
         raise OffsetTooLarge(f"shifted base {base} leaves the orthant")
     slopes = _dot_F(ideals, direction)
-    drifts = _dot_F(ideals, shift)  # offset.F: how far the base moves each v_j
+    # offset.F, how far the base moves each v_j, as S*(offset.F) over the
+    # offset's common denominator S
+    denominator, numerators = over_common_denominator(shift)
+    drifts = _dot_F(ideals, numerators)
 
     # Two walls meet L' at one parameter exactly when they meet it at one
     # point, so the crossings are the distinct parameters.
-    parameters = {-drifts[j] / slopes[j] for j, _ in evaluation.wall_lines}
+    parameters = {
+        Fraction(-drifts[j], denominator * slopes[j]) for j, _ in evaluation.wall_lines
+    }
     crossings = []
     for parameter in sorted(parameters):
         crossing = tuple(b + parameter * u for b, u in zip(base, direction))
@@ -293,17 +299,15 @@ def perturbation_sum(
         # point may meet that region, otherwise a crossing could drift onto a
         # different stretch of its wall and the crossing sum would change.
         # v_j is affine, so its range there is spanned by the four corners,
-        # taken in integers over M = lcm(N, denominators of the two ends and
-        # of the drifts); the levels in range are ceil(min/M)..floor(max/M).
+        # taken in integers over M = lcm(N, S, denominators of the two ends);
+        # the levels in range are ceil(min/M)..floor(max/M).
         ends = (min(0, crossings[0][0]), max(0, crossings[-1][0]))
-        common = math.lcm(evaluation.scale, *(x.denominator for x in (*ends, *drifts)))
-        factor = common // evaluation.scale
+        common = math.lcm(evaluation.scale, denominator, *(t.denominator for t in ends))
+        factor, drift_factor = common // evaluation.scale, common // denominator
         scaled_ends = [t.numerator * (common // t.denominator) for t in ends]
-        scaled_drifts = [d.numerator * (common // d.denominator) for d in drifts]
-        for j, (v, q, d) in enumerate(
-            zip(evaluation.scaled_values, slopes, scaled_drifts)
-        ):
+        for j, (v, q, d) in enumerate(zip(evaluation.scaled_values, slopes, drifts)):
             v *= factor
+            d *= drift_factor
             corners = [v + t * q + e for t in scaled_ends for e in (0, d)]
             for level in range(-(-min(corners) // common), max(corners) // common + 1):
                 if level * common != v:  # else the wall passes through the point

@@ -72,17 +72,19 @@ integer (an ``int`` or a ``Fraction`` with denominator 1) per component; a
 float, bool, string or non-integer ``Fraction`` raises ValidationError, a
 wrong length LengthMismatch.
 
-Each graph owns four caches, each a :class:`BoundedCache` that counts its
-hits, misses and evictions, and all four die with their graph.  Each holds
+Each graph owns five caches, each a :class:`BoundedCache` that counts its
+hits, misses and evictions, and all five die with their graph.  Each holds
 at most ``CLOSURE_CACHE_BOUND`` in total weight: an entry weighs 1, except
-in ``atlas_cache``, where a wall atlas weighs its face count.  Checked
-closures are memoized in ``closure_cache``, keyed by the clamped divisor
-alone; colengths in ``colength_cache``, keyed by the divisor as read, and
-stored only after every check has passed.  Along a ray the left divisor at
-one candidate is the divisor at the one before, so most colengths are
-repeats.  The third, ``record_cache``, holds the certified jump records of
-``multiplicity``, and the fourth, ``atlas_cache``, the checked atlases of
-``walls``.
+in ``atlas_cache``, where a wall atlas weighs its face count, and in
+``walk_cache``, where a ray walk weighs its jump count (at least 1).
+Checked closures are memoized in ``closure_cache``, keyed by the clamped
+divisor alone; colengths in ``colength_cache``, keyed by the divisor as
+read, and stored only after every check has passed.  Along a ray the left
+divisor at one candidate is the divisor at the one before, so most
+colengths are repeats.  The third, ``record_cache``, holds the certified
+jump records of ``multiplicity``, the fourth, ``atlas_cache``, the checked
+atlases of ``walls``, and the fifth, ``walk_cache``, the checked ray walks
+of ``rays``.
 
 All arithmetic is in Python integers: the colength uses D.K = sum of
 d_j (-2 - E_j^2), which holds because M K = b, so K itself is never read.
@@ -100,21 +102,25 @@ from .rationals import _integer_vector
 if TYPE_CHECKING:
     from .dualgraph import DualGraph
 
-# Weight each of one graph's caches keeps: entries, or faces in the atlas
-# cache.  The largest cache a seed-1 benchmark pass fills holds a few hundred
-# entries, a RAT6 4x4 atlas about 1000 closures and 1012 faces; no graph's
-# atlas cache holds more than 742 faces in a seed-1 or seed-2 benchmark pass.
+# Weight each of one graph's caches keeps: entries, faces in the atlas cache
+# or jumps in the walk cache.  The largest cache a seed-1 benchmark pass
+# fills holds a few hundred entries, a RAT6 4x4 atlas about 1000 closures and
+# 1012 faces; in a seed-1 or seed-2 benchmark pass no graph's atlas cache
+# holds more than 742 faces, and no walk cache more than 434 jumps.
 CLOSURE_CACHE_BOUND = 4096
 
 
 class BoundedCache(dict):
-    """Checked values keyed by divisor, by point or by (tuple, box), at most
-    ``CLOSURE_CACHE_BOUND`` of them in total weight: `weigh` gives a value's
-    weight, 1 unless the owner says otherwise, and `held` is the total.
-    Storing evicts the oldest entries until the new one fits; a value
-    heavier than the bound is not held.  ``evictions`` counts the entries
-    dropped or not held.  ``hits`` and ``misses`` count the lookups, which
-    its users make inline: one `get`, then one count.
+    """Checked values keyed by divisor, by point, by (tuple, box) or by
+    (tuple, ray), at most ``CLOSURE_CACHE_BOUND`` of them in total weight:
+    `weigh` gives a value's weight, 1 unless the owner says otherwise, and
+    `held` is the total.  Storing evicts the oldest entries until the new
+    one fits; a value heavier than the bound is not held.  Storing under a
+    held key drops the old value's weight and puts the key at the newest
+    end.  Item assignment stores; ``del``, `pop`, `popitem` and `clear`
+    take their values' weight off `held` too.  ``evictions`` counts the
+    entries dropped or not held.  ``hits`` and ``misses`` count the
+    lookups, which its users make inline: one `get`, then one count.
     """
 
     def __init__(self, weigh=lambda value: 1) -> None:
@@ -126,15 +132,38 @@ class BoundedCache(dict):
         self.evictions = 0
 
     def store(self, key: tuple, value) -> None:
+        if key in self:
+            self.pop(key)
         weight = self.weigh(value)
         if weight > CLOSURE_CACHE_BOUND:
             self.evictions += 1
             return
         while self.held + weight > CLOSURE_CACHE_BOUND:
-            self.held -= self.weigh(self.pop(next(iter(self))))
+            self.pop(next(iter(self)))
             self.evictions += 1
-        self[key] = value
+        super().__setitem__(key, value)
         self.held += weight
+
+    __setitem__ = store
+
+    def __delitem__(self, key) -> None:
+        self.pop(key)
+
+    def pop(self, key, *default):
+        if key not in self:
+            return super().pop(key, *default)
+        value = super().pop(key)
+        self.held -= self.weigh(value)
+        return value
+
+    def popitem(self) -> tuple:
+        key, value = super().popitem()
+        self.held -= self.weigh(value)
+        return key, value
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = 0
 
 
 def intersection_products(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]:

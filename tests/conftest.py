@@ -11,8 +11,8 @@ FIXTURE_NAMES = ("CHAIN10", "NEST14", "PROP16", "RAT6", "SMOOTH1")
 
 def cold(ideals):
     """The same ideals on a newly built graph, every graph cache empty: a
-    test that injects a fault, or counts calls, sees each point certified
-    and each atlas computed for the first time."""
+    test that injects a fault, or counts calls, sees each point certified,
+    each atlas computed and each ray walked for the first time."""
     return attach_ideals(build_graph(ideals.graph.matrix), ideals.ideals)
 
 

@@ -13,17 +13,22 @@ from mmideal import (
     cell_decomposition,
     evaluate_point,
     jump_record,
+    make_ray,
     minimal_jumping_divisor,
     multiplicity_checked,
     perturbation_sum,
+    poincare,
+    ray_walk,
+    stability_bound,
 )
-from mmideal import evaluate, unloading
+from mmideal import evaluate, rays, unloading
 from mmideal import multiplicity as routes
 from mmideal.errors import (
     InequalityViolated,
     InternalConsistencyError,
     NotAJumpingPoint,
     OffsetTooLarge,
+    ValidationError,
 )
 from mmideal.multiplicity import (
     default_offset,
@@ -405,6 +410,154 @@ def test_atlas_cache_is_bounded_in_faces_and_counted(rat6, monkeypatch):
     again = cell_decomposition(ideals, (1, 1))
     assert again == atlases[4] and again is not atlases[4]
     assert (cache.hits, cache.misses, cache.evictions) == (1, 6, 5)
+
+
+# ---------------------------------------------------------------------------
+# The walk cache: the longest checked walk of each (tuple, ray) served from its
+# graph, by prefix, weighed in jumps.
+# ---------------------------------------------------------------------------
+
+
+def _held_weight(cache):
+    return sum(max(1, len(jumps)) for _, jumps in cache.values())
+
+
+def test_a_repeated_walk_is_served_from_its_graph(rat6, monkeypatch):
+    ideals = cold(rat6)
+    cache = ideals.graph.walk_cache
+    ray = make_ray(ideals, (0, 0), (1, 1))
+    walk = ray_walk(ideals, ray, 1)
+    key = (rat6.ideals, ray.base, ray.direction)
+    assert cache == {key: (1, tuple(walk))} and cache.held == len(walk) == 15
+    record, records = rays.jump_record, []
+    monkeypatch.setattr(
+        rays, "jump_record", lambda ideals, point: records.append(point) or record(ideals, point)
+    )
+    # the ray and until are keyed as read: a hand-built Ray of ints is the same
+    again = ray_walk(ideals, rays.Ray((0, 0), (1, 1)), Fraction(1))
+    assert again == walk and again is not walk and records == []
+    assert (cache.hits, cache.misses, cache.evictions) == (1, 1, 0)
+    # the list is the caller's: changing it leaves the held walk as it was
+    again.clear()
+    assert ray_walk(ideals, ray, 1) == walk
+    assert (cache.hits, cache.misses) == (2, 1)
+
+
+def test_a_shorter_walk_is_the_held_prefix(rat6):
+    ideals = cold(rat6)
+    cache = ideals.graph.walk_cache
+    ray = make_ray(ideals, (0, 0), (1, 1))
+    walk = ray_walk(ideals, ray, 2)
+    # an until on a jump keeps it, one between jumps keeps those below it
+    for until in (walk[10].parameter, Fraction(1, 2), Fraction(1, 1000)):
+        prefix = ray_walk(ideals, ray, until)
+        assert prefix == [jump for jump in walk if jump.parameter <= until]
+        assert prefix == ray_walk(cold(rat6), ray, until)
+    assert len(ray_walk(ideals, ray, walk[10].parameter)) == 11
+    assert (cache.hits, cache.misses) == (4, 1)
+    assert list(cache.values()) == [(2, tuple(walk))] and cache.held == 36
+
+
+def test_a_longer_walk_replaces_the_held_one(rat6):
+    ideals = cold(rat6)
+    cache = ideals.graph.walk_cache
+    first, other = make_ray(ideals, (0, 0), (1, 1)), make_ray(ideals, (0, 0), (1, 2))
+    short = ray_walk(ideals, first, Fraction(1, 2))
+    ray_walk(ideals, other, Fraction(1, 2))
+    assert cache.held == 6 + 9
+    longer = ray_walk(ideals, first, 1)
+    assert longer[:len(short)] == short and longer == ray_walk(cold(rat6), first, 1)
+    assert (cache.hits, cache.misses, cache.evictions) == (0, 3, 0)
+    # one entry per ray; the replaced one moves to the newest end
+    assert [key[2] for key in cache] == [(1, 2), (1, 1)]
+    assert cache[rat6.ideals, first.base, first.direction] == (1, tuple(longer))
+    assert cache.held == _held_weight(cache) == 9 + 15
+    assert ray_walk(ideals, first, Fraction(1, 2)) == short
+    assert cache.hits == 1
+
+
+def test_a_walk_that_raises_stores_nothing(chain10, monkeypatch):
+    ideals = cold(chain10)
+    cache = ideals.graph.walk_cache
+    ray = make_ray(ideals, (0, Fraction(1, 3)), (2, 3))
+    first = ray_walk(cold(chain10), ray, 1)[0].parameter
+    stream = rays._candidate_parameters
+    monkeypatch.setattr(
+        rays,
+        "_candidate_parameters",
+        lambda *args: (mu for mu in stream(*args) if mu != first),
+    )
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError, match="divisor chain broken"):
+            ray_walk(ideals, ray, 1)
+    assert cache == {} and cache.held == 0
+    assert (cache.hits, cache.misses, cache.evictions) == (0, 2, 0)
+    monkeypatch.undo()
+    walk = ray_walk(ideals, ray, 1)
+    assert walk[0].parameter == first and walk == ray_walk(cold(chain10), ray, 1)
+    assert len(cache) == 1 and (cache.hits, cache.misses) == (0, 3)
+
+
+def test_a_repeat_reads_the_ray_and_until_through_the_contract(rat6):
+    # a float equal to a held until or base coordinate hashes and compares
+    # equal to it, so the walk cache is read only after the contract
+    warm = cold(rat6)
+    ray = make_ray(warm, (0, 0), (1, 1))
+    ray_walk(warm, ray, 1)
+    refused = [
+        (ray, 1.0),
+        (ray, Fraction(1, 2) + 0j),
+        (rays.Ray((0.0, 0), (1, 1)), 1),
+        (rays.Ray((0, 0), (1, 1, 1)), 1),
+        (rays.Ray((0, 0), (0, 0)), 1),
+        (((0, 0), (1, 1)), 1),
+    ]
+    for bad_ray, until in refused:
+        raised = []
+        for ideals in (cold(rat6), warm):
+            with pytest.raises(ValidationError) as error:
+                ray_walk(ideals, bad_ray, until)
+            raised.append((type(error.value), str(error.value)))
+        assert raised[0] == raised[1]
+    cache = warm.graph.walk_cache
+    assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
+
+
+def test_walk_cache_is_bounded_in_jumps_and_counted(rat6, monkeypatch):
+    monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 20)
+    ideals = cold(rat6)
+    cache = ideals.graph.walk_cache
+    # (direction, until) from the origin, weighing 6, 9, 5, 11, 36 and 6
+    # jumps; the 36-jump walk is heavier than the bound, so it is not held
+    walks = [
+        ((1, 1), Fraction(1, 2)), ((1, 2), Fraction(1, 2)), ((2, 1), Fraction(1, 4)),
+        ((1, 3), Fraction(1, 2)), ((1, 1), Fraction(2)), ((1, 1), Fraction(1, 2)),
+    ]
+    held = [[0], [0, 1], [0, 1, 2], [2, 3], [2, 3], [3, 5]]
+    for (direction, until), expected in zip(walks, held):
+        ray = make_ray(ideals, (0, 0), direction)
+        walk = ray_walk(ideals, ray, until)
+        assert walk == ray_walk(cold(rat6), ray, until)
+        assert [key[2] for key in cache] == [walks[n][0] for n in expected]
+        assert cache.held == _held_weight(cache) <= 20
+    # the 36-jump walk is not held, so the last (1, 1) walk, its prefix, is
+    # computed again
+    assert (cache.hits, cache.misses, cache.evictions) == (0, 6, 4)
+    assert [len(jumps) for _, jumps in cache.values()] == [11, 6]
+
+
+def test_poincare_over_a_served_walk_equals_a_cold_one(rat6, smooth1):
+    for ideals, base, direction in ((rat6, (0, 0), (1, 2)), (smooth1, (0,), (1,))):
+        warm = cold(ideals)
+        cache = warm.graph.walk_cache
+        ray = make_ray(warm, base, direction)
+        horizon = stability_bound(warm, ray) + 2
+        # a longer walk first: the series' walk is its prefix
+        ray_walk(warm, ray, horizon + 3)
+        form = poincare(warm, ray, horizon)
+        assert form == poincare(cold(ideals), ray, horizon)
+        assert poincare(warm, ray, horizon) == form
+        assert (cache.hits, cache.misses, len(cache)) == (2, 1, 1)
 
 
 def test_a_refused_point_stores_no_record(monkeypatch, rat6):

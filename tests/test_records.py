@@ -48,7 +48,8 @@ def _atlas(rat6):
 
 
 def _jumps(rat6):
-    return ray_walk(rat6, make_ray(rat6, (0, 0), (1, 1)), Fraction(1))
+    # on a fresh tuple each time: a repeat on one graph is the held walk
+    return ray_walk(cold(rat6), make_ray(rat6, (0, 0), (1, 1)), Fraction(1))
 
 
 def _series(rat6):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import FIXTURE_NAMES
+from conftest import FIXTURE_NAMES, cold
 from mmideal import (
     antinef_closure_checked,
     colength,
@@ -254,7 +254,8 @@ def test_series_refuses_a_walk_missing_a_degenerate_monomial(tuples, name, monke
     # a degenerate jump has no recurrence, so the form takes it from the
     # walk and no re-expansion can miss it; the walk's divisor chain from
     # the jump before it is what breaks.  The fault goes into the candidate
-    # stream, the walk's own checks after it.
+    # stream, the walk's own checks after it.  The faulted series runs on
+    # a cold graph: on this one its walk would be served, not walked.
     ideals = tuples[name]
     ray = make_ray(ideals, *DEGENERATE[name][0])
     horizon = stability_bound(ideals, ray) + 2
@@ -269,12 +270,13 @@ def test_series_refuses_a_walk_missing_a_degenerate_monomial(tuples, name, monke
         lambda *args: (mu for mu in stream(*args) if mu != dropped),
     )
     with pytest.raises(InternalConsistencyError, match="divisor chain broken"):
-        poincare(ideals, ray, horizon)
+        poincare(cold(ideals), ray, horizon)
 
 
 def test_walk_refuses_a_walk_missing_its_first_jump(chain10, monkeypatch):
     # the chain starts at the base's divisor, so dropping the first
-    # candidate, a degenerate jump, leaves the next jump's left limit wrong
+    # candidate, a degenerate jump, leaves the next jump's left limit wrong;
+    # the faulted walks run on a cold graph, where nothing is served
     ray = make_ray(chain10, (0, Fraction(1, 3)), (2, 3))
     first = ray_walk(chain10, ray, 1)[0]
     assert first.parameter == Fraction(1, 29) and is_degenerate(chain10, first.point)
@@ -285,10 +287,11 @@ def test_walk_refuses_a_walk_missing_its_first_jump(chain10, monkeypatch):
         lambda *args: (mu for mu in stream(*args) if mu != first.parameter),
     )
     message = "divisor chain broken between parameters 0 and 2/29"
+    faulted = cold(chain10)
     with pytest.raises(InternalConsistencyError, match=message):
-        ray_walk(chain10, ray, 1)
+        ray_walk(faulted, ray, 1)
     with pytest.raises(InternalConsistencyError, match=message):
-        poincare(chain10, ray, stability_bound(chain10, ray) + 2)
+        poincare(faulted, ray, stability_bound(chain10, ray) + 2)
 
 
 # ---------------------------------------------------------------------------

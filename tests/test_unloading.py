@@ -243,6 +243,50 @@ def test_colength_cache_is_bounded_and_counted(rat6, monkeypatch):
     assert list(cache) == [divisors[10], divisors[11], divisors[0], divisors[1]]
 
 
+def test_bounded_cache_weight_follows_every_insertion_and_removal(monkeypatch):
+    # filled to the bound and cleared, a cache takes a store without
+    # running its eviction loop on nothing
+    cache = unloading.BoundedCache()
+    for n in range(unloading.CLOSURE_CACHE_BOUND):
+        cache.store((n,), n)
+    assert cache.held == len(cache) == unloading.CLOSURE_CACHE_BOUND
+    cache.clear()
+    assert cache.held == 0
+    cache.store((0,), 0)
+    assert cache == {(0,): 0} and cache.held == 1 and cache.evictions == 0
+    # a cache weighing each value by its length, through every path
+    monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 10)
+    cache = unloading.BoundedCache(len)
+    steps = [
+        (lambda: cache.store("a", "xxx"), ["a"]),
+        (lambda: cache.store("b", "xxxx"), ["a", "b"]),
+        # a held key: its old weight goes, and it moves to the newest end
+        (lambda: cache.store("a", "x"), ["b", "a"]),
+        # 5 + 6 > 10: the oldest entry goes
+        (lambda: cache.store("c", "xxxxxx"), ["a", "c"]),
+        (lambda: cache.__setitem__("d", "xx"), ["a", "c", "d"]),
+        # heavier than the bound: not held
+        (lambda: cache.store("e", "x" * 11), ["a", "c", "d"]),
+        (lambda: cache.pop("a"), ["c", "d"]),
+        (lambda: cache.pop("missing", None), ["c", "d"]),
+        (lambda: cache.popitem(), ["c"]),
+        (lambda: cache.__delitem__("c"), []),
+        (lambda: cache.store("f", "x" * 10), ["f"]),
+        (lambda: cache.clear(), []),
+        (lambda: cache.store("g", "x"), ["g"]),
+    ]
+    for step, keys in steps:
+        step()
+        assert list(cache) == keys
+        assert cache.held == sum(map(len, cache.values())) <= 10
+    assert cache.evictions == 2
+    with pytest.raises(KeyError):
+        cache.pop("missing")
+    with pytest.raises(KeyError):
+        del cache["missing"]
+    assert cache.held == 1
+
+
 def test_colength_memo_still_reads_its_input(rat6):
     # a float or a bool hashes and compares equal to the int in a stored key,
     # so the memo is read only after the divisor has passed the contract
