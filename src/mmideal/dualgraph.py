@@ -60,7 +60,6 @@ from .unloading import (
     _tree_solve,
     fundamental_cycle,
     intersection_products,
-    is_antinef,
 )
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -72,17 +71,6 @@ class SingularityClass(enum.Enum):
     LOG_TERMINAL = "LogTerminal"          # every k_j > -1
     LOG_CANONICAL_ONLY = "LogCanonicalOnly"  # every k_j >= -1, some = -1
     NEITHER = "Neither"                   # some k_j < -1
-
-
-def _atlas_faces(atlas) -> int:
-    """A wall atlas's weight in its graph's `atlas_cache`: its face count."""
-    return len(atlas.arrangement.faces)
-
-
-def _walk_jumps(walk) -> int:
-    """A ray walk's weight in its graph's `walk_cache`: its jump count, at
-    least 1; `walk` is (until, jumps)."""
-    return max(1, len(walk[1]))
 
 
 class DualGraph(_Frozen):
@@ -97,8 +85,10 @@ class DualGraph(_Frozen):
     checked `WallAtlas` (see ``walls``), and `walk_cache` an ideal tuple and
     a ray to its longest checked walk (see ``rays``).  The first three
     count entries against the bound, the atlas cache counts faces and the
-    walk cache jumps.  None is compared or shown, so two graphs built from
-    one matrix are equal but share no cached values.
+    walk cache jumps.  Each is filled only through `BoundedCache.serve`,
+    after every check of its site has passed.  None is compared or shown,
+    so two graphs built from one matrix are equal but share no cached
+    values.
 
     The constructor only stores what `build_graph` computed: besides the
     matrix, K and the adjacency lists, `scaled_canonical` = (D, D*K), D the
@@ -128,8 +118,8 @@ class DualGraph(_Frozen):
             closure_cache=BoundedCache(),
             colength_cache=BoundedCache(),
             record_cache=BoundedCache(),
-            atlas_cache=BoundedCache(_atlas_faces),
-            walk_cache=BoundedCache(_walk_jumps),
+            atlas_cache=BoundedCache(lambda atlas: len(atlas.arrangement.faces)),
+            walk_cache=BoundedCache(lambda walk: max(1, len(walk[1]))),  # (until, jumps)
         )
 
     def __eq__(self, other) -> bool:
@@ -379,18 +369,19 @@ def attach_ideals(graph: DualGraph, ideals: Sequence[Sequence[int]]) -> IdealTup
     ideals = _entries(ideals, None, "ideals")
     if not ideals:
         raise ValidationError("at least one ideal is required")
-    normalized = []
+    normalized, excesses = [], []
     for index, vector in enumerate(ideals):
         entries = _integer_vector(vector, graph.size, f"ideal {index + 1}")
         if all(entry == 0 for entry in entries):
             raise NotAntinef(f"ideal {index + 1} is the zero divisor")
-        if not is_antinef(graph, entries):
-            products = intersection_products(graph, entries)
-            bad = [
-                graph.label(j)
-                for j, product in enumerate(products)
-                if product > 0 or entries[j] < 0
-            ]
+        # D.E_j once per ideal: the antinef test, its refusal and the excesses
+        products = intersection_products(graph, entries)
+        bad = [
+            graph.label(j)
+            for j, product in enumerate(products)
+            if product > 0 or entries[j] < 0
+        ]
+        if bad:
             raise NotAntinef(
                 f"ideal {index + 1} is not antinef (violations at {', '.join(bad)})"
             )
@@ -398,11 +389,8 @@ def attach_ideals(graph: DualGraph, ideals: Sequence[Sequence[int]]) -> IdealTup
             # nonzero antinef divisors on a connected graph have full support
             raise NotAntinef(f"ideal {index + 1} lacks full support")
         normalized.append(entries)
-    excesses = tuple(
-        tuple(-product for product in intersection_products(graph, vector))
-        for vector in normalized
-    )
-    return IdealTuple(graph=graph, ideals=tuple(normalized), excesses=excesses)
+        excesses.append(tuple([-product for product in products]))
+    return IdealTuple(graph=graph, ideals=tuple(normalized), excesses=tuple(excesses))
 
 
 def singularity_class(graph: DualGraph) -> SingularityClass:

@@ -58,6 +58,7 @@ from .evaluate import (
     PointLike,
     _adjunction_values,
     _dot_F,
+    _evaluate_at,
     _integer_direction,
     evaluate_point,
 )
@@ -169,19 +170,17 @@ class JumpRecord(NamedTuple):
 def _certified(ideals: IdealTuple, evaluation: PointEvaluation) -> JumpRecord:
     """The point's record, certified at most once per graph.
 
-    Looked up in the graph's ``record_cache`` under the ideal vectors and
-    the evaluation's key (N*c, N) before anything else of the evaluation is
-    read, so a repeat is served before any gap data is computed.  On a miss
-    every route runs and is compared (the first route to read the gap data
-    computes it, once), and the record is stored only once every check has
-    passed, so a point that raises stores nothing and raises again."""
-    cache = ideals.graph.record_cache
-    key = (ideals.ideals, evaluation.scaled_point, evaluation.scale)
-    cached = cache.get(key)
-    if cached is not None:
-        cache.hits += 1
-        return cached
-    cache.misses += 1
+    Served from the graph's ``record_cache`` under the ideal vectors and the
+    evaluation's key (N*c, N) before any gap data is computed; a miss runs
+    :func:`_checked_record`."""
+    return ideals.graph.record_cache.serve(
+        (ideals.ideals, evaluation.scaled_point, evaluation.scale),
+        _checked_record, ideals, evaluation,
+    )
+
+
+def _checked_record(ideals: IdealTuple, evaluation: PointEvaluation) -> JumpRecord:
+    """Every route, compared; the first to read the gap data computes it."""
     adjunction = multiplicity(ideals, evaluation)
     if (adjunction > 0) != (evaluation.divisor != evaluation.divisor_left):
         raise InternalConsistencyError(
@@ -202,7 +201,7 @@ def _certified(ideals: IdealTuple, evaluation: PointEvaluation) -> JumpRecord:
                 f"minimal-divisor route gives {via_G} != {adjunction} "
                 f"at {evaluation.point}"
             )
-    record = JumpRecord(
+    return JumpRecord(
         evaluation.point,
         evaluation.divisor,
         evaluation.divisor_left,
@@ -211,8 +210,6 @@ def _certified(ideals: IdealTuple, evaluation: PointEvaluation) -> JumpRecord:
         adjunction,
         evaluation.wall_lines,
     )
-    cache.store(key, record)
-    return record
 
 
 def jump_record(ideals: IdealTuple, point: PointLike) -> JumpRecord:
@@ -259,9 +256,12 @@ def perturbation_sum(
     one crossing, the point itself.
 
     The point's evaluation supplies the walls and the scaled gap values; no
-    `Fraction` view of c.F is built, and offset.F is summed in integers over
-    the offset's common denominator.  Every ideal has full support, so each
-    slope q_j = ray_dir . F_j is a positive integer and L' crosses every wall.
+    `Fraction` view of c.F is built, offset.F is summed in integers over the
+    offset's common denominator, and each crossing is built, kept in the
+    orthant and certified in integers; its `Fraction` point is built for the
+    report and for error messages only.  Every ideal has full support, so
+    each slope q_j = ray_dir . F_j is a positive integer and L' crosses
+    every wall.
     """
     evaluation = evaluate_point(ideals, point)
     coords = evaluation.point
@@ -269,28 +269,37 @@ def perturbation_sum(
     shift = _rational_vector(offset, ideals.r, "offset")
     if not any(shift):
         raise ValidationError("offset must be a nonzero rational vector")
-    base = tuple(c + s for c, s in zip(coords, shift))
-    if any(b < 0 for b in base):
-        raise OffsetTooLarge(f"shifted base {base} leaves the orthant")
-    slopes = _dot_F(ideals, direction)
     # offset.F, how far the base moves each v_j, as S*(offset.F) over the
-    # offset's common denominator S
+    # offset's common denominator S; the shifted base as integers over
+    # B = lcm(N, S), with (N*c, N) the evaluation's key
     denominator, numerators = over_common_denominator(shift)
     drifts = _dot_F(ideals, numerators)
+    over = math.lcm(evaluation.scale, denominator)
+    base = [
+        c * (over // evaluation.scale) + s * (over // denominator)
+        for c, s in zip(evaluation.scaled_point, numerators)
+    ]
+    if min(base) < 0:
+        base = tuple(Fraction(b, over) for b in base)
+        raise OffsetTooLarge(f"shifted base {base} leaves the orthant")
+    slopes = _dot_F(ideals, direction)
 
     # Two walls meet L' at one parameter exactly when they meet it at one
-    # point, so the crossings are the distinct parameters.
+    # point, so the crossings are the distinct parameters.  The crossing at
+    # p/q is (q*base + p*B*u) / (B*q), evaluated through its integers.
     parameters = {
         Fraction(-drifts[j], denominator * slopes[j]) for j, _ in evaluation.wall_lines
     }
     crossings = []
     for parameter in sorted(parameters):
-        crossing = tuple(b + parameter * u for b, u in zip(base, direction))
-        if any(x < 0 for x in crossing):
+        p, q = parameter.numerator, parameter.denominator
+        crossing = [b * q + p * over * u for b, u in zip(base, direction)]
+        if min(crossing) < 0:
+            crossing = tuple(Fraction(x, over * q) for x in crossing)
             raise OffsetTooLarge(
                 f"crossing {crossing} leaves the orthant; shrink the offset"
             )
-        crossings.append((parameter, crossing))
+        crossings.append((parameter, _evaluate_at(ideals, crossing, over * q)))
 
     if crossings:
         # Admissibility: sliding the ray from the point to its offset copy
@@ -316,7 +325,7 @@ def perturbation_sum(
                         f"meets the swept region; shrink the offset"
                     )
     crossings = [
-        (parameter, crossing, multiplicity_checked(ideals, crossing))
+        (parameter, crossing.point, multiplicity_checked(ideals, crossing))
         for parameter, crossing in crossings
     ]
 

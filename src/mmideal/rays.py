@@ -34,13 +34,14 @@ closed form is checked by expanding it back, anchor a to the keys
 kappa_a + k*L, over the walk that built it, with no `Fraction` arithmetic
 per jump.
 
-Walks are served per graph, by prefix: `ray_walk` keeps the longest
-checked walk of each (tuple, ray) in the graph's ``walk_cache`` (see
-``dualgraph``), keyed by the ideal vectors and the ray as `make_ray` reads
-it, with the `until` it ran to.  Any walk up to that `until` is the held
-jumps with parameter <= until, as a new list, since a walk to a shorter
-`until` is a prefix of a longer one.  A longer walk is computed and checked
-in full and replaces the held one; a walk that raises stores nothing.
+Walks are served per graph, by prefix: the graph's ``walk_cache`` (see
+``dualgraph``) holds the longest checked walk of each (tuple, ray), keyed by
+the ideal vectors and the ray as `make_ray` reads it, with the `until` it
+ran to, and serves it to `ray_walk` only for an `until` up to that one.
+`ray_walk` returns the jumps with parameter <= until, as a new list, since
+a walk to a shorter `until` is a prefix of a longer one.  A longer walk is
+computed and checked in full by `_checked_walk` and replaces the held one;
+a walk that raises stores nothing.
 `poincare` walks one unit past its horizon through ``ray_walk``, so its
 walk is served and stored like any other, and every closed-form check
 still runs on it.
@@ -181,24 +182,27 @@ def ray_walk(ideals: IdealTuple, ray: Ray, until: Fraction) -> list[RayJump]:
     the chain.  The base's divisor is all the chain reads of the base, never
     its H.  Violations are internal errors, never data.
 
-    The ray and `until` are read through the contract first; then a walk no
-    longer than the one the graph's ``walk_cache`` holds for the tuple and
-    the ray is served from it by prefix, as in the module text, and any
-    other is walked, checked and stored in its place.
+    The ray and `until` are read through the contract first; then the
+    graph's ``walk_cache`` serves a walk no longer than the one it holds for
+    the tuple and the ray, by prefix, as in the module text, and any other
+    is walked and checked by `_checked_walk` and stored in its place.
     """
     ray = make_ray(ideals, *_fields(ray))
     until = _rational(until, "until")
-    cache = ideals.graph.walk_cache
-    key = (ideals.ideals, ray.base, ray.direction)
-    held = cache.get(key)
-    if held is not None and until <= held[0]:
-        cache.hits += 1
-        jumps = held[1]
-        return list(jumps[:bisect.bisect_right(jumps, until, key=_parameter)])
-    cache.misses += 1
+    _, jumps = ideals.graph.walk_cache.serve(
+        (ideals.ideals, ray.base, ray.direction), _checked_walk, ideals, (ray, until),
+        lambda held: until <= held[0],
+    )
+    return list(jumps[:bisect.bisect_right(jumps, until, key=_parameter)])
+
+
+def _checked_walk(ideals: IdealTuple, request: tuple[Ray, Fraction]) -> tuple:
+    """(until, jumps) for a (ray, until) request, walked and its divisor
+    chain checked."""
+    ray, until = request
     grid = _grid(ideals, ray)
     candidates = _candidate_parameters(ideals, ray, until, grid)
-    jumps = list(_jumps(ideals, ray, candidates))
+    jumps = tuple(_jumps(ideals, ray, candidates))
     parameter, divisor = Fraction(0), grid[0].divisor
     for jump in jumps:
         record = jump.record
@@ -208,8 +212,7 @@ def ray_walk(ideals: IdealTuple, ray: Ray, until: Fraction) -> list[RayJump]:
                 f"{parameter} and {jump.parameter}"
             )
         parameter, divisor = jump.parameter, record.divisor
-    cache.store(key, (until, tuple(jumps)))
-    return jumps
+    return until, jumps
 
 
 def rho(ideals: IdealTuple, point: Sequence, direction: Sequence[int]) -> int:

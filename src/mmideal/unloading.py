@@ -76,10 +76,12 @@ Each graph owns five caches, each a :class:`BoundedCache` that counts its
 hits, misses and evictions, and all five die with their graph.  Each holds
 at most ``CLOSURE_CACHE_BOUND`` in total weight: an entry weighs 1, except
 in ``atlas_cache``, where a wall atlas weighs its face count, and in
-``walk_cache``, where a ray walk weighs its jump count (at least 1).
-Checked closures are memoized in ``closure_cache``, keyed by the clamped
-divisor alone; colengths in ``colength_cache``, keyed by the divisor as
-read, and stored only after every check has passed.  Along a ray the left
+``walk_cache``, where a ray walk weighs its jump count (at least 1).  All
+five are filled the same way, by `BoundedCache.serve`: a held key is
+served, and any other runs its site's compute function, which raises and
+stores nothing on any failed check.  Checked closures go in
+``closure_cache``, keyed by the clamped divisor alone, and colengths in
+``colength_cache``, keyed by the divisor as read; along a ray the left
 divisor at one candidate is the divisor at the one before, so most
 colengths are repeats.  The third, ``record_cache``, holds the certified
 jump records of ``multiplicity``, the fourth, ``atlas_cache``, the checked
@@ -110,60 +112,70 @@ if TYPE_CHECKING:
 CLOSURE_CACHE_BOUND = 4096
 
 
-class BoundedCache(dict):
+class BoundedCache:
     """Checked values keyed by divisor, by point, by (tuple, box) or by
     (tuple, ray), at most ``CLOSURE_CACHE_BOUND`` of them in total weight:
     `weigh` gives a value's weight, 1 unless the owner says otherwise, and
-    `held` is the total.  Storing evicts the oldest entries until the new
-    one fits; a value heavier than the bound is not held.  Storing under a
-    held key drops the old value's weight and puts the key at the newest
-    end.  Item assignment stores; ``del``, `pop`, `popitem` and `clear`
-    take their values' weight off `held` too.  ``evictions`` counts the
-    entries dropped or not held.  ``hits`` and ``misses`` count the
-    lookups, which its users make inline: one `get`, then one count.
+    `held` is the total.  The entries live in a private dict that `len`,
+    ``in``, iteration and `items` read and only `store` and `clear` change.
+
+    `serve` serves a held key, which `fits` must also accept when given,
+    and counts a hit; otherwise it counts a miss, runs ``compute(a, b)``,
+    the owner's routes and checks, which raise and store nothing on a
+    failure, and stores and returns the value.  Storing evicts the oldest
+    entries until the new one fits, and ``evictions`` counts them; a value
+    heavier than the bound is not held, and counts too.  Storing under a
+    held key drops the old value's weight and moves the key to the newest
+    end.
     """
 
     def __init__(self, weigh=lambda value: 1) -> None:
-        super().__init__()
+        self._entries: dict = {}
         self.weigh = weigh
         self.held = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
+    def serve(self, key: tuple, compute, a, b, fits=None):
+        value = self._entries.get(key)
+        if value is not None and (fits is None or fits(value)):
+            self.hits += 1
+            return value
+        self.misses += 1
+        value = compute(a, b)
+        self.store(key, value)
+        return value
+
     def store(self, key: tuple, value) -> None:
-        if key in self:
-            self.pop(key)
-        weight = self.weigh(value)
+        entries, weigh = self._entries, self.weigh
+        if key in entries:
+            self.held -= weigh(entries.pop(key))
+        weight = weigh(value)
         if weight > CLOSURE_CACHE_BOUND:
             self.evictions += 1
             return
         while self.held + weight > CLOSURE_CACHE_BOUND:
-            self.pop(next(iter(self)))
+            self.held -= weigh(entries.pop(next(iter(entries))))
             self.evictions += 1
-        super().__setitem__(key, value)
+        entries[key] = value
         self.held += weight
 
-    __setitem__ = store
-
-    def __delitem__(self, key) -> None:
-        self.pop(key)
-
-    def pop(self, key, *default):
-        if key not in self:
-            return super().pop(key, *default)
-        value = super().pop(key)
-        self.held -= self.weigh(value)
-        return value
-
-    def popitem(self) -> tuple:
-        key, value = super().popitem()
-        self.held -= self.weigh(value)
-        return key, value
-
     def clear(self) -> None:
-        super().clear()
+        self._entries.clear()
         self.held = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key) -> bool:
+        return key in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def items(self):
+        return self._entries.items()
 
 
 def intersection_products(graph: DualGraph, divisor: Sequence[int]) -> tuple[int, ...]:
@@ -459,22 +471,21 @@ def antinef_closure_checked(graph: DualGraph, divisor: Sequence[int]) -> tuple[i
     key whatever the ceiling loop returned, and most of it is not repeated.
     A start that fails its certificate raises InternalConsistencyError.
 
-    Memoized in the graph's ``closure_cache``, keyed by the clamped divisor
+    Served from the graph's ``closure_cache``, keyed by the clamped divisor
     max(D, 0), which has the same closure: atlases and perturbation sums
     evaluate heavily overlapping floor vectors, and the closure is
     deterministic; a divisor with no negative coefficient is its own key.
-    On a miss the key and L go on as :class:`_Known` tuples, so neither is
-    read again and no product vector is computed twice.
+    On a miss :func:`_checked_closure` runs both variants.
     """
     key = _integer_vector(divisor, graph.size, "divisor coefficients")
     if min(key) < 0:
         key = tuple([c if c > 0 else 0 for c in key])
-    cache = graph.closure_cache
-    cached = cache.get(key)
-    if cached is not None:
-        cache.hits += 1
-        return cached
-    cache.misses += 1
+    return graph.closure_cache.serve(key, _checked_closure, graph, key)
+
+
+def _checked_closure(graph: DualGraph, key: tuple[int, ...]) -> tuple[int, ...]:
+    """A checked closure's miss: the key and L go on as :class:`_Known`
+    tuples, so no product vector is computed twice."""
     known = {}
     read = _Known(key, known)
     fast = antinef_closure(graph, read)
@@ -485,7 +496,6 @@ def antinef_closure_checked(graph: DualGraph, divisor: Sequence[int]) -> tuple[i
         raise InternalConsistencyError(
             f"unloading variants disagree: {fast} vs {slow}"
         )
-    cache.store(key, fast)
     return fast
 
 
@@ -510,18 +520,17 @@ def colength(graph: DualGraph, divisor: Sequence[int]) -> int:
     nonnegative integer, zero exactly for the zero divisor; anything else
     raises NonIntegralTotal.
 
-    Memoized in the graph's ``colength_cache``, keyed by the divisor as read
-    through ``rationals`` (so a float that compares equal to a stored int is
-    still refused), and only once every check has passed: a repeat is served
-    from the memo, the first value always comes from the formula.
+    Served from the graph's ``colength_cache``, keyed by the divisor as
+    read through ``rationals`` (so a float that compares equal to a stored
+    int is still refused): a repeat is served, the first value always comes
+    from :func:`_checked_colength`.
     """
     divisor = _integer_vector(divisor, graph.size, "divisor coefficients")
-    cache = graph.colength_cache
-    cached = cache.get(divisor)
-    if cached is not None:
-        cache.hits += 1
-        return cached
-    cache.misses += 1
+    return graph.colength_cache.serve(divisor, _checked_colength, graph, divisor)
+
+
+def _checked_colength(graph: DualGraph, divisor: tuple[int, ...]) -> int:
+    """The colength formula and its checks, on a divisor already read."""
     products = intersection_products(graph, divisor)
     if min(divisor) < 0 or max(products) > 0:
         raise NotAntinef(f"colength is defined for antinef divisors, got {divisor}")
@@ -537,5 +546,4 @@ def colength(graph: DualGraph, divisor: Sequence[int]) -> int:
         raise NonIntegralTotal(
             "colength must vanish exactly for the zero divisor"
         )
-    cache.store(divisor, value)
     return value

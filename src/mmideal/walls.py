@@ -29,13 +29,13 @@ through it.  Each face's divisor is the checked closure of its floors, and
 the lowest-numbered face of every cell is evaluated directly as the
 independent route.
 
-Repeated atlases are served, not recomputed: `cell_decomposition` looks up
-the ideal vectors and the box, as read, in the graph's ``atlas_cache`` (see
-``dualgraph``) before it builds anything, and stores the atlas only once
-every check above has passed, so a repeat gets back the same object and an
-atlas that raises stores nothing and raises again.  The cache weighs each
-atlas by its face count; one heavier than ``CLOSURE_CACHE_BOUND`` is
-returned but not held.
+Repeated atlases are served, not recomputed: `cell_decomposition` asks the
+graph's ``atlas_cache`` (see ``dualgraph``) to serve the ideal vectors and
+the box, as read, before it builds anything; on a miss `_checked_atlas`
+builds the atlas and runs every check above, and the cache stores it only
+then, so a repeat gets back the same object and an atlas that raises
+stores nothing and raises again.  The cache weighs each atlas by its face
+count; one heavier than ``CLOSURE_CACHE_BOUND`` is returned but not held.
 
 For any number of ideals the log-canonical wall is the boundary of the
 constancy region of the origin: the orthant clipped by one integer row per
@@ -240,14 +240,12 @@ def _walls_through(ideals: IdealTuple, x: int, y: int, w: int) -> list[tuple[int
 def cell_decomposition(
     ideals: IdealTuple, box: tuple[Fraction, Fraction]
 ) -> WallAtlas:
+    """The pair's wall atlas on the box, served as in the module text."""
     box = _rational_vector(box, 2, "box sides")
-    cache = ideals.graph.atlas_cache
-    key = (ideals.ideals, box)
-    cached = cache.get(key)
-    if cached is not None:
-        cache.hits += 1
-        return cached
-    cache.misses += 1
+    return ideals.graph.atlas_cache.serve((ideals.ideals, box), _checked_atlas, ideals, box)
+
+
+def _checked_atlas(ideals: IdealTuple, box: tuple[Fraction, Fraction]) -> WallAtlas:
     lines = wall_lines(ideals, box)
     arrangement = build_arrangement(lines, box)
     face_divisors = tuple(
@@ -343,7 +341,7 @@ def cell_decomposition(
                 )
             )
 
-    atlas = WallAtlas(
+    return WallAtlas(
         box=box,
         arrangement=arrangement,
         face_divisors=face_divisors,
@@ -351,8 +349,6 @@ def cell_decomposition(
         cell_divisors=cell_divisors,
         facets=tuple(facets),
     )
-    cache.store(key, atlas)
-    return atlas
 
 
 def facet_intersection_vertices(atlas: WallAtlas) -> list[Point2]:

@@ -1,5 +1,9 @@
-"""Shared test fixtures: loaded ideal tuples and cached wall atlases."""
+"""Shared test fixtures: loaded ideal tuples and cached wall atlases, and
+the two ways a test may patch a library callable, `inject` and
+`record_calls`."""
 
+import importlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,10 +14,55 @@ FIXTURE_NAMES = ("CHAIN10", "NEST14", "PROP16", "RAT6", "SMOOTH1")
 
 
 def cold(ideals):
-    """The same ideals on a newly built graph, every graph cache empty: a
-    test that injects a fault, or counts calls, sees each point certified,
-    each atlas computed and each ray walked for the first time."""
+    """The same ideals on a newly built graph, every graph cache empty: each
+    point is certified, each atlas computed and each ray walked for the
+    first time.  A fault that `inject` puts into a computation must run on
+    such a graph; on a warm one the result is served and the test fails."""
     return attach_ideals(build_graph(ideals.graph.matrix), ideals.ideals)
+
+
+@pytest.fixture
+def inject(monkeypatch):
+    """``inject(module, name, replacement)`` puts a fault or a probe in place
+    of a library callable, as ``monkeypatch.setattr`` does, and fails the
+    test at teardown if the replacement never ran: a served closure,
+    colength, record, atlas or walk skips the code it patches."""
+    patches = []
+
+    def patch(module, name, replacement):
+        ran = [False]
+        patches.append((f"{module.__name__}.{name}", ran))
+
+        def wrapper(*args, **kwargs):
+            ran[0] = True
+            return replacement(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    yield patch
+    idle = [name for name, ran in patches if not ran[0]]
+    if idle:
+        pytest.fail(f"injected {', '.join(idle)} never ran")
+
+
+def record_calls(monkeypatch, module_name, function_name):
+    """Wrap a library function at every mmideal module attribute bound to it,
+    so calls are seen whichever module makes them, as the benchmark's tracer
+    does; return the argument tuple of each call.  The list may stay empty:
+    this is the helper for a test that asserts a call never happens."""
+    original = getattr(importlib.import_module(f"mmideal.{module_name}"), function_name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mmideal" or name.startswith("mmideal."):
+            for attribute, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attribute, wrapper)
+    return calls
 
 
 def divisor_leq(left, right):

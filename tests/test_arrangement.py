@@ -588,7 +588,7 @@ def _assert_orientations(arrangement):
     )
 
 
-def test_reversed_rotation_is_refused(tuples, monkeypatch):
+def test_reversed_rotation_is_refused(tuples, inject):
     # Reversing the angular order makes `next_half` rotate counterclockwise
     # instead of clockwise: every face orbit then runs clockwise and is
     # dropped, so more than one orbit is.  (With a single face the mutant
@@ -600,9 +600,7 @@ def test_reversed_rotation_is_refused(tuples, monkeypatch):
     cases = [lines for lines in cases if len(build_arrangement(lines, box).faces) >= 2]
     assert len(cases) >= 15
     compare = arrangement_module._direction_compare
-    monkeypatch.setattr(
-        arrangement_module, "_direction_compare", lambda left, right: compare(right, left)
-    )
+    inject(arrangement_module, "_direction_compare", lambda left, right: compare(right, left))
     for lines in cases:
         with pytest.raises(InternalConsistencyError, match="expected exactly one outer orbit"):
             build_arrangement(lines, box)

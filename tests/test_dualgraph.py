@@ -141,6 +141,22 @@ def test_attach_ideals_validation(rat6):
         attach_ideals(graph, [[-3, -2, -3, -1, -1, -1]])
 
 
+@pytest.mark.parametrize(
+    "ideals, message",
+    [
+        # (3, 2, 3, 2, 1, 1).E_1 = 1, every other product <= 0
+        ([(3, 2, 3, 1, 1, 1), (3, 2, 3, 2, 1, 1)], "ideal 2 is not antinef (violations at E1)"),
+        ([(15, 6, 15, 9, 2, 2)], "ideal 1 is not antinef (violations at E2)"),
+        ([(-3, -2, -3, -1, -1, -1)], "ideal 1 is not antinef (violations at E1, E2, E3, E4, E5, E6)"),
+        ([(0,) * 6], "ideal 1 is the zero divisor"),
+    ],
+)
+def test_attach_ideals_refusal_is_pinned(rat6, ideals, message):
+    with pytest.raises(NotAntinef) as raised:
+        attach_ideals(rat6.graph, ideals)
+    assert str(raised.value) == message
+
+
 def test_singularity_classes(tuples):
     assert singularity_class(tuples["RAT6"].graph) is SingularityClass.LOG_CANONICAL_ONLY
     assert singularity_class(tuples["CHAIN10"].graph) is SingularityClass.LOG_TERMINAL

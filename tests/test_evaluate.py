@@ -1,6 +1,5 @@
 """Weighted divisors, one-sided limits, constancy regions."""
 
-import importlib
 import random
 import sys
 from fractions import Fraction
@@ -8,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import frozen
-from conftest import cold, divisor_leq
+from conftest import cold, divisor_leq, record_calls
 from mmideal import (
     PointEvaluation,
     bijection_report,
@@ -165,64 +164,45 @@ def test_ideal_index_outside_the_tuple_is_refused(rat6, function):
             function(rat6, argument)
 
 
-def _record_calls(monkeypatch, module_name, function_name):
-    """Wrap a library function at every mmideal module attribute bound to it,
-    so calls are seen whichever module makes them; return the argument list
-    of each call."""
-    original = getattr(importlib.import_module(f"mmideal.{module_name}"), function_name)
-    calls = []
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "mmideal" or name.startswith("mmideal."):
-            for attribute, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attribute, wrapper)
-    return calls
-
-
 def test_bijection_report_builds_one_lc_region(monkeypatch, nest14):
-    calls = _record_calls(monkeypatch, "walls", "lc_region")
+    calls = record_calls(monkeypatch, "walls", "lc_region")
     bijection_report(nest14)
     assert len(calls) == 1
 
 
 def test_bound_only_callers_build_no_polytope(monkeypatch, nest14):
-    built = _record_calls(monkeypatch, "evaluate", "intersect_halfspaces")
+    built = record_calls(monkeypatch, "evaluate", "intersect_halfspaces")
     for axis in range(nest14.r):
         lct_axis(nest14, axis)
     newton_nest(nest14)
     assert built == []
 
 
-def test_bijection_report_builds_one_polytope(monkeypatch, nest14):
-    built = _record_calls(monkeypatch, "evaluate", "intersect_halfspaces")
+def test_bijection_report_builds_one_polytope(monkeypatch, inject, nest14):
+    built = record_calls(monkeypatch, "evaluate", "intersect_halfspaces")
     reports = []
 
     def recording_lc_region(ideals):
         reports.append(walls.region(ideals, (Fraction(0),) * ideals.r))
         return reports[-1]
 
-    monkeypatch.setattr(walls, "lc_region", recording_lc_region)
+    inject(walls, "lc_region", recording_lc_region)
     bijection_report(nest14)
     (report,) = reports
     assert report.binding_non_rupture == ()
     assert len(built) == 1  # the binding test read the same polytope
 
 
-def test_bijection_report_ranks_each_constraint_at_most_once(monkeypatch, nest14):
+def test_bijection_report_ranks_each_constraint_at_most_once(monkeypatch, inject, nest14):
     # classification ranks the polytope's integer vertex rows (X, W) directly
-    ranked = _record_calls(monkeypatch, "polytope", "_rank")
+    ranked = record_calls(monkeypatch, "polytope", "_rank")
     reports = []
 
     def recording_lc_region(ideals):
         reports.append(walls.region(ideals, (Fraction(0),) * ideals.r))
         return reports[-1]
 
-    monkeypatch.setattr(walls, "lc_region", recording_lc_region)
+    inject(walls, "lc_region", recording_lc_region)
     bijection_report(nest14)
     (report,) = reports
     # one rank per constraint with incident vertices, none for the slack ones
@@ -231,7 +211,7 @@ def test_bijection_report_ranks_each_constraint_at_most_once(monkeypatch, nest14
 
 
 def test_cli_lct_still_refuses_a_binding_constraint(monkeypatch, capsys):
-    built = _record_calls(monkeypatch, "evaluate", "intersect_halfspaces")
+    built = record_calls(monkeypatch, "evaluate", "intersect_halfspaces")
     monkeypatch.setattr(
         IdealTuple, "rupture_or_dicritical", property(lambda self: (False,) * self.size)
     )
@@ -242,8 +222,8 @@ def test_cli_lct_still_refuses_a_binding_constraint(monkeypatch, capsys):
 
 def test_jump_record_evaluates_the_point_once(monkeypatch, rat6):
     ideals = cold(rat6)
-    weighted = _record_calls(monkeypatch, "evaluate", "weighted_F")
-    evaluations = _record_calls(monkeypatch, "evaluate", "evaluate_point")
+    weighted = record_calls(monkeypatch, "evaluate", "weighted_F")
+    evaluations = record_calls(monkeypatch, "evaluate", "evaluate_point")
     jump_record(ideals, frozen.RAT6_CORNER)
     # the point was certified, not served from the graph's record cache
     assert ideals.graph.record_cache.misses == 1
@@ -258,8 +238,8 @@ def test_jump_record_finds_G_once(monkeypatch, rat6):
     ray = make_ray(rat6, base=(0, 0), direction=(1, 1))
     points = [frozen.RAT6_CORNER]
     points += [jump.point for jump in ray_walk(rat6, ray, until=Fraction(1, 2))]
-    adjunction = _record_calls(monkeypatch, "multiplicity", "multiplicity")
-    criterion = _record_calls(monkeypatch, "multiplicity", "is_jumping")
+    adjunction = record_calls(monkeypatch, "multiplicity", "multiplicity")
+    criterion = record_calls(monkeypatch, "multiplicity", "is_jumping")
     ideals = cold(rat6)
     for point in points:
         adjunction.clear()
@@ -274,8 +254,8 @@ def test_jump_record_reads_H_once(monkeypatch, rat6):
     # the evaluation owns H's components and adjoint products: a jumping
     # record finds components twice (H, then G) and forms H's product vector
     # (ceil(K - c.F) + H).E_j once
-    components = _record_calls(monkeypatch, "evaluate", "_components")
-    products = _record_calls(monkeypatch, "unloading", "intersection_products")
+    components = record_calls(monkeypatch, "evaluate", "_components")
+    products = record_calls(monkeypatch, "unloading", "intersection_products")
     point = (Fraction(1, 4), Fraction(1, 4))
     record = jump_record(cold(rat6), point)
     assert record.mult == 3 and record.minimal != record.maximal
@@ -306,7 +286,7 @@ def test_jump_record_builds_no_fraction_views(tuples):
 
 
 def test_lazy_attributes_run_once_and_stay_frozen(monkeypatch, rat6):
-    closures = _record_calls(monkeypatch, "evaluate", "antinef_closure_checked")
+    closures = record_calls(monkeypatch, "evaluate", "antinef_closure_checked")
     evaluation = evaluate_point(rat6, (Fraction(1, 4), Fraction(1, 4)))
     first = [evaluation.divisor, evaluation.divisor_left, evaluation.minimal]
     for _ in range(3):
@@ -333,12 +313,12 @@ def test_a_failed_lazy_attribute_stores_nothing(rat6):
     assert evaluation.divisor == frozen.RAT6_FUNDAMENTAL
 
 
-def test_a_failed_gap_fill_stores_nothing(monkeypatch, rat6):
+def test_a_failed_gap_fill_stores_nothing(monkeypatch, inject, rat6):
     # the fill fails after N*(c.F) is computed: none of the four gap
     # attributes is stored, and a later fill stores all four
     gaps = ("scaled_weighted", "scaled_values", "floors", "left_floors")
     evaluation = evaluate._evaluate_at(rat6, (1, 3), 4)
-    monkeypatch.setattr(evaluate, "_dot_F", lambda ideals, vector: (None,) * ideals.size)
+    inject(evaluate, "_dot_F", lambda ideals, vector: (None,) * ideals.size)
     for name in gaps:
         with pytest.raises(TypeError):
             getattr(evaluation, name)
@@ -354,8 +334,8 @@ def test_via_G_runs_the_kernel_only_where_G_differs_from_H(monkeypatch, tuples):
     # where G != H; where G == H, via-G reads H's values, which are the
     # kernel's answer on the same support
     honest = sys.modules["mmideal.evaluate"]._adjunction_values
-    kernel = _record_calls(monkeypatch, "evaluate", "_adjunction_values")
-    via_G = _record_calls(monkeypatch, "multiplicity", "multiplicity_via_G")
+    kernel = record_calls(monkeypatch, "evaluate", "_adjunction_values")
+    via_G = record_calls(monkeypatch, "multiplicity", "multiplicity_via_G")
     rng = random.Random(25)
     shapes = set()
     for name in ("RAT6", "CHAIN10"):
@@ -391,7 +371,7 @@ def test_cli_point_runs_each_route_once(monkeypatch, capsys):
         "multiplicity_oracle",
         "multiplicity_via_G",
     )
-    calls = {route: _record_calls(monkeypatch, "multiplicity", route) for route in routes}
+    calls = {route: record_calls(monkeypatch, "multiplicity", route) for route in routes}
     assert cli.main(["point", "RAT6", "--c", "1/4,1/4"]) == 0
     assert "m via G = 3" in capsys.readouterr().out
     counts = {route: len(args) for route, args in calls.items()}

@@ -309,15 +309,13 @@ def test_atlas_points_enter_as_integers(tuples, name, box):
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_ray_candidates_enter_as_integers(tuples, name, monkeypatch):
+def test_ray_candidates_enter_as_integers(tuples, name, inject):
     """Every candidate the walk hands to `jump_record` is evaluated as
     base + mu*direction is in `Fraction` arithmetic."""
     ideals = tuples[name]
     seen = []
     record = rays.jump_record
-    monkeypatch.setattr(
-        rays, "jump_record", lambda ideals, point: seen.append(point) or record(ideals, point)
-    )
+    inject(rays, "jump_record", lambda ideals, point: seen.append(point) or record(ideals, point))
     for ray in _rays(ideals, seed=f"integer {name}"):
         seen.clear()
         limit = _head(reference_candidates(ideals, ray, Fraction(0)), 30)[-1]

@@ -164,12 +164,12 @@ def test_interior_samples_match_the_fraction_averages(lc_tuples):
     assert sampled >= 60, sampled
 
 
-def test_bijection_samples_and_touch_points_match_the_references(monkeypatch, lc_tuples):
+def test_bijection_samples_and_touch_points_match_the_references(inject, lc_tuples):
     # every point bijection_report certifies, facet sample or touch vertex,
     # is evaluated as evaluate_point evaluates the same Fraction point
     checked = []
     certify = walls.multiplicity_checked
-    monkeypatch.setattr(
+    inject(
         walls, "multiplicity_checked",
         lambda ideals, point: checked.append(point) or certify(ideals, point),
     )
@@ -314,12 +314,10 @@ def test_integral_fraction_rows_are_read_as_ints():
         intersect_halfspaces([Halfspace((1, 0), 1)])
 
 
-def test_region_clips_through_the_module_binding(monkeypatch, rat6):
+def test_region_clips_through_the_module_binding(inject, rat6):
     calls = []
     clip = evaluate.intersect_halfspaces
-    monkeypatch.setattr(
-        evaluate, "intersect_halfspaces", lambda rows: calls.append(rows) or clip(rows)
-    )
+    inject(evaluate, "intersect_halfspaces", lambda rows: calls.append(rows) or clip(rows))
     report = lc_region(rat6)
     report.polytope, report.classification, report.binding_non_rupture
     assert len(calls) == 1 and len(calls[0]) == rat6.size

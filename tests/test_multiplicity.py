@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import frozen
-from conftest import cold
+from conftest import cold, record_calls
 from mmideal import (
     admissible_perturbation,
     attach_ideals,
@@ -121,13 +121,13 @@ def test_h_inequalities_on_random_points(tuples):
 _TWO_PARTS = (Fraction(1, 12), Fraction(1, 12))
 
 
-def _shift_adjoint_products(monkeypatch, delta):
+def _shift_adjoint_products(inject, delta):
     original = evaluate.intersection_products
 
     def shifted(graph, divisor):
         return tuple(p + d for p, d in zip(original(graph, divisor), delta))
 
-    monkeypatch.setattr(evaluate, "intersection_products", shifted)
+    inject(evaluate, "intersection_products", shifted)
 
 
 @pytest.mark.parametrize(
@@ -141,10 +141,8 @@ def _shift_adjoint_products(monkeypatch, delta):
     ],
     ids=["connected", "single"],
 )
-def test_every_evaluated_point_asserts_the_H_inequalities(
-    monkeypatch, rat6, delta, message
-):
-    _shift_adjoint_products(monkeypatch, delta)
+def test_every_evaluated_point_asserts_the_H_inequalities(inject, rat6, delta, message):
+    _shift_adjoint_products(inject, delta)
     ideals = cold(rat6)
     def maximal_values(ideals, point):
         return evaluate_point(ideals, point).maximal_values
@@ -212,6 +210,24 @@ def test_offset_too_large(rat6):
             frozen.RAY_DIR,
             (Fraction(1, 2), Fraction(0)),
         )
+
+
+@pytest.mark.parametrize(
+    "offset, message",
+    [
+        ((-1, 0), "shifted base (Fraction(-1, 2), Fraction(1, 2)) leaves the orthant"),
+        (
+            (Fraction(1, 2), Fraction(-1, 2)),
+            "crossing (Fraction(3, 4), Fraction(-1, 4)) leaves the orthant; shrink the offset",
+        ),
+    ],
+)
+def test_orthant_refusals_name_their_points_in_fractions(rat6, offset, message):
+    # the shifted base and the crossings are tested in integers, and a
+    # refusal names its point as the `Fraction` tuple it always named
+    with pytest.raises(OffsetTooLarge) as raised:
+        perturbation_sum(rat6, (Fraction(1, 2), Fraction(1, 2)), (1, 1), offset)
+    assert str(raised.value) == message
 
 
 _F = Fraction
@@ -298,11 +314,9 @@ def test_multiplicity_zero_off_walls(tuples):
         "multiplicity_via_G",
     ],
 )
-def test_each_route_is_compared(monkeypatch, rat6, route):
+def test_each_route_is_compared(inject, rat6, route):
     original = getattr(routes, route)
-    monkeypatch.setattr(
-        routes, route, lambda ideals, point: original(ideals, point) + 1
-    )
+    inject(routes, route, lambda ideals, point: original(ideals, point) + 1)
     with pytest.raises(InternalConsistencyError):
         jump_record(cold(rat6), frozen.RAT6_CORNER)
 
@@ -314,24 +328,19 @@ def test_each_route_is_compared(monkeypatch, rat6, route):
 
 def test_record_cache_belongs_to_its_graph(rat6, monkeypatch):
     first, second = cold(rat6), cold(rat6)
-    original, oracle = routes.multiplicity_oracle, []
-    monkeypatch.setattr(
-        routes,
-        "multiplicity_oracle",
-        lambda ideals, point: oracle.append(point) or original(ideals, point),
-    )
+    oracle = record_calls(monkeypatch, "multiplicity", "multiplicity_oracle")
     point = frozen.RAT6_CORNER
     record = jump_record(first, point)
     evaluation = evaluate_point(first, point)
     key = (rat6.ideals, evaluation.scaled_point, evaluation.scale)
-    assert first.graph.record_cache == {key: record}
+    assert dict(first.graph.record_cache.items()) == {key: record}
     # a repeat by either entry point is the stored record, no route reruns
     assert jump_record(first, point) is record
     assert multiplicity_checked(first, evaluation) == record.mult
     assert len(oracle) == 1
     cache = first.graph.record_cache
     assert (cache.hits, cache.misses, cache.evictions) == (2, 1, 0)
-    assert second.graph.record_cache == {}
+    assert len(second.graph.record_cache) == 0
     again = jump_record(second, point)
     assert again == record and again is not record
     assert len(oracle) == 2
@@ -352,7 +361,7 @@ def test_record_cache_is_bounded_and_counted(rat6, monkeypatch):
     cache = ideals.graph.record_cache
     assert (cache.hits, cache.misses, cache.evictions) == (3, 10, 6)
     # the oldest entry goes first
-    assert [record.point for record in cache.values()] == points[-4:]
+    assert [record.point for _, record in cache.items()] == points[-4:]
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +389,7 @@ def test_a_repeated_atlas_is_served_from_its_graph(rat6):
     other_graph = cell_decomposition(fresh, (1, 1))
     assert other_graph == atlas and other_graph is not atlas
     assert (cache.hits, cache.misses, cache.evictions) == (1, 3, 0)
-    assert list(cache.values()) == [atlas, other_box, other_tuple]
+    assert [atlas for _, atlas in cache.items()] == [atlas, other_box, other_tuple]
     assert cache.held == 85 + 28 + 85
     assert (fresh.graph.atlas_cache.hits, fresh.graph.atlas_cache.misses) == (0, 1)
 
@@ -400,7 +409,7 @@ def test_atlas_cache_is_bounded_in_faces_and_counted(rat6, monkeypatch):
         assert atlas == cell_decomposition(cold(rat6), (side, side))
         atlases.append(atlas)
         assert list(cache) == [(rat6.ideals, (sides[n], sides[n])) for n in expected]
-        assert cache.held == sum(len(a.arrangement.faces) for a in cache.values()) <= 50
+        assert cache.held == sum(len(a.arrangement.faces) for _, a in cache.items()) <= 50
         for each in (graph.closure_cache, graph.colength_cache, graph.record_cache):
             assert each.held == len(each) <= 50
     assert [len(a.arrangement.faces) for a in atlases] == [13, 20, 23, 46, 85]
@@ -419,7 +428,7 @@ def test_atlas_cache_is_bounded_in_faces_and_counted(rat6, monkeypatch):
 
 
 def _held_weight(cache):
-    return sum(max(1, len(jumps)) for _, jumps in cache.values())
+    return sum(max(1, len(jumps)) for _, (_, jumps) in cache.items())
 
 
 def test_a_repeated_walk_is_served_from_its_graph(rat6, monkeypatch):
@@ -428,11 +437,8 @@ def test_a_repeated_walk_is_served_from_its_graph(rat6, monkeypatch):
     ray = make_ray(ideals, (0, 0), (1, 1))
     walk = ray_walk(ideals, ray, 1)
     key = (rat6.ideals, ray.base, ray.direction)
-    assert cache == {key: (1, tuple(walk))} and cache.held == len(walk) == 15
-    record, records = rays.jump_record, []
-    monkeypatch.setattr(
-        rays, "jump_record", lambda ideals, point: records.append(point) or record(ideals, point)
-    )
+    assert dict(cache.items()) == {key: (1, tuple(walk))} and cache.held == len(walk) == 15
+    records = record_calls(monkeypatch, "multiplicity", "jump_record")
     # the ray and until are keyed as read: a hand-built Ray of ints is the same
     again = ray_walk(ideals, rays.Ray((0, 0), (1, 1)), Fraction(1))
     assert again == walk and again is not walk and records == []
@@ -455,7 +461,8 @@ def test_a_shorter_walk_is_the_held_prefix(rat6):
         assert prefix == ray_walk(cold(rat6), ray, until)
     assert len(ray_walk(ideals, ray, walk[10].parameter)) == 11
     assert (cache.hits, cache.misses) == (4, 1)
-    assert list(cache.values()) == [(2, tuple(walk))] and cache.held == 36
+    assert dict(cache.items()) == {(rat6.ideals, ray.base, ray.direction): (2, tuple(walk))}
+    assert cache.held == 36
 
 
 def test_a_longer_walk_replaces_the_held_one(rat6):
@@ -470,27 +477,23 @@ def test_a_longer_walk_replaces_the_held_one(rat6):
     assert (cache.hits, cache.misses, cache.evictions) == (0, 3, 0)
     # one entry per ray; the replaced one moves to the newest end
     assert [key[2] for key in cache] == [(1, 2), (1, 1)]
-    assert cache[rat6.ideals, first.base, first.direction] == (1, tuple(longer))
+    assert dict(cache.items())[rat6.ideals, first.base, first.direction] == (1, tuple(longer))
     assert cache.held == _held_weight(cache) == 9 + 15
     assert ray_walk(ideals, first, Fraction(1, 2)) == short
     assert cache.hits == 1
 
 
-def test_a_walk_that_raises_stores_nothing(chain10, monkeypatch):
+def test_a_walk_that_raises_stores_nothing(chain10, monkeypatch, inject):
     ideals = cold(chain10)
     cache = ideals.graph.walk_cache
     ray = make_ray(ideals, (0, Fraction(1, 3)), (2, 3))
     first = ray_walk(cold(chain10), ray, 1)[0].parameter
     stream = rays._candidate_parameters
-    monkeypatch.setattr(
-        rays,
-        "_candidate_parameters",
-        lambda *args: (mu for mu in stream(*args) if mu != first),
-    )
+    inject(rays, "_candidate_parameters", lambda *args: (mu for mu in stream(*args) if mu != first))
     for _ in range(2):
         with pytest.raises(InternalConsistencyError, match="divisor chain broken"):
             ray_walk(ideals, ray, 1)
-    assert cache == {} and cache.held == 0
+    assert len(cache) == cache.held == 0
     assert (cache.hits, cache.misses, cache.evictions) == (0, 2, 0)
     monkeypatch.undo()
     walk = ray_walk(ideals, ray, 1)
@@ -543,7 +546,7 @@ def test_walk_cache_is_bounded_in_jumps_and_counted(rat6, monkeypatch):
     # the 36-jump walk is not held, so the last (1, 1) walk, its prefix, is
     # computed again
     assert (cache.hits, cache.misses, cache.evictions) == (0, 6, 4)
-    assert [len(jumps) for _, jumps in cache.values()] == [11, 6]
+    assert [len(jumps) for _, (_, jumps) in cache.items()] == [11, 6]
 
 
 def test_poincare_over_a_served_walk_equals_a_cold_one(rat6, smooth1):
@@ -560,14 +563,14 @@ def test_poincare_over_a_served_walk_equals_a_cold_one(rat6, smooth1):
         assert (cache.hits, cache.misses, len(cache)) == (2, 1, 1)
 
 
-def test_a_refused_point_stores_no_record(monkeypatch, rat6):
+def test_a_refused_point_stores_no_record(monkeypatch, inject, rat6):
     ideals = cold(rat6)
-    _shift_adjoint_products(monkeypatch, (-1, 0, 0, 0, 0, 1))
+    _shift_adjoint_products(inject, (-1, 0, 0, 0, 0, 1))
     for read in (multiplicity_checked, jump_record):
         with pytest.raises(InequalityViolated):
             read(ideals, _TWO_PARTS)
     cache = ideals.graph.record_cache
-    assert cache == {} and (cache.hits, cache.misses) == (0, 2)
+    assert len(cache) == 0 and (cache.hits, cache.misses) == (0, 2)
     monkeypatch.undo()
     assert jump_record(ideals, _TWO_PARTS) == jump_record(cold(rat6), _TWO_PARTS)
     assert len(cache) == 1 and (cache.hits, cache.misses) == (0, 3)

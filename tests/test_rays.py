@@ -210,15 +210,13 @@ def test_chain10_series_matches_walk(chain10):
     ]
 
 
-def test_series_refuses_a_walk_missing_a_class_member(rat6, monkeypatch):
+def test_series_refuses_a_walk_missing_a_class_member(rat6, inject):
     # every jump left in the walk still fits its class's recurrence; only
     # the re-expansion over the walk sees the dropped member
     ray = make_ray(rat6, (0, 0), (1, 1))
     horizon = stability_bound(rat6, ray) + 2
     assert len(poincare(rat6, ray, horizon).anchors) == 21
     walk = rays.ray_walk
-    monkeypatch.setattr(
-        rays, "ray_walk", lambda *args: (lambda w: w[:-2] + w[-1:])(walk(*args))
-    )
+    inject(rays, "ray_walk", lambda *args: (lambda w: w[:-2] + w[-1:])(walk(*args)))
     with pytest.raises(InternalConsistencyError, match="closed form predicts"):
         poincare(rat6, ray, horizon)

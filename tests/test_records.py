@@ -4,6 +4,7 @@ cache per instance are plain classes whose only first-read attributes are
 the package builds no dataclass."""
 
 import ast
+import importlib
 import random
 import subprocess
 import sys
@@ -225,6 +226,58 @@ def test_only_constructors_and_lazy_attributes_store_into_a_record():
     assert places == constructors | {("_lazy", "__get__")}
 
 
+def _resolve(node, names):
+    """The object a name or attribute chain is bound to among *names*;
+    KeyError for a name they do not hold, a local of some function."""
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(node.value, names), node.attr)
+    if isinstance(node, ast.Name):
+        return names[node.id]
+    raise KeyError(ast.unparse(node))
+
+
+def _raw_library_patches(path):
+    """(line, target, name) of every ``monkeypatch.setattr`` in a test module
+    on a ``mmideal`` module, under any alias, or on a target that the
+    module's own names do not resolve.  Upper-case names are constants and
+    pass."""
+    names = vars(importlib.import_module(path.stem))
+    for node in ast.walk(ast.parse(path.read_text())):
+        call = node.func if isinstance(node, ast.Call) else None
+        if not (
+            isinstance(call, ast.Attribute) and call.attr == "setattr"
+            and isinstance(call.value, ast.Name) and call.value.id == "monkeypatch"
+        ):
+            continue
+        target, name = node.args[0], node.args[1]
+        if isinstance(name, ast.Constant) and name.value.isupper():
+            continue
+        if isinstance(target, ast.Constant):  # the "module.name" form
+            library = target.value.startswith("mmideal.")
+        else:
+            try:
+                owner = _resolve(target, names)
+            except KeyError:
+                library = True
+            else:
+                library = type(owner) is type(ast) and owner.__name__.startswith("mmideal")
+        if library:
+            yield node.lineno, ast.unparse(target), ast.unparse(name)
+
+
+def test_tests_patch_library_callables_only_through_the_helpers():
+    # a patched callable that a served result skips proves nothing; `inject`
+    # fails a test whose replacement never ran, and `record_calls` is for
+    # the tests that assert a call never happens
+    tests = Path(__file__).resolve().parent
+    raw = {
+        (path.name, *patch)
+        for path in tests.glob("test_*.py")
+        for patch in _raw_library_patches(path)
+    }
+    assert raw == set()
+
+
 def test_the_graph_stores_its_build_time_data_as_plain_fields(rat6):
     graph = build_graph(rat6.graph.matrix)
     for name in ("scaled_canonical", "_edge_kernel"):
@@ -270,14 +323,14 @@ def test_dot_F_matches_the_column_formula(nest14, r, kind):
     assert {type(x) for x in dot} == {kind}
 
 
-def test_evaluate_point_keeps_the_point_it_checked(monkeypatch, rat6):
+def test_evaluate_point_keeps_the_point_it_checked(inject, rat6):
     built = []
 
     def counted(*args):
         built.append(args)
         return Fraction(*args)
 
-    monkeypatch.setattr(evaluate, "Fraction", counted)
+    inject(evaluate, "Fraction", counted)
     evaluation = evaluate_point(rat6, (Fraction(2, 6), 1))
     assert built == []
     assert evaluation.point == (Fraction(1, 3), Fraction(1))
@@ -293,7 +346,7 @@ def test_evaluate_point_keeps_the_point_it_checked(monkeypatch, rat6):
     assert entered.point is entered.point and len(built) == 2
 
 
-def _counting_dot_F(monkeypatch):
+def _counting_dot_F(inject):
     """Count the gap-data fills: each runs `evaluate._dot_F` once."""
     calls = []
     honest = evaluate._dot_F
@@ -302,16 +355,16 @@ def _counting_dot_F(monkeypatch):
         calls.append(vector)
         return honest(ideals, vector)
 
-    monkeypatch.setattr(evaluate, "_dot_F", counted)
+    inject(evaluate, "_dot_F", counted)
     return calls
 
 
-def test_a_repeated_walk_is_served_before_any_gap_data(monkeypatch, rat6):
+def test_a_repeated_walk_is_served_before_any_gap_data(inject, rat6):
     ideals = cold(rat6)
     ray = make_ray(ideals, (Fraction(1, 3), 0), (1, 2))
     candidates = list(rays._candidate_parameters(ideals, ray, Fraction(2)))
     cache = ideals.graph.record_cache
-    fills = _counting_dot_F(monkeypatch)
+    fills = _counting_dot_F(inject)
     first = list(rays._jumps(ideals, ray, candidates))
     # every candidate is a miss on the fresh graph, and each miss fills once
     assert cache.misses == len(fills) == len(candidates) > 0
@@ -330,9 +383,9 @@ def test_a_repeated_walk_is_served_before_any_gap_data(monkeypatch, rat6):
     assert walked == first
 
 
-def test_a_miss_fills_once_and_a_repeat_not_at_all(monkeypatch, rat6):
+def test_a_miss_fills_once_and_a_repeat_not_at_all(inject, rat6):
     ideals = cold(rat6)
-    fills = _counting_dot_F(monkeypatch)
+    fills = _counting_dot_F(inject)
     record = jump_record(ideals, WALL_POINT)
     assert len(fills) == 1 and record.mult > 0
     # the same point entered in integers, in other terms, has the same key

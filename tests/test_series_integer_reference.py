@@ -161,7 +161,7 @@ def test_refusals_of_hand_built_forms(rat6):
         series_expand(twice, horizon)
 
 
-def test_horizon_refusals(rat6, monkeypatch):
+def test_horizon_refusals(rat6, inject):
     ray = make_ray(rat6, (0, 0), (1, 1))
     bound = stability_bound(rat6, ray)
     message = f"plus one ({bound + 1}); every class is anchored by {bound + 2}"
@@ -176,21 +176,20 @@ def test_horizon_refusals(rat6, monkeypatch):
             if (jump.parameter - first).denominator != 1 or jump.parameter > bound + 2
         ]
 
-    message = _refused(monkeypatch, rat6, ray, late, HorizonTooSmall)
+    message = _refused(inject, rat6, ray, late, HorizonTooSmall)
     assert message.startswith("a residue class anchors only at parameter")
     assert message.endswith(f"horizon >= {bound + 2}")
 
 
-def _refused(monkeypatch, ideals, ray, mutate, refusal=InternalConsistencyError):
+def _refused(inject, ideals, ray, mutate, refusal=InternalConsistencyError):
     """poincare on the ray, its walk changed by `mutate` through the module
     attribute; returns the message of the refusal, which must be of the
     class `refusal`: a broken walk is an internal fault, not a user error."""
     horizon = stability_bound(ideals, ray) + 2
     walk = ray_walk(ideals, ray, horizon + 1)
-    monkeypatch.setattr(rays, "ray_walk", lambda *args: mutate(list(walk)))
+    inject(rays, "ray_walk", lambda *args: mutate(list(walk)))
     with pytest.raises(refusal) as raised:
         poincare(ideals, ray, horizon)
-    monkeypatch.undo()
     return str(raised.value)
 
 
@@ -203,7 +202,7 @@ def _moved(ideals, ray, jump):
     return rays.RayJump(later, jump.record)
 
 
-def test_series_refuses_a_raised_multiplicity(rat6, monkeypatch):
+def test_series_refuses_a_raised_multiplicity(rat6, inject):
     ray = make_ray(rat6, (0, 0), (1, 1))
     # the first jump anchors its class, the last one lies past the horizon
     for index in (0, 10, -1):
@@ -211,27 +210,27 @@ def test_series_refuses_a_raised_multiplicity(rat6, monkeypatch):
             walk[index] = _raised(walk[index])
             return walk
 
-        message = _refused(monkeypatch, rat6, ray, mutate)
+        message = _refused(inject, rat6, ray, mutate)
         assert message.startswith("closed form predicts")
 
 
-def test_series_refuses_a_jump_moved_to_the_next_candidate(rat6, monkeypatch):
+def test_series_refuses_a_jump_moved_to_the_next_candidate(rat6, inject):
     ray = make_ray(rat6, (0, 0), (1, 1))
 
     def mutate(walk, index=0):
         walk[index] = _moved(rat6, ray, walk[index])
         return walk
 
-    assert _refused(monkeypatch, rat6, ray, mutate).startswith("closed form predicts")
+    assert _refused(inject, rat6, ray, mutate).startswith("closed form predicts")
     # any jump moved is refused as an internal fault, by the closed form or
     # by the class loop, never as a horizon too small for a class's anchor
     count = len(ray_walk(rat6, ray, stability_bound(rat6, ray) + 3))
     assert count == 57
     for index in range(count):
-        _refused(monkeypatch, rat6, ray, lambda walk, index=index: mutate(walk, index))
+        _refused(inject, rat6, ray, lambda walk, index=index: mutate(walk, index))
 
 
-def test_series_refuses_a_point_off_the_ray_or_a_parameter_off_the_grid(rat6, monkeypatch):
+def test_series_refuses_a_point_off_the_ray_or_a_parameter_off_the_grid(rat6, inject):
     ray = make_ray(rat6, (0, 0), (1, 1))
     # the first jump anchors its class: its point is read against the ray
     elsewhere = (Fraction(1, 7),) * 2
@@ -240,17 +239,17 @@ def test_series_refuses_a_point_off_the_ray_or_a_parameter_off_the_grid(rat6, mo
         walk[0] = rays.RayJump(walk[0].parameter, walk[0].record._replace(point=elsewhere))
         return walk
 
-    assert _refused(monkeypatch, rat6, ray, moved_point).endswith("off the ray")
+    assert _refused(inject, rat6, ray, moved_point).endswith("off the ray")
 
     def off_grid(walk):
         walk[-1] = rays.RayJump(walk[-1].parameter + Fraction(1, 10**9 + 7), walk[-1].record)
         return walk
 
-    assert "off the grid" in _refused(monkeypatch, rat6, ray, off_grid)
+    assert "off the grid" in _refused(inject, rat6, ray, off_grid)
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
-def test_series_refuses_a_walk_missing_a_degenerate_monomial(tuples, name, monkeypatch):
+def test_series_refuses_a_walk_missing_a_degenerate_monomial(tuples, name, inject):
     # a degenerate jump has no recurrence, so the form takes it from the
     # walk and no re-expansion can miss it; the walk's divisor chain from
     # the jump before it is what breaks.  The fault goes into the candidate
@@ -264,16 +263,12 @@ def test_series_refuses_a_walk_missing_a_degenerate_monomial(tuples, name, monke
         jump.parameter for jump in walk[1:] if is_degenerate(ideals, jump.point)
     )
     stream = rays._candidate_parameters
-    monkeypatch.setattr(
-        rays,
-        "_candidate_parameters",
-        lambda *args: (mu for mu in stream(*args) if mu != dropped),
-    )
+    inject(rays, "_candidate_parameters", lambda *args: (mu for mu in stream(*args) if mu != dropped))
     with pytest.raises(InternalConsistencyError, match="divisor chain broken"):
         poincare(cold(ideals), ray, horizon)
 
 
-def test_walk_refuses_a_walk_missing_its_first_jump(chain10, monkeypatch):
+def test_walk_refuses_a_walk_missing_its_first_jump(chain10, inject):
     # the chain starts at the base's divisor, so dropping the first
     # candidate, a degenerate jump, leaves the next jump's left limit wrong;
     # the faulted walks run on a cold graph, where nothing is served
@@ -281,10 +276,8 @@ def test_walk_refuses_a_walk_missing_its_first_jump(chain10, monkeypatch):
     first = ray_walk(chain10, ray, 1)[0]
     assert first.parameter == Fraction(1, 29) and is_degenerate(chain10, first.point)
     stream = rays._candidate_parameters
-    monkeypatch.setattr(
-        rays,
-        "_candidate_parameters",
-        lambda *args: (mu for mu in stream(*args) if mu != first.parameter),
+    inject(
+        rays, "_candidate_parameters", lambda *args: (mu for mu in stream(*args) if mu != first.parameter)
     )
     message = "divisor chain broken between parameters 0 and 2/29"
     faulted = cold(chain10)

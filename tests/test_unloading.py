@@ -1,7 +1,6 @@
 """Antinef closure (two independent routes), fundamental cycle, colength."""
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frozen
-from conftest import divisor_leq
+from conftest import divisor_leq, record_calls
 from mmideal import (
     attach_ideals,
     antinef_closure_checked,
@@ -74,7 +73,7 @@ def test_integer_colength_matches_fraction_definition(tuples):
             assert colength(graph, divisor) == -Fraction(pairing, 2)
 
 
-def test_closure_cache_belongs_to_its_graph(rat6, monkeypatch):
+def test_closure_cache_belongs_to_its_graph(rat6, inject):
     first = build_graph(rat6.graph.matrix)
     second = build_graph(rat6.graph.matrix)
     assert first == second
@@ -85,13 +84,13 @@ def test_closure_cache_belongs_to_its_graph(rat6, monkeypatch):
         calls.append(divisor)
         return oracle(graph, divisor)
 
-    monkeypatch.setattr(unloading, "antinef_closure_unit", counted)
+    inject(unloading, "antinef_closure_unit", counted)
     divisor = (4, 0, 1, 0, 0, 2)
     closure = antinef_closure_checked(first, divisor)
     assert antinef_closure_checked(first, divisor) == closure
     assert len(calls) == 1
-    assert first.closure_cache == {divisor: closure}
-    assert second.closure_cache == {}
+    assert dict(first.closure_cache.items()) == {divisor: closure}
+    assert len(second.closure_cache) == 0
     assert antinef_closure_checked(second, divisor) == closure
     assert len(calls) == 2
 
@@ -148,13 +147,13 @@ def test_closures_refuse_non_integer_coefficients(rat6):
         for closure in (antinef_closure, antinef_closure_unit, antinef_closure_checked):
             with pytest.raises(ValidationError, match="expected integers"):
                 closure(graph, divisor)
-    assert graph.closure_cache == {}
+    assert len(graph.closure_cache) == 0
     # an integer-valued Fraction is an integer coefficient
     two = antinef_closure_checked(graph, (2, 0, 0, 0, 0, 0))
     assert antinef_closure_checked(graph, (Fraction(4, 2), 0, 0, 0, 0, 0)) == two
 
 
-def test_checked_closure_keys_on_the_clamped_divisor(rat6, monkeypatch):
+def test_checked_closure_keys_on_the_clamped_divisor(rat6, inject):
     graph = build_graph(rat6.graph.matrix)
     oracle = unloading.antinef_closure_unit
     calls = []
@@ -163,11 +162,11 @@ def test_checked_closure_keys_on_the_clamped_divisor(rat6, monkeypatch):
         calls.append(divisor)
         return oracle(graph, divisor)
 
-    monkeypatch.setattr(unloading, "antinef_closure_unit", counted)
+    inject(unloading, "antinef_closure_unit", counted)
     closure = antinef_closure_checked(graph, (3, -2, 1, 0, -7, 0))
     assert antinef_closure_checked(graph, (3, 0, 1, -1, 0, 0)) == closure
     assert len(calls) == 1
-    assert graph.closure_cache == {(3, 0, 1, 0, 0, 0): closure}
+    assert dict(graph.closure_cache.items()) == {(3, 0, 1, 0, 0, 0): closure}
     assert (graph.closure_cache.hits, graph.closure_cache.misses) == (1, 1)
 
 
@@ -189,22 +188,24 @@ def test_colength_requires_antinef(rat6):
         colength(rat6.graph, (1, 0, 0, 0, 0, 0))
 
 
-def test_odd_colength_total_is_an_internal_error(monkeypatch, capsys, rat6):
-    # one product made a unit more negative at a component of odd coefficient,
-    # only where colength reads them: the divisor stays antinef and the total
-    # turns odd, which no correct route produces.  A fresh graph has an empty
-    # colength memo, so colength reads the products.
+def test_odd_colength_total_is_an_internal_error(inject, capsys, rat6):
+    # the fundamental cycle's products, wherever they are computed, made a
+    # unit more negative at its first component, of odd coefficient 3: the
+    # cycle stays antinef and its colength total turns odd, which no correct
+    # route produces.  A fresh graph has an empty colength memo, so colength
+    # reads the products.
     graph = build_graph(rat6.graph.matrix)
+    fundamental = graph.fundamental
+    assert fundamental[0] % 2
     honest = unloading.intersection_products
 
     def skewed(graph, divisor):
         products = honest(graph, divisor)
-        if sys._getframe(1).f_code.co_name != "colength":
+        if tuple(divisor) != fundamental:
             return products
-        j = next(j for j, coefficient in enumerate(divisor) if coefficient % 2)
-        return products[:j] + (products[j] - 1,) + products[j + 1 :]
+        return (products[0] - 1,) + products[1:]
 
-    monkeypatch.setattr(unloading, "intersection_products", skewed)
+    inject(unloading, "intersection_products", skewed)
     with pytest.raises(InternalConsistencyError, match="fractional"):
         colength(graph, graph.fundamental)
     assert main(["fcycle", "RAT6"]) == 3
@@ -218,9 +219,9 @@ def test_colength_cache_belongs_to_its_graph(rat6):
     divisor = frozen.RAT6_FUNDAMENTAL
     assert colength(first, divisor) == 1
     assert colength(first, divisor) == 1
-    assert first.colength_cache == {divisor: 1}
+    assert dict(first.colength_cache.items()) == {divisor: 1}
     assert (first.colength_cache.hits, first.colength_cache.misses) == (1, 1)
-    assert second.colength_cache == {}
+    assert len(second.colength_cache) == 0
     assert colength(second, divisor) == 1
     assert (second.colength_cache.hits, second.colength_cache.misses) == (0, 1)
 
@@ -253,7 +254,7 @@ def test_bounded_cache_weight_follows_every_insertion_and_removal(monkeypatch):
     cache.clear()
     assert cache.held == 0
     cache.store((0,), 0)
-    assert cache == {(0,): 0} and cache.held == 1 and cache.evictions == 0
+    assert dict(cache.items()) == {(0,): 0} and cache.held == 1 and cache.evictions == 0
     # a cache weighing each value by its length, through every path
     monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 10)
     cache = unloading.BoundedCache(len)
@@ -264,13 +265,10 @@ def test_bounded_cache_weight_follows_every_insertion_and_removal(monkeypatch):
         (lambda: cache.store("a", "x"), ["b", "a"]),
         # 5 + 6 > 10: the oldest entry goes
         (lambda: cache.store("c", "xxxxxx"), ["a", "c"]),
-        (lambda: cache.__setitem__("d", "xx"), ["a", "c", "d"]),
+        (lambda: cache.serve("d", lambda a, b: a + b, "x", "x"), ["a", "c", "d"]),
         # heavier than the bound: not held
         (lambda: cache.store("e", "x" * 11), ["a", "c", "d"]),
-        (lambda: cache.pop("a"), ["c", "d"]),
-        (lambda: cache.pop("missing", None), ["c", "d"]),
-        (lambda: cache.popitem(), ["c"]),
-        (lambda: cache.__delitem__("c"), []),
+        # the whole bound: every held entry goes
         (lambda: cache.store("f", "x" * 10), ["f"]),
         (lambda: cache.clear(), []),
         (lambda: cache.store("g", "x"), ["g"]),
@@ -278,13 +276,54 @@ def test_bounded_cache_weight_follows_every_insertion_and_removal(monkeypatch):
     for step, keys in steps:
         step()
         assert list(cache) == keys
-        assert cache.held == sum(map(len, cache.values())) <= 10
-    assert cache.evictions == 2
-    with pytest.raises(KeyError):
-        cache.pop("missing")
-    with pytest.raises(KeyError):
-        del cache["missing"]
-    assert cache.held == 1
+        assert cache.held == sum(len(value) for _, value in cache.items()) <= 10
+    # b, e, then a, c and d
+    assert cache.evictions == 5
+
+
+def test_bounded_cache_changes_only_through_serve_store_and_clear(monkeypatch):
+    # a dict's own mutators would skip the bound and the weight: a cache
+    # bounded at 2 that took ten entries by `update` would hold them all
+    # with `held` still 0
+    monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 2)
+    cache = unloading.BoundedCache()
+    assert not isinstance(cache, dict)
+    for name in ("update", "setdefault", "pop", "popitem", "__setitem__", "__delitem__"):
+        assert not hasattr(cache, name), name
+    with pytest.raises(AttributeError):
+        cache.update({(n,): n for n in range(10)})
+    with pytest.raises(TypeError):
+        cache |= {(0,): 0}
+    assert len(cache) == cache.held == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["serve", "store", "clear"]),
+            st.integers(0, 5),
+            st.text("x", max_size=12),
+        )
+    )
+)
+def test_bounded_cache_holds_its_weight_after_any_calls(calls):
+    # after any sequence of the public calls, values heavier than the bound
+    # included, `held` is the weight of what is held and at most the bound,
+    # and a serve returns the held value or counts a miss and computes
+    bound = unloading.CLOSURE_CACHE_BOUND
+    cache = unloading.BoundedCache(lambda value: len(value) * bound // 8)
+    for n, (call, key, value) in enumerate(calls):
+        if call == "serve":
+            held = dict(cache.items()).get(key)
+            served = cache.serve(key, lambda a, b: a + b, value, "")
+            assert served == (value if held is None else held)
+        elif call == "store":
+            cache.store(key, value)
+        else:
+            cache.clear()
+        assert cache.held == sum(cache.weigh(held) for _, held in cache.items()) <= bound
+        assert cache.hits + cache.misses == sum(c == "serve" for c, _, _ in calls[: n + 1])
 
 
 def test_colength_memo_still_reads_its_input(rat6):
@@ -292,7 +331,7 @@ def test_colength_memo_still_reads_its_input(rat6):
     # so the memo is read only after the divisor has passed the contract
     graph = build_graph(rat6.graph.matrix)
     assert colength(graph, frozen.RAT6_FUNDAMENTAL) == 1
-    assert graph.colength_cache == {frozen.RAT6_FUNDAMENTAL: 1}
+    assert dict(graph.colength_cache.items()) == {frozen.RAT6_FUNDAMENTAL: 1}
     for divisor in ((3.0, 2, 3, 1, 1, 1), (3, 2, 3, True, 1, 1)):
         assert divisor == frozen.RAT6_FUNDAMENTAL
         with pytest.raises(ValidationError, match="expected integers"):
@@ -322,11 +361,11 @@ def test_colength_memo_never_stores_a_refused_divisor(rat6):
     for _ in range(2):
         with pytest.raises(NotAntinef):
             colength(graph, (1, 0, 0, 0, 0, 0))
-    assert graph.colength_cache == {}
+    assert len(graph.colength_cache) == 0
     assert (graph.colength_cache.hits, graph.colength_cache.misses) == (0, 2)
 
 
-def test_ray_walk_evaluates_each_colength_once(tuples, monkeypatch):
+def test_ray_walk_evaluates_each_colength_once(tuples, inject):
     # along a ray the left divisor at a candidate is the divisor at the one
     # before, so the oracle asks for most colengths twice; the formula runs
     # once per distinct divisor, and every repeat is a memo hit
@@ -338,7 +377,7 @@ def test_ray_walk_evaluates_each_colength_once(tuples, monkeypatch):
         return honest(graph, divisor)
 
     # the oracle's binding
-    monkeypatch.setattr(multiplicity, "colength", recorded)
+    inject(multiplicity, "colength", recorded)
     rng = random.Random(19)
     for name in ("RAT6", "CHAIN10"):
         shared = tuples[name]
@@ -354,28 +393,11 @@ def test_ray_walk_evaluates_each_colength_once(tuples, monkeypatch):
         assert len(cache) == len(set(asked))
 
 
-def _count_calls(monkeypatch, function):
-    """Wrap *function* at every ``mmideal`` module attribute bound to it, as
-    a tracer does from outside; the returned list grows by one per call."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return function(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "mmideal" or name.startswith("mmideal."):
-            for attribute, value in list(vars(module).items()):
-                if value is function:
-                    monkeypatch.setattr(module, attribute, counted)
-    return calls
-
-
 def test_cache_counts_equal_the_calls_at_the_module_bindings(tuples, monkeypatch):
     # the checked closure and the colength count their own hits and misses;
     # together they must be exactly the calls made through the bindings
-    closures = _count_calls(monkeypatch, unloading.antinef_closure_checked)
-    colengths = _count_calls(monkeypatch, unloading.colength)
+    closures = record_calls(monkeypatch, "unloading", "antinef_closure_checked")
+    colengths = record_calls(monkeypatch, "unloading", "colength")
 
     def check_counts(ideals, run):
         closed, measured = len(closures), len(colengths)
@@ -423,13 +445,13 @@ def test_two_routes_agree_property(seed):
     assert antinef_closure(graph, divisor) == antinef_closure_unit(graph, divisor)
 
 
-def test_oracle_does_not_share_the_ceiling_loop(rat6, monkeypatch):
+def test_oracle_does_not_share_the_ceiling_loop(rat6, inject):
     # a ceiling loop that overshoots by Z must be caught by the oracle; a
     # fresh graph has an empty closure cache
     graph = build_graph(rat6.graph.matrix)
     fundamental = graph.fundamental
     ceiling = unloading._unload
-    monkeypatch.setattr(
+    inject(
         unloading,
         "_unload",
         lambda graph, start: tuple(
@@ -478,13 +500,13 @@ def test_descent_from_above_the_closure_stays_below_it(tuples):
     ],
     ids=["returns_the_ceiling_result", "adds_the_fundamental_cycle"],
 )
-def test_uncertified_oracle_start_is_refused(rat6, monkeypatch, mutant):
+def test_uncertified_oracle_start_is_refused(rat6, inject, mutant):
     # a fresh graph has an empty closure cache, so the descent runs
     graph = build_graph(rat6.graph.matrix)
-    monkeypatch.setattr(unloading, "_descend", mutant)
+    inject(unloading, "_descend", mutant)
     with pytest.raises(InternalConsistencyError, match="not certified"):
         antinef_closure_checked(graph, (4, 0, 1, 0, 0, 2))
-    assert graph.closure_cache == {}
+    assert len(graph.closure_cache) == 0
 
 
 def test_oracle_keeps_its_cold_start_on_large_inputs(tuples):
@@ -549,15 +571,13 @@ def _a40():
     return build_graph(tree_rows([-2] * 40, [(j, j + 1) for j in range(1, 40)]))
 
 
-def _counted_proposals(monkeypatch, proposal=None):
+def _counted_proposals(inject, proposal=None):
     """Put *proposal* (by default the real one) in place of
     ``unloading._proposal``; the returned list grows by the floor of each
     call."""
     calls = []
     proposal = proposal or unloading._proposal
-    monkeypatch.setattr(
-        unloading, "_proposal", lambda graph, floor: calls.append(floor) or proposal(graph, floor)
-    )
+    inject(unloading, "_proposal", lambda graph, floor: calls.append(floor) or proposal(graph, floor))
     return calls
 
 
@@ -581,10 +601,10 @@ def test_proposal_lies_between_its_floor_and_the_closure(tuples):
             assert antinef_closure(graph, key) == closure
 
 
-def test_closures_with_proposals_match_both_references(tuples, monkeypatch):
+def test_closures_with_proposals_match_both_references(tuples, inject):
     # the ceiling loop equals the sweeps without proposals everywhere, and
     # the unit-step oracle where its climb from max(D, 0) is short enough
-    calls = _counted_proposals(monkeypatch)
+    calls = _counted_proposals(inject)
     rng = random.Random(2902)
     graphs = [tuples[name].graph for name in ("CHAIN10", "NEST14", "PROP16")] + [_a40()]
     graphs += [build_graph(random_tree_matrix(rng, max_size=12)) for _ in range(20)]
@@ -603,8 +623,8 @@ def test_closures_with_proposals_match_both_references(tuples, monkeypatch):
     assert unit_after_proposal
 
 
-def test_proposals_run_only_where_sweeps_run_long(monkeypatch):
-    calls = _counted_proposals(monkeypatch)
+def test_proposals_run_only_where_sweeps_run_long(inject):
+    calls = _counted_proposals(inject)
     graph = _a40()
     rng = random.Random(2903)
     divisor = [rng.randint(-10**5, 10**5) for _ in range(graph.size)]
@@ -654,7 +674,7 @@ def _one_too_high(graph, floor):
     ],
     ids=["one_too_high", "the_key_itself", "adds_the_fundamental_cycle", "zero", "negated_scales"],
 )
-def test_a_wrong_proposal_costs_sweeps_not_closures(monkeypatch, mutant):
+def test_a_wrong_proposal_costs_sweeps_not_closures(inject, mutant):
     # the certificate refuses every mutant but the key itself, which it
     # rightly accepts, and the loop sweeps on from the key; the negated
     # pairs name the true x over negative scales, which it refuses
@@ -662,29 +682,29 @@ def test_a_wrong_proposal_costs_sweeps_not_closures(monkeypatch, mutant):
     rng = random.Random(2904)
     divisors = [[rng.randint(-scale, scale) for _ in range(graph.size)] for scale in (10**3, 10**5)]
     expected = [_sweeps_from_key(graph, divisor) for divisor in divisors]
-    calls = _counted_proposals(monkeypatch, mutant)
+    calls = _counted_proposals(inject, mutant)
     for divisor, closure in zip(divisors, expected):
         assert antinef_closure(graph, divisor) == closure
         assert antinef_closure_checked(build_graph(graph.matrix), divisor) == closure
     assert len(calls) >= 4
 
 
-def test_an_accepted_overshooting_proposal_is_caught_by_the_oracle(monkeypatch):
+def test_an_accepted_overshooting_proposal_is_caught_by_the_oracle(inject):
     # a proposal above the closure, with a certificate that accepts anything,
     # makes the ceiling loop overshoot; the oracle climbs from its own
     # certified start and disagrees, so the checked closure raises
     graph = _a40()
-    calls = _counted_proposals(monkeypatch, _one_too_high)
-    monkeypatch.setattr(unloading, "_certified", lambda graph, floor, scaled, scale: True)
+    calls = _counted_proposals(inject, _one_too_high)
+    inject(unloading, "_certified", lambda graph, floor, scaled, scale: True)
     # the closure of 10^5 E_1 takes index-order sweeps far past graph.size
     divisor = [10**5] + [0] * (graph.size - 1)
     with pytest.raises(InternalConsistencyError, match="disagree"):
         antinef_closure_checked(graph, divisor)
     assert calls
-    assert graph.closure_cache == {}
+    assert len(graph.closure_cache) == 0
 
 
-def test_a_miss_reads_its_key_once_and_multiplies_each_vector_once(tuples, monkeypatch):
+def test_a_miss_reads_its_key_once_and_multiplies_each_vector_once(tuples, inject):
     # the key is read once; the products are computed for the loop's start,
     # freshly for the ceiling result, and for the oracle's start L unless L
     # is the ceiling result; the descent and the oracle compute none
@@ -692,10 +712,10 @@ def test_a_miss_reads_its_key_once_and_multiplies_each_vector_once(tuples, monke
     read, multiply, unload = (
         unloading._integer_vector, unloading.intersection_products, unloading._unload
     )
-    monkeypatch.setattr(
+    inject(
         unloading, "_integer_vector", lambda values, *rest: reads.append(values) or read(values, *rest)
     )
-    monkeypatch.setattr(
+    inject(
         unloading, "intersection_products",
         lambda graph, divisor: multiplied.append(tuple(divisor)) or multiply(graph, divisor),
     )
@@ -706,7 +726,7 @@ def test_a_miss_reads_its_key_once_and_multiplies_each_vector_once(tuples, monke
         returned.append(len(multiplied))
         return result
 
-    monkeypatch.setattr(unloading, "_unload", marked)
+    inject(unloading, "_unload", marked)
     rng = random.Random(2905)
     for name in ("RAT6", "CHAIN10", "NEST14", "PROP16"):
         graph = build_graph(tuples[name].graph.matrix)

@@ -109,7 +109,7 @@ def test_chain10_atlas_counts(chain10_atlas):
     assert len(chain10_atlas.facets) == 240
 
 
-def test_rat6_atlas_at_scale(rat6, monkeypatch):
+def test_rat6_atlas_at_scale(rat6, inject):
     # the full 4x4 atlas; cell_decomposition runs the outer-orbit, Euler,
     # barycenter, propagation and facet-sample checks on the way
     direct = walls.mmi_divisor
@@ -119,7 +119,7 @@ def test_rat6_atlas_at_scale(rat6, monkeypatch):
         calls.append(point)
         return direct(ideals, point)
 
-    monkeypatch.setattr(walls, "mmi_divisor", counted)
+    inject(walls, "mmi_divisor", counted)
     atlas = cell_decomposition(cold(rat6), (Fraction(4), Fraction(4)))
     arr = atlas.arrangement
     assert len([line for line in arr.lines if not line.is_box]) == 163
@@ -227,16 +227,14 @@ def _drop_source(arrangement, index=None, source=None):
         "source E3 level 17 dropped from line 31",
     ],
 )
-def test_corrupted_arrangement_is_caught(rat6, monkeypatch, corrupt, message):
+def test_corrupted_arrangement_is_caught(rat6, inject, corrupt, message):
     build = walls.build_arrangement
-    monkeypatch.setattr(
-        walls, "build_arrangement", lambda lines, box: corrupt(build(lines, box))
-    )
+    inject(walls, "build_arrangement", lambda lines, box: corrupt(build(lines, box)))
     with pytest.raises(InternalConsistencyError, match=message):
         cell_decomposition(cold(rat6), (Fraction(1), Fraction(1)))
 
 
-def test_every_dropped_source_is_caught(rat6, monkeypatch):
+def test_every_dropped_source_is_caught(rat6, inject):
     box = (Fraction(1), Fraction(1))
     build = walls.build_arrangement
     arrangement = build(wall_lines(rat6, box), box)
@@ -250,7 +248,7 @@ def test_every_dropped_source_is_caught(rat6, monkeypatch):
     shared = sum(len(arrangement.lines[index].sources) >= 2 for index, _ in drops)
     assert (len(drops), shared) == (57, 34)
     for index, source in drops:
-        monkeypatch.setattr(
+        inject(
             walls,
             "build_arrangement",
             lambda lines, box: _drop_source(build(lines, box), index, source),
@@ -259,27 +257,23 @@ def test_every_dropped_source_is_caught(rat6, monkeypatch):
             cell_decomposition(cold(rat6), box)
 
 
-def test_an_atlas_that_raises_stores_nothing(rat6, monkeypatch):
+def test_an_atlas_that_raises_stores_nothing(rat6, inject):
     ideals = cold(rat6)
     cache = ideals.graph.atlas_cache
     build, builds = walls.build_arrangement, []
-    monkeypatch.setattr(
-        walls, "build_arrangement", lambda lines, box: _swap_sides(build(lines, box), 0)
-    )
+    inject(walls, "build_arrangement", lambda lines, box: _swap_sides(build(lines, box), 0))
     for _ in range(2):
         with pytest.raises(InternalConsistencyError, match="crossing edge"):
             cell_decomposition(ideals, (1, 1))
-    assert cache == {} and cache.held == 0
+    assert len(cache) == cache.held == 0
     assert (cache.hits, cache.misses, cache.evictions) == (0, 2, 0)
     # unpatched, the next call computes and checks the atlas, then serves it
-    monkeypatch.setattr(
-        walls, "build_arrangement", lambda lines, box: builds.append(box) or build(lines, box)
-    )
+    inject(walls, "build_arrangement", lambda lines, box: builds.append(box) or build(lines, box))
     atlas = cell_decomposition(ideals, (1, 1))
     assert atlas == cell_decomposition(cold(rat6), (1, 1))
     assert cell_decomposition(ideals, (1, 1)) is atlas
     assert len(builds) == 2 and (cache.hits, cache.misses) == (1, 3)
-    assert list(cache.values()) == [atlas]
+    assert [held for _, held in cache.items()] == [atlas]
 
 
 # Reference for the wall-line source check in `walls._face_floors`: the wall
