@@ -5,6 +5,13 @@ prints exact rationals; the SVG export is the only output with decimal
 approximations.  Exit codes: 0 success, 1 usage or parse failure or an
 output file that cannot be written, 2 mathematical validation failure, 3
 internal consistency failure (an oracle disagreement — must never happen).
+
+A request is read in one place, `main`: it parses argv, loads the fixture
+and builds its ideal tuple through `_load` (which `selftest` calls for each
+name it checks), and maps every error to its exit code.  A subcommand's
+handler gets the loaded fixture and tuple, parses its own options in a
+fixed order, so that the first malformed one is the one reported, and
+prints.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import argparse
 import csv
 import functools
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .dualgraph import IdealTuple, singularity_class
 from .errors import (
@@ -23,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .evaluate import mmi_divisor
-from .fixtures import build_tuple, bundled_names, load_fixture
+from .fixtures import Fixture, build_tuple, bundled_names, load_fixture
 from .multiplicity import jump_record
 from .rationals import (
     _as_integer, format_point, format_rational, parse_point, parse_rational
@@ -67,14 +74,28 @@ def _divisor_text(divisor: Sequence[int]) -> str:
     return ",".join(str(c) for c in divisor)
 
 
-def _load(args) -> tuple:
-    fixture = load_fixture(args.fixture)
-    ideals = build_tuple(fixture)
-    return fixture, ideals
+def _load(name: str) -> tuple[Fixture, IdealTuple]:
+    fixture = load_fixture(name)
+    return fixture, build_tuple(fixture)
 
 
-def _cmd_validate(args) -> int:
-    fixture, ideals = _load(args)
+def _ray(args, ideals: IdealTuple, bound: str):
+    """The ray of ``--base`` and ``--dir``, and the parsed *bound*."""
+    base = parse_point(args.base, ideals.r)
+    direction = _int_vector(args.dir, ideals.r)
+    limit = parse_rational(bound)
+    return make_ray(ideals, base, direction), limit
+
+
+def _write_csv(path: str, header: list[str], rows: Iterable[list[str]]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    print(f"csv written to {path}")
+
+
+def _cmd_validate(args, fixture: Fixture, ideals: IdealTuple) -> int:
     graph = ideals.graph
     print(f"fixture {fixture.name}: {graph.size} components, {ideals.r} ideals")
     print(f"singularity: {singularity_class(graph).value}")
@@ -90,14 +111,12 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_kpi(args) -> int:
-    _, ideals = _load(args)
+def _cmd_kpi(args, _, ideals: IdealTuple) -> int:
     print(f"K = {format_point(ideals.graph.canonical)}")
     return 0
 
 
-def _cmd_fcycle(args) -> int:
-    _, ideals = _load(args)
+def _cmd_fcycle(args, _, ideals: IdealTuple) -> int:
     graph = ideals.graph
     cycle = graph.fundamental
     print(f"Z = {_divisor_text(cycle)}")
@@ -105,8 +124,7 @@ def _cmd_fcycle(args) -> int:
     return 0
 
 
-def _cmd_closure(args) -> int:
-    _, ideals = _load(args)
+def _cmd_closure(args, _, ideals: IdealTuple) -> int:
     graph = ideals.graph
     divisor = _int_vector(args.divisor, graph.size)
     closed = antinef_closure_checked(graph, divisor)
@@ -115,8 +133,7 @@ def _cmd_closure(args) -> int:
     return 0
 
 
-def _cmd_point(args) -> int:
-    _, ideals = _load(args)
+def _cmd_point(args, _, ideals: IdealTuple) -> int:
     # jump_record has already checked every route against the others
     record = jump_record(ideals, parse_point(args.c, ideals.r))
     mult = record.mult
@@ -140,12 +157,8 @@ def _cmd_point(args) -> int:
     return 0
 
 
-def _cmd_ray(args) -> int:
-    _, ideals = _load(args)
-    base = parse_point(args.base, ideals.r)
-    direction = _int_vector(args.dir, ideals.r)
-    until = parse_rational(args.until)
-    ray = make_ray(ideals, base, direction)
+def _cmd_ray(args, _, ideals: IdealTuple) -> int:
+    ray, until = _ray(args, ideals, args.until)
     jumps = ray_walk(ideals, ray, until)
     print(
         f"ray base {format_point(ray.base)} direction "
@@ -159,32 +172,25 @@ def _cmd_ray(args) -> int:
             f"D = {_divisor_text(jump.record.divisor)}"
         )
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            size = ideals.size
-            writer.writerow(
-                ["parameter"]
-                + [f"c{i + 1}" for i in range(ideals.r)]
-                + ["mult"]
-                + [f"D{j + 1}" for j in range(size)]
-            )
-            for jump in jumps:
-                writer.writerow(
-                    [format_rational(jump.parameter)]
-                    + [format_rational(x) for x in jump.point]
-                    + [str(jump.mult)]
-                    + [str(c) for c in jump.record.divisor]
-                )
-        print(f"csv written to {args.csv}")
+        _write_csv(
+            args.csv,
+            ["parameter"]
+            + [f"c{i + 1}" for i in range(ideals.r)]
+            + ["mult"]
+            + [f"D{j + 1}" for j in range(ideals.size)],
+            (
+                [format_rational(jump.parameter)]
+                + [format_rational(x) for x in jump.point]
+                + [str(jump.mult)]
+                + [str(c) for c in jump.record.divisor]
+                for jump in jumps
+            ),
+        )
     return 0
 
 
-def _cmd_poincare(args) -> int:
-    _, ideals = _load(args)
-    base = parse_point(args.base, ideals.r)
-    direction = _int_vector(args.dir, ideals.r)
-    horizon = parse_rational(args.horizon)
-    ray = make_ray(ideals, base, direction)
+def _cmd_poincare(args, _, ideals: IdealTuple) -> int:
+    ray, horizon = _ray(args, ideals, args.horizon)
     form = poincare(ideals, ray, horizon)
     print(f"series = {form.render()}")
     print(f"exponent denominator = {form.exponent_denominator}")
@@ -202,8 +208,7 @@ def _cmd_poincare(args) -> int:
     return 0
 
 
-def _cmd_walls(args) -> int:
-    _, ideals = _load(args)
+def _cmd_walls(args, _, ideals: IdealTuple) -> int:
     box = parse_point(args.box, 2)
     atlas = cell_decomposition(ideals, box)
     wall_count = sum(1 for line in atlas.arrangement.lines if not line.is_box)
@@ -214,26 +219,17 @@ def _cmd_walls(args) -> int:
     print(f"cells = {len(atlas.cells)}")
     print(f"facets = {len(atlas.facets)}")
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["sources", "x0", "y0", "x1", "y1", "mult", "low", "high"]
-            )
-            for facet in atlas.facets:
-                (x0, y0), (x1, y1) = facet.endpoints
-                writer.writerow(
-                    [
-                        ";".join(f"{j + 1}:{level}" for j, level in facet.sources),
-                        format_rational(x0),
-                        format_rational(y0),
-                        format_rational(x1),
-                        format_rational(y1),
-                        str(facet.mult),
-                        "|".join(str(c) for c in facet.low_divisor),
-                        "|".join(str(c) for c in facet.high_divisor),
-                    ]
-                )
-        print(f"csv written to {args.csv}")
+        _write_csv(
+            args.csv,
+            ["sources", "x0", "y0", "x1", "y1", "mult", "low", "high"],
+            (
+                [";".join(f"{j + 1}:{level}" for j, level in facet.sources)]
+                + [format_rational(x) for end in facet.endpoints for x in end]
+                + [str(facet.mult)]
+                + ["|".join(map(str, d)) for d in (facet.low_divisor, facet.high_divisor)]
+                for facet in atlas.facets
+            ),
+        )
     if args.svg:
         ticks = lc_region(ideals).thresholds
         with open(args.svg, "w", encoding="utf-8") as handle:
@@ -242,8 +238,7 @@ def _cmd_walls(args) -> int:
     return 0
 
 
-def _cmd_lct(args) -> int:
-    _, ideals = _load(args)
+def _cmd_lct(args, _, ideals: IdealTuple) -> int:
     report = require_valid_region(lc_region(ideals))
     print(f"origin divisor = {_divisor_text(mmi_divisor(ideals, report.center))}")
     for axis, threshold in enumerate(report.thresholds):
@@ -251,15 +246,13 @@ def _cmd_lct(args) -> int:
     return 0
 
 
-def _cmd_nest(args) -> int:
-    _, ideals = _load(args)
+def _cmd_nest(args, _, ideals: IdealTuple) -> int:
     nest = newton_nest(ideals)
     print(f"nest = {_labels(ideals, nest)}")
     return 0
 
 
-def _cmd_bijection(args) -> int:
-    _, ideals = _load(args)
+def _cmd_bijection(args, _, ideals: IdealTuple) -> int:
     report = bijection_report(ideals)
     print(f"verdict = {report.verdict}")
     print(f"nest = {_labels(ideals, report.nest)} ({len(report.nest)})")
@@ -297,9 +290,7 @@ def _cmd_bijection(args) -> int:
     return 0
 
 
-def _selftest_one(name: str) -> list[str]:
-    fixture = load_fixture(name)
-    ideals = build_tuple(fixture)
+def _selftest_one(fixture: Fixture, ideals: IdealTuple) -> list[str]:
     graph = ideals.graph
     failures: list[str] = []
     lines: list[str] = []
@@ -359,7 +350,7 @@ def _cmd_selftest(args) -> int:
     names = [args.fixture] if args.fixture else bundled_names()
     failures: list[str] = []
     for name in names:
-        failures.extend(_selftest_one(name))
+        failures.extend(_selftest_one(*_load(name)))
     if failures:
         for failure in failures:
             print(failure, file=sys.stderr)
@@ -418,15 +409,15 @@ def _build_parser() -> _Parser:
     sub.add_argument(
         "fixture", nargs="?", help="bundled fixture name or JSON path"
     )
-    sub.set_defaults(handler=_cmd_selftest)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        if args.command == "selftest":  # it loads each fixture it checks
+            return _cmd_selftest(args)
+        return args.handler(args, *_load(args.fixture))
     except ParseError as error:
         print(f"parse error: {error}", file=sys.stderr)
         return 1

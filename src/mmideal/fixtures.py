@@ -19,13 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .dualgraph import (
-    DualGraph,
-    IdealTuple,
-    attach_ideals,
-    build_graph,
-    graph_from_adjacency,
-)
+from .dualgraph import IdealTuple, attach_ideals, build_graph, graph_from_adjacency
 from .errors import ParseError, SchemaError
 from .rationals import _as_integer, format_rational, parse_rational
 
@@ -316,11 +310,10 @@ def load_fixture(name_or_path: str) -> Fixture:
     )
 
 
-def build_graph_from_fixture(fixture: Fixture) -> DualGraph:
-    if fixture.matrix is not None:
-        return build_graph(fixture.matrix)
-    return graph_from_adjacency(fixture.adjacency, fixture.canonical)
-
-
 def build_tuple(fixture: Fixture) -> IdealTuple:
-    return attach_ideals(build_graph_from_fixture(fixture), fixture.ideals)
+    """The fixture's graph, from whichever form it gives, with its ideals."""
+    if fixture.matrix is not None:
+        graph = build_graph(fixture.matrix)
+    else:
+        graph = graph_from_adjacency(fixture.adjacency, fixture.canonical)
+    return attach_ideals(graph, fixture.ideals)

@@ -3,6 +3,7 @@ the two ways a test may patch a library callable, `inject` and
 `record_calls`."""
 
 import importlib
+import inspect
 import sys
 from fractions import Fraction
 
@@ -23,21 +24,29 @@ def cold(ideals):
 
 @pytest.fixture
 def inject(monkeypatch):
-    """``inject(module, name, replacement)`` puts a fault or a probe in place
+    """``inject(owner, name, replacement)`` puts a fault or a probe in place
     of a library callable, as ``monkeypatch.setattr`` does, and fails the
     test at teardown if the replacement never ran: a served closure,
-    colength, record, atlas or walk skips the code it patches."""
+    colength, record, atlas or walk skips the code it patches.  The owner is
+    a module or a class; on a class the replacement is a method, or a
+    `property`, which counts as run when its getter is called."""
     patches = []
 
-    def patch(module, name, replacement):
+    def patch(owner, name, replacement):
         ran = [False]
-        patches.append((f"{module.__name__}.{name}", ran))
+        if inspect.ismodule(owner):
+            where = owner.__name__
+        else:
+            where = f"{owner.__module__}.{owner.__qualname__}"
+        patches.append((f"{where}.{name}", ran))
+        is_property = isinstance(replacement, property)
+        function = replacement.fget if is_property else replacement
 
         def wrapper(*args, **kwargs):
             ran[0] = True
-            return replacement(*args, **kwargs)
+            return function(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(owner, name, property(wrapper) if is_property else wrapper)
 
     yield patch
     idle = [name for name, ran in patches if not ran[0]]

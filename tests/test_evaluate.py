@@ -210,11 +210,9 @@ def test_bijection_report_ranks_each_constraint_at_most_once(monkeypatch, inject
     assert len(ranked) == incident <= len(report.polytope.halfspaces)
 
 
-def test_cli_lct_still_refuses_a_binding_constraint(monkeypatch, capsys):
+def test_cli_lct_still_refuses_a_binding_constraint(monkeypatch, inject, capsys):
     built = record_calls(monkeypatch, "evaluate", "intersect_halfspaces")
-    monkeypatch.setattr(
-        IdealTuple, "rupture_or_dicritical", property(lambda self: (False,) * self.size)
-    )
+    inject(IdealTuple, "rupture_or_dicritical", property(lambda self: (False,) * self.size))
     assert cli.main(["lct", "RAT6"]) == 2
     assert "components 2, 4 bind the region" in capsys.readouterr().err
     assert len(built) == 1

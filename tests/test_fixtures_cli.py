@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import hashlib
 import json
 import random
 import re
@@ -27,6 +28,18 @@ from mmideal.errors import NotTree, ParseError, ValidationError
 from mmideal.svg import _decimal
 
 SOURCE = Path(__file__).resolve().parents[1] / "src"
+# SHA-256 of the files written by `ray RAT6 --base 0,0 --dir 1,1 --until 1/2
+# --csv` and `walls RAT6 --box 1,1 --csv --svg`: every byte is pinned, not
+# just the rows the tests read back
+WRITTEN = {
+    "jumps.csv": "b66456f39d5042e5b148c6e4252c36d332aa3ccc0e322ceaaf62ee1f4c0829fc",
+    "facets.csv": "cc0f2529163de28bd56cf08f3987c29aee67cfaed1164866bcb1443e745cd32a",
+    "atlas.svg": "7fa5540fe851103bf6334558570326fd427a49a422456df889d2c70dff3221a6",
+}
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _fixture_data(name):
@@ -353,6 +366,7 @@ def test_cli_ray_csv_round_trip(tmp_path, capsys):
         == 0
     )
     capsys.readouterr()
+    assert _digest(target) == WRITTEN["jumps.csv"]
     with target.open(newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["parameter", "c1", "c2", "mult"] + [
@@ -379,6 +393,8 @@ def test_cli_walls_csv_and_svg(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "facets = 37" in out
+    assert _digest(table) == WRITTEN["facets.csv"]
+    assert _digest(picture) == WRITTEN["atlas.svg"]
 
     with table.open(newline="") as handle:
         rows = list(csv.reader(handle))

@@ -53,12 +53,12 @@ def test_coincident_facet_constraints_share_a_key():
     assert list(keys.values()) == [[0, 1]]
 
 
-def test_facet_keys_are_built_once(monkeypatch):
+def test_facet_keys_are_built_once(inject):
     # a bijection report and the region's binding check both read the map
     polytope = intersect_halfspaces(unit_square() + [row((2, 2), 2), row((3, 3), 3)])
     calls = []
     key = Halfspace.key
-    monkeypatch.setattr(Halfspace, "key", lambda self: calls.append(self) or key(self))
+    inject(Halfspace, "key", lambda self: calls.append(self) or key(self))
     keys = polytope.facet_keys()
     assert polytope.facet_keys() is keys
     assert len(calls) == polytope.classification.count("facet") == sum(map(len, keys.values()))
@@ -314,7 +314,7 @@ def test_clip_matches_reference_on_sample_regions(tuples):
         _assert_matches_reference(_kept_halfspaces(report))
 
 
-def test_valid_matches_the_two_clip_rule_on_random_masks(monkeypatch, tuples):
+def test_valid_matches_the_two_clip_rule_on_random_masks(inject, tuples):
     # the former rule: a region is valid exactly when clipping the orthant by
     # the kept constraints alone gives the full polytope's vertex set
     rng = random.Random(41)
@@ -334,7 +334,7 @@ def test_valid_matches_the_two_clip_rule_on_random_masks(monkeypatch, tuples):
                 mask = tuple(rng.random() < share for _ in range(ideals.size))
                 if not any(mask):
                     continue  # no row caps the orthant
-                monkeypatch.setattr(IdealTuple, "rupture_or_dicritical", mask)
+                inject(IdealTuple, "rupture_or_dicritical", property(lambda self: mask))
                 report = region(ideals, centre)
                 restricted = intersect_halfspaces(_kept_halfspaces(report))
                 expected = set(restricted.vertices) == set(report.polytope.vertices)

@@ -238,9 +238,9 @@ def _resolve(node, names):
 
 def _raw_library_patches(path):
     """(line, target, name) of every ``monkeypatch.setattr`` in a test module
-    on a ``mmideal`` module, under any alias, or on a target that the
-    module's own names do not resolve.  Upper-case names are constants and
-    pass."""
+    on a ``mmideal`` module, under any alias, on a class that a ``mmideal``
+    module defines, or on a target that the module's own names do not
+    resolve.  Upper-case names are constants and pass."""
     names = vars(importlib.import_module(path.stem))
     for node in ast.walk(ast.parse(path.read_text())):
         call = node.func if isinstance(node, ast.Call) else None
@@ -260,6 +260,8 @@ def _raw_library_patches(path):
             except KeyError:
                 library = True
             else:
+                if isinstance(owner, type):  # a class counts as its module
+                    owner = sys.modules.get(owner.__module__)
                 library = type(owner) is type(ast) and owner.__name__.startswith("mmideal")
         if library:
             yield node.lineno, ast.unparse(target), ast.unparse(name)

@@ -12,18 +12,28 @@ D >= E for antinef D and E, so in divisors the theorem reads
 with D_i read off ``subtuple(t, [i])``.  It holds at every c, so also for
 the left limits D_left, which are the divisors at (1 - eps)c.  The
 resolution graph of a smooth point has |det M| = 1; CHAIN10, NEST14 (r = 3)
-and PROP16 are checked at seeded points and where the divisor jumps.
+and PROP16 are checked at seeded points and where the divisor jumps, and
+the blow-up graphs of the benchmark's cli workload (n = 20 to 40) at seeded
+points.
 """
 
+import functools
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from mmideal import cell_decomposition, evaluate_point, make_ray, ray_walk, subtuple
+from mmideal import (
+    attach_ideals, build_graph, cell_decomposition, evaluate_point, make_ray, ray_walk,
+    subtuple,
+)
 from mmideal.evaluate import mmi_divisor
 
 SMOOTH = ("CHAIN10", "NEST14", "PROP16")
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def _determinant(matrix):
@@ -62,15 +72,19 @@ def _violations(ideals, points):
     return found
 
 
+def _seeded_points(rng, r, count):
+    return [
+        tuple(Fraction(rng.randrange(40), rng.randint(1, 12)) for _ in range(r))
+        for _ in range(count)
+    ]
+
+
 @pytest.mark.parametrize("name", SMOOTH)
 def test_subadditivity_on_smooth_bases(tuples, name):
     ideals = tuples[name]
     assert abs(_determinant(ideals.graph.matrix)) == 1
     rng = random.Random(f"subadditivity {name}")
-    points = [
-        tuple(Fraction(rng.randrange(40), rng.randint(1, 12)) for _ in range(ideals.r))
-        for _ in range(300)
-    ]
+    points = _seeded_points(rng, ideals.r, 300)
     # ray jumps, where D and D_left differ: three seeded rays
     jumps = []
     for _ in range(3):
@@ -86,6 +100,27 @@ def test_subadditivity_on_smooth_bases(tuples, name):
         jumps += [sample for facet in atlas.facets for sample in facet.samples]
         points += [(Fraction(x, w), Fraction(y, w)) for x, y, w in atlas.arrangement.vertices]
     assert _violations(ideals, points + jumps) == []
+
+
+@functools.cache
+def _workloads():
+    """bench/workloads.py, executed from its file under a private name (its
+    dataclasses look their module up in `sys.modules`); its graph
+    generators read no library code."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_subadditivity_on_blowup_graphs(index):
+    # the cli workload's graphs: n point blow-ups of a smooth point
+    fixture = _workloads().blowup_graph(index)
+    ideals = attach_ideals(build_graph(fixture.matrix), fixture.ideals)
+    assert abs(_determinant(ideals.graph.matrix)) == 1
+    points = _seeded_points(random.Random(f"subadditivity G{index:02d}"), ideals.r, 60)
+    assert _violations(ideals, points) == []
 
 
 def test_rat6_is_outside_the_theorem(rat6):

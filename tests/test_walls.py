@@ -576,7 +576,7 @@ def test_lc_region_valid(tuples):
         assert report.binding_non_rupture == ()
 
 
-def test_lct_routes_must_agree(monkeypatch, capsys, nest14, rat6):
+def test_lct_routes_must_agree(inject, capsys, nest14, rat6):
     # the min-ratio route drifts on the second axis; the polytope's vertex on
     # that axis no longer matches it, in every region build; the honest route
     # is the class's own descriptor, read for each report
@@ -587,7 +587,7 @@ def test_lct_routes_must_agree(monkeypatch, capsys, nest14, rat6):
         values[1] += Fraction(1, 7)
         return tuple(values)
 
-    monkeypatch.setattr(RegionReport, "thresholds", property(drifted))
+    inject(RegionReport, "thresholds", property(drifted))
     with pytest.raises(InternalConsistencyError, match="axis 2: min-ratio route"):
         bijection_report(nest14)
     with pytest.raises(InternalConsistencyError, match="axis 2: min-ratio route"):
