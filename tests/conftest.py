@@ -1,17 +1,32 @@
-"""Shared test fixtures: loaded ideal tuples and cached wall atlases, and
-the two ways a test may patch a library callable, `inject` and
-`record_calls`."""
+"""Shared test fixtures: loaded ideal tuples and cached wall atlases, the
+benchmark's graph generators, and the two ways a test may patch a library
+callable, `inject` and `record_calls`."""
 
+import functools
 import importlib
+import importlib.util
 import inspect
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mmideal import attach_ideals, build_graph, build_tuple, cell_decomposition, load_fixture
 
 FIXTURE_NAMES = ("CHAIN10", "NEST14", "PROP16", "RAT6", "SMOOTH1")
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+@functools.cache
+def bench_workloads():
+    """bench/workloads.py, executed from its file under a private name (its
+    dataclasses look their module up in `sys.modules`); its graph
+    generators, `blowup_graph` among them, read no library code."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def cold(ideals):

@@ -16,7 +16,6 @@ from mmideal import (
     admissible_perturbation,
     bijection_report,
     build_graph,
-    build_tuple,
     colength,
     evaluate_point,
     facet_intersection_vertices,
@@ -25,7 +24,6 @@ from mmideal import (
     is_degenerate,
     lc_region,
     lct_axis,
-    load_fixture,
     make_ray,
     minimal_jumping_divisor,
     multiplicity_checked,

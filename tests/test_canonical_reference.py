@@ -4,7 +4,9 @@ The reference is plain Gauss-Jordan elimination over `Fraction` on the
 augmented matrix [M | b], b_j = -2 - E_j^2; it reads no tree structure and
 imports nothing from the library.  Every graph is also rebuilt by
 `graph_from_adjacency` from its edges and the reference K, which must give
-back the same matrix.
+back the same matrix.  The benchmark's blow-up graphs, read through
+`conftest.bench_workloads`, carry a K set by the blow-up recurrence, which
+the reference must give too.
 """
 
 import math
@@ -15,10 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bench_workloads
 from mmideal import build_graph, graph_from_adjacency
 from trees import random_tree_matrix, tree_rows
-
-BLOWUP_GRAPHS = 4
 
 
 def _reference_canonical(rows):
@@ -81,29 +82,6 @@ def _tree(rng, size):
     return tree_rows([-(v + rng.randint(1, 3)) for v in valence], edges)
 
 
-def _blowup(index):
-    """The matrix and K of the benchmark's blow-up graph `index`: n point
-    blow-ups of a smooth point, K by k_new = 1 + the k of the curves through
-    the point blown up."""
-    rng = random.Random(f"graph:{index}")
-    size = 20 + 20 * index // (BLOWUP_GRAPHS - 1)
-    diagonal, canonical, edges = [-1], [1], []
-    for new in range(1, size):
-        if edges and rng.random() < 0.3:
-            a, b = edges.pop(rng.randrange(len(edges)))
-            through = [a, b]
-            edges.extend([(a, new), (b, new)])
-        else:
-            through = [rng.randrange(new)]
-            edges.append((through[0], new))
-        for c in through:
-            diagonal[c] -= 1
-        diagonal.append(-1)
-        canonical.append(1 + sum(canonical[c] for c in through))
-    rows = tree_rows(diagonal, [(a + 1, b + 1) for a, b in edges])
-    return rows, tuple(Fraction(k) for k in canonical)
-
-
 def _check(rows):
     graph = build_graph(rows)
     reference = _reference_canonical(rows)
@@ -146,7 +124,9 @@ def test_seeded_chains_and_trees_up_to_200_match_the_reference(seed):
     _check(shape(rng, rng.randint(1, 200)))
 
 
-@pytest.mark.parametrize("index", range(BLOWUP_GRAPHS))
+@pytest.mark.parametrize("index", range(4))
 def test_blowup_graphs_match_the_reference_and_the_recurrence(index):
-    rows, canonical = _blowup(index)
-    assert _check(rows).canonical == canonical
+    # the cli workload's graphs: n point blow-ups of a smooth point, whose K
+    # the generator sets by k_new = 1 + the k of the curves through the point
+    fixture = bench_workloads().blowup_graph(index)
+    assert _check(fixture.matrix).canonical == fixture.canonical

@@ -16,7 +16,6 @@ import pytest
 
 from conftest import FIXTURE_NAMES, fraction_rank
 from mmideal import (
-    attach_ideals,
     bijection_report,
     evaluate_point,
     lc_region,
@@ -29,21 +28,7 @@ from mmideal.errors import LengthMismatch, NoCleanSample, ValidationError
 from mmideal.evaluate import mmi_divisor
 from mmideal.polytope import Halfspace, _rank, intersect_halfspaces
 from mmideal.rationals import over_common_denominator
-
-
-def _sums(ideals, r, rng):
-    """r ideals, each a nonnegative integer sum of the tuple's ideals and
-    the fundamental cycle, not all weights zero."""
-    generators = list(ideals.ideals) + [ideals.graph.fundamental]
-    chosen = []
-    for _ in range(r):
-        weights = [rng.randint(0, 2) for _ in generators]
-        if not any(weights):
-            weights[rng.randrange(len(generators))] = 1
-        chosen.append(
-            tuple(sum(w * g[j] for w, g in zip(weights, generators)) for j in range(ideals.size))
-        )
-    return attach_ideals(ideals.graph, chosen)
+from scale import sums
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +40,7 @@ def lc_tuples(tuples):
     for name in FIXTURE_NAMES:
         for r in (2, 3, 4):
             for n in range(3):
-                chosen.append((f"{name} r={r} #{n}", _sums(tuples[name], r, rng)))
+                chosen.append((f"{name} r={r} #{n}", sums(tuples[name], r, rng)))
     return chosen
 
 

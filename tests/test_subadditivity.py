@@ -14,26 +14,24 @@ the left limits D_left, which are the divisors at (1 - eps)c.  The
 resolution graph of a smooth point has |det M| = 1; CHAIN10, NEST14 (r = 3)
 and PROP16 are checked at seeded points and where the divisor jumps, and
 the blow-up graphs of the benchmark's cli workload (n = 20 to 40) at seeded
-points.
+points.  The file also checks Skoda's identities, which tie the divisors
+and the multiplicity at c to those at c - e_i once c_i >= 2.
 """
 
-import functools
-import importlib.util
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from conftest import bench_workloads
 from mmideal import (
-    attach_ideals, build_graph, cell_decomposition, evaluate_point, make_ray, ray_walk,
+    attach_ideals, build_graph, cell_decomposition, evaluate_point, jump_record, ray_walk,
     subtuple,
 )
 from mmideal.evaluate import mmi_divisor
+from scale import seeded_ray
 
 SMOOTH = ("CHAIN10", "NEST14", "PROP16")
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def _determinant(matrix):
@@ -88,10 +86,8 @@ def test_subadditivity_on_smooth_bases(tuples, name):
     # ray jumps, where D and D_left differ: three seeded rays
     jumps = []
     for _ in range(3):
-        base = [Fraction(rng.randint(0, 6), rng.randint(1, 6)) for _ in range(ideals.r)]
-        direction = [rng.randint(1, 4) for _ in range(ideals.r)]
         until = Fraction(1, 4) if name == "PROP16" else Fraction(1)
-        jumps += [jump.point for jump in ray_walk(ideals, make_ray(ideals, base, direction), until)]
+        jumps += [jump.point for jump in ray_walk(ideals, seeded_ray(ideals, rng), until)]
     assert jumps
     if ideals.r == 2:
         # the atlas: every arrangement vertex and every facet sample
@@ -102,21 +98,10 @@ def test_subadditivity_on_smooth_bases(tuples, name):
     assert _violations(ideals, points + jumps) == []
 
 
-@functools.cache
-def _workloads():
-    """bench/workloads.py, executed from its file under a private name (its
-    dataclasses look their module up in `sys.modules`); its graph
-    generators read no library code."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("index", range(4))
 def test_subadditivity_on_blowup_graphs(index):
     # the cli workload's graphs: n point blow-ups of a smooth point
-    fixture = _workloads().blowup_graph(index)
+    fixture = bench_workloads().blowup_graph(index)
     ideals = attach_ideals(build_graph(fixture.matrix), fixture.ideals)
     assert abs(_determinant(ideals.graph.matrix)) == 1
     points = _seeded_points(random.Random(f"subadditivity G{index:02d}"), ideals.r, 60)
@@ -134,3 +119,71 @@ def test_rat6_is_outside_the_theorem(rat6):
     parts = [subtuple(rat6, [i]) for i in range(rat6.r)]
     assert mmi_divisor(rat6, point) == (38, 16, 38, 22, 6, 4)
     assert _summed(parts, point, "divisor") == (39, 17, 39, 22, 6, 4)
+
+
+def _plus(divisor, vector):
+    return tuple(d + f for d, f in zip(divisor, vector))
+
+
+def _skoda_failures(ideals, point, i):
+    """The Skoda identities that fail between c = *point* and c - e_i."""
+    vector = ideals.ideals[i]
+    at = jump_record(ideals, point)
+    below = jump_record(ideals, tuple(c - (k == i) for k, c in enumerate(point)))
+    # F_i.H(c): the row sums of M F_i over the components of H(c)
+    products = [sum(m * f for m, f in zip(row, vector)) for row in ideals.graph.matrix]
+    failed = []
+    if at.divisor != _plus(below.divisor, vector):
+        failed.append("D")
+    # D_left(c) is D at (1 - eps)c, inside Skoda's range only when c_i > 2
+    if point[i] > 2 and at.divisor_left != _plus(below.divisor_left, vector):
+        failed.append("D_left")
+    if at.mult != below.mult - sum(p for p, h in zip(products, at.maximal) if h):
+        failed.append("m")
+    return failed
+
+
+@pytest.mark.parametrize("name", ("RAT6", "CHAIN10", "NEST14", "PROP16"))
+def test_skoda_identities(tuples, name):
+    """Skoda's theorem in dimension 2 (Lazarsfeld, *Positivity II*, §9.6)
+    gives J(a^c) = a_i J(a^(c - e_i)) once c_i >= 2.  By Lipman's product
+    theorem, I_D I_E = I_{D+E} for antinef D and E, this reads
+
+        D(c) = D(c - e_i) + F_i,
+
+    and where c_i > 2 it holds for the left limits too, D_left(c) =
+    D_left(c - e_i) + F_i.  The multiplicity then moves by the maximal
+    jumping divisor: m(c) = m(c - e_i) - F_i.H(c).  Checked at 60 seeded
+    points per fixture with c_i in [2, 4), and at 20 jumps of a seeded ray
+    moved by 2 e_i; RAT6, outside subadditivity, is checked too."""
+    ideals = tuples[name]
+    rng = random.Random(f"skoda {name}")
+    cases = []
+    for point in _seeded_points(rng, ideals.r, 60):
+        i = rng.randrange(ideals.r)
+        cases.append((point[:i] + (2 + Fraction(rng.randrange(24), 12),) + point[i + 1:], i))
+    until = Fraction(1, 4) if name == "PROP16" else Fraction(1)
+    for jump in ray_walk(ideals, seeded_ray(ideals, rng), until)[:20]:
+        i = rng.randrange(ideals.r)
+        cases.append((tuple(c + 2 * (k == i) for k, c in enumerate(jump.point)), i))
+    assert [(c, i, f) for c, i in cases for f in _skoda_failures(ideals, c, i)] == []
+    assert sum(jump_record(ideals, c).mult > 0 for c, _ in cases) >= 20
+
+
+def test_skoda_bound_is_sharp(chain10):
+    """At c_1 = 9/8, in [1, 2), D(c) = D(c - e_1) + F_1 fails on CHAIN10."""
+    point, below = (Fraction(9, 8), 2), (Fraction(1, 8), 2)
+    assert mmi_divisor(chain10, point) == (9, 14, 16, 31, 46, 13, 15, 29, 44, 59)
+    assert _plus(mmi_divisor(chain10, below), chain10.ideals[0]) == (
+        9, 14, 16, 31, 46, 13, 16, 30, 47, 64,
+    )
+
+
+def test_left_limit_at_c_i_two_is_outside_the_bound(chain10):
+    """D_left(2e_1) is D at (2 - 2 eps)e_1, below Skoda's bound, and there the
+    left-limit identity fails on CHAIN10 (in the last component) while D's
+    and m's hold."""
+    assert _skoda_failures(chain10, (2, 0), 0) == []
+    at, below = jump_record(chain10, (2, 0)), jump_record(chain10, (1, 0))
+    assert at.divisor_left == (7, 7, 7, 14, 21, 14, 19, 34, 54, 73)
+    assert _plus(below.divisor_left, chain10.ideals[0]) == (7, 7, 7, 14, 21, 14, 19, 34, 54, 74)

@@ -29,13 +29,11 @@ from mmideal import (
     attach_ideals,
     bijection_report,
     build_graph,
-    build_tuple,
     cell_decomposition,
     evaluate_point,
     facet_intersection_vertices,
     lc_region,
     lct_axis,
-    load_fixture,
     make_ray,
     newton_nest,
     ray_walk,
