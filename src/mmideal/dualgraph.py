@@ -19,6 +19,12 @@ From M alone the module computes, eagerly at build time:
   is found by unloading on the built graph, on the first read of its
   ``errors._lazy`` attribute `fundamental`.
 
+One more invariant is computed on first read and never by a build: the
+bounds of the origin's constancy region (see ``evaluate``).  At c = 0 the
+gap values are v = -K and the divisor is e, the antinef closure of
+floor(-K), so the bounds B_j = D*k_j + D*(1 + e_j) depend on the graph
+alone; `walls.lc_region` reads them for every tuple on the graph.
+
 A tuple of ideals is attached as a tuple of antinef vectors F_i (the
 vanishing orders of the i-th ideal along each component).  Excesses
 rho[i][j] = -F_i.E_j classify components: *dicritical* ones carry positive
@@ -37,29 +43,15 @@ from fractions import Fraction
 from typing import NamedTuple, NoReturn, Sequence
 
 from .errors import (
-    BadOffDiagonal,
-    Disconnected,
-    DivisionByZero,
-    InternalConsistencyError,
-    LengthMismatch,
-    NonIntegralSelfIntersection,
-    NotAntinef,
-    NotNegativeDefinite,
-    NotRational,
-    NotSymmetric,
-    NotTree,
-    ValidationError,
-    _Frozen,
-    _lazy,
+    BadOffDiagonal, Disconnected, DivisionByZero, InternalConsistencyError, LengthMismatch,
+    NonIntegralSelfIntersection, NotAntinef, NotNegativeDefinite, NotRational, NotSymmetric,
+    NotTree, ValidationError, _Frozen, _lazy,
 )
 from .rationals import (
     _entries, _integer_vector, _rational_vector, over_common_denominator
 )
 from .unloading import (
-    BoundedCache,
-    _tree_solve,
-    fundamental_cycle,
-    intersection_products,
+    BoundedCache, _tree_solve, antinef_closure_checked, fundamental_cycle, intersection_products
 )
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -95,8 +87,10 @@ class DualGraph(_Frozen):
     lcm of the denominators of K, and `_edge_kernel`: (E_1^2, ..., E_s^2)
     and the tree's edges (parent, child) in the breadth-first order from E1
     that validation walked, each edge once; every intersection product and
-    every tree solve in ``unloading`` reads it.  `fundamental` and
-    `rupture` are ``errors._lazy``.
+    every tree solve in ``unloading`` reads it.  `fundamental`, `rupture`
+    and `_origin_bounds`, the origin's scaled region bounds, whose closure
+    of floor(-K) runs both unloading variants once per graph, are
+    ``errors._lazy``.
     """
 
     _shown = ("matrix", "canonical", "adjacency")
@@ -140,6 +134,13 @@ class DualGraph(_Frozen):
     def fundamental(self) -> tuple[int, ...]:
         """Z: the smallest nonzero antinef divisor."""
         return fundamental_cycle(self)
+
+    @_lazy
+    def _origin_bounds(self) -> tuple[int, ...]:
+        """B_j = D*k_j + D*(1 + e_j), e the checked closure of floor(-K)."""
+        denominator, scaled = self.scaled_canonical
+        closure = antinef_closure_checked(self, [-k // denominator for k in scaled])
+        return tuple([k + denominator * (1 + e) for k, e in zip(scaled, closure)])
 
     @_lazy
     def rupture(self) -> tuple[bool, ...]:

@@ -39,13 +39,17 @@ count; one heavier than ``CLOSURE_CACHE_BOUND`` is returned but not held.
 
 For any number of ideals the log-canonical wall is the boundary of the
 constancy region of the origin: the orthant clipped by one integer row per
-component, each facet of the clip a facet of the wall.  Its facet count is
-compared against the Newton nest — the rupture-or-dicritical part of the
-smallest subtree spanning every axis contact locus — and the comparison
-verdict explains any failure: a proportional pair in the nest, a wall point
-of multiplicity above one, or a bare count mismatch.  `require_valid_region`,
-which raises where a region's validation pass found a binding component
-that is neither rupture nor dicritical, serves the CLI and stays unexported.
+component, each facet of the clip a facet of the wall.  The region's bounds
+depend on the graph alone: `lc_region` reads the graph's `_origin_bounds`,
+computed once per graph (see ``dualgraph``), and evaluates no point, while
+`evaluate.region` at c = 0 stays the independent route.  The wall's facet
+count is compared against the Newton nest — the rupture-or-dicritical part
+of the smallest subtree spanning every axis contact locus — and the
+comparison verdict explains any failure: a proportional pair in the nest, a
+wall point of multiplicity above one, or a bare count mismatch.
+`require_valid_region`, which raises where a region's validation pass found
+a binding component that is neither rupture nor dicritical, serves the CLI
+and stays unexported.
 """
 
 from __future__ import annotations
@@ -65,13 +69,7 @@ from .errors import (
     NoCleanSample,
     ValidationError,
 )
-from .evaluate import (
-    PointEvaluation,
-    RegionReport,
-    _evaluate_at,
-    mmi_divisor,
-    region,
-)
+from .evaluate import PointEvaluation, RegionReport, _evaluate_at, mmi_divisor
 from .multiplicity import jump_record, multiplicity_checked
 from .polytope import Vector
 from .rationals import _index, _rational_vector, format_point, format_rational
@@ -374,7 +372,7 @@ def facet_intersection_vertices(atlas: WallAtlas) -> list[Point2]:
 
 def lc_region(ideals: IdealTuple) -> RegionReport:
     """Constancy region of the origin; its boundary is the log-canonical wall."""
-    return region(ideals, (Fraction(0),) * ideals.r)
+    return RegionReport(ideals, (Fraction(0),) * ideals.r, ideals.graph._origin_bounds)
 
 
 def require_valid_region(report: RegionReport) -> RegionReport:

@@ -1,6 +1,6 @@
 """Shared test fixtures: loaded ideal tuples and cached wall atlases, the
-benchmark's graph generators, and the two ways a test may patch a library
-callable, `inject` and `record_calls`."""
+benchmark's modules loaded from their files, and the two ways a test may
+patch a library callable, `inject` and `record_calls`."""
 
 import functools
 import importlib
@@ -15,15 +15,17 @@ import pytest
 from mmideal import attach_ideals, build_graph, build_tuple, cell_decomposition, load_fixture
 
 FIXTURE_NAMES = ("CHAIN10", "NEST14", "PROP16", "RAT6", "SMOOTH1")
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @functools.cache
-def bench_workloads():
-    """bench/workloads.py, executed from its file under a private name (its
-    dataclasses look their module up in `sys.modules`); its graph
-    generators, `blowup_graph` among them, read no library code."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+def bench_module(name):
+    """bench/<name>.py, executed once from its file and registered in
+    `sys.modules` under the private name ``bench_<name>`` (the dataclasses
+    of `workloads` look their module up there).  The tests read the graph
+    generators of `workloads`, `blowup_graph` among them, which read no
+    library code, and the `TRACED` table of `spans`."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -27,7 +27,7 @@ from mmideal import (
 from mmideal import rays, unloading
 from mmideal.svg import render_atlas_svg
 from mmideal.unloading import antinef_closure
-from trees import tree_rows
+from trees import seeded_rows, tree_rows
 
 CACHES = ("closure_cache", "colength_cache", "record_cache", "atlas_cache", "walk_cache")
 
@@ -53,15 +53,11 @@ def seeded_ray(ideals, rng):
 
 def shapes():
     """(shape, size, matrix) for 10, 40 and 160 components: a seeded chain
-    with E_j^2 in [-4, -2], and a seeded random tree with E_j^2 one to three
-    below minus the valence."""
+    and a seeded random tree of each size, drawn by `trees.seeded_rows`."""
     rng = random.Random(1)
     for size in (10, 40, 160):
-        chain = [(j, j + 1) for j in range(1, size)]
-        yield "chain", size, tree_rows([-rng.randint(2, 4) for _ in range(size)], chain)
-        tree = [(rng.randrange(v) + 1, v + 1) for v in range(1, size)]
-        valence = [sum(v in edge for edge in tree) for v in range(1, size + 1)]
-        yield "tree", size, tree_rows([-(d + rng.randint(1, 3)) for d in valence], tree)
+        for shape in ("chain", "tree"):
+            yield shape, size, seeded_rows(rng, shape, size)
 
 
 def sums(ideals, r, rng):

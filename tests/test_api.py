@@ -14,7 +14,6 @@ reports, so the bindings are checked here.
 
 import ast
 import importlib
-import importlib.util
 import inspect
 import pkgutil
 import re
@@ -23,12 +22,12 @@ from pathlib import Path
 
 import mmideal
 import scale
+from conftest import BENCH, bench_module
 from mmideal import build_tuple, load_fixture
 from mmideal.errors import _Frozen
 from mmideal.unloading import BoundedCache
 
 ROOT = Path(__file__).resolve().parents[1]
-BENCH = ROOT / "bench"
 README_GROUPS = (
     "graph and fixtures",
     "points and multiplicities",
@@ -57,16 +56,8 @@ def test_every_submodule_attribute_is_its_module():
     assert multiplicity is sys.modules["mmideal.multiplicity"]
 
 
-def _load_spans():
-    """bench/spans.py, executed from its file under a private name."""
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_traced_function_resolves_on_its_module():
-    traced = _load_spans().TRACED
+    traced = bench_module("spans").TRACED
     assert traced
     for module_name, function_name, span in traced:
         module = importlib.import_module(f"mmideal.{module_name}")

@@ -5,7 +5,7 @@ augmented matrix [M | b], b_j = -2 - E_j^2; it reads no tree structure and
 imports nothing from the library.  Every graph is also rebuilt by
 `graph_from_adjacency` from its edges and the reference K, which must give
 back the same matrix.  The benchmark's blow-up graphs, read through
-`conftest.bench_workloads`, carry a K set by the blow-up recurrence, which
+`conftest.bench_module`, carry a K set by the blow-up recurrence, which
 the reference must give too.
 """
 
@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bench_workloads
+from conftest import bench_module
 from mmideal import build_graph, graph_from_adjacency
-from trees import random_tree_matrix, tree_rows
+from trees import random_tree_matrix, seeded_rows
 
 
 def _reference_canonical(rows):
@@ -65,23 +65,6 @@ def _edges(rows):
     ]
 
 
-def _chain(rng, size):
-    return tree_rows(
-        [-rng.randint(2, 5) for _ in range(size)],
-        [(j, j + 1) for j in range(1, size)],
-    )
-
-
-def _tree(rng, size):
-    """A random tree numbered parent before child, E_j^2 <= -valence - 1."""
-    edges = [(rng.randrange(vertex) + 1, vertex + 1) for vertex in range(1, size)]
-    valence = [0] * size
-    for a, b in edges:
-        valence[a - 1] += 1
-        valence[b - 1] += 1
-    return tree_rows([-(v + rng.randint(1, 3)) for v in valence], edges)
-
-
 def _check(rows):
     graph = build_graph(rows)
     reference = _reference_canonical(rows)
@@ -109,10 +92,10 @@ def test_bundled_fixtures_match_the_reference(tuples):
 def test_long_chains_and_trees_match_the_reference(size):
     rng = random.Random(size)
     for _ in range(2):
-        chain = _check(_chain(rng, size))
-        _check(_tree(rng, size))
+        chain = _check(seeded_rows(rng, "chain", size))
+        _check(seeded_rows(rng, "tree", size))
     if size == 200:
-        # continuants of -2..-5 chains: the pairs outgrow machine words
+        # continuants of -2..-4 chains: the pairs outgrow machine words
         assert chain.scaled_canonical[0].bit_length() > 64
 
 
@@ -120,13 +103,13 @@ def test_long_chains_and_trees_match_the_reference(size):
 @given(st.integers(min_value=0, max_value=2**62))
 def test_seeded_chains_and_trees_up_to_200_match_the_reference(seed):
     rng = random.Random(seed)
-    shape = rng.choice((_chain, _tree))
-    _check(shape(rng, rng.randint(1, 200)))
+    shape = rng.choice(("chain", "tree"))
+    _check(seeded_rows(rng, shape, rng.randint(1, 200)))
 
 
 @pytest.mark.parametrize("index", range(4))
 def test_blowup_graphs_match_the_reference_and_the_recurrence(index):
     # the cli workload's graphs: n point blow-ups of a smooth point, whose K
     # the generator sets by k_new = 1 + the k of the curves through the point
-    fixture = bench_workloads().blowup_graph(index)
+    fixture = bench_module("workloads").blowup_graph(index)
     assert _check(fixture.matrix).canonical == fixture.canonical

@@ -183,7 +183,7 @@ def test_bijection_report_builds_one_polytope(monkeypatch, inject, nest14):
     reports = []
 
     def recording_lc_region(ideals):
-        reports.append(walls.region(ideals, (Fraction(0),) * ideals.r))
+        reports.append(evaluate.region(ideals, (Fraction(0),) * ideals.r))
         return reports[-1]
 
     inject(walls, "lc_region", recording_lc_region)
@@ -199,7 +199,7 @@ def test_bijection_report_ranks_each_constraint_at_most_once(monkeypatch, inject
     reports = []
 
     def recording_lc_region(ideals):
-        reports.append(walls.region(ideals, (Fraction(0),) * ideals.r))
+        reports.append(evaluate.region(ideals, (Fraction(0),) * ideals.r))
         return reports[-1]
 
     inject(walls, "lc_region", recording_lc_region)

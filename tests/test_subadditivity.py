@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import bench_workloads
+from conftest import bench_module
 from mmideal import (
     attach_ideals, build_graph, cell_decomposition, evaluate_point, jump_record, ray_walk,
     subtuple,
@@ -101,7 +101,7 @@ def test_subadditivity_on_smooth_bases(tuples, name):
 @pytest.mark.parametrize("index", range(4))
 def test_subadditivity_on_blowup_graphs(index):
     # the cli workload's graphs: n point blow-ups of a smooth point
-    fixture = bench_workloads().blowup_graph(index)
+    fixture = bench_module("workloads").blowup_graph(index)
     ideals = attach_ideals(build_graph(fixture.matrix), fixture.ideals)
     assert abs(_determinant(ideals.graph.matrix)) == 1
     points = _seeded_points(random.Random(f"subadditivity G{index:02d}"), ideals.r, 60)

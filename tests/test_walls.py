@@ -10,16 +10,19 @@ from types import SimpleNamespace
 import pytest
 
 import frozen
+import scale
 from conftest import (
     FIXTURE_NAMES,
+    bench_module,
     cold,
     divisor_leq,
     edge_point,
     face_barycenter,
     on_line,
+    record_calls,
     vertex_points,
 )
-from trees import random_tree_matrix
+from trees import random_tree_matrix, seeded_rows
 from mmideal.arrangement import build_arrangement, merge_lines
 from mmideal.evaluate import _evaluate_at
 from mmideal.rationals import format_point
@@ -572,6 +575,51 @@ def test_lc_region_valid(tuples):
         report = require_valid_region(lc_region(ideals))
         assert report.valid
         assert report.binding_non_rupture == ()
+
+
+def test_lc_region_is_the_region_of_the_origin(tuples):
+    """The bounds the graph holds for the origin, B_j = D*k_j + D*(1 + e_j)
+    with e the closure of floor(-K), against `region` evaluating c = 0 as
+    any other point.  Each side runs on its own cold graph, so neither is
+    served the other's closure.  The cases are every bundled fixture, the
+    benchmark's blow-up graphs 0..3, and seeded r = 2 and r = 3 sums on each
+    fixture's graph.  Those graphs give floor(-K) and its ceiling one
+    closure, so the cases end with the fundamental cycle and its seeded sums
+    on seeded chains and trees, where -K has fractional positive entries:
+    reading floor(-K) as a ceiling fails there."""
+    cases = list(tuples.values())
+    for index in range(4):
+        fixture = bench_module("workloads").blowup_graph(index)
+        cases.append(attach_ideals(build_graph(fixture.matrix), fixture.ideals))
+    rng = random.Random(1)
+    cases += [scale.sums(ideals, r, rng) for ideals in tuples.values() for r in (2, 3)]
+    for shape in ("chain", "tree"):
+        graph = build_graph(seeded_rows(rng, shape, 12))
+        ideals = attach_ideals(graph, [graph.fundamental])
+        cases += [ideals] + [scale.sums(ideals, r, rng) for r in (2, 3)]
+    for ideals in cases:
+        origin = (Fraction(0),) * ideals.r
+        expected = region(cold(ideals), origin)
+        report = lc_region(cold(ideals))
+        assert report.scaled_bounds == expected.scaled_bounds
+        assert report.center == expected.center == origin
+
+
+def test_the_origin_closure_is_asked_once_per_graph(monkeypatch, nest14):
+    """Twenty lc calls over three tuples on one cold graph ask for the
+    closure of floor(-K), the origin's floors, once, and evaluate no point
+    at the origin."""
+    ideals = cold(nest14)
+    denominator, scaled = ideals.graph.scaled_canonical
+    floors = tuple(-k // denominator for k in scaled)
+    closures = record_calls(monkeypatch, "unloading", "antinef_closure_checked")
+    evaluated = record_calls(monkeypatch, "evaluate", "_evaluate_at")
+    cases = [ideals, subtuple(ideals, (0, 1)), subtuple(ideals, (1, 2))]
+    calls = (lambda t: lct_axis(t, 1), newton_nest, bijection_report)
+    for call in range(20):
+        calls[call // 3 % 3](cases[call % 3])
+    assert sum(tuple(args[1]) == floors for args in closures) == 1
+    assert evaluated and all(any(args[1]) for args in evaluated)
 
 
 def test_lct_routes_must_agree(inject, capsys, nest14, rat6):
