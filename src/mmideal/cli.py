@@ -12,6 +12,10 @@ name it checks), and maps every error to its exit code.  A subcommand's
 handler gets the loaded fixture and tuple, parses its own options in a
 fixed order, so that the first malformed one is the one reported, and
 prints.
+
+`selftest` derives every key of a fixture's expected block, the keys that
+`fixtures` parses, through `_SELFTEST_VALUES`; it builds the bijection
+report once, and prints a fixture's lines once all its keys are checked.
 """
 
 from __future__ import annotations
@@ -290,57 +294,43 @@ def _cmd_bijection(args, _, ideals: IdealTuple) -> int:
     return 0
 
 
+def _shown(value, show=str) -> tuple:
+    return value, show(value)
+
+
+# How selftest derives each key of a fixture's "expected" block: (ideal
+# tuple, its bijection report, built on first call) -> (library value,
+# shown text).
+_SELFTEST_VALUES = {
+    "canonical": lambda t, report: _shown(t.graph.canonical, format_point),
+    "diagonal": lambda t, report: _shown(
+        tuple(t.graph.matrix[j][j] for j in range(t.graph.size)), _divisor_text
+    ),
+    "fundamental_cycle": lambda t, report: _shown(t.graph.fundamental, _divisor_text),
+    "nest": lambda t, report: (
+        tuple(j + 1 for j in report().nest), _labels(t, report().nest)
+    ),
+    "lc_facets": lambda t, report: _shown(len(report().facets)),
+    "verdict": lambda t, report: _shown(report().verdict),
+    "degenerate_ratio": lambda t, report: _shown(
+        report().degenerate_ratio, format_rational
+    ),
+    "lct": lambda t, report: _shown(lc_region(t).thresholds, format_point),
+    "singularity": lambda t, report: _shown(singularity_class(t.graph).value),
+}
+
+
 def _selftest_one(fixture: Fixture, ideals: IdealTuple) -> list[str]:
-    graph = ideals.graph
+    """Check every expected key, print one line per key; return the failures."""
+    report = functools.cache(lambda: bijection_report(ideals))
     failures: list[str] = []
     lines: list[str] = []
-    expected = fixture.expected or {}
-    report = None
-
-    def check(key: str, actual, shown=None) -> None:
-        want = expected[key]
+    for key, want in sorted((fixture.expected or {}).items()):
+        actual, shown = _SELFTEST_VALUES[key](ideals, report)
         ok = actual == want
-        lines.append(
-            f"{fixture.name} {key}: {'ok' if ok else 'FAIL'} "
-            f"({shown if shown is not None else actual})"
-        )
+        lines.append(f"{fixture.name} {key}: {'ok' if ok else 'FAIL'} ({shown})")
         if not ok:
-            failures.append(
-                f"{fixture.name} {key}: expected {want!r}, got {actual!r}"
-            )
-
-    for key in sorted(expected):
-        if key == "canonical":
-            check(key, graph.canonical, format_point(graph.canonical))
-        elif key == "diagonal":
-            diagonal = tuple(graph.matrix[j][j] for j in range(graph.size))
-            check(key, diagonal, _divisor_text(diagonal))
-        elif key == "fundamental_cycle":
-            check(key, graph.fundamental, _divisor_text(graph.fundamental))
-        elif key == "singularity":
-            check(key, singularity_class(graph).value)
-        elif key == "lct":
-            thresholds = lc_region(ideals).thresholds
-            check(key, thresholds, format_point(thresholds))
-        else:
-            if report is None:
-                report = bijection_report(ideals)
-            if key == "nest":
-                check(
-                    key,
-                    tuple(j + 1 for j in report.nest),
-                    _labels(ideals, report.nest),
-                )
-            elif key == "lc_facets":
-                check(key, len(report.facets))
-            elif key == "verdict":
-                check(key, report.verdict)
-            elif key == "degenerate_ratio":
-                check(
-                    key,
-                    report.degenerate_ratio,
-                    format_rational(report.degenerate_ratio),
-                )
+            failures.append(f"{fixture.name} {key}: expected {want!r}, got {actual!r}")
     for line in lines:
         print(line)
     return failures

@@ -7,9 +7,11 @@ must be present.  Rationals on the wire are JSON integers or lowest-term
 "p/q" strings; emission always normalizes.  Component indices in files are
 1-based; `Fixture.adjacency` keeps the file's 1-based edge pairs as written.
 
-The optional "expected" block records independently known values (canonical
-vector, derived diagonal, fundamental cycle, Newton nest, facet counts,
-thresholds, verdicts) that the `selftest` command re-derives and compares.
+The optional "expected" block records independently known values: the
+canonical vector, diagonal, fundamental cycle, Newton nest, facet count of
+the log-canonical wall, verdict, degenerate ratio, thresholds and
+singularity class.  `_EXPECTED_READERS` holds its keys, each with the one
+reader that checks it; the `selftest` command re-derives the same keys.
 """
 
 from __future__ import annotations
@@ -28,17 +30,6 @@ _BUNDLED = Path(__file__).parent / "fixtures"
 # Characters of an unknown fixture name that its error message echoes.
 _SHOWN_NAME = 60
 _TOP_KEYS = {"name", "matrix", "adjacency", "canonical", "ideals", "expected", "notes"}
-_EXPECTED_KEYS = {
-    "canonical",
-    "diagonal",
-    "fundamental_cycle",
-    "nest",
-    "lc_facets",
-    "verdict",
-    "degenerate_ratio",
-    "lct",
-    "singularity",
-}
 
 
 class Fixture(NamedTuple):
@@ -80,17 +71,19 @@ def _int_vector(value, field: str) -> tuple[int, ...]:
     )
 
 
-def _edge(pair, field: str) -> tuple[int, int]:
-    """One edge, every check named by *field*: the slow path for a pair
-    that is not two distinct positive `int`s."""
-    _require(
-        isinstance(pair, list) and len(pair) == 2,
-        f"{field}: expected a pair of component indices",
-    )
-    a, b = (_integer(v, field) for v in pair)
-    _require(a != b, f"{field}: self-loops are not allowed")
-    _require(a >= 1 and b >= 1, f"{field}: component indices are 1-based")
-    return a, b
+def _edge(pair, index: int) -> tuple[int, int]:
+    """Adjacency entry *index* (1-based): a pair of distinct positive `int`s
+    as it is; a field name is built, and each endpoint read, for the rest."""
+    if isinstance(pair, list) and len(pair) == 2:
+        a, b = pair
+        if type(a) is int and type(b) is int and a != b and a >= 1 and b >= 1:
+            return a, b
+        field = f"adjacency[{index}]"
+        a, b = (_integer(v, field) for v in pair)
+        _require(a != b, f"{field}: self-loops are not allowed")
+        _require(a >= 1 and b >= 1, f"{field}: component indices are 1-based")
+        return a, b
+    raise SchemaError(f"adjacency[{index}]: expected a pair of component indices")
 
 
 def _rational_vector(value, field: str) -> tuple[Fraction, ...]:
@@ -101,39 +94,46 @@ def _rational_vector(value, field: str) -> tuple[Fraction, ...]:
         return tuple(_rational(v, f"{field}[{i + 1}]") for i, v in enumerate(value))
 
 
+def _sized(vector: tuple, count: int, field: str) -> tuple:
+    _require(len(vector) == count, f"{field}: expected {count} entries")
+    return vector
+
+
+def _indices(vector: tuple[int, ...], size: int, field: str) -> tuple[int, ...]:
+    _require(
+        all(1 <= v <= size for v in vector), f"{field}: component indices are 1-based"
+    )
+    return vector
+
+
+def _string(value, field: str) -> str:
+    _require(isinstance(value, str), f"{field}: expected a string")
+    return value
+
+
+# The keys an "expected" block may hold, each with its reader: (value, field
+# name, component count, ideal count) -> the checked value.
+_EXPECTED_READERS = {
+    "canonical": lambda v, f, size, r: _sized(_rational_vector(v, f), size, f),
+    "diagonal": lambda v, f, size, r: _sized(_int_vector(v, f), size, f),
+    "fundamental_cycle": lambda v, f, size, r: _sized(_int_vector(v, f), size, f),
+    "nest": lambda v, f, size, r: _indices(_int_vector(v, f), size, f),
+    "lc_facets": lambda v, f, size, r: _integer(v, f),
+    "verdict": lambda v, f, size, r: _string(v, f),
+    "degenerate_ratio": lambda v, f, size, r: _rational(v, f),
+    "lct": lambda v, f, size, r: _sized(_rational_vector(v, f), r, f),
+    "singularity": lambda v, f, size, r: _string(v, f),
+}
+
+
 def _parse_expected(block, size: int, r: int) -> dict:
     _require(isinstance(block, dict), "expected: must be an object")
-    unknown = set(block) - _EXPECTED_KEYS
+    unknown = block.keys() - _EXPECTED_READERS.keys()
     _require(not unknown, f"expected: unknown keys {sorted(unknown)}")
-    out: dict = {}
-    for key, value in block.items():
-        field = f"expected.{key}"
-        if key in ("canonical", "lct"):
-            vector = _rational_vector(value, field)
-            if key == "canonical":
-                _require(len(vector) == size, f"{field}: expected {size} entries")
-            else:
-                _require(len(vector) == r, f"{field}: expected {r} entries")
-            out[key] = vector
-        elif key in ("diagonal", "fundamental_cycle"):
-            vector = _int_vector(value, field)
-            _require(len(vector) == size, f"{field}: expected {size} entries")
-            out[key] = vector
-        elif key == "nest":
-            vector = _int_vector(value, field)
-            _require(
-                all(1 <= v <= size for v in vector),
-                f"{field}: component indices are 1-based",
-            )
-            out[key] = vector
-        elif key == "lc_facets":
-            out[key] = _integer(value, field)
-        elif key == "degenerate_ratio":
-            out[key] = _rational(value, field)
-        else:  # verdict, singularity
-            _require(isinstance(value, str), f"{field}: expected a string")
-            out[key] = value
-    return out
+    return {
+        key: _EXPECTED_READERS[key](value, f"expected.{key}", size, r)
+        for key, value in block.items()
+    }
 
 
 def parse_fixture(text: str) -> Fixture:
@@ -177,17 +177,7 @@ def parse_fixture(text: str) -> Fixture:
         )
         raw = data["adjacency"]
         _require(isinstance(raw, list) and raw, "adjacency: expected a nonempty list")
-        edges = []
-        for i, pair in enumerate(raw):
-            # a pair of distinct positive `int`s is taken as it is; a path is
-            # built, and the endpoints read, for the others only
-            if isinstance(pair, list) and len(pair) == 2:
-                a, b = pair
-                if type(a) is int and type(b) is int and a != b and a >= 1 and b >= 1:
-                    edges.append((a, b))
-                    continue
-            edges.append(_edge(pair, f"adjacency[{i + 1}]"))
-        adjacency = tuple(edges)
+        adjacency = tuple(_edge(pair, i + 1) for i, pair in enumerate(raw))
         canonical = _rational_vector(data["canonical"], "canonical")
         size = len(canonical)
         _require(

@@ -385,133 +385,7 @@ def test_matches_reference_on_fixture_walls(tuples, name, side):
     assert _assert_orientations(arrangement) > 0
 
 
-def _previous_build_arrangement(wall_lines, box):
-    """`build_arrangement` as it was before its flat rewrite: box lines
-    through `make_line`, vertex sets per line, a `next_half` closure, and
-    separate passes for edges, half-edges, orbits and their orientation."""
-    bx, by = Fraction(box[0]), Fraction(box[1])
-    lines = merge_lines(
-        list(wall_lines)
-        + [
-            make_line(1, 0, 0, is_box=True),
-            make_line(1, 0, bx, is_box=True),
-            make_line(0, 1, 0, is_box=True),
-            make_line(0, 1, by, is_box=True),
-        ]
-    )
-    forms = [line.form for line in lines]
-    px, qx = bx.numerator, bx.denominator
-    py, qy = by.numerator, by.denominator
-    found = {}
-    on_line = [set() for _ in lines]
-    for i, (a1, b1, c1) in enumerate(forms):
-        for j in range(i + 1, len(forms)):
-            a2, b2, c2 = forms[j]
-            det = a1 * b2 - b1 * a2
-            if det == 0:
-                continue
-            x = c1 * b2 - b1 * c2
-            y = a1 * c2 - c1 * a2
-            if det < 0:
-                det, x, y = -det, -x, -y
-            if x < 0 or y < 0 or x * qx > px * det or y * qy > py * det:
-                continue
-            g = math.gcd(x, y, det)
-            vertex = found.setdefault((x // g, y // g, det // g), len(found))
-            on_line[i].add(vertex)
-            on_line[j].add(vertex)
-    shift = 2 * max(w for _, _, w in found).bit_length()
-    vertices = sorted(
-        found, key=lambda p: ((p[0] << shift) // p[2], (p[1] << shift) // p[2])
-    )
-    number = [0] * len(vertices)
-    for position, point in enumerate(vertices):
-        number[found[point]] = position
-
-    edges, line_edges = [], []
-    for li, (a, b, _) in enumerate(forms):
-        along = sorted(number[n] for n in on_line[li])
-        if b < 0 or (b == 0 and a > 0):
-            along.reverse()
-        start = len(edges)
-        edges.extend((tail, head, li) for tail, head in zip(along, along[1:]))
-        line_edges.append(tuple(range(start, len(edges))))
-
-    forward = []
-    for a, b, _ in forms:
-        g = math.gcd(a, b)
-        forward.append((b // g, -a // g))
-    backward = [(-u, -v) for u, v in forward]
-    compare = cmp_to_key(arrangement_module._direction_compare)
-    angle = {
-        direction: rank
-        for rank, direction in enumerate(sorted(set(forward + backward), key=compare))
-    }
-    tail_of, half_angle = [], []
-    outgoing = [[] for _ in vertices]
-    for e, (tail, head, li) in enumerate(edges):
-        tail_of += (tail, head)
-        half_angle += (angle[forward[li]], angle[backward[li]])
-        outgoing[tail].append(2 * e)
-        outgoing[head].append(2 * e + 1)
-    ring_position = [0] * len(tail_of)
-    for halves in outgoing:
-        halves.sort(key=half_angle.__getitem__)
-        for position, half in enumerate(halves):
-            ring_position[half] = position
-
-    def next_half(half):
-        twin = half ^ 1
-        ring = outgoing[tail_of[twin]]
-        return ring[(ring_position[twin] - 1) % len(ring)]
-
-    face_of_half = [None] * len(tail_of)
-    loops = []
-    for start in range(len(tail_of)):
-        if face_of_half[start] is not None:
-            continue
-        orbit, half = [], start
-        while True:
-            orbit.append(half)
-            face_of_half[half] = len(loops)
-            half = next_half(half)
-            if half == start:
-                break
-        loops.append(tuple(orbit))
-
-    faces, face_renumber = [], []
-    for orbit in loops:
-        loop = tuple(tail_of[half] for half in orbit)
-        at = loop.index(min(loop))
-        (x0, y0, w0), (x1, y1, w1), (x2, y2, w2) = (
-            vertices[loop[at - 1]],
-            vertices[loop[at]],
-            vertices[loop[(at + 1) % len(loop)]],
-        )
-        turn = (
-            x0 * (y1 * w2 - w1 * y2)
-            - y0 * (x1 * w2 - w1 * x2)
-            + w0 * (x1 * y2 - y1 * x2)
-        )
-        if turn <= 0:
-            face_renumber.append(None)
-            continue
-        face_renumber.append(len(faces))
-        faces.append(loop)
-    assert len(loops) - len(faces) == 1
-    assert len(vertices) - len(edges) + (len(faces) + 1) == 2
-    side = [face_renumber[face] for face in face_of_half]
-    return Arrangement(
-        lines=tuple(lines),
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        faces=tuple(faces),
-        edge_faces=tuple((side[2 * e + 1], side[2 * e]) for e in range(len(edges))),
-        line_edges=tuple(line_edges),
-    )
-
-
-def test_matches_previous_build_on_random_lines():
+def test_matches_reference_on_random_lines_with_parallel_families():
     rng = random.Random(28)
     boxes = [
         (Fraction(1), Fraction(1)),
@@ -527,7 +401,7 @@ def test_matches_previous_build_on_random_lines():
         for level in rng.sample(range(-4, 12), rng.randint(2, 4)):
             lines.append(make_line(a, b, Fraction(level, 3) * box[0], ((trial, 4),)))
         built = build_arrangement(lines, box)
-        assert built == _previous_build_arrangement(lines, box)
+        _assert_same_arrangement(built, _reference_arrangement(lines, box))
         concurrent += sum(
             sum(on_line(line, vertex_point(vertex)) for line in built.lines) > 2
             for vertex in built.vertices
@@ -544,11 +418,13 @@ _BENCH_ATLAS_SIDES = {
 
 
 @pytest.mark.parametrize("name", sorted(_BENCH_ATLAS_SIDES))
-def test_matches_previous_build_on_bench_atlas_boxes(tuples, name):
+def test_matches_reference_on_bench_atlas_boxes(tuples, name):
     sides = [Fraction(side) for side in _BENCH_ATLAS_SIDES[name].split()]
     for box in itertools.product(sides, repeat=2):
         lines = wall_lines(tuples[name], box)
-        assert build_arrangement(lines, box) == _previous_build_arrangement(lines, box)
+        _assert_same_arrangement(
+            build_arrangement(lines, box), _reference_arrangement(lines, box)
+        )
 
 
 # Reference for the outer-orbit test: the shoelace area of a loop, which

@@ -28,7 +28,7 @@ from mmideal.errors import (
     NotSymmetric,
     NotTree,
 )
-from trees import random_any_tree_matrix
+from trees import random_any_tree_matrix, tree_rows
 
 
 def test_rat6_canonical_and_fundamental(rat6):
@@ -163,29 +163,19 @@ def test_singularity_classes(tuples):
     assert singularity_class(tuples["SMOOTH1"].graph) is SingularityClass.LOG_TERMINAL
     # star with a (-2) center and four (-3) arms: p_a(Z) = 1, not rational
     with pytest.raises(NotRational):
-        build_graph(_tree_rows((-2, -3, -3, -3, -3), ((1, 2), (1, 3), (1, 4), (1, 5))))
+        build_graph(tree_rows((-2, -3, -3, -3, -3), ((1, 2), (1, 3), (1, 4), (1, 5))))
     # a rational tree with k_2 < -1
     graph = build_graph(
-        _tree_rows((-5, -2, -4, -1, -4, -3), ((1, 2), (2, 3), (2, 5), (3, 4), (5, 6)))
+        tree_rows((-5, -2, -4, -1, -4, -3), ((1, 2), (2, 3), (2, 5), (3, 4), (5, 6)))
     )
     assert graph.canonical[1] == Fraction(-259, 197)
     assert graph.fundamental == (1, 2, 1, 1, 1, 1)
     assert singularity_class(graph) is SingularityClass.NEITHER
 
 
-def _tree_rows(diagonal, edges):
-    """Intersection matrix from a diagonal and 1-based edge pairs."""
-    rows = [[0] * len(diagonal) for _ in diagonal]
-    for j, entry in enumerate(diagonal):
-        rows[j][j] = entry
-    for a, b in edges:
-        rows[a - 1][b - 1] = rows[b - 1][a - 1] = 1
-    return rows
-
-
 def test_minimally_elliptic_star_is_refused(tmp_path, capsys):
     # center -1 with arms -2, -3, -7: negative definite, but p_a(Z) = 1
-    rows = _tree_rows((-1, -2, -3, -7), ((1, 2), (1, 3), (1, 4)))
+    rows = tree_rows((-1, -2, -3, -7), ((1, 2), (1, 3), (1, 4)))
     with pytest.raises(NotRational):
         build_graph(rows)
     path = tmp_path / "elliptic.json"

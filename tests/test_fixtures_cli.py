@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import frozen
+from conftest import record_calls
 from mmideal import (
     build_tuple,
     bundled_names,
@@ -22,7 +23,7 @@ from mmideal import (
     load_fixture,
     parse_fixture,
 )
-from mmideal import fixtures
+from mmideal import cli, fixtures
 from mmideal.cli import main
 from mmideal.errors import NotTree, ParseError, ValidationError
 from mmideal.svg import _decimal
@@ -446,6 +447,87 @@ def test_cli_selftest_single_fixture(capsys):
     assert main(["selftest", "SMOOTH1"]) == 0
     out = capsys.readouterr().out
     assert "SMOOTH1" in out and "CHAIN10" not in out
+
+
+# SHA-256 of selftest's stdout over every bundled fixture ("") and for each
+# bundled fixture alone.
+SELFTEST_STDOUT = {
+    "": "e9b0f86d65428092bea5143405af4616b0caa6e3043f0544789f82fe9a722e7d",
+    "CHAIN10": "cc71aa7945a8c550819e731bacd97b2f3a95aa4d3b59562bfd648054d5256fdf",
+    "NEST14": "fb5d38747bad761f1c8f3046f34100026fb5522f6d473e83ffd62b536387175f",
+    "PROP16": "57b46c0a75360dfb77b8540c7252754b2f6932881a0c21a98e6fd3195b59e349",
+    "RAT6": "7d6110df26a0ef0f7d2ee7e66d6e4b024b8391e900d54bae8546d8b11f7bdd3c",
+    "SMOOTH1": "600fa48f90a773e8805106f4e20ca2f44115561cde8a4deccbc5e016324ceb65",
+}
+
+
+@pytest.mark.parametrize("name", SELFTEST_STDOUT)
+def test_cli_selftest_stdout_is_pinned(name, capsys):
+    assert main(["selftest", name] if name else ["selftest"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == SELFTEST_STDOUT[name]
+    assert captured.err == ""
+
+
+def test_cli_selftest_reports_every_failed_key(tmp_path, capsys):
+    """RAT6 with every expected value changed: each key prints a FAIL line
+    with the derived value on stdout, and an expected/got line on stderr."""
+    data = _fixture_data("RAT6")
+    data["expected"] = {
+        "canonical": ["1/2", -1, "1/2", "-1/2", "-2/3", "-5/6"],
+        "fundamental_cycle": [1, 1, 1, 1, 1, 1],
+        "lc_facets": 3,
+        "lct": ["1/5", 1],
+        "nest": [1, 2],
+        "singularity": "LogTerminal",
+        "verdict": "Bijection",
+    }
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text(json.dumps(data))
+    assert main(["selftest", str(wrong)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == """\
+RAT6 canonical: FAIL (-1/2,-1,1/2,-1/2,-2/3,-5/6)
+RAT6 fundamental_cycle: FAIL (3,2,3,1,1,1)
+RAT6 lc_facets: FAIL (2)
+RAT6 lct: FAIL (1/6,1)
+RAT6 nest: FAIL (E1, E2, E4)
+RAT6 singularity: FAIL (LogCanonicalOnly)
+RAT6 verdict: FAIL (MultiplicityHypothesisFails)
+"""
+    assert captured.err == """\
+RAT6 canonical: expected (Fraction(1, 2), Fraction(-1, 1), Fraction(1, 2), \
+Fraction(-1, 2), Fraction(-2, 3), Fraction(-5, 6)), got (Fraction(-1, 2), \
+Fraction(-1, 1), Fraction(1, 2), Fraction(-1, 2), Fraction(-2, 3), \
+Fraction(-5, 6))
+RAT6 fundamental_cycle: expected (1, 1, 1, 1, 1, 1), got (3, 2, 3, 1, 1, 1)
+RAT6 lc_facets: expected 3, got 2
+RAT6 lct: expected (Fraction(1, 5), Fraction(1, 1)), got (Fraction(1, 6), \
+Fraction(1, 1))
+RAT6 nest: expected (1, 2), got (1, 2, 4)
+RAT6 singularity: expected 'LogTerminal', got 'LogCanonicalOnly'
+RAT6 verdict: expected 'Bijection', got 'MultiplicityHypothesisFails'
+validation error: 7 selftest check(s) failed
+"""
+
+
+def test_readme_lists_every_expected_key():
+    """The README's `expected` bullet names exactly the keys a fixture's
+    expected block may hold, each of which selftest checks."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    (bullet,) = re.findall(r"^- `expected` (.*?)\n(?=- )", text, re.S | re.M)
+    named = set(re.findall(r"`([a-z_]+)`", bullet))
+    assert named == set(fixtures._EXPECTED_READERS)
+
+
+def test_selftest_derives_every_parsed_key(monkeypatch, capsys):
+    """A key the parser reads has a selftest value, so none is read and then
+    left unchecked; PROP16's four keys read off one bijection report."""
+    assert cli._SELFTEST_VALUES.keys() == fixtures._EXPECTED_READERS.keys()
+    reports = record_calls(monkeypatch, "walls", "bijection_report")
+    assert main(["selftest", "PROP16"]) == 0
+    assert len(reports) == 1
 
 
 def _readme_transcripts() -> dict[tuple[str, ...], str]:

@@ -1,17 +1,18 @@
 """The perturbation sums against a `Fraction` reference.
 
-The reference below is an earlier `perturbation_sum`: it evaluates c.F again
-at the shifted base in `Fraction`s, keys the walls through the point by their
-canonical halfspace, intersects one wall per key with the shifted ray and
-keeps one crossing per distinct crossing point (its own `Fraction` tuple), and
-also skips a level wall whose key is that of a wall through the point.  The
-library reads the point's evaluation and keeps one crossing per distinct
-parameter of the shifted ray instead.  The two must give equal reports, or
-raise the same exception class, on seeded on-wall points of every fixture and
-at every facet-intersection vertex of two atlases.  Two kinds of boundary
-input ride along with the seeded points: offsets that put a corner of the
-swept region exactly on an integer level, and points with some v_j < 0,
-where the library's integer ceiling and floor divide negative numbers.
+The reference below is an earlier `perturbation_sum`: it computes c.F and
+(c + s).F at the shifted base in `Fraction`s, keys the walls through the
+point by their canonical halfspace, intersects one wall per key with the
+shifted ray and keeps one crossing per distinct crossing point (its own
+`Fraction` tuple), and also skips a level wall whose key is that of a wall
+through the point.  The library reads the point's evaluation and keeps one
+crossing per distinct parameter of the shifted ray instead.  The two must
+give equal reports, or raise the same exception class, on seeded on-wall
+points of every fixture and at every facet-intersection vertex of two
+atlases.  Two kinds of boundary input ride along with the seeded points:
+offsets that put a corner of the swept region exactly on an integer level,
+and points with some v_j < 0, where the library's integer ceiling and floor
+divide negative numbers.
 """
 
 import math
@@ -29,7 +30,7 @@ from mmideal import (
     perturbation_sum,
 )
 from mmideal.errors import InternalConsistencyError, OffsetTooLarge, ValidationError
-from mmideal.evaluate import _integer_direction, weighted_F
+from mmideal.evaluate import _integer_direction
 from mmideal.multiplicity import PerturbationReport, default_offset
 
 
@@ -48,8 +49,11 @@ def reference_perturbation_sum(ideals, point, ray_dir, offset):
         tuple(ideals.ideals[i][j] for i in range(ideals.r))
         for j in range(ideals.size)
     ]
-    weighted_at = evaluation.weighted
-    weighted_base = weighted_F(ideals, base)
+    # c.F and (c + s).F, component by component
+    weighted_at, weighted_base = (
+        tuple(sum(x * n for x, n in zip(at, normal)) for normal in columns)
+        for at in (coords, base)
+    )
     groups = {}
     for j, level in evaluation.wall_lines:
         key = hyperplane_key(columns[j], weighted_at[j])

@@ -46,6 +46,7 @@ from mmideal import (
 )
 from mmideal import cli, svg, walls
 from mmideal.errors import (
+    BindingNonRuptureConstraint,
     BoxTooSmall,
     InternalConsistencyError,
     LengthMismatch,
@@ -575,6 +576,21 @@ def test_lc_region_valid(tuples):
         report = require_valid_region(lc_region(ideals))
         assert report.valid
         assert report.binding_non_rupture == ()
+
+
+def test_binding_non_rupture_components_refuse_the_region(tuples, inject, capsys):
+    """A region that components neither rupture nor dicritical bind is
+    refused by name: by `require_valid_region`, and by `lct` with exit 2."""
+    inject(RegionReport, "binding_non_rupture", property(lambda report: (1, 3)))
+    with pytest.raises(BindingNonRuptureConstraint, match="components 2, 4 bind"):
+        require_valid_region(lc_region(tuples["RAT6"]))
+    assert cli.main(["lct", "RAT6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "validation error: components 2, 4 bind the region despite being "
+        "neither rupture nor dicritical\n"
+    )
 
 
 def test_lc_region_is_the_region_of_the_origin(tuples):
