@@ -18,9 +18,10 @@ Typical use::
     record.mult        # jumping multiplicity at that point
     record.divisor     # the mixed multiplier ideal as an antinef divisor
 
-There is one way in per quantity: a point's divisors, gap values and H_c
-are attributes of `evaluate_point`'s record, and its multiplicity is
-`jump_record` or `multiplicity_checked`, which run every route.  The
+There is one way in per quantity: Z is a graph's `fundamental`, a point's
+divisors, gap values and H_c are attributes of `evaluate_point`'s record,
+and its multiplicity, and G at a jumping point, come from `jump_record` or
+`multiplicity_checked`, which run every route.  The
 routes and readers behind them (``evaluate.mmi_divisor``,
 ``multiplicity.multiplicity_oracle``, ``unloading.antinef_closure`` and the
 like) stay module-level functions that are not exported here, where the
@@ -64,7 +65,6 @@ from .multiplicity import (
     PerturbationReport,
     admissible_perturbation,
     jump_record,
-    minimal_jumping_divisor,
     multiplicity_checked,
     perturbation_sum,
 )
@@ -82,7 +82,7 @@ from .rays import (
     series_expand,
     stability_bound,
 )
-from .unloading import antinef_closure_checked, colength, fundamental_cycle, is_antinef
+from .unloading import antinef_closure_checked, colength, is_antinef
 from .walls import (
     BijectionReport,
     CFacet,
@@ -136,7 +136,6 @@ __all__ = [
     "facet_intersection_vertices",
     "format_point",
     "format_rational",
-    "fundamental_cycle",
     "graph_from_adjacency",
     "is_antinef",
     "is_degenerate",
@@ -145,7 +144,6 @@ __all__ = [
     "lct_axis",
     "load_fixture",
     "make_ray",
-    "minimal_jumping_divisor",
     "multiplicity_checked",
     "newton_nest",
     "parse_fixture",

@@ -16,8 +16,9 @@ From M alone the module computes, eagerly at build time:
   `scaled_canonical` = (D, D*K), which the graph stores;
 * the fundamental cycle Z: the smallest nonzero antinef divisor, which must
   have arithmetic genus p_a(Z) = 0 (Artin's criterion for rationality).  It
-  is found by unloading on the built graph, on the first read of its
-  ``errors._lazy`` attribute `fundamental`.
+  is the unchecked closure of E1 by ``unloading.antinef_closure``, taken on
+  the built graph on the first read of its ``errors._lazy`` attribute
+  `fundamental`, the one way in to Z.
 
 One more invariant is computed on first read and never by a build: the
 bounds of the origin's constancy region (see ``evaluate``).  At c = 0 the
@@ -50,8 +51,9 @@ from .errors import (
 from .rationals import (
     _entries, _integer_vector, _rational_vector, over_common_denominator
 )
+from . import unloading
 from .unloading import (
-    BoundedCache, _tree_solve, antinef_closure_checked, fundamental_cycle, intersection_products
+    BoundedCache, _tree_solve, antinef_closure_checked, intersection_products
 )
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -132,8 +134,9 @@ class DualGraph(_Frozen):
 
     @_lazy
     def fundamental(self) -> tuple[int, ...]:
-        """Z: the smallest nonzero antinef divisor."""
-        return fundamental_cycle(self)
+        """Z, the smallest nonzero antinef divisor: it dominates every E_j, so
+        it is the closure of E1, called by module attribute for the tracer."""
+        return unloading.antinef_closure(self, (1,) + (0,) * (self.size - 1))
 
     @_lazy
     def _origin_bounds(self) -> tuple[int, ...]:

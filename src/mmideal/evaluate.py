@@ -38,10 +38,9 @@ All of this is computed once per point: :func:`evaluate_point` returns a
 frozen :class:`PointEvaluation`, and every function here and in
 ``multiplicity`` that takes a point accepts that evaluation in its place.
 The readers `weighted_F`, `gap_values`, `mmi_divisor`, `mmi_divisor_left`
-and `maximal_jumping_divisor` restate its attributes, and
-`support_components` its connected parts.  The package does not export
-them: the benchmark's tracer wraps the five readers by module attribute,
-and `walls`, `rays` and the CLI call `mmi_divisor` and
+and `maximal_jumping_divisor` restate its attributes.  The package does
+not export them: the benchmark's tracer wraps the five readers by module
+attribute, and `walls`, `rays` and the CLI call `mmi_divisor` and
 `maximal_jumping_divisor`.
 The evaluation's attributes beyond its key are ``errors._lazy``: each is
 computed on first read and stored in the instance, so a served repeat
@@ -80,7 +79,7 @@ from .errors import (
     InequalityViolated, InternalConsistencyError, ValidationError, _Frozen, _lazy
 )
 from .polytope import Halfspace, Polytope, intersect_halfspaces
-from .rationals import _entries, _flags, _index, _integer_vector, _rational_vector
+from .rationals import _entries, _index, _integer_vector, _rational_vector
 from .rationals import format_rational, over_common_denominator
 from .unloading import antinef_closure_checked, intersection_products
 
@@ -327,12 +326,6 @@ def maximal_jumping_divisor(ideals: IdealTuple, point: PointLike) -> tuple[bool,
     return evaluate_point(ideals, point).maximal
 
 
-def support_components(ideals: IdealTuple, support: Sequence[bool]) -> list[list[int]]:
-    """Connected components (index lists) of a reduced divisor in the tree,
-    given as one `bool` per component."""
-    return _components(ideals.graph, _flags(support, ideals.size, "support"))
-
-
 def _adjunction_values(
     evaluation: PointEvaluation, support: Sequence[bool]
 ) -> tuple[tuple[int, ...], Connected]:
@@ -352,7 +345,8 @@ def _adjunction_values(
 
 
 def _components(graph: DualGraph, support: Sequence[bool]) -> list[list[int]]:
-    """`support_components` on a support the library built itself, unread."""
+    """Connected components (sorted index lists) of a support the library
+    built, one `bool` per component."""
     adjacency = graph.adjacency
     seen = [False] * len(support)
     components = []

@@ -1,4 +1,4 @@
-"""Jump multiplicities by independent routes, jumping tests, perturbation sums.
+"""Jump multiplicities by independent routes, and perturbation sums.
 
 The multiplicity of a weight point c measures the codimension of the ideal
 at c inside its one-sided limit ideal.  Three routes compute it for any c:
@@ -16,13 +16,14 @@ disagreement is an internal-consistency failure, never a rounding question.
 
 The adjunction form is the sum of v_P + 1 over the connected components P
 of H_c, v_P = (ceil(K - c.F) + H_c).P, as the point's evaluation derives
-them and asserts them >= -1; the jumping criterion (some v_P >= 0) reads
-the same values.  `multiplicity_checked` and `jump_record` alone certify a
-point: routes equal, m > 0 exactly when D_c != D_left, via-G.  The package
-exports those two; the routes `multiplicity`, `multiplicity_fractional`,
-`multiplicity_oracle` and `multiplicity_via_G`, the criterion `is_jumping`
-and `default_offset` stay here unexported, called by module attribute so
-that the benchmark's tracer can wrap them.
+them and asserts them >= -1; the via-G route reads the same values for the
+jumping criterion (some v_P >= 0), and a record's G is the evaluation's
+`minimal` at jumping points.  `multiplicity_checked` and `jump_record`
+alone certify a point: routes equal, m > 0 exactly when D_c != D_left,
+via-G.  The package exports those two; the routes `multiplicity`,
+`multiplicity_fractional`, `multiplicity_oracle` and `multiplicity_via_G`
+stay here unexported, called by module attribute so that the benchmark's
+tracer can wrap them.
 
 A point is certified once per graph.  Both read the graph's
 ``record_cache`` (see ``dualgraph``), keyed by the ideal vectors and the
@@ -62,7 +63,7 @@ from .evaluate import (
     _integer_direction,
     evaluate_point,
 )
-from .rationals import _rational, _rational_vector, over_common_denominator
+from .rationals import _rational_vector, over_common_denominator
 from .unloading import colength
 
 
@@ -115,40 +116,18 @@ def multiplicity_checked(ideals: IdealTuple, point: PointLike) -> int:
     return _certified(ideals, evaluate_point(ideals, point)).mult
 
 
-def is_jumping(ideals: IdealTuple, point: PointLike) -> tuple[bool, list[int] | None]:
-    """(jumping?, witness component of H achieving the criterion).
-
-    The criterion, some connected component H' of H_c with
-    (ceil(K - c.F) + H_c) . H' >= 0, holds exactly when m > 0 because the
-    evaluation asserts every such value >= -1.
-    """
-    _, connected = evaluate_point(ideals, point).maximal_values
-    for part, value in connected:
-        if value >= 0:
-            return True, list(part)
-    return False, None
-
-
-def minimal_jumping_divisor(ideals: IdealTuple, point: PointLike) -> tuple[bool, ...]:
-    """G: support = {j : (c.F)_j = k_j + 1 + e_j^left}; jumping points only."""
-    evaluation = evaluate_point(ideals, point)
-    jumping, _ = is_jumping(ideals, evaluation)
-    if not jumping:
-        raise NotAJumpingPoint(f"{evaluation.point} is not a jumping point")
-    return evaluation.minimal
-
-
 def multiplicity_via_G(ideals: IdealTuple, point: PointLike) -> int:
-    """Adjunction form on the minimal jumping divisor; jumping points only.
+    """Adjunction form on the minimal jumping divisor G; jumping points only,
+    those where some connected component P of H has v_P >= 0.
 
     Where G == H the kernel would rerun on H's support, so H's values, as
     the evaluation derived them, are read instead."""
     evaluation = evaluate_point(ideals, point)
-    minimal = minimal_jumping_divisor(ideals, evaluation)
-    if minimal == evaluation.maximal:
-        _, connected = evaluation.maximal_values
-    else:
-        _, connected = _adjunction_values(evaluation, minimal)
+    _, connected = evaluation.maximal_values
+    if all(value < 0 for _, value in connected):
+        raise NotAJumpingPoint(f"{evaluation.point} is not a jumping point")
+    if evaluation.minimal != evaluation.maximal:
+        _, connected = _adjunction_values(evaluation, evaluation.minimal)
     total = 0
     for _, value in connected:
         total += value + 1
@@ -345,14 +324,6 @@ def perturbation_sum(
     return report
 
 
-def default_offset(point: Sequence[Fraction], delta: Fraction) -> tuple[Fraction, ...]:
-    """Offset along the first axis on which the point vanishes, else axis 1."""
-    coords = _rational_vector(point, None, "point")
-    delta = _rational(delta, "offset size")
-    axis = next((i for i, x in enumerate(coords) if x == 0), 0)
-    return tuple(delta if i == axis else Fraction(0) for i in range(len(coords)))
-
-
 _INITIAL_OFFSET = Fraction(1, 64)
 _MAX_HALVINGS = 200
 
@@ -360,15 +331,16 @@ _MAX_HALVINGS = 200
 def admissible_perturbation(
     ideals: IdealTuple, point: PointLike, ray_dir: Sequence[int]
 ) -> PerturbationReport:
-    """Shrink the axis offset by halving until it is exactly admissible."""
+    """Shrink an axis offset by halving until it is exactly admissible: the
+    first axis on which the point vanishes, else axis 1."""
     evaluation = evaluate_point(ideals, point)
+    axis = next((i for i, x in enumerate(evaluation.point) if x == 0), 0)
     delta = _INITIAL_OFFSET
     last_error: OffsetTooLarge | None = None
     for _ in range(_MAX_HALVINGS):
+        offset = [delta if i == axis else Fraction(0) for i in range(ideals.r)]
         try:
-            return perturbation_sum(
-                ideals, evaluation, ray_dir, default_offset(evaluation.point, delta)
-            )
+            return perturbation_sum(ideals, evaluation, ray_dir, offset)
         except OffsetTooLarge as error:
             last_error = error
             delta /= 2

@@ -119,13 +119,6 @@ def _rational_vector(values, length: int | None, what: str) -> tuple[Fraction, .
     return tuple([x if type(x) is Fraction else _rational(x, what) for x in entries])
 
 
-def _flags(values, length: int, what: str) -> tuple[bool, ...]:
-    entries = _entries(values, length, what)
-    if not all(type(x) is bool for x in entries):
-        raise ValidationError(f"{what}: expected bools, got {values!r}")
-    return entries
-
-
 def _index(value, bound: int, what: str) -> int:
     """A 0-based index, refused outside 0..bound-1."""
     if not 0 <= (index := _integer(value, what)) < bound:

@@ -23,7 +23,8 @@ Both must return the same divisor on every input; the test-suite and the
 ``closure`` CLI subcommand verify that exactly.  Called directly, both
 start from the clamped divisor max(D, 0).  The package exports only the
 checked closure below; both loops stay module-level, unexported, so that
-the benchmark's tracer can wrap them.
+the benchmark's tracer can wrap them.  The fundamental cycle Z is
+`DualGraph.fundamental`, the ceiling loop's closure of E1.
 
 :func:`antinef_closure_checked` does not make the oracle repeat the climb
 the ceiling loop has just made.  From the ceiling result it unloads
@@ -497,18 +498,6 @@ def _checked_closure(graph: DualGraph, key: tuple[int, ...]) -> tuple[int, ...]:
             f"unloading variants disagree: {fast} vs {slow}"
         )
     return fast
-
-
-def fundamental_cycle(graph: DualGraph) -> tuple[int, ...]:
-    """Smallest nonzero antinef divisor (all coefficients >= 1).
-
-    Computed as the closure of a single unit coefficient; every nonzero
-    antinef divisor dominates every unit divisor, so the starting component
-    does not matter (the test-suite checks all of them).
-    """
-    seed = [0] * graph.size
-    seed[0] = 1
-    return antinef_closure(graph, seed)
 
 
 def colength(graph: DualGraph, divisor: Sequence[int]) -> int:

@@ -63,7 +63,7 @@ RAY_L2_POINTS = (
 )
 # pairs flagged with multiplicity 2 in the published chart the rays model;
 # both compute to m = 1 here, while the true m = 2 points are the first row
-# of each column above (report-only reconciliation in the acceptance test)
+# of each column above (asserted in the acceptance test)
 RAY_L_FLAGGED = (F(631, 2860), F(751, 2145))
 RAY_L2_FLAGGED = (F(1161, 3640), F(4519, 10920))
 # the m = 2 point of ray L sits on exactly these wall lines (component, level)

@@ -19,13 +19,12 @@ from mmideal import (
     colength,
     evaluate_point,
     facet_intersection_vertices,
-    fundamental_cycle,
     graph_from_adjacency,
     is_degenerate,
+    jump_record,
     lc_region,
     lct_axis,
     make_ray,
-    minimal_jumping_divisor,
     multiplicity_checked,
     poincare,
     ray_walk,
@@ -57,7 +56,7 @@ def test_01_relative_canonical_exact(rat6, chain10):
 
 def test_02_fundamental_cycle(rat6):
     graph = rat6.graph
-    cycle = fundamental_cycle(graph)
+    cycle = graph.fundamental
     assert cycle == (3, 2, 3, 1, 1, 1)
     floor_of_minus_K = tuple(math.floor(-k) for k in graph.canonical)
     assert antinef_closure(graph, floor_of_minus_K) == cycle
@@ -127,30 +126,21 @@ def test_04_multiplicity_three_way(tuples, rat6_atlas, chain10_atlas, prop16_atl
 
 def test_05_table_membership(chain10):
     columns = {
-        "L": (frozen.RAY_L_BASE, frozen.RAY_L_POINTS, frozen.RAY_L_DOUBLE_POINT),
-        "L'": (frozen.RAY_L2_BASE, frozen.RAY_L2_POINTS, frozen.RAY_L2_POINTS[0]),
+        "L": (frozen.RAY_L_BASE, frozen.RAY_L_POINTS, frozen.RAY_L_FLAGGED),
+        "L'": (frozen.RAY_L2_BASE, frozen.RAY_L2_POINTS, frozen.RAY_L2_FLAGGED),
     }
-    for label, (base, listed, highlighted) in columns.items():
+    for label, (base, listed, flagged) in columns.items():
         ray = make_ray(chain10, base, frozen.RAY_DIR)
         last = max(point[0] for point in listed)
         walked = {jump.point for jump in ray_walk(chain10, ray, last)}
         assert set(listed) <= walked, label
         for point in listed:
             assert evaluate_point(chain10, point).wall_lines, point
-        # report-only: the highlighted pair of each column expects
-        # multiplicity 2; print the whole column for reconciliation
-        pattern = [
-            (point, multiplicity_checked(chain10, point)) for point in listed
-        ]
-        print(f"column {label} multiplicities:")
-        for point, value in pattern:
-            marker = " (highlighted, expects 2)" if point == highlighted else ""
-            print(f"  {point[0]!s},{point[1]!s}: m = {value}{marker}")
-        highlighted_m = multiplicity_checked(chain10, highlighted)
-        print(
-            f"column {label} highlighted pair m = {highlighted_m}: "
-            + ("matches" if highlighted_m == 2 else "diverges, see notes")
-        )
+        # the first listed point of each column has m = 2, the other nine
+        # m = 1; the pair the chart flags with m = 2 is one of those nine
+        pattern = [multiplicity_checked(chain10, point) for point in listed]
+        assert pattern == [2] + [1] * 9, label
+        assert flagged in listed[1:] and multiplicity_checked(chain10, flagged) == 1
 
 
 def _random_positive_point(rng, ideals):
@@ -297,13 +287,8 @@ def test_10_structural_lemmas(tuples, rat6_atlas, chain10_atlas):
             # connected minimal support whose flagged members have at most
             # one neighbor inside the support
             for sample in facet.samples:
-                support = [
-                    j
-                    for j, inside in enumerate(
-                        minimal_jumping_divisor(ideals, sample)
-                    )
-                    if inside
-                ]
+                minimal = jump_record(ideals, sample).minimal
+                support = [j for j, inside in enumerate(minimal) if inside]
                 assert _connected(graph, support)
                 pool = set(support)
                 for j in support:
@@ -321,15 +306,10 @@ def test_10_structural_lemmas(tuples, rat6_atlas, chain10_atlas):
                 assert len(support) == 1 and flagged[support[0]]
 
         for vertex in meeting:
-            if multiplicity_checked(ideals, vertex) != 1:
+            record = jump_record(ideals, vertex)
+            if record.mult != 1:
                 continue
-            support = [
-                j
-                for j, inside in enumerate(
-                    minimal_jumping_divisor(ideals, vertex)
-                )
-                if inside
-            ]
+            support = [j for j, inside in enumerate(record.minimal) if inside]
             ends = _induced_ends(graph, support)
             assert _connected(graph, support)
             assert len(ends) == 2

@@ -184,7 +184,7 @@ def test_the_knob_census_is_pinned():
         if _is_record(item) and item.__module__ == module.__name__
     ]
     plain = sum(not hasattr(item, "_fields") for item in defined)
-    assert len(public) == 61
+    assert len(public) == 59
     assert defaulted == ["parse_point(length)"]
     assert (len(records), sum(map(_field_count, records))) == (15, 81)
     assert (len(defined), plain) == (19, 4)

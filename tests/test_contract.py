@@ -50,11 +50,9 @@ from mmideal import evaluate, multiplicity, unloading, walls
 from mmideal.cli import main
 from mmideal.errors import (
     InternalConsistencyError,
-    LengthMismatch,
     ParseError,
     ValidationError,
 )
-from mmideal.evaluate import support_components
 
 from conftest import FIXTURE_NAMES
 
@@ -132,7 +130,6 @@ not_vector = st.one_of(
     st.none(),
     st.sampled_from([3, Fraction(1, 2), b"\x01", {1: 1}, {1}, Decimal(1), object()]),
 )
-not_flag = st.floats() | st.integers(0, 1) | st.text(max_size=2) | st.none()
 integer = st.integers(-3, 3) | st.builds(Fraction, st.integers(-3, 3))
 rational = (
     st.integers(-3, 3)
@@ -331,8 +328,6 @@ POINT_FUNCTIONS = (
     "multiplicity_oracle",
     "multiplicity_via_G",
     "multiplicity_checked",
-    "is_jumping",
-    "minimal_jumping_divisor",
     "jump_record",
     "is_degenerate",
 )
@@ -349,9 +344,6 @@ sides = mostly(
 
 DRIVEN = {
     **{name: _tuple_and(points) for name in POINT_FUNCTIONS},
-    "support_components": _tuple_and(
-        lambda i: [vector(st.booleans(), i.size, bad=not_flag)]
-    ),
     "subtuple": _tuple_and(
         lambda i: [mostly(st.lists(index(i.r), max_size=3), not_vector.map(Bad))]
     ),
@@ -371,10 +363,6 @@ DRIVEN = {
     "perturbation_sum": _tuple_and(lambda i: points(i) + directions(i) + offsets(i)),
     "admissible_perturbation": _tuple_and(lambda i: points(i) + directions(i)),
     "rho": _tuple_and(lambda i: points(i) + directions(i)),
-    "default_offset": st.tuples(
-        st.integers(0, 3).flatmap(lambda n: vector(rational, n, fixed=False)),
-        scalar(rational),
-    ),
     "make_ray": _tuple_and(lambda i: points(i) + directions(i)),
     "ray_walk": _walk(rational.map(lambda x: x / 3)),
     "stability_bound": _tuple_and(
@@ -389,7 +377,6 @@ DRIVEN = {
     "colength": _tuple_and(
         lambda i: [mostly(st.sampled_from(i.ideals), vector(integer, i.size))]
     ).map(on_graph),
-    "fundamental_cycle": _tuple_and(lambda i: []).map(on_graph),
     "singularity_class": _tuple_and(lambda i: []).map(on_graph),
     "build_graph": st.tuples(matrices),
     "derive_diagonal": adjacency,
@@ -473,7 +460,6 @@ UNEXPORTED = {
                 "mmi_divisor",
                 "mmi_divisor_left",
                 "maximal_jumping_divisor",
-                "support_components",
             ),
         ),
         (
@@ -483,8 +469,6 @@ UNEXPORTED = {
                 "multiplicity_fractional",
                 "multiplicity_oracle",
                 "multiplicity_via_G",
-                "default_offset",
-                "is_jumping",
             ),
         ),
         (unloading, ("antinef_closure", "antinef_closure_unit")),
@@ -657,11 +641,6 @@ def test_float_axis_is_refused():
     with pytest.raises(ValidationError, match=message):
         lct_axis(TUPLES["RAT6"], 1.0)
     assert lct_axis(TUPLES["RAT6"], Fraction(1)) == lct_axis(TUPLES["RAT6"], 1)
-
-
-def test_short_support_is_refused():
-    with pytest.raises(LengthMismatch, match="support: expected 6 entries, got 1"):
-        support_components(TUPLES["RAT6"], (1,))
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,6 @@ from mmideal.evaluate import (
     maximal_jumping_divisor,
     mmi_divisor,
     mmi_divisor_left,
-    support_components,
     weighted_F,
 )
 
@@ -96,11 +95,9 @@ def test_point_validation(rat6):
 def test_support_components(rat6):
     # E1 is adjacent to E2, E3, E4; E5 and E6 hang off E2
     support = (True, False, True, True, False, True)
-    components = support_components(rat6, support)
-    assert sorted(sorted(c) for c in components) == [[0, 2, 3], [5]]
+    assert evaluate._components(rat6.graph, support) == [[0, 2, 3], [5]]
     support = (True, True, True, True, False, False)
-    components = support_components(rat6, support)
-    assert sorted(sorted(c) for c in components) == [[0, 1, 2, 3]]
+    assert evaluate._components(rat6.graph, support) == [[0, 1, 2, 3]]
 
 
 def test_region_binding_rat6(rat6):
@@ -231,21 +228,21 @@ def test_jump_record_evaluates_the_point_once(monkeypatch, rat6):
 
 
 def test_jump_record_finds_G_once(monkeypatch, rat6):
-    # at a jumping point: the adjunction route runs in multiplicity_checked
-    # and in the single is_jumping check that guards G for the via-G route
+    # at a jumping point the record runs the adjunction route once, and the
+    # via-G route, which checks the criterion on H's values and reads G, once
     ray = make_ray(rat6, base=(0, 0), direction=(1, 1))
     points = [frozen.RAT6_CORNER]
     points += [jump.point for jump in ray_walk(rat6, ray, until=Fraction(1, 2))]
     adjunction = record_calls(monkeypatch, "multiplicity", "multiplicity")
-    criterion = record_calls(monkeypatch, "multiplicity", "is_jumping")
+    via_G = record_calls(monkeypatch, "multiplicity", "multiplicity_via_G")
     ideals = cold(rat6)
     for point in points:
         adjunction.clear()
-        criterion.clear()
+        via_G.clear()
         record = jump_record(ideals, point)
         assert record.mult > 0 and record.minimal is not None
-        assert len(adjunction) <= 2
-        assert len(criterion) == 1
+        assert len(adjunction) == 1
+        assert len(via_G) == 1
 
 
 def test_jump_record_reads_H_once(monkeypatch, rat6):

@@ -218,6 +218,59 @@ def test_refused_adjacency_pair_is_named(pair, message):
     assert str(info.value) == message
 
 
+def _excesses(name):
+    """The built tuple's nonzero excesses, keyed (ideal, component) 1-based."""
+    ideals = build_tuple(load_fixture(name))
+    return {
+        (i + 1, j + 1): excess
+        for i, row in enumerate(ideals.excesses)
+        for j, excess in enumerate(row)
+        if excess
+    }
+
+
+@pytest.mark.parametrize(
+    "literal, read",
+    [
+        pytest.param(frozen.CHAIN10_F1, lambda: load_fixture("CHAIN10").ideals[0], id="CHAIN10_F1"),
+        pytest.param(frozen.CHAIN10_F2, lambda: load_fixture("CHAIN10").ideals[1], id="CHAIN10_F2"),
+        pytest.param(frozen.CHAIN10_EXCESSES, lambda: _excesses("CHAIN10"), id="CHAIN10_EXCESSES"),
+        pytest.param(frozen.RAT6_MATRIX, lambda: load_fixture("RAT6").matrix, id="RAT6_MATRIX"),
+        pytest.param(
+            frozen.NEST14_CANONICAL, lambda: load_fixture("NEST14").canonical, id="NEST14_CANONICAL"
+        ),
+        pytest.param(frozen.NEST14_EXCESSES, lambda: _excesses("NEST14"), id="NEST14_EXCESSES"),
+        pytest.param(frozen.PROP16_EDGES, lambda: load_fixture("PROP16").adjacency, id="PROP16_EDGES"),
+        pytest.param(
+            frozen.PROP16_CANONICAL, lambda: load_fixture("PROP16").canonical, id="PROP16_CANONICAL"
+        ),
+        pytest.param(frozen.PROP16_F2, lambda: load_fixture("PROP16").ideals[1], id="PROP16_F2"),
+    ],
+)
+def test_frozen_literal_matches_the_bundled_fixture(literal, read):
+    assert read() == literal
+
+
+def test_every_frozen_literal_is_read_by_a_test_module():
+    source = Path(frozen.__file__)
+    defined = {
+        target.id
+        for node in ast.parse(source.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.isupper()
+    }
+    read = {
+        node.attr
+        for path in source.parent.glob("test_*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "frozen"
+    }
+    assert defined and sorted(defined - read) == []
+
+
 def test_zero_ideal_rejected_at_build():
     data = _fixture_data("SMOOTH1")
     data["ideals"] = [[0]]

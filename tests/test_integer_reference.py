@@ -20,7 +20,6 @@ import pytest
 from conftest import FIXTURE_NAMES, edge_point, face_barycenter
 from mmideal import (
     cell_decomposition,
-    combined_ideal,
     evaluate_point,
     is_degenerate,
     jump_record,
@@ -30,7 +29,6 @@ from mmideal import (
 )
 from mmideal import evaluate, rays
 from mmideal.errors import InternalConsistencyError
-from mmideal.evaluate import support_components
 from mmideal.multiplicity import multiplicity_fractional
 
 
@@ -58,6 +56,10 @@ def reference_evaluation(ideals, point):
 def reference_fractional(ideals, evaluation, values):
     coords, support = evaluation.point, evaluation.maximal
     adjacency = ideals.graph.adjacency
+    # H is a subforest of the tree: one component per component E_i of H,
+    # less one per edge inside H (each edge is listed from both ends)
+    inside = [i for i, flag in enumerate(support) if flag]
+    components = len(inside) - sum(support[j] for i in inside for j in adjacency[i]) // 2
     total = Fraction(0)
     for i, inside in enumerate(support):
         if not inside:
@@ -68,12 +70,20 @@ def reference_fractional(ideals, evaluation, values):
             Fraction(0),
         )
         total += fractional + excess
-    return total - len(support_components(ideals, support))
+    return total - components
+
+
+def reference_slopes(ideals, direction):
+    """(u.F)_j for every component j."""
+    return tuple(
+        sum(u * vector[j] for u, vector in zip(direction, ideals.ideals))
+        for j in range(ideals.size)
+    )
 
 
 def reference_candidates(ideals, ray, after):
     values = reference_evaluation(ideals, ray.base)[1]
-    slopes = combined_ideal(ideals, ray.direction)
+    slopes = reference_slopes(ideals, ray.direction)
 
     def stream(j):
         q, v = slopes[j], values[j]
@@ -185,7 +195,7 @@ def test_candidates_match_fraction_reference(tuples, name):
     ideals = tuples[name]
     for ray in _rays(ideals, seed=name):
         values = reference_evaluation(ideals, ray.base)[1]
-        slopes = combined_ideal(ideals, ray.direction)
+        slopes = reference_slopes(ideals, ray.direction)
         assert stability_bound(ideals, ray) == max(
             Fraction(0), *(-v / q for v, q in zip(values, slopes))
         )
@@ -202,7 +212,7 @@ def test_candidates_match_fraction_reference(tuples, name):
 def _levels_reached(ideals, ray, mu):
     """How many components have a positive integer gap value at mu."""
     values = reference_evaluation(ideals, ray.base)[1]
-    slopes = combined_ideal(ideals, ray.direction)
+    slopes = reference_slopes(ideals, ray.direction)
     return sum(
         (v + mu * q).denominator == 1 and v + mu * q > 0
         for v, q in zip(values, slopes)

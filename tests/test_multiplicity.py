@@ -14,7 +14,6 @@ from mmideal import (
     evaluate_point,
     jump_record,
     make_ray,
-    minimal_jumping_divisor,
     multiplicity_checked,
     perturbation_sum,
     poincare,
@@ -31,8 +30,6 @@ from mmideal.errors import (
     ValidationError,
 )
 from mmideal.multiplicity import (
-    default_offset,
-    is_jumping,
     multiplicity,
     multiplicity_fractional,
     multiplicity_oracle,
@@ -51,22 +48,27 @@ def test_corner_multiplicity_all_routes(rat6):
 
 
 def test_corner_minimal_divisor(rat6):
-    minimal = minimal_jumping_divisor(rat6, frozen.RAT6_CORNER)
+    minimal = evaluate_point(rat6, frozen.RAT6_CORNER).minimal
     assert minimal == (True, True, False, True, False, False)
 
 
 def test_is_jumping_and_witness(rat6):
-    jumping, witness = is_jumping(rat6, frozen.RAT6_CORNER)
-    assert jumping
-    assert witness  # a nonempty connected component of H realizes the jump
-    jumping, witness = is_jumping(rat6, (Fraction(1, 100), Fraction(1, 100)))
-    assert not jumping
-    assert witness is None
+    # a point jumps exactly when some connected component of H, the witness,
+    # has adjunction value >= 0: the criterion the via-G route reads
+    _, connected = evaluate_point(rat6, frozen.RAT6_CORNER).maximal_values
+    assert [value for _, value in connected if value >= 0]
+    assert jump_record(rat6, frozen.RAT6_CORNER).mult > 0
+    for point in ((Fraction(1, 100),) * 2, (Fraction(1, 36),) * 2):
+        _, connected = evaluate_point(rat6, point).maximal_values
+        assert all(value < 0 for _, value in connected)
+        assert jump_record(rat6, point).minimal is None
 
 
 def test_not_a_jumping_point_raises(rat6):
-    with pytest.raises(NotAJumpingPoint):
-        minimal_jumping_divisor(rat6, (Fraction(1, 100), Fraction(1, 100)))
+    # off every wall (H = 0), and on the wall of E1 with (ceil(K - c.F) + H).E1 = -1
+    for point in ((Fraction(1, 100),) * 2, (Fraction(1, 36),) * 2):
+        with pytest.raises(NotAJumpingPoint, match="is not a jumping point"):
+            multiplicity_via_G(rat6, point)
 
 
 def test_smooth1_jumping_numbers(smooth1):
@@ -147,7 +149,7 @@ def test_every_evaluated_point_asserts_the_H_inequalities(inject, rat6, delta, m
     def maximal_values(ideals, point):
         return evaluate_point(ideals, point).maximal_values
 
-    for read in (multiplicity_checked, jump_record, is_jumping, maximal_values):
+    for read in (multiplicity_checked, jump_record, multiplicity_via_G, maximal_values):
         with pytest.raises(InequalityViolated, match=message):
             read(ideals, _TWO_PARTS)
 
@@ -286,10 +288,13 @@ def test_perturbation_builds_no_fraction_views(tuples, name, point):
     assert "values" not in evaluation.__dict__
 
 
-def test_default_offset_prefers_vanishing_axis():
-    delta = Fraction(1, 64)
-    assert default_offset((Fraction(1, 2), Fraction(0)), delta) == (0, delta)
-    assert default_offset((Fraction(1, 2), Fraction(3)), delta) == (delta, 0)
+def test_default_offset_prefers_vanishing_axis(rat6):
+    # the first axis on which the point vanishes, else axis 1; each of these
+    # points admits the first offset, 1/64, before any halving
+    half = Fraction(1, 2)
+    for point, axis in (((half, 0), 1), ((0, half), 0), ((half, 3), 0)):
+        offset = admissible_perturbation(rat6, point, frozen.RAY_DIR).offset
+        assert offset == tuple(Fraction(1, 64) if i == axis else 0 for i in range(2))
 
 
 def test_multiplicity_zero_off_walls(tuples):

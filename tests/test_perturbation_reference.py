@@ -31,7 +31,7 @@ from mmideal import (
 )
 from mmideal.errors import InternalConsistencyError, OffsetTooLarge, ValidationError
 from mmideal.evaluate import _integer_direction
-from mmideal.multiplicity import PerturbationReport, default_offset
+from mmideal.multiplicity import PerturbationReport
 
 
 def reference_perturbation_sum(ideals, point, ray_dir, offset):
@@ -108,12 +108,13 @@ def reference_perturbation_sum(ideals, point, ray_dir, offset):
 
 
 def reference_admissible(ideals, point, ray_dir):
+    # offset along the first axis on which the point vanishes, else axis 1
+    axis = min([i for i, x in enumerate(point) if x == 0], default=0)
     delta = Fraction(1, 64)
     for _ in range(200):
+        offset = tuple(delta if i == axis else Fraction(0) for i in range(ideals.r))
         try:
-            return reference_perturbation_sum(
-                ideals, point, ray_dir, default_offset(point, delta)
-            )
+            return reference_perturbation_sum(ideals, point, ray_dir, offset)
         except OffsetTooLarge:
             delta /= 2
     raise OffsetTooLarge("no admissible offset")

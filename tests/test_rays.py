@@ -210,6 +210,40 @@ def test_chain10_series_matches_walk(chain10):
     ]
 
 
+def _self_intersection(ideals, direction):
+    """G.G for G = sum_i u_i F_i, read densely off the intersection matrix."""
+    G = [
+        sum(u * vector[j] for u, vector in zip(direction, ideals.ideals))
+        for j in range(ideals.size)
+    ]
+    return sum(g * m * h for row, g in zip(ideals.graph.matrix, G) for m, h in zip(row, G))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_series_steps_sum_to_minus_G_squared(tuples, name):
+    # past Skoda's bound D(c + u) = D(c) + G with G = u.F, so consecutive
+    # unit windows of the ray differ by -G.G, and the steps of all residue
+    # classes sum to it; PROP16 takes about 1 s per series, so it gets one
+    ideals = tuples[name]
+    rng = random.Random(name)
+    for _ in range(1 if name == "PROP16" else 3):
+        base = tuple(Fraction(rng.randint(0, 5), rng.randint(1, 6)) for _ in range(ideals.r))
+        direction = tuple(rng.choice((1, 2)) for _ in range(ideals.r))
+        if name == "PROP16":
+            direction = (1,) * ideals.r
+        ray = make_ray(ideals, base, direction)
+        form = poincare(ideals, ray, stability_bound(ideals, ray) + 2)
+        steps = sum(anchor.step for anchor in form.anchors)
+        assert steps == -_self_intersection(ideals, direction), (base, direction)
+
+
+def test_rat6_diagonal_series_steps_sum_to_139(rat6):
+    ray = make_ray(rat6, (0, 0), (1, 1))
+    form = poincare(rat6, ray, stability_bound(rat6, ray) + 2)
+    assert sum(anchor.step for anchor in form.anchors) == 139
+    assert _self_intersection(rat6, (1, 1)) == -139
+
+
 def test_series_refuses_a_walk_missing_a_class_member(rat6, inject):
     # every jump left in the walk still fits its class's recurrence; only
     # the re-expansion over the walk sees the dropped member

@@ -16,7 +16,6 @@ from mmideal import (
     build_tuple,
     cell_decomposition,
     colength,
-    fundamental_cycle,
     is_antinef,
     load_fixture,
     make_ray,
@@ -171,8 +170,14 @@ def test_checked_closure_keys_on_the_clamped_divisor(rat6, inject):
 
 
 def test_fundamental_cycles(tuples):
-    assert fundamental_cycle(tuples["RAT6"].graph) == frozen.RAT6_FUNDAMENTAL
-    assert fundamental_cycle(tuples["SMOOTH1"].graph) == (1,)
+    assert tuples["RAT6"].graph.fundamental == frozen.RAT6_FUNDAMENTAL
+    assert tuples["SMOOTH1"].graph.fundamental == (1,)
+    # Z is read as the closure of E1; the closure of every E_j is Z
+    for ideals in tuples.values():
+        graph = ideals.graph
+        for j in range(graph.size):
+            unit = tuple(int(i == j) for i in range(graph.size))
+            assert antinef_closure_unit(graph, unit) == graph.fundamental
 
 
 def test_colength_known_values(tuples):
