@@ -70,19 +70,10 @@ class SingularityClass(enum.Enum):
 class DualGraph(_Frozen):
     """Immutable dual graph with its canonical data.
 
-    Five bounded, counted caches live on the graph, under the one bound
-    ``unloading.CLOSURE_CACHE_BOUND``: `closure_cache` maps a divisor to its
-    checked antinef closure, `colength_cache` an antinef divisor to its
-    checked colength (see ``unloading``), `record_cache` a point of an
-    ideal tuple on the graph to its certified `JumpRecord` (see
-    ``multiplicity``), `atlas_cache` a pair of ideals and a box to its
-    checked `WallAtlas` (see ``walls``), and `walk_cache` an ideal tuple and
-    a ray to its longest checked walk (see ``rays``).  The first three
-    count entries against the bound, the atlas cache counts faces and the
-    walk cache jumps.  Each is filled only through `BoundedCache.serve`,
-    after every check of its site has passed.  None is compared or shown,
-    so two graphs built from one matrix are equal but share no cached
-    values.
+    The constructor also makes the graph's five caches, under the contract
+    of ``unloading.BoundedCache``: `closure_cache`, `colength_cache`,
+    `record_cache`, `atlas_cache` and `walk_cache`.  Two graphs built from
+    one matrix are equal but share no cached values.
 
     The constructor only stores what `build_graph` computed: besides the
     matrix, K and the adjacency lists, `scaled_canonical` = (D, D*K), D the

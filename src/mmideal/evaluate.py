@@ -445,7 +445,7 @@ class RegionReport(_Frozen):
         kept = self.ideals.rupture_or_dicritical
         return tuple(sorted(
             j
-            for carriers in self.polytope.facet_keys().values()
+            for carriers in self.polytope.facet_keys.values()
             if not any(kept[i] for i in carriers)
             for j in carriers
         ))
@@ -475,9 +475,8 @@ def subtuple(ideals: IdealTuple, indices: Sequence[int]) -> IdealTuple:
 
 
 def combined_ideal(ideals: IdealTuple, weights: Sequence[int]) -> tuple[int, ...]:
-    """The single ideal with vector sum(weights_i * F_i) (product of powers).
-
-    Used by the planar-slice reduction: the slice through an axis point and
-    an interior point sees the duple (F_a, sum of weighted others).
-    """
+    """The vector sum(weights_i * F_i) of the product of the powers
+    I_i^weights_i, one coefficient per component; along a ray with these
+    weights as direction it gives the slopes q_j.  The weights are
+    nonnegative integers, not all zero, one per ideal."""
     return _dot_F(ideals, _integer_direction(ideals, weights, "weights"))

@@ -26,13 +26,12 @@ stay here unexported, called by module attribute so that the benchmark's
 tracer can wrap them.
 
 A point is certified once per graph.  Both read the graph's
-``record_cache`` (see ``dualgraph``), keyed by the ideal vectors and the
-point's canonical integers (N*c, N), the only part of a point's evaluation
-computed on construction.  The first call runs every route, which computes
-the evaluation's gap data, and stores the record only after every check
-has passed; a repeat, from an atlas facet sample, a perturbation crossing
-or a ray candidate alike, is served that checked record before any gap
-data is computed.
+``record_cache``, under the contract of ``unloading.BoundedCache``, keyed
+by the ideal vectors and the point's canonical integers (N*c, N), the only
+part of a point's evaluation computed on construction.  The first call runs
+every route, which computes the evaluation's gap data; a repeat, from an
+atlas facet sample, a perturbation crossing or a ray candidate alike, is
+served the checked record before any gap data is computed.
 
 The perturbation sum rule splits the multiplicity at a point on several
 walls over the distinct points where a parallel ray, shifted by a small
@@ -63,7 +62,7 @@ from .evaluate import (
     _integer_direction,
     evaluate_point,
 )
-from .rationals import _rational_vector, over_common_denominator
+from .rationals import _rational_vector, format_point, over_common_denominator
 from .unloading import colength
 
 
@@ -332,15 +331,30 @@ def admissible_perturbation(
     ideals: IdealTuple, point: PointLike, ray_dir: Sequence[int]
 ) -> PerturbationReport:
     """Shrink an axis offset by halving until it is exactly admissible: the
-    first axis on which the point vanishes, else axis 1."""
+    first axis on which the point vanishes, else axis 1.
+
+    An offset delta*e_a crosses wall j at -delta*F_a[j]/q_j < 0, since every
+    ideal has full support.  So when the point has a wall and a second
+    vanishing coordinate i that the ray moves (u_i > 0), every crossing has
+    coordinate i negative at every delta, and OffsetTooLarge is raised before
+    any offset is tried."""
     evaluation = evaluate_point(ideals, point)
-    axis = next((i for i, x in enumerate(evaluation.point) if x == 0), 0)
+    direction = _integer_direction(ideals, ray_dir, "ray direction")
+    zeros = [i for i, x in enumerate(evaluation.point) if x == 0]
+    axis = zeros[0] if zeros else 0
+    moved = next((i for i in zeros[1:] if direction[i] > 0), None)
+    if moved is not None and evaluation.wall_lines:
+        raise OffsetTooLarge(
+            f"no axis offset is admissible at {format_point(evaluation.point)} along "
+            f"{direction}: every wall through the point is crossed at a negative "
+            f"parameter, where coordinate {moved + 1} is negative"
+        )
     delta = _INITIAL_OFFSET
     last_error: OffsetTooLarge | None = None
     for _ in range(_MAX_HALVINGS):
         offset = [delta if i == axis else Fraction(0) for i in range(ideals.r)]
         try:
-            return perturbation_sum(ideals, evaluation, ray_dir, offset)
+            return perturbation_sum(ideals, evaluation, direction, offset)
         except OffsetTooLarge as error:
             last_error = error
             delta /= 2

@@ -38,8 +38,8 @@ The affine rank of vertices X / W is one less than the rank of their rows
 
 The `Polytope` computes three things on first read, each an
 ``errors._lazy`` attribute stored in the instance: the `Fraction` points
-X / W, the classification of every row, and the facet map `facet_keys`
-returns, built from that classification.
+X / W, the classification of every row, and the facet map `facet_keys`,
+built from that classification.
 
 Two rows may be *coincident* (equal halfspaces up to positive scaling);
 both then earn the same classification.  Geometric dedup is by the
@@ -185,13 +185,10 @@ class Polytope(_Frozen):
                 kinds.append("touch")
         return tuple(kinds)
 
+    @_lazy
     def facet_keys(self) -> dict[tuple[Fraction, ...], list[int]]:
         """Distinct facet-supporting hyperplanes -> indices of carrying
-        constraints, built once: every call returns that dict, unchanged."""
-        return self._facet_keys
-
-    @_lazy
-    def _facet_keys(self) -> dict[tuple[Fraction, ...], list[int]]:
+        constraints, built on first read."""
         keys: dict[tuple[Fraction, ...], list[int]] = {}
         for index, kind in enumerate(self.classification):
             if kind == "facet":

@@ -34,14 +34,14 @@ closed form is checked by expanding it back, anchor a to the keys
 kappa_a + k*L, over the walk that built it, with no `Fraction` arithmetic
 per jump.
 
-Walks are served per graph, by prefix: the graph's ``walk_cache`` (see
-``dualgraph``) holds the longest checked walk of each (tuple, ray), keyed by
-the ideal vectors and the ray as `make_ray` reads it, with the `until` it
-ran to, and serves it to `ray_walk` only for an `until` up to that one.
-`ray_walk` returns the jumps with parameter <= until, as a new list, since
-a walk to a shorter `until` is a prefix of a longer one.  A longer walk is
-computed and checked in full by `_checked_walk` and replaces the held one;
-a walk that raises stores nothing.
+Walks are served per graph, by prefix, under the contract of
+``unloading.BoundedCache``: the graph's ``walk_cache`` holds the longest
+checked walk of each (tuple, ray), keyed by the ideal vectors and the ray
+as `make_ray` reads it, with the `until` it ran to, weighed in jumps, and
+serves it to `ray_walk` only for an `until` up to that one.  `ray_walk`
+returns the jumps with parameter <= until, as a new list, since a walk to a
+shorter `until` is a prefix of a longer one.  A longer walk is computed and
+checked in full by `_checked_walk` and replaces the held one.
 `poincare` walks one unit past its horizon through ``ray_walk``, so its
 walk is served and stored like any other, and every closed-form check
 still runs on it.
@@ -121,17 +121,13 @@ def _key(parameter: Fraction, common: int) -> int:
 
 
 def _candidate_parameters(
-    ideals: IdealTuple,
-    ray: Ray,
-    until: Fraction | None = None,
-    grid: tuple | None = None,
+    ideals: IdealTuple, ray: Ray, until: Fraction, grid: tuple
 ) -> Iterator[Fraction]:
-    """Strictly increasing parameters mu > 0 where some v_j is a positive
-    integer on the ray, each distinct parameter yielded once; up to `until`
-    inclusive unless that is None.  A heap of integer keys, as in the
-    module text, advanced in place by `heapq.heapreplace`.  `grid` is the
-    ray's `_grid` when the caller has read it already."""
-    base, slopes, common, _ = grid or _grid(ideals, ray)
+    """Strictly increasing parameters mu in (0, until] where some v_j is a
+    positive integer on the ray, each distinct parameter yielded once.  A
+    heap of integer keys, as in the module text, advanced in place by
+    `heapq.heapreplace`; `grid` is the ray's `_grid`."""
+    base, slopes, common, _ = grid
     scale = base.scale
     heap = []
     for q, v in zip(slopes, base.scaled_values):
@@ -142,11 +138,11 @@ def _candidate_parameters(
         heap.append(((first * scale - v) * step, scale * step))
     heapq.heapify(heap)
     # floor(until*L)
-    stop = None if until is None else until.numerator * common // until.denominator
+    stop = until.numerator * common // until.denominator
     previous = None
     while True:
         key, increment = heap[0]
-        if stop is not None and key > stop:
+        if key > stop:
             return
         heapq.heapreplace(heap, (key + increment, increment))
         if key != previous:

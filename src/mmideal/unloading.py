@@ -73,21 +73,11 @@ integer (an ``int`` or a ``Fraction`` with denominator 1) per component; a
 float, bool, string or non-integer ``Fraction`` raises ValidationError, a
 wrong length LengthMismatch.
 
-Each graph owns five caches, each a :class:`BoundedCache` that counts its
-hits, misses and evictions, and all five die with their graph.  Each holds
-at most ``CLOSURE_CACHE_BOUND`` in total weight: an entry weighs 1, except
-in ``atlas_cache``, where a wall atlas weighs its face count, and in
-``walk_cache``, where a ray walk weighs its jump count (at least 1).  All
-five are filled the same way, by `BoundedCache.serve`: a held key is
-served, and any other runs its site's compute function, which raises and
-stores nothing on any failed check.  Checked closures go in
-``closure_cache``, keyed by the clamped divisor alone, and colengths in
-``colength_cache``, keyed by the divisor as read; along a ray the left
-divisor at one candidate is the divisor at the one before, so most
-colengths are repeats.  The third, ``record_cache``, holds the certified
-jump records of ``multiplicity``, the fourth, ``atlas_cache``, the checked
-atlases of ``walls``, and the fifth, ``walk_cache``, the checked ray walks
-of ``rays``.
+Checked closures are served from the graph's ``closure_cache``, keyed by
+the clamped divisor alone, and colengths from its ``colength_cache``, keyed
+by the divisor as read, both under the contract of :class:`BoundedCache`;
+along a ray the left divisor at one candidate is the divisor at the one
+before, so most colengths are repeats.
 
 All arithmetic is in Python integers: the colength uses D.K = sum of
 d_j (-2 - E_j^2), which holds because M K = b, so K itself is never read.
@@ -114,20 +104,27 @@ CLOSURE_CACHE_BOUND = 4096
 
 
 class BoundedCache:
-    """Checked values keyed by divisor, by point, by (tuple, box) or by
-    (tuple, ray), at most ``CLOSURE_CACHE_BOUND`` of them in total weight:
-    `weigh` gives a value's weight, 1 unless the owner says otherwise, and
-    `held` is the total.  The entries live in a private dict that `len`,
-    ``in``, iteration and `items` read and only `store` and `clear` change.
+    """The contract of every graph cache.  A `DualGraph` makes five in its
+    constructor, which die with it and are never compared or shown:
+    `closure_cache` and `colength_cache` (this module), `record_cache`
+    (``multiplicity``), `atlas_cache` (``walls``) and `walk_cache`
+    (``rays``).  Keys are divisors, points, or (tuple, box) and (tuple, ray)
+    pairs, each read through ``rationals`` before the lookup.
 
-    `serve` serves a held key, which `fits` must also accept when given,
-    and counts a hit; otherwise it counts a miss, runs ``compute(a, b)``,
-    the owner's routes and checks, which raise and store nothing on a
-    failure, and stores and returns the value.  Storing evicts the oldest
-    entries until the new one fits, and ``evictions`` counts them; a value
-    heavier than the bound is not held, and counts too.  Storing under a
-    held key drops the old value's weight and moves the key to the newest
-    end.
+    Only `serve` writes a cache.  It serves a held key, which `fits` must
+    also accept when given, and counts a hit; otherwise it counts a miss,
+    runs ``compute(a, b)``, the site's routes and checks, and stores and
+    returns the value.  A failed check raises out of `compute`, and nothing
+    is stored.  Storing evicts the oldest entries, first in first out (a
+    hit does not renew its key), until the new value fits under
+    ``CLOSURE_CACHE_BOUND`` in total weight, and ``evictions`` counts them;
+    a value heavier than the bound is not held, and counts too.  `weigh`
+    gives a value's weight, 1 unless the owner says otherwise (faces for an
+    atlas, jumps for a walk, at least 1), and `held` is the total.  Storing
+    under a held key drops the old value's weight and moves the key to the
+    newest end.  `len`, iteration over the keys and `items` read the
+    entries oldest first.  ``tests/test_caches.py`` holds the five sites to
+    this contract, one row each.
     """
 
     def __init__(self, weigh=lambda value: 1) -> None:
@@ -145,10 +142,10 @@ class BoundedCache:
             return value
         self.misses += 1
         value = compute(a, b)
-        self.store(key, value)
+        self._store(key, value)
         return value
 
-    def store(self, key: tuple, value) -> None:
+    def _store(self, key: tuple, value) -> None:
         entries, weigh = self._entries, self.weigh
         if key in entries:
             self.held -= weigh(entries.pop(key))
@@ -162,15 +159,8 @@ class BoundedCache:
         entries[key] = value
         self.held += weight
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self.held = 0
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
 
     def __iter__(self):
         return iter(self._entries)

@@ -29,13 +29,11 @@ through it.  Each face's divisor is the checked closure of its floors, and
 the lowest-numbered face of every cell is evaluated directly as the
 independent route.
 
-Repeated atlases are served, not recomputed: `cell_decomposition` asks the
-graph's ``atlas_cache`` (see ``dualgraph``) to serve the ideal vectors and
-the box, as read, before it builds anything; on a miss `_checked_atlas`
-builds the atlas and runs every check above, and the cache stores it only
-then, so a repeat gets back the same object and an atlas that raises
-stores nothing and raises again.  The cache weighs each atlas by its face
-count; one heavier than ``CLOSURE_CACHE_BOUND`` is returned but not held.
+Repeated atlases are served, not recomputed: `cell_decomposition` reads
+the box, then the graph's ``atlas_cache``, keyed by the ideal vectors and
+the box as read and weighed in faces, serves it under the contract of
+``unloading.BoundedCache``; a miss runs `_checked_atlas`, which builds the
+atlas and runs every check above.
 
 For any number of ideals the log-canonical wall is the boundary of the
 constancy region of the origin: the orthant clipped by one integer row per
@@ -489,7 +487,7 @@ def bijection_report(ideals: IdealTuple) -> BijectionReport:
     nest = _nest(ideals, supports)
 
     facets: list[LCFacet] = []
-    for key, indices in sorted(polytope.facet_keys().items()):
+    for key, indices in sorted(polytope.facet_keys.items()):
         carriers = tuple(indices)
         vertices = polytope.incident_vertices(carriers[0])
         sample = _interior_sample(ideals, carriers, vertices)

@@ -26,10 +26,13 @@ from mmideal import (
 )
 from mmideal import rays, unloading
 from mmideal.svg import render_atlas_svg
-from mmideal.unloading import antinef_closure
+from mmideal.unloading import BoundedCache, antinef_closure
 from trees import seeded_rows, tree_rows
 
-CACHES = ("closure_cache", "colength_cache", "record_cache", "atlas_cache", "walk_cache")
+
+def caches_of(graph):
+    """(name, cache) for every `BoundedCache` of a graph, in constructor order."""
+    return [(name, value) for name, value in vars(graph).items() if isinstance(value, BoundedCache)]
 
 
 def fresh(name):
@@ -129,8 +132,7 @@ def graph_caches():
         runs.append((run, ideals.graph))
     print("run               cache            size    hits  misses  evictions")
     for run, graph in runs:
-        for cache_name in CACHES:
-            cache = getattr(graph, cache_name)
+        for cache_name, cache in caches_of(graph):
             print(
                 run.ljust(17), cache_name.ljust(14),
                 f"{len(cache):6} {cache.hits:7} {cache.misses:7} {cache.evictions:10}",
@@ -159,7 +161,8 @@ def ray_walk_scale():
             ideals = fresh(name)
             ray = seeded_ray(ideals, rng)
             jumps, seconds = timed(ray_walk, ideals, ray, until)
-            candidates = sum(1 for _ in rays._candidate_parameters(ideals, ray, until))
+            grid = rays._grid(ideals, ray)
+            candidates = sum(1 for _ in rays._candidate_parameters(ideals, ray, until, grid))
             read = [
                 f"{cache.hits:8}/{cache.hits + cache.misses:<5}"
                 for cache in (ideals.graph.closure_cache, ideals.graph.colength_cache)

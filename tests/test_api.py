@@ -25,7 +25,6 @@ import scale
 from conftest import BENCH, bench_module
 from mmideal import build_tuple, load_fixture
 from mmideal.errors import _Frozen
-from mmideal.unloading import BoundedCache
 
 ROOT = Path(__file__).resolve().parents[1]
 README_GROUPS = (
@@ -115,8 +114,9 @@ def test_readme_lists_the_public_names():
 def test_every_library_name_the_scale_reports_read_resolves():
     """Importing `tests/scale.py` resolves its `from mmideal import` names.
     Its module chains (`unloading._descend`, `rays._candidate_parameters`,
-    ...) must resolve too, and each attribute it reads off a graph, and each
-    cache it names, must be one a built `DualGraph` has."""
+    ...) must resolve too, and each attribute it reads off a graph must be
+    one a built `DualGraph` has; the caches it finds on a graph are the
+    five, in constructor order."""
     tree = ast.parse(Path(scale.__file__).read_text())
     modules = [
         name for name, value in vars(scale).items()
@@ -141,8 +141,9 @@ def test_every_library_name_the_scale_reports_read_resolves():
     assert {"_edge_kernel", "atlas_cache", "closure_cache"} <= read
     for name in read:
         assert hasattr(graph, name), f"graph.{name}"
-    for name in {*scale.CACHES, *(name for name in read if name.endswith("_cache"))}:
-        assert isinstance(getattr(graph, name), BoundedCache), name
+    caches = [name for name, _ in scale.caches_of(graph)]
+    assert {name for name in read if name.endswith("_cache")} <= set(caches)
+    assert caches == ["closure_cache", "colength_cache", "record_cache", "atlas_cache", "walk_cache"]
 
 
 def _is_record(item):

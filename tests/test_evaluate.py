@@ -341,7 +341,7 @@ def test_via_G_runs_the_kernel_only_where_G_differs_from_H(monkeypatch, tuples):
             direction = [rng.randint(1, 4) for _ in range(ideals.r)]
             ray = make_ray(ideals, base, direction)
             until = Fraction(3, 2)
-            candidates = list(rays._candidate_parameters(ideals, ray, until))
+            candidates = list(rays._candidate_parameters(ideals, ray, until, rays._grid(ideals, ray)))
             kernel.clear()
             via_G.clear()
             jumps = ray_walk(ideals, ray, until)

@@ -204,7 +204,7 @@ def test_candidates_match_fraction_reference(tuples, name):
         afters.append(Fraction(math.floor(head[20] * 101), 101))  # foreign denominator
         for after in afters:
             expected = _head(reference_candidates(ideals, ray, after), 40)
-            stream = rays._candidate_parameters(ideals, ray)
+            stream = rays._candidate_parameters(ideals, ray, Fraction(10**6), rays._grid(ideals, ray))
             found = _head((mu for mu in stream if mu > after), 40)
             assert found == expected
 
@@ -237,7 +237,7 @@ def test_candidates_up_to_until_match_fraction_reference(tuples, name):
                     until.__ge__, reference_candidates(ideals, ray, after)
                 )
             )
-            stream = rays._candidate_parameters(ideals, ray, until)
+            stream = rays._candidate_parameters(ideals, ray, until, rays._grid(ideals, ray))
             found = [mu for mu in stream if mu > after]
             assert found == expected
         # a key two components reach together is yielded once

@@ -136,7 +136,7 @@ def test_interior_samples_match_the_fraction_averages(lc_tuples):
     sampled = 0
     for label, ideals in lc_tuples:
         polytope = lc_region(ideals).polytope
-        for carriers in polytope.facet_keys().values():
+        for carriers in polytope.facet_keys.values():
             vertices = polytope.incident_vertices(carriers[0])
             expected = _reference_sample(ideals, set(carriers), vertices)
             if expected is None:

@@ -20,7 +20,7 @@ from mmideal import (
     ray_walk,
     stability_bound,
 )
-from mmideal import evaluate, rays, unloading
+from mmideal import evaluate, rays
 from mmideal import multiplicity as routes
 from mmideal.errors import (
     InequalityViolated,
@@ -297,6 +297,22 @@ def test_default_offset_prefers_vanishing_axis(rat6):
         assert offset == tuple(Fraction(1, 64) if i == axis else 0 for i in range(2))
 
 
+@pytest.mark.parametrize(
+    "name, point, direction, shown",
+    [("RAT6", (0, 0), (1, 1), "0,0"), ("NEST14", (0, 0, _F(12, 35)), (1, 1, 1), "0,0,12/35")],
+)
+def test_no_offset_is_tried_where_none_can_be_admissible(
+    tuples, monkeypatch, name, point, direction, shown
+):
+    sums = record_calls(monkeypatch, "multiplicity", "perturbation_sum")
+    with pytest.raises(OffsetTooLarge) as raised:
+        admissible_perturbation(tuples[name], point, direction)
+    assert sums == [] and str(raised.value) == (
+        f"no axis offset is admissible at {shown} along {direction}: every wall through the "
+        "point is crossed at a negative parameter, where coordinate 2 is negative"
+    )
+
+
 def test_multiplicity_zero_off_walls(tuples):
     rng = random.Random(29)
     for ideals in tuples.values():
@@ -331,42 +347,19 @@ def test_each_route_is_compared(inject, rat6, route):
 # ---------------------------------------------------------------------------
 
 
-def test_record_cache_belongs_to_its_graph(rat6, monkeypatch):
-    first, second = cold(rat6), cold(rat6)
-    oracle = record_calls(monkeypatch, "multiplicity", "multiplicity_oracle")
-    point = frozen.RAT6_CORNER
-    record = jump_record(first, point)
-    evaluation = evaluate_point(first, point)
+def test_record_cache_keys_points_by_their_tuple(rat6):
+    ideals, point = cold(rat6), frozen.RAT6_CORNER
+    evaluation = evaluate_point(ideals, point)
+    record = jump_record(ideals, evaluation)
     key = (rat6.ideals, evaluation.scaled_point, evaluation.scale)
-    assert dict(first.graph.record_cache.items()) == {key: record}
-    # a repeat by either entry point is the stored record, no route reruns
-    assert jump_record(first, point) is record
-    assert multiplicity_checked(first, evaluation) == record.mult
-    assert len(oracle) == 1
-    cache = first.graph.record_cache
-    assert (cache.hits, cache.misses, cache.evictions) == (2, 1, 0)
-    assert len(second.graph.record_cache) == 0
-    again = jump_record(second, point)
-    assert again == record and again is not record
-    assert len(oracle) == 2
-    # another tuple on the first graph keys its points by its own ideals
-    swapped = attach_ideals(first.graph, rat6.ideals[::-1])
+    # a repeat by the other entry point is the stored record
+    assert multiplicity_checked(ideals, evaluation) == record.mult
+    # another tuple on the graph keys its points by its own ideals
+    swapped = attach_ideals(ideals.graph, rat6.ideals[::-1])
     other = jump_record(swapped, point)
     assert other == jump_record(cold(swapped), point) and other != record
-    assert len(first.graph.record_cache) == 2
-
-
-def test_record_cache_is_bounded_and_counted(rat6, monkeypatch):
-    monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 4)
-    ideals, reference = cold(rat6), cold(rat6)
-    points = [(Fraction(n, 7), Fraction(1, 5)) for n in range(10)]
-    for point in points + points[-3:]:
-        assert jump_record(ideals, point) == jump_record(cold(reference), point)
-        assert len(ideals.graph.record_cache) <= 4
-    cache = ideals.graph.record_cache
-    assert (cache.hits, cache.misses, cache.evictions) == (3, 10, 6)
-    # the oldest entry goes first
-    assert [record.point for _, record in cache.items()] == points[-4:]
+    assert dict(ideals.graph.record_cache.items()) == {key: record, (swapped.ideals, *key[1:]): other}
+    assert (ideals.graph.record_cache.hits, ideals.graph.record_cache.misses) == (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -383,57 +376,23 @@ def test_a_repeated_atlas_is_served_from_its_graph(rat6):
     assert cell_decomposition(ideals, [Fraction(1), 1]) is atlas
     assert (cache.hits, cache.misses, cache.evictions) == (1, 1, 0)
     assert cache.held == len(atlas.arrangement.faces) == 85
-    # another box, another tuple on the graph, another graph: each a miss
+    # another box or another tuple on the graph: each a miss
     half = (Fraction(1, 2), Fraction(1, 2))
     other_box = cell_decomposition(ideals, half)
     assert other_box == cell_decomposition(cold(rat6), half) != atlas
     swapped = attach_ideals(ideals.graph, rat6.ideals[::-1])
     other_tuple = cell_decomposition(swapped, (1, 1))
     assert other_tuple == cell_decomposition(cold(swapped), (1, 1)) != atlas
-    fresh = cold(rat6)
-    other_graph = cell_decomposition(fresh, (1, 1))
-    assert other_graph == atlas and other_graph is not atlas
     assert (cache.hits, cache.misses, cache.evictions) == (1, 3, 0)
-    assert [atlas for _, atlas in cache.items()] == [atlas, other_box, other_tuple]
+    keys = [(rat6.ideals, (1, 1)), (rat6.ideals, half), (rat6.ideals[::-1], (1, 1))]
+    assert list(cache.items()) == list(zip(keys, [atlas, other_box, other_tuple]))
     assert cache.held == 85 + 28 + 85
-    assert (fresh.graph.atlas_cache.hits, fresh.graph.atlas_cache.misses) == (0, 1)
-
-
-def test_atlas_cache_is_bounded_in_faces_and_counted(rat6, monkeypatch):
-    monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 50)
-    ideals = cold(rat6)
-    graph = ideals.graph
-    cache = graph.atlas_cache
-    sides = [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(2, 3), Fraction(1)]
-    # the sides held after each atlas, oldest first: 2/5 evicts 1/4, 2/3
-    # evicts 1/3 and 2/5, and the 1x1 atlas, heavier than the bound, is not held
-    held = [[0], [0, 1], [1, 2], [3], [3]]
-    atlases = []
-    for side, expected in zip(sides, held):
-        atlas = cell_decomposition(ideals, (side, side))
-        assert atlas == cell_decomposition(cold(rat6), (side, side))
-        atlases.append(atlas)
-        assert list(cache) == [(rat6.ideals, (sides[n], sides[n])) for n in expected]
-        assert cache.held == sum(len(a.arrangement.faces) for _, a in cache.items()) <= 50
-        for each in (graph.closure_cache, graph.colength_cache, graph.record_cache):
-            assert each.held == len(each) <= 50
-    assert [len(a.arrangement.faces) for a in atlases] == [13, 20, 23, 46, 85]
-    assert (cache.hits, cache.misses, cache.evictions) == (0, 5, 4)
-    # the atlas held is served; the one not held is computed again
-    assert cell_decomposition(ideals, (sides[3], sides[3])) is atlases[3]
-    again = cell_decomposition(ideals, (1, 1))
-    assert again == atlases[4] and again is not atlases[4]
-    assert (cache.hits, cache.misses, cache.evictions) == (1, 6, 5)
 
 
 # ---------------------------------------------------------------------------
 # The walk cache: the longest checked walk of each (tuple, ray) served from its
 # graph, by prefix, weighed in jumps.
 # ---------------------------------------------------------------------------
-
-
-def _held_weight(cache):
-    return sum(max(1, len(jumps)) for _, (_, jumps) in cache.items())
 
 
 def test_a_repeated_walk_is_served_from_its_graph(rat6, monkeypatch):
@@ -483,27 +442,9 @@ def test_a_longer_walk_replaces_the_held_one(rat6):
     # one entry per ray; the replaced one moves to the newest end
     assert [key[2] for key in cache] == [(1, 2), (1, 1)]
     assert dict(cache.items())[rat6.ideals, first.base, first.direction] == (1, tuple(longer))
-    assert cache.held == _held_weight(cache) == 9 + 15
+    assert cache.held == 9 + 15
     assert ray_walk(ideals, first, Fraction(1, 2)) == short
     assert cache.hits == 1
-
-
-def test_a_walk_that_raises_stores_nothing(chain10, monkeypatch, inject):
-    ideals = cold(chain10)
-    cache = ideals.graph.walk_cache
-    ray = make_ray(ideals, (0, Fraction(1, 3)), (2, 3))
-    first = ray_walk(cold(chain10), ray, 1)[0].parameter
-    stream = rays._candidate_parameters
-    inject(rays, "_candidate_parameters", lambda *args: (mu for mu in stream(*args) if mu != first))
-    for _ in range(2):
-        with pytest.raises(InternalConsistencyError, match="divisor chain broken"):
-            ray_walk(ideals, ray, 1)
-    assert len(cache) == cache.held == 0
-    assert (cache.hits, cache.misses, cache.evictions) == (0, 2, 0)
-    monkeypatch.undo()
-    walk = ray_walk(ideals, ray, 1)
-    assert walk[0].parameter == first and walk == ray_walk(cold(chain10), ray, 1)
-    assert len(cache) == 1 and (cache.hits, cache.misses) == (0, 3)
 
 
 def test_a_repeat_reads_the_ray_and_until_through_the_contract(rat6):
@@ -531,29 +472,6 @@ def test_a_repeat_reads_the_ray_and_until_through_the_contract(rat6):
     assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
 
 
-def test_walk_cache_is_bounded_in_jumps_and_counted(rat6, monkeypatch):
-    monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 20)
-    ideals = cold(rat6)
-    cache = ideals.graph.walk_cache
-    # (direction, until) from the origin, weighing 6, 9, 5, 11, 36 and 6
-    # jumps; the 36-jump walk is heavier than the bound, so it is not held
-    walks = [
-        ((1, 1), Fraction(1, 2)), ((1, 2), Fraction(1, 2)), ((2, 1), Fraction(1, 4)),
-        ((1, 3), Fraction(1, 2)), ((1, 1), Fraction(2)), ((1, 1), Fraction(1, 2)),
-    ]
-    held = [[0], [0, 1], [0, 1, 2], [2, 3], [2, 3], [3, 5]]
-    for (direction, until), expected in zip(walks, held):
-        ray = make_ray(ideals, (0, 0), direction)
-        walk = ray_walk(ideals, ray, until)
-        assert walk == ray_walk(cold(rat6), ray, until)
-        assert [key[2] for key in cache] == [walks[n][0] for n in expected]
-        assert cache.held == _held_weight(cache) <= 20
-    # the 36-jump walk is not held, so the last (1, 1) walk, its prefix, is
-    # computed again
-    assert (cache.hits, cache.misses, cache.evictions) == (0, 6, 4)
-    assert [len(jumps) for _, (_, jumps) in cache.items()] == [11, 6]
-
-
 def test_poincare_over_a_served_walk_equals_a_cold_one(rat6, smooth1):
     for ideals, base, direction in ((rat6, (0, 0), (1, 2)), (smooth1, (0,), (1,))):
         warm = cold(ideals)
@@ -566,19 +484,6 @@ def test_poincare_over_a_served_walk_equals_a_cold_one(rat6, smooth1):
         assert form == poincare(cold(ideals), ray, horizon)
         assert poincare(warm, ray, horizon) == form
         assert (cache.hits, cache.misses, len(cache)) == (2, 1, 1)
-
-
-def test_a_refused_point_stores_no_record(monkeypatch, inject, rat6):
-    ideals = cold(rat6)
-    _shift_adjoint_products(inject, (-1, 0, 0, 0, 0, 1))
-    for read in (multiplicity_checked, jump_record):
-        with pytest.raises(InequalityViolated):
-            read(ideals, _TWO_PARTS)
-    cache = ideals.graph.record_cache
-    assert len(cache) == 0 and (cache.hits, cache.misses) == (0, 2)
-    monkeypatch.undo()
-    assert jump_record(ideals, _TWO_PARTS) == jump_record(cold(rat6), _TWO_PARTS)
-    assert len(cache) == 1 and (cache.hits, cache.misses) == (0, 3)
 
 
 def test_overlapping_atlases_on_one_graph_equal_fresh_ones(rat6):

@@ -49,8 +49,7 @@ def test_coincident_facet_constraints_share_a_key():
         row((3, 3), 3),  # the same line scaled
     ]
     polytope = intersect_halfspaces(halfspaces)
-    keys = polytope.facet_keys()
-    assert list(keys.values()) == [[0, 1]]
+    assert list(polytope.facet_keys.values()) == [[0, 1]]
 
 
 def test_facet_keys_are_built_once(inject):
@@ -59,8 +58,8 @@ def test_facet_keys_are_built_once(inject):
     calls = []
     key = Halfspace.key
     inject(Halfspace, "key", lambda self: calls.append(self) or key(self))
-    keys = polytope.facet_keys()
-    assert polytope.facet_keys() is keys
+    keys = polytope.facet_keys
+    assert polytope.facet_keys is keys
     assert len(calls) == polytope.classification.count("facet") == sum(map(len, keys.values()))
 
 
@@ -209,7 +208,7 @@ def _assert_matches_reference(spaces):
         if kind == "facet":
             key = hyperplane_key(spaces[index].normal, spaces[index].bound)
             keys.setdefault(key, []).append(index)
-    assert polytope.facet_keys() == keys
+    assert polytope.facet_keys == keys
 
 
 def _random_down_closed(rng, dimension):
@@ -340,7 +339,7 @@ def test_valid_matches_the_two_clip_rule_on_random_masks(inject, tuples):
                 expected = set(restricted.vertices) == set(report.polytope.vertices)
                 assert report.valid == expected, (name, centre, mask)
                 verdicts[expected] += 1
-                carriers = list(report.polytope.facet_keys().values())
+                carriers = list(report.polytope.facet_keys.values())
                 for j in report.binding_non_rupture:
                     assert not mask[j]
                     (facet,) = [c for c in carriers if j in c]

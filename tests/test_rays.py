@@ -97,8 +97,8 @@ def test_non_integer_directions_are_refused(rat6, nest14):
 
 def _takewhile_candidates(ideals, ray, until):
     """The candidates up to `until` as the walk once cut them: a `Fraction`
-    comparison per candidate of the unbounded stream."""
-    stream = rays._candidate_parameters(ideals, ray)
+    comparison per candidate of a stream running far past it."""
+    stream = rays._candidate_parameters(ideals, ray, Fraction(10**6), rays._grid(ideals, ray))
     return list(itertools.takewhile(lambda mu: mu <= until, stream))
 
 
@@ -125,7 +125,7 @@ def test_integer_stop_matches_the_takewhile_reference(tuples, name):
         ]
         for until in stops:
             reference = _takewhile_candidates(ideals, ray, until)
-            found = list(rays._candidate_parameters(ideals, ray, until))
+            found = list(rays._candidate_parameters(ideals, ray, until, rays._grid(ideals, ray)))
             assert found == reference
         assert _takewhile_candidates(ideals, ray, on)[-1] == on
         for until in stops[:5]:

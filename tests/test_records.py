@@ -364,7 +364,7 @@ def _counting_dot_F(inject):
 def test_a_repeated_walk_is_served_before_any_gap_data(inject, rat6):
     ideals = cold(rat6)
     ray = make_ray(ideals, (Fraction(1, 3), 0), (1, 2))
-    candidates = list(rays._candidate_parameters(ideals, ray, Fraction(2)))
+    candidates = list(rays._candidate_parameters(ideals, ray, Fraction(2), rays._grid(ideals, ray)))
     cache = ideals.graph.record_cache
     fills = _counting_dot_F(inject)
     first = list(rays._jumps(ideals, ray, candidates))

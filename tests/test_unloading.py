@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frozen
-from conftest import divisor_leq, record_calls
+from conftest import cold, divisor_leq, record_calls
 from mmideal import (
     attach_ideals,
     antinef_closure_checked,
@@ -72,46 +72,6 @@ def test_integer_colength_matches_fraction_definition(tuples):
             assert colength(graph, divisor) == -Fraction(pairing, 2)
 
 
-def test_closure_cache_belongs_to_its_graph(rat6, inject):
-    first = build_graph(rat6.graph.matrix)
-    second = build_graph(rat6.graph.matrix)
-    assert first == second
-    oracle = unloading.antinef_closure_unit
-    calls = []
-
-    def counted(graph, divisor):
-        calls.append(divisor)
-        return oracle(graph, divisor)
-
-    inject(unloading, "antinef_closure_unit", counted)
-    divisor = (4, 0, 1, 0, 0, 2)
-    closure = antinef_closure_checked(first, divisor)
-    assert antinef_closure_checked(first, divisor) == closure
-    assert len(calls) == 1
-    assert dict(first.closure_cache.items()) == {divisor: closure}
-    assert len(second.closure_cache) == 0
-    assert antinef_closure_checked(second, divisor) == closure
-    assert len(calls) == 2
-
-
-def test_closure_cache_is_bounded_and_counted(rat6, monkeypatch):
-    monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 4)
-    graph = build_graph(rat6.graph.matrix)
-    divisors = [(n, 0, 1, 0, 0, n % 3) for n in range(12)]
-    checked = divisors + divisors[9:] + divisors[:2]
-    for divisor in checked:
-        closure = antinef_closure_checked(graph, divisor)
-        assert closure == antinef_closure(graph, divisor)
-        assert len(graph.closure_cache) <= 4
-    cache = graph.closure_cache
-    assert (cache.hits, cache.misses) == (3, 14)
-    assert cache.hits + cache.misses == len(checked)
-    # every miss stores, so all but the last 4 stored entries were evicted
-    assert cache.evictions == 14 - 4
-    # the oldest entry goes first; a hit does not renew an entry
-    assert list(cache) == [divisors[10], divisors[11], divisors[0], divisors[1]]
-
-
 def test_atlas_under_a_small_closure_cache(rat6_atlas, monkeypatch):
     monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 8)
     ideals = build_tuple(load_fixture("RAT6"))
@@ -152,16 +112,9 @@ def test_closures_refuse_non_integer_coefficients(rat6):
     assert antinef_closure_checked(graph, (Fraction(4, 2), 0, 0, 0, 0, 0)) == two
 
 
-def test_checked_closure_keys_on_the_clamped_divisor(rat6, inject):
+def test_checked_closure_keys_on_the_clamped_divisor(rat6, monkeypatch):
     graph = build_graph(rat6.graph.matrix)
-    oracle = unloading.antinef_closure_unit
-    calls = []
-
-    def counted(graph, divisor):
-        calls.append(divisor)
-        return oracle(graph, divisor)
-
-    inject(unloading, "antinef_closure_unit", counted)
+    calls = record_calls(monkeypatch, "unloading", "_checked_closure")
     closure = antinef_closure_checked(graph, (3, -2, 1, 0, -7, 0))
     assert antinef_closure_checked(graph, (3, 0, 1, -1, 0, 0)) == closure
     assert len(calls) == 1
@@ -193,14 +146,12 @@ def test_colength_requires_antinef(rat6):
         colength(rat6.graph, (1, 0, 0, 0, 0, 0))
 
 
-def test_odd_colength_total_is_an_internal_error(inject, capsys, rat6):
-    # the fundamental cycle's products, wherever they are computed, made a
-    # unit more negative at its first component, of odd coefficient 3: the
-    # cycle stays antinef and its colength total turns odd, which no correct
-    # route produces.  A fresh graph has an empty colength memo, so colength
-    # reads the products.
-    graph = build_graph(rat6.graph.matrix)
-    fundamental = graph.fundamental
+def _skew_fundamental(inject, ideals):
+    """The fundamental cycle's products, wherever they are computed, made a
+    unit more negative at its first component, of odd coefficient 3: the
+    cycle stays antinef and its colength total turns odd, which no correct
+    route produces."""
+    fundamental = ideals.graph.fundamental
     assert fundamental[0] % 2
     honest = unloading.intersection_products
 
@@ -211,124 +162,15 @@ def test_odd_colength_total_is_an_internal_error(inject, capsys, rat6):
         return (products[0] - 1,) + products[1:]
 
     inject(unloading, "intersection_products", skewed)
+
+
+def test_odd_colength_total_is_an_internal_error(inject, capsys, rat6):
+    ideals = cold(rat6)
+    _skew_fundamental(inject, ideals)
     with pytest.raises(InternalConsistencyError, match="fractional"):
-        colength(graph, graph.fundamental)
+        colength(ideals.graph, ideals.graph.fundamental)
     assert main(["fcycle", "RAT6"]) == 3
     assert "colength came out fractional" in capsys.readouterr().err
-
-
-def test_colength_cache_belongs_to_its_graph(rat6):
-    first = build_graph(rat6.graph.matrix)
-    second = build_graph(rat6.graph.matrix)
-    assert first == second
-    divisor = frozen.RAT6_FUNDAMENTAL
-    assert colength(first, divisor) == 1
-    assert colength(first, divisor) == 1
-    assert dict(first.colength_cache.items()) == {divisor: 1}
-    assert (first.colength_cache.hits, first.colength_cache.misses) == (1, 1)
-    assert len(second.colength_cache) == 0
-    assert colength(second, divisor) == 1
-    assert (second.colength_cache.hits, second.colength_cache.misses) == (0, 1)
-
-
-def test_colength_cache_is_bounded_and_counted(rat6, monkeypatch):
-    reference = build_graph(rat6.graph.matrix)
-    divisors = [tuple(n * z for z in reference.fundamental) for n in range(12)]
-    values = {divisor: colength(reference, divisor) for divisor in divisors}
-    monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 4)
-    graph = build_graph(rat6.graph.matrix)
-    checked = divisors + divisors[9:] + divisors[:2]
-    for divisor in checked:
-        assert colength(graph, divisor) == values[divisor]
-        assert len(graph.colength_cache) <= 4
-    cache = graph.colength_cache
-    assert (cache.hits, cache.misses) == (3, 14)
-    assert cache.hits + cache.misses == len(checked)
-    assert cache.evictions == 14 - 4
-    # the oldest entry goes first; a hit does not renew an entry
-    assert list(cache) == [divisors[10], divisors[11], divisors[0], divisors[1]]
-
-
-def test_bounded_cache_weight_follows_every_insertion_and_removal(monkeypatch):
-    # filled to the bound and cleared, a cache takes a store without
-    # running its eviction loop on nothing
-    cache = unloading.BoundedCache()
-    for n in range(unloading.CLOSURE_CACHE_BOUND):
-        cache.store((n,), n)
-    assert cache.held == len(cache) == unloading.CLOSURE_CACHE_BOUND
-    cache.clear()
-    assert cache.held == 0
-    cache.store((0,), 0)
-    assert dict(cache.items()) == {(0,): 0} and cache.held == 1 and cache.evictions == 0
-    # a cache weighing each value by its length, through every path
-    monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 10)
-    cache = unloading.BoundedCache(len)
-    steps = [
-        (lambda: cache.store("a", "xxx"), ["a"]),
-        (lambda: cache.store("b", "xxxx"), ["a", "b"]),
-        # a held key: its old weight goes, and it moves to the newest end
-        (lambda: cache.store("a", "x"), ["b", "a"]),
-        # 5 + 6 > 10: the oldest entry goes
-        (lambda: cache.store("c", "xxxxxx"), ["a", "c"]),
-        (lambda: cache.serve("d", lambda a, b: a + b, "x", "x"), ["a", "c", "d"]),
-        # heavier than the bound: not held
-        (lambda: cache.store("e", "x" * 11), ["a", "c", "d"]),
-        # the whole bound: every held entry goes
-        (lambda: cache.store("f", "x" * 10), ["f"]),
-        (lambda: cache.clear(), []),
-        (lambda: cache.store("g", "x"), ["g"]),
-    ]
-    for step, keys in steps:
-        step()
-        assert list(cache) == keys
-        assert cache.held == sum(len(value) for _, value in cache.items()) <= 10
-    # b, e, then a, c and d
-    assert cache.evictions == 5
-
-
-def test_bounded_cache_changes_only_through_serve_store_and_clear(monkeypatch):
-    # a dict's own mutators would skip the bound and the weight: a cache
-    # bounded at 2 that took ten entries by `update` would hold them all
-    # with `held` still 0
-    monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 2)
-    cache = unloading.BoundedCache()
-    assert not isinstance(cache, dict)
-    for name in ("update", "setdefault", "pop", "popitem", "__setitem__", "__delitem__"):
-        assert not hasattr(cache, name), name
-    with pytest.raises(AttributeError):
-        cache.update({(n,): n for n in range(10)})
-    with pytest.raises(TypeError):
-        cache |= {(0,): 0}
-    assert len(cache) == cache.held == 0
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["serve", "store", "clear"]),
-            st.integers(0, 5),
-            st.text("x", max_size=12),
-        )
-    )
-)
-def test_bounded_cache_holds_its_weight_after_any_calls(calls):
-    # after any sequence of the public calls, values heavier than the bound
-    # included, `held` is the weight of what is held and at most the bound,
-    # and a serve returns the held value or counts a miss and computes
-    bound = unloading.CLOSURE_CACHE_BOUND
-    cache = unloading.BoundedCache(lambda value: len(value) * bound // 8)
-    for n, (call, key, value) in enumerate(calls):
-        if call == "serve":
-            held = dict(cache.items()).get(key)
-            served = cache.serve(key, lambda a, b: a + b, value, "")
-            assert served == (value if held is None else held)
-        elif call == "store":
-            cache.store(key, value)
-        else:
-            cache.clear()
-        assert cache.held == sum(cache.weigh(held) for _, held in cache.items()) <= bound
-        assert cache.hits + cache.misses == sum(c == "serve" for c, _, _ in calls[: n + 1])
 
 
 def test_colength_memo_still_reads_its_input(rat6):

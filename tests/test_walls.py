@@ -259,25 +259,6 @@ def test_every_dropped_source_is_caught(rat6, inject):
             cell_decomposition(cold(rat6), box)
 
 
-def test_an_atlas_that_raises_stores_nothing(rat6, inject):
-    ideals = cold(rat6)
-    cache = ideals.graph.atlas_cache
-    build, builds = walls.build_arrangement, []
-    inject(walls, "build_arrangement", lambda lines, box: _swap_sides(build(lines, box), 0))
-    for _ in range(2):
-        with pytest.raises(InternalConsistencyError, match="crossing edge"):
-            cell_decomposition(ideals, (1, 1))
-    assert len(cache) == cache.held == 0
-    assert (cache.hits, cache.misses, cache.evictions) == (0, 2, 0)
-    # unpatched, the next call computes and checks the atlas, then serves it
-    inject(walls, "build_arrangement", lambda lines, box: builds.append(box) or build(lines, box))
-    atlas = cell_decomposition(ideals, (1, 1))
-    assert atlas == cell_decomposition(cold(rat6), (1, 1))
-    assert cell_decomposition(ideals, (1, 1)) is atlas
-    assert len(builds) == 2 and (cache.hits, cache.misses) == (1, 3)
-    assert [held for _, held in cache.items()] == [atlas]
-
-
 # Reference for the wall-line source check in `walls._face_floors`: the wall
 # lines of the point evaluation at the midpoint of each wall line's first
 # edge, the route the integer scan `walls._walls_through` replaced.  The scan
@@ -501,7 +482,7 @@ def test_lc_polytope_facets_bound_the_origin_cell(tuples):
             for facet in atlas.facets
             if facet.low_divisor == origin
         }
-        assert carriers == {_lowest_terms(key) for key in report.polytope.facet_keys()}
+        assert carriers == {_lowest_terms(key) for key in report.polytope.facet_keys}
 
 
 def test_facets_lie_on_contributing_walls(tuples, rat6_atlas, chain10_atlas):
