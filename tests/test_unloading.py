@@ -173,6 +173,81 @@ def test_odd_colength_total_is_an_internal_error(inject, capsys, rat6):
     assert "colength came out fractional" in capsys.readouterr().err
 
 
+def test_bounded_cache_weight_follows_every_insertion_and_removal(monkeypatch):
+    # filled to the bound, a cache evicts its oldest entry for the next one
+    cache = unloading.BoundedCache()
+    for n in range(unloading.CLOSURE_CACHE_BOUND + 1):
+        cache.serve((n,), lambda a, b: a, n, None)
+    assert cache.held == len(cache) == unloading.CLOSURE_CACHE_BOUND
+    assert next(iter(cache)) == (1,) and cache.evictions == 1
+    # a cache weighing each value by its length, through every path of `serve`:
+    # each step serves `key`, computing `value` unless a held value at least `least` long
+    monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 10)
+    cache = unloading.BoundedCache(len)
+    fits = {None: None, 4: lambda held: len(held) >= 4}
+    steps = [
+        ("a", "xxx", None, "xxx", ["a"]),
+        ("b", "xxxx", None, "xxxx", ["a", "b"]),
+        # a hit: the held value, and its key stays where it is
+        ("a", "y", None, "xxx", ["a", "b"]),
+        # a held key that does not fit: its old weight goes, and it moves to the newest end
+        ("a", "x", 4, "x", ["b", "a"]),
+        # 5 + 6 > 10: the oldest entry goes
+        ("c", "xxxxxx", None, "xxxxxx", ["a", "c"]),
+        ("d", "x", None, "x", ["a", "c", "d"]),
+        # heavier than the bound: not held
+        ("e", "x" * 11, None, "x" * 11, ["a", "c", "d"]),
+        # the whole bound: every held entry goes
+        ("f", "x" * 10, None, "x" * 10, ["f"]),
+        ("g", "x", None, "x", ["g"]),
+    ]
+    for key, value, least, served, keys in steps:
+        assert cache.serve(key, lambda a, b: a, value, None, fits[least]) == served
+        assert list(cache) == keys
+        assert cache.held == sum(len(value) for _, value in cache.items()) <= 10
+    # b, e, then a, c and d, then f
+    assert (cache.hits, cache.misses, cache.evictions) == (1, 8, 6)
+
+
+def test_bounded_cache_changes_only_through_serve_store_and_clear(monkeypatch):
+    # `serve` is the one write path: the store it runs is private `_store`, and there is
+    # no `clear`; a dict's own mutators would skip the bound and the weight: a cache
+    # bounded at 2 that took ten entries by `update` would hold them all with `held` still 0
+    monkeypatch.setattr(unloading, "CLOSURE_CACHE_BOUND", 2)
+    cache = unloading.BoundedCache()
+    assert not isinstance(cache, dict)
+    for name in ("update", "setdefault", "pop", "popitem", "__setitem__", "__delitem__",
+                 "store", "clear", "__contains__"):
+        assert not hasattr(cache, name), name
+    with pytest.raises(AttributeError):
+        cache.update({(n,): n for n in range(10)})
+    with pytest.raises(TypeError):
+        cache |= {(0,): 0}
+    assert len(cache) == cache.held == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5), st.text("x", max_size=12), st.none() | st.integers(0, 12))
+    )
+)
+def test_bounded_cache_holds_its_weight_after_any_calls(calls):
+    # after any stream of serve calls, values heavier than the bound and held values that
+    # do not fit included, `held` is the weight of what is held and at most the bound, and
+    # a serve returns the held value that fits or counts a miss and computes
+    bound = unloading.CLOSURE_CACHE_BOUND
+    cache = unloading.BoundedCache(lambda value: len(value) * bound // 8)
+    for n, (key, value, least) in enumerate(calls, 1):
+        held = dict(cache.items()).get(key)
+        fits = None if least is None else lambda held: len(held) >= least
+        served = cache.serve(key, lambda a, b: a + b, value, "", fits)
+        fitted = held is not None and (fits is None or fits(held))
+        assert served == (held if fitted else value)
+        assert cache.held == sum(cache.weigh(held) for _, held in cache.items()) <= bound
+        assert cache.hits + cache.misses == n
+
+
 def test_colength_memo_still_reads_its_input(rat6):
     # a float or a bool hashes and compares equal to the int in a stored key,
     # so the memo is read only after the divisor has passed the contract
